@@ -81,6 +81,20 @@ class Config:
         return list(self.suites)
 
 
+def _merge_tolerances(given) -> dict:
+    """A partial tolerances object overrides only the keys it names."""
+    defaults = _DEFAULTS["tolerances"]
+    if not isinstance(given, dict):
+        raise ConfigError("tolerances must be an object")
+    unknown = set(given) - set(defaults)
+    if unknown:
+        raise ConfigError(f"unknown tolerances: {sorted(unknown)}; expected {sorted(defaults)}")
+    bad = sorted(k for k, v in given.items() if isinstance(v, bool) or not isinstance(v, (int, float)))
+    if bad:
+        raise ConfigError(f"tolerances must be numbers: {bad}")
+    return {**defaults, **given}
+
+
 def load_config(data: dict | None = None, path: str | Path | None = None, overrides: dict | None = None) -> Config:
     """Build a fully resolved configuration; unknown keys are rejected."""
     merged = dict(_DEFAULTS)
@@ -96,6 +110,8 @@ def load_config(data: dict | None = None, path: str | Path | None = None, overri
         if data.get("schema", CONFIG_SCHEMA) != CONFIG_SCHEMA:
             raise ConfigError(f"unsupported config schema {data.get('schema')!r}")
         merged.update(data)
+        if "tolerances" in data:
+            merged["tolerances"] = _merge_tolerances(data["tolerances"])
     if overrides:
         merged.update({k: v for k, v in overrides.items() if v is not None})
     suites = merged["suites"]

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import BadShift, NoConvergence, NotComparable
-from .exactlin import project_onto, vscale
+from .exactlin import mat_vec, projector, vscale
 from .gmfamily import ScalarRootFns
 from .levilattice import (
     Levi,
@@ -366,12 +366,13 @@ def _m_term_data(fns: ScalarRootFns, M: Levi, S: Levi, Q1: ParabolicChamber) -> 
     if ks == 0:
         return [_MTermData(1.0, [])]
     candidates = []
+    proj_rel = projector(rel, d.gram)
     for ray in restricted_rays(L1):
         if S.dim and any(d.pair(ray.rep, b) != 0 for b in S.basis):
             continue
         rep_neg = ray.rep if d.pair(ray.rep, Q1.chamber_point) < 0 else -ray.rep
         dual_neg = RatVec(vscale(Fraction(2) / d.pair(rep_neg, rep_neg), rep_neg.coords))
-        proj = project_onto(dual_neg.coords, rel, d.gram)
+        proj = mat_vec(proj_rel, dual_neg.coords)
         if all(x == 0 for x in proj):
             continue
         candidates.append((ray, rep_neg, dual_neg, proj))
@@ -531,12 +532,13 @@ def lemma_shift_check(
             if not sub_terms:
                 continue
             total_term = 0j
+            proj_l = projector(L.basis_rows(), d.gram)
             for term in sub_terms:
                 pole_dirs = []
                 for fn, dual in term.factors:
                     if fn.has_pole0():
-                        proj = project_onto(dual.coords, [b.coords for b in L.basis], d.gram) if L.dim else None
-                        if proj is not None and any(x != 0 for x in proj):
+                        proj = mat_vec(proj_l, dual.coords)
+                        if any(x != 0 for x in proj):
                             pole_dirs.append(proj)
                 for a in range(len(pole_dirs)):
                     for b in range(a + 1, len(pole_dirs)):

@@ -2,6 +2,15 @@
 
 Vectors are tuples of Fractions, matrices are tuples of row tuples.
 Everything here is pure and deterministic; no floating point.
+
+Invariant: normalised ``Fraction``s in and out, integer arithmetic inside.
+The products (``dot``, ``sym_pair``, ``mat_vec``, ``mat_mul``) accumulate
+integer numerators over one running denominator, and everything built on
+elimination (``rref``, ``rank``, ``kernel``, ``solve``, ``mat_inv``,
+``det``, ``projector``) is fraction-free (Bareiss 1968) on integer rows.
+Each result entry becomes a ``Fraction`` once, at the end, so it costs one
+gcd instead of one per multiply and add.  Only the entrywise helpers
+``vadd``, ``vsub`` and ``vscale`` still operate on ``Fraction``s.
 """
 from __future__ import annotations
 
@@ -36,17 +45,53 @@ def vsub(u: Vec, v: Vec) -> Vec:
     return tuple(a - b for a, b in zip(u, v, strict=True))
 
 
-def vneg(u: Vec) -> Vec:
-    return tuple(-a for a in u)
-
-
 def vscale(c, u: Vec) -> Vec:
     c = frac(c)
     return tuple(c * a for a in u)
 
 
+def _ratio(num: int, den: int) -> Fraction:
+    return Fraction(num) if den == 1 else Fraction(num, den)
+
+
+def _ratios(u: Iterable[Fraction]) -> list[tuple[int, int]]:
+    return [a.as_integer_ratio() for a in u]
+
+
+def _int_row(u: Iterable[Fraction]) -> tuple[list[int], int]:
+    """Integer numerators of u over the least common denominator of its entries."""
+    pairs = _ratios(u)
+    den = 1
+    for _, d in pairs:
+        if d != 1:
+            den = den * d // gcd(den, d)
+    if den == 1:
+        return [n for n, _ in pairs], 1
+    return [n * (den // d) for n, d in pairs], den
+
+
+def _dot_ratios(u: Iterable[Fraction], vs: Sequence[tuple[int, int]]) -> Fraction:
+    """u . v for v given as (numerator, denominator) pairs; zero terms are skipped."""
+    num, den = 0, 1
+    for a, (bn, bd) in zip(u, vs, strict=True):
+        if not bn:
+            continue
+        an, ad = a.as_integer_ratio()
+        if not an:
+            continue
+        d = ad * bd
+        if d == den:
+            num += an * bn
+        elif d == 1:
+            num += an * bn * den
+        else:
+            num = num * d + an * bn * den
+            den *= d
+    return _ratio(num, den)
+
+
 def dot(u: Vec, v: Vec) -> Fraction:
-    return sum((a * b for a, b in zip(u, v, strict=True)), ZERO)
+    return _dot_ratios(u, _ratios(v))
 
 
 def is_zero_vec(u: Vec) -> bool:
@@ -66,136 +111,181 @@ def transpose(m: Mat) -> Mat:
 
 
 def mat_vec(m: Mat, v: Vec) -> Vec:
-    return tuple(dot(row, v) for row in m)
+    vs = _ratios(v)
+    return tuple(_dot_ratios(row, vs) for row in m)
 
 
 def mat_mul(a: Mat, b: Mat) -> Mat:
-    bt = transpose(b)
-    return tuple(tuple(dot(row, col) for col in bt) for row in a)
+    cols = [_ratios(col) for col in transpose(b)]
+    return tuple(tuple(_dot_ratios(row, col) for col in cols) for row in a)
+
+
+def sym_pair(S: Mat, u: Vec, v: Vec) -> Fraction:
+    """The form (S u) . v, summed in one double loop over the nonzero terms."""
+    us = _ratios(u)
+    if len(us) != len(S):
+        raise ValueError("sym_pair: vector and form of different lengths")
+    num, den = 0, 1
+    for a, row in zip(v, S, strict=True):
+        an, ad = a.as_integer_ratio()
+        if not an:
+            continue
+        for s, (bn, bd) in zip(row, us, strict=True):
+            if not bn:
+                continue
+            sn, sd = s.as_integer_ratio()
+            if not sn:
+                continue
+            d = ad * sd * bd
+            p = an * sn * bn
+            if d == den:
+                num += p
+            elif d == 1:
+                num += p * den
+            else:
+                num = num * d + p * den
+                den *= d
+    return _ratio(num, den)
+
+
+def gram_matrix(vectors: Sequence[Vec], S: Mat) -> Mat:
+    return tuple(tuple(sym_pair(S, u, v) for v in vectors) for u in vectors)
+
+
+# ---------------------------------------------------------------------------
+# fraction-free elimination
+
+
+def _eliminate(rows: list[list[int]], ncols: int) -> tuple[list[int], int, int]:
+    """Fraction-free Gauss-Jordan elimination of integer rows, in place.
+
+    Pivots are sought in the first ncols columns only; every column of the
+    rows is transformed.  Returns the pivot columns (pivot k sits in row k),
+    the final pivot d and the sign of the row permutation.  Afterwards every
+    pivot entry equals d, the other entries of pivot columns are 0, and the
+    reduced row echelon form of the leading rows is rows / d.  By Sylvester's
+    identity each division by the previous pivot is exact (Bareiss 1968).
+    """
+    nrows = len(rows)
+    pivots: list[int] = []
+    prev = 1
+    sign = 1
+    lead = 0
+    for col in range(ncols):
+        if lead == nrows:
+            break
+        pivot = next((r for r in range(lead, nrows) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        if pivot != lead:
+            rows[lead], rows[pivot] = rows[pivot], rows[lead]
+            sign = -sign
+        top = rows[lead]
+        p = top[col]
+        for r in range(nrows):
+            if r == lead:
+                continue
+            row = rows[r]
+            f = row[col]
+            if f:
+                rows[r] = [(p * x - f * y) // prev for x, y in zip(row, top)]
+            elif p != prev:
+                rows[r] = [p * x // prev for x in row]
+        pivots.append(col)
+        prev = p
+        lead += 1
+    return pivots, prev, sign
+
+
+def _int_rows(rows: Iterable[Iterable[Fraction]]) -> tuple[list[list[int]], list[int]]:
+    """Each row cleared of its own denominators (row space and solutions unchanged)."""
+    out, dens = [], []
+    for r in rows:
+        ints, den = _int_row(r)
+        out.append(ints)
+        dens.append(den)
+    return out, dens
 
 
 def det(m: Mat) -> Fraction:
-    """Determinant by fraction Gaussian elimination with partial pivoting."""
     n = len(m)
-    rows = [list(r) for r in m]
-    sign = 1
-    result = ONE
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
-        if pivot is None:
-            return ZERO
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            sign = -sign
-        p = rows[col][col]
-        result *= p
-        for r in range(col + 1, n):
-            if rows[r][col] != 0:
-                f = rows[r][col] / p
-                for c in range(col, n):
-                    rows[r][c] -= f * rows[col][c]
-    return result * sign
+    rows, dens = _int_rows(m)
+    pivots, d, sign = _eliminate(rows, n)
+    if len(pivots) < n:
+        return ZERO
+    scale = 1
+    for x in dens:
+        scale *= x
+    return Fraction(sign * d, scale)
 
 
 def rref(rows: Sequence[Vec]) -> list[Vec]:
     """Reduced row echelon form with zero rows dropped (canonical basis of the row space)."""
-    work = [list(r) for r in rows]
-    nrows = len(work)
-    ncols = len(work[0]) if work else 0
-    lead = 0
-    out: list[list[Fraction]] = []
-    for col in range(ncols):
-        pivot = next((r for r in range(lead, nrows) if work[r][col] != 0), None)
-        if pivot is None:
-            continue
-        work[lead], work[pivot] = work[pivot], work[lead]
-        p = work[lead][col]
-        work[lead] = [x / p for x in work[lead]]
-        for r in range(nrows):
-            if r != lead and work[r][col] != 0:
-                f = work[r][col]
-                work[r] = [a - f * b for a, b in zip(work[r], work[lead])]
-        lead += 1
-        if lead == nrows:
-            break
-    for r in range(lead):
-        out.append(work[r])
-    return [tuple(r) for r in out]
+    if not rows:
+        return []
+    work, _ = _int_rows(rows)
+    pivots, d, _ = _eliminate(work, len(work[0]))
+    return [tuple(_ratio(x, d) for x in work[r]) for r in range(len(pivots))]
 
 
 def rank(rows: Sequence[Vec]) -> int:
-    return len(rref(rows)) if rows else 0
+    if not rows:
+        return 0
+    work, _ = _int_rows(rows)
+    return len(_eliminate(work, len(work[0]))[0])
 
 
 def kernel(rows: Sequence[Vec], n: int) -> list[Vec]:
     """Canonical basis of {x : row . x = 0 for every row}, vectors of length n."""
-    red = rref(rows) if rows else []
-    pivots = []
-    for r in red:
-        pivots.append(next(i for i, x in enumerate(r) if x != 0))
-    free = [i for i in range(n) if i not in pivots]
+    work, _ = _int_rows(rows)
+    pivots, d, _ = _eliminate(work, n)
     basis = []
-    for f in free:
+    for f in range(n):
+        if f in pivots:
+            continue
         x = [ZERO] * n
         x[f] = ONE
-        for r, p in zip(red, pivots):
-            x[p] = -r[f]
+        for row, p in zip(work, pivots):
+            x[p] = _ratio(-row[f], d)
         basis.append(tuple(x))
     return basis
 
 
+def _solve_columns(m: Sequence[Vec], rhs: Sequence[Vec]) -> tuple[list[int], int, list[list[int]]] | None:
+    """Eliminate [m | rhs]; None if some right-hand side column is inconsistent.
+
+    Returns the pivot columns, the final pivot d and the right-hand part of the
+    pivot rows: row k over d is the value of unknown pivots[k], the free
+    unknowns being 0.
+    """
+    ncols = len(m[0]) if m else 0
+    work, _ = _int_rows(tuple(r) + tuple(b) for r, b in zip(m, rhs, strict=True))
+    pivots, d, _ = _eliminate(work, ncols)
+    if any(any(row[ncols:]) for row in work[len(pivots):]):
+        return None
+    return pivots, d, [row[ncols:] for row in work[: len(pivots)]]
+
+
 def solve(m: Mat, b: Vec) -> Vec | None:
     """One solution of m x = b, or None if inconsistent (m need not be square)."""
-    nrows = len(m)
     ncols = len(m[0]) if m else 0
-    aug = [list(r) + [bv] for r, bv in zip(m, b, strict=True)]
-    lead = 0
-    pivots = []
-    for col in range(ncols):
-        pivot = next((r for r in range(lead, nrows) if aug[r][col] != 0), None)
-        if pivot is None:
-            continue
-        aug[lead], aug[pivot] = aug[pivot], aug[lead]
-        p = aug[lead][col]
-        aug[lead] = [x / p for x in aug[lead]]
-        for r in range(nrows):
-            if r != lead and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [a - f * bb for a, bb in zip(aug[r], aug[lead])]
-        pivots.append(col)
-        lead += 1
-    for r in range(lead, nrows):
-        if aug[r][ncols] != 0:
-            return None
+    got = _solve_columns(m, [(x,) for x in b])
+    if got is None:
+        return None
+    pivots, d, vals = got
     x = [ZERO] * ncols
-    for r, p in enumerate(pivots):
-        x[p] = aug[r][ncols]
+    for p, (v,) in zip(pivots, vals):
+        x[p] = _ratio(v, d)
     return tuple(x)
 
 
 def mat_inv(m: Mat) -> Mat:
     n = len(m)
-    aug = [list(r) + [ONE if i == j else ZERO for j in range(n)] for i, r in enumerate(m)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise ZeroDivisionError("singular matrix")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        p = aug[col][col]
-        aug[col] = [x / p for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
-
-
-def sym_pair(S: Mat, u: Vec, v: Vec) -> Fraction:
-    return dot(mat_vec(S, u), v)
-
-
-def gram_matrix(vectors: Sequence[Vec], S: Mat) -> Mat:
-    return tuple(tuple(sym_pair(S, u, v) for v in vectors) for u in vectors)
+    got = _solve_columns(m, identity(n))
+    if got is None or len(got[0]) < n:
+        raise ZeroDivisionError("singular matrix")
+    _, d, vals = got
+    return tuple(tuple(_ratio(x, d) for x in row) for row in vals)
 
 
 def gram_det(vectors: Sequence[Vec], S: Mat) -> Fraction:
@@ -204,19 +294,24 @@ def gram_det(vectors: Sequence[Vec], S: Mat) -> Fraction:
     return det(gram_matrix(vectors, S))
 
 
-def project_onto(v: Vec, basis: Sequence[Vec], S: Mat) -> Vec:
-    """Gram-orthogonal projection of v onto span(basis)."""
+def projector(basis: Sequence[Vec], S: Mat) -> Mat:
+    """Matrix of the S-orthogonal projection onto span(basis), from one Gram solve.
+
+    With B the basis rows and G = B S B^T, the projection is B^T G^-1 B S.
+    """
+    n = len(S)
     if not basis:
-        return zeros(len(v))
-    g = gram_matrix(basis, S)
-    rhs = tuple(sym_pair(S, b, v) for b in basis)
-    coeff = solve(g, rhs)
-    if coeff is None:
+        return (zeros(n),) * n
+    got = _solve_columns(gram_matrix(basis, S), [mat_vec(S, b) for b in basis])
+    if got is None:
         raise ValueError("degenerate basis in projection")
-    out = zeros(len(v))
-    for c, b in zip(coeff, basis):
-        out = vadd(out, vscale(c, b))
-    return out
+    pivots, d, vals = got
+    out = []
+    for a in range(n):
+        col, den = _int_row([basis[p][a] for p in pivots])
+        sums = (sum(c * row[j] for c, row in zip(col, vals)) for j in range(n))
+        out.append(tuple(_ratio(x, d * den) for x in sums))
+    return tuple(out)
 
 
 def coords_in_basis(v: Vec, basis: Sequence[Vec]) -> Vec | None:
@@ -231,18 +326,14 @@ def primitive_ray(v: Vec) -> Vec:
     """Canonical representative of the ray through v: integral, coprime, first nonzero > 0."""
     if is_zero_vec(v):
         raise ValueError("zero vector has no ray")
-    den = 1
-    for x in v:
-        den = den * x.denominator // gcd(den, x.denominator)
-    ints = [int(x * den) for x in v]
+    ints, _ = _int_row(v)
     g = 0
     for x in ints:
-        g = gcd(g, abs(x))
-    ints = [x // g for x in ints]
+        g = gcd(g, x)
     first = next(x for x in ints if x != 0)
     if first < 0:
-        ints = [-x for x in ints]
-    return tuple(Fraction(x) for x in ints)
+        g = -g
+    return tuple(Fraction(x // g) for x in ints)
 
 
 def common_denominator(vectors: Sequence[Vec]) -> int:

@@ -29,7 +29,8 @@ from .exactlin import (
     common_denominator,
     det,
     gram_det,
-    project_onto,
+    mat_vec,
+    projector,
     rank as mat_rank,
     vscale,
 )
@@ -99,15 +100,14 @@ def orthogonal_set(M: Levi, T: RatVec) -> OrthogonalSet:
     for i in d.simple:
         if d.pair(d.roots[i], T) < 0:
             raise NotDominant(f"point pairs negatively with simple root {i}")
-    basis_rows = [b.coords for b in M.basis]
+    proj_m = projector(M.basis_rows(), d.gram)
     points: list[RatVec] = []
     cells = chamber_cells(M)
     for idx in range(len(parabolics(M))):
         images = []
         for w in cells[idx]:
             moved = act(w, T)
-            proj = project_onto(moved.coords, basis_rows, d.gram) if M.dim else tuple()
-            images.append(RatVec(proj) if M.dim else RatVec.zero(d.rank))
+            images.append(RatVec(mat_vec(proj_m, moved.coords)))
         first = images[0]
         if any(img != first for img in images):
             raise InternalInconsistency("projection not constant on a chamber cell")
@@ -560,12 +560,13 @@ def split_terms(
     if ks == 0:
         return 1.0 + 0j
     candidates = []
+    proj_rel = projector(rel, d.gram)
     for ray in restricted_rays(L1):
         if not _in_levi(L1, ray, S):
             continue
         rep_neg = ray.rep if d.pair(ray.rep, Q1.chamber_point) < 0 else -ray.rep
         dual_neg = RatVec(vscale(Fraction(2) / d.pair(rep_neg, rep_neg), rep_neg.coords))
-        proj = project_onto(dual_neg.coords, rel, d.gram)
+        proj = mat_vec(proj_rel, dual_neg.coords)
         if all(x == 0 for x in proj):
             continue
         candidates.append((ray, rep_neg, dual_neg, proj))

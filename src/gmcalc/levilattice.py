@@ -19,7 +19,9 @@ from .exactlin import (
     gram_det,
     kernel,
     mat,
+    mat_vec,
     primitive_ray,
+    projector,
     rank as mat_rank,
     rref,
     solve,
@@ -90,7 +92,8 @@ class Levi:
         self.basis = basis
         self.root_subset = root_subset
         self.dim = len(basis)
-        pos = sorted(i for i in root_subset if i in set(datum.pos_indices))
+        positive = set(datum.pos_indices)
+        pos = sorted(i for i in root_subset if i in positive)
         if not root_subset:
             self.label = "M0"
         elif len(root_subset) == len(datum.roots):
@@ -274,12 +277,10 @@ def restricted_rays(M: Levi) -> tuple[Ray, ...]:
     if got is not None:
         return got
     d = M.datum
-    from .exactlin import project_onto
-
     groups: dict[Vec, list[tuple[int, Fraction]]] = {}
-    basis_rows = [b.coords for b in M.basis]
+    proj_m = projector(M.basis_rows(), d.gram)
     for i, r in enumerate(d.roots):
-        proj = project_onto(r.coords, basis_rows, d.gram) if M.dim else zeros(d.rank)
+        proj = mat_vec(proj_m, r.coords)
         if all(x == 0 for x in proj):
             continue
         key = primitive_ray(proj)
@@ -317,14 +318,11 @@ def chambers_of_rays(datum: RootDatum, basis: tuple[RatVec, ...], rays: Sequence
         for b in basis:
             pt = vadd(pt, b.coords)
         return [RatVec(pt)]
-    from .exactlin import project_onto
-    from .rootdatum import act, weyl_group
-
-    basis_rows = [b.coords for b in basis]
+    proj_m = projector([b.coords for b in basis], d.gram)
     best: dict[tuple, Vec] = {}
     for w in weyl_group(d):
         moved = act(w, d.rho_check)
-        proj = project_onto(moved.coords, basis_rows, d.gram)
+        proj = mat_vec(proj_m, moved.coords)
         pattern = []
         degenerate = False
         for ray in rays:

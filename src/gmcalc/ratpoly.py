@@ -150,20 +150,6 @@ class Poly:
         return "Poly(" + " + ".join(bits) + ")"
 
 
-def series_trunc(a: Sequence[Fraction], order: int) -> list[Fraction]:
-    out = list(a[: order + 1])
-    out += [Fraction(0)] * (order + 1 - len(out))
-    return out
-
-
-def series_add(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
-    n = max(len(a), len(b))
-    return [
-        (a[i] if i < len(a) else Fraction(0)) + (b[i] if i < len(b) else Fraction(0))
-        for i in range(n)
-    ]
-
-
 def series_mul(a: Sequence[Fraction], b: Sequence[Fraction], order: int) -> list[Fraction]:
     out = [Fraction(0)] * (order + 1)
     for i, ai in enumerate(a):

@@ -222,9 +222,6 @@ class RootDatum:
     def root_index(self, v: RatVec) -> int | None:
         return self._index.get(v.coords)
 
-    def is_positive(self, i: int) -> bool:
-        return i in set(self.pos_indices)
-
     def simple_reflection(self, k: int) -> WeylElement:
         return self._simple_refl[k]
 

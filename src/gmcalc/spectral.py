@@ -30,7 +30,7 @@ from .exactlin import (
     mat_mul,
     mat_vec,
     primitive_ray,
-    project_onto,
+    projector,
     rank as mat_rank,
     rref,
     transpose,
@@ -42,6 +42,7 @@ from .gmfamily import ScalarFn, ScalarRootFns, scalar_fn_from_template
 from .levilattice import (
     Levi,
     Ray,
+    _vanishing_subset,
     chambers_of_rays,
     contains,
     levi_lattice,
@@ -69,7 +70,7 @@ class TauClass:
         self.triple = triple
         d = triple.ambient
         fix = _fixed_space(d, triple.r_elem)
-        subset = _vanishing_on(d, fix)
+        subset = _vanishing_subset(d, fix)
         home = None
         for L in levi_lattice(d):
             if L.root_subset == subset:
@@ -96,19 +97,18 @@ class TauClass:
             return self._nbeta_cache
         d = self.datum
         home = self.levi_L
-        basis_rows = [b.coords for b in home.basis]
+        proj_m = projector(home.basis_rows(), d.gram)
+        sigma_keys = []
+        for i in self.triple.sigma_roots:
+            proj = mat_vec(proj_m, d.roots[i].coords)
+            if any(x != 0 for x in proj):
+                sigma_keys.append(primitive_ray(proj))
         out: dict[Vec, Fraction] = {}
         for ray in restricted_rays(home):
             if ray.key in self.mult:
                 out[ray.key] = Fraction(self.mult[ray.key])
                 continue
-            count = 0
-            for i in self.triple.sigma_roots:
-                proj = project_onto(d.roots[i].coords, basis_rows, d.gram) if home.dim else zeros(d.rank)
-                if all(x == 0 for x in proj):
-                    continue
-                if primitive_ray(proj) == ray.key:
-                    count += 1
+            count = sigma_keys.count(ray.key)
             if count % 2 != 0:
                 raise InternalInconsistency("restriction count per ray must be even")
             out[ray.key] = Fraction(count, 2)
@@ -127,14 +127,6 @@ def _fixed_space(d: RootDatum, w: WeylElement) -> list[Vec]:
     from .exactlin import kernel
 
     return [v for v in kernel(rows, n)]
-
-
-def _vanishing_on(d: RootDatum, basis_rows: Sequence[Vec]) -> frozenset[int]:
-    out = []
-    for i, r in enumerate(d.roots):
-        if all(d.pair(r, RatVec(b)) == 0 for b in basis_rows):
-            out.append(i)
-    return frozenset(out)
 
 
 def _is_closed_subsystem(d: RootDatum, subset: frozenset[int]) -> bool:
@@ -359,14 +351,16 @@ def discrete_constants(t: TauClass, L_levi: Levi) -> dict:
     rel = _rel_basis(home, L_levi)
     need = len(rel)
     nb = t.nbeta_map()
+    in_l = [
+        ray
+        for ray in restricted_rays(home)
+        if not (L_levi.dim and any(d.pair(ray.rep, b) != 0 for b in L_levi.basis))
+    ]
     values = []
     for Q in parabolics(home):
-        candidates = []
-        for ray in restricted_rays(home):
-            if L_levi.dim and any(d.pair(ray.rep, b) != 0 for b in L_levi.basis):
-                continue
-            rep = ray.rep if d.pair(ray.rep, Q.chamber_point) > 0 else -ray.rep
-            candidates.append((ray, rep))
+        candidates = [
+            (ray, ray.rep if d.pair(ray.rep, Q.chamber_point) > 0 else -ray.rep) for ray in in_l
+        ]
         total = Fraction(0)
         if need == 0:
             total = Fraction(1)

@@ -32,6 +32,24 @@ def test_config_unknown_suite(tmp_path):
         load_config(path=p)
 
 
+def test_verify_partial_tolerances_merge_with_defaults(tmp_path, capsys):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"tolerances": {"lemma_shift": 1e-4}}))
+    code = main(["--config", str(p), "verify", "--group", "A1", "--suite", "residue-1d",
+                 "--out", str(tmp_path / "r")])
+    assert code == 0
+    assert load_config(path=p).tolerances["residue_1d"] == 1e-6
+
+
+@pytest.mark.parametrize("tolerances", [{"lemma_shfit": 1e-4}, {"residue_1d": "x"}, [1e-4]])
+def test_config_rejects_bad_tolerances(tmp_path, tolerances):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"tolerances": tolerances}))
+    with pytest.raises(ConfigError):
+        load_config(path=p)
+    assert main(["--config", str(p), "verify", "--group", "A1"]) == 2
+
+
 def test_verify_bad_config_exit_2(tmp_path, capsys):
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps({"nope": True}))

@@ -1,0 +1,264 @@
+"""Property tests: the fraction-free kernel against naive Fraction references."""
+from fractions import Fraction
+from itertools import permutations
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from gmcalc import exactlin as el
+
+SETTINGS = settings(max_examples=150, deadline=None)
+
+# Rationals with negative entries, non-unit denominators and plenty of zeros.
+rationals = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(-4, 4).map(Fraction),
+    st.fractions(min_value=-6, max_value=6, max_denominator=9),
+)
+
+
+def vectors(n):
+    return st.lists(rationals, min_size=n, max_size=n).map(tuple)
+
+
+def matrices(rows, cols):
+    return st.lists(vectors(cols), min_size=rows, max_size=rows).map(tuple)
+
+
+shapes = st.tuples(st.integers(0, 4), st.integers(1, 4))
+any_matrix = shapes.flatmap(lambda rc: matrices(*rc))
+square = st.integers(1, 4).flatmap(lambda n: matrices(n, n))
+
+
+# ---------------------------------------------------------------------------
+# naive references: plain Fraction arithmetic, textbook algorithms
+
+
+def ref_dot(u, v):
+    assert len(u) == len(v)
+    return sum((a * b for a, b in zip(u, v)), Fraction(0))
+
+
+def ref_mat_vec(m, v):
+    return tuple(ref_dot(row, v) for row in m)
+
+
+def ref_mat_mul(a, b):
+    cols = list(zip(*b)) if b else []
+    return tuple(tuple(ref_dot(row, col) for col in cols) for row in a)
+
+
+def ref_rref(rows, ncols=None):
+    """Gauss-Jordan on Fractions; returns the nonzero rows and their pivot columns."""
+    work = [list(r) for r in rows]
+    ncols = len(work[0]) if ncols is None and work else (ncols or 0)
+    lead, pivots = 0, []
+    for col in range(ncols):
+        piv = next((r for r in range(lead, len(work)) if work[r][col] != 0), None)
+        if piv is None:
+            continue
+        work[lead], work[piv] = work[piv], work[lead]
+        p = work[lead][col]
+        work[lead] = [x / p for x in work[lead]]
+        for r in range(len(work)):
+            if r != lead and work[r][col] != 0:
+                f = work[r][col]
+                work[r] = [a - f * b for a, b in zip(work[r], work[lead])]
+        pivots.append(col)
+        lead += 1
+    return [tuple(r) for r in work[:lead]], pivots, work[lead:]
+
+
+def ref_det(m):
+    n = len(m)
+    total = Fraction(0)
+    for perm in permutations(range(n)):
+        inv = sum(1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j])
+        prod = Fraction(-1 if inv % 2 else 1)
+        for i in range(n):
+            prod *= m[i][perm[i]]
+        total += prod
+    return total
+
+
+def ref_solve(m, b):
+    ncols = len(m[0]) if m else 0
+    red, pivots, rest = ref_rref([list(r) + [x] for r, x in zip(m, b)], ncols)
+    if any(r[ncols] != 0 for r in rest):
+        return None
+    x = [Fraction(0)] * ncols
+    for r, p in zip(red, pivots):
+        x[p] = r[ncols]
+    return tuple(x)
+
+
+def ref_project(v, basis, S):
+    g = tuple(tuple(ref_dot(ref_mat_vec(S, a), b) for b in basis) for a in basis)
+    coeff = ref_solve(g, tuple(ref_dot(ref_mat_vec(S, b), v) for b in basis))
+    out = [Fraction(0)] * len(v)
+    for c, b in zip(coeff, basis):
+        out = [x + c * y for x, y in zip(out, b)]
+    return tuple(out)
+
+
+def normalised(x):
+    return isinstance(x, Fraction) and x == Fraction(x.numerator, x.denominator)
+
+
+# ---------------------------------------------------------------------------
+# products
+
+
+@SETTINGS
+@given(st.integers(0, 5).flatmap(lambda n: st.tuples(vectors(n), vectors(n))))
+def test_dot(uv):
+    u, v = uv
+    got = el.dot(u, v)
+    assert got == ref_dot(u, v) and normalised(got)
+
+
+@SETTINGS
+@given(shapes.flatmap(lambda rc: st.tuples(matrices(*rc), vectors(rc[1]))))
+def test_mat_vec(mv):
+    m, v = mv
+    assert el.mat_vec(m, v) == ref_mat_vec(m, v)
+
+
+@SETTINGS
+@given(
+    st.tuples(st.integers(0, 3), st.integers(1, 3), st.integers(1, 3)).flatmap(
+        lambda s: st.tuples(matrices(s[0], s[1]), matrices(s[1], s[2]))
+    )
+)
+def test_mat_mul(ab):
+    a, b = ab
+    assert el.mat_mul(a, b) == ref_mat_mul(a, b)
+
+
+@SETTINGS
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(matrices(n, n), vectors(n), vectors(n))))
+def test_sym_pair(suv):
+    S, u, v = suv
+    got = el.sym_pair(S, u, v)
+    assert got == ref_dot(ref_mat_vec(S, u), v) and normalised(got)
+
+
+def test_length_mismatch_raises():
+    u = (Fraction(1), Fraction(2))
+    w = (Fraction(1), Fraction(2), Fraction(3))
+    S = el.identity(2)
+    with pytest.raises(ValueError):
+        el.dot(u, w)
+    with pytest.raises(ValueError):
+        el.mat_vec(S, w)
+    with pytest.raises(ValueError):
+        el.mat_mul(S, el.identity(3))
+    with pytest.raises(ValueError):
+        el.sym_pair(S, u, w)
+    with pytest.raises(ValueError):
+        el.sym_pair(S, w, u)
+    # a zero left vector skips every term, but the lengths are still checked
+    with pytest.raises(ValueError):
+        el.sym_pair(S, el.zeros(2), w)
+    with pytest.raises(ValueError):
+        el.solve(S, w)
+
+
+# ---------------------------------------------------------------------------
+# elimination
+
+
+ZERO_ROWS = ((Fraction(0), Fraction(0), Fraction(0)), (Fraction(1, 2), Fraction(-3, 4), Fraction(0)))
+
+
+@SETTINGS
+@given(any_matrix)
+@example(ZERO_ROWS)
+@example(((Fraction(0),) * 3,) * 2)
+@example(((Fraction(2, 3), Fraction(-1, 5)), (Fraction(-4, 3), Fraction(2, 5))))
+def test_rref_rank_kernel(m):
+    red, pivots, _ = ref_rref(m)
+    got = el.rref(m)
+    assert got == red
+    assert all(normalised(x) for row in got for x in row)
+    assert el.rank(m) == len(red)
+    n = len(m[0]) if m else 3
+    ker = el.kernel(m, n)
+    assert len(ker) == n - len(red)
+    expected = []
+    for f in range(n):
+        if f in pivots:
+            continue
+        x = [Fraction(0)] * n
+        x[f] = Fraction(1)
+        for r, p in zip(red, pivots):
+            x[p] = -r[f]
+        expected.append(tuple(x))
+    assert ker == expected
+    for k in ker:
+        assert all(ref_dot(row, k) == 0 for row in m)
+
+
+@SETTINGS
+@given(square)
+@example(((Fraction(0), Fraction(1)), (Fraction(1), Fraction(0))))
+@example(((Fraction(1, 2), Fraction(1, 3)), (Fraction(3, 2), Fraction(1))))
+def test_det_and_inverse(m):
+    got = el.det(m)
+    assert got == ref_det(m) and normalised(got)
+    if got == 0:
+        with pytest.raises(ZeroDivisionError):
+            el.mat_inv(m)
+    else:
+        inv = el.mat_inv(m)
+        assert ref_mat_mul(m, inv) == el.identity(len(m))
+        assert all(normalised(x) for row in inv for x in row)
+
+
+@SETTINGS
+@given(shapes.flatmap(lambda rc: st.tuples(matrices(*rc), vectors(rc[0]))))
+@example((((Fraction(1), Fraction(2)), (Fraction(2), Fraction(4))), (Fraction(1), Fraction(3))))
+@example((((Fraction(0), Fraction(0)),), (Fraction(1, 2),)))
+def test_solve(mb):
+    m, b = mb
+    got = el.solve(m, b)
+    assert got == ref_solve(m, b)
+    if got is not None:
+        assert ref_mat_vec(m, got) == b
+
+
+def test_solve_inconsistent_is_none():
+    m = ((Fraction(1), Fraction(1)), (Fraction(2), Fraction(2)))
+    assert el.solve(m, (Fraction(1), Fraction(3))) is None
+    assert el.solve(m, (Fraction(1), Fraction(2))) == (Fraction(1), Fraction(0))
+
+
+# ---------------------------------------------------------------------------
+# projection
+
+
+def positive_definite(n):
+    """A^T A + I for a random rational A: symmetric and positive definite."""
+    return matrices(n, n).map(
+        lambda a: tuple(
+            tuple(ref_dot(col_i, col_j) + (1 if i == j else 0) for j, col_j in enumerate(zip(*a)))
+            for i, col_i in enumerate(zip(*a))
+        )
+    )
+
+
+@SETTINGS
+@given(
+    st.tuples(st.integers(1, 4), st.integers(0, 3)).flatmap(
+        lambda nk: st.tuples(positive_definite(nk[0]), matrices(nk[1], nk[0]), vectors(nk[0]))
+    )
+)
+def test_projector(sbv):
+    S, basis, v = sbv
+    P = el.projector(basis, S)
+    assert len(P) == len(S) and all(len(row) == len(S) for row in P)
+    assert ref_mat_vec(P, v) == ref_project(v, basis, S)
+    assert ref_mat_mul(P, P) == P
+    for b in basis:
+        assert ref_mat_vec(P, b) == b

@@ -276,7 +276,7 @@ def test_split_formula_constant_density_symmetric_sum():
     # direct enumeration oracle over pairs of distinct negative coroots
     from itertools import combinations
 
-    from gmcalc.exactlin import gram_det, project_onto, vscale
+    from gmcalc.exactlin import gram_det, vscale
 
     duals = []
     for ray in restricted_rays(M0):

@@ -40,6 +40,33 @@ def test_gram_override_scales_measures():
             assert d_constant(m0b, Lb, Sb).square == d_constant(m0s, Ls, Ss).square
 
 
+def test_rational_gram_override_a2():
+    """A non-integral form reaches the exact kernel with denominators other than 1."""
+    from gmcalc.levilattice import contains, parabolics, trand_check
+    from gmcalc.rootdatum import RatVec
+    from gmcalc.spectral import discrete_constants, enumerate_spectral_triples
+
+    base = build_root_system("A2")
+    half = build_root_system("A2", gram_override=[["1", "-1/2"], ["-1/2", "1"]])
+    probes = list(base.roots) + [RatVec.of([Fraction(1, 3), Fraction(-2, 5)]), base.rho_check]
+    for u in probes:
+        for v in probes:
+            assert half.pair(u, v) == base.pair(u, v) / 2
+    assert [L.label for L in levi_lattice(half)] == [L.label for L in levi_lattice(base)]
+    assert [len(parabolics(L)) for L in levi_lattice(half)] == [
+        len(parabolics(L)) for L in levi_lattice(base)
+    ]
+    records = trand_check(half)
+    assert records and all(r["pass"] for r in records)
+    assert [r["lhs_sq"] for r in records] == [r["lhs_sq"] for r in trand_check(base)]
+    for tb, th in zip(enumerate_spectral_triples(base), enumerate_spectral_triples(half), strict=True):
+        cb, ch = tau_class(tb), tau_class(th)
+        assert cb.levi_L.label == ch.levi_L.label
+        for Lb, Lh in zip(levi_lattice(base), levi_lattice(half)):
+            if contains(cb.levi_L, Lb):
+                assert discrete_constants(ch, Lh) == discrete_constants(cb, Lb)
+
+
 def test_gram_override_must_be_invariant():
     with pytest.raises(UnsupportedType):
         build_root_system("A2", gram_override=[["2", "0"], ["0", "3"]])
