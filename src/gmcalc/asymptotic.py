@@ -26,7 +26,7 @@ from .levilattice import (
     weyl_cosets,
 )
 from .lp import in_cone_nonzero
-from .rootdatum import RatVec, RootDatum, WeylElement, act, reflect_subgroup, weyl_group
+from .rootdatum import RatVec, RootDatum, WeylElement, act, invert, reflect_subgroup, weyl_group
 from .spectral import TauClass, classify_tau, discrete_constants
 
 
@@ -121,8 +121,8 @@ def weyl_denominator(d: RootDatum, sigma: Sequence[int], Y: Sequence[complex]) -
 
 def eps_M_sign(d: RootDatum, w: WeylElement, sigma: Sequence[int]) -> int:
     """Parity of the inversions of w inside the given positive system."""
-    neg = {d.roots[d.neg_of[i]].coords for i in sigma}
-    count = sum(1 for i in sigma if act(w, d.roots[i]).coords in neg)
+    neg = {d.neg_of[i] for i in sigma}
+    count = sum(1 for i in sigma if w.perm[i] in neg)
     return -1 if count % 2 else 1
 
 
@@ -178,7 +178,7 @@ def weyl_sequence_orders(d: RootDatum, M: Levi) -> tuple[int, int, int]:
     subset = M.root_subset
     stab = 0
     for w in weyl_group(d):
-        if frozenset(d.root_index(act(w, d.roots[i])) for i in subset) == subset:
+        if frozenset(w.perm[i] for i in subset) == subset:
             stab += 1
     return wm, stab // wm, len(weyl_group(d))
 
@@ -252,10 +252,7 @@ def c_coefficient_example(
         raise NotDiscrete(f"class does not induce discretely to {L.label}")
     nl = discrete_constants(model.tau, L)["nL"]
     sigma_m = [i for i in M.root_subset if i in set(d.pos_indices)]
-    from .exactlin import mat_inv
-
-    winv_mat = mat_inv(w.matrix)
-    winv = WeylElement(winv_mat, ())
+    winv = d.element(invert(w.perm))
     q1 = _chamber_at(M, act(winv, P.chamber_point))
     inner = 0j
     for S in enumerate_levis(d, lower=M):

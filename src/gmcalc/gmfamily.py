@@ -50,7 +50,7 @@ from .levilattice import (
     simple_restricted,
 )
 from .ratpoly import Poly, exp_series, series_mul
-from .rootdatum import RatVec, WeylElement, act, weyl_group
+from .rootdatum import RatVec, WeylElement, act, invert
 
 
 # ---------------------------------------------------------------------------
@@ -181,11 +181,22 @@ def _hull_volume_3d(pts: list[Vec]) -> Fraction:
                 off = dotp(nrm, ipts[i])
                 if (nrm, off) in planes or (tuple(-x for x in nrm), -off) in planes:
                     continue
-                vals = [dotp(nrm, p) - off for p in ipts]
-                if all(v <= 0 for v in vals):
-                    planes[(nrm, off)] = [p for p, v in zip(ipts, vals) if v == 0]
-                elif all(v >= 0 for v in vals):
-                    planes[(tuple(-x for x in nrm), -off)] = [p for p, v in zip(ipts, vals) if v == 0]
+                # a supporting plane has no points strictly on both sides
+                a, b, c = nrm
+                below = above = False
+                on = []
+                for p in ipts:
+                    v = a * p[0] + b * p[1] + c * p[2] - off
+                    if v < 0:
+                        below = True
+                    elif v > 0:
+                        above = True
+                    else:
+                        on.append(p)
+                    if below and above:
+                        break
+                else:
+                    planes[(tuple(-x for x in nrm), -off) if above else (nrm, off)] = on
     apex = ipts[0]
     total = 0
     for (nrm, off), facet in planes.items():
@@ -279,9 +290,7 @@ class ExpPolyFamily:
         M = self.levi
         d = M.datum
         chambers = parabolics(M)
-        from .exactlin import mat_inv
-
-        winv = mat_inv(w.matrix)
+        winv = d.element(invert(w.perm)).matrix
         forms = [tuple(row) for row in winv]  # lam_i = sum_j winv[i][j] * s_j
         new_terms: list[list[tuple[Poly, RatVec]]] = [[] for _ in chambers]
         rays = restricted_rays(M)
@@ -516,10 +525,9 @@ class ScalarRootFns:
 
     def value(self, beta: RatVec, z: complex, w: WeylElement | None = None, conj: bool = False) -> complex:
         """Evaluate the density of beta at z, optionally Weyl-moved or contragredient."""
-        from .exactlin import mat_inv, mat_vec
-
         if w is not None:
-            beta = RatVec(mat_vec(mat_inv(w.matrix), beta.coords))
+            winv = self.levi.datum.element(invert(w.perm))
+            beta = RatVec(mat_vec(winv.matrix, beta.coords))
         f = self.fn(beta)
         arg = -z if conj else z
         if f.has_pole0() and abs(arg) < 1e-12:
@@ -639,13 +647,16 @@ def descent_sum(values: Mapping[Levi, complex], M: Levi) -> dict[Levi, complex]:
 # splitting formula)
 
 
+_SEG_NODES, _SEG_WEIGHTS = np.polynomial.legendre.leggauss(32)
+_SEG_NODES = _SEG_NODES.astype(complex)
+
+
 def _segment_integral(f: ScalarFn, z0: complex, z1: complex) -> complex:
-    nodes, weights = np.polynomial.legendre.leggauss(32)
     mid = (z0 + z1) / 2
     half = (z1 - z0) / 2
-    zs = mid + half * nodes.astype(complex)
+    zs = mid + half * _SEG_NODES
     vals = np.asarray([f(z) for z in zs], dtype=complex)
-    return complex(half * np.dot(weights, vals))
+    return complex(half * np.dot(_SEG_WEIGHTS, vals))
 
 
 def induced_member(

@@ -30,7 +30,7 @@ from .exactlin import (
     vscale,
     zeros,
 )
-from .rootdatum import RatVec, RootDatum, WeylElement, act, reflect_subgroup, weyl_group
+from .rootdatum import RatVec, RootDatum, WeylElement, act, compose, reflect_subgroup, weyl_group
 
 
 @dataclass(frozen=True)
@@ -92,6 +92,7 @@ class Levi:
         self.basis = basis
         self.root_subset = root_subset
         self.dim = len(basis)
+        self._rel_bases: dict[frozenset[int] | None, tuple[Vec, ...]] = {}
         positive = set(datum.pos_indices)
         pos = sorted(i for i in root_subset if i in positive)
         if not root_subset:
@@ -264,7 +265,7 @@ def enumerate_levis(d: RootDatum, lower: Levi | None = None, upper: Levi | None 
 
 def conjugate_levi(w: WeylElement, L: Levi) -> Levi:
     d = L.datum
-    subset = frozenset(d.root_index(act(w, d.roots[i])) for i in L.root_subset)
+    subset = frozenset(w.perm[i] for i in L.root_subset)
     for M in levi_lattice(d):
         if M.root_subset == subset:
             return M
@@ -406,16 +407,10 @@ def chamber_cells(M: Levi) -> dict[int, tuple[WeylElement, ...]]:
     nonzero = {i for ray in restricted_rays(M) for i, _ in ray.members} if M.dim else set()
     cells: dict[int, list[WeylElement]] = {P.index: [] for P in chambers}
     for w in weyl_group(d):
-        img_pos = set()
-        for i in d.pos_indices:
-            j = d.root_index(act(w, d.roots[i]))
-            if j in nonzero:
-                img_pos.add(j)
-        idx = by_pos.get(tuple(sorted(img_pos)))
+        img_pos = sorted(j for j in (w.perm[i] for i in d.pos_indices) if j in nonzero)
+        idx = by_pos.get(tuple(img_pos))
         if idx is not None:
             cells[idx].append(w)
-    from .rootdatum import reflect_subgroup
-
     expected = len(reflect_subgroup(d, M.root_subset))
     for idx, ws in cells.items():
         if len(ws) != expected:
@@ -459,20 +454,29 @@ def theta(P: ParabolicChamber, lam: RatVec) -> ThetaValue:
     return ThetaValue(product, covol)
 
 
-def _rel_basis(L: Levi, upper: Levi | None) -> list[Vec]:
-    """Basis of the part of a_L orthogonal to a_upper (all of a_L when upper is None)."""
+def _rel_basis(L: Levi, upper: Levi | None) -> tuple[Vec, ...]:
+    """Basis of the part of a_L orthogonal to a_upper (all of a_L when upper is None).
+
+    Memoised on L, keyed by the root set of upper.
+    """
+    key = None if upper is None else upper.root_subset
+    got = L._rel_bases.get(key)
+    if got is not None:
+        return got
     if upper is None or upper.dim == 0:
-        return [b.coords for b in L.basis]
-    d = L.datum
-    rows = [tuple(d.pair(u, b) for b in L.basis) for u in upper.basis]
-    ker = kernel(rows, L.dim)
-    out = []
-    for kv in ker:
-        v = zeros(d.rank)
-        for c, b in zip(kv, L.basis):
-            v = vadd(v, vscale(c, b.coords))
-        out.append(v)
-    return rref(out)
+        out = L.basis_rows()
+    else:
+        d = L.datum
+        rows = [tuple(d.pair(u, b) for b in L.basis) for u in upper.basis]
+        vecs = []
+        for kv in kernel(rows, L.dim):
+            v = zeros(d.rank)
+            for c, b in zip(kv, L.basis):
+                v = vadd(v, vscale(c, b.coords))
+            vecs.append(v)
+        out = tuple(rref(vecs))
+    L._rel_bases[key] = out
+    return out
 
 
 def d_constant(L1: Levi, L: Levi, S: Levi, upper: Levi | None = None) -> QuadConst:
@@ -541,17 +545,14 @@ def trand_check(d: RootDatum) -> list[dict]:
 
 
 def _coset_reps(d: RootDatum, subgroup: Iterable[WeylElement]) -> list[WeylElement]:
-    from .exactlin import mat_mul
-
-    sub = list(subgroup)
+    sub = [u.perm for u in subgroup]
     seen: set = set()
     reps = []
     # weyl_group is sorted by length, so the first unseen element is minimal in its coset
     for w in weyl_group(d):
-        if w.matrix in seen:
+        if w.perm in seen:
             continue
-        for u in sub:
-            seen.add(mat_mul(w.matrix, u.matrix))
+        seen.update(compose(w.perm, u) for u in sub)
         reps.append(w)
     return reps
 

@@ -5,11 +5,22 @@ coordinates.  A single rational vector space V carries roots, coroots,
 chamber points and spectral parameters alike; linear functionals are
 represented by vectors through the invariant form: lam(H) = pair(lam, H).
 The default form gives short roots squared length 2 per irreducible factor.
+
+A Weyl element is identified by its permutation of the root indices:
+``perm[i]`` is the index of w(alpha_i).  The reflection permutations come
+from the integer Cartan table ``cartan[i][j] = <alpha_i, alpha_j^vee>``
+through s_i(alpha_j) = alpha_j - cartan[j][i] alpha_i, and closure,
+membership, products, inverses and commutation work on these integer
+tuples.  The matrix of an element is derived from its permutation with no
+arithmetic: column j is w(alpha_{simple j}), a root.  Each datum closes
+its Weyl group once and indexes it by permutation, so every element that
+any caller holds is one of the group's own objects.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import DimensionError, UnsupportedType
@@ -18,7 +29,6 @@ from .exactlin import (
     Vec,
     det,
     frac,
-    identity,
     mat,
     mat_mul,
     mat_vec,
@@ -31,6 +41,8 @@ from .exactlin import (
     vsub,
     zeros,
 )
+
+Perm = tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -72,30 +84,61 @@ class RatVec:
         return "(" + ", ".join(str(x) for x in self.coords) + ")"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeylElement:
-    """Orthogonal transformation of V given by an exact matrix and a word in simple reflections."""
+    """Root permutation, matrix on V, reduced word and position in weyl_group(d)."""
 
+    perm: Perm
     matrix: Mat
     word: tuple[int, ...]
+    index: int
 
     @property
     def length(self) -> int:
         return len(self.word)
 
     def is_identity(self) -> bool:
-        n = len(self.matrix)
-        return self.matrix == identity(n)
+        return all(i == j for i, j in enumerate(self.perm))
 
     def __hash__(self):
-        return hash(self.matrix)
+        return hash(self.perm)
 
     def __eq__(self, other):
-        return isinstance(other, WeylElement) and self.matrix == other.matrix
+        return isinstance(other, WeylElement) and self.perm == other.perm
 
     def __repr__(self):
         w = "".join(f"s{i}" for i in self.word) or "e"
         return f"WeylElement({w})"
+
+
+def compose(p: Perm, q: Perm) -> Perm:
+    """The permutation of the product p q (q acts first)."""
+    return tuple(p[j] for j in q)
+
+
+def invert(p: Perm) -> Perm:
+    """The permutation of the inverse element."""
+    out = [0] * len(p)
+    for i, j in enumerate(p):
+        out[j] = i
+    return tuple(out)
+
+
+def _close(gens: Sequence[Perm], n: int) -> dict[Perm, tuple[int, ...]]:
+    """Every product of the generators, breadth-first, with the first word reaching it."""
+    ident = tuple(range(n))
+    words = {ident: ()}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for k, g in enumerate(gens):
+                q = compose(p, g)
+                if q not in words:
+                    words[q] = words[p] + (k,)
+                    nxt.append(q)
+        frontier = nxt
+    return words
 
 
 # Symmetrized Cartan matrices, short roots of squared length 2.
@@ -133,13 +176,13 @@ class RootDatum:
     def _build(self):
         n = self.rank
         simple_vecs = [RatVec.of([1 if j == i else 0 for j in range(n)]) for i in range(n)]
-        gens = [self._reflection_in(v) for v in simple_vecs]
+        self._simple_mats = [self._reflection_in(v) for v in simple_vecs]
         roots = {v.coords for v in simple_vecs}
         frontier = list(roots)
         while frontier:
             nxt = []
             for r in frontier:
-                for g in gens:
+                for g in self._simple_mats:
                     img = mat_vec(g, r)
                     if img not in roots:
                         roots.add(img)
@@ -169,10 +212,6 @@ class RootDatum:
         self.neg_of: dict[int, int] = {
             i: index[tuple(-x for x in r.coords)] for i, r in enumerate(self.roots)
         }
-        self._simple_refl = [
-            WeylElement(self._reflection_in(self.roots[idx]), (k,))
-            for k, idx in enumerate(self.simple)
-        ]
 
     def _reflection_in(self, root: RatVec) -> Mat:
         n = self.rank
@@ -198,18 +237,36 @@ class RootDatum:
                 f"{self.label} generated {len(self.roots)} roots, expected {count};"
                 " the form is not invariant for this type"
             )
+        cartan = []
         for i, r in enumerate(self.roots):
             if self.pair(r, self.coroots[i]) != 2:
                 raise UnsupportedType("alpha(coroot alpha) != 2")
+            row = []
             for j in range(len(self.roots)):
                 p = self.pair(r, self.coroots[j])
                 if p.denominator != 1:
                     raise UnsupportedType("non-integral Cartan pairing; form not invariant?")
-        for s in self._simple_refl:
-            for r in self.roots:
-                if mat_vec(s.matrix, r.coords) not in self._index:
-                    raise UnsupportedType("root set not closed under simple reflections")
-            if mat_mul(mat_mul(transpose(s.matrix), self.gram), s.matrix) != self.gram:
+                row.append(p.numerator)
+            cartan.append(tuple(row))
+        # cartan[i][j] = <alpha_i, alpha_j^vee>
+        self.cartan: tuple[tuple[int, ...], ...] = tuple(cartan)
+        # integral pairings keep every root's coordinates integral
+        coords = [tuple(x.numerator for x in r.coords) for r in self.roots]
+        where = {c: k for k, c in enumerate(coords)}
+        perms = []
+        for i, ai in enumerate(coords):
+            perm = []
+            for j, aj in enumerate(coords):
+                c = cartan[j][i]
+                img = where.get(tuple(x - c * y for x, y in zip(aj, ai)))
+                if img is None:
+                    raise UnsupportedType("root set not closed under reflections")
+                perm.append(img)
+            perms.append(tuple(perm))
+        # reflection_perms[i][j] is the index of s_{alpha_i}(alpha_j)
+        self.reflection_perms: tuple[Perm, ...] = tuple(perms)
+        for s in self._simple_mats:
+            if mat_mul(mat_mul(transpose(s), self.gram), s) != self.gram:
                 raise UnsupportedType("form not invariant under simple reflections")
 
     # -- basic queries -----------------------------------------------
@@ -222,11 +279,30 @@ class RootDatum:
     def root_index(self, v: RatVec) -> int | None:
         return self._index.get(v.coords)
 
-    def simple_reflection(self, k: int) -> WeylElement:
-        return self._simple_refl[k]
+    @cached_property
+    def weyl(self) -> tuple[WeylElement, ...]:
+        """All Weyl elements with reduced words, sorted by (length, matrix)."""
+        words = _close([self.reflection_perms[i] for i in self.simple], len(self.roots))
+        elems = []
+        for perm, word in words.items():
+            columns = [self.roots[perm[i]].coords for i in self.simple]
+            elems.append((len(word), tuple(zip(*columns)), perm, word))
+        elems.sort(key=lambda e: e[:2])
+        assert len(elems) == self.weyl_order()
+        return tuple(WeylElement(perm, m, word, k) for k, (_, m, perm, word) in enumerate(elems))
 
-    def reflection(self, root_index: int) -> Mat:
-        return self._reflection_in(self.roots[root_index])
+    @cached_property
+    def _by_perm(self) -> dict[Perm, WeylElement]:
+        return {w.perm: w for w in self.weyl}
+
+    def element(self, perm: Perm) -> WeylElement:
+        """The Weyl element with this root permutation."""
+        return self._by_perm[perm]
+
+    def subgroup(self, gens: Iterable[Perm]) -> tuple[WeylElement, ...]:
+        """The subgroup generated by the given permutations, in weyl_group order."""
+        words = _close(sorted(set(gens)), len(self.roots))
+        return tuple(sorted((self._by_perm[p] for p in words), key=lambda w: w.index))
 
     def weyl_order(self) -> int:
         n = 1
@@ -270,33 +346,9 @@ def build_root_system(label: str, gram_override: Sequence[Sequence] | None = Non
     return RootDatum(label, mat(gram_rows), factors)
 
 
-_WEYL_CACHE: dict[tuple[str, Mat], tuple[WeylElement, ...]] = {}
-
-
 def weyl_group(d: RootDatum) -> tuple[WeylElement, ...]:
     """All Weyl elements with reduced words, breadth-first by length."""
-    key = (d.label, d.gram)
-    got = _WEYL_CACHE.get(key)
-    if got is not None:
-        return got
-    n = d.rank
-    ident = WeylElement(identity(n), ())
-    seen = {ident.matrix: ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for k in range(len(d.simple)):
-                m = mat_mul(w.matrix, d.simple_reflection(k).matrix)
-                if m not in seen:
-                    elem = WeylElement(m, w.word + (k,))
-                    seen[m] = elem
-                    nxt.append(elem)
-        frontier = nxt
-    elems = tuple(sorted(seen.values(), key=lambda w: (w.length, w.matrix)))
-    assert len(elems) == d.weyl_order()
-    _WEYL_CACHE[key] = elems
-    return elems
+    return d.weyl
 
 
 def act(w: WeylElement, v: RatVec) -> RatVec:
@@ -307,33 +359,12 @@ def act(w: WeylElement, v: RatVec) -> RatVec:
 
 def element_from_word(d: RootDatum, word: Sequence[int], by_root_index: bool = False) -> WeylElement:
     """Product of reflections; indices are simple-root positions, or root indices if flagged."""
-    m = identity(d.rank)
+    perm = tuple(range(len(d.roots)))
     for i in word:
-        refl = d.reflection(i) if by_root_index else d.simple_reflection(i).matrix
-        m = mat_mul(m, refl)
-    group = {w.matrix: w for w in weyl_group(d)}
-    elem = group.get(m)
-    if elem is None:
-        # every product of root reflections lies in the group, so this is defensive
-        return WeylElement(m, tuple(word))
-    return elem
+        perm = compose(perm, d.reflection_perms[i if by_root_index else d.simple[i]])
+    return d.element(perm)
 
 
 def reflect_subgroup(d: RootDatum, root_indices: Iterable[int]) -> tuple[WeylElement, ...]:
     """Subgroup generated by the reflections in the given roots."""
-    gens = [element_from_word(d, [i], by_root_index=True) for i in sorted(set(root_indices))]
-    ident = WeylElement(identity(d.rank), ())
-    group = {w.matrix: w for w in weyl_group(d)}
-    seen = {ident.matrix: ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for g in gens:
-                m = mat_mul(w.matrix, g.matrix)
-                if m not in seen:
-                    elem = group.get(m, WeylElement(m, ()))
-                    seen[m] = elem
-                    nxt.append(elem)
-        frontier = nxt
-    return tuple(sorted(seen.values(), key=lambda w: (w.length, w.matrix)))
+    return d.subgroup(d.reflection_perms[i] for i in root_indices)

@@ -25,9 +25,7 @@ from .exactlin import (
     Mat,
     Vec,
     coords_in_basis,
-    identity,
     mat,
-    mat_mul,
     mat_vec,
     primitive_ray,
     projector,
@@ -49,7 +47,17 @@ from .levilattice import (
     parabolics,
     restricted_rays,
 )
-from .rootdatum import RatVec, RootDatum, WeylElement, act, element_from_word, reflect_subgroup, weyl_group
+from .rootdatum import (
+    RatVec,
+    RootDatum,
+    WeylElement,
+    act,
+    compose,
+    element_from_word,
+    invert,
+    reflect_subgroup,
+    weyl_group,
+)
 
 
 @dataclass(frozen=True)
@@ -133,11 +141,9 @@ def _is_closed_subsystem(d: RootDatum, subset: frozenset[int]) -> bool:
     if any(d.neg_of[i] not in subset for i in subset):
         return False
     for i in subset:
-        refl = d.reflection(i)
-        for j in subset:
-            img = mat_vec(refl, d.roots[j].coords)
-            if d.root_index(RatVec(img)) not in subset:
-                return False
+        refl = d.reflection_perms[i]
+        if any(refl[j] not in subset for j in subset):
+            return False
     return True
 
 
@@ -192,11 +198,8 @@ def build_spectral_triple(
     points = chambers_of_rays(ambient, _full_basis(ambient), rays)
     chamber_c = sorted(points, key=lambda p: p.coords)[0]
     r = element_from_word(ambient, list(r_word), by_root_index=True)
-    root_set = {ambient.roots[i].coords for i in subset}
-    for i in subset:
-        img = act(r, ambient.roots[i])
-        if img.coords not in root_set:
-            raise NotChamberStabilizer("r does not permute the vanishing set")
+    if any(r.perm[i] not in subset for i in subset):
+        raise NotChamberStabilizer("r does not permute the vanishing set")
     if _sign_pattern(ambient, rays, act(r, chamber_c)) != _sign_pattern(ambient, rays, chamber_c):
         raise NotChamberStabilizer("r moves the chosen chamber")
     return SpectralTriple(ambient, subset, r, chamber_c)
@@ -217,22 +220,15 @@ class RGroups:
     r_group: tuple[WeylElement, ...]
 
 
-def _closure(d: RootDatum, gens: Sequence[WeylElement]) -> tuple[WeylElement, ...]:
-    group = {w.matrix: w for w in weyl_group(d)}
-    ident = group[identity(d.rank)]
-    seen = {ident.matrix: ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for g in gens:
-                m = mat_mul(w.matrix, g.matrix)
-                if m not in seen:
-                    elem = group[m]
-                    seen[m] = elem
-                    nxt.append(elem)
-        frontier = nxt
-    return tuple(sorted(seen.values(), key=lambda w: (w.length, w.matrix)))
+def _stabilizers(
+    d: RootDatum, roots: frozenset[int], triple: SpectralTriple
+) -> tuple[tuple[WeylElement, ...], tuple[WeylElement, ...]]:
+    """The group generated by the reflections in roots and r, and its chamber stabilizer."""
+    wsig = d.subgroup([d.reflection_perms[i] for i in roots] + [triple.r_elem.perm])
+    rays = _sigma_rays(d, roots)
+    base = _sign_pattern(d, rays, triple.chamber_c)
+    rgrp = tuple(w for w in wsig if _sign_pattern(d, rays, act(w, triple.chamber_c)) == base)
+    return wsig, rgrp
 
 
 def r_group(t: SpectralTriple | TauClass) -> RGroups:
@@ -240,22 +236,15 @@ def r_group(t: SpectralTriple | TauClass) -> RGroups:
     triple = t.triple if isinstance(t, TauClass) else t
     d = triple.ambient
     w0 = reflect_subgroup(d, triple.sigma_roots)
-    wsig = _closure(d, list(w0) + [triple.r_elem])
-    rays = _sigma_rays(d, triple.sigma_roots)
-    base = _sign_pattern(d, rays, triple.chamber_c)
-    rgrp = tuple(
-        w for w in wsig if _sign_pattern(d, rays, act(w, triple.chamber_c)) == base
-    )
-    w0set = {w.matrix for w in w0}
+    wsig, rgrp = _stabilizers(d, triple.sigma_roots, triple)
+    w0set = {w.perm for w in w0}
     for w in wsig:
+        winv = invert(w.perm)
         for u in w0:
-            from .exactlin import mat_inv
-
-            conj = mat_mul(mat_mul(w.matrix, u.matrix), mat_inv(w.matrix))
-            if conj not in w0set:
+            if compose(compose(w.perm, u.perm), winv) not in w0set:
                 raise InternalInconsistency("reflection part is not normal in the stabilizer")
-    products = {mat_mul(a.matrix, b.matrix) for a in rgrp for b in w0}
-    if products != {w.matrix for w in wsig}:
+    products = {compose(a.perm, b.perm) for a in rgrp for b in w0}
+    if products != {w.perm for w in wsig}:
         raise InternalInconsistency("chamber stabilizer does not complement the reflection part")
     return RGroups(w0, wsig, rgrp)
 
@@ -289,8 +278,7 @@ def _brute_force_discrete(t: TauClass, upper: Levi) -> bool:
     w0 = reflect_subgroup(d, sub_roots)
     target = rref([b.coords for b in upper.basis]) if upper.dim else []
     for w in w0:
-        m = mat_mul(t.triple.r_elem.matrix, w.matrix)
-        fixed = _fixed_space(d, WeylElement(m, ()))
+        fixed = _fixed_space(d, d.element(compose(t.triple.r_elem.perm, w.perm)))
         if len(fixed) != upper.dim:
             continue
         if rref(list(fixed)) == target:
@@ -352,14 +340,14 @@ def discrete_constants(t: TauClass, L_levi: Levi) -> dict:
     need = len(rel)
     nb = t.nbeta_map()
     in_l = [
-        ray
+        (ray, nb[ray.key] / 2)
         for ray in restricted_rays(home)
         if not (L_levi.dim and any(d.pair(ray.rep, b) != 0 for b in L_levi.basis))
     ]
     values = []
     for Q in parabolics(home):
         candidates = [
-            (ray, ray.rep if d.pair(ray.rep, Q.chamber_point) > 0 else -ray.rep) for ray in in_l
+            (half, ray.rep if d.pair(ray.rep, Q.chamber_point) > 0 else -ray.rep) for ray, half in in_l
         ]
         total = Fraction(0)
         if need == 0:
@@ -369,8 +357,8 @@ def discrete_constants(t: TauClass, L_levi: Levi) -> dict:
                 if mat_rank([rep.coords for _, rep in subset]) != need:
                     continue
                 prod = Fraction(1)
-                for ray, _ in subset:
-                    prod *= nb[ray.key] / 2
+                for half, _ in subset:
+                    prod *= half
                 total += prod
         values.append(total)
     if any(v != values[0] for v in values):
@@ -382,18 +370,9 @@ def discrete_constants(t: TauClass, L_levi: Levi) -> dict:
 def _k_constant(t: TauClass, L_levi: Levi) -> int:
     d = t.datum
     triple = t.triple
-    sub_roots = [i for i in triple.sigma_roots if i in L_levi.root_subset]
-    w0 = reflect_subgroup(d, sub_roots)
-    wsig = _closure(d, list(w0) + [triple.r_elem])
-    rays = _sigma_rays(d, frozenset(sub_roots))
-    base = _sign_pattern(d, rays, triple.chamber_c)
-    rgrp = [w for w in wsig if _sign_pattern(d, rays, act(w, triple.chamber_c)) == base]
-    r = triple.r_elem
-    count = 0
-    for w in rgrp:
-        if mat_mul(w.matrix, r.matrix) == mat_mul(r.matrix, w.matrix):
-            count += 1
-    return count
+    _, rgrp = _stabilizers(d, triple.sigma_roots & L_levi.root_subset, triple)
+    r = triple.r_elem.perm
+    return sum(1 for w in rgrp if compose(w.perm, r) == compose(r, w.perm))
 
 
 # ---------------------------------------------------------------------------
@@ -424,8 +403,9 @@ def w_tau_core(t: TauClass) -> tuple[TauWeyl, ...]:
     if home.dim == 0:
         return (TauWeyl((), w0[0]),)
     out: dict[Mat, TauWeyl] = {}
+    r = triple.r_elem.perm
     for w in w0:
-        if mat_mul(w.matrix, triple.r_elem.matrix) != mat_mul(triple.r_elem.matrix, w.matrix):
+        if compose(w.perm, r) != compose(r, w.perm):
             continue
         rows = []
         ok = True
@@ -700,9 +680,8 @@ def enumerate_spectral_triples(d: RootDatum) -> list[SpectralTriple]:
         points = chambers_of_rays(d, _full_basis(d), rays)
         chamber_c = sorted(points, key=lambda p: p.coords)[0]
         base = _sign_pattern(d, rays, chamber_c)
-        root_set = {d.roots[i].coords for i in subset}
         for w in weyl_group(d):
-            if subset and any(act(w, d.roots[i]).coords not in root_set for i in subset):
+            if any(w.perm[i] not in subset for i in subset):
                 continue
             if _sign_pattern(d, rays, act(w, chamber_c)) != base:
                 continue

@@ -413,11 +413,9 @@ def suite_examples(cfg: Config, d: RootDatum) -> list[CheckRecord]:
         sigma = list(d.pos_indices)
         Y = [complex(0.23, 0.11 * (k + 1)) for k in range(d.rank)]
         base = weyl_denominator(d, sigma, Y)
-        from .rootdatum import act
-
         worst = 0.0
         for w in weyl_group(d):
-            wsigma = [d.root_index(act(w, d.roots[i])) for i in sigma]
+            wsigma = [w.perm[i] for i in sigma]
             lhs = weyl_denominator(d, wsigma, Y)
             worst = max(worst, abs(lhs - eps_M_sign(d, w, sigma) * base))
         return worst <= 1e-9 * max(1.0, abs(base)), worst, None
