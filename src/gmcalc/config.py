@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -95,6 +96,28 @@ def _merge_tolerances(given) -> dict:
     return {**defaults, **given}
 
 
+def _check_positive_list(name: str, value, min_items: int) -> None:
+    if (
+        not isinstance(value, list)
+        or len(value) < min_items
+        or any(isinstance(x, bool) or not isinstance(x, (int, float)) or not 0 < x < math.inf for x in value)
+    ):
+        raise ConfigError(f"{name} must be a list of at least {min_items} positive numbers, got {value!r}")
+
+
+def _check_flat_phi(value) -> None:
+    keys = {"c0", "c1", "c2", "scale"}
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"flat_phi must be a non-empty list, got {value!r}")
+    for entry in value:
+        if not isinstance(entry, dict) or set(entry) != keys:
+            raise ConfigError(f"flat_phi entries need exactly the keys {sorted(keys)}, got {entry!r}")
+        if any(isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v) for v in entry.values()):
+            raise ConfigError(f"flat_phi coefficients must be numbers, got {entry!r}")
+        if not entry["scale"] > 0:
+            raise ConfigError(f"flat_phi scale must be positive, got {entry['scale']!r}")
+
+
 def load_config(data: dict | None = None, path: str | Path | None = None, overrides: dict | None = None) -> Config:
     """Build a fully resolved configuration; unknown keys are rejected."""
     merged = dict(_DEFAULTS)
@@ -118,6 +141,9 @@ def load_config(data: dict | None = None, path: str | Path | None = None, overri
     bad = [s for s in suites if s != "all" and s not in ALL_SUITES]
     if bad:
         raise ConfigError(f"unknown suites: {bad}; expected {ALL_SUITES}")
+    _check_positive_list("epsilons", merged["epsilons"], 2)
+    _check_positive_list("delta_ladder", merged["delta_ladder"], 2)
+    _check_flat_phi(merged["flat_phi"])
     for tf in merged["test_functions"]:
         if Fraction(str(tf["scale"])) <= 0:
             raise ConfigError("test function scale must be positive")

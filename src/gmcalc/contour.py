@@ -5,30 +5,43 @@ oriented upward, and principal values are limits over shrinking symmetric
 delta-neighbourhoods of the poles, extrapolated over a fixed delta ladder.
 Gaussian factors make every tail beyond |Im z| = 8/sqrt(scale) smaller than
 1e-12, so truncation there is part of the fixed grid.
+
+The contour-shift checks run grid-major.  lemma_shift_batch first plans every
+case (all exact work, and a list of integrals, each naming the grids it needs
+by their inputs), then builds each distinct grid once, evaluates each distinct
+phi once on it and every integrand that uses it, and drops it before building
+the next: one grid's arrays are alive at a time.  Last it assembles each case.
+
+Report residuals near 1e-19 keep the bits of the per-integral evaluation
+only if every product keeps its operand order.  numpy computes a * b in place
+into a when a is a temporary of 256 KiB or more that nothing else references;
+if only b is such a temporary it writes into b and computes b * a, and array
+complex products are not bitwise commutative on every host.  So a shared
+phi array is copied before it is multiplied by the m-terms, which keeps the
+order phi * m of the per-integral form phi(gram, lam) * m(lam).
 """
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import BadShift, NoConvergence, NotComparable
-from .exactlin import mat_vec, projector, vscale
+from .errors import BadShift, GmcalcError, NoConvergence, NotComparable
+from .exactlin import gram_det, mat_vec, projector, rank as mat_rank, sym_pair, vscale
 from .gmfamily import ScalarRootFns
 from .levilattice import (
     Levi,
     ParabolicChamber,
     QuadConst,
     _rel_basis,
-    contains,
     d_constant,
     enumerate_levis,
     gfull,
-    levi_lattice,
     parabolics,
     restricted_rays,
 )
@@ -111,6 +124,9 @@ def verify_residues(f: MeromorphicLine, radius: float = 0.02, tol: float = 1e-8)
 
 def _graded_edges(lo: float, hi: float, fine_lo: float | None, fine_hi: float | None) -> list[float]:
     """Panel edges on [lo, hi], geometrically refined toward endpoints near poles."""
+    for fine in (fine_lo, fine_hi):
+        if fine is not None and not fine > 0:
+            raise BadShift(f"panel refinement step must be positive, got {fine}")
     edges = {lo, hi}
     if fine_lo is not None:
         step = fine_lo
@@ -352,7 +368,11 @@ def _orthonormal_basis(d: RootDatum, basis_rows, first_dirs) -> list[np.ndarray]
 
 @dataclass
 class _MTermData:
-    """One splitting-sum term: covolume factor and its (density, dual-vector) pairs."""
+    """One splitting-sum term: covolume factor and its factors.
+
+    Each factor is (density, dual vector, gd), where gd is the float row of
+    the pairing lam -> <lam, dual> in ambient coordinates.
+    """
 
     vol: float
     factors: list
@@ -375,8 +395,8 @@ def _m_term_data(fns: ScalarRootFns, M: Levi, S: Levi, Q1: ParabolicChamber) -> 
         proj = mat_vec(proj_rel, dual_neg.coords)
         if all(x == 0 for x in proj):
             continue
-        candidates.append((ray, rep_neg, dual_neg, proj))
-    from .exactlin import gram_det, rank as mat_rank
+        gd = [sum(float(d.gram[i][j]) * float(dual_neg.coords[j]) for j in range(d.rank)) for i in range(d.rank)]
+        candidates.append((rep_neg, dual_neg, gd, proj))
 
     out = []
     for subset in combinations(candidates, ks):
@@ -384,18 +404,17 @@ def _m_term_data(fns: ScalarRootFns, M: Levi, S: Levi, Q1: ParabolicChamber) -> 
         if mat_rank(projs) != ks:
             continue
         vol = float(QuadConst.from_square(gram_det(projs, d.gram)))
-        factors = [(fns.fn(rep_neg), dual_neg) for _, rep_neg, dual_neg, _ in subset]
+        factors = [(fns.fn(rep_neg), dual_neg, gd) for rep_neg, dual_neg, gd, _ in subset]
         out.append(_MTermData(vol, factors))
     return out
 
 
-def _eval_m_terms(d, terms: list[_MTermData], lam_coords) -> np.ndarray | complex:
+def _eval_m_terms(terms: list[_MTermData], lam_coords) -> np.ndarray | complex:
     total = None
     for term in terms:
         val = term.vol
-        for fn, dual in term.factors:
-            gd = [sum(float(d.gram[i][j]) * float(dual.coords[j]) for j in range(d.rank)) for i in range(d.rank)]
-            z = sum(lam_coords[i] * gd[i] for i in range(d.rank))
+        for fn, _, gd in term.factors:
+            z = sum(lam_coords[i] * gd[i] for i in range(len(gd)))
             val = val * fn(z)
         total = val if total is None else total + val
     if total is None:
@@ -403,64 +422,82 @@ def _eval_m_terms(d, terms: list[_MTermData], lam_coords) -> np.ndarray | comple
     return total
 
 
-def _tensor_integral(
-    d: RootDatum,
-    onb: list[np.ndarray],
-    pole_axes: int,
-    integrand: Callable,
-    T: float,
-    shift: np.ndarray | None,
-    deltas: Sequence[float],
-    fine_scale: float = 0.01,
-) -> complex:
-    """Iterated quadrature over the flat; the first pole_axes coordinates carry
-    principal-value excisions at 0 extrapolated over the delta ladder."""
-    k = len(onb)
-    if k == 0:
-        lam = shift if shift is not None else np.zeros(d.rank)
-        return complex(integrand([complex(x) for x in lam]))
+@dataclass(frozen=True)
+class _Grid:
+    """The inputs of one tensor quadrature grid over a flat; equal inputs, equal grid.
 
-    def half_axis(start: float, fine: float):
-        edges = _graded_edges(start, T, fine, None)
-        xs, ws = [], []
-        for a, b in zip(edges[:-1], edges[1:]):
-            mid, half = (a + b) / 2, (b - a) / 2
-            xs.extend(mid + half * _GL_NODES)
-            ws.extend(half * _GL_WEIGHTS)
-        return np.array(xs), np.array(ws)
+    Axis a runs along onb[a] (ambient float coordinates).  The first
+    pole_axes axes carry a principal-value excision of half-width delta at 0;
+    the others are refined toward 0 at fine_scale.  Nodes are shift + i*t,
+    |t_a| <= T on every axis.
+    """
 
-    def nodes_for(axis: int, delta: float | None):
-        if axis < pole_axes and delta is not None:
-            xs, ws = half_axis(delta, delta)
-        else:
-            # smooth axes still need refinement around 0 at the feature scale
-            xs, ws = half_axis(0.0, fine_scale)
-        return np.concatenate([-xs[::-1], xs]), np.concatenate([ws[::-1], ws])
+    onb: tuple[tuple[float, ...], ...]
+    pole_axes: int
+    delta: float | None
+    shift: tuple[float, ...] | None
+    T: float
+    fine_scale: float
 
-    def full_grid(delta: float | None) -> complex:
-        axes = [nodes_for(a, delta) for a in range(k)]
+    def build(self) -> tuple[list[np.ndarray], np.ndarray]:
+        """The nodes, one complex array per ambient coordinate, and the weights."""
+
+        def half_axis(start: float, fine: float):
+            edges = _graded_edges(start, self.T, fine, None)
+            xs, ws = [], []
+            for a, b in zip(edges[:-1], edges[1:]):
+                mid, half = (a + b) / 2, (b - a) / 2
+                xs.extend(mid + half * _GL_NODES)
+                ws.extend(half * _GL_WEIGHTS)
+            return np.array(xs), np.array(ws)
+
+        axes = []
+        for axis in range(len(self.onb)):
+            if axis < self.pole_axes:
+                xs, ws = half_axis(self.delta, self.delta)
+            else:
+                # smooth axes still need refinement around 0 at the feature scale
+                xs, ws = half_axis(0.0, self.fine_scale)
+            axes.append((np.concatenate([-xs[::-1], xs]), np.concatenate([ws[::-1], ws])))
         mesh = np.meshgrid(*[a[0] for a in axes], indexing="ij")
         weight = axes[0][1]
         for a in axes[1:]:
             weight = np.multiply.outer(weight, a[1])
         lam = []
-        for i in range(d.rank):
+        for i in range(len(self.onb[0])):
             comp = 0j
             for axis_index, tgrid in enumerate(mesh):
-                comp = comp + 1j * tgrid * onb[axis_index][i]
-            if shift is not None:
-                comp = comp + shift[i]
+                comp = comp + 1j * tgrid * self.onb[axis_index][i]
+            if self.shift is not None:
+                comp = comp + self.shift[i]
             lam.append(comp)
-        vals = integrand(lam)
-        return complex(np.sum(vals * weight)) / (2 * np.pi) ** k
+        return lam, weight
 
-    if pole_axes == 0:
-        return full_grid(None)
-    values = [full_grid(delta) for delta in deltas]
-    est, err = _neville_at_zero(list(deltas), values)
-    if err > 1e-4:
-        raise NoConvergence(f"iterated principal value did not settle: {err}")
-    return est
+
+@dataclass
+class _Integral:
+    """One planned integral of phi * (sum of m-terms) over a flat, measure / (2 pi)^k.
+
+    A flat with pole axes has one grid per rung of the delta ladder (deltas)
+    and is extrapolated to delta = 0; a smooth flat has one grid.  On a
+    0-dimensional flat there is no grid and values holds the point value.
+    """
+
+    case: int
+    d: RootDatum
+    phi: FlatTestFunction
+    terms: list[_MTermData]
+    grids: list[_Grid]
+    deltas: list[float] | None
+    values: list
+
+    def value(self) -> complex:
+        if self.deltas is None:
+            return self.values[0]
+        est, err = _neville_at_zero(self.deltas, self.values)
+        if err > 1e-4:
+            raise NoConvergence(f"iterated principal value did not settle: {err}")
+        return est
 
 
 def chamber_below(P: ParabolicChamber, L1: Levi) -> ParabolicChamber:
@@ -470,6 +507,210 @@ def chamber_below(P: ParabolicChamber, L1: Levi) -> ParabolicChamber:
         if target <= set(Q.positive_roots):
             return Q
     raise NotComparable("no minimal chamber below the given parabolic")
+
+
+class ShiftCase(NamedTuple):
+    """The inputs of one contour-shift check (see lemma_shift_check)."""
+
+    t: TauClass
+    fns: ScalarRootFns
+    M: Levi
+    P: ParabolicChamber
+    phi: FlatTestFunction
+    epsilons: Sequence[float]
+    deltas: Sequence[float]
+    tol: float
+
+
+@dataclass
+class _ShiftPlan:
+    """The integrals of one case: one per shift, then per (L, S) term of the sum."""
+
+    lhs: list[_Integral]
+    rhs: list[tuple[QuadConst, Fraction, list[_Integral], dict]]  # d, n^L, integrals, record
+
+    def integrals(self) -> list[_Integral]:
+        return self.lhs + [it for _, _, its, _ in self.rhs for it in its]
+
+
+def _require_orthogonal(d: RootDatum, dirs) -> None:
+    for a in range(len(dirs)):
+        for b in range(a + 1, len(dirs)):
+            if sym_pair(d.gram, dirs[a], dirs[b]) != 0:
+                raise NotComparable("pole walls are not orthogonal; configuration out of scope")
+
+
+def _plan(case_index: int, case: ShiftCase) -> _ShiftPlan:
+    """All exact work of one case; the grid integrals are only described."""
+    t, fns, M, P, phi, epsilons, deltas, _ = case
+    L1 = t.levi_L
+    d = t.datum
+    if fns.levi != L1:
+        raise NotComparable("densities must live on the home flat of the class")
+    Q1 = chamber_below(P, L1)
+    basis_rows = [b.coords for b in L1.basis]
+
+    m_terms = _m_term_data(fns, M, gfull(d), Q1)
+
+    # align the quadrature axes with the pole walls so the sharp directions
+    # are graded; non-orthogonal wall sets are outside the quadrature design
+    wall_dirs = [ray.dual.coords for ray in t.tau_rays()]
+    _require_orthogonal(d, wall_dirs)
+    onb = _orthonormal_basis(d, basis_rows, wall_dirs)
+    T = phi.cutoff()
+
+    def integral(terms, basis, pole_axes, shift, fine_scale=0.01) -> _Integral:
+        """Iterated quadrature over the flat spanned by basis; the first
+        pole_axes coordinates carry principal-value excisions at 0."""
+        if not basis:
+            lam = [complex(x) for x in (shift if shift is not None else np.zeros(d.rank))]
+            point = complex(phi(d.gram, lam) * _eval_m_terms(terms, lam))
+            return _Integral(case_index, d, phi, terms, [], None, [point])
+        axes = tuple(tuple(float(x) for x in v) for v in basis)
+        ladder = list(deltas) if pole_axes else None
+        grids = [_Grid(axes, pole_axes, delta, shift, T, fine_scale) for delta in ladder or [None]]
+        return _Integral(case_index, d, phi, terms, grids, ladder, [None] * len(grids))
+
+    lhs = []
+    for eps0 in epsilons:
+        shift = tuple(eps0 * float(x) for x in Q1.chamber_point.coords)
+        lhs.append(integral(m_terms, onb, 0, shift, fine_scale=eps0 / 4))
+
+    rhs = []
+    for L in enumerate_levis(d, lower=L1):
+        for S in enumerate_levis(d, lower=M):
+            dc = d_constant(L1, L, S)
+            if dc.is_zero():
+                continue
+            nl = discrete_constants(t, L)["nL"]
+            if nl == 0:
+                continue
+            sub_terms = _m_term_data(fns, M, S, Q1)
+            if not sub_terms:
+                continue
+            proj_l = projector(L.basis_rows(), d.gram)
+            integrals = []
+            for term in sub_terms:
+                pole_dirs = []
+                for fn, dual, _ in term.factors:
+                    if fn.has_pole0():
+                        proj = mat_vec(proj_l, dual.coords)
+                        if any(x != 0 for x in proj):
+                            pole_dirs.append(proj)
+                _require_orthogonal(d, pole_dirs)
+                onb_l = _orthonormal_basis(d, [b.coords for b in L.basis], pole_dirs)
+                integrals.append(integral([term], onb_l, len(pole_dirs), None))
+            rhs.append((dc, nl, integrals, {"L": L.label, "S": S.label, "d": float(dc), "nL": str(nl)}))
+    return _ShiftPlan(lhs, rhs)
+
+
+def _evaluate(integrals: list[_Integral], runtimes: list[float]) -> dict[str, int]:
+    """Fill the grid values of every planned integral, grid by grid.
+
+    Each distinct grid is built once and each distinct phi is evaluated once
+    on it; the grid is dropped before the next one is built.  A grid's build
+    and phi time is split evenly over the cases that use it.
+    """
+    users: dict[_Grid, list[tuple[_Integral, int]]] = {}
+    for it in integrals:
+        for slot, grid in enumerate(it.grids):
+            users.setdefault(grid, []).append((it, slot))
+    phi_evals = 0
+    for grid, uses in users.items():
+        t0 = time.monotonic()
+        lam, weight = grid.build()
+        phi_vals = {}
+        for it, _ in uses:
+            if (it.d, it.phi) not in phi_vals:
+                phi_vals[it.d, it.phi] = it.phi(it.d.gram, lam)
+        phi_evals += len(phi_vals)
+        cases = {it.case for it, _ in uses}
+        share = (time.monotonic() - t0) / len(cases)
+        for case in cases:
+            runtimes[case] += share
+        norm = (2 * np.pi) ** len(grid.onb)
+        for it, slot in uses:
+            t0 = time.monotonic()
+            # a fresh copy keeps phi the operand numpy writes into (see the
+            # module docstring): a shared phi array would make it compute m * phi
+            vals = phi_vals[it.d, it.phi].copy() * _eval_m_terms(it.terms, lam)
+            it.values[slot] = complex(np.sum(vals * weight)) / norm
+            runtimes[it.case] += time.monotonic() - t0
+        del lam, weight, phi_vals, vals
+    return {
+        "lemma_shift.integrals": sum(len(uses) for uses in users.values()),
+        "lemma_shift.grids": len(users),
+        "lemma_shift.phi_evals": phi_evals,
+    }
+
+
+def _assemble(case: ShiftCase, plan: _ShiftPlan) -> dict:
+    lhs_values = [it.value() for it in plan.lhs]
+    rhs = 0j
+    terms_used = []
+    for dc, nl, integrals, used in plan.rhs:
+        total_term = 0j
+        for it in integrals:
+            total_term += it.value()
+        contribution = float(dc) * float(nl) * total_term
+        rhs += contribution
+        terms_used.append(used)
+    residuals = [abs(lhs - rhs) for lhs in lhs_values]
+    eps_spread = abs(lhs_values[0] - lhs_values[-1])
+    return {
+        "M": case.M.label,
+        "P": case.P.index,
+        "epsilons": list(case.epsilons),
+        "lhs": [(v.real, v.imag) for v in lhs_values],
+        "rhs": (rhs.real, rhs.imag),
+        "terms": terms_used,
+        "residuals": residuals,
+        "eps_stability": eps_spread,
+        "pass": all(r <= case.tol for r in residuals),
+    }
+
+
+@dataclass
+class ShiftBatch:
+    """Outcomes of lemma_shift_batch, in case order.
+
+    outcomes[i] is the result dict of case i or the GmcalcError it raised.
+    runtimes[i] is the time charged to it: its planning, integrands and
+    assembly, plus its share of every grid it used.
+    """
+
+    outcomes: list
+    runtimes: list[float]
+    counters: dict[str, int]
+
+
+def lemma_shift_batch(cases: Sequence[ShiftCase]) -> ShiftBatch:
+    """Run many contour-shift checks over shared quadrature grids.
+
+    Plan every case, evaluate the planned integrals grid-major, then assemble
+    each case.  An error in planning or assembly ends only its own case.
+    """
+    runtimes = [0.0] * len(cases)
+    plans = []
+    for index, case in enumerate(cases):
+        t0 = time.monotonic()
+        try:
+            plans.append(_plan(index, case))
+        except GmcalcError as exc:
+            plans.append(exc)
+        runtimes[index] += time.monotonic() - t0
+    counters = _evaluate([it for p in plans if isinstance(p, _ShiftPlan) for it in p.integrals()], runtimes)
+    outcomes = []
+    for index, (case, plan) in enumerate(zip(cases, plans)):
+        t0 = time.monotonic()
+        if isinstance(plan, _ShiftPlan):
+            try:
+                plan = _assemble(case, plan)
+            except GmcalcError as exc:
+                plan = exc
+        outcomes.append(plan)
+        runtimes[index] += time.monotonic() - t0
+    return ShiftBatch(outcomes, runtimes, counters)
 
 
 def lemma_shift_check(
@@ -488,89 +729,7 @@ def lemma_shift_check(
     Requires the pole walls on every sub-flat to be pairwise orthogonal (the
     supported rank <= 2 product configurations).
     """
-    L1 = t.levi_L
-    d = t.datum
-    if fns.levi != L1:
-        raise NotComparable("densities must live on the home flat of the class")
-    Q1 = chamber_below(P, L1)
-    basis_rows = [b.coords for b in L1.basis]
-
-    m_terms = _m_term_data(fns, M, gfull(d), Q1)
-
-    def lhs_integrand(lam):
-        return phi(d.gram, lam) * _eval_m_terms(d, m_terms, lam)
-
-    # align the quadrature axes with the pole walls so the sharp directions
-    # are graded; non-orthogonal wall sets are outside the quadrature design
-    from .exactlin import sym_pair
-
-    wall_dirs = [ray.dual.coords for ray in t.tau_rays()]
-    for a in range(len(wall_dirs)):
-        for b in range(a + 1, len(wall_dirs)):
-            if sym_pair(d.gram, wall_dirs[a], wall_dirs[b]) != 0:
-                raise NotComparable("pole walls are not orthogonal; configuration out of scope")
-    onb = _orthonormal_basis(d, basis_rows, wall_dirs)
-    T = phi.cutoff()
-    lhs_values = []
-    for eps0 in epsilons:
-        shift = np.array([eps0 * float(x) for x in Q1.chamber_point.coords])
-        lhs_values.append(
-            _tensor_integral(d, onb, 0, lhs_integrand, T, shift, deltas, fine_scale=eps0 / 4)
-        )
-
-    rhs = 0j
-    terms_used = []
-    for L in enumerate_levis(d, lower=L1):
-        for S in enumerate_levis(d, lower=M):
-            dc = d_constant(L1, L, S)
-            if dc.is_zero():
-                continue
-            nl = discrete_constants(t, L)["nL"]
-            if nl == 0:
-                continue
-            sub_terms = _m_term_data(fns, M, S, Q1)
-            if not sub_terms:
-                continue
-            total_term = 0j
-            proj_l = projector(L.basis_rows(), d.gram)
-            for term in sub_terms:
-                pole_dirs = []
-                for fn, dual in term.factors:
-                    if fn.has_pole0():
-                        proj = mat_vec(proj_l, dual.coords)
-                        if any(x != 0 for x in proj):
-                            pole_dirs.append(proj)
-                for a in range(len(pole_dirs)):
-                    for b in range(a + 1, len(pole_dirs)):
-                        from .exactlin import sym_pair
-
-                        if sym_pair(d.gram, pole_dirs[a], pole_dirs[b]) != 0:
-                            raise NotComparable(
-                                "pole walls are not orthogonal; configuration out of scope"
-                            )
-
-                def term_integrand(lam, term=term):
-                    return phi(d.gram, lam) * _eval_m_terms(d, [term], lam)
-
-                onb_l = _orthonormal_basis(d, [b.coords for b in L.basis], pole_dirs)
-                total_term += _tensor_integral(
-                    d, onb_l, len(pole_dirs), term_integrand, T, None, deltas
-                )
-            contribution = float(dc) * float(nl) * total_term
-            rhs += contribution
-            terms_used.append(
-                {"L": L.label, "S": S.label, "d": float(dc), "nL": str(nl)}
-            )
-    residuals = [abs(lhs - rhs) for lhs in lhs_values]
-    eps_spread = abs(lhs_values[0] - lhs_values[-1])
-    return {
-        "M": M.label,
-        "P": P.index,
-        "epsilons": list(epsilons),
-        "lhs": [(v.real, v.imag) for v in lhs_values],
-        "rhs": (rhs.real, rhs.imag),
-        "terms": terms_used,
-        "residuals": residuals,
-        "eps_stability": eps_spread,
-        "pass": all(r <= tol for r in residuals),
-    }
+    out = lemma_shift_batch([ShiftCase(t, fns, M, P, phi, epsilons, deltas, tol)]).outcomes[0]
+    if isinstance(out, GmcalcError):
+        raise out
+    return out

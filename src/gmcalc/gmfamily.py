@@ -612,14 +612,18 @@ def split_formula(
     return split_terms(fns, M, gfull(d), Q1, lam_eval)
 
 
+def _gram_row(d, dual: RatVec) -> list[complex]:
+    """The pairing lam -> <lam, dual> as a complex row in ambient coordinates."""
+    return [sum(complex(d.gram[i][j]) * complex(dual.coords[j]) for j in range(d.rank)) for i in range(d.rank)]
+
+
 def _lam_evaluator(d, lam) -> Callable[[RatVec], complex]:
     if isinstance(lam, RatVec):
         return lambda dual: complex(d.pair(lam, dual))
     coords = tuple(complex(x) for x in lam)
 
     def ev(dual: RatVec) -> complex:
-        gd = [sum(complex(d.gram[i][j]) * complex(dual.coords[j]) for j in range(d.rank)) for i in range(d.rank)]
-        return sum(c * g for c, g in zip(coords, gd))
+        return sum(c * g for c, g in zip(coords, _gram_row(d, dual)))
 
     return ev
 
@@ -659,35 +663,6 @@ def _segment_integral(f: ScalarFn, z0: complex, z1: complex) -> complex:
     return complex(half * np.dot(_SEG_WEIGHTS, vals))
 
 
-def induced_member(
-    fns: ScalarRootFns,
-    Qprime: ParabolicChamber,
-    Q: ParabolicChamber,
-    lam0: Sequence[complex],
-    zeta: Sequence[complex],
-) -> complex:
-    """Member value at zeta of the chamber family the densities generate at basepoint lam0.
-
-    The product runs over the rays positive on Qprime and negative on Q; each
-    factor is exp of the density integrated between the two signed pairings.
-    """
-    L1 = fns.levi
-    d = L1.datum
-    ev0 = _lam_evaluator(d, lam0)
-    ev1 = _lam_evaluator(d, [a + b for a, b in zip(lam0, zeta)])
-    total = 0j
-    for ray in restricted_rays(L1):
-        sp = d.pair(ray.rep, Qprime.chamber_point)
-        sq = d.pair(ray.rep, Q.chamber_point)
-        if not (sp > 0 > sq) and not (sp < 0 < sq):
-            continue
-        rep = ray.rep if sp > 0 else -ray.rep
-        dual = RatVec(vscale(Fraction(2) / d.pair(rep, rep), rep.coords))
-        f = fns.fn(rep)
-        total += _segment_integral(f, ev0(dual), ev1(dual))
-    return cmath.exp(total)
-
-
 def induced_family_value(
     fns: ScalarRootFns,
     P: ParabolicChamber,
@@ -720,14 +695,35 @@ def induced_family_value(
             margin = bound if margin is None else min(margin, bound)
     radius = 0.2 * (margin if margin is not None else 1.0)
 
+    # The member of chamber Qp at zeta is exp of the sum, over the rays
+    # positive on Qp and negative on P, of the density integrated from
+    # <lam0, dual> to <lam0 + zeta, dual>.  Only the end point moves along the
+    # circle, so each factor's density, dual row and start point are fixed here.
+    factors = {}
+    for Qp in chambers:
+        rows = []
+        for ray in restricted_rays(L1):
+            sp = d.pair(ray.rep, Qp.chamber_point)
+            sq = d.pair(ray.rep, P.chamber_point)
+            if not (sp > 0 > sq) and not (sp < 0 < sq):
+                continue
+            rep = ray.rep if sp > 0 else -ray.rep
+            dual = RatVec(vscale(Fraction(2) / d.pair(rep, rep), rep.coords))
+            rows.append((fns.fn(rep), _gram_row(d, dual), ev0(dual)))
+        factors[Qp.index] = rows
+
     def circle_mean(r: float) -> complex:
         total = 0j
         for k in range(nodes):
             s = r * cmath.exp(2j * cmath.pi * k / nodes)
             zeta = [s * complex(x) for x in direction.coords]
+            coords = tuple(complex(a + b) for a, b in zip(lam0, zeta))
             cs = 0j
             for Qp in chambers:
-                member = induced_member(fns, Qp, P, lam0, zeta)
+                exponent = 0j
+                for f, gd, z0 in factors[Qp.index]:
+                    exponent += _segment_integral(f, z0, sum(c * g for c, g in zip(coords, gd)))
+                member = cmath.exp(exponent)
                 cs += member / (theta_at_dir[Qp.index] * s ** L1.dim)
             total += cs
         return total / nodes

@@ -2,7 +2,7 @@
 
 The canonical report file contains no wall-clock data so consecutive runs of
 the same configuration are byte-identical; per-check runtimes go to a
-separate timing sidecar and the console.
+separate timing sidecar and the console, and so do the counters a suite keeps.
 """
 from __future__ import annotations
 
@@ -41,6 +41,14 @@ class CheckRecord:
         return out
 
 
+class SuiteRecords(list):
+    """The check records of one suite, with the counters its run kept."""
+
+    def __init__(self, records=(), counters: dict[str, int] | None = None):
+        super().__init__(records)
+        self.counters = dict(counters or {})
+
+
 @dataclass
 class VerificationReport:
     group: str
@@ -48,12 +56,14 @@ class VerificationReport:
     config_digest: str
     numerics: dict = field(default_factory=dict)
     records: list[CheckRecord] = field(default_factory=list)
+    counters: dict[str, int] = field(default_factory=dict)  # sidecar only
 
     def add(self, record: CheckRecord) -> None:
         self.records.append(record)
 
     def extend(self, records) -> None:
         self.records.extend(records)
+        self.counters.update(getattr(records, "counters", {}))
 
     def passed(self) -> bool:
         return all(r.status != "fail" for r in self.records)
@@ -81,5 +91,6 @@ class VerificationReport:
     def timing_json(self) -> dict:
         return {
             "schema": SCHEMA + "-timing",
+            "counters": self.counters,
             "runtimes": {r.id: r.runtime for r in sorted(self.records, key=lambda r: r.id)},
         }

@@ -20,10 +20,11 @@ from .config import Config
 from .contour import (
     FlatTestFunction,
     MeromorphicLine,
+    ShiftCase,
     TestFunction,
     chamber_below,
     from_scalar_fn,
-    lemma_shift_check,
+    lemma_shift_batch,
     pv_integral,
     residue_identity_1d,
     shifted_integral,
@@ -50,7 +51,7 @@ from .levilattice import (
     theta,
     trand_check,
 )
-from .report import CheckRecord, digest
+from .report import CheckRecord, SuiteRecords, digest
 from .rootdatum import RatVec, RootDatum, build_root_system, weyl_group
 from .spectral import (
     build_spectral_triple,
@@ -292,10 +293,11 @@ def _shift_classes(d: RootDatum):
     return out
 
 
-def suite_lemma_shift(cfg: Config, d: RootDatum) -> list[CheckRecord]:
-    records = []
+def _lemma_shift_cases(cfg: Config, d: RootDatum) -> list[tuple[str, dict, ShiftCase | GmcalcError, float]]:
+    """(record id, inputs, case or the error building it, seconds spent) per check."""
     tol = float(cfg.tolerances["lemma_shift"])
     phi_cfg = cfg.flat_phi[0]
+    out = []
     for ci, t in enumerate(_shift_classes(d)):
         for M in enumerate_levis(d, lower=t.levi_L):
             if M.dim == 0:
@@ -315,22 +317,34 @@ def suite_lemma_shift(cfg: Config, d: RootDatum) -> list[CheckRecord]:
                     "M": M.label,
                     "model": model_name,
                 }
+                t0 = time.monotonic()
                 try:
-                    fns = density_for(t, template)
-
-                    def check():
-                        return lemma_shift_check(
-                            t, fns, M, P, phi, cfg.epsilons, cfg.delta_ladder, tol
-                        )
-
-                    rec, rt = _timed(check)
-                    records.append(
-                        _record(cid, "lemma-shift", inputs, rec["pass"], max(rec["residuals"]), None, rt)
+                    case = ShiftCase(
+                        t, density_for(t, template), M, P, phi, cfg.epsilons, cfg.delta_ladder, tol
                     )
-                except NotComparable as exc:
-                    records.append(_record(cid, "lemma-shift", inputs, True, None, str(exc), skip=True))
                 except GmcalcError as exc:
-                    records.append(_record(cid, "lemma-shift", inputs, False, None, str(exc)))
+                    case = exc
+                out.append((cid, inputs, case, time.monotonic() - t0))
+    return out
+
+
+def suite_lemma_shift(cfg: Config, d: RootDatum) -> list[CheckRecord]:
+    cases = _lemma_shift_cases(cfg, d)
+    batch = lemma_shift_batch([case for _, _, case, _ in cases if isinstance(case, ShiftCase)])
+    done = iter(zip(batch.outcomes, batch.runtimes))
+    records = SuiteRecords(counters=batch.counters)
+    for cid, inputs, outcome, rt in cases:
+        if isinstance(outcome, ShiftCase):
+            outcome, batch_rt = next(done)
+            rt += batch_rt
+        if isinstance(outcome, NotComparable):
+            records.append(_record(cid, "lemma-shift", inputs, True, None, str(outcome), rt, skip=True))
+        elif isinstance(outcome, GmcalcError):
+            records.append(_record(cid, "lemma-shift", inputs, False, None, str(outcome), rt))
+        else:
+            records.append(
+                _record(cid, "lemma-shift", inputs, outcome["pass"], max(outcome["residuals"]), None, rt)
+            )
     return records
 
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -179,3 +183,62 @@ def test_eval_phi_tt(capsys):
     assert main(["eval", "--group", "A1", "--expr", "phi_TT", "--args", args]) == 0
     out = capsys.readouterr().out
     assert "terms: 4" in out and "psi_tag" in out
+
+
+SCHEMA_PATH = Path(__file__).resolve().parents[1] / "schemas" / "config.schema.json"
+
+# each of these once hung the contour quadrature or crashed with a traceback
+BAD_NUMERICS = [
+    {"epsilons": [0.0, 0.1]},
+    {"epsilons": [-0.05, 0.1]},
+    {"epsilons": [0.1]},
+    {"epsilons": []},
+    {"epsilons": ["0.1", 0.2]},
+    {"delta_ladder": [0.1, 0.01, 0.0]},
+    {"delta_ladder": [0.1]},
+    {"delta_ladder": []},
+    {"flat_phi": []},
+    {"flat_phi": [{"c0": 1.0, "c1": 0.0, "c2": 0.0, "scale": -1.0}]},
+    {"flat_phi": [{"c0": 1.0, "c1": 0.0, "c2": 0.0}]},
+]
+
+
+@pytest.mark.parametrize("bad", BAD_NUMERICS)
+def test_verify_bad_numerics_exit_2_with_one_line(tmp_path, bad):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(bad))
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "gmcalc.cli", "--config", str(p), "verify", "--group", "A1",
+         "--suite", "lemma-shift", "--out", str(tmp_path / "r")],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert proc.returncode == 2, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+
+
+@pytest.mark.parametrize("bad", BAD_NUMERICS)
+def test_schema_rejects_what_load_config_rejects(bad):
+    jsonschema = pytest.importorskip("jsonschema")
+    schema = json.loads(SCHEMA_PATH.read_text(encoding="utf-8"))
+    jsonschema.validate({}, schema)
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(bad, schema)
+    with pytest.raises(ConfigError):
+        load_config(bad)
+
+
+def test_lemma_shift_counters_and_runtimes_stay_in_the_sidecar(tmp_path):
+    assert main(["verify", "--group", "A2", "--suite", "lemma-shift", "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "report-A2.json").read_text())
+    timing = json.loads((tmp_path / "report-A2.timing.json").read_text())
+    assert timing["counters"] == {
+        "lemma_shift.integrals": 226,
+        "lemma_shift.grids": 34,
+        "lemma_shift.phi_evals": 43,
+    }
+    assert len(timing["runtimes"]) == len(report["checks"]) == 46
+    assert all(rt is not None and rt > 0 for rt in timing["runtimes"].values())
+    assert "counters" not in report
+    assert all("runtime" not in c for c in report["checks"])

@@ -4,24 +4,33 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from gmcalc.config import load_config
 from gmcalc.contour import (
+    _GL_NODES,
+    _GL_WEIGHTS,
     DEFAULT_BATTERY,
     FlatTestFunction,
     MeromorphicLine,
+    ShiftCase,
     TestFunction,
+    _evaluate,
+    _graded_edges,
+    _plan,
     chamber_below,
     from_scalar_fn,
+    lemma_shift_batch,
     lemma_shift_check,
     pv_integral,
     residue_identity_1d,
     shifted_integral,
     verify_residues,
 )
-from gmcalc.errors import BadShift, NoConvergence
+from gmcalc.errors import BadShift, GmcalcError, NoConvergence, NotComparable
 from gmcalc.gmfamily import scalar_fn_from_template
 from gmcalc.levilattice import base_chamber, levi_lattice, mzero, parabolics
 from gmcalc.rootdatum import build_root_system
-from gmcalc.spectral import build_spectral_triple, density_for, tau_class
+from gmcalc.spectral import build_spectral_triple, density_for, enumerate_spectral_triples, tau_class
+from gmcalc.suites import _lemma_shift_cases
 
 
 def pole(n):
@@ -164,3 +173,128 @@ def test_lemma_shift_a1xa1_intermediate_levi():
     phi = flat_phi(d, chamber_below(P, t.levi_L))
     rec = lemma_shift_check(t, fns, M, P, phi)
     assert rec["pass"], rec
+
+
+# ---------------------------------------------------------------------------
+# grid-major evaluation against a naive per-integral reference
+
+
+def _naive_grid(g):
+    """A fresh tensor grid from the grid's inputs, one axis at a time."""
+    k = len(g.onb)
+
+    def half_axis(start, fine):
+        edges = _graded_edges(start, g.T, fine, None)
+        xs, ws = [], []
+        for a, b in zip(edges[:-1], edges[1:]):
+            mid, half = (a + b) / 2, (b - a) / 2
+            xs.extend(mid + half * _GL_NODES)
+            ws.extend(half * _GL_WEIGHTS)
+        return np.array(xs), np.array(ws)
+
+    axes = []
+    for axis in range(k):
+        if axis < g.pole_axes:
+            xs, ws = half_axis(g.delta, g.delta)
+        else:
+            xs, ws = half_axis(0.0, g.fine_scale)
+        axes.append((np.concatenate([-xs[::-1], xs]), np.concatenate([ws[::-1], ws])))
+    mesh = np.meshgrid(*[a[0] for a in axes], indexing="ij")
+    weight = axes[0][1]
+    for a in axes[1:]:
+        weight = np.multiply.outer(weight, a[1])
+    lam = []
+    for i in range(len(g.onb[0])):
+        comp = 0j
+        for axis_index, tgrid in enumerate(mesh):
+            comp = comp + 1j * tgrid * g.onb[axis_index][i]
+        if g.shift is not None:
+            comp = comp + g.shift[i]
+        lam.append(comp)
+    return lam, weight
+
+
+def _naive_m(d, terms, lam):
+    """The m-terms with each float pairing rebuilt from the exact dual vector."""
+    total = None
+    for term in terms:
+        val = term.vol
+        for fn, dual, _ in term.factors:
+            gd = [sum(float(d.gram[i][j]) * float(dual.coords[j]) for j in range(d.rank)) for i in range(d.rank)]
+            z = sum(lam[i] * gd[i] for i in range(d.rank))
+            val = val * fn(z)
+        total = val if total is None else total + val
+    return 0j if total is None else total
+
+
+def _naive_values(it):
+    d = it.d
+    if not it.grids:
+        lam = [complex(x) for x in np.zeros(d.rank)]
+        return [complex(it.phi(d.gram, lam) * _naive_m(d, it.terms, lam))]
+    out = []
+    for g in it.grids:
+        lam, weight = _naive_grid(g)
+        vals = it.phi(d.gram, lam) * _naive_m(d, it.terms, lam)
+        out.append(complex(np.sum(vals * weight)) / (2 * np.pi) ** len(g.onb))
+    return out
+
+
+def _suite_cases(group, wanted=None):
+    d = build_root_system(group)
+    rows = _lemma_shift_cases(load_config(overrides={"group": group}), d)
+    return [
+        (cid, case) for cid, _, case, _ in rows
+        if isinstance(case, ShiftCase) and (wanted is None or cid.split("/", 2)[2] in wanted)
+    ]
+
+
+@pytest.mark.parametrize("group, wanted", [
+    ("A1xA1", None),
+    # the A2 cases whose residuals move when phi * m is computed as m * phi
+    ("A2", {f"{c}/{m}" for c in ("c00/L4", "c00/L5", "c04/M0") for m in ("m", "r")}),
+])
+def test_grid_major_values_equal_naive_reference(group, wanted):
+    cases = _suite_cases(group, wanted)
+    assert len(cases) == (len(wanted) if wanted else 32)
+    plans = []
+    for index, (_, case) in enumerate(cases):
+        try:
+            plans.append(_plan(index, case))
+        except NotComparable:
+            continue
+    integrals = [it for p in plans for it in p.integrals()]
+    counters = _evaluate(integrals, [0.0] * len(cases))
+    assert counters["lemma_shift.grids"] < counters["lemma_shift.integrals"]
+    for it in integrals:
+        assert it.values == _naive_values(it)
+
+
+def test_batch_matches_one_case_at_a_time():
+    # the c00 cases: m- and r-models share every grid and phi
+    cases = [case for cid, case in _suite_cases("A1xA1") if "/c00/" in cid]
+    home = cases[0].t.levi_L
+    other = next(t for t in map(tau_class, enumerate_spectral_triples(home.datum)) if t.levi_L != home)
+    # densities on another flat: planning raises NotComparable for this case only
+    bad = cases[0]._replace(fns=density_for(other, {"kind": "model_plancherel", "c": "1"}))
+    batch = lemma_shift_batch(cases[:2] + [bad] + cases[2:])
+    outcomes = batch.outcomes[:2] + batch.outcomes[3:]
+    for case, got in zip(cases, outcomes):
+        try:
+            want = lemma_shift_check(*case)
+        except GmcalcError as exc:
+            assert type(got) is type(exc) and str(got) == str(exc)
+        else:
+            assert got == want
+    assert isinstance(batch.outcomes[2], NotComparable)
+    with pytest.raises(NotComparable, match=str(batch.outcomes[2])):
+        lemma_shift_check(*bad)
+    assert len(batch.runtimes) == len(cases) + 1 and all(rt > 0 for rt in batch.runtimes)
+
+
+@pytest.mark.parametrize("fine", [0.0, -0.05, float("nan")])
+def test_graded_edges_rejects_non_positive_step(fine):
+    with pytest.raises(BadShift):
+        _graded_edges(0.0, 8.0, fine, None)
+    with pytest.raises(BadShift):
+        _graded_edges(-8.0, 8.0, None, fine)
