@@ -12,12 +12,18 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+from .asymptotic import (
+    SigmaModel,
+    c_coefficient_example,
+    eps_M_sign,
+    multiplier_alpha,
+    phi_TT_expansion,
+    weyl_denominator,
+)
 from .config import ALL_SUITES, load_config
 from .errors import ConfigError, GmcalcError
 from .levilattice import (
     d_constant,
-    enumerate_levis,
-    gfull,
     levi_by_label,
     levi_lattice,
     mzero,
@@ -26,7 +32,8 @@ from .levilattice import (
     weyl_cosets,
 )
 from .rootdatum import RatVec, build_root_system, element_from_word, weyl_group
-from .suites import run_suites
+from .spectral import build_spectral_triple, density_for, discrete_constants, n_beta, tau_class
+from .suites import _generic_offset, run_suites
 
 
 def _ratvec(items) -> RatVec:
@@ -99,29 +106,14 @@ def cmd_verify(args) -> int:
 
 
 def _spectral_from_args(d, payload):
-    from .spectral import build_spectral_triple, tau_class
-
-    triple = build_spectral_triple(
-        d, payload.get("sigma_roots", []), payload.get("r_word", [])
-    )
-    return tau_class(triple)
+    return tau_class(build_spectral_triple(d, payload.get("sigma_roots", []), payload.get("r_word", [])))
 
 
 def _model_from_args(d, cfg, payload):
-    from .asymptotic import SigmaModel
-    from .spectral import density_for
-
     t = _spectral_from_args(d, payload)
-    template = payload.get("model", cfg.m_model)
-    fns = density_for(t, template)
-    from .levilattice import base_chamber
-
+    fns = density_for(t, payload.get("model", cfg.m_model))
     mu = _ratvec(payload.get("mu", [0] * d.rank))
-    if "eval" in payload:
-        ev = _ratvec(payload["eval"])
-    else:
-        pt = base_chamber(d).chamber_point
-        ev = RatVec.of([Fraction(x) * Fraction(1, 7) for x in pt.coords])
+    ev = _ratvec(payload["eval"]) if "eval" in payload else _generic_offset(d)
     return SigmaModel(t, fns, mu, ev)
 
 
@@ -134,7 +126,7 @@ def cmd_eval(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        value, extra = _evaluate(d, cfg, args.expr, payload)
+        value, extra = EXPRESSIONS[args.expr](d, cfg, payload)
     except KeyError as exc:
         print(f"error: unknown expression or missing argument: {exc}", file=sys.stderr)
         return 2
@@ -151,70 +143,82 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _evaluate(d, cfg, expr, payload):
-    if expr == "theta":
-        M = levi_by_label(d, payload.get("M", "M0"))
-        P = parabolics(M)[int(payload.get("chamber", 0))]
-        lam = _ratvec(payload["lambda"])
-        val = theta(P, lam)
-        return float(val), {"product": str(val.product), "covol_sq": str(val.covol.square)}
-    if expr == "d":
-        L1 = levi_by_label(d, payload["L1"])
-        L = levi_by_label(d, payload["L"])
-        S = levi_by_label(d, payload["S"])
-        val = d_constant(L1, L, S)
-        return _quad_str(val), {"float": float(val), "square": str(val.square)}
-    if expr == "n_beta":
-        from .spectral import n_beta
+def _eval_theta(d, cfg, payload):
+    M = levi_by_label(d, payload.get("M", "M0"))
+    P = parabolics(M)[int(payload.get("chamber", 0))]
+    val = theta(P, _ratvec(payload["lambda"]))
+    return float(val), {"product": str(val.product), "covol_sq": str(val.covol.square)}
 
+
+def _eval_d(d, cfg, payload):
+    L1, L, S = (levi_by_label(d, payload[k]) for k in ("L1", "L", "S"))
+    val = d_constant(L1, L, S)
+    return _quad_str(val), {"float": float(val), "square": str(val.square)}
+
+
+def _eval_n_beta(d, cfg, payload):
+    t = _spectral_from_args(d, payload)
+    return str(n_beta(t, _ratvec(payload["beta"]))), {"home": t.levi_L.label}
+
+
+def _eval_discrete(key):
+    def ev(d, cfg, payload):
         t = _spectral_from_args(d, payload)
-        val = n_beta(t, _ratvec(payload["beta"]))
-        return str(val), {"home": t.levi_L.label}
-    if expr in ("nL", "kL"):
-        from .spectral import discrete_constants
+        res = discrete_constants(t, levi_by_label(d, payload.get("L", "G")))
+        return str(res[key]), {"home": t.levi_L.label}
 
-        t = _spectral_from_args(d, payload)
-        L = levi_by_label(d, payload.get("L", "G"))
-        res = discrete_constants(t, L)
-        return (str(res["nL"]) if expr == "nL" else str(res["kL"])), {"home": t.levi_L.label}
-    if expr == "alpha_X":
-        from .asymptotic import multiplier_alpha
+    return ev
 
-        M1 = levi_by_label(d, payload.get("M1", "M0"))
-        val = multiplier_alpha(M1, _ratvec(payload.get("nu", [0] * d.rank)), _ratvec(payload.get("X", [0] * d.rank)))
-        return f"{val.real}+{val.imag}j", {"modulus": abs(val)}
-    if expr == "eps_M":
-        from .asymptotic import eps_M_sign
 
-        w = element_from_word(d, payload.get("word", []))
-        sigma = payload.get("sigma", list(d.pos_indices))
-        return eps_M_sign(d, w, sigma), {"word": payload.get("word", [])}
-    if expr == "delta_Sigma":
-        from .asymptotic import weyl_denominator
+def _eval_alpha_x(d, cfg, payload):
+    M1 = levi_by_label(d, payload.get("M1", "M0"))
+    val = multiplier_alpha(M1, _ratvec(payload.get("nu", [0] * d.rank)), _ratvec(payload.get("X", [0] * d.rank)))
+    return f"{val.real}+{val.imag}j", {"modulus": abs(val)}
 
-        Y = [complex(a, b) for a, b in payload["Y"]]
-        sigma = payload.get("sigma", list(d.pos_indices))
-        val = weyl_denominator(d, sigma, Y)
-        return f"{val.real}+{val.imag}j", {}
-    if expr == "c_coeff":
-        from .asymptotic import c_coefficient_example
 
-        model = _model_from_args(d, cfg, payload)
-        w = element_from_word(d, payload.get("w_word", []))
-        M = levi_by_label(d, payload.get("M", "M0"))
-        L = levi_by_label(d, payload.get("L", "M0"))
-        P = parabolics(levi_by_label(d, payload.get("P_levi", "M0")))[int(payload.get("P", 0))]
-        u = complex(*payload.get("u", (1.0, 0.0)))
-        val = c_coefficient_example(model, w, model.mu_im, P, u, L, M)
-        return f"{val.real}+{val.imag}j", {}
-    if expr == "phi_TT":
-        from .asymptotic import phi_TT_expansion
+def _eval_eps_m(d, cfg, payload):
+    w = element_from_word(d, payload.get("word", []))
+    sigma = payload.get("sigma", list(d.pos_indices))
+    return eps_M_sign(d, w, sigma), {"word": payload.get("word", [])}
 
-        model = _model_from_args(d, cfg, payload)
-        P = parabolics(mzero(d))[int(payload.get("P", 0))]
-        exp = phi_TT_expansion(model, P, payload.get("domain", "U0"))
-        return json.dumps(exp.serialize(), sort_keys=True), {"terms": len(exp.terms)}
-    raise KeyError(expr)
+
+def _eval_delta_sigma(d, cfg, payload):
+    Y = [complex(a, b) for a, b in payload["Y"]]
+    val = weyl_denominator(d, payload.get("sigma", list(d.pos_indices)), Y)
+    return f"{val.real}+{val.imag}j", {}
+
+
+def _eval_c_coeff(d, cfg, payload):
+    model = _model_from_args(d, cfg, payload)
+    w = element_from_word(d, payload.get("w_word", []))
+    M = levi_by_label(d, payload.get("M", "M0"))
+    L = levi_by_label(d, payload.get("L", "M0"))
+    P = parabolics(levi_by_label(d, payload.get("P_levi", "M0")))[int(payload.get("P", 0))]
+    u = complex(*payload.get("u", (1.0, 0.0)))
+    val = c_coefficient_example(model, w, model.mu_im, P, u, L, M)
+    return f"{val.real}+{val.imag}j", {}
+
+
+def _eval_phi_tt(d, cfg, payload):
+    model = _model_from_args(d, cfg, payload)
+    P = parabolics(mzero(d))[int(payload.get("P", 0))]
+    exp = phi_TT_expansion(model, P, payload.get("domain", "U0"))
+    return json.dumps(exp.serialize(), sort_keys=True), {"terms": len(exp.terms)}
+
+
+# expression name -> evaluator(d, cfg, payload) returning (value, extra lines)
+EXPRESSIONS = {
+    "theta": _eval_theta,
+    "d": _eval_d,
+    "n_beta": _eval_n_beta,
+    "nL": _eval_discrete("nL"),
+    "kL": _eval_discrete("kL"),
+    "alpha_X": _eval_alpha_x,
+    "eps_M": _eval_eps_m,
+    "delta_Sigma": _eval_delta_sigma,
+    "c_coeff": _eval_c_coeff,
+    "phi_TT": _eval_phi_tt,
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -233,9 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("eval", help="evaluate one named expression")
     p_eval.add_argument("--group", help="group label")
-    p_eval.add_argument("--expr", required=True,
-                        choices=["theta", "d", "n_beta", "nL", "kL", "alpha_X", "eps_M",
-                                 "delta_Sigma", "c_coeff", "phi_TT"])
+    p_eval.add_argument("--expr", required=True, choices=list(EXPRESSIONS))
     p_eval.add_argument("--args", help="JSON arguments for the expression")
     return ap
 

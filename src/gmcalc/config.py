@@ -8,6 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .errors import ConfigError
+from .gmfamily import scalar_fn_from_template
 
 CONFIG_SCHEMA = "gmcalc-config-v1"
 
@@ -96,13 +97,59 @@ def _merge_tolerances(given) -> dict:
     return {**defaults, **given}
 
 
+def _is_number(x) -> bool:
+    """A finite JSON number; bool is not one."""
+    return not isinstance(x, bool) and (isinstance(x, int) or (isinstance(x, float) and math.isfinite(x)))
+
+
 def _check_positive_list(name: str, value, min_items: int) -> None:
-    if (
-        not isinstance(value, list)
-        or len(value) < min_items
-        or any(isinstance(x, bool) or not isinstance(x, (int, float)) or not 0 < x < math.inf for x in value)
-    ):
+    if not isinstance(value, list) or len(value) < min_items or any(not _is_number(x) or x <= 0 for x in value):
         raise ConfigError(f"{name} must be a list of at least {min_items} positive numbers, got {value!r}")
+
+
+def _rational(name: str, x) -> Fraction:
+    """x read as the rational literal the suites read it as."""
+    try:
+        return Fraction(str(x))
+    except (ValueError, ZeroDivisionError):
+        raise ConfigError(f"{name} must be a rational number, got {x!r}") from None
+
+
+def _check_density(name: str, template) -> None:
+    if not isinstance(template, dict):
+        raise ConfigError(f"{name} must be an object, got {template!r}")
+    try:
+        scalar_fn_from_template(template, Fraction(0))
+    except (ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
+        raise ConfigError(f"bad {name} {template!r}: {exc}") from None
+
+
+def _check_test_functions(value) -> None:
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"test_functions must be a non-empty list, got {value!r}")
+    for tf in value:
+        if not isinstance(tf, dict) or not isinstance(tf.get("poly"), list) or "scale" not in tf:
+            raise ConfigError(f"test functions need a poly list and a scale, got {tf!r}")
+        for c in tf["poly"]:
+            _rational("test function coefficient", c)
+        if _rational("test function scale", tf["scale"]) <= 0:
+            raise ConfigError("test function scale must be positive")
+
+
+def _check_gram(value) -> None:
+    if value is None:
+        return
+    if not isinstance(value, list) or any(not isinstance(row, list) for row in value):
+        raise ConfigError(f"gram must be a list of rows or null, got {value!r}")
+    for row in value:
+        for x in row:
+            _rational("gram entry", x)
+
+
+def _check_number(name: str, value, integer: bool = False) -> None:
+    # as in the schema, an integer may be written with a zero fraction
+    if not _is_number(value) or (integer and value != int(value)):
+        raise ConfigError(f"{name} must be {'an integer' if integer else 'a number'}, got {value!r}")
 
 
 def _check_flat_phi(value) -> None:
@@ -112,7 +159,7 @@ def _check_flat_phi(value) -> None:
     for entry in value:
         if not isinstance(entry, dict) or set(entry) != keys:
             raise ConfigError(f"flat_phi entries need exactly the keys {sorted(keys)}, got {entry!r}")
-        if any(isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v) for v in entry.values()):
+        if not all(_is_number(v) for v in entry.values()):
             raise ConfigError(f"flat_phi coefficients must be numbers, got {entry!r}")
         if not entry["scale"] > 0:
             raise ConfigError(f"flat_phi scale must be positive, got {entry['scale']!r}")
@@ -144,9 +191,19 @@ def load_config(data: dict | None = None, path: str | Path | None = None, overri
     _check_positive_list("epsilons", merged["epsilons"], 2)
     _check_positive_list("delta_ladder", merged["delta_ladder"], 2)
     _check_flat_phi(merged["flat_phi"])
-    for tf in merged["test_functions"]:
-        if Fraction(str(tf["scale"])) <= 0:
-            raise ConfigError("test function scale must be positive")
+    _check_test_functions(merged["test_functions"])
+    _check_density("m_model", merged["m_model"])
+    _check_density("r_model", merged["r_model"])
+    _check_gram(merged["gram"])
+    _check_positive_list("tempext_deltas", merged["tempext_deltas"], 2)
+    # the growth exponent divides by log(first / last)
+    if not merged["tempext_deltas"][0] > merged["tempext_deltas"][-1]:
+        raise ConfigError(f"tempext_deltas must start above where they end, got {merged['tempext_deltas']!r}")
+    _check_number("hull_samples", merged["hull_samples"], integer=True)
+    if merged["hull_samples"] < 1:
+        raise ConfigError(f"hull_samples must be at least 1, got {merged['hull_samples']!r}")
+    _check_number("seed", merged["seed"], integer=True)
+    _check_number("growth_threshold", merged["growth_threshold"])
     raw = {k: v for k, v in merged.items() if k != "schema"}
     return Config(
         group=merged["group"],

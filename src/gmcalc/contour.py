@@ -26,24 +26,21 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import BadShift, GmcalcError, NoConvergence, NotComparable
-from .exactlin import gram_det, mat_vec, projector, rank as mat_rank, sym_pair, vscale
-from .gmfamily import ScalarRootFns
+from .exactlin import mat_vec, projector, sym_pair
+from .gmfamily import ScalarRootFns, split_subsets
 from .levilattice import (
     Levi,
     ParabolicChamber,
     QuadConst,
-    _rel_basis,
     d_constant,
     enumerate_levis,
     gfull,
     parabolics,
-    restricted_rays,
 )
 from .rootdatum import RatVec, RootDatum
 from .spectral import TauClass, discrete_constants
@@ -142,14 +139,17 @@ def _graded_edges(lo: float, hi: float, fine_lo: float | None, fine_hi: float | 
             edges.add(x)
             step *= 2
             x = hi - step
-    out = sorted(edges)
-    # also cap panel width so the smooth part is resolved
-    capped = [out[0]]
-    for e in out[1:]:
-        while e - capped[-1] > 1.0:
-            capped.append(capped[-1] + 1.0)
-        capped.append(e)
-    return capped
+    return _capped(sorted(edges))
+
+
+def _capped(edges: Sequence[float]) -> list[float]:
+    """Sorted panel edges with unit steps inserted so no panel is wider than 1."""
+    out = [edges[0]]
+    for e in edges[1:]:
+        while e - out[-1] > 1.0:
+            out.append(out[-1] + 1.0)
+        out.append(e)
+    return out
 
 
 def _quad_on_panels(g: Callable, edges: Sequence[float]) -> complex:
@@ -278,16 +278,7 @@ def shifted_integral(f: MeromorphicLine, phi: TestFunction, eps: float) -> compl
                 x = loc + s * k
                 if -T < x < T:
                     edges.append(x)
-    return _quad_on_panels(g, _graded_edges_multi(sorted(set(edges))))
-
-
-def _graded_edges_multi(base: Sequence[float]) -> list[float]:
-    out = [base[0]]
-    for e in base[1:]:
-        while e - out[-1] > 1.0:
-            out.append(out[-1] + 1.0)
-        out.append(e)
-    return out
+    return _quad_on_panels(g, _capped(sorted(set(edges))))
 
 
 def residue_identity_1d(
@@ -379,34 +370,15 @@ class _MTermData:
 
 
 def _m_term_data(fns: ScalarRootFns, M: Levi, S: Levi, Q1: ParabolicChamber) -> list[_MTermData]:
-    L1 = fns.levi
-    d = L1.datum
-    rel = _rel_basis(M, S)
-    ks = len(rel)
-    if ks == 0:
-        return [_MTermData(1.0, [])]
-    candidates = []
-    proj_rel = projector(rel, d.gram)
-    for ray in restricted_rays(L1):
-        if S.dim and any(d.pair(ray.rep, b) != 0 for b in S.basis):
-            continue
-        rep_neg = ray.rep if d.pair(ray.rep, Q1.chamber_point) < 0 else -ray.rep
-        dual_neg = RatVec(vscale(Fraction(2) / d.pair(rep_neg, rep_neg), rep_neg.coords))
-        proj = mat_vec(proj_rel, dual_neg.coords)
-        if all(x == 0 for x in proj):
-            continue
-        gd = [sum(float(d.gram[i][j]) * float(dual_neg.coords[j]) for j in range(d.rank)) for i in range(d.rank)]
-        candidates.append((rep_neg, dual_neg, gd, proj))
+    d = fns.levi.datum
 
-    out = []
-    for subset in combinations(candidates, ks):
-        projs = [c[3] for c in subset]
-        if mat_rank(projs) != ks:
-            continue
-        vol = float(QuadConst.from_square(gram_det(projs, d.gram)))
-        factors = [(fns.fn(rep_neg), dual_neg, gd) for rep_neg, dual_neg, gd, _ in subset]
-        out.append(_MTermData(vol, factors))
-    return out
+    def gd(dual: RatVec) -> list[float]:
+        return [sum(float(d.gram[i][j]) * float(dual.coords[j]) for j in range(d.rank)) for i in range(d.rank)]
+
+    return [
+        _MTermData(float(vol), [(fns.fn(rep_neg), dual_neg, gd(dual_neg)) for rep_neg, dual_neg in factors])
+        for vol, factors in split_subsets(fns.levi, M, S, Q1)
+    ]
 
 
 def _eval_m_terms(terms: list[_MTermData], lam_coords) -> np.ndarray | complex:

@@ -50,6 +50,14 @@ def vscale(c, u: Vec) -> Vec:
     return tuple(c * a for a in u)
 
 
+def combine(coeffs: Iterable, vectors: Sequence[Vec], n: int) -> Vec:
+    """sum_i coeffs[i] * vectors[i] in dimension n; unpaired entries of either list are ignored."""
+    v = zeros(n)
+    for c, b in zip(coeffs, vectors):
+        v = vadd(v, vscale(c, b))
+    return v
+
+
 def _ratio(num: int, den: int) -> Fraction:
     return Fraction(num) if den == 1 else Fraction(num, den)
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
 from typing import Callable, Mapping, Sequence
 
@@ -29,6 +30,7 @@ from .exactlin import (
     common_denominator,
     det,
     gram_det,
+    is_zero_vec,
     mat_vec,
     projector,
     rank as mat_rank,
@@ -44,9 +46,11 @@ from .levilattice import (
     contains,
     d_constant,
     enumerate_levis,
+    flat_kernel,
     gfull,
     parabolics,
     restricted_rays,
+    sign_pattern,
     simple_restricted,
 )
 from .ratpoly import Poly, exp_series, series_mul
@@ -66,15 +70,11 @@ class OrthogonalSet:
 
     def validate(self) -> None:
         M = self.levi
-        d = M.datum
         chambers = parabolics(M)
         if len(self.points) != len(chambers):
             raise InternalInconsistency("point list does not match the chamber list")
         rays = restricted_rays(M)
-        signs = [
-            tuple(1 if d.pair(r.rep, P.chamber_point) > 0 else -1 for r in rays)
-            for P in chambers
-        ]
+        signs = [P.signs for P in chambers]
         for i in range(len(chambers)):
             for j in range(i + 1, len(chambers)):
                 diff_pos = [k for k in range(len(rays)) if signs[i][k] != signs[j][k]]
@@ -294,14 +294,9 @@ class ExpPolyFamily:
         forms = [tuple(row) for row in winv]  # lam_i = sum_j winv[i][j] * s_j
         new_terms: list[list[tuple[Poly, RatVec]]] = [[] for _ in chambers]
         rays = restricted_rays(M)
-        sign_index = {
-            tuple(1 if d.pair(r.rep, P.chamber_point) > 0 else -1 for r in rays): P.index
-            for P in chambers
-        }
+        sign_index = {P.signs: P.index for P in chambers}
         for P in chambers:
-            moved = act(w, P.chamber_point)
-            key = tuple(1 if d.pair(r.rep, moved) > 0 else -1 for r in rays)
-            target = sign_index.get(key)
+            target = sign_index.get(sign_pattern(d, rays, act(w, P.chamber_point)))
             if target is None:
                 raise InternalInconsistency("Weyl image of a chamber is not a chamber")
             new_terms[target] = [
@@ -317,28 +312,14 @@ class ExpPolyFamily:
             return []
         chambers = parabolics(M)
         rays = restricted_rays(M)
-        signs = [
-            tuple(1 if d.pair(r.rep, P.chamber_point) > 0 else -1 for r in rays)
-            for P in chambers
-        ]
-        from .exactlin import kernel, vadd, zeros
-
         problems = []
         for i in range(len(chambers)):
             for j in range(i + 1, len(chambers)):
-                diff = [k for k in range(len(rays)) if signs[i][k] != signs[j][k]]
+                diff = [k for k in range(len(rays)) if chambers[i].signs[k] != chambers[j].signs[k]]
                 if len(diff) != 1:
                     continue
                 ray = rays[diff[0]]
-                basis_rows = [b.coords for b in M.basis]
-                row = tuple(d.pair(ray.rep, b) for b in M.basis)
-                ker = kernel([row], M.dim)
-                wall = []
-                for kv in ker:
-                    v = zeros(d.rank)
-                    for c, b in zip(kv, basis_rows):
-                        v = vadd(v, vscale(c, b))
-                    wall.append(v)
+                wall = flat_kernel(d, M.basis_rows(), [ray.rep.coords])
 
                 def restricted(chamber_index):
                     grouped: dict[tuple, Poly] = {}
@@ -539,9 +520,39 @@ class ScalarRootFns:
 # splitting formula and descent sums
 
 
-def _in_levi(L1: Levi, ray: Ray, S: Levi) -> bool:
+def split_subsets(
+    L1: Levi, M: Levi, S: Levi, Q1: ParabolicChamber
+) -> list[tuple[QuadConst, list[tuple[RatVec, RatVec]]]]:
+    """The exact terms of the relative splitting sum, as (covolume, [(rep, dual), ...]).
+
+    The candidates are the rays of L1 vanishing on a_S, signed negative on Q1,
+    whose duals project to nonzero vectors in the part of a_M orthogonal to
+    a_S.  Each subset of candidates whose projected duals form a basis of that
+    part is one term, weighted by their covolume; terms come in candidate and
+    subset order.  With nothing to split there is one empty term of weight 1.
+    """
     d = L1.datum
-    return all(d.pair(ray.rep, b) == 0 for b in S.basis) if S.dim else True
+    rel = _rel_basis(M, S)
+    ks = len(rel)
+    if ks == 0:
+        return [(QuadConst.one(), [])]
+    proj_rel = projector(rel, d.gram)
+    candidates = []
+    for ray in restricted_rays(L1):
+        if S.dim and any(d.pair(ray.rep, b) != 0 for b in S.basis):
+            continue
+        rep_neg = ray.rep if d.pair(ray.rep, Q1.chamber_point) < 0 else -ray.rep
+        dual_neg = RatVec(vscale(Fraction(2) / d.pair(rep_neg, rep_neg), rep_neg.coords))
+        proj = mat_vec(proj_rel, dual_neg.coords)
+        if not is_zero_vec(proj):
+            candidates.append((rep_neg, dual_neg, proj))
+    terms = []
+    for subset in combinations(candidates, ks):
+        projs = [proj for _, _, proj in subset]
+        if mat_rank(projs) == ks:
+            vol = QuadConst.from_square(gram_det(projs, d.gram))
+            terms.append((vol, [(rep_neg, dual_neg) for rep_neg, dual_neg, _ in subset]))
+    return terms
 
 
 def split_terms(
@@ -560,34 +571,12 @@ def split_terms(
     of the part of a_M orthogonal to a_S.
     """
     L1 = fns.levi
-    d = L1.datum
     if not (contains(L1, M) and contains(M, S)):
         raise NotComparable("need L1 <= M <= S")
-    rel = _rel_basis(M, S)
-    ks = len(rel)
-    if ks == 0:
-        return 1.0 + 0j
-    candidates = []
-    proj_rel = projector(rel, d.gram)
-    for ray in restricted_rays(L1):
-        if not _in_levi(L1, ray, S):
-            continue
-        rep_neg = ray.rep if d.pair(ray.rep, Q1.chamber_point) < 0 else -ray.rep
-        dual_neg = RatVec(vscale(Fraction(2) / d.pair(rep_neg, rep_neg), rep_neg.coords))
-        proj = mat_vec(proj_rel, dual_neg.coords)
-        if all(x == 0 for x in proj):
-            continue
-        candidates.append((ray, rep_neg, dual_neg, proj))
-    from itertools import combinations
-
     total = 0j
-    for subset in combinations(candidates, ks):
-        projs = [c[3] for c in subset]
-        if mat_rank(projs) != ks:
-            continue
-        vol = QuadConst.from_square(gram_det(projs, d.gram))
+    for vol, factors in split_subsets(L1, M, S, Q1):
         term = complex(float(vol))
-        for ray, rep_neg, dual_neg, _ in subset:
+        for rep_neg, dual_neg in factors:
             z = lam_eval(dual_neg)
             term *= fns.value(rep_neg, z, w=w, conj=conj)
         total += term

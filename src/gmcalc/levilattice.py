@@ -4,9 +4,17 @@ A Levi subgroup containing the fixed minimal one is identified with the flat
 a_L of the root hyperplane arrangement (its split-center subspace) together
 with the set of roots vanishing on it.  Parabolic sets P(M) are realized as
 the chambers of the restricted root arrangement on a_M.
+
+This module is the one place that derives these objects, and each is built
+once and kept on its owner: the lattice of Levi subgroups on the RootDatum
+(``d.lattice``); the restricted rays, the parabolic chambers, their Weyl
+cells and the bases relative to upper flats on the Levi.  Each chamber keeps
+the sign pattern of the rays on it.  There is no module-level cache, so two
+data built from the same label own separate lattices.
 """
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -15,17 +23,17 @@ from .errors import InternalInconsistency, NotComparable
 from .exactlin import (
     Mat,
     Vec,
-    coords_in_basis,
+    combine,
     gram_det,
+    identity,
+    is_zero_vec,
     kernel,
-    mat,
     mat_vec,
     primitive_ray,
     projector,
     rank as mat_rank,
     rref,
-    solve,
-    transpose,
+    sym_pair,
     vadd,
     vscale,
     zeros,
@@ -85,13 +93,21 @@ class QuadConst:
 
 
 class Levi:
-    """A flat of the root arrangement: basis of a_L plus the roots vanishing on it."""
+    """A flat of the root arrangement: basis of a_L plus the roots vanishing on it.
+
+    Objects read off the flat are built on first use and kept here: the
+    restricted rays, the parabolic chambers, their Weyl cells and the bases
+    relative to upper flats.
+    """
 
     def __init__(self, datum: RootDatum, basis: tuple[RatVec, ...], root_subset: frozenset[int]):
         self.datum = datum
         self.basis = basis
         self.root_subset = root_subset
         self.dim = len(basis)
+        self._rays: tuple[Ray, ...] | None = None
+        self._chambers: tuple[ParabolicChamber, ...] | None = None
+        self._cells: dict[int, tuple[WeylElement, ...]] | None = None
         self._rel_bases: dict[frozenset[int] | None, tuple[Vec, ...]] = {}
         positive = set(datum.pos_indices)
         pos = sorted(i for i in root_subset if i in positive)
@@ -137,12 +153,14 @@ class ParabolicChamber:
         positive_roots: tuple[int, ...],
         chamber_point: RatVec,
         wall_rays: tuple[int, ...] = (),
+        signs: tuple[int, ...] = (),
     ):
         self.levi = levi
         self.index = index
         self.positive_roots = positive_roots
         self.chamber_point = chamber_point
         self.wall_rays = wall_rays  # indices into restricted_rays(levi)
+        self.signs = signs  # sign of each ray of restricted_rays(levi) on the chamber
 
     def __repr__(self):
         return f"ParabolicChamber({self.levi.label}#{self.index})"
@@ -175,12 +193,6 @@ class ThetaValue:
         return QuadConst.from_square(c.square / self.covol.square, c.sign * self.covol.sign)
 
 
-_LATTICE_CACHE: dict[tuple[str, Mat], tuple[Levi, ...]] = {}
-_RAY_CACHE: dict[tuple, tuple[Ray, ...]] = {}
-_PARA_CACHE: dict[tuple, tuple[ParabolicChamber, ...]] = {}
-_CELL_CACHE: dict[tuple, dict[WeylElement, int]] = {}
-
-
 def _vanishing_subset(d: RootDatum, basis_rows: Sequence[Vec]) -> frozenset[int]:
     out = []
     for i, r in enumerate(d.roots):
@@ -189,45 +201,42 @@ def _vanishing_subset(d: RootDatum, basis_rows: Sequence[Vec]) -> frozenset[int]
     return frozenset(out)
 
 
+def flat_kernel(d: RootDatum, basis: Sequence[Vec], forms: Iterable[Vec]) -> list[Vec]:
+    """Ambient vectors spanning the part of span(basis) on which every form pairs to zero.
+
+    The kernel basis is computed in the coordinates of basis and mapped back
+    unreduced, so callers that weight the vectors see a fixed basis.
+    """
+    rows = [tuple(sym_pair(d.gram, f, b) for b in basis) for f in forms]
+    return [combine(kv, basis, d.rank) for kv in kernel(rows, len(basis))]
+
+
 def levi_lattice(d: RootDatum) -> tuple[Levi, ...]:
-    """All flats of the arrangement, i.e. all Levi subgroups containing M0."""
-    cache_key = (d.label, d.gram)
-    got = _LATTICE_CACHE.get(cache_key)
-    if got is not None:
-        return got
-    n = d.rank
-    full = tuple(tuple(Fraction(1) if j == i else Fraction(0) for j in range(n)) for i in range(n))
-    flats: dict[frozenset[int], tuple[Vec, ...]] = {_vanishing_subset(d, full): full}
-    frontier = [full]
+    """All flats of the arrangement, i.e. all Levi subgroups containing M0; built once per datum."""
+    if d.lattice is not None:
+        return d.lattice
+    full = identity(d.rank)
+    full_subset = _vanishing_subset(d, full)
+    flats: dict[frozenset[int], tuple[Vec, ...]] = {full_subset: full}
+    frontier = [(full_subset, full)]
     while frontier:
         nxt = []
-        for basis_rows in frontier:
-            k = len(basis_rows)
-            if k == 0:
+        for subset, basis_rows in frontier:
+            if not basis_rows:
                 continue
             for i in d.pos_indices:
-                root = d.roots[i]
-                row = tuple(d.pair(root, RatVec(b)) for b in basis_rows)
-                if all(x == 0 for x in row):
+                if i in subset:
                     continue
-                ker = kernel([row], k)
-                new_rows = []
-                for kv in ker:
-                    v = zeros(n)
-                    for c, b in zip(kv, basis_rows):
-                        v = vadd(v, vscale(c, b))
-                    new_rows.append(v)
-                new_basis = tuple(rref(new_rows)) if new_rows else ()
-                subset = _vanishing_subset(d, new_basis)
-                if subset not in flats:
-                    flats[subset] = new_basis
-                    nxt.append(new_basis)
+                new_basis = tuple(rref(flat_kernel(d, basis_rows, [d.roots[i].coords])))
+                new_subset = _vanishing_subset(d, new_basis)
+                if new_subset not in flats:
+                    flats[new_subset] = new_basis
+                    nxt.append((new_subset, new_basis))
         frontier = nxt
     levis = [Levi(d, tuple(RatVec(b) for b in basis), subset) for subset, basis in flats.items()]
     levis.sort(key=lambda L: (-L.dim, sorted(L.root_subset)))
-    result = tuple(levis)
-    _LATTICE_CACHE[cache_key] = result
-    return result
+    d.lattice = tuple(levis)
+    return d.lattice
 
 
 def mzero(d: RootDatum) -> Levi:
@@ -272,33 +281,44 @@ def conjugate_levi(w: WeylElement, L: Levi) -> Levi:
     raise InternalInconsistency("Weyl image of a flat is not a flat")
 
 
-def restricted_rays(M: Levi) -> tuple[Ray, ...]:
-    """Reduced restricted-root rays on a_M, grouped in +- pairs."""
-    got = _RAY_CACHE.get(M.key)
-    if got is not None:
-        return got
-    d = M.datum
+def group_rays(d: RootDatum, vectors: Iterable[tuple[int, Vec]]) -> tuple[Ray, ...]:
+    """Reduced rays through nonzero (root index, vector) pairs, grouped in +- pairs.
+
+    The vectors are roots or their projections to a flat; each ray's
+    representative is its shortest member, and rays come sorted by direction.
+    """
     groups: dict[Vec, list[tuple[int, Fraction]]] = {}
-    proj_m = projector(M.basis_rows(), d.gram)
-    for i, r in enumerate(d.roots):
-        proj = mat_vec(proj_m, r.coords)
-        if all(x == 0 for x in proj):
-            continue
-        key = primitive_ray(proj)
+    for i, v in vectors:
+        key = primitive_ray(v)
         j = next(k for k, x in enumerate(key) if x != 0)
-        c = proj[j] / key[j]
-        groups.setdefault(key, []).append((i, c))
+        groups.setdefault(key, []).append((i, v[j] / key[j]))
     rays = []
     for key in sorted(groups):
         members = tuple(sorted(groups[key]))
         cmin = min(abs(c) for _, c in members)
         rep = RatVec(vscale(cmin, key))
-        rr = d.pair(rep, rep)
-        dual = RatVec(vscale(Fraction(2) / rr, rep.coords))
+        dual = RatVec(vscale(Fraction(2) / d.pair(rep, rep), rep.coords))
         rays.append(Ray(key=key, rep=rep, dual=dual, members=members))
-    result = tuple(rays)
-    _RAY_CACHE[M.key] = result
-    return result
+    return tuple(rays)
+
+
+def restricted_rays(M: Levi) -> tuple[Ray, ...]:
+    """Reduced restricted-root rays on a_M, grouped in +- pairs; built once per Levi."""
+    if M._rays is None:
+        d = M.datum
+        proj_m = projector(M.basis_rows(), d.gram)
+        projs = ((i, mat_vec(proj_m, r.coords)) for i, r in enumerate(d.roots))
+        M._rays = group_rays(d, ((i, p) for i, p in projs if not is_zero_vec(p)))
+    return M._rays
+
+
+def sign_pattern(d: RootDatum, rays: Sequence[Ray], point: RatVec) -> tuple[int, ...]:
+    """The sign of each ray at the point: 1, -1, or 0 where the point lies on its wall."""
+    out = []
+    for ray in rays:
+        p = d.pair(ray.rep, point)
+        out.append(0 if p == 0 else (1 if p > 0 else -1))
+    return tuple(out)
 
 
 def chambers_of_rays(datum: RootDatum, basis: tuple[RatVec, ...], rays: Sequence[Ray]) -> list[RatVec]:
@@ -309,7 +329,7 @@ def chambers_of_rays(datum: RootDatum, basis: tuple[RatVec, ...], rays: Sequence
     projection (each parabolic contains a minimal one), and any sub-arrangement
     chamber contains a full-arrangement chamber.  This avoids any reflection
     closure assumption on the rays, which genuinely fails for intermediate
-    flats.
+    flats.  The witnesses come sorted by coordinates.
     """
     d = datum
     if not basis:
@@ -322,19 +342,10 @@ def chambers_of_rays(datum: RootDatum, basis: tuple[RatVec, ...], rays: Sequence
     proj_m = projector([b.coords for b in basis], d.gram)
     best: dict[tuple, Vec] = {}
     for w in weyl_group(d):
-        moved = act(w, d.rho_check)
-        proj = mat_vec(proj_m, moved.coords)
-        pattern = []
-        degenerate = False
-        for ray in rays:
-            p = d.pair(ray.rep, RatVec(proj))
-            if p == 0:
-                degenerate = True
-                break
-            pattern.append(1 if p > 0 else -1)
-        if degenerate:
+        proj = mat_vec(proj_m, act(w, d.rho_check).coords)
+        key = sign_pattern(d, rays, RatVec(proj))
+        if 0 in key:
             continue
-        key = tuple(pattern)
         if key not in best or proj < best[key]:
             best[key] = proj
     if not best:
@@ -345,26 +356,22 @@ def chambers_of_rays(datum: RootDatum, basis: tuple[RatVec, ...], rays: Sequence
 def parabolics(M: Levi) -> tuple[ParabolicChamber, ...]:
     """Chambers of the restricted arrangement on a_M; a single improper chamber for M = G.
 
-    Wall rays are recovered from sign adjacency: a ray is a wall of a chamber
-    exactly when flipping its sign alone lands on another chamber.
+    Built once per Levi, each chamber with its ray sign pattern.  Wall rays
+    are recovered from sign adjacency: a ray is a wall of a chamber exactly
+    when flipping its sign alone lands on another chamber.
     """
-    got = _PARA_CACHE.get(M.key)
-    if got is not None:
-        return got
+    if M._chambers is not None:
+        return M._chambers
     d = M.datum
     if M.dim == 0:
-        result = (ParabolicChamber(M, 0, (), RatVec.zero(d.rank)),)
-        _PARA_CACHE[M.key] = result
-        return result
+        M._chambers = (ParabolicChamber(M, 0, (), RatVec.zero(d.rank)),)
+        return M._chambers
     rays = restricted_rays(M)
     points = chambers_of_rays(d, M.basis, rays)
-    signs = []
-    for pt in points:
-        signs.append(tuple(1 if d.pair(r.rep, pt) > 0 else -1 for r in rays))
+    signs = [sign_pattern(d, rays, pt) for pt in points]
     sign_set = set(signs)
     chambers = []
-    for idx, pt in enumerate(sorted(points, key=lambda p: p.coords)):
-        sig = tuple(1 if d.pair(r.rep, pt) > 0 else -1 for r in rays)
+    for idx, (pt, sig) in enumerate(zip(points, signs)):
         walls = tuple(
             k
             for k in range(len(rays))
@@ -372,13 +379,11 @@ def parabolics(M: Levi) -> tuple[ParabolicChamber, ...]:
         )
         if len(walls) != M.dim:
             raise InternalInconsistency("parabolic chamber is not simplicial")
-        pos = tuple(
-            sorted(i for ray in rays for i, _ in ray.members if d.pair(d.roots[i], pt) > 0)
-        )
-        chambers.append(ParabolicChamber(M, idx, pos, pt, walls))
-    result = tuple(chambers)
-    _PARA_CACHE[M.key] = result
-    return result
+        # a member root pairs with pt as c times its ray's + side
+        pos = tuple(sorted(i for ray, s in zip(rays, sig) for i, c in ray.members if c * s > 0))
+        chambers.append(ParabolicChamber(M, idx, pos, pt, walls, sig))
+    M._chambers = tuple(chambers)
+    return M._chambers
 
 
 def base_chamber(d: RootDatum) -> ParabolicChamber:
@@ -396,11 +401,10 @@ def chamber_cells(M: Levi) -> dict[int, tuple[WeylElement, ...]]:
     A chamber with positive set Sigma_P admits w exactly when Sigma_P is
     contained in w(Sigma+).  Not every w qualifies for some chamber (for
     non-standard Levi subgroups the map is partial), but every chamber is
-    reached by exactly |W_M| elements.
+    reached by exactly |W_M| elements.  Built once per Levi.
     """
-    got = _CELL_CACHE.get(M.key)
-    if got is not None:
-        return got
+    if M._cells is not None:
+        return M._cells
     d = M.datum
     chambers = parabolics(M)
     by_pos = {P.positive_roots: P.index for P in chambers}
@@ -415,9 +419,8 @@ def chamber_cells(M: Levi) -> dict[int, tuple[WeylElement, ...]]:
     for idx, ws in cells.items():
         if len(ws) != expected:
             raise InternalInconsistency("chamber cell has unexpected size")
-    result = {idx: tuple(ws) for idx, ws in cells.items()}
-    _CELL_CACHE[M.key] = result
-    return result
+    M._cells = {idx: tuple(ws) for idx, ws in cells.items()}
+    return M._cells
 
 
 def simple_restricted(P: ParabolicChamber) -> list[RatVec]:
@@ -425,13 +428,8 @@ def simple_restricted(P: ParabolicChamber) -> list[RatVec]:
     M = P.levi
     if M.dim == 0:
         return []
-    d = M.datum
     rays = restricted_rays(M)
-    out = []
-    for k in P.wall_rays:
-        ray = rays[k]
-        out.append(ray.rep if d.pair(ray.rep, P.chamber_point) > 0 else -ray.rep)
-    return out
+    return [rays[k].rep if P.signs[k] > 0 else -rays[k].rep for k in P.wall_rays]
 
 
 def theta(P: ParabolicChamber, lam: RatVec) -> ThetaValue:
@@ -466,15 +464,7 @@ def _rel_basis(L: Levi, upper: Levi | None) -> tuple[Vec, ...]:
     if upper is None or upper.dim == 0:
         out = L.basis_rows()
     else:
-        d = L.datum
-        rows = [tuple(d.pair(u, b) for b in L.basis) for u in upper.basis]
-        vecs = []
-        for kv in kernel(rows, L.dim):
-            v = zeros(d.rank)
-            for c, b in zip(kv, L.basis):
-                v = vadd(v, vscale(c, b.coords))
-            vecs.append(v)
-        out = tuple(rref(vecs))
+        out = tuple(rref(flat_kernel(L.datum, L.basis_rows(), upper.basis_rows())))
     L._rel_bases[key] = out
     return out
 
@@ -510,7 +500,8 @@ def trand_check(d: RootDatum) -> list[dict]:
 
     For every chain M1 <= M, M1 <= S1, G1 >= S1 the constant d_{M1}(M, G1)
     must equal the sum over S >= M, S >= S1 of d_{M1}^S(M, S1) d_{S1}(S, G1);
-    at most one summand is nonzero, which keeps the comparison exact.
+    at most one summand is nonzero, which keeps the comparison exact.  Each
+    record carries the seconds its chain took.
     """
     records = []
     lattice = levi_lattice(d)
@@ -519,6 +510,7 @@ def trand_check(d: RootDatum) -> list[dict]:
         for m in ups_m1:
             for s1 in ups_m1:
                 for g1 in enumerate_levis(d, lower=s1):
+                    t0 = time.monotonic()
                     lhs = d_constant(m1, m, g1)
                     nonzero = []
                     for s in enumerate_levis(d, lower=m):
@@ -539,6 +531,7 @@ def trand_check(d: RootDatum) -> list[dict]:
                             "lhs_sq": str(lhs.square),
                             "rhs_sq": str(rhs.square),
                             "pass": ok,
+                            "seconds": time.monotonic() - t0,
                         }
                     )
     return records

@@ -168,6 +168,7 @@ class RootDatum:
         self.gram = gram
         self.factors = factors
         self.rank = len(gram)
+        self.lattice = None  # the Levi lattice, built once by levilattice.levi_lattice
         self._build()
         self._validate()
 

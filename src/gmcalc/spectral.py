@@ -24,7 +24,9 @@ from .errors import (
 from .exactlin import (
     Mat,
     Vec,
+    combine,
     coords_in_basis,
+    kernel,
     mat,
     mat_vec,
     primitive_ray,
@@ -32,20 +34,22 @@ from .exactlin import (
     rank as mat_rank,
     rref,
     transpose,
-    vadd,
-    vscale,
-    zeros,
 )
 from .gmfamily import ScalarFn, ScalarRootFns, scalar_fn_from_template
 from .levilattice import (
     Levi,
     Ray,
+    _rel_basis,
     _vanishing_subset,
     chambers_of_rays,
     contains,
+    flat_kernel,
+    group_rays,
     levi_lattice,
+    mzero,
     parabolics,
     restricted_rays,
+    sign_pattern,
 )
 from .rootdatum import (
     RatVec,
@@ -132,9 +136,7 @@ class TauClass:
 def _fixed_space(d: RootDatum, w: WeylElement) -> list[Vec]:
     n = d.rank
     rows = [tuple(w.matrix[i][j] - (1 if i == j else 0) for j in range(n)) for i in range(n)]
-    from .exactlin import kernel
-
-    return [v for v in kernel(rows, n)]
+    return kernel(rows, n)
 
 
 def _is_closed_subsystem(d: RootDatum, subset: frozenset[int]) -> bool:
@@ -145,37 +147,6 @@ def _is_closed_subsystem(d: RootDatum, subset: frozenset[int]) -> bool:
         if any(refl[j] not in subset for j in subset):
             return False
     return True
-
-
-def _sigma_rays(d: RootDatum, subset: frozenset[int]) -> list[Ray]:
-    groups: dict[Vec, list[tuple[int, Fraction]]] = {}
-    for i in subset:
-        key = primitive_ray(d.roots[i].coords)
-        j = next(k for k, x in enumerate(key) if x != 0)
-        groups.setdefault(key, []).append((i, d.roots[i].coords[j] / key[j]))
-    rays = []
-    for key in sorted(groups):
-        members = tuple(sorted(groups[key]))
-        cmin = min(abs(c) for _, c in members)
-        rep = RatVec(vscale(cmin, key))
-        dual = RatVec(vscale(Fraction(2) / d.pair(rep, rep), rep.coords))
-        rays.append(Ray(key=key, rep=rep, dual=dual, members=members))
-    return rays
-
-
-def _sign_pattern(d: RootDatum, rays: Sequence[Ray], point: RatVec) -> tuple[int, ...]:
-    out = []
-    for ray in rays:
-        p = d.pair(ray.rep, point)
-        out.append(0 if p == 0 else (1 if p > 0 else -1))
-    return tuple(out)
-
-
-def _full_basis(d: RootDatum) -> tuple[RatVec, ...]:
-    return tuple(
-        RatVec(tuple(Fraction(1) if j == i else Fraction(0) for j in range(d.rank)))
-        for i in range(d.rank)
-    )
 
 
 def build_spectral_triple(
@@ -194,13 +165,12 @@ def build_spectral_triple(
             raise NotSubsystem(f"root index {i} out of range")
     if not _is_closed_subsystem(ambient, subset):
         raise NotSubsystem("vanishing set is not reflection-closed and symmetric")
-    rays = _sigma_rays(ambient, subset)
-    points = chambers_of_rays(ambient, _full_basis(ambient), rays)
-    chamber_c = sorted(points, key=lambda p: p.coords)[0]
+    rays = group_rays(ambient, ((i, ambient.roots[i].coords) for i in subset))
+    chamber_c = chambers_of_rays(ambient, mzero(ambient).basis, rays)[0]
     r = element_from_word(ambient, list(r_word), by_root_index=True)
     if any(r.perm[i] not in subset for i in subset):
         raise NotChamberStabilizer("r does not permute the vanishing set")
-    if _sign_pattern(ambient, rays, act(r, chamber_c)) != _sign_pattern(ambient, rays, chamber_c):
+    if sign_pattern(ambient, rays, act(r, chamber_c)) != sign_pattern(ambient, rays, chamber_c):
         raise NotChamberStabilizer("r moves the chosen chamber")
     return SpectralTriple(ambient, subset, r, chamber_c)
 
@@ -225,9 +195,9 @@ def _stabilizers(
 ) -> tuple[tuple[WeylElement, ...], tuple[WeylElement, ...]]:
     """The group generated by the reflections in roots and r, and its chamber stabilizer."""
     wsig = d.subgroup([d.reflection_perms[i] for i in roots] + [triple.r_elem.perm])
-    rays = _sigma_rays(d, roots)
-    base = _sign_pattern(d, rays, triple.chamber_c)
-    rgrp = tuple(w for w in wsig if _sign_pattern(d, rays, act(w, triple.chamber_c)) == base)
+    rays = group_rays(d, ((i, d.roots[i].coords) for i in roots))
+    base = sign_pattern(d, rays, triple.chamber_c)
+    rgrp = tuple(w for w in wsig if sign_pattern(d, rays, act(w, triple.chamber_c)) == base)
     return wsig, rgrp
 
 
@@ -257,8 +227,6 @@ def _restriction_spans(t: TauClass, upper: Levi) -> bool:
     """Do the pole rays lying in `upper` span the part of a_home orthogonal to a_upper?"""
     d = t.datum
     home = t.levi_L
-    from .levilattice import _rel_basis
-
     rel = _rel_basis(home, upper)
     need = len(rel)
     if need == 0:
@@ -334,21 +302,17 @@ def discrete_constants(t: TauClass, L_levi: Levi) -> dict:
     home = t.levi_L
     if not contains(home, L_levi):
         raise NotARoot("L must contain the home Levi")
-    from .levilattice import _rel_basis
-
     rel = _rel_basis(home, L_levi)
     need = len(rel)
     nb = t.nbeta_map()
     in_l = [
-        (ray, nb[ray.key] / 2)
-        for ray in restricted_rays(home)
+        (k, ray, nb[ray.key] / 2)
+        for k, ray in enumerate(restricted_rays(home))
         if not (L_levi.dim and any(d.pair(ray.rep, b) != 0 for b in L_levi.basis))
     ]
     values = []
     for Q in parabolics(home):
-        candidates = [
-            (half, ray.rep if d.pair(ray.rep, Q.chamber_point) > 0 else -ray.rep) for ray, half in in_l
-        ]
+        candidates = [(half, ray.rep if Q.signs[k] > 0 else -ray.rep) for k, ray, half in in_l]
         total = Fraction(0)
         if need == 0:
             total = Fraction(1)
@@ -432,11 +396,7 @@ def _apply_tau(t: TauClass, u: TauWeyl, point: RatVec) -> RatVec:
     c = coords_in_basis(point.coords, basis_rows)
     if c is None:
         raise NotInStabilizer("point is not on the home flat")
-    img = mat_vec(u.mat, c)
-    v = zeros(t.datum.rank)
-    for x, b in zip(img, basis_rows):
-        v = vadd(v, vscale(x, b))
-    return RatVec(v)
+    return RatVec(combine(mat_vec(u.mat, c), basis_rows, t.datum.rank))
 
 
 def tau_chambers(t: TauClass) -> list[RatVec]:
@@ -449,9 +409,9 @@ def chamber_transitivity(t: TauClass) -> bool:
     d = t.datum
     rays = t.tau_rays()
     points = tau_chambers(t)
-    patterns = {_sign_pattern(d, rays, p) for p in points}
+    patterns = {sign_pattern(d, rays, p) for p in points}
     core = w_tau_core(t)
-    reached = {_sign_pattern(d, rays, _apply_tau(t, u, points[0])) for u in core}
+    reached = {sign_pattern(d, rays, _apply_tau(t, u, points[0])) for u in core}
     return reached == patterns
 
 
@@ -590,18 +550,7 @@ def tempext_check(
 def _wall_points(t: TauClass, wall: Ray, F) -> list[RatVec]:
     """A few deterministic generic points on the wall, away from the other pole walls."""
     d = t.datum
-    home = t.levi_L
-    from .exactlin import kernel
-
-    row = tuple(d.pair(wall.rep, b) for b in home.basis)
-    ker = kernel([row], home.dim)
-    basis_rows = [b.coords for b in home.basis]
-    wall_vecs = []
-    for kv in ker:
-        v = zeros(d.rank)
-        for c, b in zip(kv, basis_rows):
-            v = vadd(v, vscale(c, b))
-        wall_vecs.append(v)
+    wall_vecs = flat_kernel(d, t.levi_L.basis_rows(), [wall.rep.coords])
     if not wall_vecs:
         return [RatVec.zero(d.rank)]
     others = [r for r in t.tau_rays() if r.key != wall.key]
@@ -612,10 +561,7 @@ def _wall_points(t: TauClass, wall: Ray, F) -> list[RatVec]:
         (Fraction(1, 2), Fraction(1, 9), Fraction(-1, 4), Fraction(1, 19)),
     ]
     for ws in weights:
-        pt = zeros(d.rank)
-        for c, v in zip(ws, wall_vecs):
-            pt = vadd(pt, vscale(c, v))
-        cand = RatVec(pt)
+        cand = RatVec(combine(ws, wall_vecs, d.rank))
         tries = 0
         while any(d.pair(o.rep, cand) == 0 for o in others) and tries < 20:
             cand = cand + Fraction(1, 23 + 4 * tries) * RatVec(wall_vecs[0])
@@ -676,14 +622,13 @@ def enumerate_spectral_triples(d: RootDatum) -> list[SpectralTriple]:
     """Every (vanishing set, chamber-stabilizing r) pair, deterministically ordered."""
     triples = []
     for subset in closed_subsystems(d):
-        rays = _sigma_rays(d, subset)
-        points = chambers_of_rays(d, _full_basis(d), rays)
-        chamber_c = sorted(points, key=lambda p: p.coords)[0]
-        base = _sign_pattern(d, rays, chamber_c)
+        rays = group_rays(d, ((i, d.roots[i].coords) for i in subset))
+        chamber_c = chambers_of_rays(d, mzero(d).basis, rays)[0]
+        base = sign_pattern(d, rays, chamber_c)
         for w in weyl_group(d):
             if any(w.perm[i] not in subset for i in subset):
                 continue
-            if _sign_pattern(d, rays, act(w, chamber_c)) != base:
+            if sign_pattern(d, rays, act(w, chamber_c)) != base:
                 continue
             triples.append(SpectralTriple(d, subset, w, chamber_c))
     return triples

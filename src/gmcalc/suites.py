@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import random
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -81,12 +82,6 @@ ANCHORS = {
 }
 
 
-def _timed(fn):
-    t0 = time.monotonic()
-    out = fn()
-    return out, time.monotonic() - t0
-
-
 def _record(check_id, anchor_key, inputs, ok, residual=None, detail=None, runtime=None, skip=False):
     return CheckRecord(
         id=check_id,
@@ -97,6 +92,22 @@ def _record(check_id, anchor_key, inputs, ok, residual=None, detail=None, runtim
         detail=detail,
         runtime=runtime,
     )
+
+
+def _check(records: list, check_id: str, anchor_key: str, inputs, fn) -> bool:
+    """Run one check, timed, and append its record.
+
+    fn returns (ok, residual, detail); a GmcalcError it raises fails the check
+    with its message.  Returns whether fn ran to the end.
+    """
+    t0 = time.monotonic()
+    try:
+        ok, residual, detail = fn()
+        done = True
+    except GmcalcError as exc:
+        ok, residual, detail, done = False, None, str(exc), False
+    records.append(_record(check_id, anchor_key, inputs, ok, residual, detail, time.monotonic() - t0))
+    return done
 
 
 def _dominant_samples(d: RootDatum, count: int, seed: int) -> list[RatVec]:
@@ -123,26 +134,18 @@ def suite_hull_limit(cfg: Config, d: RootDatum) -> list[CheckRecord]:
             def check():
                 oset = orthogonal_set(M, T)
                 oset.validate()
-                fam = ExpPolyFamily.from_orthogonal_set(oset)
-                return hull_volume(oset), family_limit(fam)
-
-            try:
-                (hv, fl), rt = _timed(check)
+                hv = hull_volume(oset)
+                fl = family_limit(ExpPolyFamily.from_orthogonal_set(oset))
                 ok = hv == fl
-                residual = abs(float(hv) - float(fl))
-                detail = None if ok else f"hull {hv!r} vs limit {fl!r}"
-            except GmcalcError as exc:
-                ok, residual, detail, rt = False, None, str(exc), None
-            records.append(
-                _record(f"hull-limit/{d.label}/{M.label}/t{k:02d}", "hull-limit", inputs, ok, residual, detail, rt)
-            )
+                return ok, abs(float(hv) - float(fl)), None if ok else f"hull {hv!r} vs limit {fl!r}"
+
+            _check(records, f"hull-limit/{d.label}/{M.label}/t{k:02d}", "hull-limit", inputs, check)
     return records
 
 
 def suite_trand(cfg: Config, d: RootDatum) -> list[CheckRecord]:
-    (recs, rt) = _timed(lambda: trand_check(d))
     out = []
-    for k, r in enumerate(recs):
+    for k, r in enumerate(trand_check(d)):
         chain = "-".join(r["chain"])
         out.append(
             _record(
@@ -152,7 +155,7 @@ def suite_trand(cfg: Config, d: RootDatum) -> list[CheckRecord]:
                 r["pass"],
                 0.0 if r["pass"] else None,
                 f"lhs_sq={r['lhs_sq']} rhs_sq={r['rhs_sq']}",
-                rt if k == 0 else None,
+                r["seconds"],
             )
         )
     return out
@@ -167,28 +170,19 @@ def suite_tdisc(cfg: Config, d: RootDatum) -> list[CheckRecord]:
             "r": triple.r_elem.word,
         }
 
-        def check():
-            t = tau_class(triple)
-            res = classify_tau(t)
-            return t, res
+        t = None
 
-        try:
-            (t, res), rt = _timed(check)
-            records.append(
-                _record(f"tdisc/{d.label}/classify/{idx:03d}", "tdisc-classify", inputs, True, 0.0, None, rt)
-            )
-            ok_t = chamber_transitivity(t)
-            records.append(
-                _record(f"tdisc/{d.label}/transitivity/{idx:03d}", "tdisc-transitivity", inputs, ok_t)
-            )
-            ok_r = reflections_in_core(t)
-            records.append(
-                _record(f"tdisc/{d.label}/reflections/{idx:03d}", "tdisc-reflections", inputs, ok_r)
-            )
-        except GmcalcError as exc:
-            records.append(
-                _record(f"tdisc/{d.label}/classify/{idx:03d}", "tdisc-classify", inputs, False, None, str(exc))
-            )
+        def classify():
+            nonlocal t
+            t = tau_class(triple)
+            classify_tau(t)
+            return True, 0.0, None
+
+        if _check(records, f"tdisc/{d.label}/classify/{idx:03d}", "tdisc-classify", inputs, classify):
+            _check(records, f"tdisc/{d.label}/transitivity/{idx:03d}", "tdisc-transitivity", inputs,
+                   lambda: (chamber_transitivity(t), None, None))
+            _check(records, f"tdisc/{d.label}/reflections/{idx:03d}", "tdisc-reflections", inputs,
+                   lambda: (reflections_in_core(t), None, None))
     return records
 
 
@@ -196,22 +190,22 @@ def suite_nl_independence(cfg: Config, d: RootDatum) -> list[CheckRecord]:
     records = []
     for idx, triple in enumerate(enumerate_spectral_triples(d)):
         inputs = {"group": d.label, "sigma": sorted(triple.sigma_roots), "r": triple.r_elem.word}
-        try:
+        home = None
+
+        def check():
+            nonlocal home
             t = tau_class(triple)
             for L in enumerate_levis(d, lower=t.levi_L):
                 res = discrete_constants(t, L)  # raises InternalInconsistency on Q-dependence
                 if L == t.levi_L and res["nL"] != 1:
-                    records.append(
-                        _record(
-                            f"nL/{d.label}/{idx:03d}/{L.label}", "nL-home", inputs, False,
-                            float(res["nL"]), "home value is not 1",
-                        )
-                    )
-                    break
-            else:
-                records.append(_record(f"nL/{d.label}/{idx:03d}", "nL-independence", inputs, True, 0.0))
-        except GmcalcError as exc:
-            records.append(_record(f"nL/{d.label}/{idx:03d}", "nL-independence", inputs, False, None, str(exc)))
+                    home = L.label
+                    return False, float(res["nL"]), "home value is not 1"
+            return True, 0.0, None
+
+        cid = f"nL/{d.label}/{idx:03d}"
+        _check(records, cid, "nL-independence", inputs, check)
+        if home is not None:
+            records[-1] = replace(records[-1], id=f"{cid}/{home}", anchor=ANCHORS["nL-home"])
     return records
 
 
@@ -239,42 +233,20 @@ def suite_residue_1d(cfg: Config, d: RootDatum) -> list[CheckRecord]:
                 inputs = {"n": str(n), "kind": kind, "phi": phi.describe()}
 
                 def check():
-                    return residue_identity_1d(line, phi, cfg.epsilons[0], n, cfg.delta_ladder, tol)
+                    rec = residue_identity_1d(line, phi, cfg.epsilons[0], n, cfg.delta_ladder, tol)
+                    return rec["pass"], rec["residual"], None
 
-                try:
-                    rec, rt = _timed(check)
-                    records.append(
-                        _record(
-                            f"residue-1d/n{n.numerator}_{n.denominator}/{kind}/phi{j}",
-                            "residue-1d", inputs, rec["pass"], rec["residual"], None, rt,
-                        )
-                    )
-                except GmcalcError as exc:
-                    records.append(
-                        _record(
-                            f"residue-1d/n{n.numerator}_{n.denominator}/{kind}/phi{j}",
-                            "residue-1d", inputs, False, None, str(exc),
-                        )
-                    )
+                _check(records, f"residue-1d/n{n.numerator}_{n.denominator}/{kind}/phi{j}", "residue-1d", inputs, check)
+
         # even test data against the pure pole: principal value must vanish
-        even_phi = battery[0]
-        try:
+        def even_zero():
+            even_phi = battery[0]
             pv, _ = pv_integral(pure, even_phi, cfg.delta_ladder, tol)
             lhs = shifted_integral(pure, even_phi, cfg.epsilons[0])
             ok = abs(pv) <= pv_tol and abs(lhs - float(n) / 2 * complex(even_phi(0.0))) <= tol
-            records.append(
-                _record(
-                    f"residue-1d/n{n.numerator}_{n.denominator}/even-zero",
-                    "pv-even-zero", {"n": str(n)}, ok, abs(pv),
-                )
-            )
-        except GmcalcError as exc:
-            records.append(
-                _record(
-                    f"residue-1d/n{n.numerator}_{n.denominator}/even-zero",
-                    "pv-even-zero", {"n": str(n)}, False, None, str(exc),
-                )
-            )
+            return ok, abs(pv), None
+
+        _check(records, f"residue-1d/n{n.numerator}_{n.denominator}/even-zero", "pv-even-zero", {"n": str(n)}, even_zero)
     return records
 
 
@@ -357,24 +329,18 @@ def suite_tempext(cfg: Config, d: RootDatum) -> list[CheckRecord]:
             "home": t.levi_L.label,
             "n": {str(k): str(v) for k, v in sorted(t.nbeta_map().items())},
         }
-        try:
-            fns = density_for(t, cfg.m_model)
 
-            def check():
-                return tempext_check(t, fns, phis, cfg.tempext_deltas, cfg.growth_threshold)
-
-            recs, rt = _timed(check)
+        def check():
+            recs = tempext_check(t, density_for(t, cfg.m_model), phis, cfg.tempext_deltas, cfg.growth_threshold)
             bad = [r for r in recs if not r["pass"]]
             worst = max((r["exponent"] for r in recs), default=float("-inf"))
-            records.append(
-                _record(
-                    f"tempext/{d.label}/c{ci:02d}", "tempext", inputs, not bad,
-                    worst if worst != float("-inf") else 0.0,
-                    None if not bad else f"{len(bad)} walls grew too fast", rt,
-                )
+            return (
+                not bad,
+                worst if worst != float("-inf") else 0.0,
+                None if not bad else f"{len(bad)} walls grew too fast",
             )
-        except GmcalcError as exc:
-            records.append(_record(f"tempext/{d.label}/c{ci:02d}", "tempext", inputs, False, None, str(exc)))
+
+        _check(records, f"tempext/{d.label}/c{ci:02d}", "tempext", inputs, check)
     return records
 
 
@@ -390,11 +356,7 @@ def suite_examples(cfg: Config, d: RootDatum) -> list[CheckRecord]:
     P0 = base_chamber(d)
 
     def add(name, fn, inputs):
-        try:
-            (ok, residual, detail), rt = _timed(fn)
-            records.append(_record(f"examples/{d.label}/{name}", "examples", inputs, ok, residual, detail, rt))
-        except GmcalcError as exc:
-            records.append(_record(f"examples/{d.label}/{name}", "examples", inputs, False, None, str(exc)))
+        _check(records, f"examples/{d.label}/{name}", "examples", inputs, fn)
 
     def theta_zero():
         if M0.dim == 0:

@@ -187,7 +187,7 @@ def test_eval_phi_tt(capsys):
 
 SCHEMA_PATH = Path(__file__).resolve().parents[1] / "schemas" / "config.schema.json"
 
-# each of these once hung the contour quadrature or crashed with a traceback
+# each of these once hung the contour quadrature, crashed with a traceback or passed vacuously
 BAD_NUMERICS = [
     {"epsilons": [0.0, 0.1]},
     {"epsilons": [-0.05, 0.1]},
@@ -200,10 +200,32 @@ BAD_NUMERICS = [
     {"flat_phi": []},
     {"flat_phi": [{"c0": 1.0, "c1": 0.0, "c2": 0.0, "scale": -1.0}]},
     {"flat_phi": [{"c0": 1.0, "c1": 0.0, "c2": 0.0}]},
+    {"test_functions": []},
+    {"test_functions": [{"poly": ["1"]}]},
+    {"m_model": "x"},
+    {"m_model": {"kind": "nope"}},
+    {"hull_samples": "abc"},
+    {"seed": "abc"},
+    {"growth_threshold": "abc"},
+    {"tempext_deltas": []},
+    {"hull_samples": -1},
+    {"hull_samples": 0},
+    {"hull_samples": 2.7},
+    {"tempext_deltas": [0.01]},
+]
+
+# bad inputs the schema cannot express: rational literals, c <= 0, equal deltas
+BAD_VALUES = [
+    {"test_functions": [{"poly": ["x"], "scale": "1"}]},
+    {"test_functions": [{"poly": ["1"], "scale": "x"}]},
+    {"m_model": {"kind": "model_plancherel", "c": "-1"}},
+    {"r_model": {"kind": "model_plancherel", "c": "abc"}},
+    {"gram": [["a", "-1"], ["-1", "2"]]},
+    {"tempext_deltas": [0.01, 0.01]},
 ]
 
 
-@pytest.mark.parametrize("bad", BAD_NUMERICS)
+@pytest.mark.parametrize("bad", BAD_NUMERICS + BAD_VALUES)
 def test_verify_bad_numerics_exit_2_with_one_line(tmp_path, bad):
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(bad))

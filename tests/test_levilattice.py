@@ -201,3 +201,31 @@ def test_levi_by_label_roundtrip():
     d = build_root_system("A2")
     for L in levi_lattice(d):
         assert levi_by_label(d, L.label) == L
+
+
+def test_each_datum_owns_its_lattice():
+    first = levi_lattice(build_root_system("A2"))
+    # a second datum of the same label, and one whose override equals the default form
+    for d in (build_root_system("A2"), build_root_system("A2", [["2", "-1"], ["-1", "2"]])):
+        levis = levi_lattice(d)
+        assert levi_lattice(d) is levis
+        assert not {id(L) for L in levis} & {id(L) for L in first}
+        for L in levis:
+            assert L.datum is d
+            for P in parabolics(L):
+                # P.levi owns the rays P.signs refers to
+                assert P.levi is L and len(P.signs) == (len(restricted_rays(L)) if L.dim else 0)
+            for ws in chamber_cells(L).values():
+                assert all(d.element(w.perm) is w for w in ws)
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "B2", "G2", "A1xA1", "A3"])
+def test_stored_sign_pattern_matches_fresh(label):
+    from gmcalc.levilattice import sign_pattern
+
+    d = build_root_system(label)
+    for M in levi_lattice(d):
+        rays = restricted_rays(M)
+        for P in parabolics(M):
+            fresh = tuple(1 if d.pair(r.rep, P.chamber_point) > 0 else -1 for r in rays)
+            assert P.signs == fresh == sign_pattern(d, rays, P.chamber_point)
