@@ -23,6 +23,7 @@ from .levilattice import (
     mzero,
     parabolics,
     restricted_rays,
+    sign_pattern,
     weyl_cosets,
 )
 from .lp import in_cone_nonzero
@@ -161,15 +162,13 @@ class SigmaModel:
 
 
 def _chamber_at(M: Levi, point: RatVec) -> ParabolicChamber:
-    d = M.datum
-    rays = restricted_rays(M)
+    """The chamber of P(M) whose stored ray signs the point has."""
+    signs = sign_pattern(M.datum, restricted_rays(M), point)
     for P in parabolics(M):
-        if all(
-            (d.pair(r.rep, point) > 0) == (d.pair(r.rep, P.chamber_point) > 0)
-            for r in rays
-        ):
+        if P.signs == signs:
             return P
-    raise IncompleteInput("point does not lie in an open chamber")
+    # stored signs have no zeros: only a point on a wall matches no chamber
+    raise IncompleteInput(f"point lies on a wall of the chambers of {M.label}")
 
 
 def weyl_sequence_orders(d: RootDatum, M: Levi) -> tuple[int, int, int]:

@@ -8,25 +8,35 @@ Gaussian factors make every tail beyond |Im z| = 8/sqrt(scale) smaller than
 
 The contour-shift checks run grid-major.  lemma_shift_batch first plans every
 case (all exact work, and a list of integrals, each naming the grids it needs
-by their inputs), then builds each distinct grid once, evaluates each distinct
-phi once on it and every integrand that uses it, and drops it before building
-the next: one grid's arrays are alive at a time.  Last it assembles each case.
+by their inputs), then builds each distinct grid once and evaluates on it each
+distinct phi and a density table: each distinct pairing <lam, dual> once, and
+on it each distinct density read through that dual, keyed by the density's
+value key and the pairing row gd (so the datum's form is part of the key).
+The nodes lam are then dropped, since only the integrands are left to run and
+a grid's nodes would otherwise stay alive next to its tables (peak memory).
+Every integrand that uses the grid runs, and the grid is dropped before the
+next is built: one grid's arrays are alive at a time.  Last it assembles each
+case.
 
 Report residuals near 1e-19 keep the bits of the per-integral evaluation
 only if every product keeps its operand order.  numpy computes a * b in place
 into a when a is a temporary of 256 KiB or more that nothing else references;
 if only b is such a temporary it writes into b and computes b * a, and array
 complex products are not bitwise commutative on every host.  So a shared
-phi array is copied before it is multiplied by the m-terms, which keeps the
-order phi * m of the per-integral form phi(gram, lam) * m(lam).
+array is copied before each product that used to take a fresh one.  A phi
+array is copied before it is multiplied by the m-terms, which keeps the order
+phi * m of the per-integral form phi(gram, lam) * m(lam).  A density from the
+table is copied before it multiplies the partial product val of an m-term,
+so val * fn(<lam, dual>) is still computed in place into the density values.
 """
 from __future__ import annotations
 
 import math
 import time
+from copy import copy
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -362,7 +372,7 @@ class _MTermData:
     """One splitting-sum term: covolume factor and its factors.
 
     Each factor is (density, dual vector, gd), where gd is the float row of
-    the pairing lam -> <lam, dual> in ambient coordinates.
+    the pairing lam -> <lam, dual> in ambient coordinates, as a tuple.
     """
 
     vol: float
@@ -372,8 +382,8 @@ class _MTermData:
 def _m_term_data(fns: ScalarRootFns, M: Levi, S: Levi, Q1: ParabolicChamber) -> list[_MTermData]:
     d = fns.levi.datum
 
-    def gd(dual: RatVec) -> list[float]:
-        return [sum(float(d.gram[i][j]) * float(dual.coords[j]) for j in range(d.rank)) for i in range(d.rank)]
+    def gd(dual: RatVec) -> tuple[float, ...]:
+        return tuple(sum(float(d.gram[i][j]) * float(dual.coords[j]) for j in range(d.rank)) for i in range(d.rank))
 
     return [
         _MTermData(float(vol), [(fns.fn(rep_neg), dual_neg, gd(dual_neg)) for rep_neg, dual_neg in factors])
@@ -381,13 +391,37 @@ def _m_term_data(fns: ScalarRootFns, M: Levi, S: Levi, Q1: ParabolicChamber) -> 
     ]
 
 
-def _eval_m_terms(terms: list[_MTermData], lam_coords) -> np.ndarray | complex:
+def _density_table(terms: Iterable[_MTermData], lam_coords) -> dict:
+    """Each distinct density of the terms on the nodes, keyed by (density key, gd).
+
+    Each distinct pairing <lam, dual> is computed once, every density read
+    through it is evaluated on it, and it is dropped before the next.
+    """
+    by_gd: dict[tuple[float, ...], dict] = {}
+    for term in terms:
+        for fn, _, gd in term.factors:
+            by_gd.setdefault(gd, {}).setdefault(fn.key, fn)
+    table = {}
+    for gd, fns in by_gd.items():
+        z = sum(lam_coords[i] * gd[i] for i in range(len(gd)))
+        for key, fn in fns.items():
+            table[key, gd] = fn(z)
+    return table
+
+
+def _eval_m_terms(terms: list[_MTermData], table: dict) -> np.ndarray | complex:
+    """The sum of the m-terms, each factor read from table (see _density_table).
+
+    table holds density values as arrays on a grid's nodes, or as complex
+    numbers at a point.  An array is copied before the product, so it stays
+    the operand numpy writes into, as a freshly evaluated density was (see
+    the module docstring); copy returns a point's number as it is.
+    """
     total = None
     for term in terms:
         val = term.vol
         for fn, _, gd in term.factors:
-            z = sum(lam_coords[i] * gd[i] for i in range(len(gd)))
-            val = val * fn(z)
+            val = val * copy(table[fn.key, gd])
         total = val if total is None else total + val
     if total is None:
         return 0j
@@ -536,7 +570,7 @@ def _plan(case_index: int, case: ShiftCase) -> _ShiftPlan:
         pole_axes coordinates carry principal-value excisions at 0."""
         if not basis:
             lam = [complex(x) for x in (shift if shift is not None else np.zeros(d.rank))]
-            point = complex(phi(d.gram, lam) * _eval_m_terms(terms, lam))
+            point = complex(phi(d.gram, lam) * _eval_m_terms(terms, _density_table(terms, lam)))
             return _Integral(case_index, d, phi, terms, [], None, [point])
         axes = tuple(tuple(float(x) for x in v) for v in basis)
         ladder = list(deltas) if pole_axes else None
@@ -579,15 +613,17 @@ def _plan(case_index: int, case: ShiftCase) -> _ShiftPlan:
 def _evaluate(integrals: list[_Integral], runtimes: list[float]) -> dict[str, int]:
     """Fill the grid values of every planned integral, grid by grid.
 
-    Each distinct grid is built once and each distinct phi is evaluated once
-    on it; the grid is dropped before the next one is built.  A grid's build
-    and phi time is split evenly over the cases that use it.
+    Each distinct grid is built once, and on it each distinct phi and each
+    distinct density (with its pairing) is evaluated once; the nodes are
+    dropped before the integrands run, and the rest of the grid before the
+    next one is built.  A grid's build, phi and density time is split evenly
+    over the cases that use it.
     """
     users: dict[_Grid, list[tuple[_Integral, int]]] = {}
     for it in integrals:
         for slot, grid in enumerate(it.grids):
             users.setdefault(grid, []).append((it, slot))
-    phi_evals = 0
+    phi_evals = pairings = densities = 0
     for grid, uses in users.items():
         t0 = time.monotonic()
         lam, weight = grid.build()
@@ -595,7 +631,11 @@ def _evaluate(integrals: list[_Integral], runtimes: list[float]) -> dict[str, in
         for it, _ in uses:
             if (it.d, it.phi) not in phi_vals:
                 phi_vals[it.d, it.phi] = it.phi(it.d.gram, lam)
+        table = _density_table((term for it, _ in uses for term in it.terms), lam)
+        del lam
         phi_evals += len(phi_vals)
+        pairings += len({gd for _, gd in table})
+        densities += len(table)
         cases = {it.case for it, _ in uses}
         share = (time.monotonic() - t0) / len(cases)
         for case in cases:
@@ -605,14 +645,16 @@ def _evaluate(integrals: list[_Integral], runtimes: list[float]) -> dict[str, in
             t0 = time.monotonic()
             # a fresh copy keeps phi the operand numpy writes into (see the
             # module docstring): a shared phi array would make it compute m * phi
-            vals = phi_vals[it.d, it.phi].copy() * _eval_m_terms(it.terms, lam)
+            vals = phi_vals[it.d, it.phi].copy() * _eval_m_terms(it.terms, table)
             it.values[slot] = complex(np.sum(vals * weight)) / norm
             runtimes[it.case] += time.monotonic() - t0
-        del lam, weight, phi_vals, vals
+        del weight, phi_vals, table, vals
     return {
         "lemma_shift.integrals": sum(len(uses) for uses in users.values()),
         "lemma_shift.grids": len(users),
         "lemma_shift.phi_evals": phi_evals,
+        "lemma_shift.pairings": pairings,
+        "lemma_shift.densities": densities,
     }
 
 

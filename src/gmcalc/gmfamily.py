@@ -409,11 +409,13 @@ class ScalarFn:
     densities it models are even in the underlying parameter).
     """
 
-    def __init__(self, n: Fraction, analytic: Callable, label: str, extra_poles: tuple = ()):
+    def __init__(self, n: Fraction, analytic: Callable, label: str, shape: tuple, extra_poles: tuple = ()):
         self.n = Fraction(n)
         self.analytic = analytic
         self.label = label
         self.extra_poles = extra_poles  # (imag location, residue) pairs on the axis
+        # the template kind with its exact parameters, and n: equal keys, equal functions
+        self.key = (shape, self.n)
 
     def has_pole0(self) -> bool:
         return self.n != 0
@@ -445,29 +447,31 @@ def scalar_fn_from_template(template: Mapping, n: Fraction) -> ScalarFn:
     """Built-in density shapes; n is the residue magnitude tied to the ray."""
     kind = template.get("kind")
     if kind == "pole":
-        return ScalarFn(n, lambda z: 0j if np.isscalar(z) else np.zeros_like(z, dtype=complex), "pole")
+        return ScalarFn(n, lambda z: 0j if np.isscalar(z) else np.zeros_like(z, dtype=complex), "pole", (kind,))
     if kind == "model_plancherel":
         c = Fraction(str(template.get("c", "1")))
         if c <= 0:
             raise ValueError("model_plancherel needs c > 0")
         cf = complex(c)
         # poles at +-sqrt(c) on the real axis, off the integration lines
-        return ScalarFn(n, lambda z, cf=cf: z / (z * z - cf), f"model_plancherel({c})")
+        return ScalarFn(n, lambda z, cf=cf: z / (z * z - cf), f"model_plancherel({c})", (kind, c))
     if kind == "pole_plus_rational":
-        p = [Fraction(str(x)) for x in template["p"]]
-        q = [Fraction(str(x)) for x in template["q"]]
+        p = tuple(Fraction(str(x)) for x in template["p"])
+        q = tuple(Fraction(str(x)) for x in template["q"])
         return ScalarFn(
-            n, lambda z, p=p, q=q: _poly_eval(p, z) / _poly_eval(q, z), "pole_plus_rational"
+            n, lambda z, p=p, q=q: _poly_eval(p, z) / _poly_eval(q, z), "pole_plus_rational", (kind, p, q)
         )
     if kind == "rational":
-        p = [Fraction(str(x)) for x in template["p"]]
-        q = [Fraction(str(x)) for x in template["q"]]
-        poles = tuple(
-            (float(Fraction(str(item["im"]))), complex(float(Fraction(str(item.get("re_res", 0)))), float(Fraction(str(item.get("im_res", 0))))))
+        p = tuple(Fraction(str(x)) for x in template["p"])
+        q = tuple(Fraction(str(x)) for x in template["q"])
+        exact_poles = tuple(
+            (Fraction(str(item["im"])), Fraction(str(item.get("re_res", 0))), Fraction(str(item.get("im_res", 0))))
             for item in template.get("poles", [])
         )
+        poles = tuple((float(im), complex(float(re), float(ri))) for im, re, ri in exact_poles)
         return ScalarFn(
-            Fraction(0), lambda z, p=p, q=q: _poly_eval(p, z) / _poly_eval(q, z), "rational", poles
+            Fraction(0), lambda z, p=p, q=q: _poly_eval(p, z) / _poly_eval(q, z), "rational",
+            (kind, p, q, exact_poles), poles,
         )
     raise ValueError(f"unknown density template {kind!r}")
 

@@ -8,7 +8,8 @@ the chambers of the restricted root arrangement on a_M.
 This module is the one place that derives these objects, and each is built
 once and kept on its owner: the lattice of Levi subgroups on the RootDatum
 (``d.lattice``); the restricted rays, the parabolic chambers, their Weyl
-cells and the bases relative to upper flats on the Levi.  Each chamber keeps
+cells, the bases relative to upper flats and the splitting constants on the
+Levi.  Each chamber keeps
 the sign pattern of the rays on it.  There is no module-level cache, so two
 data built from the same label own separate lattices.
 """
@@ -96,8 +97,9 @@ class Levi:
     """A flat of the root arrangement: basis of a_L plus the roots vanishing on it.
 
     Objects read off the flat are built on first use and kept here: the
-    restricted rays, the parabolic chambers, their Weyl cells and the bases
-    relative to upper flats.
+    restricted rays, the parabolic chambers, their Weyl cells, the bases
+    relative to upper flats and the splitting constants d_L1 with this flat
+    as L1.
     """
 
     def __init__(self, datum: RootDatum, basis: tuple[RatVec, ...], root_subset: frozenset[int]):
@@ -109,6 +111,7 @@ class Levi:
         self._chambers: tuple[ParabolicChamber, ...] | None = None
         self._cells: dict[int, tuple[WeylElement, ...]] | None = None
         self._rel_bases: dict[frozenset[int] | None, tuple[Vec, ...]] = {}
+        self._d_constants: dict[tuple, QuadConst] = {}  # d_constant with this flat as L1
         positive = set(datum.pos_indices)
         pos = sorted(i for i in root_subset if i in positive)
         if not root_subset:
@@ -474,13 +477,22 @@ def d_constant(L1: Levi, L: Levi, S: Levi, upper: Levi | None = None) -> QuadCon
 
     Zero unless the two subspaces are independent and of complementary
     dimension; otherwise the absolute determinant of the sum map with respect
-    to orthonormal bases, an exact square root of a rational.
+    to orthonormal bases, an exact square root of a rational.  Memoised on
+    L1, keyed by the root sets of L, S and upper, after the containment checks.
     """
     for X in (L, S):
         if not contains(L1, X):
             raise NotComparable(f"{L1.label} is not contained in {X.label}")
         if upper is not None and not contains(X, upper):
             raise NotComparable(f"{X.label} is not contained in {upper.label}")
+    key = (L.root_subset, S.root_subset, None if upper is None else upper.root_subset)
+    got = L1._d_constants.get(key)
+    if got is None:
+        got = L1._d_constants[key] = _split_constant(L1, L, S, upper)
+    return got
+
+
+def _split_constant(L1: Levi, L: Levi, S: Levi, upper: Levi | None) -> QuadConst:
     d = L1.datum
     bl = _rel_basis(L, upper)
     bs = _rel_basis(S, upper)

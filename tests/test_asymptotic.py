@@ -408,3 +408,18 @@ def test_assemble_phip_linear_in_inputs():
     vb = assemble_PhiP(b, M0, L, model, P)
     vc = assemble_PhiP(combo, M0, L, model, P)
     assert vc == pytest.approx(s * va + u * vb, rel=1e-12)
+
+
+def test_chamber_at_reads_stored_signs_and_rejects_wall_points():
+    from gmcalc.asymptotic import _chamber_at
+    from gmcalc.errors import IncompleteInput
+
+    for label in ("A2", "B2", "G2"):
+        d = build_root_system(label)
+        for M in levi_lattice(d):
+            for P in parabolics(M):
+                assert _chamber_at(M, P.chamber_point) is P
+        # a chamber point of a line lies on the walls of the roots vanishing on it
+        line = next(L for L in levi_lattice(d) if L.dim == 1)
+        with pytest.raises(IncompleteInput, match="wall"):
+            _chamber_at(mzero(d), parabolics(line)[0].chamber_point)

@@ -253,6 +253,8 @@ def _suite_cases(group, wanted=None):
     ("A1xA1", None),
     # the A2 cases whose residuals move when phi * m is computed as m * phi
     ("A2", {f"{c}/{m}" for c in ("c00/L4", "c00/L5", "c04/M0") for m in ("m", "r")}),
+    # B2 cases whose grids carry one density for several integrals
+    ("B2", {"c00/M0/m", "c00/M0/r", "c05/M0/m", "c05/L7/m"}),
 ])
 def test_grid_major_values_equal_naive_reference(group, wanted):
     cases = _suite_cases(group, wanted)
@@ -266,8 +268,33 @@ def test_grid_major_values_equal_naive_reference(group, wanted):
     integrals = [it for p in plans for it in p.integrals()]
     counters = _evaluate(integrals, [0.0] * len(cases))
     assert counters["lemma_shift.grids"] < counters["lemma_shift.integrals"]
+    factor_uses = sum(len(it.grids) * len(term.factors) for it in integrals for term in it.terms)
+    assert counters["lemma_shift.pairings"] <= counters["lemma_shift.densities"] < factor_uses
     for it in integrals:
         assert it.values == _naive_values(it)
+
+
+def test_density_table_keys_densities_by_value():
+    templates = [{"kind": "pole_plus_rational", "p": ["0", p1], "q": ["-4", "0", "1"]} for p1 in ("1", "2")]
+    one, same, other = (scalar_fn_from_template(tpl, Fraction(1)) for tpl in templates[:1] + templates)
+    assert one is not same and one.key == same.key
+    assert one.label == other.label and one.key != other.key
+    # two such densities on the same grids: a key by label would give both the first's values
+    d = build_root_system("A1xA1")
+    t = tau_class(build_spectral_triple(d, range(len(d.roots)), []))
+    P = base_chamber(d)
+    phi = flat_phi(d, chamber_below(P, t.levi_L))
+    plans = [
+        _plan(index, ShiftCase(t, density_for(t, tpl), mzero(d), P, phi, (0.05, 0.1), (1e-1, 1e-2, 1e-3), 1e-4))
+        for index, tpl in enumerate(templates)
+    ]
+    grids = [{g for it in p.integrals() for g in it.grids} for p in plans]
+    assert grids[0] == grids[1]
+    integrals = [it for p in plans for it in p.integrals()]
+    _evaluate(integrals, [0.0, 0.0])
+    for it in integrals:
+        assert it.values == _naive_values(it)
+    assert plans[0].lhs[0].values != plans[1].lhs[0].values
 
 
 def test_batch_matches_one_case_at_a_time():

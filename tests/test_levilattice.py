@@ -229,3 +229,35 @@ def test_stored_sign_pattern_matches_fresh(label):
         for P in parabolics(M):
             fresh = tuple(1 if d.pair(r.rep, P.chamber_point) > 0 else -1 for r in rays)
             assert P.signs == fresh == sign_pattern(d, rays, P.chamber_point)
+
+
+def test_d_constant_memo_matches_fresh_computation_on_a3():
+    from gmcalc.levilattice import _split_constant
+
+    d = build_root_system("A3")
+    trand_check(d)
+    fresh = build_root_system("A3")
+    by_roots = {L.root_subset: L for L in levi_lattice(fresh)}
+    entries = 0
+    for L1 in levi_lattice(d):
+        for (l_roots, s_roots, upper_roots), got in L1._d_constants.items():
+            upper = None if upper_roots is None else by_roots[upper_roots]
+            want = _split_constant(by_roots[L1.root_subset], by_roots[l_roots], by_roots[s_roots], upper)
+            assert got == want
+            entries += 1
+    # every distinct (L1, L, S, upper) tuple trand_check asks for, computed once
+    assert entries == 1066
+    assert all(not L._d_constants for L in levi_lattice(fresh))
+
+
+def test_d_constant_memo_is_per_datum_and_checks_containment_first():
+    first, second = build_root_system("A2"), build_root_system("A2")
+    lines = [[L for L in levi_lattice(d) if L.dim == 1] for d in (first, second)]
+    got = d_constant(mzero(first), lines[0][0], lines[0][1])
+    assert len(mzero(first)._d_constants) == 1 and not mzero(second)._d_constants
+    assert d_constant(mzero(second), lines[1][0], lines[1][1]) == got
+    assert mzero(second)._d_constants is not mzero(first)._d_constants
+    # the containment checks run on every call, memoised or not
+    for _ in range(2):
+        with pytest.raises(NotComparable):
+            d_constant(lines[0][0], mzero(first), lines[0][1])
