@@ -122,6 +122,8 @@ def cmd_eval(args) -> int:
         cfg = load_config(path=args.config, overrides={"group": args.group})
         d = build_root_system(cfg.group, cfg.gram)
         payload = json.loads(args.args) if args.args else {}
+        if not isinstance(payload, dict):
+            raise ConfigError(f"--args must be a JSON object, got {args.args}")
     except (ConfigError, GmcalcError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,9 +1,10 @@
 """Exponential-polynomial chamber families, hull volumes and splitting sums.
 
 The limit of a compatible chamber family is computed exactly as the constant
-Laurent coefficient along a generic rational line; convex hull volumes are
-computed by exact rational triangulation.  Both return numbers with rational
-square so the two routes can be compared with no tolerance at all.
+Laurent coefficient along a generic rational line; the volume of a convex hull
+is computed in every dimension by one exact beneath-beyond triangulation on
+integer-scaled points.  Both return numbers with rational square so the two
+routes can be compared with no tolerance at all.
 """
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import factorial
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -115,118 +116,71 @@ def orthogonal_set(M: Levi, T: RatVec) -> OrthogonalSet:
     return OrthogonalSet(M, tuple(points))
 
 
-def _hull_length(pts: list[Vec]) -> Fraction:
-    xs = [p[0] for p in pts]
-    return max(xs) - min(xs)
+def _idot(u, v) -> int:
+    return sum(a * b for a, b in zip(u, v))
 
 
-def _monotone_chain(pts: list[tuple]) -> list[tuple]:
-    pts = sorted(set(pts))
-    if len(pts) <= 2:
-        return pts
+def _hull_volume(pts: list[Vec], n: int) -> Fraction:
+    """Exact volume of the convex hull of points in Q^n (n >= 1), by beneath-beyond.
 
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-    lower: list[tuple] = []
-    for p in pts:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper: list[tuple] = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    return lower[:-1] + upper[:-1]
-
-
-def _hull_area(pts: list[Vec]) -> Fraction:
-    hull = _monotone_chain([tuple(p) for p in pts])
-    if len(hull) < 3:
-        return Fraction(0)
-    total = Fraction(0)
-    for i in range(len(hull)):
-        x1, y1 = hull[i]
-        x2, y2 = hull[(i + 1) % len(hull)]
-        total += x1 * y2 - x2 * y1
-    return abs(total) / 2
-
-
-def _hull_volume_3d(pts: list[Vec]) -> Fraction:
-    """Exact volume via facet planes of the integer-scaled point set."""
-    den = common_denominator([tuple(p) for p in pts])
+    The points are scaled to integers over one common denominator.  The hull
+    starts from a greedy affinely independent simplex; each further point that
+    lies strictly beyond some facets replaces them by the cone from the point
+    over their horizon, the ridges that belong to exactly one visible facet.
+    A facet q = (q_0..q_{n-1}) keeps its outward cofactor normal N and offset
+    N.q_0, so that |det(q - a)| = N.q_0 - N.a for every point a of the hull.
+    The volume is the sum of these over the facets, for the apex a = first
+    simplex vertex, over n! (facets through the apex add 0).
+    """
+    den = common_denominator(pts)
     ipts = sorted({tuple(int(x * den) for x in p) for p in pts})
-    n = len(ipts)
+    simplex = [ipts[0]]
+    for p in ipts[1:]:
+        if mat_rank([tuple(x - y for x, y in zip(q, ipts[0])) for q in simplex[1:] + [p]]) == len(simplex):
+            simplex.append(p)
+            if len(simplex) == n + 1:
+                break
+    else:
+        return Fraction(0)
+    inner = [sum(col) for col in zip(*simplex)]  # n+1 times an interior point
 
-    def sub(a, b):
-        return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
+    def facet(verts: tuple) -> tuple:
+        q0 = verts[0]
+        edges = [tuple(x - y for x, y in zip(q, q0)) for q in verts[1:]]
+        normal = [(-1) ** j * int(det([e[:j] + e[j + 1:] for e in edges])) for j in range(n)]
+        offset = _idot(normal, q0)
+        if _idot(normal, inner) > (n + 1) * offset:
+            normal, offset = [-a for a in normal], -offset
+        return verts, normal, offset
 
-    def cross(a, b):
-        return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
-
-    def dotp(a, b):
-        return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
-
-    planes = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            eij = sub(ipts[j], ipts[i])
-            for k in range(j + 1, n):
-                nrm = cross(eij, sub(ipts[k], ipts[i]))
-                if nrm == (0, 0, 0):
-                    continue
-                g = gcd(gcd(abs(nrm[0]), abs(nrm[1])), abs(nrm[2]))
-                nrm = (nrm[0] // g, nrm[1] // g, nrm[2] // g)
-                off = dotp(nrm, ipts[i])
-                if (nrm, off) in planes or (tuple(-x for x in nrm), -off) in planes:
-                    continue
-                # a supporting plane has no points strictly on both sides
-                a, b, c = nrm
-                below = above = False
-                on = []
-                for p in ipts:
-                    v = a * p[0] + b * p[1] + c * p[2] - off
-                    if v < 0:
-                        below = True
-                    elif v > 0:
-                        above = True
-                    else:
-                        on.append(p)
-                    if below and above:
-                        break
+    facets = [facet(tuple(simplex[:i] + simplex[i + 1:])) for i in range(n + 1)]
+    for p in ipts:
+        kept, visible = [], []
+        for f in facets:
+            (visible if _idot(f[1], p) > f[2] else kept).append(f)
+        if not visible:
+            continue
+        ridges: dict[frozenset, tuple] = {}
+        for verts, _, _ in visible:
+            for i in range(n):
+                ridge = verts[:i] + verts[i + 1:]
+                key = frozenset(ridge)
+                if key in ridges:
+                    del ridges[key]
                 else:
-                    planes[(tuple(-x for x in nrm), -off) if above else (nrm, off)] = on
-    apex = ipts[0]
-    total = 0
-    for (nrm, off), facet in planes.items():
-        if dotp(nrm, apex) == off:
-            continue
-        drop = max(range(3), key=lambda a: abs(nrm[a]))
-        keep = [a for a in range(3) if a != drop]
-        flat = {(p[keep[0]], p[keep[1]]): p for p in facet}
-        ring = _monotone_chain(list(flat))
-        if len(ring) < 3:
-            continue
-        poly3 = [flat[q] for q in ring]
-        signed = 0
-        for t in range(1, len(poly3) - 1):
-            e1 = sub(poly3[t], apex)
-            e2 = sub(poly3[t + 1], apex)
-            e0 = sub(poly3[0], apex)
-            signed += dotp(e0, cross(e1, e2))
-        total += abs(signed)
-    return Fraction(total, 6) / den**3
+                    ridges[key] = ridge
+        facets = kept + [facet(ridge + (p,)) for ridge in ridges.values()]
+    apex = simplex[0]
+    total = sum(offset - _idot(normal, apex) for _, normal, offset in facets)
+    return Fraction(total, factorial(n) * den**n)
 
 
 def hull_volume(pts: OrthogonalSet) -> QuadConst:
-    """Volume of the convex hull in the invariant measure on a_M (dim at most 3)."""
+    """Volume of the convex hull in the invariant measure on a_M."""
     M = pts.levi
     d = M.datum
     if M.dim == 0:
         return QuadConst.one()
-    if M.dim > 3:
-        raise NotComparable("hull volume supported through dimension 3 only")
     basis_rows = [b.coords for b in M.basis]
     coords = []
     for p in pts.points:
@@ -234,15 +188,7 @@ def hull_volume(pts: OrthogonalSet) -> QuadConst:
         if c is None:
             raise InternalInconsistency("hull point outside the flat")
         coords.append(c)
-    rel = [tuple(x - y for x, y in zip(c, coords[0])) for c in coords]
-    if mat_rank(rel) < M.dim:
-        return QuadConst.zero()
-    if M.dim == 1:
-        vol = _hull_length(coords)
-    elif M.dim == 2:
-        vol = _hull_area(coords)
-    else:
-        vol = _hull_volume_3d(coords)
+    vol = _hull_volume(coords, M.dim)
     disc = gram_det(basis_rows, d.gram)
     return QuadConst.from_square(vol * vol * disc)
 

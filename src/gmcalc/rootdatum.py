@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .errors import DimensionError, UnsupportedType
+from .errors import DimensionError, NotARoot, UnsupportedType
 from .exactlin import (
     Mat,
     Vec,
@@ -360,8 +360,13 @@ def act(w: WeylElement, v: RatVec) -> RatVec:
 
 def element_from_word(d: RootDatum, word: Sequence[int], by_root_index: bool = False) -> WeylElement:
     """Product of reflections; indices are simple-root positions, or root indices if flagged."""
+    bound = len(d.roots) if by_root_index else d.rank
+    entries = list(word) if isinstance(word, Iterable) else None
+    if entries is None or any(type(i) is not int or not 0 <= i < bound for i in entries):
+        kind = "root indices" if by_root_index else "simple-root positions"
+        raise NotARoot(f"a word is a list of {kind} 0..{bound - 1}, got {word!r}")
     perm = tuple(range(len(d.roots)))
-    for i in word:
+    for i in entries:
         perm = compose(perm, d.reflection_perms[i if by_root_index else d.simple[i]])
     return d.element(perm)
 

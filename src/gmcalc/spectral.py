@@ -47,7 +47,6 @@ from .levilattice import (
     group_rays,
     levi_lattice,
     mzero,
-    parabolics,
     restricted_rays,
     sign_pattern,
 )
@@ -159,15 +158,18 @@ def build_spectral_triple(
     The chamber of the vanishing-set arrangement is chosen deterministically
     as the one with the lexicographically smallest interior witness.
     """
-    subset = frozenset(sigma_zero_roots)
+    try:
+        subset = frozenset(sigma_zero_roots)
+    except TypeError:
+        raise NotSubsystem(f"the vanishing set is a list of root indices, got {sigma_zero_roots!r}")
     for i in subset:
-        if not 0 <= i < len(ambient.roots):
-            raise NotSubsystem(f"root index {i} out of range")
+        if type(i) is not int or not 0 <= i < len(ambient.roots):
+            raise NotSubsystem(f"root index {i!r} is not an integer in 0..{len(ambient.roots) - 1}")
     if not _is_closed_subsystem(ambient, subset):
         raise NotSubsystem("vanishing set is not reflection-closed and symmetric")
     rays = group_rays(ambient, ((i, ambient.roots[i].coords) for i in subset))
     chamber_c = chambers_of_rays(ambient, mzero(ambient).basis, rays)[0]
-    r = element_from_word(ambient, list(r_word), by_root_index=True)
+    r = element_from_word(ambient, r_word, by_root_index=True)
     if any(r.perm[i] not in subset for i in subset):
         raise NotChamberStabilizer("r does not permute the vanishing set")
     if sign_pattern(ambient, rays, act(r, chamber_c)) != sign_pattern(ambient, rays, chamber_c):
@@ -295,40 +297,29 @@ def n_beta(t: TauClass, beta: RatVec) -> Fraction:
 def discrete_constants(t: TauClass, L_levi: Levi) -> dict:
     """The basis sum n^L and the centralizer order k^L for an upper Levi.
 
-    n^L is computed from one chamber of the home flat and re-verified against
-    every other chamber; a mismatch is a genuine defect.
+    n^L sums, over the sets of restricted rays of the home flat lying in L
+    that form a basis of a_home / a_L, the product of their n_beta / 2.  A ray
+    and its negative give the same rank and factor, so no chamber is needed.
     """
     d = t.datum
     home = t.levi_L
     if not contains(home, L_levi):
         raise NotARoot("L must contain the home Levi")
-    rel = _rel_basis(home, L_levi)
-    need = len(rel)
+    need = len(_rel_basis(home, L_levi))
     nb = t.nbeta_map()
     in_l = [
-        (k, ray, nb[ray.key] / 2)
-        for k, ray in enumerate(restricted_rays(home))
+        (nb[ray.key] / 2, ray.rep.coords)
+        for ray in restricted_rays(home)
         if not (L_levi.dim and any(d.pair(ray.rep, b) != 0 for b in L_levi.basis))
     ]
-    values = []
-    for Q in parabolics(home):
-        candidates = [(half, ray.rep if Q.signs[k] > 0 else -ray.rep) for k, ray, half in in_l]
-        total = Fraction(0)
-        if need == 0:
-            total = Fraction(1)
-        else:
-            for subset in combinations(candidates, need):
-                if mat_rank([rep.coords for _, rep in subset]) != need:
-                    continue
-                prod = Fraction(1)
-                for half, _ in subset:
-                    prod *= half
-                total += prod
-        values.append(total)
-    if any(v != values[0] for v in values):
-        raise InternalInconsistency("basis sum depends on the chamber")
-    k = _k_constant(t, L_levi)
-    return {"nL": values[0], "kL": k}
+    total = Fraction(0)
+    for subset in combinations(in_l, need):
+        if mat_rank([rep for _, rep in subset]) == need:
+            prod = Fraction(1)
+            for half, _ in subset:
+                prod *= half
+            total += prod
+    return {"nL": total, "kL": _k_constant(t, L_levi)}
 
 
 def _k_constant(t: TauClass, L_levi: Levi) -> int:

@@ -196,7 +196,7 @@ def suite_nl_independence(cfg: Config, d: RootDatum) -> list[CheckRecord]:
             nonlocal home
             t = tau_class(triple)
             for L in enumerate_levis(d, lower=t.levi_L):
-                res = discrete_constants(t, L)  # raises InternalInconsistency on Q-dependence
+                res = discrete_constants(t, L)
                 if L == t.levi_L and res["nL"] != 1:
                     home = L.label
                     return False, float(res["nL"]), "home value is not 1"

@@ -110,19 +110,22 @@ def test_criterion_3_tdisc_exhaustive():
            elapsed < 60, f"{triples} triples in {elapsed:.1f}s (< 60s)")
 
 
-def test_criterion_4_nl_well_defined():
-    checked = 0
+def test_criterion_4_nl_well_defined(nl_elementary):
+    checked = routed = 0
     for label in RANK3_GROUPS:
         d = build_root_system(label)
         for triple in enumerate_spectral_triples(d):
             t = tau_class(triple)
             for L in enumerate_levis(d, lower=t.levi_L):
-                res = discrete_constants(t, L)  # chamber independence verified inside
+                nl = discrete_constants(t, L)["nL"]
                 if L == t.levi_L:
-                    assert res["nL"] == 1, (label, triple)
+                    assert nl == 1, (label, triple)
+                if d.rank <= 2:
+                    assert nl == nl_elementary(t, L), (label, triple, L.label)
+                    routed += 1
                 checked += 1
-    report(4, "basis-sum constant chamber-independent, home value 1",
-           True, f"{checked} (triple, Levi) pairs")
+    report(4, "basis-sum constant: home value 1, e_need of n_beta/2 on rank <= 2",
+           True, f"{checked} (triple, Levi) pairs, {routed} by both routes")
 
 
 def test_criterion_5_residue_identity_1d():

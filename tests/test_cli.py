@@ -130,6 +130,29 @@ def test_eval_bad_args_exit_2(capsys):
     assert main(["eval", "--group", "A1", "--expr", "d", "--args", '{"L1":"M0"}']) == 2
 
 
+@pytest.mark.parametrize(
+    "expr, args",
+    [
+        ("eps_M", "[]"),
+        ("eps_M", "5"),
+        ("nL", '{"sigma_roots": "x"}'),
+        ("nL", '{"sigma_roots": 5}'),
+        ("nL", '{"sigma_roots": [0, 1], "r_word": [true]}'),
+        ("eps_M", '{"word": "x"}'),
+        ("eps_M", '{"word": [9]}'),
+        ("eps_M", '{"word": [-1]}'),
+        ("eps_M", '{"word": [true]}'),
+        ("eps_M", '{"word": [0.0]}'),
+    ],
+)
+def test_eval_rejects_malformed_args(capsys, expr, args):
+    # once a traceback (exit 1), or for -1 and true a silent value from the wrong reflection
+    assert main(["eval", "--group", "A1", "--expr", expr, "--args", args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_verify_reports_are_byte_identical(tmp_path):
     out1 = tmp_path / "one"
     out2 = tmp_path / "two"

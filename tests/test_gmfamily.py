@@ -1,9 +1,15 @@
 import random
 from fractions import Fraction
+from itertools import product
+from math import gcd
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+from gmcalc.config import load_config
 from gmcalc.errors import FamilyNotSmooth, IncompleteInput, NotDominant
+from gmcalc.exactlin import common_denominator, rank
 from gmcalc.gmfamily import (
     ExpPolyFamily,
     ScalarRootFns,
@@ -14,6 +20,7 @@ from gmcalc.gmfamily import (
     orthogonal_set,
     split_formula,
     split_terms,
+    _hull_volume,
     _lam_evaluator,
 )
 from gmcalc.levilattice import (
@@ -28,6 +35,7 @@ from gmcalc.levilattice import (
 )
 from gmcalc.ratpoly import Poly
 from gmcalc.rootdatum import RatVec, build_root_system, weyl_group
+from gmcalc.suites import suite_hull_limit
 
 
 def dominant_point(d, coeffs):
@@ -121,6 +129,162 @@ def test_hull_volume_3d_cube_like():
     # coordinates are (+-1/2)^3 scaled: T = (1/2, 1/2, 1/2), orbit = corners of a cube
     # side 1 in coordinates, measure factor sqrt(det diag(2,2,2)) = 2 sqrt(2)
     assert vol == QuadConst.from_square(Fraction(8))
+
+
+# The 1-, 2- and 3-d routines hull_volume used before it had one routine for
+# every dimension, kept as naive references.
+
+
+def ref_length(pts):
+    xs = [p[0] for p in pts]
+    return max(xs) - min(xs)
+
+
+def ref_monotone_chain(pts):
+    pts = sorted(set(pts))
+    if len(pts) <= 2:
+        return pts
+
+    def cross(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    lower, upper = [], []
+    for p in pts:
+        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
+            lower.pop()
+        lower.append(p)
+    for p in reversed(pts):
+        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
+            upper.pop()
+        upper.append(p)
+    return lower[:-1] + upper[:-1]
+
+
+def ref_area(pts):
+    hull = ref_monotone_chain([tuple(p) for p in pts])
+    if len(hull) < 3:
+        return Fraction(0)
+    total = Fraction(0)
+    for i in range(len(hull)):
+        x1, y1 = hull[i]
+        x2, y2 = hull[(i + 1) % len(hull)]
+        total += x1 * y2 - x2 * y1
+    return abs(total) / 2
+
+
+def ref_volume_3d(pts):
+    """Every supporting plane through three points, each facet fanned from one apex."""
+    den = common_denominator([tuple(p) for p in pts])
+    ipts = sorted({tuple(int(x * den) for x in p) for p in pts})
+
+    def sub(a, b):
+        return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
+
+    def cross(a, b):
+        return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+
+    def dotp(a, b):
+        return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+    planes = {}
+    for i, j, k in ((i, j, k) for i in range(len(ipts)) for j in range(i) for k in range(j)):
+        nrm = cross(sub(ipts[j], ipts[i]), sub(ipts[k], ipts[i]))
+        if nrm == (0, 0, 0):
+            continue
+        g = gcd(gcd(abs(nrm[0]), abs(nrm[1])), abs(nrm[2]))
+        nrm = tuple(x // g for x in nrm)
+        off = dotp(nrm, ipts[i])
+        if (nrm, off) in planes or (tuple(-x for x in nrm), -off) in planes:
+            continue
+        side = {(dotp(nrm, p) > off) - (dotp(nrm, p) < off) for p in ipts}
+        if {-1, 1} <= side:
+            continue
+        key = (tuple(-x for x in nrm), -off) if 1 in side else (nrm, off)
+        planes[key] = [p for p in ipts if dotp(nrm, p) == off]
+    apex = ipts[0]
+    total = 0
+    for (nrm, off), facet in planes.items():
+        drop = max(range(3), key=lambda a: abs(nrm[a]))
+        keep = [a for a in range(3) if a != drop]
+        flat = {(p[keep[0]], p[keep[1]]): p for p in facet}
+        ring = [flat[q] for q in ref_monotone_chain(list(flat))]
+        for t in range(1, len(ring) - 1):
+            total += abs(dotp(sub(ring[0], apex), cross(sub(ring[t], apex), sub(ring[t + 1], apex))))
+    return Fraction(total, 6) / den**3
+
+
+def ref_volume(pts, n):
+    if rank([tuple(x - y for x, y in zip(p, pts[0])) for p in pts]) < n:
+        return Fraction(0)
+    return (ref_length, ref_area, ref_volume_3d)[n - 1](pts)
+
+
+# small coordinates on a coarse grid: duplicates, collinear and coplanar points are common
+grid_values = st.sampled_from([Fraction(k, 2) for k in range(-3, 4)] + [Fraction(1, 3), Fraction(-5, 3)])
+
+
+@st.composite
+def point_sets(draw):
+    n = draw(st.integers(1, 3))
+    point = st.lists(grid_values, min_size=n, max_size=n).map(tuple)
+    if draw(st.booleans()):
+        return n, draw(st.lists(point, min_size=1, max_size=12))
+    # points on an affine subspace of dimension < n, plus a few outside it
+    base = draw(point)
+    dirs = draw(st.lists(point, min_size=1, max_size=n - 1 or 1))
+    coeffs = st.lists(grid_values, min_size=len(dirs), max_size=len(dirs))
+    pts = [
+        tuple(b + sum(c * v[i] for c, v in zip(cs, dirs)) for i, b in enumerate(base))
+        for cs in draw(st.lists(coeffs, min_size=1, max_size=10))
+    ]
+    return n, pts + draw(st.lists(point, max_size=3))
+
+
+@given(point_sets())
+@example((2, [(Fraction(0), Fraction(0))] * 3))
+@example((3, [(Fraction(0),) * 3, (Fraction(1), Fraction(0), Fraction(0)), (Fraction(0), Fraction(1), Fraction(0))]))
+def test_hull_volume_matches_naive_routines(case):
+    n, pts = case
+    assert _hull_volume(pts, n) == ref_volume(pts, n)
+
+
+def test_hull_volume_4d_known_polytopes():
+    one, half = Fraction(1), Fraction(1, 2)
+    cube = [tuple(Fraction(x) for x in p) for p in product((0, 1), repeat=4)]
+    # interior, face and duplicate points leave the volume alone
+    extra = [(half,) * 4, (one, half, half, 0), (half, half, 0, 0), cube[5]]
+    assert _hull_volume(cube + extra, 4) == 1
+    assert _hull_volume([tuple(2 * x - 1 for x in p) for p in cube], 4) == 16
+    cross = [tuple(Fraction(s) if i == k else Fraction(0) for i in range(4)) for k in range(4) for s in (1, -1)]
+    assert _hull_volume(cross + [(Fraction(0),) * 4], 4) == Fraction(2, 3)  # 2^4 / 4!
+    simplex = [(Fraction(0),) * 4] + [c for c in cross if sum(c) > 0]
+    assert _hull_volume(simplex, 4) == Fraction(1, 24)
+    assert _hull_volume(cube[:8], 4) == 0  # the facet x_0 = 0 only
+
+
+@pytest.mark.parametrize("label, factors", [("A1xA3", ("A1", "A3")), ("A1xA1xA2", ("A1", "A1", "A2"))])
+def test_hull_volume_of_product_is_product_of_volumes(label, factors):
+    d = build_root_system(label)
+    parts = [build_root_system(f) for f in factors]
+    rng = random.Random(11)
+    for k in range(6):
+        coeffs = [Fraction(rng.randint(0 if k % 3 == 0 else 1, 9), rng.randint(1, 3)) for _ in range(d.rank)]
+        expected = QuadConst.one()
+        start = 0
+        for part in parts:
+            T = dominant_point(part, coeffs[start:start + part.rank])
+            expected = expected * hull_volume(orthogonal_set(mzero(part), T))
+            start += part.rank
+        got = hull_volume(orthogonal_set(mzero(d), dominant_point(d, coeffs)))
+        assert got == expected, (label, coeffs)
+        assert k % 3 == 0 or not got.is_zero()
+
+
+def test_hull_limit_suite_passes_on_rank_four():
+    d = build_root_system("A1xA3")
+    records = suite_hull_limit(load_config(overrides={"group": "A1xA3"}), d)
+    assert [r.id for r in records if r.status != "pass"] == []
+    assert sum(r.id.startswith("hull-limit/A1xA3/M0/") for r in records) == 25
 
 
 # -- family limits -----------------------------------------------------------

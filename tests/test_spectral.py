@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from gmcalc.errors import NotARoot, NotChamberStabilizer, NotSubsystem
-from gmcalc.levilattice import gfull, levi_by_label, levi_lattice, mzero
+from gmcalc.levilattice import enumerate_levis, gfull, mzero
 from gmcalc.rootdatum import RatVec, build_root_system
 from gmcalc.spectral import (
     build_spectral_triple,
@@ -153,17 +153,28 @@ def test_discrete_constants_basics():
     assert res0["nL"] == 0
 
 
-def test_discrete_constants_chamber_independent_exhaustive():
-    for label in ("A2", "B2", "A1xA1"):
+def test_discrete_constants_match_elementary_symmetric(nl_elementary):
+    # rank <= 2: n^L is e_need of the n_beta/2; many values are neither 0 nor 1
+    for label, nontrivial in (("A1", 1), ("A2", 7), ("B2", 19), ("G2", 38), ("A1xA1", 7)):
         d = build_root_system(label)
+        seen = 0
         for triple in enumerate_spectral_triples(d):
             t = tau_class(triple)
-            for L in levi_lattice(d):
-                if not t.levi_L.root_subset <= L.root_subset:
-                    continue
-                res = discrete_constants(t, L)  # chamber independence checked inside
-                if L == t.levi_L:
-                    assert res["nL"] == 1
+            for L in enumerate_levis(d, lower=t.levi_L):
+                nl = discrete_constants(t, L)["nL"]
+                assert nl == nl_elementary(t, L), (label, triple, L.label)
+                assert L != t.levi_L or nl == 1
+                seen += nl not in (0, 1)
+        assert seen == nontrivial, label
+    # on A3 three rays can be dependent, and only the rank test drops them
+    d = build_root_system("A3")
+    pairs = [
+        (t, L)
+        for t in map(tau_class, enumerate_spectral_triples(d))
+        for L in enumerate_levis(d, lower=t.levi_L)
+    ]
+    assert len(pairs) == 319
+    assert sum(discrete_constants(t, L)["nL"] != nl_elementary(t, L) for t, L in pairs) == 5
 
 
 def test_eps_tau_character():
