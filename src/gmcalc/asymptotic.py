@@ -16,14 +16,12 @@ from .gmfamily import ScalarRootFns, split_terms
 from .levilattice import (
     Levi,
     ParabolicChamber,
+    chamber_at,
     contains,
     conjugate_levi,
     d_constant,
     enumerate_levis,
     mzero,
-    parabolics,
-    restricted_rays,
-    sign_pattern,
     weyl_cosets,
 )
 from .lp import in_cone_nonzero
@@ -161,14 +159,23 @@ class SigmaModel:
         return split_terms(self.fns, M, S, Q1, lam_eval, w=w, conj=conj)
 
 
-def _chamber_at(M: Levi, point: RatVec) -> ParabolicChamber:
-    """The chamber of P(M) whose stored ray signs the point has."""
-    signs = sign_pattern(M.datum, restricted_rays(M), point)
-    for P in parabolics(M):
-        if P.signs == signs:
-            return P
-    # stored signs have no zeros: only a point on a wall matches no chamber
-    raise IncompleteInput(f"point lies on a wall of the chambers of {M.label}")
+def _discrete_nl(model: SigmaModel, L: Levi, u_sign: complex):
+    """n^L of the class, once u_sign is a fourth root of unity and the class induces discretely to L."""
+    if abs(u_sign ** 4 - 1) > 1e-12:
+        raise IncompleteInput("u_sign must be a fourth root of unity")
+    if not classify_tau(model.tau, G_levi=L)["discrete"]:
+        raise NotDiscrete(f"class does not induce discretely to {L.label}")
+    return discrete_constants(model.tau, L)["nL"]
+
+
+def _split_sum(model: SigmaModel, L: Levi, M: Levi, Q1: ParabolicChamber) -> complex:
+    """The sum over S >= M of d_M(L, S) m^S at the chamber Q1."""
+    inner = 0j
+    for S in enumerate_levis(model.tau.datum, lower=M):
+        dc = d_constant(M, L, S)
+        if not dc.is_zero():
+            inner += float(dc) * model.m_rel(M, S, Q1, conj=True)
+    return inner
 
 
 def weyl_sequence_orders(d: RootDatum, M: Levi) -> tuple[int, int, int]:
@@ -199,26 +206,15 @@ def phi_minimal_levi(
     home = model.tau.levi_L
     if home != mzero(d):
         raise IncompleteInput("the minimal-Levi formula needs a class based at M0")
-    if abs(u_sign ** 4 - 1) > 1e-12:
-        raise IncompleteInput("u_sign must be a fourth root of unity")
-    if not classify_tau(model.tau, G_levi=L)["discrete"]:
-        raise NotDiscrete(f"class does not induce discretely to {L.label}")
+    nl = _discrete_nl(model, L, u_sign)
     wm, wq, wg = weyl_sequence_orders(d, home)
     if wm * wq != wg:
         raise IncompleteInput("split exact sequence cardinality fails")
-    nl = discrete_constants(model.tau, L)["nL"]
-    M = home
-    sigma_m = [i for i in M.root_subset if i in set(d.pos_indices)]
+    sigma_m = [i for i in home.root_subset if i in set(d.pos_indices)]
     total = 0j
     for w in weyl_group(d):
         phase = cmath.exp(_pair_complex(d, mu_im, [complex(y) for y in mat_vec_complex(w, Y)]) * 1j)
-        inner = 0j
-        wp = _chamber_at(M, act(w, P.chamber_point))
-        for S in enumerate_levis(d, lower=M):
-            dc = d_constant(M, L, S)
-            if dc.is_zero():
-                continue
-            inner += float(dc) * model.m_rel(M, S, wp, conj=True)
+        inner = _split_sum(model, L, home, chamber_at(home, act(w, P.chamber_point)))
         total += eps_M_sign(d, w, sigma_m) * phase * inner
     return float(nl) * u_sign * total
 
@@ -245,20 +241,10 @@ def c_coefficient_example(
     depend on it.
     """
     d = model.tau.datum
-    if abs(u_sign ** 4 - 1) > 1e-12:
-        raise IncompleteInput("u_sign must be a fourth root of unity")
-    if not classify_tau(model.tau, G_levi=L)["discrete"]:
-        raise NotDiscrete(f"class does not induce discretely to {L.label}")
-    nl = discrete_constants(model.tau, L)["nL"]
+    nl = _discrete_nl(model, L, u_sign)
     sigma_m = [i for i in M.root_subset if i in set(d.pos_indices)]
     winv = d.element(invert(w.perm))
-    q1 = _chamber_at(M, act(winv, P.chamber_point))
-    inner = 0j
-    for S in enumerate_levis(d, lower=M):
-        dc = d_constant(M, L, S)
-        if dc.is_zero():
-            continue
-        inner += float(dc) * model.m_rel(M, S, q1, conj=True)
+    inner = _split_sum(model, L, M, chamber_at(M, act(winv, P.chamber_point)))
     return float(nl) * u_sign * eps_M_sign(d, w, sigma_m) * inner
 
 
@@ -272,8 +258,9 @@ def assemble_PhiP(
 ) -> complex:
     """Assembly of the limit coefficient from lower-rank inputs.
 
-    inputs are keyed by the label of the sandwiched Levi wM; the result
-    vanishes when no Weyl conjugate of L1 is contained in M.
+    inputs are keyed by the label of the sandwiched Levi wM, for the coset
+    representatives w of W_M with L1 <= wM <= S; the result vanishes when no
+    Weyl conjugate of L1 is contained in M.
     """
     d = model.tau.datum
     M = P.levi
@@ -287,12 +274,13 @@ def assemble_PhiP(
         dc = d_constant(L1, L, S)
         if dc.is_zero():
             continue
-        reps = weyl_cosets(filters={"L1": L1, "M": M, "S": S})
-        for w in reps:
+        for w in weyl_cosets(M):
             wm = conjugate_levi(w, M)
+            if not (contains(L1, wm) and contains(wm, S)):
+                continue
             if wm.label not in inputs:
                 raise IncompleteInput(f"missing input for {wm.label}")
-            wp = _chamber_at(wm, act(w, P.chamber_point))
+            wp = chamber_at(wm, act(w, P.chamber_point))
             total += float(dc) * complex(inputs[wm.label]) * model.m_rel(wm, S, wp, conj=True)
     return (k_l / k_l1) * float(nl) * total
 

@@ -36,8 +36,26 @@ from .spectral import build_spectral_triple, density_for, discrete_constants, n_
 from .suites import _generic_offset, run_suites
 
 
-def _ratvec(items) -> RatVec:
+def _ratvec(d, items, name: str) -> RatVec:
+    """A vector argument: a list of d.rank rationals."""
+    if not isinstance(items, list) or len(items) != d.rank:
+        raise ConfigError(f"{name} must be a list of {d.rank} rationals, got {json.dumps(items)}")
     return RatVec.of([Fraction(str(x)) for x in items])
+
+
+def _complex(pair, name: str) -> complex:
+    """A complex argument: a pair [re, im] of numbers."""
+    if not (isinstance(pair, list) and len(pair) == 2 and all(type(x) in (int, float) for x in pair)):
+        raise ConfigError(f"{name} must be a pair [re, im] of numbers, got {json.dumps(pair)}")
+    return complex(*pair)
+
+
+def _index(payload, key: str, items):
+    """The entry of items at the payload's index under key (default 0): an in-range int."""
+    k = payload.get(key, 0)
+    if type(k) is not int or not 0 <= k < len(items):
+        raise ConfigError(f"{key} must be an integer in 0..{len(items) - 1}, got {json.dumps(k)}")
+    return items[k]
 
 
 def _quad_str(val) -> str:
@@ -112,8 +130,8 @@ def _spectral_from_args(d, payload):
 def _model_from_args(d, cfg, payload):
     t = _spectral_from_args(d, payload)
     fns = density_for(t, payload.get("model", cfg.m_model))
-    mu = _ratvec(payload.get("mu", [0] * d.rank))
-    ev = _ratvec(payload["eval"]) if "eval" in payload else _generic_offset(d)
+    mu = _ratvec(d, payload.get("mu", [0] * d.rank), "mu")
+    ev = _ratvec(d, payload["eval"], "eval") if "eval" in payload else _generic_offset(d)
     return SigmaModel(t, fns, mu, ev)
 
 
@@ -147,8 +165,8 @@ def cmd_eval(args) -> int:
 
 def _eval_theta(d, cfg, payload):
     M = levi_by_label(d, payload.get("M", "M0"))
-    P = parabolics(M)[int(payload.get("chamber", 0))]
-    val = theta(P, _ratvec(payload["lambda"]))
+    P = _index(payload, "chamber", parabolics(M))
+    val = theta(P, _ratvec(d, payload["lambda"], "lambda"))
     return float(val), {"product": str(val.product), "covol_sq": str(val.covol.square)}
 
 
@@ -160,7 +178,7 @@ def _eval_d(d, cfg, payload):
 
 def _eval_n_beta(d, cfg, payload):
     t = _spectral_from_args(d, payload)
-    return str(n_beta(t, _ratvec(payload["beta"]))), {"home": t.levi_L.label}
+    return str(n_beta(t, _ratvec(d, payload["beta"], "beta"))), {"home": t.levi_L.label}
 
 
 def _eval_discrete(key):
@@ -174,7 +192,8 @@ def _eval_discrete(key):
 
 def _eval_alpha_x(d, cfg, payload):
     M1 = levi_by_label(d, payload.get("M1", "M0"))
-    val = multiplier_alpha(M1, _ratvec(payload.get("nu", [0] * d.rank)), _ratvec(payload.get("X", [0] * d.rank)))
+    nu, X = (_ratvec(d, payload.get(k, [0] * d.rank), k) for k in ("nu", "X"))
+    val = multiplier_alpha(M1, nu, X)
     return f"{val.real}+{val.imag}j", {"modulus": abs(val)}
 
 
@@ -185,7 +204,10 @@ def _eval_eps_m(d, cfg, payload):
 
 
 def _eval_delta_sigma(d, cfg, payload):
-    Y = [complex(a, b) for a, b in payload["Y"]]
+    Y = payload["Y"]
+    if not isinstance(Y, list) or len(Y) != d.rank:
+        raise ConfigError(f"Y must be a list of {d.rank} pairs [re, im], got {json.dumps(Y)}")
+    Y = [_complex(y, "each entry of Y") for y in Y]
     val = weyl_denominator(d, payload.get("sigma", list(d.pos_indices)), Y)
     return f"{val.real}+{val.imag}j", {}
 
@@ -195,15 +217,15 @@ def _eval_c_coeff(d, cfg, payload):
     w = element_from_word(d, payload.get("w_word", []))
     M = levi_by_label(d, payload.get("M", "M0"))
     L = levi_by_label(d, payload.get("L", "M0"))
-    P = parabolics(levi_by_label(d, payload.get("P_levi", "M0")))[int(payload.get("P", 0))]
-    u = complex(*payload.get("u", (1.0, 0.0)))
+    P = _index(payload, "P", parabolics(levi_by_label(d, payload.get("P_levi", "M0"))))
+    u = _complex(payload.get("u", [1.0, 0.0]), "u")
     val = c_coefficient_example(model, w, model.mu_im, P, u, L, M)
     return f"{val.real}+{val.imag}j", {}
 
 
 def _eval_phi_tt(d, cfg, payload):
     model = _model_from_args(d, cfg, payload)
-    P = parabolics(mzero(d))[int(payload.get("P", 0))]
+    P = _index(payload, "P", parabolics(mzero(d)))
     exp = phi_TT_expansion(model, P, payload.get("domain", "U0"))
     return json.dumps(exp.serialize(), sort_keys=True), {"terms": len(exp.terms)}
 

@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import BadShift, GmcalcError, NoConvergence, NotComparable
 from .exactlin import mat_vec, projector, sym_pair
-from .gmfamily import ScalarRootFns, split_subsets
+from .gmfamily import ScalarRootFns, _poly_eval, split_subsets
 from .levilattice import (
     Levi,
     ParabolicChamber,
@@ -52,7 +52,7 @@ from .levilattice import (
     gfull,
     parabolics,
 )
-from .rootdatum import RatVec, RootDatum
+from .rootdatum import RootDatum
 from .spectral import TauClass, discrete_constants
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
@@ -72,10 +72,7 @@ class TestFunction:
             raise BadShift("test function scale must be positive")
 
     def __call__(self, z):
-        total = 0j if np.isscalar(z) else np.zeros_like(z, dtype=complex)
-        for c in reversed([complex(c) for c in self.coeffs]):
-            total = total * z + c
-        return total * np.exp(float(self.scale) * z * z)
+        return _poly_eval(self.coeffs, z) * np.exp(float(self.scale) * z * z)
 
     def cutoff(self) -> float:
         return 8.0 / math.sqrt(float(self.scale))
@@ -381,12 +378,8 @@ class _MTermData:
 
 def _m_term_data(fns: ScalarRootFns, M: Levi, S: Levi, Q1: ParabolicChamber) -> list[_MTermData]:
     d = fns.levi.datum
-
-    def gd(dual: RatVec) -> tuple[float, ...]:
-        return tuple(sum(float(d.gram[i][j]) * float(dual.coords[j]) for j in range(d.rank)) for i in range(d.rank))
-
     return [
-        _MTermData(float(vol), [(fns.fn(rep_neg), dual_neg, gd(dual_neg)) for rep_neg, dual_neg in factors])
+        _MTermData(float(vol), [(fns.fn(rep_neg), dual_neg, d.float_row(dual_neg)) for rep_neg, dual_neg in factors])
         for vol, factors in split_subsets(fns.levi, M, S, Q1)
     ]
 
@@ -554,7 +547,6 @@ def _plan(case_index: int, case: ShiftCase) -> _ShiftPlan:
     if fns.levi != L1:
         raise NotComparable("densities must live on the home flat of the class")
     Q1 = chamber_below(P, L1)
-    basis_rows = [b.coords for b in L1.basis]
 
     m_terms = _m_term_data(fns, M, gfull(d), Q1)
 
@@ -562,7 +554,7 @@ def _plan(case_index: int, case: ShiftCase) -> _ShiftPlan:
     # are graded; non-orthogonal wall sets are outside the quadrature design
     wall_dirs = [ray.dual.coords for ray in t.tau_rays()]
     _require_orthogonal(d, wall_dirs)
-    onb = _orthonormal_basis(d, basis_rows, wall_dirs)
+    onb = _orthonormal_basis(d, L1.basis, wall_dirs)
     T = phi.cutoff()
 
     def integral(terms, basis, pole_axes, shift, fine_scale=0.01) -> _Integral:
@@ -594,7 +586,7 @@ def _plan(case_index: int, case: ShiftCase) -> _ShiftPlan:
             sub_terms = _m_term_data(fns, M, S, Q1)
             if not sub_terms:
                 continue
-            proj_l = projector(L.basis_rows(), d.gram)
+            proj_l = projector(L.basis, d.gram)
             integrals = []
             for term in sub_terms:
                 pole_dirs = []
@@ -604,7 +596,7 @@ def _plan(case_index: int, case: ShiftCase) -> _ShiftPlan:
                         if any(x != 0 for x in proj):
                             pole_dirs.append(proj)
                 _require_orthogonal(d, pole_dirs)
-                onb_l = _orthonormal_basis(d, [b.coords for b in L.basis], pole_dirs)
+                onb_l = _orthonormal_basis(d, L.basis, pole_dirs)
                 integrals.append(integral([term], onb_l, len(pole_dirs), None))
             rhs.append((dc, nl, integrals, {"L": L.label, "S": S.label, "d": float(dc), "nL": str(nl)}))
     return _ShiftPlan(lhs, rhs)

@@ -5,6 +5,10 @@ Laurent coefficient along a generic rational line; the volume of a convex hull
 is computed in every dimension by one exact beneath-beyond triangulation on
 integer-scaled points.  Both return numbers with rational square so the two
 routes can be compared with no tolerance at all.
+
+A density on a ray is keyed by its template's exact parameters and its
+residue n at 0; no float pole list is kept.  The splitting sums read rays,
+duals and chambers off the Levi lattice.
 """
 from __future__ import annotations
 
@@ -21,6 +25,7 @@ from .errors import (
     FamilyNotSmooth,
     IncompleteInput,
     InternalInconsistency,
+    NoConvergence,
     NotComparable,
     NotDominant,
     PoleHit,
@@ -33,9 +38,9 @@ from .exactlin import (
     gram_det,
     is_zero_vec,
     mat_vec,
+    primitive_ray,
     projector,
     rank as mat_rank,
-    vscale,
 )
 from .levilattice import (
     Levi,
@@ -43,6 +48,7 @@ from .levilattice import (
     QuadConst,
     Ray,
     _rel_basis,
+    chamber_at,
     chamber_cells,
     contains,
     d_constant,
@@ -50,9 +56,10 @@ from .levilattice import (
     flat_kernel,
     gfull,
     parabolics,
+    rays_in,
     restricted_rays,
-    sign_pattern,
     simple_restricted,
+    theta,
 )
 from .ratpoly import Poly, exp_series, series_mul
 from .rootdatum import RatVec, WeylElement, act, invert
@@ -101,7 +108,7 @@ def orthogonal_set(M: Levi, T: RatVec) -> OrthogonalSet:
     for i in d.simple:
         if d.pair(d.roots[i], T) < 0:
             raise NotDominant(f"point pairs negatively with simple root {i}")
-    proj_m = projector(M.basis_rows(), d.gram)
+    proj_m = projector(M.basis, d.gram)
     points: list[RatVec] = []
     cells = chamber_cells(M)
     for idx in range(len(parabolics(M))):
@@ -181,15 +188,14 @@ def hull_volume(pts: OrthogonalSet) -> QuadConst:
     d = M.datum
     if M.dim == 0:
         return QuadConst.one()
-    basis_rows = [b.coords for b in M.basis]
     coords = []
     for p in pts.points:
-        c = coords_in_basis(p.coords, basis_rows)
+        c = coords_in_basis(p.coords, M.basis)
         if c is None:
             raise InternalInconsistency("hull point outside the flat")
         coords.append(c)
     vol = _hull_volume(coords, M.dim)
-    disc = gram_det(basis_rows, d.gram)
+    disc = gram_det(M.basis, d.gram)
     return QuadConst.from_square(vol * vol * disc)
 
 
@@ -239,13 +245,8 @@ class ExpPolyFamily:
         winv = d.element(invert(w.perm)).matrix
         forms = [tuple(row) for row in winv]  # lam_i = sum_j winv[i][j] * s_j
         new_terms: list[list[tuple[Poly, RatVec]]] = [[] for _ in chambers]
-        rays = restricted_rays(M)
-        sign_index = {P.signs: P.index for P in chambers}
         for P in chambers:
-            target = sign_index.get(sign_pattern(d, rays, act(w, P.chamber_point)))
-            if target is None:
-                raise InternalInconsistency("Weyl image of a chamber is not a chamber")
-            new_terms[target] = [
+            new_terms[chamber_at(M, act(w, P.chamber_point)).index] = [
                 (p.subs_linear(forms), act(w, X)) for p, X in self.terms[P.index]
             ]
         return ExpPolyFamily(M, new_terms)
@@ -265,7 +266,7 @@ class ExpPolyFamily:
                 if len(diff) != 1:
                     continue
                 ray = rays[diff[0]]
-                wall = flat_kernel(d, M.basis_rows(), [ray.rep.coords])
+                wall = flat_kernel(d, M.basis, [ray.rep.coords])
 
                 def restricted(chamber_index):
                     grouped: dict[tuple, Poly] = {}
@@ -315,15 +316,13 @@ def family_limit(f: ExpPolyFamily, direction: RatVec | None = None) -> QuadConst
         return QuadConst.from_rational(total)
     lam0 = _generic_direction(M, direction)
     K = M.dim
-    basis_rows = [b.coords for b in M.basis]
     series_total = [Fraction(0)] * (K + 1)
     for P in parabolics(M):
         simples = simple_restricted(P)
-        duals = [vscale(Fraction(2) / d.pair(a, a), a.coords) for a in simples]
         theta_star = Fraction(1)
-        for dual in duals:
-            theta_star *= d.pair(lam0, RatVec(dual))
-        coords = [coords_in_basis(dual, basis_rows) for dual in duals]
+        for a in simples:
+            theta_star *= d.pair(lam0, a.dual)
+        coords = [coords_in_basis(a.dual.coords, M.basis) for a in simples]
         q_p = abs(det(tuple(coords)))
         chamber_series = [Fraction(0)] * (K + 1)
         for p, X in f.terms[P.index]:
@@ -339,7 +338,7 @@ def family_limit(f: ExpPolyFamily, direction: RatVec | None = None) -> QuadConst
         raise FamilyNotSmooth(
             f"negative Laurent orders do not cancel: {series_total[:K]}"
         )
-    disc = gram_det(basis_rows, d.gram)
+    disc = gram_det(M.basis, d.gram)
     c = series_total[K]
     return QuadConst.from_square(c * c * disc, 1 if c > 0 else (-1 if c < 0 else 0))
 
@@ -355,11 +354,10 @@ class ScalarFn:
     densities it models are even in the underlying parameter).
     """
 
-    def __init__(self, n: Fraction, analytic: Callable, label: str, shape: tuple, extra_poles: tuple = ()):
+    def __init__(self, n: Fraction, analytic: Callable, label: str, shape: tuple):
         self.n = Fraction(n)
         self.analytic = analytic
         self.label = label
-        self.extra_poles = extra_poles  # (imag location, residue) pairs on the axis
         # the template kind with its exact parameters, and n: equal keys, equal functions
         self.key = (shape, self.n)
 
@@ -370,13 +368,6 @@ class ScalarFn:
         if self.n == 0:
             return self.analytic(z)
         return -complex(self.n) / z + self.analytic(z)
-
-    def poles_on_axis(self) -> list[tuple[float, complex]]:
-        out = []
-        if self.n != 0:
-            out.append((0.0, complex(-self.n)))
-        out.extend(self.extra_poles)
-        return out
 
     def __repr__(self):
         return f"ScalarFn({self.label}, n={self.n})"
@@ -414,10 +405,9 @@ def scalar_fn_from_template(template: Mapping, n: Fraction) -> ScalarFn:
             (Fraction(str(item["im"])), Fraction(str(item.get("re_res", 0))), Fraction(str(item.get("im_res", 0))))
             for item in template.get("poles", [])
         )
-        poles = tuple((float(im), complex(float(re), float(ri))) for im, re, ri in exact_poles)
         return ScalarFn(
             Fraction(0), lambda z, p=p, q=q: _poly_eval(p, z) / _poly_eval(q, z), "rational",
-            (kind, p, q, exact_poles), poles,
+            (kind, p, q, exact_poles),
         )
     raise ValueError(f"unknown density template {kind!r}")
 
@@ -440,8 +430,6 @@ class ScalarRootFns:
 
     def ray_of(self, beta: RatVec) -> tuple[Ray, int]:
         """The +- ray containing beta and the sign of beta relative to the + side."""
-        from .exactlin import primitive_ray
-
         key = primitive_ray(beta.coords)
         ray = self._rays.get(key)
         if ray is None:
@@ -488,14 +476,11 @@ def split_subsets(
         return [(QuadConst.one(), [])]
     proj_rel = projector(rel, d.gram)
     candidates = []
-    for ray in restricted_rays(L1):
-        if S.dim and any(d.pair(ray.rep, b) != 0 for b in S.basis):
-            continue
-        rep_neg = ray.rep if d.pair(ray.rep, Q1.chamber_point) < 0 else -ray.rep
-        dual_neg = RatVec(vscale(Fraction(2) / d.pair(rep_neg, rep_neg), rep_neg.coords))
-        proj = mat_vec(proj_rel, dual_neg.coords)
+    for ray in rays_in(L1, S):
+        neg = ray if d.pair(ray.rep, Q1.chamber_point) < 0 else -ray
+        proj = mat_vec(proj_rel, neg.dual.coords)
         if not is_zero_vec(proj):
-            candidates.append((rep_neg, dual_neg, proj))
+            candidates.append((neg.rep, neg.dual, proj))
     terms = []
     for subset in combinations(candidates, ks):
         projs = [proj for _, _, proj in subset]
@@ -618,10 +603,8 @@ def induced_family_value(
     """
     L1 = fns.levi
     d = L1.datum
-    from .levilattice import theta as theta_fn
-
     chambers = parabolics(L1)
-    theta_at_dir = {Qp.index: float(theta_fn(Qp, direction)) for Qp in chambers}
+    theta_at_dir = {Qp.index: float(theta(Qp, direction)) for Qp in chambers}
     ev0 = _lam_evaluator(d, lam0)
     # keep the circle well inside the disc where every member stays off its poles
     margin = None
@@ -641,14 +624,12 @@ def induced_family_value(
     factors = {}
     for Qp in chambers:
         rows = []
-        for ray in restricted_rays(L1):
-            sp = d.pair(ray.rep, Qp.chamber_point)
+        for ray, sp in zip(restricted_rays(L1), Qp.signs):
             sq = d.pair(ray.rep, P.chamber_point)
             if not (sp > 0 > sq) and not (sp < 0 < sq):
                 continue
-            rep = ray.rep if sp > 0 else -ray.rep
-            dual = RatVec(vscale(Fraction(2) / d.pair(rep, rep), rep.coords))
-            rows.append((fns.fn(rep), _gram_row(d, dual), ev0(dual)))
+            pos = ray if sp > 0 else -ray
+            rows.append((fns.fn(pos.rep), _gram_row(d, pos.dual), ev0(pos.dual)))
         factors[Qp.index] = rows
 
     def circle_mean(r: float) -> complex:
@@ -670,7 +651,5 @@ def induced_family_value(
     v1 = circle_mean(radius)
     v2 = circle_mean(radius / 2)
     if abs(v1 - v2) > 1e-6 * max(1.0, abs(v2)):
-        from .errors import NoConvergence
-
         raise NoConvergence(f"family limit unstable under radius halving: {v1} vs {v2}")
     return v2

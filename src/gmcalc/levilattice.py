@@ -2,16 +2,21 @@
 
 A Levi subgroup containing the fixed minimal one is identified with the flat
 a_L of the root hyperplane arrangement (its split-center subspace) together
-with the set of roots vanishing on it.  Parabolic sets P(M) are realized as
-the chambers of the restricted root arrangement on a_M.
+with the set of roots vanishing on it.  ``Levi.basis`` holds the flat's basis
+as coordinate rows.  Parabolic sets P(M) are realized as the chambers of the
+restricted root arrangement on a_M.
 
-This module is the one place that derives these objects, and each is built
-once and kept on its owner: the lattice of Levi subgroups on the RootDatum
-(``d.lattice``); the restricted rays, the parabolic chambers, their Weyl
-cells, the bases relative to upper flats and the splitting constants on the
-Levi.  Each chamber keeps
-the sign pattern of the rays on it.  There is no module-level cache, so two
-data built from the same label own separate lattices.
+This module is the one place that derives these objects and answers
+questions about them, and each is built once and kept on its owner: the
+lattice of Levi subgroups on the RootDatum (``d.lattice``); the restricted
+rays, the parabolic chambers, their Weyl cells, the bases relative to upper
+flats and the splitting constants on the Levi.  Each ray keeps its dual, and
+``-ray`` is its other side with that side's dual, so ``simple_restricted``
+hands out signed rays.  Each chamber keeps the sign pattern of the rays on
+it, and ``chamber_at`` finds a point's chamber by that pattern.
+``rays_in(L1, S)`` lists the rays of a_L1 vanishing on a_S.  There is no
+module-level cache, so two data built from the same label own separate
+lattices.
 """
 from __future__ import annotations
 
@@ -20,9 +25,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import InternalInconsistency, NotComparable
+from .errors import IncompleteInput, InternalInconsistency, NotComparable
 from .exactlin import (
-    Mat,
     Vec,
     combine,
     gram_det,
@@ -94,7 +98,7 @@ class QuadConst:
 
 
 class Levi:
-    """A flat of the root arrangement: basis of a_L plus the roots vanishing on it.
+    """A flat of the root arrangement: basis rows of a_L plus the roots vanishing on it.
 
     Objects read off the flat are built on first use and kept here: the
     restricted rays, the parabolic chambers, their Weyl cells, the bases
@@ -102,7 +106,7 @@ class Levi:
     as L1.
     """
 
-    def __init__(self, datum: RootDatum, basis: tuple[RatVec, ...], root_subset: frozenset[int]):
+    def __init__(self, datum: RootDatum, basis: tuple[Vec, ...], root_subset: frozenset[int]):
         self.datum = datum
         self.basis = basis
         self.root_subset = root_subset
@@ -134,18 +138,22 @@ class Levi:
     def __repr__(self):
         return f"Levi({self.label}, dim {self.dim})"
 
-    def basis_rows(self) -> Mat:
-        return tuple(b.coords for b in self.basis)
-
 
 @dataclass(frozen=True)
 class Ray:
-    """One +- pair of restricted-root rays on a_M."""
+    """One +- pair of restricted-root rays on a_M, seen from one side.
+
+    key and members name the pair; rep and dual are the side's.  The rays of
+    restricted_rays are the + sides, and -ray is the - side.
+    """
 
     key: Vec                       # primitive direction of the + side
-    rep: RatVec                    # reduced restricted root on the + side
+    rep: RatVec                    # reduced restricted root on this side
     dual: RatVec                   # 2 rep / <rep, rep>
     members: tuple[tuple[int, Fraction], ...]   # (ambient root index, scalar c with proj = c * key)
+
+    def __neg__(self) -> "Ray":
+        return Ray(self.key, -self.rep, -self.dual, self.members)
 
 
 class ParabolicChamber:
@@ -191,15 +199,11 @@ class ThetaValue:
             raise ZeroDivisionError("degenerate normalization")
         return float(self.product) / float(self.covol)
 
-    def quad(self) -> QuadConst:
-        c = QuadConst.from_rational(self.product)
-        return QuadConst.from_square(c.square / self.covol.square, c.sign * self.covol.sign)
-
 
 def _vanishing_subset(d: RootDatum, basis_rows: Sequence[Vec]) -> frozenset[int]:
     out = []
     for i, r in enumerate(d.roots):
-        if all(d.pair(r, RatVec(b)) == 0 for b in basis_rows):
+        if all(sym_pair(d.gram, r.coords, b) == 0 for b in basis_rows):
             out.append(i)
     return frozenset(out)
 
@@ -236,7 +240,7 @@ def levi_lattice(d: RootDatum) -> tuple[Levi, ...]:
                     flats[new_subset] = new_basis
                     nxt.append((new_subset, new_basis))
         frontier = nxt
-    levis = [Levi(d, tuple(RatVec(b) for b in basis), subset) for subset, basis in flats.items()]
+    levis = [Levi(d, basis, subset) for subset, basis in flats.items()]
     levis.sort(key=lambda L: (-L.dim, sorted(L.root_subset)))
     d.lattice = tuple(levis)
     return d.lattice
@@ -309,10 +313,19 @@ def restricted_rays(M: Levi) -> tuple[Ray, ...]:
     """Reduced restricted-root rays on a_M, grouped in +- pairs; built once per Levi."""
     if M._rays is None:
         d = M.datum
-        proj_m = projector(M.basis_rows(), d.gram)
+        proj_m = projector(M.basis, d.gram)
         projs = ((i, mat_vec(proj_m, r.coords)) for i, r in enumerate(d.roots))
         M._rays = group_rays(d, ((i, p) for i, p in projs if not is_zero_vec(p)))
     return M._rays
+
+
+def rays_in(L1: Levi, S: Levi) -> list[Ray]:
+    """The rays of a_L1 vanishing on a_S, for L1 <= S.
+
+    a_S lies in a_L1, so a root pairs with a_S as its projection to a_L1
+    does: a ray vanishes on a_S exactly when its member roots lie in S.
+    """
+    return [ray for ray in restricted_rays(L1) if ray.members[0][0] in S.root_subset]
 
 
 def sign_pattern(d: RootDatum, rays: Sequence[Ray], point: RatVec) -> tuple[int, ...]:
@@ -324,8 +337,8 @@ def sign_pattern(d: RootDatum, rays: Sequence[Ray], point: RatVec) -> tuple[int,
     return tuple(out)
 
 
-def chambers_of_rays(datum: RootDatum, basis: tuple[RatVec, ...], rays: Sequence[Ray]) -> list[RatVec]:
-    """Interior witnesses, one per chamber of the given ray arrangement on span(basis).
+def chambers_of_rays(datum: RootDatum, basis: Sequence[Vec], rays: Sequence[Ray]) -> list[RatVec]:
+    """Interior witnesses, one per chamber of the given ray arrangement on the span of the rows.
 
     Witnesses are the projections of the Weyl-chamber points onto the flat:
     every chamber of the restricted arrangement of a flat contains such a
@@ -340,9 +353,9 @@ def chambers_of_rays(datum: RootDatum, basis: tuple[RatVec, ...], rays: Sequence
     if not rays:
         pt = zeros(d.rank)
         for b in basis:
-            pt = vadd(pt, b.coords)
+            pt = vadd(pt, b)
         return [RatVec(pt)]
-    proj_m = projector([b.coords for b in basis], d.gram)
+    proj_m = projector(basis, d.gram)
     best: dict[tuple, Vec] = {}
     for w in weyl_group(d):
         proj = mat_vec(proj_m, act(w, d.rho_check).coords)
@@ -389,6 +402,16 @@ def parabolics(M: Levi) -> tuple[ParabolicChamber, ...]:
     return M._chambers
 
 
+def chamber_at(M: Levi, point: RatVec) -> ParabolicChamber:
+    """The chamber of P(M) whose stored ray signs the point has."""
+    signs = sign_pattern(M.datum, restricted_rays(M), point)
+    for P in parabolics(M):
+        if P.signs == signs:
+            return P
+    # stored signs have no zeros: only a point on a wall matches no chamber
+    raise IncompleteInput(f"point lies on a wall of the chambers of {M.label}")
+
+
 def base_chamber(d: RootDatum) -> ParabolicChamber:
     """The minimal parabolic whose chamber contains the dominant regular point."""
     M0 = mzero(d)
@@ -426,13 +449,13 @@ def chamber_cells(M: Levi) -> dict[int, tuple[WeylElement, ...]]:
     return M._cells
 
 
-def simple_restricted(P: ParabolicChamber) -> list[RatVec]:
-    """Signed wall-ray representatives of the chamber (empty for the improper one)."""
+def simple_restricted(P: ParabolicChamber) -> list[Ray]:
+    """The wall rays of the chamber, each on its positive side (none for the improper one)."""
     M = P.levi
     if M.dim == 0:
         return []
     rays = restricted_rays(M)
-    return [rays[k].rep if P.signs[k] > 0 else -rays[k].rep for k in P.wall_rays]
+    return [rays[k] if P.signs[k] > 0 else -rays[k] for k in P.wall_rays]
 
 
 def theta(P: ParabolicChamber, lam: RatVec) -> ThetaValue:
@@ -446,12 +469,9 @@ def theta(P: ParabolicChamber, lam: RatVec) -> ThetaValue:
         return ThetaValue(Fraction(1), QuadConst.one())
     simples = simple_restricted(P)
     product = Fraction(1)
-    duals = []
     for a in simples:
-        dual = vscale(Fraction(2) / d.pair(a, a), a.coords)
-        duals.append(dual)
-        product *= d.pair(lam, RatVec(dual))
-    covol = QuadConst.from_square(gram_det(duals, d.gram))
+        product *= d.pair(lam, a.dual)
+    covol = QuadConst.from_square(gram_det([a.dual.coords for a in simples], d.gram))
     return ThetaValue(product, covol)
 
 
@@ -465,9 +485,9 @@ def _rel_basis(L: Levi, upper: Levi | None) -> tuple[Vec, ...]:
     if got is not None:
         return got
     if upper is None or upper.dim == 0:
-        out = L.basis_rows()
+        out = L.basis
     else:
-        out = tuple(rref(flat_kernel(L.datum, L.basis_rows(), upper.basis_rows())))
+        out = tuple(rref(flat_kernel(L.datum, L.basis, upper.basis)))
     L._rel_bases[key] = out
     return out
 
@@ -549,8 +569,10 @@ def trand_check(d: RootDatum) -> list[dict]:
     return records
 
 
-def _coset_reps(d: RootDatum, subgroup: Iterable[WeylElement]) -> list[WeylElement]:
-    sub = [u.perm for u in subgroup]
+def weyl_cosets(L: Levi) -> list[WeylElement]:
+    """Minimal-length representatives of the cosets w W_L."""
+    d = L.datum
+    sub = [u.perm for u in reflect_subgroup(d, L.root_subset)]
     seen: set = set()
     reps = []
     # weyl_group is sorted by length, so the first unseen element is minimal in its coset
@@ -560,29 +582,3 @@ def _coset_reps(d: RootDatum, subgroup: Iterable[WeylElement]) -> list[WeylEleme
         seen.update(compose(w.perm, u) for u in sub)
         reps.append(w)
     return reps
-
-
-def weyl_cosets(
-    L: Levi | None = None,
-    filters: dict | None = None,
-) -> list[WeylElement]:
-    """Minimal-length representatives of the cosets w W_L (or w W_M with a sandwich filter).
-
-    With filters {"L1": .., "M": .., "S": ..} only representatives with
-    L1 <= wM <= S are kept; the condition does not depend on the representative.
-    """
-    if filters is not None:
-        M = filters["M"]
-        d = M.datum
-        reps = _coset_reps(d, reflect_subgroup(d, M.root_subset))
-        L1, S = filters["L1"], filters["S"]
-        out = []
-        for w in reps:
-            wm = conjugate_levi(w, M)
-            if contains(L1, wm) and contains(wm, S):
-                out.append(w)
-        return out
-    if L is None:
-        raise ValueError("either L or filters is required")
-    d = L.datum
-    return _coset_reps(d, reflect_subgroup(d, L.root_subset))

@@ -32,11 +32,6 @@ class Poly:
         return cls(nvars, {(0,) * nvars: c} if c != 0 else {})
 
     @classmethod
-    def var(cls, nvars: int, i: int) -> "Poly":
-        m = tuple(1 if j == i else 0 for j in range(nvars))
-        return cls(nvars, {m: Fraction(1)})
-
-    @classmethod
     def linear(cls, coeffs: Sequence) -> "Poly":
         n = len(coeffs)
         terms = {}
@@ -96,16 +91,6 @@ class Poly:
         total = Fraction(0)
         for m, c in self.terms.items():
             v = c
-            for e, x in zip(m, point):
-                if e:
-                    v *= x ** e
-            total += v
-        return total
-
-    def eval_complex(self, point: Sequence[complex]) -> complex:
-        total = 0j
-        for m, c in self.terms.items():
-            v = complex(c)
             for e, x in zip(m, point):
                 if e:
                     v *= x ** e

@@ -58,9 +58,6 @@ class VerificationReport:
     records: list[CheckRecord] = field(default_factory=list)
     counters: dict[str, int] = field(default_factory=dict)  # sidecar only
 
-    def add(self, record: CheckRecord) -> None:
-        self.records.append(record)
-
     def extend(self, records) -> None:
         self.records.extend(records)
         self.counters.update(getattr(records, "counters", {}))

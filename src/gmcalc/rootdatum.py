@@ -277,6 +277,11 @@ class RootDatum:
             raise DimensionError(f"expected vectors of length {self.rank}")
         return sym_pair(self.gram, u.coords, v.coords)
 
+    def float_row(self, v: RatVec) -> tuple[float, ...]:
+        """The pairing lam -> <lam, v> as a float row in ambient coordinates."""
+        n = self.rank
+        return tuple(sum(float(self.gram[i][j]) * float(v.coords[j]) for j in range(n)) for i in range(n))
+
     def root_index(self, v: RatVec) -> int | None:
         return self._index.get(v.coords)
 

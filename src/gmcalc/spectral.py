@@ -18,6 +18,7 @@ from .errors import (
     InternalInconsistency,
     NotARoot,
     NotChamberStabilizer,
+    NotComparable,
     NotInStabilizer,
     NotSubsystem,
 )
@@ -33,6 +34,7 @@ from .exactlin import (
     projector,
     rank as mat_rank,
     rref,
+    sym_pair,
     transpose,
 )
 from .gmfamily import ScalarFn, ScalarRootFns, scalar_fn_from_template
@@ -47,6 +49,7 @@ from .levilattice import (
     group_rays,
     levi_lattice,
     mzero,
+    rays_in,
     restricted_rays,
     sign_pattern,
 )
@@ -108,7 +111,7 @@ class TauClass:
             return self._nbeta_cache
         d = self.datum
         home = self.levi_L
-        proj_m = projector(home.basis_rows(), d.gram)
+        proj_m = projector(home.basis, d.gram)
         sigma_keys = []
         for i in self.triple.sigma_roots:
             proj = mat_vec(proj_m, d.roots[i].coords)
@@ -227,17 +230,12 @@ def r_group(t: SpectralTriple | TauClass) -> RGroups:
 
 def _restriction_spans(t: TauClass, upper: Levi) -> bool:
     """Do the pole rays lying in `upper` span the part of a_home orthogonal to a_upper?"""
-    d = t.datum
     home = t.levi_L
-    rel = _rel_basis(home, upper)
-    need = len(rel)
+    need = len(_rel_basis(home, upper))
     if need == 0:
         return True
-    vecs = []
-    for ray in t.tau_rays():
-        if upper.dim and any(d.pair(ray.rep, b) != 0 for b in upper.basis):
-            continue
-        vecs.append(ray.rep.coords)
+    nb = t.nbeta_map()
+    vecs = [ray.rep.coords for ray in rays_in(home, upper) if nb[ray.key] != 0]
     return bool(vecs) and mat_rank(vecs) == need
 
 
@@ -246,7 +244,7 @@ def _brute_force_discrete(t: TauClass, upper: Levi) -> bool:
     d = t.datum
     sub_roots = [i for i in t.triple.sigma_roots if i in upper.root_subset]
     w0 = reflect_subgroup(d, sub_roots)
-    target = rref([b.coords for b in upper.basis]) if upper.dim else []
+    target = rref(upper.basis) if upper.dim else []
     for w in w0:
         fixed = _fixed_space(d, d.element(compose(t.triple.r_elem.perm, w.perm)))
         if len(fixed) != upper.dim:
@@ -258,14 +256,12 @@ def _brute_force_discrete(t: TauClass, upper: Levi) -> bool:
 
 def classify_tau(t: TauClass, G_levi: Levi | None = None) -> dict:
     """Ellipticity plus the discreteness test computed two independent ways."""
-    from .errors import NotComparable
-
     d = t.datum
     upper = G_levi if G_levi is not None else levi_lattice(d)[-1]
     if not contains(t.levi_L, upper):
         raise NotComparable("upper Levi must contain the home Levi")
     fix = _fixed_space(d, t.triple.r_elem)
-    elliptic = rref(list(fix)) == rref([b.coords for b in t.levi_L.basis])
+    elliptic = rref(list(fix)) == rref(t.levi_L.basis)
     span = _restriction_spans(t, upper)
     brute = _brute_force_discrete(t, upper)
     if span != brute:
@@ -301,17 +297,12 @@ def discrete_constants(t: TauClass, L_levi: Levi) -> dict:
     that form a basis of a_home / a_L, the product of their n_beta / 2.  A ray
     and its negative give the same rank and factor, so no chamber is needed.
     """
-    d = t.datum
     home = t.levi_L
     if not contains(home, L_levi):
         raise NotARoot("L must contain the home Levi")
     need = len(_rel_basis(home, L_levi))
     nb = t.nbeta_map()
-    in_l = [
-        (nb[ray.key] / 2, ray.rep.coords)
-        for ray in restricted_rays(home)
-        if not (L_levi.dim and any(d.pair(ray.rep, b) != 0 for b in L_levi.basis))
-    ]
+    in_l = [(nb[ray.key] / 2, ray.rep.coords) for ray in rays_in(home, L_levi)]
     total = Fraction(0)
     for subset in combinations(in_l, need):
         if mat_rank([rep for _, rep in subset]) == need:
@@ -320,6 +311,22 @@ def discrete_constants(t: TauClass, L_levi: Levi) -> dict:
                 prod *= half
             total += prod
     return {"nL": total, "kL": _k_constant(t, L_levi)}
+
+
+def nl_elementary(t: TauClass, L_levi: Levi) -> Fraction:
+    """n^L by a second route: e_need of the n_beta / 2 of the home rays lying in L.
+
+    It is read off prod (1 + x n_beta / 2), with no subsets and no rank test,
+    so it equals discrete_constants(t, L)["nL"] wherever any `need` distinct
+    rays are independent: always for need <= 2, since distinct reduced rays
+    are never parallel.
+    """
+    nb = t.nbeta_map()
+    e = [Fraction(1)]
+    for ray in rays_in(t.levi_L, L_levi):
+        e = [a + nb[ray.key] / 2 * b for a, b in zip(e + [0], [0] + e)]
+    need = t.levi_L.dim - L_levi.dim
+    return e[need] if need < len(e) else Fraction(0)
 
 
 def _k_constant(t: TauClass, L_levi: Levi) -> int:
@@ -348,33 +355,32 @@ class TauWeyl:
         return isinstance(other, TauWeyl) and self.mat == other.mat
 
 
+def _on_home(t: TauClass, w: WeylElement) -> Mat | None:
+    """The matrix of w on the home flat in its basis coordinates; None if w moves the flat."""
+    basis = t.levi_L.basis
+    rows = []
+    for b in basis:
+        c = coords_in_basis(mat_vec(w.matrix, b), basis)
+        if c is None:
+            return None
+        rows.append(c)
+    return transpose(mat(rows))
+
+
 def w_tau_core(t: TauClass) -> tuple[TauWeyl, ...]:
     """Restrictions to the home flat of reflection-part elements commuting with r."""
     d = t.datum
     triple = t.triple
-    home = t.levi_L
-    basis_rows = [b.coords for b in home.basis]
     w0 = reflect_subgroup(d, triple.sigma_roots)
-    if home.dim == 0:
+    if t.levi_L.dim == 0:
         return (TauWeyl((), w0[0]),)
     out: dict[Mat, TauWeyl] = {}
     r = triple.r_elem.perm
     for w in w0:
         if compose(w.perm, r) != compose(r, w.perm):
             continue
-        rows = []
-        ok = True
-        for b in basis_rows:
-            img = mat_vec(w.matrix, b)
-            c = coords_in_basis(img, basis_rows)
-            if c is None:
-                ok = False
-                break
-            rows.append(c)
-        if not ok:
-            continue
-        m = transpose(mat(rows))
-        if m not in out:
+        m = _on_home(t, w)
+        if m is not None and m not in out:
             out[m] = TauWeyl(m, w)
     return tuple(sorted(out.values(), key=lambda x: x.mat))
 
@@ -383,11 +389,10 @@ def _apply_tau(t: TauClass, u: TauWeyl, point: RatVec) -> RatVec:
     home = t.levi_L
     if home.dim == 0:
         return RatVec.zero(t.datum.rank)
-    basis_rows = [b.coords for b in home.basis]
-    c = coords_in_basis(point.coords, basis_rows)
+    c = coords_in_basis(point.coords, home.basis)
     if c is None:
         raise NotInStabilizer("point is not on the home flat")
-    return RatVec(combine(mat_vec(u.mat, c), basis_rows, t.datum.rank))
+    return RatVec(combine(mat_vec(u.mat, c), home.basis, t.datum.rank))
 
 
 def tau_chambers(t: TauClass) -> list[RatVec]:
@@ -410,13 +415,12 @@ def _flat_reflection(t: TauClass, ray: Ray) -> Mat:
     """Reflection in the given ray written in the basis coordinates of the home flat."""
     d = t.datum
     home = t.levi_L
-    basis_rows = [b.coords for b in home.basis]
-    dual_c = coords_in_basis(ray.dual.coords, basis_rows)
+    dual_c = coords_in_basis(ray.dual.coords, home.basis)
     k = home.dim
     cols = []
     for j in range(k):
         e = tuple(Fraction(1) if l == j else Fraction(0) for l in range(k))
-        val = d.pair(ray.rep, RatVec(basis_rows[j]))
+        val = sym_pair(d.gram, ray.rep.coords, home.basis[j])
         cols.append(tuple(x - val * y for x, y in zip(e, dual_c)))
     return transpose(mat(cols))
 
@@ -432,15 +436,10 @@ def eps_tau(t: TauClass, w) -> int:
     d = t.datum
     rays = t.tau_rays()
     if isinstance(w, WeylElement):
-        basis_rows = [b.coords for b in t.levi_L.basis]
-        rows = []
-        for b in basis_rows:
-            img = mat_vec(w.matrix, b)
-            c = coords_in_basis(img, basis_rows)
-            if c is None:
-                raise NotInStabilizer("element does not preserve the home flat")
-            rows.append(c)
-        u = TauWeyl(transpose(mat(rows)), w)
+        m = _on_home(t, w)
+        if m is None:
+            raise NotInStabilizer("element does not preserve the home flat")
+        u = TauWeyl(m, w)
     elif isinstance(w, TauWeyl):
         u = w
     else:
@@ -503,7 +502,6 @@ def tempext_check(
                 subsets.append(combo)
     if not subsets:
         subsets = [()]
-    basis_rows = [b.coords for b in home.basis]
     for F in subsets:
         for wall in F if F else []:
             wall_pts = _wall_points(t, wall, F)
@@ -541,7 +539,7 @@ def tempext_check(
 def _wall_points(t: TauClass, wall: Ray, F) -> list[RatVec]:
     """A few deterministic generic points on the wall, away from the other pole walls."""
     d = t.datum
-    wall_vecs = flat_kernel(d, t.levi_L.basis_rows(), [wall.rep.coords])
+    wall_vecs = flat_kernel(d, t.levi_L.basis, [wall.rep.coords])
     if not wall_vecs:
         return [RatVec.zero(d.rank)]
     others = [r for r in t.tau_rays() if r.key != wall.key]
@@ -576,11 +574,7 @@ def _symmetrized_sum(
         ]
         val = complex(phi(moved))
         for ray in F:
-            gd = [
-                sum(float(d.gram[i][j]) * float(ray.dual.coords[j]) for j in range(d.rank))
-                for i in range(d.rank)
-            ]
-            z = 1j * sum(m * g for m, g in zip(moved, gd))
+            z = 1j * sum(m * g for m, g in zip(moved, d.float_row(ray.dual)))
             val *= fns.value(ray.rep, z)
         total += val
         scale += abs(val)
@@ -600,13 +594,7 @@ def closed_subsystems(d: RootDatum) -> list[frozenset[int]]:
             subset = frozenset(combo) | frozenset(d.neg_of[i] for i in combo)
             if _is_closed_subsystem(d, subset):
                 out.append(subset)
-    seen = set()
-    unique = []
-    for s in out:
-        if s not in seen:
-            seen.add(s)
-            unique.append(s)
-    return unique
+    return out
 
 
 def enumerate_spectral_triples(d: RootDatum) -> list[SpectralTriple]:

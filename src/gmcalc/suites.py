@@ -1,12 +1,11 @@
 """Verification suites: each one turns a configured group into check records."""
 from __future__ import annotations
 
+import json
 import random
 import time
 from dataclasses import replace
 from fractions import Fraction
-
-import numpy as np
 
 from .asymptotic import (
     SigmaModel,
@@ -20,7 +19,6 @@ from .asymptotic import (
 from .config import Config
 from .contour import (
     FlatTestFunction,
-    MeromorphicLine,
     ShiftCase,
     TestFunction,
     chamber_below,
@@ -52,7 +50,7 @@ from .levilattice import (
     theta,
     trand_check,
 )
-from .report import CheckRecord, SuiteRecords, digest
+from .report import CheckRecord, SuiteRecords, VerificationReport, digest
 from .rootdatum import RatVec, RootDatum, build_root_system, weyl_group
 from .spectral import (
     build_spectral_triple,
@@ -61,6 +59,7 @@ from .spectral import (
     density_for,
     discrete_constants,
     enumerate_spectral_triples,
+    nl_elementary,
     reflections_in_core,
     tau_class,
     tempext_check,
@@ -196,10 +195,14 @@ def suite_nl_independence(cfg: Config, d: RootDatum) -> list[CheckRecord]:
             nonlocal home
             t = tau_class(triple)
             for L in enumerate_levis(d, lower=t.levi_L):
-                res = discrete_constants(t, L)
-                if L == t.levi_L and res["nL"] != 1:
+                nl = discrete_constants(t, L)["nL"]
+                if L == t.levi_L and nl != 1:
                     home = L.label
-                    return False, float(res["nL"]), "home value is not 1"
+                    return False, float(nl), "home value is not 1"
+                # two distinct rays are independent, so the routes must agree up to need 2
+                e = nl_elementary(t, L) if t.levi_L.dim - L.dim <= 2 else nl
+                if nl != e:
+                    return False, abs(float(nl - e)), f"n^{L.label} = {nl} but e_need of n_beta/2 is {e}"
             return True, 0.0, None
 
         cid = f"nL/{d.label}/{idx:03d}"
@@ -222,11 +225,7 @@ def suite_residue_1d(cfg: Config, d: RootDatum) -> list[CheckRecord]:
     tol = float(cfg.tolerances["residue_1d"])
     pv_tol = float(cfg.tolerances["pv_zero"])
     for n in (Fraction(1, 2), Fraction(1), Fraction(2)):
-        pure = MeromorphicLine(
-            lambda z: np.zeros_like(z, dtype=complex) if not np.isscalar(z) else 0j,
-            ((0.0, complex(-n)),),
-            f"pole(-{n}/z)",
-        )
+        pure = from_scalar_fn(scalar_fn_from_template({"kind": "pole"}, n))
         model = from_scalar_fn(scalar_fn_from_template(cfg.m_model, n))
         for kind, line in (("pole", pure), ("model", model)):
             for j, phi in enumerate(battery):
@@ -446,13 +445,8 @@ def suite_examples(cfg: Config, d: RootDatum) -> list[CheckRecord]:
     def phi_tt_terms():
         if M0.dim != d.rank or d.rank > 2:
             return True, 0.0, "expansion recorded for rank <= 2 groups"
-        import json as _json
-
-        from .asymptotic import phi_TT_expansion
-        from .spectral import density_for as _density
-
         t = tau_class(build_spectral_triple(d, range(len(d.roots)), []))
-        fns = _density(t, cfg.m_model)
+        fns = density_for(t, cfg.m_model)
         mu = RatVec.zero(d.rank)
         for k, cw in enumerate(d.fund_coweights):
             mu = mu + Fraction(k + 1) * cw  # distinct coefficients keep the orbit regular
@@ -460,7 +454,7 @@ def suite_examples(cfg: Config, d: RootDatum) -> list[CheckRecord]:
         exp = phi_TT_expansion(model, P0)
         expected = len(levi_lattice(d)) * len(weyl_group(d))
         ok = len(exp.terms) == expected
-        return ok, float(len(exp.terms) - expected), _json.dumps(exp.serialize(), sort_keys=True)
+        return ok, float(len(exp.terms) - expected), json.dumps(exp.serialize(), sort_keys=True)
 
     add("formal-expansion-terms", phi_tt_terms, {"chamber": P0.index})
 
@@ -480,8 +474,6 @@ SUITE_FUNCS = {
 
 
 def run_suites(cfg: Config):
-    from .report import VerificationReport
-
     d = build_root_system(cfg.group, cfg.gram)
     gram_strings = [[str(x) for x in row] for row in d.gram]
     report = VerificationReport(

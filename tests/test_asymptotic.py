@@ -258,10 +258,10 @@ def test_phi_minimal_levi_a1_zero_arguments():
         for S in enumerate_levis(d, lower=M0):
             dc = d_constant(M0, G, S)
             if not dc.is_zero():
-                from gmcalc.asymptotic import _chamber_at
+                from gmcalc.levilattice import chamber_at
                 from gmcalc.rootdatum import act
 
-                wp = _chamber_at(M0, act(w, P.chamber_point))
+                wp = chamber_at(M0, act(w, P.chamber_point))
                 inner += float(dc) * model.m_rel(M0, S, wp, conj=True)
         total += inner
     assert got == pytest.approx(0.5 * total, rel=1e-12)
@@ -305,8 +305,7 @@ def test_assemble_phip_direct_assembly():
     inputs = {X.label: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for X in levi_lattice(d)}
     got = assemble_PhiP(inputs, M0, L, model, P)
     # independent reassembly
-    from gmcalc.asymptotic import _chamber_at
-    from gmcalc.levilattice import conjugate_levi, weyl_cosets
+    from gmcalc.levilattice import chamber_at, conjugate_levi, contains, weyl_cosets
     from gmcalc.rootdatum import act
     from gmcalc.spectral import discrete_constants
 
@@ -318,9 +317,11 @@ def test_assemble_phip_direct_assembly():
         dc = d_constant(M0, L, S)
         if dc.is_zero():
             continue
-        for w in weyl_cosets(filters={"L1": M0, "M": M, "S": S}):
+        for w in weyl_cosets(M):
             wm = conjugate_levi(w, M)
-            wp = _chamber_at(wm, act(w, P.chamber_point))
+            if not (contains(M0, wm) and contains(wm, S)):
+                continue
+            wp = chamber_at(wm, act(w, P.chamber_point))
             expected += float(dc) * inputs[wm.label] * model.m_rel(wm, S, wp, conj=True)
     expected *= (kl / kl1) * float(nl)
     assert got == pytest.approx(expected, rel=1e-12)
@@ -408,18 +409,3 @@ def test_assemble_phip_linear_in_inputs():
     vb = assemble_PhiP(b, M0, L, model, P)
     vc = assemble_PhiP(combo, M0, L, model, P)
     assert vc == pytest.approx(s * va + u * vb, rel=1e-12)
-
-
-def test_chamber_at_reads_stored_signs_and_rejects_wall_points():
-    from gmcalc.asymptotic import _chamber_at
-    from gmcalc.errors import IncompleteInput
-
-    for label in ("A2", "B2", "G2"):
-        d = build_root_system(label)
-        for M in levi_lattice(d):
-            for P in parabolics(M):
-                assert _chamber_at(M, P.chamber_point) is P
-        # a chamber point of a line lies on the walls of the roots vanishing on it
-        line = next(L for L in levi_lattice(d) if L.dim == 1)
-        with pytest.raises(IncompleteInput, match="wall"):
-            _chamber_at(mzero(d), parabolics(line)[0].chamber_point)

@@ -289,3 +289,24 @@ def test_lemma_shift_counters_and_runtimes_stay_in_the_sidecar(tmp_path):
     assert all(rt is not None and rt > 0 for rt in timing["runtimes"].values())
     assert "counters" not in report
     assert all("runtime" not in c for c in report["checks"])
+
+
+@pytest.mark.parametrize(
+    "expr, args",
+    [
+        ("theta", '{"lambda": 5}'),
+        ("theta", '{"lambda": ["1/2"], "chamber": 9}'),
+        ("theta", '{"lambda": ["1/2"], "chamber": -1}'),
+        ("theta", '{"lambda": ["1/2"], "chamber": true}'),
+        ("delta_Sigma", '{"Y": 5}'),
+        ("alpha_X", '{"nu": 5}'),
+        ("phi_TT", '{"sigma_roots": [0, 1], "P": 99}'),
+        ("c_coeff", '{"u": 5}'),
+    ],
+)
+def test_eval_rejects_bad_vectors_and_indices(capsys, expr, args):
+    # once a traceback (exit 1), or for chamber -1 a silent value from the last chamber
+    assert main(["eval", "--group", "A1", "--expr", expr, "--args", args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1

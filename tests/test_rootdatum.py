@@ -196,3 +196,15 @@ def test_subgroups_and_words_match_reflection_products(case):
     simple_word = [k % d.rank for k in word]
     expected = ref_product(d, [d.simple[k] for k in simple_word])
     assert element_from_word(d, simple_word).matrix == expected
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "G2", "A1xA3"])
+def test_float_row_is_the_inline_pairing_row(label):
+    d = build_root_system(label)
+    for v in list(d.roots) + list(d.coroots) + [d.rho_check]:
+        inline = tuple(
+            sum(float(d.gram[i][j]) * float(v.coords[j]) for j in range(d.rank)) for i in range(d.rank)
+        )
+        got = d.float_row(v)
+        assert type(got) is tuple and got == inline
+        assert all(a.hex() == b.hex() for a, b in zip(got, inline))

@@ -21,6 +21,7 @@ from gmcalc.spectral import (
     tempext_check,
     w_tau_core,
 )
+from gmcalc.exactlin import coords_in_basis, mat, mat_vec, transpose
 
 
 def full_sigma(d):
@@ -175,6 +176,12 @@ def test_discrete_constants_match_elementary_symmetric(nl_elementary):
     ]
     assert len(pairs) == 319
     assert sum(discrete_constants(t, L)["nL"] != nl_elementary(t, L) for t, L in pairs) == 5
+    # two distinct rays are always independent, so the routes agree up to need 2
+    assert all(
+        discrete_constants(t, L)["nL"] == nl_elementary(t, L)
+        for t, L in pairs
+        if t.levi_L.dim - L.dim <= 2
+    )
 
 
 def test_eps_tau_character():
@@ -241,3 +248,19 @@ def test_closed_subsystem_counts():
     d2 = build_root_system("B2")
     # empty, four A1 pairs, two orthogonal A1xA1 pairs (short-short and long-long), full
     assert len(closed_subsystems(d2)) == 8
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "G2", "A3"])
+def test_on_home_matches_basis_loop(label):
+    from gmcalc.spectral import _on_home
+
+    d = build_root_system(label)
+    for triple in enumerate_spectral_triples(d):
+        t = tau_class(triple)
+        basis = t.levi_L.basis
+        for u in w_tau_core(t):
+            if not basis:
+                continue
+            rows = [coords_in_basis(mat_vec(u.lift.matrix, b), basis) for b in basis]
+            assert None not in rows
+            assert _on_home(t, u.lift) == transpose(mat(rows)) == u.mat
