@@ -10,6 +10,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from math import isfinite, isqrt
 from pathlib import Path
 
 from .asymptotic import (
@@ -20,7 +21,7 @@ from .asymptotic import (
     phi_TT_expansion,
     weyl_denominator,
 )
-from .config import ALL_SUITES, load_config
+from .config import ALL_SUITES, check_density, load_config
 from .errors import ConfigError, GmcalcError
 from .levilattice import (
     d_constant,
@@ -38,16 +39,28 @@ from .suites import _generic_offset, run_suites
 
 def _ratvec(d, items, name: str) -> RatVec:
     """A vector argument: a list of d.rank rationals."""
-    if not isinstance(items, list) or len(items) != d.rank:
-        raise ConfigError(f"{name} must be a list of {d.rank} rationals, got {json.dumps(items)}")
-    return RatVec.of([Fraction(str(x)) for x in items])
+    try:
+        if isinstance(items, list) and len(items) == d.rank:
+            return RatVec.of([Fraction(str(x)) for x in items])
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise ConfigError(f"{name} must be a list of {d.rank} rationals, got {json.dumps(items)}")
 
 
 def _complex(pair, name: str) -> complex:
-    """A complex argument: a pair [re, im] of numbers."""
-    if not (isinstance(pair, list) and len(pair) == 2 and all(type(x) in (int, float) for x in pair)):
-        raise ConfigError(f"{name} must be a pair [re, im] of numbers, got {json.dumps(pair)}")
+    """A complex argument: a pair [re, im] of finite numbers."""
+    finite = isinstance(pair, list) and all(type(x) in (int, float) and isfinite(x) for x in pair)
+    if not (finite and len(pair) == 2):
+        raise ConfigError(f"{name} must be a pair [re, im] of finite numbers, got {json.dumps(pair)}")
     return complex(*pair)
+
+
+def _root_indices(d, payload, key: str) -> list[int]:
+    """A list of in-range root indices under key (default: the positive roots)."""
+    items = payload.get(key, list(d.pos_indices))
+    if not isinstance(items, list) or any(type(i) is not int or not 0 <= i < len(d.roots) for i in items):
+        raise ConfigError(f"{key} must be a list of root indices 0..{len(d.roots) - 1}, got {json.dumps(items)}")
+    return items
 
 
 def _index(payload, key: str, items):
@@ -62,8 +75,6 @@ def _quad_str(val) -> str:
     """Exact rendering of a rational-square value; rational when it is one."""
     if val.is_zero():
         return "0"
-    from math import isqrt
-
     num, den = val.square.numerator, val.square.denominator
     rn, rd = isqrt(num), isqrt(den)
     if rn * rn == num and rd * rd == den:
@@ -129,6 +140,8 @@ def _spectral_from_args(d, payload):
 
 def _model_from_args(d, cfg, payload):
     t = _spectral_from_args(d, payload)
+    if "model" in payload:
+        check_density("model", payload["model"])
     fns = density_for(t, payload.get("model", cfg.m_model))
     mu = _ratvec(d, payload.get("mu", [0] * d.rank), "mu")
     ev = _ratvec(d, payload["eval"], "eval") if "eval" in payload else _generic_offset(d)
@@ -148,10 +161,13 @@ def cmd_eval(args) -> int:
     try:
         value, extra = EXPRESSIONS[args.expr](d, cfg, payload)
     except KeyError as exc:
-        print(f"error: unknown expression or missing argument: {exc}", file=sys.stderr)
+        print(f"error: missing argument {exc}", file=sys.stderr)
         return 2
     except (GmcalcError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError as exc:
+        print(f"error: arguments too large to evaluate in floating point: {exc}", file=sys.stderr)
         return 2
     print(f"group: {d.label}")
     print("gram: " + json.dumps([[str(x) for x in row] for row in d.gram]))
@@ -199,8 +215,7 @@ def _eval_alpha_x(d, cfg, payload):
 
 def _eval_eps_m(d, cfg, payload):
     w = element_from_word(d, payload.get("word", []))
-    sigma = payload.get("sigma", list(d.pos_indices))
-    return eps_M_sign(d, w, sigma), {"word": payload.get("word", [])}
+    return eps_M_sign(d, w, _root_indices(d, payload, "sigma")), {"word": payload.get("word", [])}
 
 
 def _eval_delta_sigma(d, cfg, payload):
@@ -208,7 +223,7 @@ def _eval_delta_sigma(d, cfg, payload):
     if not isinstance(Y, list) or len(Y) != d.rank:
         raise ConfigError(f"Y must be a list of {d.rank} pairs [re, im], got {json.dumps(Y)}")
     Y = [_complex(y, "each entry of Y") for y in Y]
-    val = weyl_denominator(d, payload.get("sigma", list(d.pos_indices)), Y)
+    val = weyl_denominator(d, _root_indices(d, payload, "sigma"), Y)
     return f"{val.real}+{val.imag}j", {}
 
 

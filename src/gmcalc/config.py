@@ -1,4 +1,4 @@
-"""Run configuration: a versioned JSON document with strict key validation."""
+"""Run configuration: a versioned JSON document checked against config.schema.json."""
 from __future__ import annotations
 
 import json
@@ -10,21 +10,14 @@ from pathlib import Path
 from .errors import ConfigError
 from .gmfamily import scalar_fn_from_template
 
-CONFIG_SCHEMA = "gmcalc-config-v1"
+# the one statement of the config's structural rules; load_config adds only what it cannot state
+_SCHEMA = json.loads(Path(__file__).with_name("config.schema.json").read_text(encoding="utf-8"))
 
-ALL_SUITES = (
-    "hull-limit",
-    "trand",
-    "tdisc",
-    "nL-independence",
-    "residue-1d",
-    "lemma-shift",
-    "tempext",
-    "examples",
-)
+# the suites in run order, as the schema lists them after "all"
+ALL_SUITES = tuple(s for s in _SCHEMA["properties"]["suites"]["items"]["enum"] if s != "all")
 
 _DEFAULTS = {
-    "schema": CONFIG_SCHEMA,
+    "schema": "gmcalc-config-v1",
     "group": "A2",
     "gram": None,
     "suites": ["all"],
@@ -83,28 +76,57 @@ class Config:
         return list(self.suites)
 
 
-def _merge_tolerances(given) -> dict:
-    """A partial tolerances object overrides only the keys it names."""
-    defaults = _DEFAULTS["tolerances"]
-    if not isinstance(given, dict):
-        raise ConfigError("tolerances must be an object")
-    unknown = set(given) - set(defaults)
-    if unknown:
-        raise ConfigError(f"unknown tolerances: {sorted(unknown)}; expected {sorted(defaults)}")
-    bad = sorted(k for k, v in given.items() if isinstance(v, bool) or not isinstance(v, (int, float)))
-    if bad:
-        raise ConfigError(f"tolerances must be numbers: {bad}")
-    return {**defaults, **given}
-
-
 def _is_number(x) -> bool:
     """A finite JSON number; bool is not one."""
     return not isinstance(x, bool) and (isinstance(x, int) or (isinstance(x, float) and math.isfinite(x)))
 
 
-def _check_positive_list(name: str, value, min_items: int) -> None:
-    if not isinstance(value, list) or len(value) < min_items or any(not _is_number(x) or x <= 0 for x in value):
-        raise ConfigError(f"{name} must be a list of at least {min_items} positive numbers, got {value!r}")
+# the JSON types config.schema.json names; as in the schema, an integer may have a zero fraction
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "null": lambda v: v is None,
+    "number": _is_number,
+    "integer": lambda v: _is_number(v) and v == int(v),
+}
+
+
+def _validate(value, schema: dict, where: str) -> None:
+    """Check value against schema, in the subset of JSON Schema that config.schema.json uses."""
+    if "$ref" in schema:
+        target = _SCHEMA
+        for part in schema["$ref"].removeprefix("#/").split("/"):
+            target = target[part]
+        _validate(value, target, where)
+    types = schema.get("type", ())
+    types = [types] if isinstance(types, str) else types
+    if types and not any(_TYPES[t](value) for t in types):
+        raise ConfigError(f"{where} must be of type {' or '.join(types)}, got {value!r}")
+    if "const" in schema and value != schema["const"]:
+        raise ConfigError(f"{where} must be {schema['const']!r}, got {value!r}")
+    if "enum" in schema and value not in schema["enum"]:
+        raise ConfigError(f"{where} must be one of {schema['enum']}, got {value!r}")
+    if _is_number(value) and "minimum" in schema and value < schema["minimum"]:
+        raise ConfigError(f"{where} must be at least {schema['minimum']}, got {value!r}")
+    if _is_number(value) and "exclusiveMinimum" in schema and value <= schema["exclusiveMinimum"]:
+        raise ConfigError(f"{where} must be above {schema['exclusiveMinimum']}, got {value!r}")
+    if isinstance(value, list):
+        if len(value) < schema.get("minItems", 0):
+            raise ConfigError(f"{where} needs at least {schema['minItems']} items, got {value!r}")
+        for i, item in enumerate(value):
+            _validate(item, schema.get("items", {}), f"{where}[{i}]")
+    if isinstance(value, dict):
+        props = schema.get("properties", {})
+        missing = [k for k in schema.get("required", ()) if k not in value]
+        if missing:
+            raise ConfigError(f"{where} needs the keys {missing}, got {value!r}")
+        unknown = sorted(set(value) - set(props)) if schema.get("additionalProperties") is False else []
+        if unknown:
+            raise ConfigError(f"unknown keys in {where}: {unknown}; expected {sorted(props)}")
+        for k, v in value.items():
+            if k in props:
+                _validate(v, props[k], f"{where}.{k}")
 
 
 def _rational(name: str, x) -> Fraction:
@@ -115,100 +137,59 @@ def _rational(name: str, x) -> Fraction:
         raise ConfigError(f"{name} must be a rational number, got {x!r}") from None
 
 
-def _check_density(name: str, template) -> None:
-    if not isinstance(template, dict):
-        raise ConfigError(f"{name} must be an object, got {template!r}")
+def check_density(name: str, template) -> None:
+    """Reject a density template unless it matches the schema's density and builds."""
+    _validate(template, _SCHEMA["$defs"]["density"], name)
     try:
         scalar_fn_from_template(template, Fraction(0))
-    except (ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"bad {name} {template!r}: {exc}") from None
 
 
-def _check_test_functions(value) -> None:
-    if not isinstance(value, list) or not value:
-        raise ConfigError(f"test_functions must be a non-empty list, got {value!r}")
-    for tf in value:
-        if not isinstance(tf, dict) or not isinstance(tf.get("poly"), list) or "scale" not in tf:
-            raise ConfigError(f"test functions need a poly list and a scale, got {tf!r}")
-        for c in tf["poly"]:
-            _rational("test function coefficient", c)
-        if _rational("test function scale", tf["scale"]) <= 0:
-            raise ConfigError("test function scale must be positive")
-
-
-def _check_gram(value) -> None:
-    if value is None:
-        return
-    if not isinstance(value, list) or any(not isinstance(row, list) for row in value):
-        raise ConfigError(f"gram must be a list of rows or null, got {value!r}")
-    for row in value:
-        for x in row:
-            _rational("gram entry", x)
-
-
-def _check_number(name: str, value, integer: bool = False) -> None:
-    # as in the schema, an integer may be written with a zero fraction
-    if not _is_number(value) or (integer and value != int(value)):
-        raise ConfigError(f"{name} must be {'an integer' if integer else 'a number'}, got {value!r}")
-
-
-def _check_flat_phi(value) -> None:
-    keys = {"c0", "c1", "c2", "scale"}
-    if not isinstance(value, list) or not value:
-        raise ConfigError(f"flat_phi must be a non-empty list, got {value!r}")
-    for entry in value:
-        if not isinstance(entry, dict) or set(entry) != keys:
-            raise ConfigError(f"flat_phi entries need exactly the keys {sorted(keys)}, got {entry!r}")
-        if not all(_is_number(v) for v in entry.values()):
-            raise ConfigError(f"flat_phi coefficients must be numbers, got {entry!r}")
-        if not entry["scale"] > 0:
-            raise ConfigError(f"flat_phi scale must be positive, got {entry['scale']!r}")
-
-
 def load_config(data: dict | None = None, path: str | Path | None = None, overrides: dict | None = None) -> Config:
-    """Build a fully resolved configuration; unknown keys are rejected."""
-    merged = dict(_DEFAULTS)
+    """Build a fully resolved configuration from a document valid under config.schema.json.
+
+    Keys the document leaves out take their defaults; a partial tolerances
+    object overrides only the keys it names.
+    """
     if path is not None:
         try:
             data = json.loads(Path(path).read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config: {exc}")
-    if data:
-        unknown = set(data) - set(_DEFAULTS)
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        if data.get("schema", CONFIG_SCHEMA) != CONFIG_SCHEMA:
-            raise ConfigError(f"unsupported config schema {data.get('schema')!r}")
-        merged.update(data)
-        if "tolerances" in data:
-            merged["tolerances"] = _merge_tolerances(data["tolerances"])
-    if overrides:
-        merged.update({k: v for k, v in overrides.items() if v is not None})
-    suites = merged["suites"]
-    bad = [s for s in suites if s != "all" and s not in ALL_SUITES]
-    if bad:
-        raise ConfigError(f"unknown suites: {bad}; expected {ALL_SUITES}")
-    _check_positive_list("epsilons", merged["epsilons"], 2)
-    _check_positive_list("delta_ladder", merged["delta_ladder"], 2)
-    _check_flat_phi(merged["flat_phi"])
-    _check_test_functions(merged["test_functions"])
-    _check_density("m_model", merged["m_model"])
-    _check_density("r_model", merged["r_model"])
-    _check_gram(merged["gram"])
-    _check_positive_list("tempext_deltas", merged["tempext_deltas"], 2)
+    elif data is None:
+        data = {}
+    if overrides and isinstance(data, dict):
+        data = {**data, **{k: v for k, v in overrides.items() if v is not None}}
+    _validate(data, _SCHEMA, "config")
+    merged = {**_DEFAULTS, **data, "tolerances": {**_DEFAULTS["tolerances"], **data.get("tolerances", {})}}
+    # what the schema cannot state: rational literals, non-zero test data, builds, shrinking ladders
+    for row in merged["gram"] or ():
+        for x in row:
+            _rational("gram entry", x)
+    for tf in merged["test_functions"]:
+        # a list, not a generator: every coefficient must parse, also after the first non-zero one
+        if not any([_rational("test function coefficient", c) for c in tf["poly"]]):
+            raise ConfigError(f"test function poly must not be zero, got {tf['poly']!r}")
+        if _rational("test function scale", tf["scale"]) <= 0:
+            raise ConfigError(f"test function scale must be positive, got {tf['scale']!r}")
+    for entry in merged["flat_phi"]:
+        if entry["c0"] == entry["c1"] == entry["c2"] == 0:
+            raise ConfigError(f"flat_phi entry must not be zero, got {entry!r}")
+    check_density("m_model", merged["m_model"])
+    check_density("r_model", merged["r_model"])
     # the growth exponent divides by log(first / last)
     if not merged["tempext_deltas"][0] > merged["tempext_deltas"][-1]:
         raise ConfigError(f"tempext_deltas must start above where they end, got {merged['tempext_deltas']!r}")
-    _check_number("hull_samples", merged["hull_samples"], integer=True)
-    if merged["hull_samples"] < 1:
-        raise ConfigError(f"hull_samples must be at least 1, got {merged['hull_samples']!r}")
-    _check_number("seed", merged["seed"], integer=True)
-    _check_number("growth_threshold", merged["growth_threshold"])
+    # odd-power extrapolation takes the last nodes as the smallest, and equal nodes are singular
+    ladder = merged["delta_ladder"]
+    if not all(a > b for a, b in zip(ladder, ladder[1:])):
+        raise ConfigError(f"delta_ladder must strictly decrease, got {ladder!r}")
     raw = {k: v for k, v in merged.items() if k != "schema"}
     return Config(
         group=merged["group"],
         gram=merged["gram"],
-        suites=list(suites),
+        suites=list(merged["suites"]),
         m_model=dict(merged["m_model"]),
         r_model=dict(merged["r_model"]),
         test_functions=[dict(t) for t in merged["test_functions"]],

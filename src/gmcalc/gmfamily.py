@@ -392,24 +392,25 @@ def scalar_fn_from_template(template: Mapping, n: Fraction) -> ScalarFn:
         cf = complex(c)
         # poles at +-sqrt(c) on the real axis, off the integration lines
         return ScalarFn(n, lambda z, cf=cf: z / (z * z - cf), f"model_plancherel({c})", (kind, c))
+    if kind not in ("pole_plus_rational", "rational"):
+        raise ValueError(f"unknown density template {kind!r}")
+    if "p" not in template or "q" not in template:
+        raise ValueError(f"{kind} density needs p and q")
+    p = tuple(Fraction(str(x)) for x in template["p"])
+    q = tuple(Fraction(str(x)) for x in template["q"])
+    if not any(q):
+        raise ValueError(f"{kind} density needs a nonzero denominator q")
+
+    def fn(z, p=p, q=q):
+        return _poly_eval(p, z) / _poly_eval(q, z)
+
     if kind == "pole_plus_rational":
-        p = tuple(Fraction(str(x)) for x in template["p"])
-        q = tuple(Fraction(str(x)) for x in template["q"])
-        return ScalarFn(
-            n, lambda z, p=p, q=q: _poly_eval(p, z) / _poly_eval(q, z), "pole_plus_rational", (kind, p, q)
-        )
-    if kind == "rational":
-        p = tuple(Fraction(str(x)) for x in template["p"])
-        q = tuple(Fraction(str(x)) for x in template["q"])
-        exact_poles = tuple(
-            (Fraction(str(item["im"])), Fraction(str(item.get("re_res", 0))), Fraction(str(item.get("im_res", 0))))
-            for item in template.get("poles", [])
-        )
-        return ScalarFn(
-            Fraction(0), lambda z, p=p, q=q: _poly_eval(p, z) / _poly_eval(q, z), "rational",
-            (kind, p, q, exact_poles),
-        )
-    raise ValueError(f"unknown density template {kind!r}")
+        return ScalarFn(n, fn, kind, (kind, p, q))
+    exact_poles = tuple(
+        (Fraction(str(item["im"])), Fraction(str(item.get("re_res", 0))), Fraction(str(item.get("im_res", 0))))
+        for item in template.get("poles", [])
+    )
+    return ScalarFn(Fraction(0), fn, kind, (kind, p, q, exact_poles))
 
 
 class ScalarRootFns:

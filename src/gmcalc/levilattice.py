@@ -258,7 +258,7 @@ def levi_by_label(d: RootDatum, label: str) -> Levi:
     for L in levi_lattice(d):
         if L.label == label:
             return L
-    raise KeyError(f"no Levi labeled {label!r}; see `describe` output")
+    raise ValueError(f"no Levi labeled {label!r}; see `describe` output")
 
 
 def contains(smaller: Levi, larger: Levi) -> bool:

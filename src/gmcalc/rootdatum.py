@@ -169,6 +169,10 @@ class RootDatum:
         self.factors = factors
         self.rank = len(gram)
         self.lattice = None  # the Levi lattice, built once by levilattice.levi_lattice
+        # before the build: on another form a root has length 0 or the reflections generate without end
+        for k in range(1, self.rank + 1):
+            if det(tuple(row[:k] for row in gram[:k])) <= 0:
+                raise UnsupportedType(f"form is not positive definite for {label}")
         self._build()
         self._validate()
 
@@ -225,11 +229,6 @@ class RootDatum:
         return transpose(mat(cols))
 
     def _validate(self):
-        # positive definite form
-        for k in range(1, self.rank + 1):
-            minor = tuple(row[:k] for row in self.gram[:k])
-            if det(minor) <= 0:
-                raise UnsupportedType(f"form is not positive definite for {self.label}")
         count = 0
         for f in self.factors:
             count += {"A1": 2, "A2": 6, "A3": 12, "B2": 8, "C2": 8, "G2": 12}[f]

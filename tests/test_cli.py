@@ -208,7 +208,7 @@ def test_eval_phi_tt(capsys):
     assert "terms: 4" in out and "psi_tag" in out
 
 
-SCHEMA_PATH = Path(__file__).resolve().parents[1] / "schemas" / "config.schema.json"
+SCHEMA_PATH = Path(__file__).resolve().parents[1] / "src" / "gmcalc" / "config.schema.json"
 
 # each of these once hung the contour quadrature, crashed with a traceback or passed vacuously
 BAD_NUMERICS = [
@@ -245,10 +245,34 @@ BAD_VALUES = [
     {"r_model": {"kind": "model_plancherel", "c": "abc"}},
     {"gram": [["a", "-1"], ["-1", "2"]]},
     {"tempext_deltas": [0.01, 0.01]},
+    {"test_functions": [{"poly": ["1", "x"], "scale": "1"}]},
+    # equal deltas ended in a LinAlgError traceback, rising ones in false fails
+    {"delta_ladder": [0.1, 0.1]},
+    {"delta_ladder": [0.001, 0.1]},
+    # a zero denominator ended in a ZeroDivisionError traceback
+    {"m_model": {"kind": "rational", "p": ["1"], "q": ["0"]}},
+    {"r_model": {"kind": "pole_plus_rational", "p": ["1"], "q": []}},
+    {"m_model": {"kind": "rational", "p": ["1"]}},
+    # zero test data made every compared side 0: a vacuous pass
+    {"test_functions": [{"poly": [], "scale": "1"}]},
+    {"test_functions": [{"poly": ["0", "0"], "scale": "1"}]},
+    {"flat_phi": [{"c0": 0, "c1": 0.0, "c2": 0, "scale": 1.0}]},
+    # 1e999 reads as inf, which passed every check
+    {"tolerances": {"lemma_shift": float("inf")}},
+    {"epsilons": [float("inf"), 0.1]},
+]
+
+# once accepted by load_config although the schema rejects them
+BAD_SHAPES = [
+    {"output_dir": 5},
+    {"m_model": {"kind": "model_plancherel", "junk": 3}},
+    {"m_model": {"kind": "rational", "p": ["1"], "q": ["0", "1"], "poles": [{"im": "0", "junk": 1}]}},
+    {"tolerances": {"lemma_shift": 0}},
+    {"tolerances": {"pv_zero": -1e-8}},
 ]
 
 
-@pytest.mark.parametrize("bad", BAD_NUMERICS + BAD_VALUES)
+@pytest.mark.parametrize("bad", BAD_NUMERICS + BAD_VALUES + BAD_SHAPES)
 def test_verify_bad_numerics_exit_2_with_one_line(tmp_path, bad):
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(bad))
@@ -263,7 +287,7 @@ def test_verify_bad_numerics_exit_2_with_one_line(tmp_path, bad):
     assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
 
 
-@pytest.mark.parametrize("bad", BAD_NUMERICS)
+@pytest.mark.parametrize("bad", BAD_NUMERICS + BAD_SHAPES)
 def test_schema_rejects_what_load_config_rejects(bad):
     jsonschema = pytest.importorskip("jsonschema")
     schema = json.loads(SCHEMA_PATH.read_text(encoding="utf-8"))
@@ -272,6 +296,30 @@ def test_schema_rejects_what_load_config_rejects(bad):
         jsonschema.validate(bad, schema)
     with pytest.raises(ConfigError):
         load_config(bad)
+
+
+@pytest.mark.parametrize("group", [5, None])
+def test_describe_config_group_not_a_string_exit_2(tmp_path, capsys, group):
+    # 5 was accepted and ended in an AttributeError traceback
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"group": group}))
+    assert main(["--config", str(p), "describe"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "good",
+    [
+        {"gram": [[2]]},
+        {"test_functions": [{"poly": [1], "scale": 1}]},
+        {"m_model": {"kind": "model_plancherel", "c": 1}},
+    ],
+)
+def test_numbers_are_rationals_for_schema_and_load_config(good):
+    jsonschema = pytest.importorskip("jsonschema")
+    jsonschema.validate(good, json.loads(SCHEMA_PATH.read_text(encoding="utf-8")))
+    load_config(good)
 
 
 def test_lemma_shift_counters_and_runtimes_stay_in_the_sidecar(tmp_path):
@@ -310,3 +358,28 @@ def test_eval_rejects_bad_vectors_and_indices(capsys, expr, args):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "expr, args, names",
+    [
+        ("eps_M", {"sigma": 5}, "sigma must be a list of root indices"),
+        ("delta_Sigma", {"Y": [[0, 0]], "sigma": 5}, "sigma must be a list of root indices"),
+        ("eps_M", {"sigma": [99]}, "sigma must be a list of root indices"),
+        ("c_coeff", {"model": 5}, "model must be of type object"),
+        ("c_coeff", {"model": {"kind": "rational", "p": ["1"], "q": ["0"]}}, "nonzero denominator"),
+        ("phi_TT", {"sigma_roots": [0, 1], "model": {"kind": "rational"}}, "needs p and q"),
+        ("theta", {"lambda": ["1/2"], "M": [1]}, "no Levi labeled [1]"),
+        ("theta", {"lambda": ["1/0"]}, "lambda must be a list of 1 rationals"),
+        ("c_coeff", {"u": [float("inf"), 0]}, "u must be a pair [re, im] of finite numbers"),
+        ("delta_Sigma", {"Y": [[1000, 0]]}, "too large"),
+        ("alpha_X", {"nu": ["1e300"], "X": ["1e300"]}, "too large"),
+    ],
+)
+def test_eval_errors_name_their_fault(capsys, expr, args, names):
+    # once a traceback, or an exit 2 that blamed an unknown expression or a missing argument
+    assert main(["eval", "--group", "A1", "--expr", expr, "--args", json.dumps(args)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: ") and names in captured.err
+    assert "missing argument" not in captured.err

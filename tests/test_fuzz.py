@@ -1,0 +1,84 @@
+"""Random configs and eval arguments: every one ends in a result or a clean error, never a traceback."""
+import contextlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from gmcalc.cli import EXPRESSIONS, main
+from gmcalc.config import load_config
+from gmcalc.errors import ConfigError
+
+SCHEMA = json.loads((Path(__file__).resolve().parents[1] / "src" / "gmcalc" / "config.schema.json").read_text())
+
+STRINGS = st.sampled_from(["", "x", "0", "1", "-1", "1/2", "-3/4", "1/0", "1e300", "A1", "M0", "G", "all",
+                           "lemma-shift", "model_plancherel", "rational", "pole", "pole_plus_rational",
+                           "gmcalc-config-v1"])
+NUMBERS = st.integers(-1, 30) | st.floats(-2, 2, width=32) | st.sampled_from([1e300, float("inf")])
+LEAVES = st.none() | st.booleans() | NUMBERS | STRINGS
+
+
+def _near(node):
+    """Values shaped like the schema node, with leaves that may be out of range or malformed."""
+    if "$ref" in node:
+        return _near(SCHEMA["$defs"][node["$ref"].rsplit("/", 1)[1]])
+    if "enum" in node or "const" in node:
+        return st.sampled_from(node.get("enum", [node.get("const")]) + ["x"])
+    types = node["type"] if isinstance(node["type"], list) else [node["type"]]
+    options = []
+    if "object" in types:
+        options.append(st.fixed_dictionaries({}, optional={k: _near(v) for k, v in node["properties"].items()}))
+    if "array" in types:
+        options.append(st.lists(_near(node["items"]), max_size=4))
+    if "number" in types or "integer" in types:
+        options.append(NUMBERS)
+    if "string" in types:
+        options.append(STRINGS)
+    if "null" in types:
+        options.append(st.none())
+    return st.one_of(options)
+
+
+ARG_KEYS = ["lambda", "M", "chamber", "L1", "L", "S", "sigma_roots", "r_word", "beta", "nu", "X", "M1",
+            "word", "sigma", "Y", "model", "mu", "eval", "w_word", "P", "P_levi", "u", "domain",
+            "kind", "c", "p", "q"]
+ARGS = st.recursive(
+    LEAVES,
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.sampled_from(ARG_KEYS), kids, max_size=3),
+    max_leaves=8,
+)
+
+
+# a few top-level keys at a time, so that a fair share of documents is valid
+PROPS = SCHEMA["properties"]
+DOCS = st.lists(st.sampled_from(sorted(PROPS)).flatmap(lambda k: st.tuples(st.just(k), _near(PROPS[k]))),
+                max_size=3).map(dict)
+
+
+@settings(max_examples=200)
+@given(DOCS, st.none() | st.tuples(st.sampled_from(sorted(PROPS) + ["junk"]), ARGS))
+def test_load_config_rejects_whatever_the_schema_rejects(doc, replace):
+    # replace puts any JSON value under one top-level key, known or not: the wrong types
+    jsonschema = pytest.importorskip("jsonschema")
+    if replace is not None:
+        doc[replace[0]] = replace[1]
+    try:
+        load_config(doc)
+        accepted = True
+    except ConfigError:
+        accepted = False
+    if accepted:
+        jsonschema.Draft202012Validator(SCHEMA).validate(doc)
+
+
+@settings(max_examples=100)
+@given(st.sampled_from(sorted(EXPRESSIONS)), st.dictionaries(st.sampled_from(ARG_KEYS), ARGS, max_size=5))
+def test_eval_args_exit_0_or_2(expr, args):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["eval", "--group", "A1", "--expr", expr, "--args", json.dumps(args)])
+    assert code in (0, 2)
+    assert (code == 2) == err.getvalue().startswith("error: ")
+    assert err.getvalue().count("\n") == (code == 2)

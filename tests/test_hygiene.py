@@ -1,5 +1,9 @@
-"""Static checks on the source tree, read with ast only: nothing is imported or run."""
+"""Static checks on the source tree and the config schema, read with ast and json.
+
+No gmcalc code is imported or run.
+"""
 import ast
+import json
 from pathlib import Path
 
 import pytest
@@ -34,12 +38,17 @@ def test_every_import_is_used(path):
     assert not unused, f"{path.name} imports names it never uses: {unused}"
 
 
+def _assigned(path: Path, name: str) -> ast.expr:
+    """The expression that a module assigns to a module-level name."""
+    for node in _tree(path).body:
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == name for t in node.targets):
+            return node.value
+    raise AssertionError(f"{path.name} assigns no {name}")
+
+
 def _bench_literal(name: str):
     """The literal value that bench/spans.py assigns to a module-level name."""
-    for node in _tree(ROOT / "bench" / "spans.py").body:
-        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == name for t in node.targets):
-            return ast.literal_eval(node.value)
-    raise AssertionError(f"bench/spans.py assigns no {name}")
+    return ast.literal_eval(_assigned(ROOT / "bench" / "spans.py", name))
 
 
 def _top_level(path: Path) -> dict[str, ast.AST]:
@@ -66,3 +75,35 @@ def test_traced_layer_functions_exist():
         )):
             missing.append(name)
     assert not missing, f"bench/spans.py traces functions that do not exist: {missing}"
+
+
+CONFIG_SCHEMA = json.loads((SRC / "config.schema.json").read_text(encoding="utf-8"))
+
+
+def _schema_nodes(node: dict):
+    """A schema node and every subschema under it."""
+    yield node
+    for sub in [*node.get("properties", {}).values(), *node.get("$defs", {}).values(), *[node.get("items")]]:
+        if sub is not None:
+            yield from _schema_nodes(sub)
+
+
+def test_config_schema_is_valid_and_accepts_the_defaults():
+    jsonschema = pytest.importorskip("jsonschema")
+    jsonschema.Draft202012Validator.check_schema(CONFIG_SCHEMA)
+    defaults = ast.literal_eval(_assigned(SRC / "config.py", "_DEFAULTS"))
+    jsonschema.Draft202012Validator(CONFIG_SCHEMA).validate(defaults)
+    assert set(defaults) == set(CONFIG_SCHEMA["properties"])
+
+
+def test_config_schema_uses_only_what_the_validator_implements():
+    # a keyword or type that config._validate does not know would be ignored without an error
+    validate = _top_level(SRC / "config.py")["_validate"]
+    handled = {n.value for n in ast.walk(validate) if isinstance(n, ast.Constant) and isinstance(n.value, str)}
+    annotations = {"$schema", "$id", "title", "description", "$defs"}
+    nodes = list(_schema_nodes(CONFIG_SCHEMA))
+    assert {k for node in nodes for k in node} - annotations <= handled
+    types = set()
+    for node in nodes:
+        types.update([node["type"]] if isinstance(node.get("type"), str) else node.get("type", []))
+    assert types <= {k.value for k in _assigned(SRC / "config.py", "_TYPES").keys}

@@ -72,6 +72,10 @@ def test_gram_override_must_be_invariant():
         build_root_system("A2", gram_override=[["2", "0"], ["0", "3"]])
     with pytest.raises(UnsupportedType):
         build_root_system("A1", gram_override=[["-2"]])
+    # a zero form once ended in ZeroDivisionError, an indefinite A2 form in an endless root closure
+    for label, gram in [("A1", [["0"]]), ("A2", [["0", "0"], ["0", "0"]]), ("A2", [["2", "-3"], ["-3", "2"]])]:
+        with pytest.raises(UnsupportedType):
+            build_root_system(label, gram_override=gram)
 
 
 def test_multiplicity_override():
