@@ -24,7 +24,6 @@ from .gmfamily import (
     split_formula,
 )
 from .spectral import (
-    SpectralTriple,
     TauClass,
     build_spectral_triple,
     classify_tau,
@@ -63,8 +62,8 @@ __all__ = [
     "levi_lattice", "parabolics", "theta", "trand_check", "weyl_cosets",
     "ExpPolyFamily", "OrthogonalSet", "ScalarRootFns", "descent_sum",
     "family_limit", "hull_volume", "orthogonal_set", "split_formula",
-    "SpectralTriple", "TauClass", "build_spectral_triple", "classify_tau",
-    "discrete_constants", "eps_tau", "n_beta", "r_group", "tau_class", "tempext_check",
+    "TauClass", "build_spectral_triple", "classify_tau", "discrete_constants",
+    "eps_tau", "n_beta", "r_group", "tau_class", "tempext_check",
     "MeromorphicLine", "TestFunction", "lemma_shift_check", "pv_integral",
     "residue_identity_1d", "shifted_integral",
     "FormalExpansion", "InfinitesimalOrbit", "SigmaModel", "assemble_PhiP",

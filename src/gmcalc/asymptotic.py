@@ -163,7 +163,7 @@ def _discrete_nl(model: SigmaModel, L: Levi, u_sign: complex):
     """n^L of the class, once u_sign is a fourth root of unity and the class induces discretely to L."""
     if abs(u_sign ** 4 - 1) > 1e-12:
         raise IncompleteInput("u_sign must be a fourth root of unity")
-    if not classify_tau(model.tau, G_levi=L)["discrete"]:
+    if not classify_tau(model.tau, G_levi=L):
         raise NotDiscrete(f"class does not induce discretely to {L.label}")
     return discrete_constants(model.tau, L)["nL"]
 

@@ -23,6 +23,7 @@ from .asymptotic import (
 )
 from .config import ALL_SUITES, check_density, load_config
 from .errors import ConfigError, GmcalcError
+from .gmfamily import ScalarRootFns
 from .levilattice import (
     d_constant,
     levi_by_label,
@@ -33,7 +34,7 @@ from .levilattice import (
     weyl_cosets,
 )
 from .rootdatum import RatVec, build_root_system, element_from_word, weyl_group
-from .spectral import build_spectral_triple, density_for, discrete_constants, n_beta, tau_class
+from .spectral import build_spectral_triple, discrete_constants, n_beta
 from .suites import _generic_offset, run_suites
 
 
@@ -112,12 +113,15 @@ def cmd_verify(args) -> int:
         overrides["suites"] = args.suite
     try:
         cfg = load_config(path=args.config, overrides=overrides)
+        out_dir = Path(args.out or os.environ.get("GMCALC_REPORT_DIR") or cfg.output_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
         report = run_suites(cfg)
     except (ConfigError, GmcalcError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    out_dir = Path(args.out or os.environ.get("GMCALC_REPORT_DIR") or cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"error: cannot create the report directory: {exc}", file=sys.stderr)
+        return 2
     report_path = out_dir / f"report-{cfg.group}.json"
     report_path.write_text(report.render(), encoding="utf-8")
     timing_path = out_dir / f"report-{cfg.group}.timing.json"
@@ -135,14 +139,14 @@ def cmd_verify(args) -> int:
 
 
 def _spectral_from_args(d, payload):
-    return tau_class(build_spectral_triple(d, payload.get("sigma_roots", []), payload.get("r_word", [])))
+    return build_spectral_triple(d, payload.get("sigma_roots", []), payload.get("r_word", []))
 
 
 def _model_from_args(d, cfg, payload):
     t = _spectral_from_args(d, payload)
     if "model" in payload:
         check_density("model", payload["model"])
-    fns = density_for(t, payload.get("model", cfg.m_model))
+    fns = ScalarRootFns.uniform(t.levi_L, payload.get("model", cfg.m_model), t.nbeta)
     mu = _ratvec(d, payload.get("mu", [0] * d.rank), "mu")
     ev = _ratvec(d, payload["eval"], "eval") if "eval" in payload else _generic_offset(d)
     return SigmaModel(t, fns, mu, ev)

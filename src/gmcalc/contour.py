@@ -552,7 +552,7 @@ def _plan(case_index: int, case: ShiftCase) -> _ShiftPlan:
 
     # align the quadrature axes with the pole walls so the sharp directions
     # are graded; non-orthogonal wall sets are outside the quadrature design
-    wall_dirs = [ray.dual.coords for ray in t.tau_rays()]
+    wall_dirs = [ray.dual.coords for ray in t.tau_rays]
     _require_orthogonal(d, wall_dirs)
     onb = _orthonormal_basis(d, L1.basis, wall_dirs)
     T = phi.cutoff()

@@ -537,18 +537,13 @@ def split_formula(
     return split_terms(fns, M, gfull(d), Q1, lam_eval)
 
 
-def _gram_row(d, dual: RatVec) -> list[complex]:
-    """The pairing lam -> <lam, dual> as a complex row in ambient coordinates."""
-    return [sum(complex(d.gram[i][j]) * complex(dual.coords[j]) for j in range(d.rank)) for i in range(d.rank)]
-
-
 def _lam_evaluator(d, lam) -> Callable[[RatVec], complex]:
     if isinstance(lam, RatVec):
         return lambda dual: complex(d.pair(lam, dual))
     coords = tuple(complex(x) for x in lam)
 
     def ev(dual: RatVec) -> complex:
-        return sum(c * g for c, g in zip(coords, _gram_row(d, dual)))
+        return sum(c * g for c, g in zip(coords, d.float_row(dual)))
 
     return ev
 
@@ -630,7 +625,7 @@ def induced_family_value(
             if not (sp > 0 > sq) and not (sp < 0 < sq):
                 continue
             pos = ray if sp > 0 else -ray
-            rows.append((fns.fn(pos.rep), _gram_row(d, pos.dual), ev0(pos.dual)))
+            rows.append((fns.fn(pos.rep), d.float_row(pos.dual), ev0(pos.dual)))
         factors[Qp.index] = rows
 
     def circle_mean(r: float) -> complex:

@@ -169,6 +169,7 @@ class RootDatum:
         self.factors = factors
         self.rank = len(gram)
         self.lattice = None  # the Levi lattice, built once by levilattice.levi_lattice
+        self.tau_classes = None  # built once by spectral.enumerate_spectral_triples
         # before the build: on another form a root has length 0 or the reflections generate without end
         for k in range(1, self.rank + 1):
             if det(tuple(row[:k] for row in gram[:k])) <= 0:

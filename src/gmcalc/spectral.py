@@ -9,8 +9,9 @@ function of this shadow.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -31,13 +32,12 @@ from .exactlin import (
     mat,
     mat_vec,
     primitive_ray,
-    projector,
     rank as mat_rank,
     rref,
     sym_pair,
     transpose,
 )
-from .gmfamily import ScalarFn, ScalarRootFns, scalar_fn_from_template
+from .gmfamily import ScalarRootFns
 from .levilattice import (
     Levi,
     Ray,
@@ -66,73 +66,74 @@ from .rootdatum import (
 )
 
 
-@dataclass(frozen=True)
-class SpectralTriple:
-    ambient: RootDatum
+@dataclass(frozen=True, eq=False)
+class TauClass:
+    """A spectral parameter: vanishing set, chamber-stabilizing r, multiplicity overrides.
+
+    The home Levi (the flat fixed by r) and the facts read off it are built on
+    first use and kept here.
+    """
+
+    datum: RootDatum
     sigma_roots: frozenset[int]
     r_elem: WeylElement
     chamber_c: RatVec
+    mult: tuple[tuple[Vec, Fraction], ...] = ()  # sorted (ray key, n) overrides
 
     def __repr__(self):
-        return f"SpectralTriple(|sigma|={len(self.sigma_roots)}, r={self.r_elem.word})"
+        return f"TauClass(|sigma|={len(self.sigma_roots)}, r={self.r_elem.word})"
 
-
-class TauClass:
-    """A triple together with its elliptic home Levi (the fixed flat of r)."""
-
-    def __init__(self, triple: SpectralTriple, mult: Mapping[Vec, Fraction] | None = None):
-        self.triple = triple
-        d = triple.ambient
-        fix = _fixed_space(d, triple.r_elem)
+    @cached_property
+    def levi_L(self) -> Levi:
+        """The elliptic home Levi: the flat of the roots vanishing on the fixed space of r."""
+        d = self.datum
+        fix = _fixed_space(d, self.r_elem)
         subset = _vanishing_subset(d, fix)
-        home = None
-        for L in levi_lattice(d):
-            if L.root_subset == subset:
-                home = L
-                break
+        home = next((L for L in levi_lattice(d) if L.root_subset == subset), None)
         if home is None or home.dim != len(fix):
             raise InternalInconsistency("fixed space of r is not a flat of the arrangement")
-        self.levi_L = home
-        self.mult = dict(mult) if mult else {}
-        self._nbeta_cache: dict[Vec, Fraction] | None = None
+        return home
 
-    @property
-    def datum(self) -> RootDatum:
-        return self.triple.ambient
-
-    def __repr__(self):
-        return f"TauClass(home={self.levi_L.label}, {self.triple!r})"
-
-    # -- multiplicities ------------------------------------------------
-
-    def nbeta_map(self) -> dict[Vec, Fraction]:
-        """n for every reduced restricted ray of the home flat."""
-        if self._nbeta_cache is not None:
-            return self._nbeta_cache
-        d = self.datum
-        home = self.levi_L
-        proj_m = projector(home.basis, d.gram)
-        sigma_keys = []
-        for i in self.triple.sigma_roots:
-            proj = mat_vec(proj_m, d.roots[i].coords)
-            if any(x != 0 for x in proj):
-                sigma_keys.append(primitive_ray(proj))
+    @cached_property
+    def nbeta(self) -> dict[Vec, Fraction]:
+        """n for every reduced restricted ray of the home flat: half its vanishing-set members."""
+        overrides = dict(self.mult)
         out: dict[Vec, Fraction] = {}
-        for ray in restricted_rays(home):
-            if ray.key in self.mult:
-                out[ray.key] = Fraction(self.mult[ray.key])
+        for ray in restricted_rays(self.levi_L):
+            if ray.key in overrides:
+                out[ray.key] = Fraction(overrides[ray.key])
                 continue
-            count = sigma_keys.count(ray.key)
+            count = sum(1 for i, _ in ray.members if i in self.sigma_roots)
             if count % 2 != 0:
                 raise InternalInconsistency("restriction count per ray must be even")
             out[ray.key] = Fraction(count, 2)
-        self._nbeta_cache = out
         return out
 
-    def tau_rays(self) -> list[Ray]:
+    @cached_property
+    def tau_rays(self) -> tuple[Ray, ...]:
         """Rays carrying a pole (nonzero multiplicity)."""
-        nb = self.nbeta_map()
-        return [ray for ray in restricted_rays(self.levi_L) if nb.get(ray.key, 0) != 0]
+        return tuple(ray for ray in restricted_rays(self.levi_L) if self.nbeta[ray.key] != 0)
+
+    @cached_property
+    def core(self) -> tuple[TauWeyl, ...]:
+        """W_tau: restrictions to the home flat of reflection-part elements commuting with r."""
+        w0 = reflect_subgroup(self.datum, self.sigma_roots)
+        if self.levi_L.dim == 0:
+            return (TauWeyl((), w0[0]),)
+        out: dict[Mat, TauWeyl] = {}
+        r = self.r_elem.perm
+        for w in w0:
+            if compose(w.perm, r) != compose(r, w.perm):
+                continue
+            m = _on_home(self, w)
+            if m is not None and m not in out:
+                out[m] = TauWeyl(m, w)
+        return tuple(sorted(out.values(), key=lambda x: x.mat))
+
+    @cached_property
+    def pole_chambers(self) -> list[RatVec]:
+        """Interior witnesses of the chambers cut out by the pole rays on the home flat."""
+        return chambers_of_rays(self.datum, self.levi_L.basis, self.tau_rays)
 
 
 def _fixed_space(d: RootDatum, w: WeylElement) -> list[Vec]:
@@ -151,16 +152,27 @@ def _is_closed_subsystem(d: RootDatum, subset: frozenset[int]) -> bool:
     return True
 
 
+def _chamber_test(
+    d: RootDatum, roots: Iterable[int], chamber_c: RatVec | None = None
+) -> tuple[RatVec, Callable[[WeylElement], bool]]:
+    """A chamber of the roots' arrangement and a test for "w fixes it".
+
+    Without a given point the chamber is the one with the lexicographically
+    smallest interior witness.
+    """
+    rays = group_rays(d, ((i, d.roots[i].coords) for i in roots))
+    if chamber_c is None:
+        chamber_c = chambers_of_rays(d, mzero(d).basis, rays)[0]
+    base = sign_pattern(d, rays, chamber_c)
+    return chamber_c, lambda w: sign_pattern(d, rays, act(w, chamber_c)) == base
+
+
 def build_spectral_triple(
     ambient: RootDatum,
     sigma_zero_roots: Iterable[int],
     r_word: Sequence[int] = (),
-) -> SpectralTriple:
-    """Validated triple; r_word is a product of reflections given by root indices.
-
-    The chamber of the vanishing-set arrangement is chosen deterministically
-    as the one with the lexicographically smallest interior witness.
-    """
+) -> TauClass:
+    """Validated class; r_word is a product of reflections given by root indices."""
     try:
         subset = frozenset(sigma_zero_roots)
     except TypeError:
@@ -170,22 +182,22 @@ def build_spectral_triple(
             raise NotSubsystem(f"root index {i!r} is not an integer in 0..{len(ambient.roots) - 1}")
     if not _is_closed_subsystem(ambient, subset):
         raise NotSubsystem("vanishing set is not reflection-closed and symmetric")
-    rays = group_rays(ambient, ((i, ambient.roots[i].coords) for i in subset))
-    chamber_c = chambers_of_rays(ambient, mzero(ambient).basis, rays)[0]
+    chamber_c, fixes = _chamber_test(ambient, subset)
     r = element_from_word(ambient, r_word, by_root_index=True)
     if any(r.perm[i] not in subset for i in subset):
         raise NotChamberStabilizer("r does not permute the vanishing set")
-    if sign_pattern(ambient, rays, act(r, chamber_c)) != sign_pattern(ambient, rays, chamber_c):
+    if not fixes(r):
         raise NotChamberStabilizer("r moves the chosen chamber")
-    return SpectralTriple(ambient, subset, r, chamber_c)
+    return TauClass(ambient, subset, r, chamber_c)
 
 
-def tau_class(triple: SpectralTriple, mult: Mapping[Vec, Fraction] | None = None) -> TauClass:
-    return TauClass(triple, mult)
+def tau_class(t: TauClass, mult: Mapping[Vec, Fraction] | None = None) -> TauClass:
+    """The class itself, or a copy whose multiplicities n are overridden per ray key."""
+    return replace(t, mult=tuple(sorted(mult.items()))) if mult else t
 
 
 # ---------------------------------------------------------------------------
-# groups attached to a triple
+# groups attached to a class
 
 
 @dataclass(frozen=True)
@@ -196,22 +208,20 @@ class RGroups:
 
 
 def _stabilizers(
-    d: RootDatum, roots: frozenset[int], triple: SpectralTriple
+    t: TauClass, roots: frozenset[int]
 ) -> tuple[tuple[WeylElement, ...], tuple[WeylElement, ...]]:
     """The group generated by the reflections in roots and r, and its chamber stabilizer."""
-    wsig = d.subgroup([d.reflection_perms[i] for i in roots] + [triple.r_elem.perm])
-    rays = group_rays(d, ((i, d.roots[i].coords) for i in roots))
-    base = sign_pattern(d, rays, triple.chamber_c)
-    rgrp = tuple(w for w in wsig if sign_pattern(d, rays, act(w, triple.chamber_c)) == base)
-    return wsig, rgrp
+    d = t.datum
+    wsig = d.subgroup([d.reflection_perms[i] for i in roots] + [t.r_elem.perm])
+    _, fixes = _chamber_test(d, roots, t.chamber_c)
+    return wsig, tuple(w for w in wsig if fixes(w))
 
 
-def r_group(t: SpectralTriple | TauClass) -> RGroups:
+def r_group(t: TauClass) -> RGroups:
     """The reflection part, the full modeled stabilizer and the chamber stabilizer."""
-    triple = t.triple if isinstance(t, TauClass) else t
-    d = triple.ambient
-    w0 = reflect_subgroup(d, triple.sigma_roots)
-    wsig, rgrp = _stabilizers(d, triple.sigma_roots, triple)
+    d = t.datum
+    w0 = reflect_subgroup(d, t.sigma_roots)
+    wsig, rgrp = _stabilizers(t, t.sigma_roots)
     w0set = {w.perm for w in w0}
     for w in wsig:
         winv = invert(w.perm)
@@ -234,7 +244,7 @@ def _restriction_spans(t: TauClass, upper: Levi) -> bool:
     need = len(_rel_basis(home, upper))
     if need == 0:
         return True
-    nb = t.nbeta_map()
+    nb = t.nbeta
     vecs = [ray.rep.coords for ray in rays_in(home, upper) if nb[ray.key] != 0]
     return bool(vecs) and mat_rank(vecs) == need
 
@@ -242,11 +252,11 @@ def _restriction_spans(t: TauClass, upper: Levi) -> bool:
 def _brute_force_discrete(t: TauClass, upper: Levi) -> bool:
     """Does the reflection-coset of r contain an element whose fixed space is a_upper?"""
     d = t.datum
-    sub_roots = [i for i in t.triple.sigma_roots if i in upper.root_subset]
+    sub_roots = [i for i in t.sigma_roots if i in upper.root_subset]
     w0 = reflect_subgroup(d, sub_roots)
     target = rref(upper.basis) if upper.dim else []
     for w in w0:
-        fixed = _fixed_space(d, d.element(compose(t.triple.r_elem.perm, w.perm)))
+        fixed = _fixed_space(d, d.element(compose(t.r_elem.perm, w.perm)))
         if len(fixed) != upper.dim:
             continue
         if rref(list(fixed)) == target:
@@ -254,21 +264,22 @@ def _brute_force_discrete(t: TauClass, upper: Levi) -> bool:
     return False
 
 
-def classify_tau(t: TauClass, G_levi: Levi | None = None) -> dict:
-    """Ellipticity plus the discreteness test computed two independent ways."""
-    d = t.datum
-    upper = G_levi if G_levi is not None else levi_lattice(d)[-1]
+def classify_tau(t: TauClass, G_levi: Levi | None = None) -> bool:
+    """Does the class induce discretely to the upper Levi?  Computed two independent ways.
+
+    The class is elliptic in its home Levi by construction: the home is the
+    flat of the roots vanishing on the fixed space of r, of the same dimension.
+    """
+    upper = G_levi if G_levi is not None else levi_lattice(t.datum)[-1]
     if not contains(t.levi_L, upper):
         raise NotComparable("upper Levi must contain the home Levi")
-    fix = _fixed_space(d, t.triple.r_elem)
-    elliptic = rref(list(fix)) == rref(t.levi_L.basis)
     span = _restriction_spans(t, upper)
     brute = _brute_force_discrete(t, upper)
     if span != brute:
         raise InternalInconsistency(
             f"span criterion ({span}) disagrees with coset search ({brute})"
         )
-    return {"elliptic": elliptic, "discrete": span}
+    return span
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +288,6 @@ def classify_tau(t: TauClass, G_levi: Levi | None = None) -> dict:
 
 def n_beta(t: TauClass, beta: RatVec) -> Fraction:
     """Half the number of vanishing-set roots restricting to a multiple of beta."""
-    d = t.datum
     try:
         key = primitive_ray(beta.coords)
     except ValueError:
@@ -286,7 +296,7 @@ def n_beta(t: TauClass, beta: RatVec) -> Fraction:
         if ray.key == key:
             if beta != ray.rep and beta != -ray.rep:
                 raise NotARoot(f"{beta} is not a reduced restricted root")
-            return t.nbeta_map()[ray.key]
+            return t.nbeta[ray.key]
     raise NotARoot(f"{beta} is not a restricted root of the home flat")
 
 
@@ -301,7 +311,7 @@ def discrete_constants(t: TauClass, L_levi: Levi) -> dict:
     if not contains(home, L_levi):
         raise NotARoot("L must contain the home Levi")
     need = len(_rel_basis(home, L_levi))
-    nb = t.nbeta_map()
+    nb = t.nbeta
     in_l = [(nb[ray.key] / 2, ray.rep.coords) for ray in rays_in(home, L_levi)]
     total = Fraction(0)
     for subset in combinations(in_l, need):
@@ -321,7 +331,7 @@ def nl_elementary(t: TauClass, L_levi: Levi) -> Fraction:
     rays are independent: always for need <= 2, since distinct reduced rays
     are never parallel.
     """
-    nb = t.nbeta_map()
+    nb = t.nbeta
     e = [Fraction(1)]
     for ray in rays_in(t.levi_L, L_levi):
         e = [a + nb[ray.key] / 2 * b for a, b in zip(e + [0], [0] + e)]
@@ -330,10 +340,8 @@ def nl_elementary(t: TauClass, L_levi: Levi) -> Fraction:
 
 
 def _k_constant(t: TauClass, L_levi: Levi) -> int:
-    d = t.datum
-    triple = t.triple
-    _, rgrp = _stabilizers(d, triple.sigma_roots & L_levi.root_subset, triple)
-    r = triple.r_elem.perm
+    _, rgrp = _stabilizers(t, t.sigma_roots & L_levi.root_subset)
+    r = t.r_elem.perm
     return sum(1 for w in rgrp if compose(w.perm, r) == compose(r, w.perm))
 
 
@@ -346,13 +354,7 @@ class TauWeyl:
     """Action on the home flat in its basis coordinates, with one ambient lift."""
 
     mat: Mat
-    lift: WeylElement
-
-    def __hash__(self):
-        return hash(self.mat)
-
-    def __eq__(self, other):
-        return isinstance(other, TauWeyl) and self.mat == other.mat
+    lift: WeylElement = field(compare=False)
 
 
 def _on_home(t: TauClass, w: WeylElement) -> Mat | None:
@@ -367,24 +369,6 @@ def _on_home(t: TauClass, w: WeylElement) -> Mat | None:
     return transpose(mat(rows))
 
 
-def w_tau_core(t: TauClass) -> tuple[TauWeyl, ...]:
-    """Restrictions to the home flat of reflection-part elements commuting with r."""
-    d = t.datum
-    triple = t.triple
-    w0 = reflect_subgroup(d, triple.sigma_roots)
-    if t.levi_L.dim == 0:
-        return (TauWeyl((), w0[0]),)
-    out: dict[Mat, TauWeyl] = {}
-    r = triple.r_elem.perm
-    for w in w0:
-        if compose(w.perm, r) != compose(r, w.perm):
-            continue
-        m = _on_home(t, w)
-        if m is not None and m not in out:
-            out[m] = TauWeyl(m, w)
-    return tuple(sorted(out.values(), key=lambda x: x.mat))
-
-
 def _apply_tau(t: TauClass, u: TauWeyl, point: RatVec) -> RatVec:
     home = t.levi_L
     if home.dim == 0:
@@ -395,19 +379,13 @@ def _apply_tau(t: TauClass, u: TauWeyl, point: RatVec) -> RatVec:
     return RatVec(combine(mat_vec(u.mat, c), home.basis, t.datum.rank))
 
 
-def tau_chambers(t: TauClass) -> list[RatVec]:
-    """Interior witnesses of the chambers cut out by the pole rays on the home flat."""
-    return chambers_of_rays(t.datum, t.levi_L.basis, t.tau_rays())
-
-
 def chamber_transitivity(t: TauClass) -> bool:
     """Does the modeled stabilizer reach every pole-ray chamber from the first one?"""
     d = t.datum
-    rays = t.tau_rays()
-    points = tau_chambers(t)
+    rays = t.tau_rays
+    points = t.pole_chambers
     patterns = {sign_pattern(d, rays, p) for p in points}
-    core = w_tau_core(t)
-    reached = {sign_pattern(d, rays, _apply_tau(t, u, points[0])) for u in core}
+    reached = {sign_pattern(d, rays, _apply_tau(t, u, points[0])) for u in t.core}
     return reached == patterns
 
 
@@ -427,14 +405,14 @@ def _flat_reflection(t: TauClass, ray: Ray) -> Mat:
 
 def reflections_in_core(t: TauClass) -> bool:
     """Is every pole-ray reflection the restriction of a commuting reflection-part element?"""
-    core_mats = {u.mat for u in w_tau_core(t)}
-    return all(_flat_reflection(t, ray) in core_mats for ray in t.tau_rays())
+    core_mats = {u.mat for u in t.core}
+    return all(_flat_reflection(t, ray) in core_mats for ray in t.tau_rays)
 
 
 def eps_tau(t: TauClass, w) -> int:
     """Sign of the pole-ray product form under w, verified chamber-independent."""
     d = t.datum
-    rays = t.tau_rays()
+    rays = t.tau_rays
     if isinstance(w, WeylElement):
         m = _on_home(t, w)
         if m is None:
@@ -449,7 +427,7 @@ def eps_tau(t: TauClass, w) -> int:
         img = _apply_tau(t, u, ray.rep)
         if img.coords not in reps:
             raise NotInStabilizer("element does not permute the pole rays")
-    points = tau_chambers(t)
+    points = t.pole_chambers
     signs = []
     for c_pt in points[: max(1, min(len(points), 6))]:
         pos = [ray.rep if d.pair(ray.rep, c_pt) > 0 else -ray.rep for ray in rays]
@@ -465,16 +443,7 @@ def eps_tau(t: TauClass, w) -> int:
 
 
 # ---------------------------------------------------------------------------
-# densities tied to a class, and the bounded-extension sweep
-
-
-def density_for(t: TauClass, template: Mapping) -> ScalarRootFns:
-    """Per-ray densities on the home flat with residues tied to the multiplicities."""
-    nb = t.nbeta_map()
-    fns: dict[Vec, ScalarFn] = {}
-    for ray in restricted_rays(t.levi_L):
-        fns[ray.key] = scalar_fn_from_template(template, nb.get(ray.key, Fraction(0)))
-    return ScalarRootFns(t.levi_L, fns)
+# the bounded-extension sweep
 
 
 def tempext_check(
@@ -492,8 +461,7 @@ def tempext_check(
     """
     d = t.datum
     home = t.levi_L
-    rays = t.tau_rays()
-    core = w_tau_core(t)
+    rays = t.tau_rays
     records = []
     subsets = []
     for size in range(1, home.dim + 1):
@@ -511,7 +479,7 @@ def tempext_check(
                     m = 0.0
                     for base in wall_pts:
                         lam = [float(x) + delta * float(y) for x, y in zip(base.coords, wall.rep.coords)]
-                        val, scale = _symmetrized_sum(t, fns, core, F, lam, phi)
+                        val, scale = _symmetrized_sum(t, fns, t.core, F, lam, phi)
                         # below the cancellation noise floor the sum counts as zero
                         if abs(val) <= 1e-9 * scale:
                             val = 0.0
@@ -542,7 +510,7 @@ def _wall_points(t: TauClass, wall: Ray, F) -> list[RatVec]:
     wall_vecs = flat_kernel(d, t.levi_L.basis, [wall.rep.coords])
     if not wall_vecs:
         return [RatVec.zero(d.rank)]
-    others = [r for r in t.tau_rays() if r.key != wall.key]
+    others = [r for r in t.tau_rays if r.key != wall.key]
     points = []
     weights = [
         (Fraction(1), Fraction(1, 3), Fraction(1, 7), Fraction(1, 13)),
@@ -597,17 +565,16 @@ def closed_subsystems(d: RootDatum) -> list[frozenset[int]]:
     return out
 
 
-def enumerate_spectral_triples(d: RootDatum) -> list[SpectralTriple]:
-    """Every (vanishing set, chamber-stabilizing r) pair, deterministically ordered."""
-    triples = []
-    for subset in closed_subsystems(d):
-        rays = group_rays(d, ((i, d.roots[i].coords) for i in subset))
-        chamber_c = chambers_of_rays(d, mzero(d).basis, rays)[0]
-        base = sign_pattern(d, rays, chamber_c)
-        for w in weyl_group(d):
-            if any(w.perm[i] not in subset for i in subset):
-                continue
-            if sign_pattern(d, rays, act(w, chamber_c)) != base:
-                continue
-            triples.append(SpectralTriple(d, subset, w, chamber_c))
-    return triples
+def enumerate_spectral_triples(d: RootDatum) -> tuple[TauClass, ...]:
+    """Every (vanishing set, chamber-stabilizing r) class, deterministically ordered; built once per datum."""
+    if d.tau_classes is None:
+        classes = []
+        for subset in closed_subsystems(d):
+            chamber_c, fixes = _chamber_test(d, subset)
+            classes.extend(
+                TauClass(d, subset, w, chamber_c)
+                for w in weyl_group(d)
+                if all(w.perm[i] in subset for i in subset) and fixes(w)
+            )
+        d.tau_classes = tuple(classes)
+    return d.tau_classes

@@ -31,6 +31,7 @@ from .contour import (
 from .errors import GmcalcError, NotComparable
 from .gmfamily import (
     ExpPolyFamily,
+    ScalarRootFns,
     family_limit,
     hull_volume,
     orthogonal_set,
@@ -56,12 +57,10 @@ from .spectral import (
     build_spectral_triple,
     chamber_transitivity,
     classify_tau,
-    density_for,
     discrete_constants,
     enumerate_spectral_triples,
     nl_elementary,
     reflections_in_core,
-    tau_class,
     tempext_check,
 )
 
@@ -162,18 +161,10 @@ def suite_trand(cfg: Config, d: RootDatum) -> list[CheckRecord]:
 
 def suite_tdisc(cfg: Config, d: RootDatum) -> list[CheckRecord]:
     records = []
-    for idx, triple in enumerate(enumerate_spectral_triples(d)):
-        inputs = {
-            "group": d.label,
-            "sigma": sorted(triple.sigma_roots),
-            "r": triple.r_elem.word,
-        }
-
-        t = None
+    for idx, t in enumerate(enumerate_spectral_triples(d)):
+        inputs = {"group": d.label, "sigma": sorted(t.sigma_roots), "r": t.r_elem.word}
 
         def classify():
-            nonlocal t
-            t = tau_class(triple)
             classify_tau(t)
             return True, 0.0, None
 
@@ -187,13 +178,12 @@ def suite_tdisc(cfg: Config, d: RootDatum) -> list[CheckRecord]:
 
 def suite_nl_independence(cfg: Config, d: RootDatum) -> list[CheckRecord]:
     records = []
-    for idx, triple in enumerate(enumerate_spectral_triples(d)):
-        inputs = {"group": d.label, "sigma": sorted(triple.sigma_roots), "r": triple.r_elem.word}
+    for idx, t in enumerate(enumerate_spectral_triples(d)):
+        inputs = {"group": d.label, "sigma": sorted(t.sigma_roots), "r": t.r_elem.word}
         home = None
 
         def check():
             nonlocal home
-            t = tau_class(triple)
             for L in enumerate_levis(d, lower=t.levi_L):
                 nl = discrete_constants(t, L)["nL"]
                 if L == t.levi_L and nl != 1:
@@ -252,11 +242,10 @@ def suite_residue_1d(cfg: Config, d: RootDatum) -> list[CheckRecord]:
 def _shift_classes(d: RootDatum):
     seen = set()
     out = []
-    for triple in enumerate_spectral_triples(d):
-        t = tau_class(triple)
+    for t in enumerate_spectral_triples(d):
         if t.levi_L.dim == 0 or t.levi_L.dim > 2:
             continue
-        key = (t.levi_L.key, tuple(sorted(t.nbeta_map().items())))
+        key = (t.levi_L.key, tuple(sorted(t.nbeta.items())))
         if key in seen:
             continue
         seen.add(key)
@@ -284,15 +273,14 @@ def _lemma_shift_cases(cfg: Config, d: RootDatum) -> list[tuple[str, dict, Shift
                 inputs = {
                     "group": d.label,
                     "home": t.levi_L.label,
-                    "n": {str(k): str(v) for k, v in sorted(t.nbeta_map().items())},
+                    "n": {str(k): str(v) for k, v in sorted(t.nbeta.items())},
                     "M": M.label,
                     "model": model_name,
                 }
                 t0 = time.monotonic()
                 try:
-                    case = ShiftCase(
-                        t, density_for(t, template), M, P, phi, cfg.epsilons, cfg.delta_ladder, tol
-                    )
+                    fns = ScalarRootFns.uniform(t.levi_L, template, t.nbeta)
+                    case = ShiftCase(t, fns, M, P, phi, cfg.epsilons, cfg.delta_ladder, tol)
                 except GmcalcError as exc:
                     case = exc
                 out.append((cid, inputs, case, time.monotonic() - t0))
@@ -326,11 +314,12 @@ def suite_tempext(cfg: Config, d: RootDatum) -> list[CheckRecord]:
         inputs = {
             "group": d.label,
             "home": t.levi_L.label,
-            "n": {str(k): str(v) for k, v in sorted(t.nbeta_map().items())},
+            "n": {str(k): str(v) for k, v in sorted(t.nbeta.items())},
         }
 
         def check():
-            recs = tempext_check(t, density_for(t, cfg.m_model), phis, cfg.tempext_deltas, cfg.growth_threshold)
+            fns = ScalarRootFns.uniform(t.levi_L, cfg.m_model, t.nbeta)
+            recs = tempext_check(t, fns, phis, cfg.tempext_deltas, cfg.growth_threshold)
             bad = [r for r in recs if not r["pass"]]
             worst = max((r["exponent"] for r in recs), default=float("-inf"))
             return (
@@ -398,8 +387,8 @@ def suite_examples(cfg: Config, d: RootDatum) -> list[CheckRecord]:
     add("weyl-denominator-antisymmetry", weyl_denom, {"Y": "fixed sample"})
 
     def c_coeff_case():
-        t = tau_class(build_spectral_triple(d, range(len(d.roots)), []))
-        fns = density_for(t, cfg.m_model)
+        t = build_spectral_triple(d, range(len(d.roots)))
+        fns = ScalarRootFns.uniform(t.levi_L, cfg.m_model, t.nbeta)
         model = SigmaModel(
             t, fns,
             RatVec.of([Fraction(k + 1, 3) for k in range(d.rank)]),
@@ -415,8 +404,8 @@ def suite_examples(cfg: Config, d: RootDatum) -> list[CheckRecord]:
     add("c-coefficient-identity-case", c_coeff_case, {"w": "identity", "L": M0.label})
 
     def assemble_zero():
-        t = tau_class(build_spectral_triple(d, range(len(d.roots)), []))
-        fns = density_for(t, cfg.m_model)
+        t = build_spectral_triple(d, range(len(d.roots)))
+        fns = ScalarRootFns.uniform(t.levi_L, cfg.m_model, t.nbeta)
         model = SigmaModel(t, fns, RatVec.zero(d.rank), _generic_offset(d))
         maxes = [L for L in levi_lattice(d) if 0 < L.dim < d.rank]
         if not maxes:
@@ -430,10 +419,10 @@ def suite_examples(cfg: Config, d: RootDatum) -> list[CheckRecord]:
     def split_match():
         if d.label != "A2":
             return True, 0.0, "dual-route check runs on A2"
-        t = tau_class(build_spectral_triple(d, range(len(d.roots)), []))
+        t = build_spectral_triple(d, range(len(d.roots)))
         worst = 0.0
         for template in ({"kind": "pole"}, cfg.m_model):
-            fns = density_for(t, template)
+            fns = ScalarRootFns.uniform(t.levi_L, template, t.nbeta)
             lam0 = [0.31j, 0.17j]
             comb = split_terms(fns, M0, G, P0, _lam_evaluator(d, lam0))
             ana = induced_family_value(fns, P0, lam0, P0.chamber_point)
@@ -445,8 +434,8 @@ def suite_examples(cfg: Config, d: RootDatum) -> list[CheckRecord]:
     def phi_tt_terms():
         if M0.dim != d.rank or d.rank > 2:
             return True, 0.0, "expansion recorded for rank <= 2 groups"
-        t = tau_class(build_spectral_triple(d, range(len(d.roots)), []))
-        fns = density_for(t, cfg.m_model)
+        t = build_spectral_triple(d, range(len(d.roots)))
+        fns = ScalarRootFns.uniform(t.levi_L, cfg.m_model, t.nbeta)
         mu = RatVec.zero(d.rank)
         for k, cw in enumerate(d.fund_coweights):
             mu = mu + Fraction(k + 1) * cw  # distinct coefficients keep the orbit regular

@@ -19,6 +19,7 @@ from gmcalc.contour import (
 )
 from gmcalc.gmfamily import (
     ExpPolyFamily,
+    ScalarRootFns,
     family_limit,
     hull_volume,
     induced_family_value,
@@ -39,7 +40,6 @@ from gmcalc.spectral import (
     build_spectral_triple,
     chamber_transitivity,
     classify_tau,
-    density_for,
     discrete_constants,
     enumerate_spectral_triples,
     tau_class,
@@ -162,7 +162,7 @@ def test_criterion_6_lemma_shift_rank_le_2():
         t = _full_class(d)
         for template in ({"kind": "model_plancherel", "c": "1"},
                          {"kind": "model_plancherel", "c": "4"}):
-            fns = density_for(t, template)
+            fns = ScalarRootFns.uniform(t.levi_L, template, t.nbeta)
             for M in enumerate_levis(d, lower=t.levi_L):
                 if M.dim == 0:
                     continue
@@ -190,11 +190,11 @@ def test_criterion_7_tempext_bounded():
             t = tau_class(triple)
             if t.levi_L.dim == 0:
                 continue
-            key = (t.levi_L.key, tuple(sorted(t.nbeta_map().items())))
+            key = (t.levi_L.key, tuple(sorted(t.nbeta.items())))
             if key in seen:
                 continue
             seen.add(key)
-            fns = density_for(t, {"kind": "model_plancherel", "c": "1"})
+            fns = ScalarRootFns.uniform(t.levi_L, {"kind": "model_plancherel", "c": "1"}, t.nbeta)
             recs = tempext_check(t, fns, [lambda lam: 1.0, lambda lam: 1.0 + sum(x * x for x in lam)])
             for rec in recs:
                 assert rec["pass"], (label, rec)
@@ -203,7 +203,7 @@ def test_criterion_7_tempext_bounded():
     # the exact-cancellation case on A1 returns 0 up to 1e-10
     d = build_root_system("A1")
     t = _full_class(d)
-    fns = density_for(t, {"kind": "pole"})
+    fns = ScalarRootFns.uniform(t.levi_L, {"kind": "pole"}, t.nbeta)
     recs = tempext_check(t, fns, [lambda lam: 1.0])
     assert recs and all(max(r["maxima"]) <= 1e-10 for r in recs)
     report(7, "symmetrized sums bounded near pole walls (rank <= 2)",
@@ -217,7 +217,7 @@ def test_criterion_8_split_formula_dual_route():
     t = _full_class(d)
     worst = 0.0
     for template in ({"kind": "pole"}, {"kind": "model_plancherel", "c": "1"}):
-        fns = density_for(t, template)
+        fns = ScalarRootFns.uniform(t.levi_L, template, t.nbeta)
         lam0 = [0.31j, 0.17j]
         comb = split_terms(fns, M0, G, P, _lam_evaluator(d, lam0))
         ana = induced_family_value(fns, P, lam0, P.chamber_point)
@@ -231,7 +231,7 @@ def test_criterion_9_example_formulas():
     M0, G = mzero(d), gfull(d)
     P0 = base_chamber(d)
     t = _full_class(d)
-    fns = density_for(t, {"kind": "model_plancherel", "c": "1"})
+    fns = ScalarRootFns.uniform(t.levi_L, {"kind": "model_plancherel", "c": "1"}, t.nbeta)
     model = SigmaModel(t, fns, RatVec.of([Fraction(1, 3), Fraction(2, 3)]),
                        RatVec.of([Fraction(5, 7), Fraction(2, 7)]))
     u = 1j

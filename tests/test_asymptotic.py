@@ -19,6 +19,7 @@ from gmcalc.asymptotic import (
     weyl_sequence_orders,
 )
 from gmcalc.errors import NotDiscrete, NotPRegular
+from gmcalc.gmfamily import ScalarRootFns
 from gmcalc.levilattice import (
     base_chamber,
     d_constant,
@@ -30,13 +31,13 @@ from gmcalc.levilattice import (
 )
 from gmcalc.lp import in_cone, in_cone_nonzero
 from gmcalc.rootdatum import RatVec, build_root_system, weyl_group
-from gmcalc.spectral import build_spectral_triple, density_for, tau_class
+from gmcalc.spectral import build_spectral_triple, tau_class
 
 
 def model_for(d, sigma="full", template=None, mu=None, ev=None):
     roots = range(len(d.roots)) if sigma == "full" else []
     t = tau_class(build_spectral_triple(d, roots, []))
-    fns = density_for(t, template or {"kind": "model_plancherel", "c": "1"})
+    fns = ScalarRootFns.uniform(t.levi_L, template or {"kind": "model_plancherel", "c": "1"}, t.nbeta)
     mu_im = mu if mu is not None else RatVec.of([Fraction(k + 1, 3) for k in range(d.rank)])
     eval_im = ev if ev is not None else RatVec.of([Fraction(2 * k + 5, 7) for k in range(d.rank)])
     return SigmaModel(t, fns, mu_im, eval_im)
@@ -294,7 +295,7 @@ def test_assemble_phip_empty_and_nonconjugate():
 def test_assemble_phip_direct_assembly():
     d = build_root_system("A2")
     t = tau_class(build_spectral_triple(d, range(len(d.roots)), []))
-    fns = density_for(t, {"kind": "pole"})
+    fns = ScalarRootFns.uniform(t.levi_L, {"kind": "pole"}, t.nbeta)
     model = SigmaModel(t, fns, RatVec.of([1, 1]), RatVec.of([Fraction(5, 7), Fraction(2, 7)]))
     M0 = mzero(d)
     maxes = [L for L in levi_lattice(d) if L.dim == 1]
@@ -341,7 +342,7 @@ def test_phi_tt_a1_term_count():
 def test_phi_tt_zero_densities_trivial_coefficients():
     d = build_root_system("A2")
     t = tau_class(build_spectral_triple(d, [], []))
-    fns = density_for(t, {"kind": "pole"})
+    fns = ScalarRootFns.uniform(t.levi_L, {"kind": "pole"}, t.nbeta)
     mu = d.fund_coweights[0] + 2 * d.fund_coweights[1]
     model = SigmaModel(t, fns, mu, RatVec.of([Fraction(5, 7), Fraction(2, 7)]))
     P = base_chamber(d)
@@ -363,7 +364,7 @@ def test_phi_tt_requires_regular_orbit():
 def test_phi_tt_relabel_invariance():
     d = build_root_system("A1xA1")
     t = tau_class(build_spectral_triple(d, range(len(d.roots)), []))
-    fns = density_for(t, {"kind": "model_plancherel", "c": "1"})
+    fns = ScalarRootFns.uniform(t.levi_L, {"kind": "model_plancherel", "c": "1"}, t.nbeta)
     # antidominant mu is minimal for the base chamber in every coordinate
     mu = RatVec.of([Fraction(-1), Fraction(-1)])
     ok = all(
@@ -392,9 +393,8 @@ def test_phi_tt_relabel_invariance():
 def test_assemble_phip_linear_in_inputs():
     d = build_root_system("A2")
     t = tau_class(build_spectral_triple(d, range(len(d.roots)), []))
-    from gmcalc.spectral import density_for
 
-    fns = density_for(t, {"kind": "model_plancherel", "c": "1"})
+    fns = ScalarRootFns.uniform(t.levi_L, {"kind": "model_plancherel", "c": "1"}, t.nbeta)
     model = SigmaModel(t, fns, RatVec.of([1, 1]), RatVec.of([Fraction(5, 7), Fraction(2, 7)]))
     M0 = mzero(d)
     maxes = [L for L in levi_lattice(d) if L.dim == 1]

@@ -1,5 +1,7 @@
+import contextlib
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -272,19 +274,70 @@ BAD_SHAPES = [
 ]
 
 
-@pytest.mark.parametrize("bad", BAD_NUMERICS + BAD_VALUES + BAD_SHAPES)
-def test_verify_bad_numerics_exit_2_with_one_line(tmp_path, bad):
+class _NoExit(BaseException):
+    """Raised by the alarm; a BaseException, so no error handler of the CLI can catch it."""
+
+
+@contextlib.contextmanager
+def _time_limit(seconds: int):
+    """Fail instead of hanging tier-1 when a run does not end within the limit."""
+
+    def expire(signum, frame):
+        raise _NoExit
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    except _NoExit:
+        pytest.fail(f"no exit within {seconds} s")
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def _verify_argv(tmp_path, bad) -> list[str]:
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(bad))
+    return ["--config", str(p), "verify", "--group", "A1", "--suite", "lemma-shift", "--out", str(tmp_path / "r")]
+
+
+@pytest.mark.parametrize("bad", BAD_NUMERICS + BAD_VALUES + BAD_SHAPES)
+def test_verify_bad_numerics_exit_2_with_one_line(tmp_path, capsys, bad):
+    # in-process: an uncaught exception fails the test as a traceback would
+    with _time_limit(60):
+        code = main(_verify_argv(tmp_path, bad))
+    err = capsys.readouterr().err
+    assert code == 2, err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+
+
+def test_verify_bad_config_real_process_prints_one_line(tmp_path):
+    # zero epsilon once hung the quadrature; a real interpreter shows what reaches stderr at exit
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     proc = subprocess.run(
-        [sys.executable, "-m", "gmcalc.cli", "--config", str(p), "verify", "--group", "A1",
-         "--suite", "lemma-shift", "--out", str(tmp_path / "r")],
+        [sys.executable, "-m", "gmcalc.cli", *_verify_argv(tmp_path, BAD_NUMERICS[0])],
         capture_output=True, text=True, timeout=60, env=env,
     )
     assert proc.returncode == 2, proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+
+
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
+def test_verify_report_dir_not_a_directory_exit_2_before_suites(tmp_path, capsys, monkeypatch, below):
+    # a file there once ended in a FileExistsError traceback after every suite had run
+    afile = tmp_path / "afile"
+    afile.write_text("keep")
+    ran = []
+    monkeypatch.setattr("gmcalc.cli.run_suites", ran.append)
+    out = afile / "r" if below else afile
+    assert main(["verify", "--group", "A1", "--suite", "trand", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+    assert not ran and captured.out == "" and afile.read_text() == "keep"
 
 
 @pytest.mark.parametrize("bad", BAD_NUMERICS + BAD_SHAPES)

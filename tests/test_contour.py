@@ -26,10 +26,10 @@ from gmcalc.contour import (
     verify_residues,
 )
 from gmcalc.errors import BadShift, GmcalcError, NoConvergence, NotComparable
-from gmcalc.gmfamily import scalar_fn_from_template
+from gmcalc.gmfamily import ScalarRootFns, scalar_fn_from_template
 from gmcalc.levilattice import base_chamber, levi_lattice, mzero, parabolics
 from gmcalc.rootdatum import build_root_system
-from gmcalc.spectral import build_spectral_triple, density_for, enumerate_spectral_triples, tau_class
+from gmcalc.spectral import build_spectral_triple, enumerate_spectral_triples, tau_class
 from gmcalc.suites import _lemma_shift_cases
 
 
@@ -134,7 +134,7 @@ def test_lemma_shift_a1():
     M0 = mzero(d)
     P = base_chamber(d)
     for template in ({"kind": "model_plancherel", "c": "1"}, {"kind": "model_plancherel", "c": "4"}):
-        fns = density_for(t, template)
+        fns = ScalarRootFns.uniform(t.levi_L, template, t.nbeta)
         phi = flat_phi(d, chamber_below(P, t.levi_L))
         rec = lemma_shift_check(t, fns, M0, P, phi)
         assert rec["pass"], rec
@@ -146,7 +146,7 @@ def test_lemma_shift_a1_trivial_densities():
     t = tau_class(build_spectral_triple(d, [], []))
     M0 = mzero(d)
     P = base_chamber(d)
-    fns = density_for(t, {"kind": "model_plancherel", "c": "1"})
+    fns = ScalarRootFns.uniform(t.levi_L, {"kind": "model_plancherel", "c": "1"}, t.nbeta)
     phi = flat_phi(d, chamber_below(P, t.levi_L), c1=0.5)
     rec = lemma_shift_check(t, fns, M0, P, phi)
     assert rec["pass"], rec
@@ -157,7 +157,7 @@ def test_lemma_shift_a1xa1_full():
     t = tau_class(build_spectral_triple(d, range(len(d.roots)), []))
     M0 = mzero(d)
     P = base_chamber(d)
-    fns = density_for(t, {"kind": "model_plancherel", "c": "1"})
+    fns = ScalarRootFns.uniform(t.levi_L, {"kind": "model_plancherel", "c": "1"}, t.nbeta)
     phi = flat_phi(d, chamber_below(P, t.levi_L), c2=0.25)
     rec = lemma_shift_check(t, fns, M0, P, phi)
     assert rec["pass"], rec
@@ -169,7 +169,7 @@ def test_lemma_shift_a1xa1_intermediate_levi():
     P_list = [L for L in levi_lattice(d) if L.dim == 1]
     M = P_list[0]
     P = parabolics(M)[0]
-    fns = density_for(t, {"kind": "model_plancherel", "c": "1"})
+    fns = ScalarRootFns.uniform(t.levi_L, {"kind": "model_plancherel", "c": "1"}, t.nbeta)
     phi = flat_phi(d, chamber_below(P, t.levi_L))
     rec = lemma_shift_check(t, fns, M, P, phi)
     assert rec["pass"], rec
@@ -285,7 +285,9 @@ def test_density_table_keys_densities_by_value():
     P = base_chamber(d)
     phi = flat_phi(d, chamber_below(P, t.levi_L))
     plans = [
-        _plan(index, ShiftCase(t, density_for(t, tpl), mzero(d), P, phi, (0.05, 0.1), (1e-1, 1e-2, 1e-3), 1e-4))
+        _plan(index, ShiftCase(
+            t, ScalarRootFns.uniform(t.levi_L, tpl, t.nbeta), mzero(d), P, phi, (0.05, 0.1), (1e-1, 1e-2, 1e-3), 1e-4
+        ))
         for index, tpl in enumerate(templates)
     ]
     grids = [{g for it in p.integrals() for g in it.grids} for p in plans]
@@ -303,7 +305,7 @@ def test_batch_matches_one_case_at_a_time():
     home = cases[0].t.levi_L
     other = next(t for t in map(tau_class, enumerate_spectral_triples(home.datum)) if t.levi_L != home)
     # densities on another flat: planning raises NotComparable for this case only
-    bad = cases[0]._replace(fns=density_for(other, {"kind": "model_plancherel", "c": "1"}))
+    bad = cases[0]._replace(fns=ScalarRootFns.uniform(other.levi_L, {"kind": "model_plancherel", "c": "1"}, other.nbeta))
     batch = lemma_shift_batch(cases[:2] + [bad] + cases[2:])
     outcomes = batch.outcomes[:2] + batch.outcomes[3:]
     for case, got in zip(cases, outcomes):

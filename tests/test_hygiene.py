@@ -77,6 +77,23 @@ def test_traced_layer_functions_exist():
     assert not missing, f"bench/spans.py traces functions that do not exist: {missing}"
 
 
+def test_bench_child_imports_exist():
+    # bench/child.py imports inside its functions, so a renamed name fails only when that workload runs
+    imports = [
+        node
+        for node in ast.walk(_tree(ROOT / "bench" / "child.py"))
+        if isinstance(node, ast.ImportFrom) and node.module.startswith("gmcalc.")
+    ]
+    assert imports
+    missing = [
+        f"{node.module}.{alias.name}"
+        for node in imports
+        for alias in node.names
+        if alias.name not in _top_level(SRC / f"{node.module.removeprefix('gmcalc.')}.py")
+    ]
+    assert not missing, f"bench/child.py imports names that do not exist: {missing}"
+
+
 CONFIG_SCHEMA = json.loads((SRC / "config.schema.json").read_text(encoding="utf-8"))
 
 

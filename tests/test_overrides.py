@@ -10,12 +10,13 @@ from gmcalc.gmfamily import (
     ExpPolyFamily,
     family_limit,
     hull_volume,
+    ScalarRootFns,
     orthogonal_set,
     scalar_fn_from_template,
 )
 from gmcalc.levilattice import QuadConst, d_constant, gfull, levi_lattice, mzero, restricted_rays
 from gmcalc.rootdatum import build_root_system
-from gmcalc.spectral import build_spectral_triple, density_for, n_beta, tau_class, tempext_check
+from gmcalc.spectral import build_spectral_triple, n_beta, tau_class, tempext_check
 
 
 def test_gram_override_scales_measures():
@@ -89,7 +90,7 @@ def test_multiplicity_override():
 
     assert discrete_constants(t, gfull(d))["nL"] == Fraction(3, 4)
     # densities built from the class pick up the overridden residue
-    fns = density_for(t, {"kind": "pole"})
+    fns = ScalarRootFns.uniform(t.levi_L, {"kind": "pole"}, t.nbeta)
     assert fns.fn(alpha).n == Fraction(3, 2)
 
 
@@ -119,6 +120,6 @@ def test_tempext_respects_override():
     d = build_root_system("A1")
     rays = restricted_rays(mzero(d))
     t = tau_class(build_spectral_triple(d, range(len(d.roots)), []), mult={rays[0].key: Fraction(2)})
-    fns = density_for(t, {"kind": "pole"})
+    fns = ScalarRootFns.uniform(t.levi_L, {"kind": "pole"}, t.nbeta)
     records = tempext_check(t, fns, [lambda lam: 1.0])
     assert records and all(r["pass"] for r in records)

@@ -3,14 +3,14 @@ from fractions import Fraction
 import pytest
 
 from gmcalc.errors import NotARoot, NotChamberStabilizer, NotSubsystem
-from gmcalc.levilattice import enumerate_levis, gfull, mzero
+from gmcalc.gmfamily import ScalarRootFns
+from gmcalc.levilattice import enumerate_levis, gfull, mzero, restricted_rays
 from gmcalc.rootdatum import RatVec, build_root_system
 from gmcalc.spectral import (
     build_spectral_triple,
     chamber_transitivity,
     classify_tau,
     closed_subsystems,
-    density_for,
     discrete_constants,
     enumerate_spectral_triples,
     eps_tau,
@@ -19,9 +19,8 @@ from gmcalc.spectral import (
     reflections_in_core,
     tau_class,
     tempext_check,
-    w_tau_core,
 )
-from gmcalc.exactlin import coords_in_basis, mat, mat_vec, transpose
+from gmcalc.exactlin import coords_in_basis, mat, mat_vec, primitive_ray, projector, transpose
 
 
 def full_sigma(d):
@@ -77,12 +76,10 @@ def test_classify_a1_cases():
     d = build_root_system("A1")
     t_full = tau_class(build_spectral_triple(d, range(len(d.roots)), []))
     assert t_full.levi_L == mzero(d)
-    res = classify_tau(t_full)
-    assert res["elliptic"] and res["discrete"]
+    assert classify_tau(t_full)
 
     t_empty = tau_class(build_spectral_triple(d, [], []))
-    res2 = classify_tau(t_empty)
-    assert res2["elliptic"] and not res2["discrete"]
+    assert not classify_tau(t_empty)
 
 
 def test_classify_exhaustive_rank2():
@@ -90,8 +87,7 @@ def test_classify_exhaustive_rank2():
         d = build_root_system(label)
         for triple in enumerate_spectral_triples(d):
             t = tau_class(triple)
-            res = classify_tau(t)  # raises InternalInconsistency on any disagreement
-            assert res["elliptic"]
+            classify_tau(t)  # raises InternalInconsistency on any disagreement
 
 
 def test_transitivity_and_reflections_exhaustive_rank2():
@@ -134,7 +130,7 @@ def test_n_beta_two_pairs_same_ray():
     assert swap is not None
     t = tau_class(swap)
     assert t.levi_L.dim == 1
-    rays = t.tau_rays()
+    rays = t.tau_rays
     assert len(rays) == 1
     assert n_beta(t, rays[0].rep) == 2
 
@@ -187,7 +183,7 @@ def test_discrete_constants_match_elementary_symmetric(nl_elementary):
 def test_eps_tau_character():
     d = build_root_system("A1xA1")
     t = tau_class(build_spectral_triple(d, range(len(d.roots)), []))
-    core = w_tau_core(t)
+    core = t.core
     assert len(core) == 4
     for u in core:
         assert eps_tau(t, u) in (-1, 1)
@@ -206,21 +202,21 @@ def test_eps_tau_reflection_is_minus_one():
     t = tau_class(build_spectral_triple(d, range(len(d.roots)), []))
     from gmcalc.spectral import _flat_reflection, TauWeyl
 
-    for ray in t.tau_rays():
+    for ray in t.tau_rays:
         m = _flat_reflection(t, ray)
         # identity has sign +1, a pole-ray reflection has sign -1
-        u = TauWeyl(m, t.triple.r_elem)
+        u = TauWeyl(m, t.r_elem)
         assert eps_tau(t, u) == -1
-    ident = w_tau_core(t)[0]
+    ident = t.core[0]
     from gmcalc.exactlin import identity as id_mat
 
-    assert any(u.mat == id_mat(t.levi_L.dim) and eps_tau(t, u) == 1 for u in w_tau_core(t))
+    assert any(u.mat == id_mat(t.levi_L.dim) and eps_tau(t, u) == 1 for u in t.core)
 
 
 def test_tempext_a1_exact_cancellation():
     d = build_root_system("A1")
     t = tau_class(build_spectral_triple(d, range(len(d.roots)), []))
-    fns = density_for(t, {"kind": "pole"})
+    fns = ScalarRootFns.uniform(t.levi_L, {"kind": "pole"}, t.nbeta)
     records = tempext_check(t, fns, [lambda lam: 1.0])
     assert records
     for rec in records:
@@ -232,7 +228,7 @@ def test_tempext_rank2_bounded():
     for label in ("A1xA1", "A2"):
         d = build_root_system(label)
         t = tau_class(build_spectral_triple(d, range(len(d.roots)), []))
-        fns = density_for(t, {"kind": "model_plancherel", "c": "1"})
+        fns = ScalarRootFns.uniform(t.levi_L, {"kind": "model_plancherel", "c": "1"}, t.nbeta)
         phi = [lambda lam: 1.0, lambda lam: 1.0 + sum(x * x for x in lam)]
         records = tempext_check(t, fns, phi)
         assert records
@@ -258,9 +254,40 @@ def test_on_home_matches_basis_loop(label):
     for triple in enumerate_spectral_triples(d):
         t = tau_class(triple)
         basis = t.levi_L.basis
-        for u in w_tau_core(t):
+        for u in t.core:
             if not basis:
                 continue
             rows = [coords_in_basis(mat_vec(u.lift.matrix, b), basis) for b in basis]
             assert None not in rows
             assert _on_home(t, u.lift) == transpose(mat(rows)) == u.mat
+
+
+def _nbeta_by_projection(t):
+    """n by the earlier route: project each vanishing-set root onto the home flat and count per ray."""
+    d = t.datum
+    proj_m = projector(t.levi_L.basis, d.gram)
+    projs = [mat_vec(proj_m, d.roots[i].coords) for i in t.sigma_roots]
+    keys = [primitive_ray(p) for p in projs if any(p)]
+    return {ray.key: Fraction(keys.count(ray.key), 2) for ray in restricted_rays(t.levi_L)}
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "B2", "G2", "A1xA1", "A3", "A1xA3"])
+def test_nbeta_from_ray_members_matches_projection(label):
+    classes = enumerate_spectral_triples(build_root_system(label))
+    assert any(any(t.nbeta.values()) for t in classes)
+    for t in classes:
+        assert t.nbeta == _nbeta_by_projection(t), (label, t)
+
+
+def test_classes_built_once_and_overrides_copy():
+    d = build_root_system("A2")
+    classes = enumerate_spectral_triples(d)
+    assert enumerate_spectral_triples(d) is classes
+    t = next(t for t in classes if t.sigma_roots == full_sigma(d) and t.r_elem.is_identity())
+    assert tau_class(t) is t
+    before = t.nbeta
+    ray = t.tau_rays[0]
+    u = tau_class(t, mult={ray.key: Fraction(3, 2)})
+    assert u is not t and u.sigma_roots == t.sigma_roots and u.r_elem is t.r_elem
+    assert u.nbeta[ray.key] == Fraction(3, 2) and before[ray.key] == 1
+    assert t.nbeta is before and t.nbeta == {key: 1 for key in before}
