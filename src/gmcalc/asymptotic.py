@@ -26,7 +26,7 @@ from .levilattice import (
 )
 from .lp import in_cone_nonzero
 from .rootdatum import RatVec, RootDatum, WeylElement, act, invert, reflect_subgroup, weyl_group
-from .spectral import TauClass, classify_tau, discrete_constants
+from .spectral import TauClass, classify_tau, discrete_constants, n_constant
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +165,7 @@ def _discrete_nl(model: SigmaModel, L: Levi, u_sign: complex):
         raise IncompleteInput("u_sign must be a fourth root of unity")
     if not classify_tau(model.tau, G_levi=L):
         raise NotDiscrete(f"class does not induce discretely to {L.label}")
-    return discrete_constants(model.tau, L)["nL"]
+    return n_constant(model.tau, L)
 
 
 def _split_sum(model: SigmaModel, L: Levi, M: Levi, Q1: ParabolicChamber) -> complex:
@@ -266,9 +266,9 @@ def assemble_PhiP(
     M = P.levi
     if not any(contains(conjugate_levi(w, L1), M) for w in weyl_group(d)):
         return 0j
-    k_l = discrete_constants(model.tau, L)["kL"]
+    consts = discrete_constants(model.tau, L)
+    k_l, nl = consts["kL"], consts["nL"]
     k_l1 = discrete_constants(model.tau, L1)["kL"]
-    nl = discrete_constants(model.tau, L)["nL"]
     total = 0j
     for S in enumerate_levis(d, lower=L1):
         dc = d_constant(L1, L, S)

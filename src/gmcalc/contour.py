@@ -41,7 +41,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import BadShift, GmcalcError, NoConvergence, NotComparable
-from .exactlin import mat_vec, projector, sym_pair
+from .exactlin import mat_vec, sym_pair
 from .gmfamily import ScalarRootFns, _poly_eval, split_subsets
 from .levilattice import (
     Levi,
@@ -49,11 +49,12 @@ from .levilattice import (
     QuadConst,
     d_constant,
     enumerate_levis,
+    flat_projector,
     gfull,
     parabolics,
 )
 from .rootdatum import RootDatum
-from .spectral import TauClass, discrete_constants
+from .spectral import TauClass, n_constant
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 
@@ -580,13 +581,13 @@ def _plan(case_index: int, case: ShiftCase) -> _ShiftPlan:
             dc = d_constant(L1, L, S)
             if dc.is_zero():
                 continue
-            nl = discrete_constants(t, L)["nL"]
+            nl = n_constant(t, L)
             if nl == 0:
                 continue
             sub_terms = _m_term_data(fns, M, S, Q1)
             if not sub_terms:
                 continue
-            proj_l = projector(L.basis, d.gram)
+            proj_l = flat_projector(L)
             integrals = []
             for term in sub_terms:
                 pole_dirs = []

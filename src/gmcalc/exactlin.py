@@ -15,7 +15,7 @@ gcd instead of one per multiply and add.  Only the entrywise helpers
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 from typing import Iterable, Sequence
 
 Vec = tuple[Fraction, ...]
@@ -215,16 +215,16 @@ def _int_rows(rows: Iterable[Iterable[Fraction]]) -> tuple[list[list[int]], list
     return out, dens
 
 
+def int_det(rows: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square integer matrix (1 for the empty one); the rows are not changed."""
+    n = len(rows)
+    pivots, d, sign = _eliminate(list(rows), n)
+    return sign * d if len(pivots) == n else 0
+
+
 def det(m: Mat) -> Fraction:
-    n = len(m)
     rows, dens = _int_rows(m)
-    pivots, d, sign = _eliminate(rows, n)
-    if len(pivots) < n:
-        return ZERO
-    scale = 1
-    for x in dens:
-        scale *= x
-    return Fraction(sign * d, scale)
+    return Fraction(int_det(rows), prod(dens))
 
 
 def rref(rows: Sequence[Vec]) -> list[Vec]:

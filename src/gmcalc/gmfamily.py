@@ -32,15 +32,15 @@ from .errors import (
 )
 from .exactlin import (
     Vec,
-    coords_in_basis,
     common_denominator,
-    det,
     gram_det,
+    int_det,
     is_zero_vec,
     mat_vec,
     primitive_ray,
     projector,
     rank as mat_rank,
+    transpose,
 )
 from .levilattice import (
     Levi,
@@ -48,17 +48,19 @@ from .levilattice import (
     QuadConst,
     Ray,
     _rel_basis,
+    adjacent_chambers,
+    cell_maps,
     chamber_at,
-    chamber_cells,
     contains,
+    coord_map,
     d_constant,
     enumerate_levis,
     flat_kernel,
     gfull,
+    limit_frame,
     parabolics,
     rays_in,
     restricted_rays,
-    simple_restricted,
     theta,
 )
 from .ratpoly import Poly, exp_series, series_mul
@@ -78,48 +80,32 @@ class OrthogonalSet:
 
     def validate(self) -> None:
         M = self.levi
-        chambers = parabolics(M)
-        if len(self.points) != len(chambers):
+        if len(self.points) != len(parabolics(M)):
             raise InternalInconsistency("point list does not match the chamber list")
-        rays = restricted_rays(M)
-        signs = [P.signs for P in chambers]
-        for i in range(len(chambers)):
-            for j in range(i + 1, len(chambers)):
-                diff_pos = [k for k in range(len(rays)) if signs[i][k] != signs[j][k]]
-                if len(diff_pos) != 1:
-                    continue
-                ray = rays[diff_pos[0]]
-                rep = ray.rep if signs[i][diff_pos[0]] > 0 else -ray.rep
-                delta = self.points[i] - self.points[j]
-                if delta.is_zero():
-                    continue
-                c = None
-                for x, y in zip(delta.coords, rep.coords):
-                    if y != 0:
-                        c = x / y
-                        break
-                if c is None or c < 0 or delta != c * rep:
-                    raise InternalInconsistency("adjacent difference not a nonnegative coroot multiple")
+        for i, j, ray in adjacent_chambers(M):
+            delta = self.points[i] - self.points[j]
+            if delta.is_zero():
+                continue
+            c = None
+            for x, y in zip(delta.coords, ray.rep.coords):
+                if y != 0:
+                    c = x / y
+                    break
+            if c is None or c < 0 or delta != c * ray.rep:
+                raise InternalInconsistency("adjacent difference not a nonnegative coroot multiple")
 
 
 def orthogonal_set(M: Levi, T: RatVec) -> OrthogonalSet:
-    """Weyl translates of a dominant point, projected chamber-wise to a_M."""
+    """Weyl translates of a dominant point, projected chamber-wise to a_M; a cell's maps are compared on every call."""
     d = M.datum
     for i in d.simple:
         if d.pair(d.roots[i], T) < 0:
             raise NotDominant(f"point pairs negatively with simple root {i}")
-    proj_m = projector(M.basis, d.gram)
     points: list[RatVec] = []
-    cells = chamber_cells(M)
-    for idx in range(len(parabolics(M))):
-        images = []
-        for w in cells[idx]:
-            moved = act(w, T)
-            images.append(RatVec(mat_vec(proj_m, moved.coords)))
-        first = images[0]
-        if any(img != first for img in images):
+    for maps in cell_maps(M):
+        if any(m != maps[0] for m in maps[1:]):
             raise InternalInconsistency("projection not constant on a chamber cell")
-        points.append(first)
+        points.append(RatVec(mat_vec(maps[0], T.coords)))
     return OrthogonalSet(M, tuple(points))
 
 
@@ -154,7 +140,7 @@ def _hull_volume(pts: list[Vec], n: int) -> Fraction:
     def facet(verts: tuple) -> tuple:
         q0 = verts[0]
         edges = [tuple(x - y for x, y in zip(q, q0)) for q in verts[1:]]
-        normal = [(-1) ** j * int(det([e[:j] + e[j + 1:] for e in edges])) for j in range(n)]
+        normal = [(-1) ** j * int_det([e[:j] + e[j + 1:] for e in edges]) for j in range(n)]
         offset = _idot(normal, q0)
         if _idot(normal, inner) > (n + 1) * offset:
             normal, offset = [-a for a in normal], -offset
@@ -185,17 +171,13 @@ def _hull_volume(pts: list[Vec], n: int) -> Fraction:
 def hull_volume(pts: OrthogonalSet) -> QuadConst:
     """Volume of the convex hull in the invariant measure on a_M."""
     M = pts.levi
-    d = M.datum
     if M.dim == 0:
         return QuadConst.one()
-    coords = []
-    for p in pts.points:
-        c = coords_in_basis(p.coords, M.basis)
-        if c is None:
-            raise InternalInconsistency("hull point outside the flat")
-        coords.append(c)
+    cmap, disc = coord_map(M)
+    coords = [mat_vec(cmap, p.coords) for p in pts.points]
+    if any(mat_vec(transpose(M.basis), c) != p.coords for c, p in zip(coords, pts.points)):
+        raise InternalInconsistency("hull point outside the flat")
     vol = _hull_volume(coords, M.dim)
-    disc = gram_det(M.basis, d.gram)
     return QuadConst.from_square(vol * vol * disc)
 
 
@@ -257,48 +239,23 @@ class ExpPolyFamily:
         d = M.datum
         if M.dim == 0:
             return []
-        chambers = parabolics(M)
-        rays = restricted_rays(M)
         problems = []
-        for i in range(len(chambers)):
-            for j in range(i + 1, len(chambers)):
-                diff = [k for k in range(len(rays)) if chambers[i].signs[k] != chambers[j].signs[k]]
-                if len(diff) != 1:
-                    continue
-                ray = rays[diff[0]]
-                wall = flat_kernel(d, M.basis, [ray.rep.coords])
+        for i, j, ray in adjacent_chambers(M):
+            wall = flat_kernel(d, M.basis, [ray.rep.coords])
 
-                def restricted(chamber_index):
-                    grouped: dict[tuple, Poly] = {}
-                    nvars = len(wall)
-                    for p, X in self.terms[chamber_index]:
-                        forms = [tuple(wv[c] for wv in wall) for c in range(d.rank)]
-                        q = p.subs_linear(forms) if nvars else Poly.const(0, p.eval_frac((Fraction(0),) * d.rank))
-                        key = tuple(d.pair(RatVec(wv), X) for wv in wall)
-                        grouped[key] = grouped.get(key, Poly(nvars)) + q
-                    return {k: v for k, v in grouped.items() if not v.is_zero()}
+            def restricted(chamber_index):
+                grouped: dict[tuple, Poly] = {}
+                nvars = len(wall)
+                for p, X in self.terms[chamber_index]:
+                    forms = [tuple(wv[c] for wv in wall) for c in range(d.rank)]
+                    q = p.subs_linear(forms) if nvars else Poly.const(0, p.eval_frac((Fraction(0),) * d.rank))
+                    key = tuple(d.pair(RatVec(wv), X) for wv in wall)
+                    grouped[key] = grouped.get(key, Poly(nvars)) + q
+                return {k: v for k, v in grouped.items() if not v.is_zero()}
 
-                if restricted(i) != restricted(j):
-                    problems.append(
-                        f"chambers {i} and {j} disagree on the wall of ray {ray.key}"
-                    )
+            if restricted(i) != restricted(j):
+                problems.append(f"chambers {i} and {j} disagree on the wall of ray {ray.key}")
         return problems
-
-
-def _generic_direction(M: Levi, direction: RatVec | None) -> RatVec:
-    d = M.datum
-    rays = restricted_rays(M)
-    base = parabolics(M)[0].chamber_point
-    if direction is None:
-        direction = base
-    lam = direction
-    step = Fraction(1, 97)
-    for _ in range(64):
-        if all(d.pair(r.rep, lam) != 0 for r in rays):
-            return lam
-        lam = lam + step * base
-        step /= 97
-    raise InternalInconsistency("no generic direction found")
 
 
 def family_limit(f: ExpPolyFamily, direction: RatVec | None = None) -> QuadConst:
@@ -314,16 +271,10 @@ def family_limit(f: ExpPolyFamily, direction: RatVec | None = None) -> QuadConst
         for p, X in f.terms[0]:
             total += p.eval_frac((Fraction(0),) * d.rank)
         return QuadConst.from_rational(total)
-    lam0 = _generic_direction(M, direction)
+    lam0, scales = limit_frame(M, direction)
     K = M.dim
     series_total = [Fraction(0)] * (K + 1)
-    for P in parabolics(M):
-        simples = simple_restricted(P)
-        theta_star = Fraction(1)
-        for a in simples:
-            theta_star *= d.pair(lam0, a.dual)
-        coords = [coords_in_basis(a.dual.coords, M.basis) for a in simples]
-        q_p = abs(det(tuple(coords)))
+    for P, scale in zip(parabolics(M), scales):
         chamber_series = [Fraction(0)] * (K + 1)
         for p, X in f.terms[P.index]:
             poly_series = p.along_line(lam0.coords)
@@ -332,15 +283,13 @@ def family_limit(f: ExpPolyFamily, direction: RatVec | None = None) -> QuadConst
                 a + b
                 for a, b in zip(chamber_series, series_mul(poly_series, e_series, K))
             ]
-        scale = q_p / theta_star
         series_total = [a + scale * b for a, b in zip(series_total, chamber_series)]
     if any(c != 0 for c in series_total[:K]):
         raise FamilyNotSmooth(
             f"negative Laurent orders do not cancel: {series_total[:K]}"
         )
-    disc = gram_det(M.basis, d.gram)
     c = series_total[K]
-    return QuadConst.from_square(c * c * disc, 1 if c > 0 else (-1 if c < 0 else 0))
+    return QuadConst.from_square(c * c * coord_map(M)[1], 1 if c > 0 else (-1 if c < 0 else 0))
 
 
 # ---------------------------------------------------------------------------

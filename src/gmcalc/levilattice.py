@@ -8,9 +8,9 @@ restricted root arrangement on a_M.
 
 This module is the one place that derives these objects and answers
 questions about them, and each is built once and kept on its owner: the
-lattice of Levi subgroups on the RootDatum (``d.lattice``); the restricted
-rays, the parabolic chambers, their Weyl cells, the bases relative to upper
-flats and the splitting constants on the Levi.  Each ray keeps its dual, and
+lattice of Levi subgroups on the RootDatum (``d.lattice``); the projector,
+rays, chambers, hull-limit frame, relative bases and splitting constants on
+the Levi.  Each ray keeps its dual, and
 ``-ray`` is its other side with that side's dual, so ``simple_restricted``
 hands out signed rays.  Each chamber keeps the sign pattern of the rays on
 it, and ``chamber_at`` finds a point's chamber by that pattern.
@@ -23,16 +23,22 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from typing import Iterable, Sequence
 
 from .errors import IncompleteInput, InternalInconsistency, NotComparable
 from .exactlin import (
+    Mat,
     Vec,
     combine,
+    det,
     gram_det,
+    gram_matrix,
     identity,
     is_zero_vec,
     kernel,
+    mat_inv,
+    mat_mul,
     mat_vec,
     primitive_ray,
     projector,
@@ -101,9 +107,12 @@ class Levi:
     """A flat of the root arrangement: basis rows of a_L plus the roots vanishing on it.
 
     Objects read off the flat are built on first use and kept here: the
-    restricted rays, the parabolic chambers, their Weyl cells, the bases
-    relative to upper flats and the splitting constants d_L1 with this flat
-    as L1.
+    orthogonal projector onto a_L, the restricted rays, the parabolic
+    chambers, the bases relative to upper flats, the splitting constants
+    d_L1 with this flat as L1, and the hull-limit frame: the maps proj o w of
+    each chamber's Weyl cell, the adjacent chamber pairs with signed wall rays,
+    the basis coordinate map with its Gram determinant, and per limit
+    direction a generic lam0 with each chamber's scale q_P / theta*_P.
     """
 
     def __init__(self, datum: RootDatum, basis: tuple[Vec, ...], root_subset: frozenset[int]):
@@ -111,9 +120,13 @@ class Levi:
         self.basis = basis
         self.root_subset = root_subset
         self.dim = len(basis)
+        self._proj: Mat | None = None
         self._rays: tuple[Ray, ...] | None = None
         self._chambers: tuple[ParabolicChamber, ...] | None = None
-        self._cells: dict[int, tuple[WeylElement, ...]] | None = None
+        self._cell_maps: tuple[tuple[Mat, ...], ...] | None = None
+        self._adjacent: tuple[tuple[int, int, Ray], ...] | None = None
+        self._coord_map: tuple[Mat, Fraction] | None = None
+        self._limit_frames: dict[RatVec | None, tuple[RatVec, tuple[Fraction, ...]]] = {}
         self._rel_bases: dict[frozenset[int] | None, tuple[Vec, ...]] = {}
         self._d_constants: dict[tuple, QuadConst] = {}  # d_constant with this flat as L1
         positive = set(datum.pos_indices)
@@ -309,11 +322,18 @@ def group_rays(d: RootDatum, vectors: Iterable[tuple[int, Vec]]) -> tuple[Ray, .
     return tuple(rays)
 
 
+def flat_projector(M: Levi) -> Mat:
+    """The orthogonal projection onto a_M; built once per Levi."""
+    if M._proj is None:
+        M._proj = projector(M.basis, M.datum.gram)
+    return M._proj
+
+
 def restricted_rays(M: Levi) -> tuple[Ray, ...]:
     """Reduced restricted-root rays on a_M, grouped in +- pairs; built once per Levi."""
     if M._rays is None:
         d = M.datum
-        proj_m = projector(M.basis, d.gram)
+        proj_m = flat_projector(M)
         projs = ((i, mat_vec(proj_m, r.coords)) for i, r in enumerate(d.roots))
         M._rays = group_rays(d, ((i, p) for i, p in projs if not is_zero_vec(p)))
     return M._rays
@@ -337,8 +357,8 @@ def sign_pattern(d: RootDatum, rays: Sequence[Ray], point: RatVec) -> tuple[int,
     return tuple(out)
 
 
-def chambers_of_rays(datum: RootDatum, basis: Sequence[Vec], rays: Sequence[Ray]) -> list[RatVec]:
-    """Interior witnesses, one per chamber of the given ray arrangement on the span of the rows.
+def chambers_of_rays(M: Levi, rays: Sequence[Ray]) -> list[RatVec]:
+    """Interior witnesses, one per chamber of the given ray arrangement on a_M.
 
     Witnesses are the projections of the Weyl-chamber points onto the flat:
     every chamber of the restricted arrangement of a flat contains such a
@@ -347,15 +367,15 @@ def chambers_of_rays(datum: RootDatum, basis: Sequence[Vec], rays: Sequence[Ray]
     closure assumption on the rays, which genuinely fails for intermediate
     flats.  The witnesses come sorted by coordinates.
     """
-    d = datum
-    if not basis:
+    d = M.datum
+    if not M.basis:
         return [RatVec.zero(d.rank)]
     if not rays:
         pt = zeros(d.rank)
-        for b in basis:
+        for b in M.basis:
             pt = vadd(pt, b)
         return [RatVec(pt)]
-    proj_m = projector(basis, d.gram)
+    proj_m = flat_projector(M)
     best: dict[tuple, Vec] = {}
     for w in weyl_group(d):
         proj = mat_vec(proj_m, act(w, d.rho_check).coords)
@@ -383,7 +403,7 @@ def parabolics(M: Levi) -> tuple[ParabolicChamber, ...]:
         M._chambers = (ParabolicChamber(M, 0, (), RatVec.zero(d.rank)),)
         return M._chambers
     rays = restricted_rays(M)
-    points = chambers_of_rays(d, M.basis, rays)
+    points = chambers_of_rays(M, rays)
     signs = [sign_pattern(d, rays, pt) for pt in points]
     sign_set = set(signs)
     chambers = []
@@ -400,6 +420,20 @@ def parabolics(M: Levi) -> tuple[ParabolicChamber, ...]:
         chambers.append(ParabolicChamber(M, idx, pos, pt, walls, sig))
     M._chambers = tuple(chambers)
     return M._chambers
+
+
+def adjacent_chambers(M: Levi) -> tuple[tuple[int, int, Ray], ...]:
+    """The chamber pairs i < j across one wall, each with its wall ray signed positive on i; built once per Levi."""
+    if M._adjacent is None:
+        by_signs = {P.signs: P.index for P in parabolics(M)}
+        pairs = []
+        for P in parabolics(M):
+            for k, ray in zip(P.wall_rays, simple_restricted(P)):
+                j = by_signs[tuple(s if m != k else -s for m, s in enumerate(P.signs))]
+                if P.index < j:
+                    pairs.append((P.index, j, ray))
+        M._adjacent = tuple(sorted(pairs, key=lambda pair: pair[:2]))
+    return M._adjacent
 
 
 def chamber_at(M: Levi, point: RatVec) -> ParabolicChamber:
@@ -427,10 +461,8 @@ def chamber_cells(M: Levi) -> dict[int, tuple[WeylElement, ...]]:
     A chamber with positive set Sigma_P admits w exactly when Sigma_P is
     contained in w(Sigma+).  Not every w qualifies for some chamber (for
     non-standard Levi subgroups the map is partial), but every chamber is
-    reached by exactly |W_M| elements.  Built once per Levi.
+    reached by exactly |W_M| elements.
     """
-    if M._cells is not None:
-        return M._cells
     d = M.datum
     chambers = parabolics(M)
     by_pos = {P.positive_roots: P.index for P in chambers}
@@ -445,8 +477,19 @@ def chamber_cells(M: Levi) -> dict[int, tuple[WeylElement, ...]]:
     for idx, ws in cells.items():
         if len(ws) != expected:
             raise InternalInconsistency("chamber cell has unexpected size")
-    M._cells = {idx: tuple(ws) for idx, ws in cells.items()}
-    return M._cells
+    return {idx: tuple(ws) for idx, ws in cells.items()}
+
+
+def cell_maps(M: Levi) -> tuple[tuple[Mat, ...], ...]:
+    """For each chamber of P(M) in order, the maps proj_M o w of the w in its cell; built once per Levi.
+
+    Equal entries share one object, so comparing two equal maps entry by entry is an identity test.
+    """
+    if M._cell_maps is None:
+        proj, cells, one = flat_projector(M), chamber_cells(M), {}
+        M._cell_maps = tuple(tuple(tuple(tuple(one.setdefault(x, x) for x in row) for row in mat_mul(proj, w.matrix))
+                                   for w in cells[P.index]) for P in parabolics(M))
+    return M._cell_maps
 
 
 def simple_restricted(P: ParabolicChamber) -> list[Ray]:
@@ -473,6 +516,48 @@ def theta(P: ParabolicChamber, lam: RatVec) -> ThetaValue:
         product *= d.pair(lam, a.dual)
     covol = QuadConst.from_square(gram_det([a.dual.coords for a in simples], d.gram))
     return ThetaValue(product, covol)
+
+
+def coord_map(M: Levi) -> tuple[Mat, Fraction]:
+    """The map G^-1 B S from a_M to coordinates in the basis rows B, and det G for G = B S B^T; built once per Levi."""
+    if M._coord_map is None:
+        gram = gram_matrix(M.basis, M.datum.gram)
+        M._coord_map = (mat_mul(mat_inv(gram), mat_mul(M.basis, M.datum.gram)), det(gram))
+    return M._coord_map
+
+
+def _generic_direction(M: Levi, direction: RatVec | None) -> RatVec:
+    d = M.datum
+    rays = restricted_rays(M)
+    base = parabolics(M)[0].chamber_point
+    if direction is None:
+        direction = base
+    lam = direction
+    step = Fraction(1, 97)
+    for _ in range(64):
+        if all(d.pair(r.rep, lam) != 0 for r in rays):
+            return lam
+        lam = lam + step * base
+        step /= 97
+    raise InternalInconsistency("no generic direction found")
+
+
+def limit_frame(M: Levi, direction: RatVec | None = None) -> tuple[RatVec, tuple[Fraction, ...]]:
+    """A generic lam0 near the direction (default: the first chamber's point) and per chamber q_P / theta*_P.
+
+    q_P: covolume of the simple duals in basis coordinates; theta*_P: their product with lam0.  Built once per direction.
+    """
+    got = M._limit_frames.get(direction)
+    if got is None:
+        lam0 = _generic_direction(M, direction)
+        cmap, _ = coord_map(M)
+        scales = []
+        for P in parabolics(M):
+            simples = simple_restricted(P)
+            q_p = abs(det(tuple(mat_vec(cmap, a.dual.coords) for a in simples)))
+            scales.append(q_p / prod(M.datum.pair(lam0, a.dual) for a in simples))
+        got = M._limit_frames[direction] = (lam0, tuple(scales))
+    return got
 
 
 def _rel_basis(L: Levi, upper: Levi | None) -> tuple[Vec, ...]:

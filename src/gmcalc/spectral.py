@@ -133,7 +133,7 @@ class TauClass:
     @cached_property
     def pole_chambers(self) -> list[RatVec]:
         """Interior witnesses of the chambers cut out by the pole rays on the home flat."""
-        return chambers_of_rays(self.datum, self.levi_L.basis, self.tau_rays)
+        return chambers_of_rays(self.levi_L, self.tau_rays)
 
 
 def _fixed_space(d: RootDatum, w: WeylElement) -> list[Vec]:
@@ -162,7 +162,7 @@ def _chamber_test(
     """
     rays = group_rays(d, ((i, d.roots[i].coords) for i in roots))
     if chamber_c is None:
-        chamber_c = chambers_of_rays(d, mzero(d).basis, rays)[0]
+        chamber_c = chambers_of_rays(mzero(d), rays)[0]
     base = sign_pattern(d, rays, chamber_c)
     return chamber_c, lambda w: sign_pattern(d, rays, act(w, chamber_c)) == base
 
@@ -300,8 +300,8 @@ def n_beta(t: TauClass, beta: RatVec) -> Fraction:
     raise NotARoot(f"{beta} is not a restricted root of the home flat")
 
 
-def discrete_constants(t: TauClass, L_levi: Levi) -> dict:
-    """The basis sum n^L and the centralizer order k^L for an upper Levi.
+def n_constant(t: TauClass, L_levi: Levi) -> Fraction:
+    """The basis sum n^L for an upper Levi.
 
     n^L sums, over the sets of restricted rays of the home flat lying in L
     that form a basis of a_home / a_L, the product of their n_beta / 2.  A ray
@@ -320,14 +320,19 @@ def discrete_constants(t: TauClass, L_levi: Levi) -> dict:
             for half, _ in subset:
                 prod *= half
             total += prod
-    return {"nL": total, "kL": _k_constant(t, L_levi)}
+    return total
+
+
+def discrete_constants(t: TauClass, L_levi: Levi) -> dict:
+    """The basis sum n^L and the centralizer order k^L for an upper Levi."""
+    return {"nL": n_constant(t, L_levi), "kL": _k_constant(t, L_levi)}
 
 
 def nl_elementary(t: TauClass, L_levi: Levi) -> Fraction:
     """n^L by a second route: e_need of the n_beta / 2 of the home rays lying in L.
 
     It is read off prod (1 + x n_beta / 2), with no subsets and no rank test,
-    so it equals discrete_constants(t, L)["nL"] wherever any `need` distinct
+    so it equals n_constant(t, L) wherever any `need` distinct
     rays are independent: always for need <= 2, since distinct reduced rays
     are never parallel.
     """

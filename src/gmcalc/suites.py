@@ -57,8 +57,8 @@ from .spectral import (
     build_spectral_triple,
     chamber_transitivity,
     classify_tau,
-    discrete_constants,
     enumerate_spectral_triples,
+    n_constant,
     nl_elementary,
     reflections_in_core,
     tempext_check,
@@ -185,7 +185,7 @@ def suite_nl_independence(cfg: Config, d: RootDatum) -> list[CheckRecord]:
         def check():
             nonlocal home
             for L in enumerate_levis(d, lower=t.levi_L):
-                nl = discrete_constants(t, L)["nL"]
+                nl = n_constant(t, L)
                 if L == t.levi_L and nl != 1:
                     home = L.label
                     return False, float(nl), "home value is not 1"

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from gmcalc.cli import EXPRESSIONS, main
 from gmcalc.config import load_config
 from gmcalc.errors import ConfigError
+from gmcalc.exactlin import det, int_det, mat
 
 SCHEMA = json.loads((Path(__file__).resolve().parents[1] / "src" / "gmcalc" / "config.schema.json").read_text())
 
@@ -82,3 +83,41 @@ def test_eval_args_exit_0_or_2(expr, args):
     assert code in (0, 2)
     assert (code == 2) == err.getvalue().startswith("error: ")
     assert err.getvalue().count("\n") == (code == 2)
+
+
+def _laplace(m):
+    """Cofactor expansion along the first row: an elimination-free reference."""
+    if not m:
+        return 1
+    return sum((-1) ** j * m[0][j] * _laplace([row[:j] + row[j + 1:] for row in m[1:]]) for j in range(len(m)))
+
+
+@st.composite
+def int_matrices(draw):
+    """Square integer matrices up to 5x5; a third of those with n >= 2 get one row a combination of others."""
+    n = draw(st.integers(0, 5))
+    rows = draw(st.lists(st.lists(st.integers(-6, 6), min_size=n, max_size=n), min_size=n, max_size=n))
+    singular = n >= 2 and draw(st.integers(0, 2)) == 0
+    if singular:
+        i = draw(st.integers(0, n - 1))
+        j, k = (draw(st.sampled_from([r for r in range(n) if r != i])) for _ in range(2))
+        a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        rows[i] = [a * x + b * y for x, y in zip(rows[j], rows[k])]
+    return rows, singular
+
+
+@settings(max_examples=300)
+@given(int_matrices())
+def test_int_det_equals_det_on_integer_matrices(case):
+    rows, singular = case
+    before = [list(r) for r in rows]
+    got = int_det(rows)
+    assert rows == before  # the caller's rows are left alone
+    assert type(got) is int
+    assert got == det(mat(rows)) == _laplace(rows)
+    assert got == 0 or not singular
+
+
+def test_int_det_of_the_empty_matrix_is_one():
+    assert int_det([]) == 1
+    assert det(()) == 1

@@ -1,4 +1,6 @@
 import random
+import sys
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from math import gcd
@@ -7,11 +9,13 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from gmcalc import exactlin, levilattice
 from gmcalc.config import load_config
-from gmcalc.errors import FamilyNotSmooth, IncompleteInput, NotDominant
+from gmcalc.errors import FamilyNotSmooth, IncompleteInput, InternalInconsistency, NotDominant
 from gmcalc.exactlin import common_denominator, rank
 from gmcalc.gmfamily import (
     ExpPolyFamily,
+    OrthogonalSet,
     ScalarRootFns,
     descent_sum,
     family_limit,
@@ -26,9 +30,13 @@ from gmcalc.gmfamily import (
 from gmcalc.levilattice import (
     QuadConst,
     base_chamber,
+    cell_maps,
+    coord_map,
     enumerate_levis,
+    flat_projector,
     gfull,
     levi_lattice,
+    limit_frame,
     mzero,
     parabolics,
     restricted_rays,
@@ -285,6 +293,110 @@ def test_hull_limit_suite_passes_on_rank_four():
     records = suite_hull_limit(load_config(overrides={"group": "A1xA3"}), d)
     assert [r.id for r in records if r.status != "pass"] == []
     assert sum(r.id.startswith("hull-limit/A1xA3/M0/") for r in records) == 25
+
+
+# -- the hull-limit frame kept on each Levi ----------------------------------
+# Each case builds its own datum, so no frame built elsewhere is reused.
+
+
+def test_moved_cell_element_fails_every_orthogonal_set_of_its_levi(monkeypatch):
+    d = build_root_system("A2")
+    M = next(L for L in levi_lattice(d) if L.dim == 1)
+    real = levilattice.chamber_cells
+    cells = real(M)
+    moved = {0: cells[0][1:], 1: cells[1] + cells[0][:1]}
+    monkeypatch.setattr(levilattice, "chamber_cells", lambda L: moved if L is M else real(L))
+    # T = 0 maps every element to 0, yet the cell's maps still differ
+    for T in (RatVec.zero(d.rank), dominant_point(d, [1, 2]), dominant_point(d, [3, 0])):
+        with pytest.raises(InternalInconsistency, match="projection not constant on a chamber cell"):
+            orthogonal_set(M, T)
+    failed = [r for r in suite_hull_limit(load_config(overrides={"group": "A2"}), d) if r.status != "pass"]
+    assert len(failed) == 25
+    assert {r.id.split("/")[2] for r in failed} == {M.label}
+    assert all(r.detail == "projection not constant on a chamber cell" for r in failed)
+
+
+@pytest.mark.parametrize("label", ["A2", "A3"])
+def test_perturbed_chamber_scale_fails_every_record_of_its_levi(label):
+    d = build_root_system(label)
+    M = mzero(d)
+    lam0, scales = limit_frame(M)
+    M._limit_frames[None] = (lam0, (2 * scales[0],) + scales[1:])
+    records = suite_hull_limit(load_config(overrides={"group": label}), d)
+    records = [r for r in records if r.id.split("/")[2] == M.label]
+    assert len(records) == 25
+    assert all(r.status == "fail" for r in records)
+    assert all(r.detail.startswith(("hull ", "negative Laurent orders do not cancel")) for r in records)
+    with pytest.raises(FamilyNotSmooth):
+        family_limit(ExpPolyFamily.from_orthogonal_set(orthogonal_set(M, dominant_point(d, [1] * d.rank))))
+
+
+def test_hull_point_off_the_flat_raises():
+    d = build_root_system("A3")
+    for M in levi_lattice(d):
+        if M.dim in (0, d.rank):
+            continue
+        oset = orthogonal_set(M, dominant_point(d, [1, 2, 3]))
+        assert not hull_volume(oset).is_zero()
+        normal = d.roots[min(M.root_subset)]  # vanishes on a_M, so it is orthogonal to the flat
+        for k in (0, len(oset.points) - 1):
+            points = list(oset.points)
+            points[k] = points[k] + normal
+            with pytest.raises(InternalInconsistency, match="hull point outside the flat"):
+                hull_volume(OrthogonalSet(M, tuple(points)))
+
+
+def _count_calls(monkeypatch, module, name, key):
+    """Count the calls of module.name, by key(*args), under every gmcalc name bound to it."""
+    orig = getattr(module, name)
+    counts = Counter()
+
+    def counted(*args, **kwargs):
+        counts[key(*args, **kwargs)] += 1
+        return orig(*args, **kwargs)
+
+    for mod_name, ns in list(sys.modules.items()):
+        if mod_name.startswith("gmcalc"):
+            for attr, value in list(vars(ns).items()):
+                if value is orig:
+                    monkeypatch.setattr(ns, attr, counted)
+    return counts
+
+
+def test_hull_limit_builds_each_frame_once_per_levi(monkeypatch):
+    d = build_root_system("A3")
+    projections = _count_calls(monkeypatch, exactlin, "projector", lambda basis, S: tuple(basis))
+    directions = _count_calls(monkeypatch, levilattice, "_generic_direction", lambda M, direction: id(M))
+    records = suite_hull_limit(load_config(overrides={"group": "A3"}), d)
+    assert len(records) == 25 * len(levi_lattice(d))
+    assert all(r.status == "pass" for r in records)
+    assert set(projections) == {M.basis for M in levi_lattice(d)}
+    assert set(projections.values()) == {1}
+    assert set(directions) == {id(M) for M in levi_lattice(d) if M.dim}
+    assert set(directions.values()) == {1}
+
+
+def test_second_datum_builds_its_own_frames(monkeypatch):
+    first, second = build_root_system("A3"), build_root_system("A3")
+    T = dominant_point(first, [1, 2, 3])
+    values = {}
+    for M in levi_lattice(first):
+        oset = orthogonal_set(M, T)
+        values[M.label] = (hull_volume(oset), family_limit(ExpPolyFamily.from_orthogonal_set(oset)))
+    projections = _count_calls(monkeypatch, exactlin, "projector", lambda basis, S: tuple(basis))
+    directions = _count_calls(monkeypatch, levilattice, "_generic_direction", lambda M, direction: id(M))
+    for M1, M2 in zip(levi_lattice(first), levi_lattice(second)):
+        assert M2 == M1 and M2 is not M1  # equal keys: a cache keyed on them would hand out M1's frame
+        assert M2._proj is None and M2._cell_maps is None and M2._coord_map is None and not M2._limit_frames
+        oset = orthogonal_set(M2, T)
+        assert (hull_volume(oset), family_limit(ExpPolyFamily.from_orthogonal_set(oset))) == values[M2.label]
+        assert flat_projector(M2) is not flat_projector(M1)
+        assert cell_maps(M2) is not cell_maps(M1) and coord_map(M2) is not coord_map(M1)
+        if M2.dim:
+            assert limit_frame(M2) is not limit_frame(M1)
+    assert set(projections) == {M.basis for M in levi_lattice(second)}
+    assert set(projections.values()) == {1}
+    assert set(directions) == {id(M) for M in levi_lattice(second) if M.dim}
 
 
 # -- family limits -----------------------------------------------------------

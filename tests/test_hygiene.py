@@ -124,3 +124,45 @@ def test_config_schema_uses_only_what_the_validator_implements():
     for node in nodes:
         types.update([node["type"]] if isinstance(node.get("type"), str) else node.get("type", []))
     assert types <= {k.value for k in _assigned(SRC / "config.py", "_TYPES").keys}
+
+
+def _module_caches(tree: ast.Module) -> list[str]:
+    """functools.cache / lru_cache decorators anywhere, and module-level names ending in _CACHE (any case)."""
+    found = []
+    for node in ast.walk(tree):
+        for dec in getattr(node, "decorator_list", []):
+            target = dec.func if isinstance(dec, ast.Call) else dec
+            name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+            if name in ("cache", "lru_cache"):
+                found.append(f"@{name} on {node.name}, line {dec.lineno}")
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            for name in ast.walk(target):
+                if isinstance(name, ast.Name) and name.id.upper().endswith("_CACHE"):
+                    found.append(f"module-level {name.id}, line {node.lineno}")
+    return found
+
+
+def test_module_cache_detector_finds_each_kind():
+    src = (
+        "import functools\nfrom functools import cache, lru_cache\n"
+        "@functools.lru_cache(maxsize=None)\ndef a(): pass\n"
+        "@cache\ndef b(): pass\n"
+        "class C:\n    @lru_cache\n    def c(self): pass\n"
+        "_RAY_CACHE = {}\n_nbeta_cache: dict = {}\nX, _Y_CACHE = 1, {}\n"
+        "def f():\n    LOCAL_CACHE = {}\n"
+    )
+    assert len(_module_caches(ast.parse(src))) == 6
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_level_caches(path):
+    # per-flat and per-datum facts are kept on their owner, so two data never share them
+    found = _module_caches(_tree(path))
+    assert not found, f"{path.name} keeps a module-level cache: {found}"
