@@ -1,5 +1,7 @@
-"""Closed-form example evaluations: multipliers, minimality, Weyl denominators,
-coefficient formulas and the split-torus formal expansion.
+"""Closed-form example evaluations: multipliers, Weyl denominators and their
+signs, the coefficient formula with its sum over S >= M of d_M(L, S) m^S, the
+assembly of the limit coefficient from lower-rank inputs, and the split-torus
+formal expansion.
 
 The opaque basis symbols of the expansion are never evaluated; they are
 carried as canonical tags next to their numeric coefficients.
@@ -24,70 +26,8 @@ from .levilattice import (
     mzero,
     weyl_cosets,
 )
-from .lp import in_cone_nonzero
 from .rootdatum import RatVec, RootDatum, WeylElement, act, invert, reflect_subgroup, weyl_group
 from .spectral import TauClass, classify_tau, discrete_constants, n_constant
-
-
-# ---------------------------------------------------------------------------
-# infinitesimal-character orbits and minimality
-
-
-@dataclass(frozen=True)
-class InfinitesimalOrbit:
-    base_mu: RatVec
-    orbit: tuple[RatVec, ...]
-    stabilizer_orders: tuple[int, ...]
-
-
-def make_orbit(d: RootDatum, mu: RatVec) -> InfinitesimalOrbit:
-    seen: dict = {}
-    for w in weyl_group(d):
-        img = act(w, mu)
-        seen[img.coords] = seen.get(img.coords, 0) + 1
-    points = tuple(RatVec(c) for c in sorted(seen))
-    stabs = tuple(seen[p.coords] for p in points)
-    return InfinitesimalOrbit(mu, points, stabs)
-
-
-def _nilradical_roots(P: ParabolicChamber) -> list[RatVec]:
-    d = P.levi.datum
-    return [d.roots[i] for i in P.positive_roots]
-
-
-def p_minimality(orbit: InfinitesimalOrbit, P: ParabolicChamber) -> dict[int, bool]:
-    """Which orbit elements admit no other element below them along the cone of P.
-
-    mu fails to be minimal exactly when some other nu has mu - nu a nonzero
-    nonnegative combination of the roots in the unipotent radical; membership
-    is decided by exact rational linear programming.
-    """
-    gens = [r.coords for r in _nilradical_roots(P)]
-    out = {}
-    for i, mu in enumerate(orbit.orbit):
-        minimal = True
-        for j, nu in enumerate(orbit.orbit):
-            if i == j:
-                continue
-            if in_cone_nonzero((mu - nu).coords, gens):
-                minimal = False
-                break
-        out[i] = minimal
-    return out
-
-
-def p_closed(orbit: InfinitesimalOrbit, subset: Sequence[int], P: ParabolicChamber) -> bool:
-    """Is the subset closed under subtracting nonzero nonnegative root sums?"""
-    gens = [r.coords for r in _nilradical_roots(P)]
-    inside = set(subset)
-    for i in inside:
-        for j in range(len(orbit.orbit)):
-            if j in inside:
-                continue
-            diff = orbit.orbit[i] - orbit.orbit[j]
-            if in_cone_nonzero(diff.coords, gens):
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -178,68 +118,15 @@ def _split_sum(model: SigmaModel, L: Levi, M: Levi, Q1: ParabolicChamber) -> com
     return inner
 
 
-def weyl_sequence_orders(d: RootDatum, M: Levi) -> tuple[int, int, int]:
-    """(|W_T^M|, |W_M^G|, |W_T^G|) in the split model; the product identity must hold."""
-    wm = len(reflect_subgroup(d, M.root_subset))
-    subset = M.root_subset
-    stab = 0
-    for w in weyl_group(d):
-        if frozenset(w.perm[i] for i in subset) == subset:
-            stab += 1
-    return wm, stab // wm, len(weyl_group(d))
-
-
-def phi_minimal_levi(
-    Y: Sequence[complex],
-    mu_im: RatVec,
-    model: SigmaModel,
-    L: Levi,
-    P: ParabolicChamber,
-    u_sign: complex,
-) -> complex:
-    """Minimal-Levi evaluation of the limiting coefficient function.
-
-    Requires the class to be discrete after induction to L; the unit u_sign is
-    the opaque fourth root of unity attached to the chosen real component.
-    """
-    d = model.tau.datum
-    home = model.tau.levi_L
-    if home != mzero(d):
-        raise IncompleteInput("the minimal-Levi formula needs a class based at M0")
-    nl = _discrete_nl(model, L, u_sign)
-    wm, wq, wg = weyl_sequence_orders(d, home)
-    if wm * wq != wg:
-        raise IncompleteInput("split exact sequence cardinality fails")
-    sigma_m = [i for i in home.root_subset if i in set(d.pos_indices)]
-    total = 0j
-    for w in weyl_group(d):
-        phase = cmath.exp(_pair_complex(d, mu_im, [complex(y) for y in mat_vec_complex(w, Y)]) * 1j)
-        inner = _split_sum(model, L, home, chamber_at(home, act(w, P.chamber_point)))
-        total += eps_M_sign(d, w, sigma_m) * phase * inner
-    return float(nl) * u_sign * total
-
-
-def mat_vec_complex(w: WeylElement, Y: Sequence[complex]) -> list[complex]:
-    return [
-        sum(complex(w.matrix[i][j]) * complex(Y[j]) for j in range(len(Y)))
-        for i in range(len(Y))
-    ]
-
-
 def c_coefficient_example(
     model: SigmaModel,
     w: WeylElement,
-    mu_im: RatVec,
     P: ParabolicChamber,
     u_sign: complex,
     L: Levi,
     M: Levi,
 ) -> complex:
-    """Coefficient value n^L eps_U eps^M(w) sum_S d(L,S) m^S at the w-translate.
-
-    mu_im only labels which coefficient is being produced; the value does not
-    depend on it.
-    """
+    """Coefficient value n^L eps_U eps^M(w) sum_S d(L,S) m^S at the w-translate."""
     d = model.tau.datum
     nl = _discrete_nl(model, L, u_sign)
     sigma_m = [i for i in M.root_subset if i in set(d.pos_indices)]
@@ -254,7 +141,6 @@ def assemble_PhiP(
     L: Levi,
     model: SigmaModel,
     P: ParabolicChamber,
-    gamma_tag: str = "",
 ) -> complex:
     """Assembly of the limit coefficient from lower-rank inputs.
 
@@ -301,7 +187,6 @@ class FormalTerm:
 @dataclass(frozen=True)
 class FormalExpansion:
     terms: tuple[FormalTerm, ...]
-    domain_tag: str
 
     def serialize(self) -> list[dict]:
         return [
@@ -317,7 +202,7 @@ class FormalExpansion:
         ]
 
 
-def phi_TT_expansion(model: SigmaModel, P: ParabolicChamber, domain_tag: str = "U0") -> FormalExpansion:
+def phi_TT_expansion(model: SigmaModel, P: ParabolicChamber) -> FormalExpansion:
     """Formal expansion over Levi subgroups and Weyl elements with numeric
     coefficients and opaque basis tags, for a class based at the split torus."""
     d = model.tau.datum
@@ -327,11 +212,10 @@ def phi_TT_expansion(model: SigmaModel, P: ParabolicChamber, domain_tag: str = "
     # mu is the differential of a unitary character, i.e. purely imaginary, so
     # distinct orbit points are never cone-comparable and minimality reduces to
     # regularity of the orbit
-    orbit = make_orbit(d, model.mu_im)
-    if len(orbit.orbit) < len(weyl_group(d)):
+    group = weyl_group(d)
+    if len({act(w, model.mu_im).coords for w in group}) < len(group):
         raise NotPRegular("orbit is not regular: some elements coincide")
     terms = []
-    group = weyl_group(d)
     for S in enumerate_levis(d, lower=home):
         for idx, w in enumerate(group):
             coeff = model.m_rel(home, S, P, w=w, conj=True)
@@ -346,4 +230,4 @@ def phi_TT_expansion(model: SigmaModel, P: ParabolicChamber, domain_tag: str = "
                 )
             )
     terms.sort(key=lambda t: (t.levi_label, t.w_index))
-    return FormalExpansion(tuple(terms), domain_tag)
+    return FormalExpansion(tuple(terms))

@@ -238,14 +238,14 @@ def _eval_c_coeff(d, cfg, payload):
     L = levi_by_label(d, payload.get("L", "M0"))
     P = _index(payload, "P", parabolics(levi_by_label(d, payload.get("P_levi", "M0"))))
     u = _complex(payload.get("u", [1.0, 0.0]), "u")
-    val = c_coefficient_example(model, w, model.mu_im, P, u, L, M)
+    val = c_coefficient_example(model, w, P, u, L, M)
     return f"{val.real}+{val.imag}j", {}
 
 
 def _eval_phi_tt(d, cfg, payload):
     model = _model_from_args(d, cfg, payload)
     P = _index(payload, "P", parabolics(mzero(d)))
-    exp = phi_TT_expansion(model, P, payload.get("domain", "U0"))
+    exp = phi_TT_expansion(model, P)
     return json.dumps(exp.serialize(), sort_keys=True), {"terms": len(exp.terms)}
 
 

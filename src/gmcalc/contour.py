@@ -185,13 +185,17 @@ def _axis_integral(g: Callable, T: float, excisions: Sequence[tuple[float, float
     for lo, hi in segments:
         near_lo = any(abs(lo - b) < 1e-15 for _, b in cuts)
         near_hi = any(abs(hi - a) < 1e-15 for a, _ in cuts)
-        fine_lo = _nearest_gap(lo, cuts) if near_lo else None
-        fine_hi = _nearest_gap(hi, cuts) if near_hi else None
+        fine_lo = _smallest_half_gap(cuts) if near_lo else None
+        fine_hi = _smallest_half_gap(cuts) if near_hi else None
         total += _quad_on_panels(g, _graded_edges(lo, hi, fine_lo, fine_hi))
     return total
 
 
-def _nearest_gap(x: float, cuts) -> float:
+def _smallest_half_gap(cuts) -> float:
+    """Half the width of the narrowest cut, or 0.1 if there is none or it has zero width.
+
+    Every panel edge next to a cut is graded to this one scale.
+    """
     best = None
     for a, b in cuts:
         w = (b - a) / 2

@@ -98,10 +98,6 @@ def _dot_ratios(u: Iterable[Fraction], vs: Sequence[tuple[int, int]]) -> Fractio
     return _ratio(num, den)
 
 
-def dot(u: Vec, v: Vec) -> Fraction:
-    return _dot_ratios(u, _ratios(v))
-
-
 def is_zero_vec(u: Vec) -> bool:
     return all(a == 0 for a in u)
 

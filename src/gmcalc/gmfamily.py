@@ -1,14 +1,16 @@
-"""Exponential-polynomial chamber families, hull volumes and splitting sums.
+"""Exponential chamber families, hull volumes and the relative splitting sum.
 
-The limit of a compatible chamber family is computed exactly as the constant
-Laurent coefficient along a generic rational line; the volume of a convex hull
-is computed in every dimension by one exact beneath-beyond triangulation on
-integer-scaled points.  Both return numbers with rational square so the two
-routes can be compared with no tolerance at all.
+A chamber family holds, per chamber, rational multiples of exp(lam(X)).  Its
+limit, the (G,M)-family limit of Arthur (Ann. Math. 114, 1981), is computed
+exactly as the constant Laurent coefficient along a generic rational line; the
+volume of a convex hull is computed in every dimension by one exact
+beneath-beyond triangulation on integer-scaled points.  Both return numbers
+with rational square so the two routes can be compared with no tolerance at
+all.
 
 A density on a ray is keyed by its template's exact parameters and its
-residue n at 0; no float pole list is kept.  The splitting sums read rays,
-duals and chambers off the Levi lattice.
+residue n at 0; no float pole list is kept.  The splitting sum and its
+analytic cross-check read rays, duals and chambers off the Levi lattice.
 """
 from __future__ import annotations
 
@@ -23,7 +25,6 @@ import numpy as np
 
 from .errors import (
     FamilyNotSmooth,
-    IncompleteInput,
     InternalInconsistency,
     NoConvergence,
     NotComparable,
@@ -50,21 +51,15 @@ from .levilattice import (
     _rel_basis,
     adjacent_chambers,
     cell_maps,
-    chamber_at,
     contains,
     coord_map,
-    d_constant,
-    enumerate_levis,
-    flat_kernel,
-    gfull,
     limit_frame,
     parabolics,
     rays_in,
     restricted_rays,
     theta,
 )
-from .ratpoly import Poly, exp_series, series_mul
-from .rootdatum import RatVec, WeylElement, act, invert
+from .rootdatum import RatVec, WeylElement, invert
 
 
 # ---------------------------------------------------------------------------
@@ -186,9 +181,9 @@ def hull_volume(pts: OrthogonalSet) -> QuadConst:
 
 
 class ExpPolyFamily:
-    """Per chamber, a finite sum of terms poly(lam) * exp(lam(X))."""
+    """Per chamber, a finite sum of terms c * exp(lam(X)) with rational c."""
 
-    def __init__(self, levi: Levi, terms: Sequence[Sequence[tuple[Poly, RatVec]]]):
+    def __init__(self, levi: Levi, terms: Sequence[Sequence[tuple[Fraction, RatVec]]]):
         self.levi = levi
         self.terms = tuple(tuple(chamber) for chamber in terms)
         if len(self.terms) != len(parabolics(levi)):
@@ -196,94 +191,31 @@ class ExpPolyFamily:
 
     @classmethod
     def from_orthogonal_set(cls, pts: OrthogonalSet) -> "ExpPolyFamily":
-        n = pts.levi.datum.rank
-        one = Poly.const(n, 1)
-        return cls(pts.levi, [[(one, X)] for X in pts.points])
-
-    @classmethod
-    def constant(cls, M: Levi, value=1) -> "ExpPolyFamily":
-        n = M.datum.rank
-        c = Poly.const(n, value)
-        zero = RatVec.zero(n)
-        return cls(M, [[(c, zero)] for _ in parabolics(M)])
-
-    def scaled(self, c) -> "ExpPolyFamily":
-        return ExpPolyFamily(
-            self.levi, [[(p.scale(c), X) for p, X in chamber] for chamber in self.terms]
-        )
-
-    def plus(self, other: "ExpPolyFamily") -> "ExpPolyFamily":
-        if other.levi != self.levi:
-            raise NotComparable("families live on different Levi subgroups")
-        return ExpPolyFamily(
-            self.levi, [list(a) + list(b) for a, b in zip(self.terms, other.terms)]
-        )
-
-    def weyl_image(self, w: WeylElement) -> "ExpPolyFamily":
-        """Simultaneous action on chambers and data; the limit is unchanged."""
-        M = self.levi
-        d = M.datum
-        chambers = parabolics(M)
-        winv = d.element(invert(w.perm)).matrix
-        forms = [tuple(row) for row in winv]  # lam_i = sum_j winv[i][j] * s_j
-        new_terms: list[list[tuple[Poly, RatVec]]] = [[] for _ in chambers]
-        for P in chambers:
-            new_terms[chamber_at(M, act(w, P.chamber_point)).index] = [
-                (p.subs_linear(forms), act(w, X)) for p, X in self.terms[P.index]
-            ]
-        return ExpPolyFamily(M, new_terms)
-
-    def check_compatibility(self) -> list[str]:
-        """Symbolic wall checks; returns human-readable violations (empty if compatible)."""
-        M = self.levi
-        d = M.datum
-        if M.dim == 0:
-            return []
-        problems = []
-        for i, j, ray in adjacent_chambers(M):
-            wall = flat_kernel(d, M.basis, [ray.rep.coords])
-
-            def restricted(chamber_index):
-                grouped: dict[tuple, Poly] = {}
-                nvars = len(wall)
-                for p, X in self.terms[chamber_index]:
-                    forms = [tuple(wv[c] for wv in wall) for c in range(d.rank)]
-                    q = p.subs_linear(forms) if nvars else Poly.const(0, p.eval_frac((Fraction(0),) * d.rank))
-                    key = tuple(d.pair(RatVec(wv), X) for wv in wall)
-                    grouped[key] = grouped.get(key, Poly(nvars)) + q
-                return {k: v for k, v in grouped.items() if not v.is_zero()}
-
-            if restricted(i) != restricted(j):
-                problems.append(f"chambers {i} and {j} disagree on the wall of ray {ray.key}")
-        return problems
+        return cls(pts.levi, [[(Fraction(1), X)] for X in pts.points])
 
 
 def family_limit(f: ExpPolyFamily, direction: RatVec | None = None) -> QuadConst:
     """Exact limit of sum_P c_P / theta_P along a generic rational line.
 
-    All Laurent coefficients of negative order must cancel; if they do not,
-    the family is incompatible and FamilyNotSmooth is raised.
+    Each term c * exp(s <lam0, X>) is expanded through s^K, K = dim a_M.  All
+    Laurent coefficients of negative order must cancel; if they do not, the
+    family is incompatible and FamilyNotSmooth is raised.
     """
     M = f.levi
     d = M.datum
     if M.dim == 0:
-        total = Fraction(0)
-        for p, X in f.terms[0]:
-            total += p.eval_frac((Fraction(0),) * d.rank)
-        return QuadConst.from_rational(total)
+        return QuadConst.from_rational(sum((c for c, _ in f.terms[0]), Fraction(0)))
     lam0, scales = limit_frame(M, direction)
     K = M.dim
     series_total = [Fraction(0)] * (K + 1)
     for P, scale in zip(parabolics(M), scales):
-        chamber_series = [Fraction(0)] * (K + 1)
-        for p, X in f.terms[P.index]:
-            poly_series = p.along_line(lam0.coords)
-            e_series = exp_series(d.pair(lam0, X), K)
-            chamber_series = [
-                a + b
-                for a, b in zip(chamber_series, series_mul(poly_series, e_series, K))
-            ]
-        series_total = [a + scale * b for a, b in zip(series_total, chamber_series)]
+        for c, X in f.terms[P.index]:
+            a = d.pair(lam0, X)
+            term = scale * c
+            series_total[0] += term
+            for k in range(1, K + 1):
+                term = term * a / k
+                series_total[k] += term
     if any(c != 0 for c in series_total[:K]):
         raise FamilyNotSmooth(
             f"negative Laurent orders do not cancel: {series_total[:K]}"
@@ -405,7 +337,7 @@ class ScalarRootFns:
 
 
 # ---------------------------------------------------------------------------
-# splitting formula and descent sums
+# the relative splitting sum
 
 
 def split_subsets(
@@ -468,24 +400,6 @@ def split_terms(
     return total
 
 
-def split_formula(
-    fns: ScalarRootFns,
-    M: Levi,
-    P: ParabolicChamber,
-    Q1: ParabolicChamber,
-    lam,
-) -> complex:
-    """Splitting sum for the full group: subsets of rays negative on Q1 whose
-    duals project to a basis of a_M, weighted by the covolume of the projected lattice."""
-    d = M.datum
-    if Q1.levi != fns.levi:
-        raise NotComparable("Q1 must be a chamber of the density Levi")
-    if not set(P.positive_roots) <= set(Q1.positive_roots):
-        raise NotComparable("Q1 is not contained in P")
-    lam_eval = _lam_evaluator(d, lam)
-    return split_terms(fns, M, gfull(d), Q1, lam_eval)
-
-
 def _lam_evaluator(d, lam) -> Callable[[RatVec], complex]:
     if isinstance(lam, RatVec):
         return lambda dual: complex(d.pair(lam, dual))
@@ -495,24 +409,6 @@ def _lam_evaluator(d, lam) -> Callable[[RatVec], complex]:
         return sum(c * g for c, g in zip(coords, d.float_row(dual)))
 
     return ev
-
-
-def descent_sum(values: Mapping[Levi, complex], M: Levi) -> dict[Levi, complex]:
-    """For each L >= M, the splitting-weighted sum of the given S-indexed values."""
-    d = M.datum
-    ups = enumerate_levis(d, lower=M)
-    for S in ups:
-        if S not in values:
-            raise IncompleteInput(f"missing value for {S.label}")
-    out = {}
-    for L in ups:
-        total = 0j
-        for S in ups:
-            w = d_constant(M, L, S)
-            if not w.is_zero():
-                total += float(w) * complex(values[S])
-        out[L] = total
-    return out
 
 
 # ---------------------------------------------------------------------------

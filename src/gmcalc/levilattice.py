@@ -86,10 +86,6 @@ class QuadConst:
     def __mul__(self, other: "QuadConst") -> "QuadConst":
         return QuadConst.from_square(self.square * other.square, self.sign * other.sign)
 
-    def scale(self, q: Fraction) -> "QuadConst":
-        q = Fraction(q)
-        return QuadConst.from_square(self.square * q * q, self.sign * (1 if q > 0 else (-1 if q < 0 else 0)))
-
     def is_zero(self) -> bool:
         return self.sign == 0
 

@@ -93,13 +93,6 @@ class WeylElement:
     word: tuple[int, ...]
     index: int
 
-    @property
-    def length(self) -> int:
-        return len(self.word)
-
-    def is_identity(self) -> bool:
-        return all(i == j for i, j in enumerate(self.perm))
-
     def __hash__(self):
         return hash(self.perm)
 
@@ -202,7 +195,6 @@ class RootDatum:
         )
         index = {r.coords: i for i, r in enumerate(self.roots)}
         self.simple: tuple[int, ...] = tuple(index[v.coords] for v in simple_vecs)
-        self._index = index
         # regular dominant point: pair(alpha_i, rho_check) = 1 for simple alpha_i
         srows = mat([mat_vec(self.gram, self.roots[i].coords) for i in self.simple])
         self.fund_coweights: tuple[RatVec, ...] = tuple(
@@ -281,9 +273,6 @@ class RootDatum:
         """The pairing lam -> <lam, v> as a float row in ambient coordinates."""
         n = self.rank
         return tuple(sum(float(self.gram[i][j]) * float(v.coords[j]) for j in range(n)) for i in range(n))
-
-    def root_index(self, v: RatVec) -> int | None:
-        return self._index.get(v.coords)
 
     @cached_property
     def weyl(self) -> tuple[WeylElement, ...]:

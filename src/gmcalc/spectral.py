@@ -1,10 +1,10 @@
-"""Discrete-parameter combinatorics: triples, R-groups, multiplicities, constants.
+"""Discrete-parameter combinatorics: triples, multiplicities, constants.
 
 A spectral parameter is modeled by its combinatorial shadow only: the set of
 roots where the attached density vanishes, a chamber-stabilizing element r,
 and per-ray multiplicities.  Everything downstream (discreteness tests, the
-basis-sum constants, the sign character, the bounded-extension sweep) is a
-function of this shadow.
+constants n^L and k^L, the modeled stabilizer on the home flat, the
+bounded-extension sweep) is a function of this shadow.
 """
 from __future__ import annotations
 
@@ -60,7 +60,6 @@ from .rootdatum import (
     act,
     compose,
     element_from_word,
-    invert,
     reflect_subgroup,
     weyl_group,
 )
@@ -197,44 +196,6 @@ def tau_class(t: TauClass, mult: Mapping[Vec, Fraction] | None = None) -> TauCla
 
 
 # ---------------------------------------------------------------------------
-# groups attached to a class
-
-
-@dataclass(frozen=True)
-class RGroups:
-    w_sigma0: tuple[WeylElement, ...]
-    w_sigma: tuple[WeylElement, ...]
-    r_group: tuple[WeylElement, ...]
-
-
-def _stabilizers(
-    t: TauClass, roots: frozenset[int]
-) -> tuple[tuple[WeylElement, ...], tuple[WeylElement, ...]]:
-    """The group generated by the reflections in roots and r, and its chamber stabilizer."""
-    d = t.datum
-    wsig = d.subgroup([d.reflection_perms[i] for i in roots] + [t.r_elem.perm])
-    _, fixes = _chamber_test(d, roots, t.chamber_c)
-    return wsig, tuple(w for w in wsig if fixes(w))
-
-
-def r_group(t: TauClass) -> RGroups:
-    """The reflection part, the full modeled stabilizer and the chamber stabilizer."""
-    d = t.datum
-    w0 = reflect_subgroup(d, t.sigma_roots)
-    wsig, rgrp = _stabilizers(t, t.sigma_roots)
-    w0set = {w.perm for w in w0}
-    for w in wsig:
-        winv = invert(w.perm)
-        for u in w0:
-            if compose(compose(w.perm, u.perm), winv) not in w0set:
-                raise InternalInconsistency("reflection part is not normal in the stabilizer")
-    products = {compose(a.perm, b.perm) for a in rgrp for b in w0}
-    if products != {w.perm for w in wsig}:
-        raise InternalInconsistency("chamber stabilizer does not complement the reflection part")
-    return RGroups(w0, wsig, rgrp)
-
-
-# ---------------------------------------------------------------------------
 # discreteness
 
 
@@ -345,9 +306,14 @@ def nl_elementary(t: TauClass, L_levi: Levi) -> Fraction:
 
 
 def _k_constant(t: TauClass, L_levi: Levi) -> int:
-    _, rgrp = _stabilizers(t, t.sigma_roots & L_levi.root_subset)
+    """k^L: the elements commuting with r in the chamber stabilizer of the group
+    generated by r and the reflections in the vanishing roots of L."""
+    d = t.datum
+    roots = t.sigma_roots & L_levi.root_subset
+    _, fixes = _chamber_test(d, roots, t.chamber_c)
     r = t.r_elem.perm
-    return sum(1 for w in rgrp if compose(w.perm, r) == compose(r, w.perm))
+    wsig = d.subgroup([d.reflection_perms[i] for i in roots] + [r])
+    return sum(1 for w in wsig if fixes(w) and compose(w.perm, r) == compose(r, w.perm))
 
 
 # ---------------------------------------------------------------------------
@@ -414,39 +380,6 @@ def reflections_in_core(t: TauClass) -> bool:
     return all(_flat_reflection(t, ray) in core_mats for ray in t.tau_rays)
 
 
-def eps_tau(t: TauClass, w) -> int:
-    """Sign of the pole-ray product form under w, verified chamber-independent."""
-    d = t.datum
-    rays = t.tau_rays
-    if isinstance(w, WeylElement):
-        m = _on_home(t, w)
-        if m is None:
-            raise NotInStabilizer("element does not preserve the home flat")
-        u = TauWeyl(m, w)
-    elif isinstance(w, TauWeyl):
-        u = w
-    else:
-        raise NotInStabilizer("unsupported element type")
-    reps = {ray.rep.coords for ray in rays} | {(-ray.rep).coords for ray in rays}
-    for ray in rays:
-        img = _apply_tau(t, u, ray.rep)
-        if img.coords not in reps:
-            raise NotInStabilizer("element does not permute the pole rays")
-    points = t.pole_chambers
-    signs = []
-    for c_pt in points[: max(1, min(len(points), 6))]:
-        pos = [ray.rep if d.pair(ray.rep, c_pt) > 0 else -ray.rep for ray in rays]
-        pos_set = {p.coords for p in pos}
-        inversions = 0
-        for p in pos:
-            if _apply_tau(t, u, p).coords not in pos_set:
-                inversions += 1
-        signs.append(-1 if inversions % 2 else 1)
-    if any(s != signs[0] for s in signs):
-        raise InternalInconsistency("sign depends on the chamber")
-    return signs[0]
-
-
 # ---------------------------------------------------------------------------
 # the bounded-extension sweep
 
@@ -477,7 +410,7 @@ def tempext_check(
         subsets = [()]
     for F in subsets:
         for wall in F if F else []:
-            wall_pts = _wall_points(t, wall, F)
+            wall_pts = _wall_points(t, wall)
             for phi_idx, phi in enumerate(phi_battery):
                 maxima = []
                 for delta in deltas:
@@ -509,7 +442,7 @@ def tempext_check(
     return records
 
 
-def _wall_points(t: TauClass, wall: Ray, F) -> list[RatVec]:
+def _wall_points(t: TauClass, wall: Ray) -> list[RatVec]:
     """A few deterministic generic points on the wall, away from the other pole walls."""
     d = t.datum
     wall_vecs = flat_kernel(d, t.levi_L.basis, [wall.rep.coords])

@@ -396,7 +396,7 @@ def suite_examples(cfg: Config, d: RootDatum) -> list[CheckRecord]:
         )
         u = 1j
         w_id = weyl_group(d)[0]
-        got = c_coefficient_example(model, w_id, model.mu_im, P0, u, M0, M0)
+        got = c_coefficient_example(model, w_id, P0, u, M0, M0)
         direct = u * model.m_rel(M0, G, P0, conj=True)
         residual = abs(got - direct)
         return residual <= 1e-12, residual, None

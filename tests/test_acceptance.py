@@ -236,7 +236,7 @@ def test_criterion_9_example_formulas():
                        RatVec.of([Fraction(5, 7), Fraction(2, 7)]))
     u = 1j
     w_id = weyl_group(d)[0]
-    got = c_coefficient_example(model, w_id, model.mu_im, P0, u, M0, M0)
+    got = c_coefficient_example(model, w_id, P0, u, M0, M0)
     direct = u * model.m_rel(M0, G, P0, conj=True)
     ok_c = got == direct
     ok_mult = multiplier_alpha(M0, RatVec.zero(2), RatVec.zero(2)) == 1

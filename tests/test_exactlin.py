@@ -111,14 +111,6 @@ def normalised(x):
 
 
 @SETTINGS
-@given(st.integers(0, 5).flatmap(lambda n: st.tuples(vectors(n), vectors(n))))
-def test_dot(uv):
-    u, v = uv
-    got = el.dot(u, v)
-    assert got == ref_dot(u, v) and normalised(got)
-
-
-@SETTINGS
 @given(shapes.flatmap(lambda rc: st.tuples(matrices(*rc), vectors(rc[1]))))
 def test_mat_vec(mv):
     m, v = mv
@@ -148,8 +140,6 @@ def test_length_mismatch_raises():
     u = (Fraction(1), Fraction(2))
     w = (Fraction(1), Fraction(2), Fraction(3))
     S = el.identity(2)
-    with pytest.raises(ValueError):
-        el.dot(u, w)
     with pytest.raises(ValueError):
         el.mat_vec(S, w)
     with pytest.raises(ValueError):

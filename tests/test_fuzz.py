@@ -43,7 +43,7 @@ def _near(node):
 
 
 ARG_KEYS = ["lambda", "M", "chamber", "L1", "L", "S", "sigma_roots", "r_word", "beta", "nu", "X", "M1",
-            "word", "sigma", "Y", "model", "mu", "eval", "w_word", "P", "P_levi", "u", "domain",
+            "word", "sigma", "Y", "model", "mu", "eval", "w_word", "P", "P_levi", "u",
             "kind", "c", "p", "q"]
 ARGS = st.recursive(
     LEAVES,

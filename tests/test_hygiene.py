@@ -30,7 +30,10 @@ def _imported_names(tree: ast.Module) -> dict[str, int]:
     return out
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+TESTS = sorted((ROOT / "tests").glob("*.py"))
+
+
+@pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda p: p.name)
 def test_every_import_is_used(path):
     tree = _tree(path)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
@@ -77,13 +80,17 @@ def test_traced_layer_functions_exist():
     assert not missing, f"bench/spans.py traces functions that do not exist: {missing}"
 
 
-def test_bench_child_imports_exist():
-    # bench/child.py imports inside its functions, so a renamed name fails only when that workload runs
-    imports = [
+def _bench_child_imports() -> list[ast.ImportFrom]:
+    return [
         node
         for node in ast.walk(_tree(ROOT / "bench" / "child.py"))
         if isinstance(node, ast.ImportFrom) and node.module.startswith("gmcalc.")
     ]
+
+
+def test_bench_child_imports_exist():
+    # bench/child.py imports inside its functions, so a renamed name fails only when that workload runs
+    imports = _bench_child_imports()
     assert imports
     missing = [
         f"{node.module}.{alias.name}"
@@ -92,6 +99,124 @@ def test_bench_child_imports_exist():
         if alias.name not in _top_level(SRC / f"{node.module.removeprefix('gmcalc.')}.py")
     ]
     assert not missing, f"bench/child.py imports names that do not exist: {missing}"
+
+
+class _Reads(ast.NodeVisitor):
+    """The names and attribute names a node reads; annotations name types and are left out."""
+
+    def __init__(self):
+        self.names: set[str] = set()
+
+    def visit_Name(self, node):
+        self.names.add(node.id)
+
+    def visit_Attribute(self, node):
+        self.names.add(node.attr)
+        self.generic_visit(node)
+
+    def visit_arg(self, node):
+        pass
+
+    def visit_FunctionDef(self, node):
+        for child in [*node.decorator_list, *node.args.defaults, *filter(None, node.args.kw_defaults), *node.body]:
+            self.visit(child)
+
+    def visit_AnnAssign(self, node):
+        self.visit(node.target)
+        if node.value is not None:
+            self.visit(node.value)
+
+
+def _reads(node: ast.AST) -> set[str]:
+    visitor = _Reads()
+    visitor.visit(node)
+    return visitor.names
+
+
+def _reach(trees: dict[str, ast.Module], roots: set[str]) -> tuple[list[str], set[str]]:
+    """The definitions a walk from the roots never reads, and every name it reads.
+
+    The definitions checked are module-level functions and classes and public
+    methods, labelled module.name or module.Class.method.  The walk starts at
+    the roots and at each module-level statement that is not an import or a
+    definition.  A name it reads reaches every definition of that name in any
+    module, a method through its attribute name; a reached class reaches its
+    dunder methods, bases, decorators and class-level statements.  Names are
+    matched without their module, so a dead function that shares its name with
+    a live one (a module-level `dot` next to a call of `np.dot`, say) is not
+    caught.
+    """
+    defs: dict[str, list[ast.AST]] = {}
+    checked = []
+    todo = set(roots)
+    for mod, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs.setdefault(node.name, []).append(node)
+                checked.append((f"{mod}.{node.name}", node.name))
+                methods = [item for item in node.body if isinstance(item, ast.FunctionDef)] if isinstance(node, ast.ClassDef) else []
+                for item in methods:
+                    if not item.name.startswith("__"):
+                        defs.setdefault(item.name, []).append(item)
+                    if not item.name.startswith("_"):
+                        checked.append((f"{mod}.{node.name}.{item.name}", item.name))
+            elif not isinstance(node, (ast.Import, ast.ImportFrom)):
+                todo |= _reads(node)
+    reached: set[str] = set()
+    while todo:
+        name = todo.pop()
+        reached.add(name)
+        for node in defs.get(name, []):
+            if isinstance(node, ast.ClassDef):
+                parts = [*node.decorator_list, *node.bases]
+                for item in node.body:
+                    if not isinstance(item, ast.FunctionDef) or item.name.startswith("__"):
+                        parts.append(item)
+                for part in parts:
+                    todo |= _reads(part)
+            else:
+                todo |= _reads(node)
+        todo -= reached
+    return [label for label, name in checked if name not in reached], reached
+
+
+def test_reach_walk_finds_each_kind():
+    src = (
+        "import os\n"
+        "def main():\n    return helper(1).go()\n"
+        "def helper(x: Hint) -> Hint:\n    return Box(x)\n"
+        "class Box:\n"
+        "    def __init__(self, x):\n        self.x = made(x)\n"
+        "    def go(self):\n        return self._inner()\n"
+        "    def _inner(self):\n        return 0\n"
+        "    def stale(self):\n        return dead()\n"
+        "def made(x):\n    return x\n"
+        "def dead():\n    pass\n"
+        "class Hint:\n    pass\n"
+        "TABLE = {'k': listed}\n"
+        "def listed():\n    pass\n"
+        "def traced():\n    pass\n"
+    )
+    unreached, _ = _reach({"a": ast.parse(src)}, {"main"})
+    assert unreached == ["a.Box.stale", "a.dead", "a.Hint", "a.traced"]
+    assert _reach({"a": ast.parse(src)}, {"main", "traced"})[0] == ["a.Box.stale", "a.dead", "a.Hint"]
+
+
+def _bench_names() -> set[str]:
+    """The gmcalc names bench/ calls: the functions and methods bench/spans.py traces and the names bench/child.py imports."""
+    names = {fn for fns in _bench_literal("LAYERS").values() for fn in fns}
+    names |= {method for _, _, method in _bench_literal("METHODS").values()}
+    names |= {alias.name for node in _bench_child_imports() for alias in node.names}
+    return names
+
+
+def test_every_definition_is_reached():
+    # a function only tests call is not part of the program: wire it into the CLI or delete it
+    trees = {p.stem: _tree(p) for p in sorted(SRC.glob("*.py"))}
+    unreached, reached = _reach(trees, {"main"} | _bench_names())
+    exported = ast.literal_eval(_assigned(SRC / "__init__.py", "__all__"))
+    unreached += [f"gmcalc.__all__: {name}" for name in exported if name not in reached]
+    assert not unreached, f"neither cli.main nor bench/ reaches: {unreached}"
 
 
 CONFIG_SCHEMA = json.loads((SRC / "config.schema.json").read_text(encoding="utf-8"))

@@ -1,5 +1,4 @@
 """Configurable overrides: invariant-form rescaling, multiplicities, density kinds."""
-import json
 from fractions import Fraction
 
 import pytest
@@ -14,7 +13,7 @@ from gmcalc.gmfamily import (
     orthogonal_set,
     scalar_fn_from_template,
 )
-from gmcalc.levilattice import QuadConst, d_constant, gfull, levi_lattice, mzero, restricted_rays
+from gmcalc.levilattice import d_constant, gfull, levi_lattice, mzero, restricted_rays
 from gmcalc.rootdatum import build_root_system
 from gmcalc.spectral import build_spectral_triple, n_beta, tau_class, tempext_check
 

@@ -5,7 +5,7 @@ import pytest
 from gmcalc.errors import NotARoot, NotChamberStabilizer, NotSubsystem
 from gmcalc.gmfamily import ScalarRootFns
 from gmcalc.levilattice import enumerate_levis, gfull, mzero, restricted_rays
-from gmcalc.rootdatum import RatVec, build_root_system
+from gmcalc.rootdatum import build_root_system
 from gmcalc.spectral import (
     build_spectral_triple,
     chamber_transitivity,
@@ -13,9 +13,7 @@ from gmcalc.spectral import (
     closed_subsystems,
     discrete_constants,
     enumerate_spectral_triples,
-    eps_tau,
     n_beta,
-    r_group,
     reflections_in_core,
     tau_class,
     tempext_check,
@@ -30,7 +28,7 @@ def full_sigma(d):
 def test_build_triple_trivial_and_full():
     d = build_root_system("A1")
     t0 = build_spectral_triple(d, [], [])
-    assert t0.r_elem.is_identity()
+    assert t0.r_elem.perm == tuple(range(len(d.roots)))
     t1 = build_spectral_triple(d, range(len(d.roots)), [])
     assert len(t1.sigma_roots) == 2
 
@@ -51,25 +49,6 @@ def test_build_triple_rejects_chamber_mover():
     i = d.simple[0]
     with pytest.raises(NotChamberStabilizer):
         build_spectral_triple(d, [0, 1], [i])
-
-
-def test_r_group_shapes():
-    d = build_root_system("A1")
-    t = build_spectral_triple(d, range(len(d.roots)), [])
-    groups = r_group(t)
-    assert len(groups.w_sigma0) == 2
-    assert len(groups.r_group) == 1
-    t_empty = build_spectral_triple(d, [], [d.simple[0]])
-    # with an empty vanishing set the whole group is generated by r
-    g2 = r_group(t_empty)
-    assert len(g2.w_sigma0) == 1
-    assert len(g2.r_group) == 2
-
-    d2 = build_root_system("A2")
-    t2 = build_spectral_triple(d2, range(len(d2.roots)), [])
-    g3 = r_group(t2)
-    assert len(g3.w_sigma0) == 6
-    assert len(g3.r_group) == 1
 
 
 def test_classify_a1_cases():
@@ -180,39 +159,6 @@ def test_discrete_constants_match_elementary_symmetric(nl_elementary):
     )
 
 
-def test_eps_tau_character():
-    d = build_root_system("A1xA1")
-    t = tau_class(build_spectral_triple(d, range(len(d.roots)), []))
-    core = t.core
-    assert len(core) == 4
-    for u in core:
-        assert eps_tau(t, u) in (-1, 1)
-    # group character on the modeled stabilizer
-    from gmcalc.exactlin import mat_mul
-    from gmcalc.spectral import TauWeyl
-
-    for a in core:
-        for b in core:
-            ab = TauWeyl(mat_mul(a.mat, b.mat), a.lift)
-            assert eps_tau(t, ab) == eps_tau(t, a) * eps_tau(t, b)
-
-
-def test_eps_tau_reflection_is_minus_one():
-    d = build_root_system("A2")
-    t = tau_class(build_spectral_triple(d, range(len(d.roots)), []))
-    from gmcalc.spectral import _flat_reflection, TauWeyl
-
-    for ray in t.tau_rays:
-        m = _flat_reflection(t, ray)
-        # identity has sign +1, a pole-ray reflection has sign -1
-        u = TauWeyl(m, t.r_elem)
-        assert eps_tau(t, u) == -1
-    ident = t.core[0]
-    from gmcalc.exactlin import identity as id_mat
-
-    assert any(u.mat == id_mat(t.levi_L.dim) and eps_tau(t, u) == 1 for u in t.core)
-
-
 def test_tempext_a1_exact_cancellation():
     d = build_root_system("A1")
     t = tau_class(build_spectral_triple(d, range(len(d.roots)), []))
@@ -283,7 +229,7 @@ def test_classes_built_once_and_overrides_copy():
     d = build_root_system("A2")
     classes = enumerate_spectral_triples(d)
     assert enumerate_spectral_triples(d) is classes
-    t = next(t for t in classes if t.sigma_roots == full_sigma(d) and t.r_elem.is_identity())
+    t = next(t for t in classes if t.sigma_roots == full_sigma(d) and t.r_elem.perm == tuple(range(len(d.roots))))
     assert tau_class(t) is t
     before = t.nbeta
     ray = t.tau_rays[0]
