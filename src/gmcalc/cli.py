@@ -162,8 +162,14 @@ def cmd_eval(args) -> int:
     except (ConfigError, GmcalcError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    evaluate, known = EXPRESSIONS[args.expr]
+    unknown = sorted(set(payload) - set(known))
+    if unknown:
+        print(f"error: {args.expr} takes no argument {', '.join(map(repr, unknown))};"
+              f" its arguments are {', '.join(known)}", file=sys.stderr)
+        return 2
     try:
-        value, extra = EXPRESSIONS[args.expr](d, cfg, payload)
+        value, extra = evaluate(d, cfg, payload)
     except KeyError as exc:
         print(f"error: missing argument {exc}", file=sys.stderr)
         return 2
@@ -249,18 +255,20 @@ def _eval_phi_tt(d, cfg, payload):
     return json.dumps(exp.serialize(), sort_keys=True), {"terms": len(exp.terms)}
 
 
-# expression name -> evaluator(d, cfg, payload) returning (value, extra lines)
+_MODEL_KEYS = ("sigma_roots", "r_word", "model", "mu", "eval")
+
+# expression name -> (evaluator(d, cfg, payload) returning (value, extra lines), the argument keys it reads)
 EXPRESSIONS = {
-    "theta": _eval_theta,
-    "d": _eval_d,
-    "n_beta": _eval_n_beta,
-    "nL": _eval_discrete("nL"),
-    "kL": _eval_discrete("kL"),
-    "alpha_X": _eval_alpha_x,
-    "eps_M": _eval_eps_m,
-    "delta_Sigma": _eval_delta_sigma,
-    "c_coeff": _eval_c_coeff,
-    "phi_TT": _eval_phi_tt,
+    "theta": (_eval_theta, ("M", "chamber", "lambda")),
+    "d": (_eval_d, ("L1", "L", "S")),
+    "n_beta": (_eval_n_beta, ("sigma_roots", "r_word", "beta")),
+    "nL": (_eval_discrete("nL"), ("sigma_roots", "r_word", "L")),
+    "kL": (_eval_discrete("kL"), ("sigma_roots", "r_word", "L")),
+    "alpha_X": (_eval_alpha_x, ("M1", "nu", "X")),
+    "eps_M": (_eval_eps_m, ("word", "sigma")),
+    "delta_Sigma": (_eval_delta_sigma, ("Y", "sigma")),
+    "c_coeff": (_eval_c_coeff, _MODEL_KEYS + ("w_word", "M", "L", "P", "P_levi", "u")),
+    "phi_TT": (_eval_phi_tt, _MODEL_KEYS + ("P",)),
 }
 
 

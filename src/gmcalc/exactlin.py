@@ -4,18 +4,27 @@ Vectors are tuples of Fractions, matrices are tuples of row tuples.
 Everything here is pure and deterministic; no floating point.
 
 Invariant: normalised ``Fraction``s in and out, integer arithmetic inside.
-The products (``dot``, ``sym_pair``, ``mat_vec``, ``mat_mul``) accumulate
-integer numerators over one running denominator, and everything built on
+The products (``sym_pair``, ``mat_vec``, ``mat_mul``) accumulate integer
+numerators over one running denominator, and everything built on
 elimination (``rref``, ``rank``, ``kernel``, ``solve``, ``mat_inv``,
 ``det``, ``projector``) is fraction-free (Bareiss 1968) on integer rows.
 Each result entry becomes a ``Fraction`` once, at the end, so it costs one
 gcd instead of one per multiply and add.  Only the entrywise helpers
-``vadd``, ``vsub`` and ``vscale`` still operate on ``Fraction``s.
+``vadd``, ``vsub`` and ``vscale`` use ``Fraction``s.
+
+Hot exact kernels skip the ``Fraction`` ends as well: ``int_row`` and
+``int_mat`` write rationals as integer rows over one positive denominator,
+``int_mat_vec``, ``idot``, ``int_det`` and ``int_normal`` work on those rows
+alone, and ``ratio_vec`` turns a row back into ``Fraction``s.  With one
+positive denominator, signs and the lexicographic order of the numerators
+are those of the rationals.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd, prod
+from operator import mul
 from typing import Iterable, Sequence
 
 Vec = tuple[Fraction, ...]
@@ -66,7 +75,7 @@ def _ratios(u: Iterable[Fraction]) -> list[tuple[int, int]]:
     return [a.as_integer_ratio() for a in u]
 
 
-def _int_row(u: Iterable[Fraction]) -> tuple[list[int], int]:
+def int_row(u: Iterable[Fraction]) -> tuple[list[int], int]:
     """Integer numerators of u over the least common denominator of its entries."""
     pairs = _ratios(u)
     den = 1
@@ -76,6 +85,26 @@ def _int_row(u: Iterable[Fraction]) -> tuple[list[int], int]:
     if den == 1:
         return [n for n, _ in pairs], 1
     return [n * (den // d) for n, d in pairs], den
+
+
+def int_mat(rows: Sequence[Sequence[Fraction]]) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Integer numerators of the rows over one least common denominator of all their entries."""
+    ints, den = int_row(chain.from_iterable(rows))
+    it = iter(ints)
+    return tuple(tuple(next(it) for _ in r) for r in rows), den
+
+
+def ratio_vec(ints: Iterable[int], den: int) -> Vec:
+    """The rational vector with these numerators over den."""
+    return tuple(_ratio(x, den) for x in ints)
+
+
+def idot(u: Sequence[int], v: Sequence[int]) -> int:
+    return sum(map(mul, u, v))
+
+
+def int_mat_vec(m: Sequence[Sequence[int]], v: Sequence[int]) -> tuple[int, ...]:
+    return tuple(sum(map(mul, row, v)) for row in m)
 
 
 def _dot_ratios(u: Iterable[Fraction], vs: Sequence[tuple[int, int]]) -> Fraction:
@@ -205,7 +234,7 @@ def _int_rows(rows: Iterable[Iterable[Fraction]]) -> tuple[list[list[int]], list
     """Each row cleared of its own denominators (row space and solutions unchanged)."""
     out, dens = [], []
     for r in rows:
-        ints, den = _int_row(r)
+        ints, den = int_row(r)
         out.append(ints)
         dens.append(den)
     return out, dens
@@ -216,6 +245,27 @@ def int_det(rows: Sequence[Sequence[int]]) -> int:
     n = len(rows)
     pivots, d, sign = _eliminate(list(rows), n)
     return sign * d if len(pivots) == n else 0
+
+
+def int_normal(rows: Sequence[Sequence[int]], n: int) -> list[int]:
+    """A vector orthogonal to n-1 integer rows of length n: their cofactor vector up to one sign.
+
+    One elimination gives it (Cramer): when the rows are independent, one
+    column f is free, and the kernel vector with x_f = d, the final pivot,
+    has x_p = -row[f] at each pivot p.  The entry f of the cofactor vector is
+    +-d, the minor of the pivot columns, so the two agree up to sign.  The
+    zero vector when the rows are dependent; the rows are not changed.
+    """
+    work = [list(r) for r in rows]
+    pivots, d, _ = _eliminate(work, n)
+    if len(pivots) != n - 1:
+        return [0] * n
+    f = next(c for c in range(n) if c not in pivots)
+    x = [0] * n
+    x[f] = d
+    for row, p in zip(work, pivots):
+        x[p] = -row[f]
+    return x
 
 
 def det(m: Mat) -> Fraction:
@@ -312,7 +362,7 @@ def projector(basis: Sequence[Vec], S: Mat) -> Mat:
     pivots, d, vals = got
     out = []
     for a in range(n):
-        col, den = _int_row([basis[p][a] for p in pivots])
+        col, den = int_row([basis[p][a] for p in pivots])
         sums = (sum(c * row[j] for c, row in zip(col, vals)) for j in range(n))
         out.append(tuple(_ratio(x, d * den) for x in sums))
     return tuple(out)
@@ -330,7 +380,7 @@ def primitive_ray(v: Vec) -> Vec:
     """Canonical representative of the ray through v: integral, coprime, first nonzero > 0."""
     if is_zero_vec(v):
         raise ValueError("zero vector has no ray")
-    ints, _ = _int_row(v)
+    ints, _ = int_row(v)
     g = 0
     for x in ints:
         g = gcd(g, x)
@@ -339,10 +389,3 @@ def primitive_ray(v: Vec) -> Vec:
         g = -g
     return tuple(Fraction(x // g) for x in ints)
 
-
-def common_denominator(vectors: Sequence[Vec]) -> int:
-    den = 1
-    for v in vectors:
-        for x in v:
-            den = den * x.denominator // gcd(den, x.denominator)
-    return den

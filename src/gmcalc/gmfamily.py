@@ -4,9 +4,14 @@ A chamber family holds, per chamber, rational multiples of exp(lam(X)).  Its
 limit, the (G,M)-family limit of Arthur (Ann. Math. 114, 1981), is computed
 exactly as the constant Laurent coefficient along a generic rational line; the
 volume of a convex hull is computed in every dimension by one exact
-beneath-beyond triangulation on integer-scaled points.  Both return numbers
-with rational square so the two routes can be compared with no tolerance at
-all.
+beneath-beyond triangulation on integer points.  Both return numbers with
+rational square so the two routes can be compared with no tolerance at all.
+
+Orthogonal sets and families are integer rows over one positive denominator
+per set, and the checks, the hull and the Laurent sums run on the integer
+frame that each Levi keeps (``levilattice.cell_maps``, ``coord_map``,
+``limit_frame``).  A ``Fraction`` is formed only for the volume and for the
+Laurent coefficients.
 
 A density on a ray is keyed by its template's exact parameters and its
 residue n at 0; no float pole list is kept.  The splitting sum and its
@@ -15,7 +20,6 @@ analytic cross-check read rays, duals and chambers off the Levi lattice.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import factorial
@@ -33,15 +37,18 @@ from .errors import (
 )
 from .exactlin import (
     Vec,
-    common_denominator,
     gram_det,
-    int_det,
+    idot,
+    int_mat,
+    int_mat_vec,
+    int_normal,
+    int_row,
     is_zero_vec,
     mat_vec,
     primitive_ray,
     projector,
     rank as mat_rank,
-    transpose,
+    ratio_vec,
 )
 from .levilattice import (
     Levi,
@@ -66,62 +73,70 @@ from .rootdatum import RatVec, WeylElement, invert
 # orthogonal sets and hulls
 
 
-@dataclass(frozen=True)
 class OrthogonalSet:
-    """One point per chamber of P(M), adjacent differences along coroot rays."""
+    """One point per chamber of P(M), adjacent differences along coroot rays.
 
-    levi: Levi
-    points: tuple[RatVec, ...]
+    The points are kept as integer rows over one positive denominator;
+    ``points`` gives them as rational vectors.
+    """
+
+    def __init__(self, levi: Levi, points: Sequence[RatVec]):
+        self.levi = levi
+        self.rows, self.den = int_mat([p.coords for p in points])
+
+    @classmethod
+    def _of_rows(cls, levi: Levi, rows: Sequence[tuple[int, ...]], den: int) -> "OrthogonalSet":
+        pts = cls.__new__(cls)
+        pts.levi, pts.rows, pts.den = levi, tuple(rows), den
+        return pts
+
+    @property
+    def points(self) -> tuple[RatVec, ...]:
+        return tuple(RatVec(ratio_vec(x, self.den)) for x in self.rows)
 
     def validate(self) -> None:
         M = self.levi
-        if len(self.points) != len(parabolics(M)):
+        if len(self.rows) != len(parabolics(M)):
             raise InternalInconsistency("point list does not match the chamber list")
-        for i, j, ray in adjacent_chambers(M):
-            delta = self.points[i] - self.points[j]
-            if delta.is_zero():
-                continue
-            c = None
-            for x, y in zip(delta.coords, ray.rep.coords):
-                if y != 0:
-                    c = x / y
-                    break
-            if c is None or c < 0 or delta != c * ray.rep:
+        for i, j, wall in adjacent_chambers(M):
+            delta = [a - b for a, b in zip(self.rows[i], self.rows[j])]
+            # delta = c * wall with c >= 0: delta_a wall_f = delta_f wall_a for every a, and delta . wall >= 0
+            f = next(k for k, y in enumerate(wall) if y)
+            if idot(delta, wall) < 0 or any(x * wall[f] != delta[f] * y for x, y in zip(delta, wall)):
                 raise InternalInconsistency("adjacent difference not a nonnegative coroot multiple")
 
 
 def orthogonal_set(M: Levi, T: RatVec) -> OrthogonalSet:
     """Weyl translates of a dominant point, projected chamber-wise to a_M; a cell's maps are compared on every call."""
     d = M.datum
-    for i in d.simple:
-        if d.pair(d.roots[i], T) < 0:
+    t, t_den = int_row(T.coords)
+    gram, _ = d.int_gram
+    # the simple roots are the unit vectors, so row k of the form pairs simple root k with T
+    for k, i in enumerate(d.simple):
+        if idot(gram[k], t) < 0:
             raise NotDominant(f"point pairs negatively with simple root {i}")
-    points: list[RatVec] = []
-    for maps in cell_maps(M):
-        if any(m != maps[0] for m in maps[1:]):
+    maps, den = cell_maps(M)
+    rows = []
+    for cell in maps:
+        if any(m != cell[0] for m in cell[1:]):
             raise InternalInconsistency("projection not constant on a chamber cell")
-        points.append(RatVec(mat_vec(maps[0], T.coords)))
-    return OrthogonalSet(M, tuple(points))
+        rows.append(int_mat_vec(zip(*cell[0]), t))  # the map's rows are the columns' entries
+    return OrthogonalSet._of_rows(M, rows, den * t_den)
 
 
-def _idot(u, v) -> int:
-    return sum(a * b for a, b in zip(u, v))
+def _hull_volume(pts: Sequence[Sequence[int]], n: int) -> int:
+    """n! times the volume of the convex hull of integer points in Z^n (n >= 1), by beneath-beyond.
 
-
-def _hull_volume(pts: list[Vec], n: int) -> Fraction:
-    """Exact volume of the convex hull of points in Q^n (n >= 1), by beneath-beyond.
-
-    The points are scaled to integers over one common denominator.  The hull
-    starts from a greedy affinely independent simplex; each further point that
-    lies strictly beyond some facets replaces them by the cone from the point
-    over their horizon, the ridges that belong to exactly one visible facet.
-    A facet q = (q_0..q_{n-1}) keeps its outward cofactor normal N and offset
-    N.q_0, so that |det(q - a)| = N.q_0 - N.a for every point a of the hull.
-    The volume is the sum of these over the facets, for the apex a = first
-    simplex vertex, over n! (facets through the apex add 0).
+    The hull starts from a greedy affinely independent simplex; each further
+    point that lies strictly beyond some facets replaces them by the cone from
+    the point over their horizon, the ridges that belong to exactly one
+    visible facet.  A facet q = (q_0..q_{n-1}) keeps its outward cofactor
+    normal N, from one elimination of its edges, and offset N.q_0, so that
+    |det(q - a)| = N.q_0 - N.a for every point a of the hull.  The sum of
+    these over the facets, for the apex a = first simplex vertex, is n! times
+    the volume (facets through the apex add 0).
     """
-    den = common_denominator(pts)
-    ipts = sorted({tuple(int(x * den) for x in p) for p in pts})
+    ipts = sorted(set(map(tuple, pts)))
     simplex = [ipts[0]]
     for p in ipts[1:]:
         if mat_rank([tuple(x - y for x, y in zip(q, ipts[0])) for q in simplex[1:] + [p]]) == len(simplex):
@@ -129,15 +144,14 @@ def _hull_volume(pts: list[Vec], n: int) -> Fraction:
             if len(simplex) == n + 1:
                 break
     else:
-        return Fraction(0)
+        return 0
     inner = [sum(col) for col in zip(*simplex)]  # n+1 times an interior point
 
     def facet(verts: tuple) -> tuple:
         q0 = verts[0]
-        edges = [tuple(x - y for x, y in zip(q, q0)) for q in verts[1:]]
-        normal = [(-1) ** j * int_det([e[:j] + e[j + 1:] for e in edges]) for j in range(n)]
-        offset = _idot(normal, q0)
-        if _idot(normal, inner) > (n + 1) * offset:
+        normal = int_normal([tuple(x - y for x, y in zip(q, q0)) for q in verts[1:]], n)
+        offset = idot(normal, q0)
+        if idot(normal, inner) > (n + 1) * offset:
             normal, offset = [-a for a in normal], -offset
         return verts, normal, offset
 
@@ -145,7 +159,7 @@ def _hull_volume(pts: list[Vec], n: int) -> Fraction:
     for p in ipts:
         kept, visible = [], []
         for f in facets:
-            (visible if _idot(f[1], p) > f[2] else kept).append(f)
+            (visible if idot(f[1], p) > f[2] else kept).append(f)
         if not visible:
             continue
         ridges: dict[frozenset, tuple] = {}
@@ -159,8 +173,7 @@ def _hull_volume(pts: list[Vec], n: int) -> Fraction:
                     ridges[key] = ridge
         facets = kept + [facet(ridge + (p,)) for ridge in ridges.values()]
     apex = simplex[0]
-    total = sum(offset - _idot(normal, apex) for _, normal, offset in facets)
-    return Fraction(total, factorial(n) * den**n)
+    return sum(offset - idot(normal, apex) for _, normal, offset in facets)
 
 
 def hull_volume(pts: OrthogonalSet) -> QuadConst:
@@ -168,11 +181,11 @@ def hull_volume(pts: OrthogonalSet) -> QuadConst:
     M = pts.levi
     if M.dim == 0:
         return QuadConst.one()
-    cmap, disc = coord_map(M)
-    coords = [mat_vec(cmap, p.coords) for p in pts.points]
-    if any(mat_vec(transpose(M.basis), c) != p.coords for c, p in zip(coords, pts.points)):
+    cmap, c, lift, scale, disc = coord_map(M)
+    coords = [int_mat_vec(cmap, x) for x in pts.rows]
+    if any(int_mat_vec(lift, y) != tuple(scale * a for a in x) for y, x in zip(coords, pts.rows)):
         raise InternalInconsistency("hull point outside the flat")
-    vol = _hull_volume(coords, M.dim)
+    vol = Fraction(_hull_volume(coords, M.dim), factorial(M.dim) * (c * pts.den) ** M.dim)
     return QuadConst.from_square(vol * vol * disc)
 
 
@@ -181,17 +194,38 @@ def hull_volume(pts: OrthogonalSet) -> QuadConst:
 
 
 class ExpPolyFamily:
-    """Per chamber, a finite sum of terms c * exp(lam(X)) with rational c."""
+    """Per chamber, a finite sum of terms c * exp(lam(X)) with rational c.
+
+    The terms are kept as integer rows: per chamber the pairs (c, X) of
+    numerators, over one denominator for the coefficients and one for the
+    points.  ``terms`` gives them as rationals.
+    """
 
     def __init__(self, levi: Levi, terms: Sequence[Sequence[tuple[Fraction, RatVec]]]):
-        self.levi = levi
-        self.terms = tuple(tuple(chamber) for chamber in terms)
-        if len(self.terms) != len(parabolics(levi)):
-            raise InternalInconsistency("one term list per chamber is required")
+        terms = [list(chamber) for chamber in terms]
+        flat = [(c, X.coords) for chamber in terms for c, X in chamber]
+        cs, c_den = int_row(c for c, _ in flat)
+        xs, x_den = int_mat([x for _, x in flat])
+        it = zip(cs, xs)
+        self._set(levi, tuple(tuple(next(it) for _ in chamber) for chamber in terms), c_den, x_den)
 
     @classmethod
     def from_orthogonal_set(cls, pts: OrthogonalSet) -> "ExpPolyFamily":
-        return cls(pts.levi, [[(Fraction(1), X)] for X in pts.points])
+        fam = cls.__new__(cls)
+        fam._set(pts.levi, tuple(((1, x),) for x in pts.rows), 1, pts.den)
+        return fam
+
+    def _set(self, levi: Levi, rows, c_den: int, x_den: int) -> None:
+        if len(rows) != len(parabolics(levi)):
+            raise InternalInconsistency("one term list per chamber is required")
+        self.levi, self.rows, self.c_den, self.x_den = levi, rows, c_den, x_den
+
+    @property
+    def terms(self) -> tuple[tuple[tuple[Fraction, RatVec], ...], ...]:
+        return tuple(
+            tuple((Fraction(c, self.c_den), RatVec(ratio_vec(x, self.x_den))) for c, x in chamber)
+            for chamber in self.rows
+        )
 
 
 def family_limit(f: ExpPolyFamily, direction: RatVec | None = None) -> QuadConst:
@@ -199,29 +233,34 @@ def family_limit(f: ExpPolyFamily, direction: RatVec | None = None) -> QuadConst
 
     Each term c * exp(s <lam0, X>) is expanded through s^K, K = dim a_M.  All
     Laurent coefficients of negative order must cancel; if they do not, the
-    family is incompatible and FamilyNotSmooth is raised.
+    family is incompatible and FamilyNotSmooth is raised.  The sums run on
+    integer numerators; order k has denominator k! times one common
+    denominator to the power k, times that of the scales and coefficients.
     """
     M = f.levi
-    d = M.datum
     if M.dim == 0:
-        return QuadConst.from_rational(sum((c for c, _ in f.terms[0]), Fraction(0)))
-    lam0, scales = limit_frame(M, direction)
+        return QuadConst.from_rational(Fraction(sum(c for c, _ in f.rows[0]), f.c_den))
+    (lam, lam_den), scales = limit_frame(M, direction)
+    nums, scale_den = int_row(scales)
     K = M.dim
-    series_total = [Fraction(0)] * (K + 1)
-    for P, scale in zip(parabolics(M), scales):
-        for c, X in f.terms[P.index]:
-            a = d.pair(lam0, X)
-            term = scale * c
-            series_total[0] += term
-            for k in range(1, K + 1):
-                term = term * a / k
-                series_total[k] += term
-    if any(c != 0 for c in series_total[:K]):
+    sums = [0] * (K + 1)
+    for s, chamber in zip(nums, f.rows):
+        for c, x in chamber:
+            a = idot(lam, x)
+            term = s * c
+            for k in range(K + 1):
+                sums[k] += term
+                term *= a
+
+    def coefficient(k: int) -> Fraction:
+        return Fraction(sums[k], scale_den * f.c_den * factorial(k) * (lam_den * f.x_den) ** k)
+
+    if any(sums[:K]):
         raise FamilyNotSmooth(
-            f"negative Laurent orders do not cancel: {series_total[:K]}"
+            f"negative Laurent orders do not cancel: {[coefficient(k) for k in range(K)]}"
         )
-    c = series_total[K]
-    return QuadConst.from_square(c * c * coord_map(M)[1], 1 if c > 0 else (-1 if c < 0 else 0))
+    c = coefficient(K)
+    return QuadConst.from_square(c * c * coord_map(M)[-1], 1 if c > 0 else (-1 if c < 0 else 0))
 
 
 # ---------------------------------------------------------------------------

@@ -9,14 +9,20 @@ restricted root arrangement on a_M.
 This module is the one place that derives these objects and answers
 questions about them, and each is built once and kept on its owner: the
 lattice of Levi subgroups on the RootDatum (``d.lattice``); the projector,
-rays, chambers, hull-limit frame, relative bases and splitting constants on
-the Levi.  Each ray keeps its dual, and
+projected rho_check orbit, rays, chambers, hull-limit frame, relative bases
+and splitting constants on the Levi.  Each ray keeps its dual, and
 ``-ray`` is its other side with that side's dual, so ``simple_restricted``
 hands out signed rays.  Each chamber keeps the sign pattern of the rays on
 it, and ``chamber_at`` finds a point's chamber by that pattern.
 ``rays_in(L1, S)`` lists the rays of a_L1 vanishing on a_S.  There is no
 module-level cache, so two data built from the same label own separate
 lattices.
+
+The kernels that run per Weyl element or per hull-limit check work on
+integer rows over one positive denominator (``exactlin.int_row``): the
+projected orbit that chamber witnesses are chosen from, and the integer
+parts of the hull-limit frame (the cell maps, the coordinate map and the
+pairing row of lam0).
 """
 from __future__ import annotations
 
@@ -35,6 +41,11 @@ from .exactlin import (
     gram_det,
     gram_matrix,
     identity,
+    idot,
+    int_det,
+    int_mat,
+    int_mat_vec,
+    int_row,
     is_zero_vec,
     kernel,
     mat_inv,
@@ -43,13 +54,14 @@ from .exactlin import (
     primitive_ray,
     projector,
     rank as mat_rank,
+    ratio_vec,
     rref,
     sym_pair,
-    vadd,
     vscale,
-    zeros,
 )
-from .rootdatum import RatVec, RootDatum, WeylElement, act, compose, reflect_subgroup, weyl_group
+from .rootdatum import RatVec, RootDatum, WeylElement, compose, reflect_subgroup, weyl_group
+
+IntRows = tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -103,12 +115,14 @@ class Levi:
     """A flat of the root arrangement: basis rows of a_L plus the roots vanishing on it.
 
     Objects read off the flat are built on first use and kept here: the
-    orthogonal projector onto a_L, the restricted rays, the parabolic
-    chambers, the bases relative to upper flats, the splitting constants
-    d_L1 with this flat as L1, and the hull-limit frame: the maps proj o w of
-    each chamber's Weyl cell, the adjacent chamber pairs with signed wall rays,
-    the basis coordinate map with its Gram determinant, and per limit
-    direction a generic lam0 with each chamber's scale q_P / theta*_P.
+    orthogonal projector onto a_L, the projected rho_check orbit, the
+    restricted rays, the parabolic chambers, the bases relative to upper
+    flats, the splitting constants d_L1 with this flat as L1, and the
+    hull-limit frame: the integer maps proj o w of each chamber's Weyl cell,
+    the adjacent chamber pairs with integer wall directions, the integer
+    basis coordinate map with its Gram determinant, and per limit direction
+    the integer pairing row of a generic lam0 with each chamber's scale
+    q_P / theta*_P.
     """
 
     def __init__(self, datum: RootDatum, basis: tuple[Vec, ...], root_subset: frozenset[int]):
@@ -117,12 +131,13 @@ class Levi:
         self.root_subset = root_subset
         self.dim = len(basis)
         self._proj: Mat | None = None
+        self._orbit: tuple[IntRows, int] | None = None
         self._rays: tuple[Ray, ...] | None = None
         self._chambers: tuple[ParabolicChamber, ...] | None = None
-        self._cell_maps: tuple[tuple[Mat, ...], ...] | None = None
-        self._adjacent: tuple[tuple[int, int, Ray], ...] | None = None
-        self._coord_map: tuple[Mat, Fraction] | None = None
-        self._limit_frames: dict[RatVec | None, tuple[RatVec, tuple[Fraction, ...]]] = {}
+        self._cell_maps: tuple[tuple[tuple[IntRows, ...], ...], int] | None = None
+        self._adjacent: tuple[tuple[int, int, tuple[int, ...]], ...] | None = None
+        self._coord_map: tuple[IntRows, int, IntRows, int, Fraction] | None = None
+        self._limit_frames: dict[RatVec | None, tuple[tuple[tuple[int, ...], int], tuple[Fraction, ...]]] = {}
         self._rel_bases: dict[frozenset[int] | None, tuple[Vec, ...]] = {}
         self._d_constants: dict[tuple, QuadConst] = {}  # d_constant with this flat as L1
         positive = set(datum.pos_indices)
@@ -325,6 +340,16 @@ def flat_projector(M: Levi) -> Mat:
     return M._proj
 
 
+def projected_orbit(M: Levi) -> tuple[IntRows, int]:
+    """The distinct projections of the rho_check orbit onto a_M, sorted, as integer rows over one
+    positive denominator; built once per Levi."""
+    if M._orbit is None:
+        proj, den = int_mat(flat_projector(M))
+        orbit, orbit_den = M.datum.rho_orbit
+        M._orbit = (tuple(sorted({int_mat_vec(proj, x) for x in orbit})), den * orbit_den)
+    return M._orbit
+
+
 def restricted_rays(M: Levi) -> tuple[Ray, ...]:
     """Reduced restricted-root rays on a_M, grouped in +- pairs; built once per Levi."""
     if M._rays is None:
@@ -353,6 +378,25 @@ def sign_pattern(d: RootDatum, rays: Sequence[Ray], point: RatVec) -> tuple[int,
     return tuple(out)
 
 
+def _witnesses(M: Levi, rays: Sequence[Ray]) -> dict[tuple[int, ...], RatVec]:
+    """Each chamber's sign pattern and interior witness, in witness order."""
+    d = M.datum
+    if not rays:
+        return {(): RatVec(combine([1] * M.dim, M.basis, d.rank))}
+    orbit, den = projected_orbit(M)
+    gram, _ = d.int_gram
+    # every denominator is positive, so these integer pairings have the signs of the rational ones
+    forms = [int_mat_vec(gram, int_row(ray.rep.coords)[0]) for ray in rays]
+    best: dict[tuple[int, ...], RatVec] = {}
+    for x in orbit:  # sorted, so each pattern first meets its least point, and in witness order
+        key = tuple((p > 0) - (p < 0) for p in (idot(f, x) for f in forms))
+        if 0 not in key and key not in best:
+            best[key] = RatVec(ratio_vec(x, den))
+    if not best:
+        raise InternalInconsistency("no chamber witnesses found on the flat")
+    return best
+
+
 def chambers_of_rays(M: Levi, rays: Sequence[Ray]) -> list[RatVec]:
     """Interior witnesses, one per chamber of the given ray arrangement on a_M.
 
@@ -361,28 +405,10 @@ def chambers_of_rays(M: Levi, rays: Sequence[Ray]) -> list[RatVec]:
     projection (each parabolic contains a minimal one), and any sub-arrangement
     chamber contains a full-arrangement chamber.  This avoids any reflection
     closure assumption on the rays, which genuinely fails for intermediate
-    flats.  The witnesses come sorted by coordinates.
+    flats.  Each chamber's witness is its least projection of rho_check's
+    orbit, and the witnesses come sorted by coordinates.
     """
-    d = M.datum
-    if not M.basis:
-        return [RatVec.zero(d.rank)]
-    if not rays:
-        pt = zeros(d.rank)
-        for b in M.basis:
-            pt = vadd(pt, b)
-        return [RatVec(pt)]
-    proj_m = flat_projector(M)
-    best: dict[tuple, Vec] = {}
-    for w in weyl_group(d):
-        proj = mat_vec(proj_m, act(w, d.rho_check).coords)
-        key = sign_pattern(d, rays, RatVec(proj))
-        if 0 in key:
-            continue
-        if key not in best or proj < best[key]:
-            best[key] = proj
-    if not best:
-        raise InternalInconsistency("no chamber witnesses found on the flat")
-    return [RatVec(v) for v in sorted(best.values())]
+    return list(_witnesses(M, rays).values())
 
 
 def parabolics(M: Levi) -> tuple[ParabolicChamber, ...]:
@@ -399,15 +425,13 @@ def parabolics(M: Levi) -> tuple[ParabolicChamber, ...]:
         M._chambers = (ParabolicChamber(M, 0, (), RatVec.zero(d.rank)),)
         return M._chambers
     rays = restricted_rays(M)
-    points = chambers_of_rays(M, rays)
-    signs = [sign_pattern(d, rays, pt) for pt in points]
-    sign_set = set(signs)
+    witnesses = _witnesses(M, rays)
     chambers = []
-    for idx, (pt, sig) in enumerate(zip(points, signs)):
+    for idx, (sig, pt) in enumerate(witnesses.items()):
         walls = tuple(
             k
             for k in range(len(rays))
-            if tuple(s if j != k else -s for j, s in enumerate(sig)) in sign_set
+            if tuple(s if j != k else -s for j, s in enumerate(sig)) in witnesses
         )
         if len(walls) != M.dim:
             raise InternalInconsistency("parabolic chamber is not simplicial")
@@ -418,16 +442,18 @@ def parabolics(M: Levi) -> tuple[ParabolicChamber, ...]:
     return M._chambers
 
 
-def adjacent_chambers(M: Levi) -> tuple[tuple[int, int, Ray], ...]:
-    """The chamber pairs i < j across one wall, each with its wall ray signed positive on i; built once per Levi."""
+def adjacent_chambers(M: Levi) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+    """The chamber pairs i < j across one wall, each with the primitive integer direction of its wall ray
+    signed positive on i; built once per Levi."""
     if M._adjacent is None:
         by_signs = {P.signs: P.index for P in parabolics(M)}
+        rays = restricted_rays(M)
         pairs = []
         for P in parabolics(M):
-            for k, ray in zip(P.wall_rays, simple_restricted(P)):
+            for k in P.wall_rays:
                 j = by_signs[tuple(s if m != k else -s for m, s in enumerate(P.signs))]
                 if P.index < j:
-                    pairs.append((P.index, j, ray))
+                    pairs.append((P.index, j, tuple(P.signs[k] * int(x) for x in rays[k].key)))
         M._adjacent = tuple(sorted(pairs, key=lambda pair: pair[:2]))
     return M._adjacent
 
@@ -476,15 +502,22 @@ def chamber_cells(M: Levi) -> dict[int, tuple[WeylElement, ...]]:
     return {idx: tuple(ws) for idx, ws in cells.items()}
 
 
-def cell_maps(M: Levi) -> tuple[tuple[Mat, ...], ...]:
+def cell_maps(M: Levi) -> tuple[tuple[tuple[IntRows, ...], ...], int]:
     """For each chamber of P(M) in order, the maps proj_M o w of the w in its cell; built once per Levi.
 
-    Equal entries share one object, so comparing two equal maps entry by entry is an identity test.
+    A map is kept as its columns, integer rows over the one denominator of
+    the projector, returned with the maps: column j is the projection of
+    the root w(alpha_{simple j}).
+    Each projected root is one object, so comparing two equal maps column by
+    column is mostly an identity test.
     """
     if M._cell_maps is None:
-        proj, cells, one = flat_projector(M), chamber_cells(M), {}
-        M._cell_maps = tuple(tuple(tuple(tuple(one.setdefault(x, x) for x in row) for row in mat_mul(proj, w.matrix))
-                                   for w in cells[P.index]) for P in parabolics(M))
+        d = M.datum
+        proj, den = int_mat(flat_projector(M))
+        image = [int_mat_vec(proj, r) for r in d.root_rows]
+        cells = chamber_cells(M)
+        maps = tuple(tuple(tuple(image[w.perm[i]] for i in d.simple) for w in cells[P.index]) for P in parabolics(M))
+        M._cell_maps = (maps, den)
     return M._cell_maps
 
 
@@ -514,11 +547,19 @@ def theta(P: ParabolicChamber, lam: RatVec) -> ThetaValue:
     return ThetaValue(product, covol)
 
 
-def coord_map(M: Levi) -> tuple[Mat, Fraction]:
-    """The map G^-1 B S from a_M to coordinates in the basis rows B, and det G for G = B S B^T; built once per Levi."""
+def coord_map(M: Levi) -> tuple[IntRows, int, IntRows, int, Fraction]:
+    """The basis coordinate map of a_M in integer rows, its inverse check, and det G; built once per Levi.
+
+    With B the basis rows and G = B S B^T, the map G^-1 B S is C / c and B is
+    E / e in integer rows.  Returned: C, c, E^T, e c and det G.  A point x of
+    a_M has coordinates C x / c, and x lies in a_M exactly when
+    E^T (C x) = e c x.
+    """
     if M._coord_map is None:
         gram = gram_matrix(M.basis, M.datum.gram)
-        M._coord_map = (mat_mul(mat_inv(gram), mat_mul(M.basis, M.datum.gram)), det(gram))
+        cmap, c = int_mat(mat_mul(mat_inv(gram), mat_mul(M.basis, M.datum.gram)))
+        basis, e = int_mat(M.basis)
+        M._coord_map = (cmap, c, tuple(zip(*basis)), e * c, det(gram))
     return M._coord_map
 
 
@@ -538,21 +579,27 @@ def _generic_direction(M: Levi, direction: RatVec | None) -> RatVec:
     raise InternalInconsistency("no generic direction found")
 
 
-def limit_frame(M: Levi, direction: RatVec | None = None) -> tuple[RatVec, tuple[Fraction, ...]]:
-    """A generic lam0 near the direction (default: the first chamber's point) and per chamber q_P / theta*_P.
+def limit_frame(M: Levi, direction: RatVec | None = None) -> tuple[tuple[tuple[int, ...], int], tuple[Fraction, ...]]:
+    """The pairing row of a generic lam0 near the direction (default: the first chamber's point) and per chamber q_P / theta*_P.
 
-    q_P: covolume of the simple duals in basis coordinates; theta*_P: their product with lam0.  Built once per direction.
+    The pairing row S lam0 is an integer row over one positive denominator.
+    q_P: covolume of the simple duals in basis coordinates; theta*_P: their
+    product with lam0.  Built once per direction.
     """
     got = M._limit_frames.get(direction)
     if got is None:
+        d = M.datum
         lam0 = _generic_direction(M, direction)
-        cmap, _ = coord_map(M)
+        cmap, c, _, _, _ = coord_map(M)
         scales = []
         for P in parabolics(M):
             simples = simple_restricted(P)
-            q_p = abs(det(tuple(mat_vec(cmap, a.dual.coords) for a in simples)))
-            scales.append(q_p / prod(M.datum.pair(lam0, a.dual) for a in simples))
-        got = M._limit_frames[direction] = (lam0, tuple(scales))
+            duals = [int_row(a.dual.coords) for a in simples]
+            q_num = abs(int_det([int_mat_vec(cmap, v) for v, _ in duals]))
+            q_p = Fraction(q_num, c ** M.dim * prod(e for _, e in duals))
+            scales.append(q_p / prod(d.pair(lam0, a.dual) for a in simples))
+        row, den = int_row(mat_vec(d.gram, lam0.coords))
+        got = M._limit_frames[direction] = ((tuple(row), den), tuple(scales))
     return got
 
 

@@ -15,6 +15,12 @@ tuples.  The matrix of an element is derived from its permutation with no
 arithmetic: column j is w(alpha_{simple j}), a root.  Each datum closes
 its Weyl group once and indexes it by permutation, so every element that
 any caller holds is one of the group's own objects.
+
+The exact kernels that run once per Weyl element read integer forms: the
+root coordinates (``root_rows``), and, built on first use, the form as
+integer rows over one denominator (``int_gram``) and the Weyl orbit of
+rho_check as integer rows over one denominator (``rho_orbit``), in
+``weyl`` order.
 """
 from __future__ import annotations
 
@@ -29,6 +35,8 @@ from .exactlin import (
     Vec,
     det,
     frac,
+    int_mat,
+    int_row,
     mat,
     mat_mul,
     mat_vec,
@@ -245,6 +253,7 @@ class RootDatum:
         self.cartan: tuple[tuple[int, ...], ...] = tuple(cartan)
         # integral pairings keep every root's coordinates integral
         coords = [tuple(x.numerator for x in r.coords) for r in self.roots]
+        self.root_rows: tuple[tuple[int, ...], ...] = tuple(coords)
         where = {c: k for k, c in enumerate(coords)}
         perms = []
         for i, ai in enumerate(coords):
@@ -285,6 +294,25 @@ class RootDatum:
         elems.sort(key=lambda e: e[:2])
         assert len(elems) == self.weyl_order()
         return tuple(WeylElement(perm, m, word, k) for k, (_, m, perm, word) in enumerate(elems))
+
+    @cached_property
+    def int_gram(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """The form as integer rows over one positive denominator."""
+        return int_mat(self.gram)
+
+    @cached_property
+    def rho_orbit(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """The points w(rho_check), w in weyl order, as integer rows over one positive denominator.
+
+        Column j of w is the root w(alpha_{simple j}), so each row is an
+        integer combination of root coordinates.
+        """
+        rho, den = int_row(self.rho_check.coords)
+        rows = []
+        for w in self.weyl:
+            cols = [(c, self.root_rows[w.perm[i]]) for c, i in zip(rho, self.simple) if c]
+            rows.append(tuple(sum(c * r[k] for c, r in cols) for k in range(self.rank)))
+        return tuple(rows), den
 
     @cached_property
     def _by_perm(self) -> dict[Perm, WeylElement]:

@@ -28,6 +28,9 @@ from .exactlin import (
     Vec,
     combine,
     coords_in_basis,
+    idot,
+    int_mat_vec,
+    int_row,
     kernel,
     mat,
     mat_vec,
@@ -57,9 +60,9 @@ from .rootdatum import (
     RatVec,
     RootDatum,
     WeylElement,
-    act,
     compose,
     element_from_word,
+    invert,
     reflect_subgroup,
     weyl_group,
 )
@@ -157,13 +160,25 @@ def _chamber_test(
     """A chamber of the roots' arrangement and a test for "w fixes it".
 
     Without a given point the chamber is the one with the lexicographically
-    smallest interior witness.
+    smallest interior witness.  The roots are closed under negation, so each
+    ray's representative is a root alpha_m, and it pairs with w(c) as
+    w^-1(alpha_m) pairs with c: the test reads the sign of every root at c,
+    from integer pairings, through the permutation of w^-1.
     """
     rays = group_rays(d, ((i, d.roots[i].coords) for i in roots))
     if chamber_c is None:
         chamber_c = chambers_of_rays(mzero(d), rays)[0]
-    base = sign_pattern(d, rays, chamber_c)
-    return chamber_c, lambda w: sign_pattern(d, rays, act(w, chamber_c)) == base
+    gram, _ = d.int_gram
+    paired = int_mat_vec(gram, int_row(chamber_c.coords)[0])
+    signs = [(p > 0) - (p < 0) for p in (idot(r, paired) for r in d.root_rows)]
+    reps = [next(i for i, _ in ray.members if d.roots[i] == ray.rep) for ray in rays]
+    base = [signs[m] for m in reps]
+
+    def fixes(w: WeylElement) -> bool:
+        back = invert(w.perm)
+        return [signs[back[m]] for m in reps] == base
+
+    return chamber_c, fixes
 
 
 def build_spectral_triple(

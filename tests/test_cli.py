@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from gmcalc.cli import main
+from gmcalc.cli import EXPRESSIONS, main
 from gmcalc.config import load_config
 from gmcalc.errors import ConfigError
 
@@ -164,6 +164,38 @@ def test_verify_reports_are_byte_identical(tmp_path):
     b1 = (out1 / "report-A1.json").read_bytes()
     b2 = (out2 / "report-A1.json").read_bytes()
     assert b1 == b2
+
+
+# per expression: a group, arguments it evaluates, and a misspelt key
+MISSPELT = {
+    "theta": ("A1", {"M": "M0", "chamber": 0, "lambda": ["1/2"]}, "lamda"),
+    "d": ("A2", {"L1": "M0", "L": "M0", "S": "G"}, "L2"),
+    "n_beta": ("A1", {"sigma_roots": [0, 1], "beta": ["1"]}, "sigma_root"),
+    "nL": ("A1", {"L": "G"}, "sigma_root"),
+    "kL": ("A1", {"sigma_roots": [0, 1], "L": "G"}, "r_words"),
+    "alpha_X": ("A2", {"nu": [0, 0], "X": [0, 0]}, "M"),
+    "eps_M": ("A2", {"word": [0]}, "sigmas"),
+    "delta_Sigma": ("A2", {"sigma": [], "Y": [[0.1, 0.2], [0.0, 0.3]]}, "y"),
+    "c_coeff": ("A2", {"sigma_roots": [0, 1, 2, 3, 4, 5], "L": "M0", "M": "M0"}, "w"),
+    "phi_TT": ("A1", {"sigma_roots": [0, 1], "mu": ["1/2"]}, "Mu"),
+}
+
+
+def test_every_expression_has_a_misspelt_key_case():
+    assert set(MISSPELT) == set(EXPRESSIONS)
+
+
+@pytest.mark.parametrize("expr", sorted(MISSPELT))
+def test_eval_rejects_a_misspelt_key(capsys, expr):
+    # once a misspelt key fell back to its default: nL on A1 with "sigma_root" printed "value: 0"
+    group, args, key = MISSPELT[expr]
+    assert main(["eval", "--group", group, "--expr", expr, "--args", json.dumps(args)]) == 0
+    capsys.readouterr()
+    assert main(["eval", "--group", group, "--expr", expr, "--args", json.dumps(dict(args, **{key: [0, 1]}))]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert repr(key) in captured.err
 
 
 def test_eval_theta(capsys):

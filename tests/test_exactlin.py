@@ -252,3 +252,52 @@ def test_projector(sbv):
     assert ref_mat_mul(P, P) == P
     for b in basis:
         assert ref_mat_vec(P, b) == b
+
+
+# ---------------------------------------------------------------------------
+# integer rows
+
+
+def cofactors(rows, n):
+    """The n minors of n-1 rows in n columns, signed: the normal a determinant expansion gives."""
+    return [(-1) ** j * el.int_det([r[:j] + r[j + 1:] for r in rows]) for j in range(n)]
+
+
+@st.composite
+def edge_matrices(draw):
+    """n-1 integer rows in n columns, n = 1..4; often one column is a combination of the columns
+    before it (zero for the first), so the free column of the elimination is not the last one."""
+    n = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(st.integers(-5, 5), min_size=n, max_size=n), min_size=n - 1, max_size=n - 1))
+    if n > 1 and draw(st.booleans()):
+        f = draw(st.integers(0, n - 2))
+        coeffs = draw(st.lists(st.integers(-2, 2), min_size=f, max_size=f))
+        rows = [r[:f] + [sum(c * x for c, x in zip(coeffs, r))] + r[f + 1:] for r in rows]
+    return n, rows
+
+
+@SETTINGS
+@given(edge_matrices())
+@example((3, [[0, 1, 0], [0, 0, 1]]))  # free column 0
+@example((3, [[1, 2, 3], [2, 4, 5]]))  # free column 1
+@example((4, [[1, 0, 0, 2], [0, 1, 0, 3], [1, 1, 0, 1]]))  # free column 2
+@example((3, [[1, 2, 3], [2, 4, 6]]))  # dependent rows
+@example((1, []))
+def test_int_normal_is_the_cofactor_vector_up_to_sign(case):
+    n, rows = case
+    before = [list(r) for r in rows]
+    normal = el.int_normal(rows, n)
+    assert rows == before
+    expected = cofactors(rows, n)
+    assert normal in (expected, [-x for x in expected])
+    assert all(el.idot(normal, r) == 0 for r in rows)
+
+
+@SETTINGS
+@given(any_matrix)
+def test_int_mat_shares_one_denominator(m):
+    rows, den = el.int_mat(m)
+    assert den > 0 and len(rows) == len(m)
+    assert tuple(el.ratio_vec(r, den) for r in rows) == tuple(tuple(r) for r in m)
+    assert all(type(x) is int for r in rows for x in r)
+    assert el.int_mat_vec(rows, [1] * len(m[0]) if m else []) == tuple(sum(r) * den for r in m)

@@ -1,9 +1,10 @@
 import random
 import sys
 from collections import Counter
+from functools import cached_property
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import factorial, gcd
 
 import pytest
 from hypothesis import example, given
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from gmcalc import exactlin, levilattice
 from gmcalc.config import load_config
 from gmcalc.errors import FamilyNotSmooth, InternalInconsistency, NotDominant
-from gmcalc.exactlin import common_denominator, rank
+from gmcalc.exactlin import int_mat, rank
 from gmcalc.gmfamily import (
     ExpPolyFamily,
     OrthogonalSet,
@@ -37,9 +38,10 @@ from gmcalc.levilattice import (
     limit_frame,
     mzero,
     parabolics,
+    projected_orbit,
     restricted_rays,
 )
-from gmcalc.rootdatum import RatVec, act, build_root_system, weyl_group
+from gmcalc.rootdatum import RatVec, RootDatum, act, build_root_system, weyl_group
 from gmcalc.suites import suite_hull_limit
 
 
@@ -90,6 +92,23 @@ def test_orthogonal_set_a2_hexagon():
     oset = orthogonal_set(M0, rho_check)
     assert {p.coords for p in oset.points} == expected
     oset.validate()
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "A3"])
+def test_validate_rejects_reversed_and_bent_differences(label):
+    d = build_root_system(label)
+    M = mzero(d)
+    points = list(orthogonal_set(M, dominant_point(d, range(1, d.rank + 1))).points)
+    _, j, wall = levilattice.adjacent_chambers(M)[0]
+    negated = [-p for p in points]  # every difference stays on its wall ray's line and changes sign
+    units = [RatVec.of([int(k == a) for k in range(d.rank)]) for a in range(d.rank)]
+    bent = list(points)
+    bent[j] = points[j] + Fraction(1, 3) * next(e for e in units if rank([e.coords, wall]) == 2)  # off the wall ray
+    for moved in (negated, bent):
+        with pytest.raises(InternalInconsistency, match="adjacent difference not a nonnegative coroot multiple"):
+            OrthogonalSet(M, tuple(moved)).validate()
+    with pytest.raises(InternalInconsistency, match="point list does not match the chamber list"):
+        OrthogonalSet(M, tuple(points[1:])).validate()
 
 
 def test_orthogonal_set_requires_dominance():
@@ -179,8 +198,8 @@ def ref_area(pts):
 
 def ref_volume_3d(pts):
     """Every supporting plane through three points, each facet fanned from one apex."""
-    den = common_denominator([tuple(p) for p in pts])
-    ipts = sorted({tuple(int(x * den) for x in p) for p in pts})
+    rows, den = int_mat([tuple(p) for p in pts])
+    ipts = sorted(set(rows))
 
     def sub(a, b):
         return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
@@ -218,6 +237,12 @@ def ref_volume_3d(pts):
     return Fraction(total, 6) / den**3
 
 
+def hull(pts, n):
+    """_hull_volume on rational points, scaled to integers over one denominator."""
+    rows, den = int_mat(pts)
+    return Fraction(_hull_volume(rows, n), factorial(n) * den**n)
+
+
 def ref_volume(pts, n):
     if rank([tuple(x - y for x, y in zip(p, pts[0])) for p in pts]) < n:
         return Fraction(0)
@@ -250,7 +275,7 @@ def point_sets(draw):
 @example((3, [(Fraction(0),) * 3, (Fraction(1), Fraction(0), Fraction(0)), (Fraction(0), Fraction(1), Fraction(0))]))
 def test_hull_volume_matches_naive_routines(case):
     n, pts = case
-    assert _hull_volume(pts, n) == ref_volume(pts, n)
+    assert hull(pts, n) == ref_volume(pts, n)
 
 
 def test_hull_volume_4d_known_polytopes():
@@ -258,13 +283,13 @@ def test_hull_volume_4d_known_polytopes():
     cube = [tuple(Fraction(x) for x in p) for p in product((0, 1), repeat=4)]
     # interior, face and duplicate points leave the volume alone
     extra = [(half,) * 4, (one, half, half, 0), (half, half, 0, 0), cube[5]]
-    assert _hull_volume(cube + extra, 4) == 1
-    assert _hull_volume([tuple(2 * x - 1 for x in p) for p in cube], 4) == 16
+    assert hull(cube + extra, 4) == 1
+    assert hull([tuple(2 * x - 1 for x in p) for p in cube], 4) == 16
     cross = [tuple(Fraction(s) if i == k else Fraction(0) for i in range(4)) for k in range(4) for s in (1, -1)]
-    assert _hull_volume(cross + [(Fraction(0),) * 4], 4) == Fraction(2, 3)  # 2^4 / 4!
+    assert hull(cross + [(Fraction(0),) * 4], 4) == Fraction(2, 3)  # 2^4 / 4!
     simplex = [(Fraction(0),) * 4] + [c for c in cross if sum(c) > 0]
-    assert _hull_volume(simplex, 4) == Fraction(1, 24)
-    assert _hull_volume(cube[:8], 4) == 0  # the facet x_0 = 0 only
+    assert hull(simplex, 4) == Fraction(1, 24)
+    assert hull(cube[:8], 4) == 0  # the facet x_0 = 0 only
 
 
 @pytest.mark.parametrize("label, factors", [("A1xA3", ("A1", "A3")), ("A1xA1xA2", ("A1", "A1", "A2"))])
@@ -360,10 +385,40 @@ def _count_calls(monkeypatch, module, name, key):
     return counts
 
 
+def _count_builds(monkeypatch, name, slot):
+    """Count, per Levi, the calls of levilattice.name that find the Levi's slot empty: its builds."""
+    counts = _count_calls(monkeypatch, levilattice, name, lambda M, *rest: id(M) if getattr(M, slot) is None else None)
+    return lambda: {key: n for key, n in counts.items() if key is not None}
+
+
+def _count_orbit_builds(monkeypatch):
+    """Count, per datum, the builds of the cached RootDatum.rho_orbit."""
+    counts = Counter()
+    build = RootDatum.__dict__["rho_orbit"].func
+
+    def counted(d):
+        counts[id(d)] += 1
+        return build(d)
+
+    prop = cached_property(counted)
+    prop.__set_name__(RootDatum, "rho_orbit")
+    monkeypatch.setattr(RootDatum, "rho_orbit", prop)
+    return counts
+
+
+def _count_integer_frames(monkeypatch):
+    """The build counters of the rho_check orbit and of each Levi's projected orbit and integer frame."""
+    orbits = _count_orbit_builds(monkeypatch)
+    frames = {slot: _count_builds(monkeypatch, name, slot)
+              for name, slot in (("projected_orbit", "_orbit"), ("cell_maps", "_cell_maps"), ("coord_map", "_coord_map"))}
+    return orbits, lambda: {slot: count() for slot, count in frames.items()}
+
+
 def test_hull_limit_builds_each_frame_once_per_levi(monkeypatch):
     d = build_root_system("A3")
     projections = _count_calls(monkeypatch, exactlin, "projector", lambda basis, S: tuple(basis))
     directions = _count_calls(monkeypatch, levilattice, "_generic_direction", lambda M, direction: id(M))
+    orbits, frames = _count_integer_frames(monkeypatch)
     records = suite_hull_limit(load_config(overrides={"group": "A3"}), d)
     assert len(records) == 25 * len(levi_lattice(d))
     assert all(r.status == "pass" for r in records)
@@ -371,6 +426,9 @@ def test_hull_limit_builds_each_frame_once_per_levi(monkeypatch):
     assert set(projections.values()) == {1}
     assert set(directions) == {id(M) for M in levi_lattice(d) if M.dim}
     assert set(directions.values()) == {1}
+    assert orbits == {id(d): 1}
+    proper = {id(M): 1 for M in levi_lattice(d) if M.dim}
+    assert frames() == {"_orbit": proper, "_cell_maps": {id(M): 1 for M in levi_lattice(d)}, "_coord_map": proper}
 
 
 def test_second_datum_builds_its_own_frames(monkeypatch):
@@ -382,18 +440,26 @@ def test_second_datum_builds_its_own_frames(monkeypatch):
         values[M.label] = (hull_volume(oset), family_limit(ExpPolyFamily.from_orthogonal_set(oset)))
     projections = _count_calls(monkeypatch, exactlin, "projector", lambda basis, S: tuple(basis))
     directions = _count_calls(monkeypatch, levilattice, "_generic_direction", lambda M, direction: id(M))
+    orbits, frames = _count_integer_frames(monkeypatch)
+    assert "rho_orbit" not in vars(second)
     for M1, M2 in zip(levi_lattice(first), levi_lattice(second)):
         assert M2 == M1 and M2 is not M1  # equal keys: a cache keyed on them would hand out M1's frame
         assert M2._proj is None and M2._cell_maps is None and M2._coord_map is None and not M2._limit_frames
+        assert M2._orbit is None
         oset = orthogonal_set(M2, T)
         assert (hull_volume(oset), family_limit(ExpPolyFamily.from_orthogonal_set(oset))) == values[M2.label]
         assert flat_projector(M2) is not flat_projector(M1)
         assert cell_maps(M2) is not cell_maps(M1) and coord_map(M2) is not coord_map(M1)
         if M2.dim:
             assert limit_frame(M2) is not limit_frame(M1)
+            assert projected_orbit(M2) is not projected_orbit(M1) and projected_orbit(M2) == projected_orbit(M1)
+    assert second.rho_orbit is not first.rho_orbit and second.rho_orbit == first.rho_orbit
     assert set(projections) == {M.basis for M in levi_lattice(second)}
     assert set(projections.values()) == {1}
     assert set(directions) == {id(M) for M in levi_lattice(second) if M.dim}
+    assert orbits == {id(second): 1}
+    proper = {id(M): 1 for M in levi_lattice(second) if M.dim}
+    assert frames() == {"_orbit": proper, "_cell_maps": {id(M): 1 for M in levi_lattice(second)}, "_coord_map": proper}
 
 
 # -- family limits -----------------------------------------------------------

@@ -4,24 +4,29 @@ from fractions import Fraction
 import pytest
 
 from gmcalc.errors import NotComparable
+from gmcalc.exactlin import mat_vec, vadd, zeros
 from gmcalc.levilattice import (
     QuadConst,
     base_chamber,
     chamber_cells,
+    chambers_of_rays,
     d_constant,
     enumerate_levis,
+    flat_projector,
     gfull,
     levi_by_label,
     levi_lattice,
     mzero,
     parabolics,
     restricted_rays,
+    sign_pattern,
     simple_restricted,
     theta,
     trand_check,
     weyl_cosets,
 )
-from gmcalc.rootdatum import RatVec, build_root_system, weyl_group
+from gmcalc.rootdatum import RatVec, act, build_root_system, weyl_group
+from gmcalc.spectral import enumerate_spectral_triples
 
 # Flat counts: A1 has {M0, G}; A2 adds one line per positive-root kernel;
 # A3 flats match the partition lattice of a 4-element set (15 blocks).
@@ -303,3 +308,42 @@ def test_signed_rays_carry_their_duals(label):
             for ray in simple_restricted(P):
                 assert d.pair(ray.rep, P.chamber_point) > 0
                 assert ray.dual.coords == vscale(Fraction(2) / d.pair(ray.rep, ray.rep), ray.rep.coords)
+
+
+def ref_chambers_of_rays(M, rays):
+    """The witness search on Fractions that chambers_of_rays ran before its integer rows."""
+    d = M.datum
+    if not M.basis:
+        return [RatVec.zero(d.rank)]
+    if not rays:
+        pt = zeros(d.rank)
+        for b in M.basis:
+            pt = vadd(pt, b)
+        return [RatVec(pt)]
+    proj_m = flat_projector(M)
+    best = {}
+    for w in weyl_group(d):
+        proj = mat_vec(proj_m, act(w, d.rho_check).coords)
+        key = sign_pattern(d, rays, RatVec(proj))
+        if 0 in key:
+            continue
+        if key not in best or proj < best[key]:
+            best[key] = proj
+    return [RatVec(v) for v in sorted(best.values())]
+
+
+@pytest.mark.parametrize(
+    "label, gram",
+    [(g, None) for g in ("A1", "A2", "B2", "G2", "A1xA1", "A3", "A1xA3")] + [("A2", [["1", "-1/2"], ["-1/2", "1"]])],
+)
+def test_integer_witnesses_equal_the_fraction_search(label, gram):
+    d = build_root_system(label, gram)
+    for M in levi_lattice(d):
+        got = chambers_of_rays(M, restricted_rays(M))
+        assert got == ref_chambers_of_rays(M, restricted_rays(M)), M.label
+        assert [P.chamber_point for P in parabolics(M)] == got
+    homes = {}  # every home with every pole-ray arrangement on it, once
+    for t in enumerate_spectral_triples(d):
+        homes.setdefault((t.levi_L.root_subset, t.tau_rays), t)
+    for t in homes.values():
+        assert t.pole_chambers == ref_chambers_of_rays(t.levi_L, t.tau_rays), (t.levi_L.label, t.tau_rays)
