@@ -49,10 +49,6 @@ class NotARoot(GmcalcError):
     pass
 
 
-class NotInStabilizer(GmcalcError):
-    pass
-
-
 class NoConvergence(GmcalcError):
     pass
 

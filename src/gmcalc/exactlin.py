@@ -6,18 +6,18 @@ Everything here is pure and deterministic; no floating point.
 Invariant: normalised ``Fraction``s in and out, integer arithmetic inside.
 The products (``sym_pair``, ``mat_vec``, ``mat_mul``) accumulate integer
 numerators over one running denominator, and everything built on
-elimination (``rref``, ``rank``, ``kernel``, ``solve``, ``mat_inv``,
-``det``, ``projector``) is fraction-free (Bareiss 1968) on integer rows.
+elimination (``rref``, ``rank``, ``kernel``, ``mat_inv``, ``det``,
+``projector``) is fraction-free (Bareiss 1968) on integer rows.
 Each result entry becomes a ``Fraction`` once, at the end, so it costs one
 gcd instead of one per multiply and add.  Only the entrywise helpers
 ``vadd``, ``vsub`` and ``vscale`` use ``Fraction``s.
 
 Hot exact kernels skip the ``Fraction`` ends as well: ``int_row`` and
 ``int_mat`` write rationals as integer rows over one positive denominator,
-``int_mat_vec``, ``idot``, ``int_det`` and ``int_normal`` work on those rows
-alone, and ``ratio_vec`` turns a row back into ``Fraction``s.  With one
-positive denominator, signs and the lexicographic order of the numerators
-are those of the rationals.
+``int_mat_vec``, ``idot``, ``int_det``, ``int_normal`` and ``int_primitive``
+work on those rows alone, and ``ratio_vec`` turns a row back into
+``Fraction``s.  With one positive denominator, signs and the lexicographic
+order of the numerators are those of the rationals.
 """
 from __future__ import annotations
 
@@ -320,19 +320,6 @@ def _solve_columns(m: Sequence[Vec], rhs: Sequence[Vec]) -> tuple[list[int], int
     return pivots, d, [row[ncols:] for row in work[: len(pivots)]]
 
 
-def solve(m: Mat, b: Vec) -> Vec | None:
-    """One solution of m x = b, or None if inconsistent (m need not be square)."""
-    ncols = len(m[0]) if m else 0
-    got = _solve_columns(m, [(x,) for x in b])
-    if got is None:
-        return None
-    pivots, d, vals = got
-    x = [ZERO] * ncols
-    for p, (v,) in zip(pivots, vals):
-        x[p] = _ratio(v, d)
-    return tuple(x)
-
-
 def mat_inv(m: Mat) -> Mat:
     n = len(m)
     got = _solve_columns(m, identity(n))
@@ -368,24 +355,16 @@ def projector(basis: Sequence[Vec], S: Mat) -> Mat:
     return tuple(out)
 
 
-def coords_in_basis(v: Vec, basis: Sequence[Vec]) -> Vec | None:
-    """Coordinates of v in the given basis of a subspace, or None if v is outside."""
-    if not basis:
-        return () if is_zero_vec(v) else None
-    cols = transpose(tuple(basis))
-    return solve(cols, v)
+def int_primitive(ints: Sequence[int]) -> tuple[int, ...]:
+    """The primitive integer row on the ray through a nonzero integer row: coprime, first nonzero > 0."""
+    g = gcd(*ints)
+    if next(x for x in ints if x) < 0:
+        g = -g
+    return tuple(x // g for x in ints)
 
 
 def primitive_ray(v: Vec) -> Vec:
     """Canonical representative of the ray through v: integral, coprime, first nonzero > 0."""
     if is_zero_vec(v):
         raise ValueError("zero vector has no ray")
-    ints, _ = int_row(v)
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    first = next(x for x in ints if x != 0)
-    if first < 0:
-        g = -g
-    return tuple(Fraction(x // g) for x in ints)
-
+    return tuple(Fraction(x) for x in int_primitive(int_row(v)[0]))

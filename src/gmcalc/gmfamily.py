@@ -9,8 +9,8 @@ rational square so the two routes can be compared with no tolerance at all.
 
 Orthogonal sets and families are integer rows over one positive denominator
 per set, and the checks, the hull and the Laurent sums run on the integer
-frame that each Levi keeps (``levilattice.cell_maps``, ``coord_map``,
-``limit_frame``).  A ``Fraction`` is formed only for the volume and for the
+frame that each Levi keeps (``levilattice.cell_maps``, ``coord_map`` through
+``flat_coords``, ``limit_frame``).  A ``Fraction`` is formed only for the volume and for the
 Laurent coefficients.
 
 A density on a ray is keyed by its template's exact parameters and its
@@ -60,8 +60,10 @@ from .levilattice import (
     cell_maps,
     contains,
     coord_map,
+    flat_coords,
     limit_frame,
     parabolics,
+    ray_signs,
     rays_in,
     restricted_rays,
     theta,
@@ -181,10 +183,10 @@ def hull_volume(pts: OrthogonalSet) -> QuadConst:
     M = pts.levi
     if M.dim == 0:
         return QuadConst.one()
-    cmap, c, lift, scale, disc = coord_map(M)
-    coords = [int_mat_vec(cmap, x) for x in pts.rows]
-    if any(int_mat_vec(lift, y) != tuple(scale * a for a in x) for y, x in zip(coords, pts.rows)):
+    coords = [flat_coords(M, x) for x in pts.rows]
+    if None in coords:
         raise InternalInconsistency("hull point outside the flat")
+    _, c, _, _, disc = coord_map(M)
     vol = Fraction(_hull_volume(coords, M.dim), factorial(M.dim) * (c * pts.den) ** M.dim)
     return QuadConst.from_square(vol * vol * disc)
 
@@ -397,8 +399,10 @@ def split_subsets(
         return [(QuadConst.one(), [])]
     proj_rel = projector(rel, d.gram)
     candidates = []
-    for ray in rays_in(L1, S):
-        neg = ray if d.pair(ray.rep, Q1.chamber_point) < 0 else -ray
+    rays = rays_in(L1, S)
+    signs = ray_signs(d, [ray.rep for ray in rays])(int_row(Q1.chamber_point.coords)[0])
+    for ray, sign in zip(rays, signs):
+        neg = ray if sign < 0 else -ray
         proj = mat_vec(proj_rel, neg.dual.coords)
         if not is_zero_vec(proj):
             candidates.append((neg.rep, neg.dual, proj))

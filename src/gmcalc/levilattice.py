@@ -9,20 +9,22 @@ restricted root arrangement on a_M.
 This module is the one place that derives these objects and answers
 questions about them, and each is built once and kept on its owner: the
 lattice of Levi subgroups on the RootDatum (``d.lattice``); the projector,
-projected rho_check orbit, rays, chambers, hull-limit frame, relative bases
-and splitting constants on the Levi.  Each ray keeps its dual, and
-``-ray`` is its other side with that side's dual, so ``simple_restricted``
-hands out signed rays.  Each chamber keeps the sign pattern of the rays on
-it, and ``chamber_at`` finds a point's chamber by that pattern.
-``rays_in(L1, S)`` lists the rays of a_L1 vanishing on a_S.  There is no
-module-level cache, so two data built from the same label own separate
-lattices.
+projected roots, projected rho_check orbit, rays, chambers, hull-limit
+frame, relative bases and splitting constants on the Levi.  Each ray keeps
+its dual, and ``-ray`` is its other side with that side's dual, so
+``simple_restricted`` hands out signed rays.  Each chamber keeps the sign
+pattern of the rays on it, and ``chamber_at`` finds a point's chamber by
+that pattern.  ``rays_in(L1, S)`` lists the rays of a_L1 vanishing on a_S.
+There is no module-level cache, so two data built from the same label own
+separate lattices.
 
-The kernels that run per Weyl element or per hull-limit check work on
-integer rows over one positive denominator (``exactlin.int_row``): the
-projected orbit that chamber witnesses are chosen from, and the integer
-parts of the hull-limit frame (the cell maps, the coordinate map and the
-pairing row of lam0).
+Three facts come from one integer route each, on rows over one positive
+denominator (``exactlin.int_row``): the sign of a ray at a point from
+``ray_signs``, the basis coordinates of a point of a flat (or None off it)
+from ``flat_coords`` on the flat's ``coord_map``, and the projection of
+every root from ``projected_roots``, which the rays and the cell maps of
+the hull-limit frame both read.  The projected orbit that chamber
+witnesses are chosen from and the pairing row of lam0 are integer rows too.
 """
 from __future__ import annotations
 
@@ -30,9 +32,9 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
-from .errors import IncompleteInput, InternalInconsistency, NotComparable
+from .errors import DimensionError, IncompleteInput, InternalInconsistency, NotComparable
 from .exactlin import (
     Mat,
     Vec,
@@ -45,13 +47,12 @@ from .exactlin import (
     int_det,
     int_mat,
     int_mat_vec,
+    int_primitive,
     int_row,
-    is_zero_vec,
     kernel,
     mat_inv,
     mat_mul,
     mat_vec,
-    primitive_ray,
     projector,
     rank as mat_rank,
     ratio_vec,
@@ -115,8 +116,8 @@ class Levi:
     """A flat of the root arrangement: basis rows of a_L plus the roots vanishing on it.
 
     Objects read off the flat are built on first use and kept here: the
-    orthogonal projector onto a_L, the projected rho_check orbit, the
-    restricted rays, the parabolic chambers, the bases relative to upper
+    orthogonal projector onto a_L, the projected roots and rho_check orbit,
+    the restricted rays, the parabolic chambers, the bases relative to upper
     flats, the splitting constants d_L1 with this flat as L1, and the
     hull-limit frame: the integer maps proj o w of each chamber's Weyl cell,
     the adjacent chamber pairs with integer wall directions, the integer
@@ -132,6 +133,7 @@ class Levi:
         self.dim = len(basis)
         self._proj: Mat | None = None
         self._orbit: tuple[IntRows, int] | None = None
+        self._roots: tuple[IntRows, int] | None = None
         self._rays: tuple[Ray, ...] | None = None
         self._chambers: tuple[ParabolicChamber, ...] | None = None
         self._cell_maps: tuple[tuple[tuple[IntRows, ...], ...], int] | None = None
@@ -225,11 +227,10 @@ class ThetaValue:
 
 
 def _vanishing_subset(d: RootDatum, basis_rows: Sequence[Vec]) -> frozenset[int]:
-    out = []
-    for i, r in enumerate(d.roots):
-        if all(sym_pair(d.gram, r.coords, b) == 0 for b in basis_rows):
-            out.append(i)
-    return frozenset(out)
+    """The indices of the roots that vanish on every basis row."""
+    sign = ray_signs(d, d.roots)
+    patterns = [sign(int_row(b)[0]) for b in basis_rows]
+    return frozenset(i for i in range(len(d.roots)) if not any(p[i] for p in patterns))
 
 
 def flat_kernel(d: RootDatum, basis: Sequence[Vec], forms: Iterable[Vec]) -> list[Vec]:
@@ -312,24 +313,25 @@ def conjugate_levi(w: WeylElement, L: Levi) -> Levi:
     raise InternalInconsistency("Weyl image of a flat is not a flat")
 
 
-def group_rays(d: RootDatum, vectors: Iterable[tuple[int, Vec]]) -> tuple[Ray, ...]:
-    """Reduced rays through nonzero (root index, vector) pairs, grouped in +- pairs.
+def group_rays(d: RootDatum, vectors: Iterable[tuple[int, Sequence[int]]], den: int) -> tuple[Ray, ...]:
+    """Reduced rays through nonzero (root index, integer row) pairs, each row over den > 0, grouped in +- pairs.
 
-    The vectors are roots or their projections to a flat; each ray's
+    The rows are roots or their projections to a flat; each ray's
     representative is its shortest member, and rays come sorted by direction.
     """
-    groups: dict[Vec, list[tuple[int, Fraction]]] = {}
+    groups: dict[tuple[int, ...], list[tuple[int, Fraction]]] = {}
     for i, v in vectors:
-        key = primitive_ray(v)
-        j = next(k for k, x in enumerate(key) if x != 0)
-        groups.setdefault(key, []).append((i, v[j] / key[j]))
+        key = int_primitive(v)
+        j = next(k for k, x in enumerate(key) if x)
+        groups.setdefault(key, []).append((i, Fraction(v[j], key[j] * den)))
+    gram, gram_den = d.int_gram
     rays = []
     for key in sorted(groups):
         members = tuple(sorted(groups[key]))
         cmin = min(abs(c) for _, c in members)
-        rep = RatVec(vscale(cmin, key))
-        dual = RatVec(vscale(Fraction(2) / d.pair(rep, rep), rep.coords))
-        rays.append(Ray(key=key, rep=rep, dual=dual, members=members))
+        norm = Fraction(idot(key, int_mat_vec(gram, key)), gram_den)  # <key, key>
+        fkey = tuple(map(Fraction, key))
+        rays.append(Ray(fkey, RatVec(vscale(cmin, fkey)), RatVec(vscale(2 / (cmin * norm), fkey)), members))
     return tuple(rays)
 
 
@@ -350,13 +352,20 @@ def projected_orbit(M: Levi) -> tuple[IntRows, int]:
     return M._orbit
 
 
+def projected_roots(M: Levi) -> tuple[IntRows, int]:
+    """The projections of the roots onto a_M, in root order, as integer rows over the projector's one
+    positive denominator; built once per Levi."""
+    if M._roots is None:
+        proj, den = int_mat(flat_projector(M))
+        M._roots = (tuple(int_mat_vec(proj, r) for r in M.datum.root_rows), den)
+    return M._roots
+
+
 def restricted_rays(M: Levi) -> tuple[Ray, ...]:
     """Reduced restricted-root rays on a_M, grouped in +- pairs; built once per Levi."""
     if M._rays is None:
-        d = M.datum
-        proj_m = flat_projector(M)
-        projs = ((i, mat_vec(proj_m, r.coords)) for i, r in enumerate(d.roots))
-        M._rays = group_rays(d, ((i, p) for i, p in projs if not is_zero_vec(p)))
+        image, den = projected_roots(M)
+        M._rays = group_rays(M.datum, ((i, p) for i, p in enumerate(image) if any(p)), den)
     return M._rays
 
 
@@ -369,13 +378,23 @@ def rays_in(L1: Levi, S: Levi) -> list[Ray]:
     return [ray for ray in restricted_rays(L1) if ray.members[0][0] in S.root_subset]
 
 
-def sign_pattern(d: RootDatum, rays: Sequence[Ray], point: RatVec) -> tuple[int, ...]:
-    """The sign of each ray at the point: 1, -1, or 0 where the point lies on its wall."""
-    out = []
-    for ray in rays:
-        p = d.pair(ray.rep, point)
-        out.append(0 if p == 0 else (1 if p > 0 else -1))
-    return tuple(out)
+def ray_signs(d: RootDatum, reps: Iterable[RatVec]) -> Callable[[Sequence[int]], tuple[int, ...]]:
+    """The signs of the forms <rep, .> at a point: 1, -1, or 0 where the point lies on a rep's wall.
+
+    The returned function takes the point's integer numerators over any
+    positive denominator.  Each form S rep is kept as an integer row over a
+    positive denominator, so the signs are those of the rational pairings.
+    """
+    gram, _ = d.int_gram
+    forms = [int_mat_vec(gram, int_row(rep)[0]) for rep in reps]
+    n = d.rank
+
+    def signs(x: Sequence[int]) -> tuple[int, ...]:
+        if len(x) != n:
+            raise DimensionError(f"expected vectors of length {n}")
+        return tuple((p > 0) - (p < 0) for p in (idot(f, x) for f in forms))
+
+    return signs
 
 
 def _witnesses(M: Levi, rays: Sequence[Ray]) -> dict[tuple[int, ...], RatVec]:
@@ -384,12 +403,10 @@ def _witnesses(M: Levi, rays: Sequence[Ray]) -> dict[tuple[int, ...], RatVec]:
     if not rays:
         return {(): RatVec(combine([1] * M.dim, M.basis, d.rank))}
     orbit, den = projected_orbit(M)
-    gram, _ = d.int_gram
-    # every denominator is positive, so these integer pairings have the signs of the rational ones
-    forms = [int_mat_vec(gram, int_row(ray.rep.coords)[0]) for ray in rays]
+    sign = ray_signs(d, [ray.rep for ray in rays])
     best: dict[tuple[int, ...], RatVec] = {}
     for x in orbit:  # sorted, so each pattern first meets its least point, and in witness order
-        key = tuple((p > 0) - (p < 0) for p in (idot(f, x) for f in forms))
+        key = sign(x)
         if 0 not in key and key not in best:
             best[key] = RatVec(ratio_vec(x, den))
     if not best:
@@ -460,7 +477,7 @@ def adjacent_chambers(M: Levi) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
 
 def chamber_at(M: Levi, point: RatVec) -> ParabolicChamber:
     """The chamber of P(M) whose stored ray signs the point has."""
-    signs = sign_pattern(M.datum, restricted_rays(M), point)
+    signs = ray_signs(M.datum, [ray.rep for ray in restricted_rays(M)])(int_row(point.coords)[0])
     for P in parabolics(M):
         if P.signs == signs:
             return P
@@ -470,9 +487,9 @@ def chamber_at(M: Levi, point: RatVec) -> ParabolicChamber:
 
 def base_chamber(d: RootDatum) -> ParabolicChamber:
     """The minimal parabolic whose chamber contains the dominant regular point."""
-    M0 = mzero(d)
-    for P in parabolics(M0):
-        if all(d.pair(d.roots[i], P.chamber_point) > 0 for i in d.pos_indices):
+    sign = ray_signs(d, [d.roots[i] for i in d.pos_indices])
+    for P in parabolics(mzero(d)):
+        if all(s > 0 for s in sign(int_row(P.chamber_point.coords)[0])):
             return P
     raise InternalInconsistency("dominant chamber not found")
 
@@ -513,8 +530,7 @@ def cell_maps(M: Levi) -> tuple[tuple[tuple[IntRows, ...], ...], int]:
     """
     if M._cell_maps is None:
         d = M.datum
-        proj, den = int_mat(flat_projector(M))
-        image = [int_mat_vec(proj, r) for r in d.root_rows]
+        image, den = projected_roots(M)
         cells = chamber_cells(M)
         maps = tuple(tuple(tuple(image[w.perm[i]] for i in d.simple) for w in cells[P.index]) for P in parabolics(M))
         M._cell_maps = (maps, den)
@@ -553,26 +569,33 @@ def coord_map(M: Levi) -> tuple[IntRows, int, IntRows, int, Fraction]:
     With B the basis rows and G = B S B^T, the map G^-1 B S is C / c and B is
     E / e in integer rows.  Returned: C, c, E^T, e c and det G.  A point x of
     a_M has coordinates C x / c, and x lies in a_M exactly when
-    E^T (C x) = e c x.
+    E^T (C x) = e c x (``flat_coords``).
     """
     if M._coord_map is None:
         gram = gram_matrix(M.basis, M.datum.gram)
         cmap, c = int_mat(mat_mul(mat_inv(gram), mat_mul(M.basis, M.datum.gram)))
         basis, e = int_mat(M.basis)
-        M._coord_map = (cmap, c, tuple(zip(*basis)), e * c, det(gram))
+        lift = tuple(tuple(row[k] for row in basis) for k in range(M.datum.rank))
+        M._coord_map = (cmap, c, lift, e * c, det(gram))
     return M._coord_map
 
 
+def flat_coords(M: Levi, x: Sequence[int]) -> tuple[int, ...] | None:
+    """C x: over c den, the basis coordinates of the point with integer numerators x over den; None off a_M."""
+    cmap, _, lift, scale, _ = coord_map(M)
+    y = int_mat_vec(cmap, x)
+    return y if int_mat_vec(lift, y) == tuple(scale * a for a in x) else None
+
+
 def _generic_direction(M: Levi, direction: RatVec | None) -> RatVec:
-    d = M.datum
-    rays = restricted_rays(M)
+    sign = ray_signs(M.datum, [ray.rep for ray in restricted_rays(M)])
     base = parabolics(M)[0].chamber_point
     if direction is None:
         direction = base
     lam = direction
     step = Fraction(1, 97)
     for _ in range(64):
-        if all(d.pair(r.rep, lam) != 0 for r in rays):
+        if 0 not in sign(int_row(lam.coords)[0]):
             return lam
         lam = lam + step * base
         step /= 97

@@ -1,9 +1,12 @@
 """Root systems with exact coordinates, coroots and Weyl groups.
 
 Roots are written in the basis of simple roots, so every root has integer
-coordinates.  A single rational vector space V carries roots, coroots,
-chamber points and spectral parameters alike; linear functionals are
-represented by vectors through the invariant form: lam(H) = pair(lam, H).
+coordinates: the simple reflections close them on integer rows, and a form
+whose Cartan pairings are not integers, or that yields more roots than its
+type has, is rejected as soon as that shows.  A single rational vector
+space V carries roots, coroots, chamber points and spectral parameters
+alike; linear functionals are represented by vectors through the invariant
+form: lam(H) = pair(lam, H).
 The default form gives short roots squared length 2 per irreducible factor.
 
 A Weyl element is identified by its permutation of the root indices:
@@ -17,7 +20,8 @@ its Weyl group once and indexes it by permutation, so every element that
 any caller holds is one of the group's own objects.
 
 The exact kernels that run once per Weyl element read integer forms: the
-root coordinates (``root_rows``), and, built on first use, the form as
+root coordinates (``root_rows``), through which ``int_act`` applies an
+element to integer numerators, and, built on first use, the form as
 integer rows over one denominator (``int_gram``) and the Weyl orbit of
 rho_check as integer rows over one denominator (``rho_orbit``), in
 ``weyl`` order.
@@ -35,10 +39,10 @@ from .exactlin import (
     Vec,
     det,
     frac,
+    idot,
     int_mat,
     int_row,
     mat,
-    mat_mul,
     mat_vec,
     mat_inv,
     sym_pair,
@@ -153,6 +157,7 @@ _SIMPLE_GRAM = {
 }
 
 _WEYL_ORDER = {"A1": 2, "A2": 6, "A3": 24, "B2": 8, "C2": 8, "G2": 12}
+_ROOT_COUNT = {"A1": 2, "A2": 6, "A3": 12, "B2": 8, "C2": 8, "G2": 12}
 
 MAX_RANK = 4
 
@@ -182,32 +187,44 @@ class RootDatum:
 
     def _build(self):
         n = self.rank
-        simple_vecs = [RatVec.of([1 if j == i else 0 for j in range(n)]) for i in range(n)]
-        self._simple_mats = [self._reflection_in(v) for v in simple_vecs]
-        roots = {v.coords for v in simple_vecs}
-        frontier = list(roots)
+        gram, _ = self.int_gram
+        expected = sum(_ROOT_COUNT[f] for f in self.factors)
+        # s_i(v) = v - <v, alpha_i^vee> e_i moves coordinate i alone, by an integer on an invariant form
+        simple = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+        roots = set(simple)
+        frontier = list(simple)
         while frontier:
             nxt = []
-            for r in frontier:
-                for g in self._simple_mats:
-                    img = mat_vec(g, r)
+            for v in frontier:
+                for i in range(n):
+                    c, rem = divmod(2 * idot(gram[i], v), gram[i][i])
+                    if rem:
+                        raise UnsupportedType("non-integral Cartan pairing; form not invariant?")
+                    img = v[:i] + (v[i] - c,) + v[i + 1:]
                     if img not in roots:
                         roots.add(img)
                         nxt.append(img)
+                        if len(roots) > expected:
+                            raise UnsupportedType(
+                                f"{self.label} generated more than {expected} roots;"
+                                " the form is not invariant for this type"
+                            )
             frontier = nxt
-        ordered = sorted(roots)
-        self.roots: tuple[RatVec, ...] = tuple(RatVec(r) for r in ordered)
+        if len(roots) != expected:
+            raise UnsupportedType(
+                f"{self.label} generated {len(roots)} roots, expected {expected};"
+                " the form is not invariant for this type"
+            )
+        self.root_rows: tuple[tuple[int, ...], ...] = tuple(sorted(roots))
+        self.roots: tuple[RatVec, ...] = tuple(RatVec(tuple(map(Fraction, r))) for r in self.root_rows)
         self.coroots: tuple[RatVec, ...] = tuple(
             RatVec(vscale(Fraction(2) / sym_pair(self.gram, r.coords, r.coords), r.coords))
             for r in self.roots
         )
-        index = {r.coords: i for i, r in enumerate(self.roots)}
-        self.simple: tuple[int, ...] = tuple(index[v.coords] for v in simple_vecs)
-        # regular dominant point: pair(alpha_i, rho_check) = 1 for simple alpha_i
-        srows = mat([mat_vec(self.gram, self.roots[i].coords) for i in self.simple])
-        self.fund_coweights: tuple[RatVec, ...] = tuple(
-            RatVec(col) for col in transpose(mat_inv(srows))
-        )
+        index = {r: i for i, r in enumerate(self.root_rows)}
+        self.simple: tuple[int, ...] = tuple(index[v] for v in simple)
+        # regular dominant point: pair(alpha_i, rho_check) = 1 for the simple roots alpha_i = e_i
+        self.fund_coweights: tuple[RatVec, ...] = tuple(RatVec(col) for col in transpose(mat_inv(self.gram)))
         rho = RatVec.zero(n)
         for w in self.fund_coweights:
             rho = rho + w
@@ -216,28 +233,10 @@ class RootDatum:
             i for i, r in enumerate(self.roots) if self.pair(r, rho) > 0
         )
         self.neg_of: dict[int, int] = {
-            i: index[tuple(-x for x in r.coords)] for i, r in enumerate(self.roots)
+            i: index[tuple(-x for x in r)] for i, r in enumerate(self.root_rows)
         }
 
-    def _reflection_in(self, root: RatVec) -> Mat:
-        n = self.rank
-        rr = sym_pair(self.gram, root.coords, root.coords)
-        cols = []
-        for j in range(n):
-            e = tuple(Fraction(1) if k == j else Fraction(0) for k in range(n))
-            c = Fraction(2) * sym_pair(self.gram, root.coords, e) / rr
-            cols.append(vsub(e, vscale(c, root.coords)))
-        return transpose(mat(cols))
-
     def _validate(self):
-        count = 0
-        for f in self.factors:
-            count += {"A1": 2, "A2": 6, "A3": 12, "B2": 8, "C2": 8, "G2": 12}[f]
-        if len(self.roots) != count:
-            raise UnsupportedType(
-                f"{self.label} generated {len(self.roots)} roots, expected {count};"
-                " the form is not invariant for this type"
-            )
         cartan = []
         for i, r in enumerate(self.roots):
             if self.pair(r, self.coroots[i]) != 2:
@@ -251,9 +250,7 @@ class RootDatum:
             cartan.append(tuple(row))
         # cartan[i][j] = <alpha_i, alpha_j^vee>
         self.cartan: tuple[tuple[int, ...], ...] = tuple(cartan)
-        # integral pairings keep every root's coordinates integral
-        coords = [tuple(x.numerator for x in r.coords) for r in self.roots]
-        self.root_rows: tuple[tuple[int, ...], ...] = tuple(coords)
+        coords = self.root_rows
         where = {c: k for k, c in enumerate(coords)}
         perms = []
         for i, ai in enumerate(coords):
@@ -267,9 +264,6 @@ class RootDatum:
             perms.append(tuple(perm))
         # reflection_perms[i][j] is the index of s_{alpha_i}(alpha_j)
         self.reflection_perms: tuple[Perm, ...] = tuple(perms)
-        for s in self._simple_mats:
-            if mat_mul(mat_mul(transpose(s), self.gram), s) != self.gram:
-                raise UnsupportedType("form not invariant under simple reflections")
 
     # -- basic queries -----------------------------------------------
 
@@ -308,11 +302,7 @@ class RootDatum:
         integer combination of root coordinates.
         """
         rho, den = int_row(self.rho_check.coords)
-        rows = []
-        for w in self.weyl:
-            cols = [(c, self.root_rows[w.perm[i]]) for c, i in zip(rho, self.simple) if c]
-            rows.append(tuple(sum(c * r[k] for c, r in cols) for k in range(self.rank)))
-        return tuple(rows), den
+        return tuple(int_act(self, w, rho) for w in self.weyl), den
 
     @cached_property
     def _by_perm(self) -> dict[Perm, WeylElement]:
@@ -378,6 +368,12 @@ def act(w: WeylElement, v: RatVec) -> RatVec:
     if len(w.matrix) != len(v):
         raise DimensionError("Weyl element and vector of different dimensions")
     return RatVec(mat_vec(w.matrix, v.coords))
+
+
+def int_act(d: RootDatum, w: WeylElement, x: Sequence[int]) -> tuple[int, ...]:
+    """w(x) for a point given by integer numerators: column j of w is the root w(alpha_{simple j})."""
+    cols = [(c, d.root_rows[w.perm[i]]) for c, i in zip(x, d.simple) if c]
+    return tuple(sum(c * r[k] for c, r in cols) for k in range(d.rank))
 
 
 def element_from_word(d: RootDatum, word: Sequence[int], by_root_index: bool = False) -> WeylElement:

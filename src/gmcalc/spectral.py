@@ -5,6 +5,11 @@ roots where the attached density vanishes, a chamber-stabilizing element r,
 and per-ray multiplicities.  Everything downstream (discreteness tests, the
 constants n^L and k^L, the modeled stabilizer on the home flat, the
 bounded-extension sweep) is a function of this shadow.
+
+The modeled stabilizer acts on the home flat in its basis coordinates, read
+through the home's integer coordinate map (``levilattice.flat_coords``), and
+every chamber, pole-wall and wall-point test reads ray signs from
+``levilattice.ray_signs``.
 """
 from __future__ import annotations
 
@@ -20,25 +25,18 @@ from .errors import (
     NotARoot,
     NotChamberStabilizer,
     NotComparable,
-    NotInStabilizer,
     NotSubsystem,
 )
 from .exactlin import (
     Mat,
     Vec,
     combine,
-    coords_in_basis,
-    idot,
-    int_mat_vec,
     int_row,
     kernel,
-    mat,
-    mat_vec,
     primitive_ray,
     rank as mat_rank,
     rref,
     sym_pair,
-    transpose,
 )
 from .gmfamily import ScalarRootFns
 from .levilattice import (
@@ -48,13 +46,15 @@ from .levilattice import (
     _vanishing_subset,
     chambers_of_rays,
     contains,
+    coord_map,
+    flat_coords,
     flat_kernel,
     group_rays,
     levi_lattice,
     mzero,
+    ray_signs,
     rays_in,
     restricted_rays,
-    sign_pattern,
 )
 from .rootdatum import (
     RatVec,
@@ -62,6 +62,7 @@ from .rootdatum import (
     WeylElement,
     compose,
     element_from_word,
+    int_act,
     invert,
     reflect_subgroup,
     weyl_group,
@@ -162,15 +163,13 @@ def _chamber_test(
     Without a given point the chamber is the one with the lexicographically
     smallest interior witness.  The roots are closed under negation, so each
     ray's representative is a root alpha_m, and it pairs with w(c) as
-    w^-1(alpha_m) pairs with c: the test reads the sign of every root at c,
-    from integer pairings, through the permutation of w^-1.
+    w^-1(alpha_m) pairs with c: the test reads the sign of every root at c
+    through the permutation of w^-1.
     """
-    rays = group_rays(d, ((i, d.roots[i].coords) for i in roots))
+    rays = group_rays(d, ((i, d.root_rows[i]) for i in roots), 1)
     if chamber_c is None:
         chamber_c = chambers_of_rays(mzero(d), rays)[0]
-    gram, _ = d.int_gram
-    paired = int_mat_vec(gram, int_row(chamber_c.coords)[0])
-    signs = [(p > 0) - (p < 0) for p in (idot(r, paired) for r in d.root_rows)]
+    signs = ray_signs(d, d.roots)(int_row(chamber_c.coords)[0])
     reps = [next(i for i, _ in ray.members if d.roots[i] == ray.rep) for ray in rays]
     base = [signs[m] for m in reps]
 
@@ -345,33 +344,24 @@ class TauWeyl:
 
 def _on_home(t: TauClass, w: WeylElement) -> Mat | None:
     """The matrix of w on the home flat in its basis coordinates; None if w moves the flat."""
-    basis = t.levi_L.basis
-    rows = []
-    for b in basis:
-        c = coords_in_basis(mat_vec(w.matrix, b), basis)
-        if c is None:
-            return None
-        rows.append(c)
-    return transpose(mat(rows))
-
-
-def _apply_tau(t: TauClass, u: TauWeyl, point: RatVec) -> RatVec:
     home = t.levi_L
-    if home.dim == 0:
-        return RatVec.zero(t.datum.rank)
-    c = coords_in_basis(point.coords, home.basis)
-    if c is None:
-        raise NotInStabilizer("point is not on the home flat")
-    return RatVec(combine(mat_vec(u.mat, c), home.basis, t.datum.rank))
+    _, _, lift, scale, _ = coord_map(home)
+    cols = []
+    for b in zip(*lift):  # the basis rows times e = scale / c
+        y = flat_coords(home, int_act(t.datum, w, b))
+        if y is None:
+            return None
+        cols.append(y)
+    return tuple(tuple(Fraction(x, scale) for x in row) for row in zip(*cols))
 
 
 def chamber_transitivity(t: TauClass) -> bool:
     """Does the modeled stabilizer reach every pole-ray chamber from the first one?"""
     d = t.datum
-    rays = t.tau_rays
-    points = t.pole_chambers
-    patterns = {sign_pattern(d, rays, p) for p in points}
-    reached = {sign_pattern(d, rays, _apply_tau(t, u, points[0])) for u in t.core}
+    sign = ray_signs(d, [ray.rep for ray in t.tau_rays])
+    points = [int_row(p.coords)[0] for p in t.pole_chambers]
+    patterns = {sign(x) for x in points}
+    reached = {sign(int_act(d, u.lift, points[0])) for u in t.core}
     return reached == patterns
 
 
@@ -379,14 +369,12 @@ def _flat_reflection(t: TauClass, ray: Ray) -> Mat:
     """Reflection in the given ray written in the basis coordinates of the home flat."""
     d = t.datum
     home = t.levi_L
-    dual_c = coords_in_basis(ray.dual.coords, home.basis)
-    k = home.dim
-    cols = []
-    for j in range(k):
-        e = tuple(Fraction(1) if l == j else Fraction(0) for l in range(k))
-        val = sym_pair(d.gram, ray.rep.coords, home.basis[j])
-        cols.append(tuple(x - val * y for x, y in zip(e, dual_c)))
-    return transpose(mat(cols))
+    dual, den = int_row(ray.dual.coords)
+    scale = coord_map(home)[1] * den
+    dual_c = [Fraction(x, scale) for x in flat_coords(home, dual)]
+    # column j is e_j - <rep, b_j> dual
+    pairs = [sym_pair(d.gram, ray.rep.coords, b) for b in home.basis]
+    return tuple(tuple((i == j) - y * p for j, p in enumerate(pairs)) for i, y in enumerate(dual_c))
 
 
 def reflections_in_core(t: TauClass) -> bool:
@@ -470,13 +458,14 @@ def _wall_points(t: TauClass, wall: Ray) -> list[RatVec]:
         (Fraction(2, 3), Fraction(-1, 5), Fraction(1, 11), Fraction(-1, 17)),
         (Fraction(1, 2), Fraction(1, 9), Fraction(-1, 4), Fraction(1, 19)),
     ]
+    sign = ray_signs(d, [o.rep for o in others])
     for ws in weights:
         cand = RatVec(combine(ws, wall_vecs, d.rank))
         tries = 0
-        while any(d.pair(o.rep, cand) == 0 for o in others) and tries < 20:
+        while 0 in sign(int_row(cand.coords)[0]) and tries < 20:
             cand = cand + Fraction(1, 23 + 4 * tries) * RatVec(wall_vecs[0])
             tries += 1
-        if not any(d.pair(o.rep, cand) == 0 for o in others):
+        if 0 not in sign(int_row(cand.coords)[0]):
             points.append(cand)
     return points or [RatVec(wall_vecs[0])]
 

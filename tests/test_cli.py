@@ -345,6 +345,20 @@ def test_verify_bad_numerics_exit_2_with_one_line(tmp_path, capsys, bad):
     assert len(lines) == 1 and lines[0].startswith("error: "), err
 
 
+@pytest.mark.parametrize("gram", [[["2", "-1"], ["-1", "3"]], [["2", "-1"], ["-1", "4"]]])
+@pytest.mark.parametrize("command", [["describe"], ["eval", "--expr", "d", "--args", '{"L1": "M0", "L": "M0", "S": "G"}']])
+def test_non_invariant_form_exit_2_with_one_line(tmp_path, capsys, gram, command):
+    # these positive-definite forms once closed the roots without end
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps({"group": "A2", "gram": gram}))
+    with _time_limit(15):
+        code = main(["--config", str(p), *command])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+
+
 def test_verify_bad_config_real_process_prints_one_line(tmp_path):
     # zero epsilon once hung the quadrature; a real interpreter shows what reaches stderr at exit
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}

@@ -151,8 +151,6 @@ def test_length_mismatch_raises():
     # a zero left vector skips every term, but the lengths are still checked
     with pytest.raises(ValueError):
         el.sym_pair(S, el.zeros(2), w)
-    with pytest.raises(ValueError):
-        el.solve(S, w)
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +192,7 @@ def test_rref_rank_kernel(m):
 @given(square)
 @example(((Fraction(0), Fraction(1)), (Fraction(1), Fraction(0))))
 @example(((Fraction(1, 2), Fraction(1, 3)), (Fraction(3, 2), Fraction(1))))
+@example(((Fraction(1), Fraction(2)), (Fraction(2), Fraction(4))))  # singular: an inconsistent column
 def test_det_and_inverse(m):
     got = el.det(m)
     assert got == ref_det(m) and normalised(got)
@@ -204,24 +203,6 @@ def test_det_and_inverse(m):
         inv = el.mat_inv(m)
         assert ref_mat_mul(m, inv) == el.identity(len(m))
         assert all(normalised(x) for row in inv for x in row)
-
-
-@SETTINGS
-@given(shapes.flatmap(lambda rc: st.tuples(matrices(*rc), vectors(rc[0]))))
-@example((((Fraction(1), Fraction(2)), (Fraction(2), Fraction(4))), (Fraction(1), Fraction(3))))
-@example((((Fraction(0), Fraction(0)),), (Fraction(1, 2),)))
-def test_solve(mb):
-    m, b = mb
-    got = el.solve(m, b)
-    assert got == ref_solve(m, b)
-    if got is not None:
-        assert ref_mat_vec(m, got) == b
-
-
-def test_solve_inconsistent_is_none():
-    m = ((Fraction(1), Fraction(1)), (Fraction(2), Fraction(2)))
-    assert el.solve(m, (Fraction(1), Fraction(3))) is None
-    assert el.solve(m, (Fraction(1), Fraction(2))) == (Fraction(1), Fraction(0))
 
 
 # ---------------------------------------------------------------------------

@@ -3,23 +3,27 @@ from fractions import Fraction
 
 import pytest
 
-from gmcalc.errors import NotComparable
-from gmcalc.exactlin import mat_vec, vadd, zeros
+from fraction_refs import ref_coords_in_basis, ref_restricted_rays, ref_sign_pattern
+from gmcalc.errors import DimensionError, NotComparable
+from gmcalc.exactlin import int_row, mat_vec, vadd, zeros
 from gmcalc.levilattice import (
     QuadConst,
     base_chamber,
+    chamber_at,
     chamber_cells,
     chambers_of_rays,
+    coord_map,
     d_constant,
     enumerate_levis,
+    flat_coords,
     flat_projector,
     gfull,
     levi_by_label,
     levi_lattice,
     mzero,
     parabolics,
+    ray_signs,
     restricted_rays,
-    sign_pattern,
     simple_restricted,
     theta,
     trand_check,
@@ -218,14 +222,14 @@ def test_each_datum_owns_its_lattice():
 
 @pytest.mark.parametrize("label", ["A1", "A2", "B2", "G2", "A1xA1", "A3"])
 def test_stored_sign_pattern_matches_fresh(label):
-    from gmcalc.levilattice import sign_pattern
-
     d = build_root_system(label)
     for M in levi_lattice(d):
         rays = restricted_rays(M)
+        sign = ray_signs(d, [r.rep for r in rays])
         for P in parabolics(M):
             fresh = tuple(1 if d.pair(r.rep, P.chamber_point) > 0 else -1 for r in rays)
-            assert P.signs == fresh == sign_pattern(d, rays, P.chamber_point)
+            assert P.signs == fresh == ref_sign_pattern(d, rays, P.chamber_point)
+            assert sign(int_row(P.chamber_point.coords)[0]) == fresh
 
 
 def test_d_constant_memo_matches_fresh_computation_on_a3():
@@ -262,7 +266,6 @@ def test_d_constant_memo_is_per_datum_and_checks_containment_first():
 
 def test_chamber_at_reads_stored_signs_and_rejects_wall_points():
     from gmcalc.errors import IncompleteInput
-    from gmcalc.levilattice import chamber_at
 
     for label in ("A2", "B2", "G2"):
         d = build_root_system(label)
@@ -324,7 +327,7 @@ def ref_chambers_of_rays(M, rays):
     best = {}
     for w in weyl_group(d):
         proj = mat_vec(proj_m, act(w, d.rho_check).coords)
-        key = sign_pattern(d, rays, RatVec(proj))
+        key = ref_sign_pattern(d, rays, RatVec(proj))
         if 0 in key:
             continue
         if key not in best or proj < best[key]:
@@ -332,10 +335,12 @@ def ref_chambers_of_rays(M, rays):
     return [RatVec(v) for v in sorted(best.values())]
 
 
-@pytest.mark.parametrize(
-    "label, gram",
-    [(g, None) for g in ("A1", "A2", "B2", "G2", "A1xA1", "A3", "A1xA3")] + [("A2", [["1", "-1/2"], ["-1/2", "1"]])],
-)
+ORACLE_DATA = [(g, None) for g in ("A1", "A2", "B2", "G2", "A1xA1", "A3", "A1xA3")] + [
+    ("A2", [["1", "-1/2"], ["-1/2", "1"]])
+]
+
+
+@pytest.mark.parametrize("label, gram", ORACLE_DATA)
 def test_integer_witnesses_equal_the_fraction_search(label, gram):
     d = build_root_system(label, gram)
     for M in levi_lattice(d):
@@ -347,3 +352,41 @@ def test_integer_witnesses_equal_the_fraction_search(label, gram):
         homes.setdefault((t.levi_L.root_subset, t.tau_rays), t)
     for t in homes.values():
         assert t.pole_chambers == ref_chambers_of_rays(t.levi_L, t.tau_rays), (t.levi_L.label, t.tau_rays)
+
+
+@pytest.mark.parametrize("label, gram", ORACLE_DATA)
+def test_integer_routes_equal_the_fraction_references(label, gram):
+    d = build_root_system(label, gram)
+    generic = RatVec.of([Fraction(1, 3)] + [Fraction(-2, 5 + k) for k in range(d.rank - 1)])
+    ambient = list(d.roots) + [d.rho_check, generic]
+    for M in levi_lattice(d):
+        rays = restricted_rays(M)
+        assert rays == ref_restricted_rays(M), M.label
+        proj = flat_projector(M)
+        # the projected roots and probes, and the chamber points, lie on the flat; roots off it do not
+        on_flat = [RatVec(mat_vec(proj, v.coords)) for v in ambient] + [P.chamber_point for P in parabolics(M)]
+        sign = ray_signs(d, [r.rep for r in rays])
+        _, c, _, _, _ = coord_map(M)
+        off = 0
+        for v in ambient + on_flat:
+            x, den = int_row(v.coords)
+            got, want = flat_coords(M, x), ref_coords_in_basis(v.coords, M.basis)
+            if want is None:
+                assert got is None, (M.label, v)
+                off += 1
+            else:
+                assert got is not None and tuple(Fraction(y, c * den) for y in got) == want, (M.label, v)
+            assert sign(x) == ref_sign_pattern(d, rays, v), (M.label, v)
+        assert all(flat_coords(M, int_row(v.coords)[0]) is not None for v in on_flat)
+        assert (off > 0) == (M.dim < d.rank), M.label
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "A3"])
+def test_chamber_at_rejects_points_of_the_wrong_length(label):
+    d = build_root_system(label)
+    for M in levi_lattice(d):
+        for P in parabolics(M):
+            # a chamber point with one coordinate more or one less
+            for coords in (P.chamber_point.coords + (Fraction(1),), P.chamber_point.coords[:-1]):
+                with pytest.raises(DimensionError):
+                    chamber_at(M, RatVec(coords))

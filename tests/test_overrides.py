@@ -76,6 +76,15 @@ def test_gram_override_must_be_invariant():
     for label, gram in [("A1", [["0"]]), ("A2", [["0", "0"], ["0", "0"]]), ("A2", [["2", "-3"], ["-3", "2"]])]:
         with pytest.raises(UnsupportedType):
             build_root_system(label, gram_override=gram)
+    # positive definite but not invariant: non-integral Cartan pairings once closed the roots without end;
+    # the G2 form under the A2 label has integral pairings, and its closure stops past the 6 roots of A2
+    for gram, match in [
+        ([["2", "-1"], ["-1", "3"]], "non-integral"),
+        ([["2", "-1"], ["-1", "4"]], "non-integral"),
+        ([["2", "-3"], ["-3", "6"]], "more than 6 roots"),
+    ]:
+        with pytest.raises(UnsupportedType, match=match):
+            build_root_system("A2", gram_override=gram)
 
 
 def test_multiplicity_override():

@@ -1,11 +1,12 @@
 from fractions import Fraction
 
 import pytest
+from fraction_refs import ref_coords_in_basis
 
 from gmcalc.errors import NotARoot, NotChamberStabilizer, NotSubsystem
 from gmcalc.gmfamily import ScalarRootFns
 from gmcalc.levilattice import enumerate_levis, gfull, mzero, restricted_rays
-from gmcalc.rootdatum import build_root_system
+from gmcalc.rootdatum import act, build_root_system, int_act, weyl_group
 from gmcalc.spectral import (
     build_spectral_triple,
     chamber_transitivity,
@@ -18,7 +19,7 @@ from gmcalc.spectral import (
     tau_class,
     tempext_check,
 )
-from gmcalc.exactlin import coords_in_basis, mat, mat_vec, primitive_ray, projector, transpose
+from gmcalc.exactlin import combine, int_row, mat, mat_vec, primitive_ray, projector, ratio_vec, transpose
 
 
 def full_sigma(d):
@@ -203,9 +204,58 @@ def test_on_home_matches_basis_loop(label):
         for u in t.core:
             if not basis:
                 continue
-            rows = [coords_in_basis(mat_vec(u.lift.matrix, b), basis) for b in basis]
+            rows = [ref_coords_in_basis(mat_vec(u.lift.matrix, b), basis) for b in basis]
             assert None not in rows
             assert _on_home(t, u.lift) == transpose(mat(rows)) == u.mat
+    homes = {t.levi_L: t for t in enumerate_spectral_triples(d) if t.levi_L.dim}
+    moved = 0
+    for t in homes.values():
+        # every Weyl element, those that move the home flat included
+        basis = t.levi_L.basis
+        for w in weyl_group(d):
+            rows = [ref_coords_in_basis(mat_vec(w.matrix, b), basis) for b in basis]
+            want = None if None in rows else transpose(mat(rows))
+            assert _on_home(t, w) == want, (t.levi_L.label, w)
+            moved += want is None
+    assert moved
+
+
+CORE_PAIRS = {"A2": 18, "B2": 44, "G2": 76, "A3": 114, "A1xA3": 456}  # (class, core element) pairs
+
+
+def ref_apply_tau(t, u, point):
+    """u on a point of the home flat through its basis matrix: the route chamber_transitivity took."""
+    home = t.levi_L
+    c = ref_coords_in_basis(point.coords, home.basis)
+    return combine(mat_vec(u.mat, c), home.basis, t.datum.rank) if home.dim else point.coords
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "G2", "A3", "A1xA3"])
+def test_core_acts_on_the_home_as_its_lift(label):
+    # chamber_transitivity moves pole-chamber points by the lift, on integer rows
+    d = build_root_system(label)
+    pairs = 0
+    for t in enumerate_spectral_triples(d):
+        for u in t.core:
+            for p in t.pole_chambers:
+                x, den = int_row(p.coords)
+                assert ratio_vec(int_act(d, u.lift, x), den) == ref_apply_tau(t, u, p) == act(u.lift, p).coords
+            pairs += 1
+    assert pairs == CORE_PAIRS[label]
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "G2"])
+def test_core_checks_fail_on_a_core_cut_to_the_identity(label):
+    d = build_root_system(label)  # a datum of its own: the cut stays on its classes
+    ident = tuple(range(len(d.roots)))
+    classes = [t for t in enumerate_spectral_triples(d) if len(t.pole_chambers) > 1]
+    assert classes
+    for t in classes:
+        assert chamber_transitivity(t) and reflections_in_core(t)
+        t.__dict__["core"] = tuple(u for u in t.core if u.lift.perm == ident)
+        assert len(t.core) == 1
+        assert not chamber_transitivity(t)
+        assert not reflections_in_core(t)
 
 
 def _nbeta_by_projection(t):
