@@ -30,14 +30,6 @@ from .spectral import (
     tau_class,
     tempext_check,
 )
-from .contour import (
-    MeromorphicLine,
-    TestFunction,
-    lemma_shift_check,
-    pv_integral,
-    residue_identity_1d,
-    shifted_integral,
-)
 from .asymptotic import (
     FormalExpansion,
     SigmaModel,
@@ -57,8 +49,6 @@ __all__ = [
     "family_limit", "hull_volume", "orthogonal_set",
     "TauClass", "build_spectral_triple", "classify_tau", "discrete_constants",
     "n_beta", "tau_class", "tempext_check",
-    "MeromorphicLine", "TestFunction", "lemma_shift_check", "pv_integral",
-    "residue_identity_1d", "shifted_integral",
     "FormalExpansion", "SigmaModel", "assemble_PhiP",
     "c_coefficient_example", "eps_M_sign", "multiplier_alpha",
     "phi_TT_expansion", "weyl_denominator",

@@ -282,11 +282,15 @@ def rref(rows: Sequence[Vec]) -> list[Vec]:
     return [tuple(_ratio(x, d) for x in work[r]) for r in range(len(pivots))]
 
 
-def rank(rows: Sequence[Vec]) -> int:
+def int_rank(rows: Sequence[Sequence[int]]) -> int:
+    """Rank of integer rows (0 for none); the rows are not changed."""
     if not rows:
         return 0
-    work, _ = _int_rows(rows)
-    return len(_eliminate(work, len(work[0]))[0])
+    return len(_eliminate(list(rows), len(rows[0]))[0])
+
+
+def rank(rows: Sequence[Vec]) -> int:
+    return int_rank(_int_rows(rows)[0])
 
 
 def kernel(rows: Sequence[Vec], n: int) -> list[Vec]:

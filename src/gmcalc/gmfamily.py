@@ -23,9 +23,8 @@ import cmath
 from fractions import Fraction
 from itertools import combinations
 from math import factorial
+from numbers import Number
 from typing import Callable, Mapping, Sequence
-
-import numpy as np
 
 from .errors import (
     FamilyNotSmooth,
@@ -295,8 +294,17 @@ class ScalarFn:
         return f"ScalarFn({self.label}, n={self.n})"
 
 
+def _complex_zero(z):
+    """0j for a scalar z, else a complex zero array shaped like z."""
+    if isinstance(z, Number):
+        return 0j
+    import numpy as np
+
+    return np.zeros_like(z, dtype=complex)
+
+
 def _poly_eval(coeffs: Sequence[Fraction], z):
-    total = 0j if np.isscalar(z) else np.zeros_like(z, dtype=complex)
+    total = _complex_zero(z)
     for c in reversed([complex(c) for c in coeffs]):
         total = total * z + c
     return total
@@ -306,7 +314,7 @@ def scalar_fn_from_template(template: Mapping, n: Fraction) -> ScalarFn:
     """Built-in density shapes; n is the residue magnitude tied to the ray."""
     kind = template.get("kind")
     if kind == "pole":
-        return ScalarFn(n, lambda z: 0j if np.isscalar(z) else np.zeros_like(z, dtype=complex), "pole", (kind,))
+        return ScalarFn(n, _complex_zero, "pole", (kind,))
     if kind == "model_plancherel":
         c = Fraction(str(template.get("c", "1")))
         if c <= 0:
@@ -459,16 +467,16 @@ def _lam_evaluator(d, lam) -> Callable[[RatVec], complex]:
 # splitting formula)
 
 
-_SEG_NODES, _SEG_WEIGHTS = np.polynomial.legendre.leggauss(32)
-_SEG_NODES = _SEG_NODES.astype(complex)
+def _segment_integral(f: ScalarFn, z0: complex, z1: complex, rule) -> complex:
+    """Gauss-Legendre quadrature of f along the segment [z0, z1]; rule is (complex nodes, weights)."""
+    import numpy as np
 
-
-def _segment_integral(f: ScalarFn, z0: complex, z1: complex) -> complex:
+    nodes, weights = rule
     mid = (z0 + z1) / 2
     half = (z1 - z0) / 2
-    zs = mid + half * _SEG_NODES
+    zs = mid + half * nodes
     vals = np.asarray([f(z) for z in zs], dtype=complex)
-    return complex(half * np.dot(_SEG_WEIGHTS, vals))
+    return complex(half * np.dot(weights, vals))
 
 
 def induced_family_value(
@@ -485,9 +493,13 @@ def induced_family_value(
     limit is extracted as a Cauchy mean over a small circle; the circle is then
     halved and the two values must agree, which certifies convergence.
     """
+    import numpy as np
+
     L1 = fns.levi
     d = L1.datum
     chambers = parabolics(L1)
+    seg_nodes, seg_weights = np.polynomial.legendre.leggauss(32)
+    rule = (seg_nodes.astype(complex), seg_weights)
     theta_at_dir = {Qp.index: float(theta(Qp, direction)) for Qp in chambers}
     ev0 = _lam_evaluator(d, lam0)
     # keep the circle well inside the disc where every member stays off its poles
@@ -526,7 +538,7 @@ def induced_family_value(
             for Qp in chambers:
                 exponent = 0j
                 for f, gd, z0 in factors[Qp.index]:
-                    exponent += _segment_integral(f, z0, sum(c * g for c, g in zip(coords, gd)))
+                    exponent += _segment_integral(f, z0, sum(c * g for c, g in zip(coords, gd)), rule)
                 member = cmath.exp(exponent)
                 cs += member / (theta_at_dir[Qp.index] * s ** L1.dim)
             total += cs

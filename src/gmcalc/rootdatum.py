@@ -238,9 +238,7 @@ class RootDatum:
 
     def _validate(self):
         cartan = []
-        for i, r in enumerate(self.roots):
-            if self.pair(r, self.coroots[i]) != 2:
-                raise UnsupportedType("alpha(coroot alpha) != 2")
+        for r in self.roots:
             row = []
             for j in range(len(self.roots)):
                 p = self.pair(r, self.coroots[j])

@@ -31,6 +31,7 @@ from .exactlin import (
     Mat,
     Vec,
     combine,
+    int_rank,
     int_row,
     kernel,
     primitive_ray,
@@ -287,15 +288,15 @@ def n_constant(t: TauClass, L_levi: Levi) -> Fraction:
         raise NotARoot("L must contain the home Levi")
     need = len(_rel_basis(home, L_levi))
     nb = t.nbeta
-    in_l = [(nb[ray.key] / 2, ray.rep.coords) for ray in rays_in(home, L_levi)]
-    total = Fraction(0)
+    rays = rays_in(home, L_levi)
+    # each n_beta / 2 as an integer over one denominator, each ray as an integer row
+    halves, den = int_row(nb[ray.key] / 2 for ray in rays)
+    in_l = [(half, int_row(ray.rep.coords)[0]) for half, ray in zip(halves, rays)]
+    total = 0
     for subset in combinations(in_l, need):
-        if mat_rank([rep for _, rep in subset]) == need:
-            prod = Fraction(1)
-            for half, _ in subset:
-                prod *= half
-            total += prod
-    return total
+        if int_rank([row for _, row in subset]) == need:
+            total += math.prod(half for half, _ in subset)
+    return Fraction(total, den**need)
 
 
 def discrete_constants(t: TauClass, L_levi: Levi) -> dict:

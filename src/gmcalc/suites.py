@@ -6,6 +6,7 @@ import random
 import time
 from dataclasses import replace
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .asymptotic import (
     SigmaModel,
@@ -17,17 +18,6 @@ from .asymptotic import (
     weyl_denominator,
 )
 from .config import Config
-from .contour import (
-    FlatTestFunction,
-    ShiftCase,
-    TestFunction,
-    chamber_below,
-    from_scalar_fn,
-    lemma_shift_batch,
-    pv_integral,
-    residue_identity_1d,
-    shifted_integral,
-)
 from .errors import GmcalcError, NotComparable
 from .gmfamily import (
     ExpPolyFamily,
@@ -63,6 +53,10 @@ from .spectral import (
     reflections_in_core,
     tempext_check,
 )
+
+if TYPE_CHECKING:
+    # the float layer (and numpy) loads only inside the suites that run it
+    from .contour import ShiftCase, TestFunction
 
 ANCHORS = {
     "hull-limit": "hull volume equals chamber-family limit",
@@ -203,6 +197,8 @@ def suite_nl_independence(cfg: Config, d: RootDatum) -> list[CheckRecord]:
 
 
 def _battery(cfg: Config) -> list[TestFunction]:
+    from .contour import TestFunction
+
     return [
         TestFunction(tuple(Fraction(str(c)) for c in tf["poly"]), Fraction(str(tf["scale"])))
         for tf in cfg.test_functions
@@ -210,6 +206,8 @@ def _battery(cfg: Config) -> list[TestFunction]:
 
 
 def suite_residue_1d(cfg: Config, d: RootDatum) -> list[CheckRecord]:
+    from .contour import from_scalar_fn, pv_integral, residue_identity_1d, shifted_integral
+
     records = []
     battery = _battery(cfg)
     tol = float(cfg.tolerances["residue_1d"])
@@ -255,6 +253,8 @@ def _shift_classes(d: RootDatum):
 
 def _lemma_shift_cases(cfg: Config, d: RootDatum) -> list[tuple[str, dict, ShiftCase | GmcalcError, float]]:
     """(record id, inputs, case or the error building it, seconds spent) per check."""
+    from .contour import FlatTestFunction, ShiftCase, chamber_below
+
     tol = float(cfg.tolerances["lemma_shift"])
     phi_cfg = cfg.flat_phi[0]
     out = []
@@ -288,6 +288,8 @@ def _lemma_shift_cases(cfg: Config, d: RootDatum) -> list[tuple[str, dict, Shift
 
 
 def suite_lemma_shift(cfg: Config, d: RootDatum) -> list[CheckRecord]:
+    from .contour import ShiftCase, lemma_shift_batch
+
     cases = _lemma_shift_cases(cfg, d)
     batch = lemma_shift_batch([case for _, _, case, _ in cases if isinstance(case, ShiftCase)])
     done = iter(zip(batch.outcomes, batch.runtimes))

@@ -371,6 +371,53 @@ def test_verify_bad_config_real_process_prints_one_line(tmp_path):
     assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
 
 
+# Runs in a fresh interpreter; prints, per step, which float-layer modules are loaded after it.
+_FLOAT_LAYER_PROBE = """
+import json, sys
+out = sys.argv[1]
+from gmcalc.cli import main
+import child
+
+float_layer = ("numpy", "gmcalc.contour")
+loaded = {}
+
+def after(step):
+    loaded[step] = [m for m in float_layer if m in sys.modules]
+
+after("import")
+main(["describe", "--group", "A2"])
+after("describe")
+main(["verify", "--group", "A1", "--suite", "hull-limit", "--suite", "trand", "--suite", "tdisc",
+      "--suite", "nL-independence", "--out", out])
+after("verify exact suites")
+child.build("A2", None)
+after("bench build")
+main(["verify", "--group", "A1", "--suite", "residue-1d", "--out", out])
+after("verify residue-1d")
+print(json.dumps(loaded))
+"""
+
+
+def test_exact_runs_never_load_numpy(tmp_path):
+    # numpy and the contour layer serve the float suites only; exact runs and the bench build skip their import
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root / "bench")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", _FLOAT_LAYER_PROBE, str(tmp_path)],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    both = ["numpy", "gmcalc.contour"]
+    assert loaded == {
+        "import": [],
+        "describe": [],
+        "verify exact suites": [],
+        "bench build": [],
+        "verify residue-1d": both,
+    }
+
+
 @pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
 def test_verify_report_dir_not_a_directory_exit_2_before_suites(tmp_path, capsys, monkeypatch, below):
     # a file there once ended in a FileExistsError traceback after every suite had run
