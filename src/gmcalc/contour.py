@@ -41,7 +41,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import BadShift, GmcalcError, NoConvergence, NotComparable
-from .exactlin import mat_vec, sym_pair
+from .exactlin import int_mat_vec, int_row, ratio_vec, sym_pair
 from .gmfamily import ScalarRootFns, _poly_eval, split_subsets
 from .levilattice import (
     Levi,
@@ -112,16 +112,17 @@ def from_scalar_fn(fn) -> MeromorphicLine:
     return MeromorphicLine(fn.analytic, ((0.0, complex(-n)),) if n else (), fn.label)
 
 
-def verify_residues(f: MeromorphicLine, radius: float = 0.02, tol: float = 1e-8) -> None:
-    """Small-circle quadrature around each declared pole; disagreement is fatal."""
+def verify_residues(f: MeromorphicLine) -> None:
+    """Quadrature on a circle of radius 0.02 around each declared pole; a disagreement beyond 1e-8
+    (relative to a residue above 1) is fatal."""
     m = 256
     angles = 2 * np.pi * np.arange(m) / m
-    ring = radius * np.exp(1j * angles)
+    ring = 0.02 * np.exp(1j * angles)
     for loc, res in f.poles:
         zs = 1j * loc + ring
         vals = f(zs) * ring
         approx = complex(np.mean(vals))
-        if abs(approx - res) > tol * max(1.0, abs(res)):
+        if abs(approx - res) > 1e-8 * max(1.0, abs(res)):
             raise NoConvergence(
                 f"declared residue {res} at i*{loc} but contour gives {approx}"
             )
@@ -591,15 +592,16 @@ def _plan(case_index: int, case: ShiftCase) -> _ShiftPlan:
             sub_terms = _m_term_data(fns, M, S, Q1)
             if not sub_terms:
                 continue
-            proj_l = flat_projector(L)
+            proj_l, den_l = flat_projector(L)
             integrals = []
             for term in sub_terms:
                 pole_dirs = []
                 for fn, dual, _ in term.factors:
                     if fn.has_pole0():
-                        proj = mat_vec(proj_l, dual.coords)
-                        if any(x != 0 for x in proj):
-                            pole_dirs.append(proj)
+                        row, den = int_row(dual.coords)
+                        proj = int_mat_vec(proj_l, row)
+                        if any(proj):
+                            pole_dirs.append(ratio_vec(proj, den_l * den))
                 _require_orthogonal(d, pole_dirs)
                 onb_l = _orthonormal_basis(d, L.basis, pole_dirs)
                 integrals.append(integral([term], onb_l, len(pole_dirs), None))

@@ -4,20 +4,21 @@ Vectors are tuples of Fractions, matrices are tuples of row tuples.
 Everything here is pure and deterministic; no floating point.
 
 Invariant: normalised ``Fraction``s in and out, integer arithmetic inside.
-The products (``sym_pair``, ``mat_vec``, ``mat_mul``) accumulate integer
-numerators over one running denominator, and everything built on
-elimination (``rref``, ``rank``, ``kernel``, ``mat_inv``, ``det``,
-``projector``) is fraction-free (Bareiss 1968) on integer rows.
+The products (``sym_pair``, ``mat_vec``) accumulate integer numerators over
+one running denominator, and everything built on elimination (``rref``,
+``rank``, ``kernel``, ``solve``, ``mat_inv``, ``det``) is fraction-free
+(Bareiss 1968) on integer rows.
 Each result entry becomes a ``Fraction`` once, at the end, so it costs one
 gcd instead of one per multiply and add.  Only the entrywise helpers
 ``vadd``, ``vsub`` and ``vscale`` use ``Fraction``s.
 
 Hot exact kernels skip the ``Fraction`` ends as well: ``int_row`` and
 ``int_mat`` write rationals as integer rows over one positive denominator,
-``int_mat_vec``, ``idot``, ``int_det``, ``int_normal`` and ``int_primitive``
-work on those rows alone, and ``ratio_vec`` turns a row back into
-``Fraction``s.  With one positive denominator, signs and the lexicographic
-order of the numerators are those of the rationals.
+``solve`` returns its solution that way, ``int_mat_vec``, ``idot``,
+``int_det``, ``int_normal`` and ``int_primitive`` work on those rows alone,
+and ``ratio_vec`` turns a row back into ``Fraction``s.  With one positive
+denominator, signs and the lexicographic order of the numerators are those
+of the rationals.
 """
 from __future__ import annotations
 
@@ -146,11 +147,6 @@ def transpose(m: Mat) -> Mat:
 def mat_vec(m: Mat, v: Vec) -> Vec:
     vs = _ratios(v)
     return tuple(_dot_ratios(row, vs) for row in m)
-
-
-def mat_mul(a: Mat, b: Mat) -> Mat:
-    cols = [_ratios(col) for col in transpose(b)]
-    return tuple(tuple(_dot_ratios(row, col) for col in cols) for row in a)
 
 
 def sym_pair(S: Mat, u: Vec, v: Vec) -> Fraction:
@@ -309,54 +305,33 @@ def kernel(rows: Sequence[Vec], n: int) -> list[Vec]:
     return basis
 
 
-def _solve_columns(m: Sequence[Vec], rhs: Sequence[Vec]) -> tuple[list[int], int, list[list[int]]] | None:
-    """Eliminate [m | rhs]; None if some right-hand side column is inconsistent.
+def solve(m: Mat, rhs: Sequence[Vec]) -> tuple[tuple[tuple[int, ...], ...], int, Fraction]:
+    """The X with m X = R for an invertible square m, R given by its rows, and det m: one elimination.
 
-    Returns the pivot columns, the final pivot d and the right-hand part of the
-    pivot rows: row k over d is the value of unknown pivots[k], the free
-    unknowns being 0.
+    [m | R] is cleared row by row of its denominators and reduced (Bareiss);
+    row k of the right-hand part over the final pivot d is row k of X.  X
+    comes as integer rows over their least common positive denominator, as
+    ``int_mat`` writes it, and det m is the signed pivot d over the row
+    denominators.  A singular m raises ZeroDivisionError.
     """
-    ncols = len(m[0]) if m else 0
-    work, _ = _int_rows(tuple(r) + tuple(b) for r, b in zip(m, rhs, strict=True))
-    pivots, d, _ = _eliminate(work, ncols)
-    if any(any(row[ncols:]) for row in work[len(pivots):]):
-        return None
-    return pivots, d, [row[ncols:] for row in work[: len(pivots)]]
+    n = len(m)
+    work, dens = _int_rows(tuple(r) + tuple(b) for r, b in zip(m, rhs, strict=True))
+    pivots, d, sign = _eliminate(work, n)
+    if len(pivots) < n:
+        raise ZeroDivisionError("singular matrix")
+    g = gcd(d, *(x for row in work for x in row[n:])) * (1 if d > 0 else -1)
+    return tuple(tuple(x // g for x in row[n:]) for row in work), d // g, Fraction(sign * d, prod(dens))
 
 
 def mat_inv(m: Mat) -> Mat:
-    n = len(m)
-    got = _solve_columns(m, identity(n))
-    if got is None or len(got[0]) < n:
-        raise ZeroDivisionError("singular matrix")
-    _, d, vals = got
-    return tuple(tuple(_ratio(x, d) for x in row) for row in vals)
+    inv, den, _ = solve(m, identity(len(m)))
+    return tuple(ratio_vec(row, den) for row in inv)
 
 
 def gram_det(vectors: Sequence[Vec], S: Mat) -> Fraction:
     if not vectors:
         return ONE
     return det(gram_matrix(vectors, S))
-
-
-def projector(basis: Sequence[Vec], S: Mat) -> Mat:
-    """Matrix of the S-orthogonal projection onto span(basis), from one Gram solve.
-
-    With B the basis rows and G = B S B^T, the projection is B^T G^-1 B S.
-    """
-    n = len(S)
-    if not basis:
-        return (zeros(n),) * n
-    got = _solve_columns(gram_matrix(basis, S), [mat_vec(S, b) for b in basis])
-    if got is None:
-        raise ValueError("degenerate basis in projection")
-    pivots, d, vals = got
-    out = []
-    for a in range(n):
-        col, den = int_row([basis[p][a] for p in pivots])
-        sums = (sum(c * row[j] for c, row in zip(col, vals)) for j in range(n))
-        out.append(tuple(_ratio(x, d * den) for x in sums))
-    return tuple(out)
 
 
 def int_primitive(ints: Sequence[int]) -> tuple[int, ...]:

@@ -41,12 +41,10 @@ from .exactlin import (
     int_mat,
     int_mat_vec,
     int_normal,
+    int_rank,
     int_row,
-    is_zero_vec,
     mat_vec,
     primitive_ray,
-    projector,
-    rank as mat_rank,
     ratio_vec,
 )
 from .levilattice import (
@@ -54,12 +52,12 @@ from .levilattice import (
     ParabolicChamber,
     QuadConst,
     Ray,
-    _rel_basis,
     adjacent_chambers,
     cell_maps,
     contains,
     coord_map,
     flat_coords,
+    flat_projector,
     limit_frame,
     parabolics,
     ray_signs,
@@ -140,7 +138,7 @@ def _hull_volume(pts: Sequence[Sequence[int]], n: int) -> int:
     ipts = sorted(set(map(tuple, pts)))
     simplex = [ipts[0]]
     for p in ipts[1:]:
-        if mat_rank([tuple(x - y for x, y in zip(q, ipts[0])) for q in simplex[1:] + [p]]) == len(simplex):
+        if int_rank([tuple(x - y for x, y in zip(q, ipts[0])) for q in simplex[1:] + [p]]) == len(simplex):
             simplex.append(p)
             if len(simplex) == n + 1:
                 break
@@ -392,34 +390,45 @@ class ScalarRootFns:
 def split_subsets(
     L1: Levi, M: Levi, S: Levi, Q1: ParabolicChamber
 ) -> list[tuple[QuadConst, list[tuple[RatVec, RatVec]]]]:
-    """The exact terms of the relative splitting sum, as (covolume, [(rep, dual), ...]).
+    """The exact terms of the relative splitting sum, as (covolume, [(rep, dual), ...]); built once per
+    (M, S, Q1) and kept on L1.
 
     The candidates are the rays of L1 vanishing on a_S, signed negative on Q1,
     whose duals project to nonzero vectors in the part of a_M orthogonal to
-    a_S.  Each subset of candidates whose projected duals form a basis of that
-    part is one term, weighted by their covolume; terms come in candidate and
-    subset order.  With nothing to split there is one empty term of weight 1.
+    a_S, of dimension dim a_M - dim a_S; a_S lies in a_M, so that projection
+    is P_M - P_S, read off the two flats' projectors.  Each subset of
+    candidates whose projected duals form a basis of that part (nonzero Gram
+    determinant) is one term, weighted by their covolume; terms come in
+    candidate and subset order.  With nothing to split there is one empty
+    term of weight 1.
     """
+    key = (M.root_subset, S.root_subset, Q1)
+    got = L1._split_subsets.get(key)
+    if got is not None:
+        return got
     d = L1.datum
-    rel = _rel_basis(M, S)
-    ks = len(rel)
+    ks = M.dim - S.dim
     if ks == 0:
-        return [(QuadConst.one(), [])]
-    proj_rel = projector(rel, d.gram)
-    candidates = []
-    rays = rays_in(L1, S)
-    signs = ray_signs(d, [ray.rep for ray in rays])(int_row(Q1.chamber_point.coords)[0])
-    for ray, sign in zip(rays, signs):
-        neg = ray if sign < 0 else -ray
-        proj = mat_vec(proj_rel, neg.dual.coords)
-        if not is_zero_vec(proj):
-            candidates.append((neg.rep, neg.dual, proj))
-    terms = []
-    for subset in combinations(candidates, ks):
-        projs = [proj for _, _, proj in subset]
-        if mat_rank(projs) == ks:
-            vol = QuadConst.from_square(gram_det(projs, d.gram))
-            terms.append((vol, [(rep_neg, dual_neg) for rep_neg, dual_neg, _ in subset]))
+        terms = [(QuadConst.one(), [])]
+    else:
+        (pm, m_den), (ps, s_den) = flat_projector(M), flat_projector(S)
+        den = m_den * s_den
+        rel = [[a * s_den - b * m_den for a, b in zip(ra, rb)] for ra, rb in zip(pm, ps)]
+        candidates = []
+        rays = rays_in(L1, S)
+        signs = ray_signs(d, [ray.rep for ray in rays])(int_row(Q1.chamber_point.coords)[0])
+        for ray, sign in zip(rays, signs):
+            neg = ray if sign < 0 else -ray
+            dual, dual_den = int_row(neg.dual.coords)
+            proj = int_mat_vec(rel, dual)
+            if any(proj):
+                candidates.append((neg.rep, neg.dual, ratio_vec(proj, den * dual_den)))
+        terms = []
+        for subset in combinations(candidates, ks):
+            sq = gram_det([proj for _, _, proj in subset], d.gram)
+            if sq:
+                terms.append((QuadConst.from_square(sq), [(rep_neg, dual_neg) for rep_neg, dual_neg, _ in subset]))
+    L1._split_subsets[key] = terms
     return terms
 
 
@@ -484,14 +493,14 @@ def induced_family_value(
     P: ParabolicChamber,
     lam0: Sequence[complex],
     direction: RatVec,
-    nodes: int = 64,
 ) -> complex:
     """Numeric limit of the induced family along a shrinking line through lam0.
 
     Independent analytic route for the splitting sum.  The chamber sum c(s) at
     zeta = s * direction is analytic in s up to the nearest member pole, so the
     limit is extracted as a Cauchy mean over a small circle; the circle is then
-    halved and the two values must agree, which certifies convergence.
+    halved and the two values must agree, which certifies convergence.  The
+    circle mean runs on 64 nodes.
     """
     import numpy as np
 
@@ -530,8 +539,8 @@ def induced_family_value(
 
     def circle_mean(r: float) -> complex:
         total = 0j
-        for k in range(nodes):
-            s = r * cmath.exp(2j * cmath.pi * k / nodes)
+        for k in range(64):
+            s = r * cmath.exp(2j * cmath.pi * k / 64)
             zeta = [s * complex(x) for x in direction.coords]
             coords = tuple(complex(a + b) for a, b in zip(lam0, zeta))
             cs = 0j
@@ -542,7 +551,7 @@ def induced_family_value(
                 member = cmath.exp(exponent)
                 cs += member / (theta_at_dir[Qp.index] * s ** L1.dim)
             total += cs
-        return total / nodes
+        return total / 64
 
     v1 = circle_mean(radius)
     v2 = circle_mean(radius / 2)

@@ -8,15 +8,20 @@ restricted root arrangement on a_M.
 
 This module is the one place that derives these objects and answers
 questions about them, and each is built once and kept on its owner: the
-lattice of Levi subgroups on the RootDatum (``d.lattice``); the projector,
-projected roots, projected rho_check orbit, rays, chambers, hull-limit
-frame, relative bases and splitting constants on the Levi.  Each ray keeps
-its dual, and ``-ray`` is its other side with that side's dual, so
-``simple_restricted`` hands out signed rays.  Each chamber keeps the sign
-pattern of the rays on it, and ``chamber_at`` finds a point's chamber by
-that pattern.  ``rays_in(L1, S)`` lists the rays of a_L1 vanishing on a_S.
-There is no module-level cache, so two data built from the same label own
-separate lattices.
+lattice of Levi subgroups on the RootDatum (``d.lattice``); the coordinate
+map and projector, projected roots, projected rho_check orbit, rays,
+chambers, hull-limit frame, relative bases and splitting constants on the
+Levi.  Each ray keeps its dual, and ``-ray`` is its other side with that
+side's dual, so ``simple_restricted`` hands out signed rays.  Each chamber
+keeps the sign pattern of the rays on it, and ``chamber_at`` finds a
+point's chamber by that pattern.  ``rays_in(L1, S)`` lists the rays of a_L1
+vanishing on a_S.  There is no module-level cache, so two data built from
+the same label own separate lattices.
+
+Each flat runs one Gram solve (``coord_map``), and every projection onto
+it is read off that solve's integer projector (``flat_projector``): the
+projected roots, the projected rho_check orbit, the pole directions of the
+contour plan and, as P_M - P_S, the duals of the splitting sum.
 
 Three facts come from one integer route each, on rows over one positive
 denominator (``exactlin.int_row``): the sign of a ray at a point from
@@ -31,15 +36,13 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from math import gcd, prod
 from typing import Callable, Iterable, Sequence
 
 from .errors import DimensionError, IncompleteInput, InternalInconsistency, NotComparable
 from .exactlin import (
-    Mat,
     Vec,
     combine,
-    det,
     gram_det,
     gram_matrix,
     identity,
@@ -50,13 +53,10 @@ from .exactlin import (
     int_primitive,
     int_row,
     kernel,
-    mat_inv,
-    mat_mul,
     mat_vec,
-    projector,
-    rank as mat_rank,
     ratio_vec,
     rref,
+    solve,
     sym_pair,
     vscale,
 )
@@ -116,9 +116,10 @@ class Levi:
     """A flat of the root arrangement: basis rows of a_L plus the roots vanishing on it.
 
     Objects read off the flat are built on first use and kept here: the
-    orthogonal projector onto a_L, the projected roots and rho_check orbit,
-    the restricted rays, the parabolic chambers, the bases relative to upper
-    flats, the splitting constants d_L1 with this flat as L1, and the
+    integer projector onto a_L, read off the coordinate map's one Gram
+    solve, the projected roots and rho_check orbit, the restricted rays, the
+    parabolic chambers, the bases relative to upper flats, the splitting
+    constants d_L1 and the splitting-sum terms with this flat as L1, and the
     hull-limit frame: the integer maps proj o w of each chamber's Weyl cell,
     the adjacent chamber pairs with integer wall directions, the integer
     basis coordinate map with its Gram determinant, and per limit direction
@@ -131,7 +132,7 @@ class Levi:
         self.basis = basis
         self.root_subset = root_subset
         self.dim = len(basis)
-        self._proj: Mat | None = None
+        self._proj: tuple[IntRows, int] | None = None
         self._orbit: tuple[IntRows, int] | None = None
         self._roots: tuple[IntRows, int] | None = None
         self._rays: tuple[Ray, ...] | None = None
@@ -142,6 +143,7 @@ class Levi:
         self._limit_frames: dict[RatVec | None, tuple[tuple[tuple[int, ...], int], tuple[Fraction, ...]]] = {}
         self._rel_bases: dict[frozenset[int] | None, tuple[Vec, ...]] = {}
         self._d_constants: dict[tuple, QuadConst] = {}  # d_constant with this flat as L1
+        self._split_subsets: dict[tuple, list] = {}  # gmfamily.split_subsets with this flat as L1
         positive = set(datum.pos_indices)
         pos = sorted(i for i in root_subset if i in positive)
         if not root_subset:
@@ -291,17 +293,9 @@ def contains(smaller: Levi, larger: Levi) -> bool:
     return smaller.root_subset <= larger.root_subset
 
 
-def enumerate_levis(d: RootDatum, lower: Levi | None = None, upper: Levi | None = None) -> list[Levi]:
-    if lower is not None and upper is not None and not contains(lower, upper):
-        raise NotComparable("lower Levi is not contained in upper Levi")
-    out = []
-    for L in levi_lattice(d):
-        if lower is not None and not contains(lower, L):
-            continue
-        if upper is not None and not contains(L, upper):
-            continue
-        out.append(L)
-    return out
+def enumerate_levis(d: RootDatum, lower: Levi | None = None) -> list[Levi]:
+    """The Levis containing lower (all of them when lower is None), in lattice order."""
+    return [L for L in levi_lattice(d) if lower is None or contains(lower, L)]
 
 
 def conjugate_levi(w: WeylElement, L: Levi) -> Levi:
@@ -335,10 +329,20 @@ def group_rays(d: RootDatum, vectors: Iterable[tuple[int, Sequence[int]]], den: 
     return tuple(rays)
 
 
-def flat_projector(M: Levi) -> Mat:
-    """The orthogonal projection onto a_M; built once per Levi."""
+def flat_projector(M: Levi) -> tuple[IntRows, int]:
+    """The orthogonal projection onto a_M as integer rows over their least common positive denominator;
+    built once per Levi from the coordinate map.
+
+    With X = C / c the coordinate map and B = E / e the basis rows, the
+    projection B^T X is E^T C / (e c), divided through by the gcd of its
+    entries and e c.
+    """
     if M._proj is None:
-        M._proj = projector(M.basis, M.datum.gram)
+        cmap, _, lift, scale, _ = coord_map(M)
+        cols = tuple(zip(*cmap)) or ((),) * len(lift)  # the columns of C, empty ones on a point flat
+        rows = [int_mat_vec(cols, row) for row in lift]
+        g = gcd(scale, *(x for row in rows for x in row))
+        M._proj = (tuple(tuple(x // g for x in row) for row in rows), scale // g)
     return M._proj
 
 
@@ -346,7 +350,7 @@ def projected_orbit(M: Levi) -> tuple[IntRows, int]:
     """The distinct projections of the rho_check orbit onto a_M, sorted, as integer rows over one
     positive denominator; built once per Levi."""
     if M._orbit is None:
-        proj, den = int_mat(flat_projector(M))
+        proj, den = flat_projector(M)
         orbit, orbit_den = M.datum.rho_orbit
         M._orbit = (tuple(sorted({int_mat_vec(proj, x) for x in orbit})), den * orbit_den)
     return M._orbit
@@ -356,7 +360,7 @@ def projected_roots(M: Levi) -> tuple[IntRows, int]:
     """The projections of the roots onto a_M, in root order, as integer rows over the projector's one
     positive denominator; built once per Levi."""
     if M._roots is None:
-        proj, den = int_mat(flat_projector(M))
+        proj, den = flat_projector(M)
         M._roots = (tuple(int_mat_vec(proj, r) for r in M.datum.root_rows), den)
     return M._roots
 
@@ -564,19 +568,22 @@ def theta(P: ParabolicChamber, lam: RatVec) -> ThetaValue:
 
 
 def coord_map(M: Levi) -> tuple[IntRows, int, IntRows, int, Fraction]:
-    """The basis coordinate map of a_M in integer rows, its inverse check, and det G; built once per Levi.
+    """The basis coordinate map of a_M in integer rows, its inverse check, and det G; built once per Levi
+    from the flat's one Gram solve.
 
-    With B the basis rows and G = B S B^T, the map G^-1 B S is C / c and B is
+    With B the basis rows, S the form and G = B S B^T, one fraction-free
+    solve of G X = B S gives the map X = G^-1 B S as C / c, and det G; B is
     E / e in integer rows.  Returned: C, c, E^T, e c and det G.  A point x of
     a_M has coordinates C x / c, and x lies in a_M exactly when
-    E^T (C x) = e c x (``flat_coords``).
+    E^T (C x) = e c x (``flat_coords``).  ``flat_projector`` reads the
+    projection E^T C / (e c) off the same rows.
     """
     if M._coord_map is None:
-        gram = gram_matrix(M.basis, M.datum.gram)
-        cmap, c = int_mat(mat_mul(mat_inv(gram), mat_mul(M.basis, M.datum.gram)))
+        S = M.datum.gram
+        cmap, c, disc = solve(gram_matrix(M.basis, S), [mat_vec(S, b) for b in M.basis])
         basis, e = int_mat(M.basis)
         lift = tuple(tuple(row[k] for row in basis) for k in range(M.datum.rank))
-        M._coord_map = (cmap, c, lift, e * c, det(gram))
+        M._coord_map = (cmap, c, lift, e * c, disc)
     return M._coord_map
 
 
@@ -670,12 +677,10 @@ def _split_constant(L1: Levi, L: Levi, S: Levi, upper: Levi | None) -> QuadConst
     b1 = _rel_basis(L1, upper)
     if len(bl) + len(bs) != len(b1):
         return QuadConst.zero()
-    combined = bl + bs
-    if combined and mat_rank(combined) != len(combined):
+    num = gram_det(bl + bs, d.gram)
+    if not num:  # the two bases are dependent
         return QuadConst.zero()
-    num = gram_det(combined, d.gram)
-    den = gram_det(bl, d.gram) * gram_det(bs, d.gram)
-    return QuadConst.from_square(num / den)
+    return QuadConst.from_square(num / (gram_det(bl, d.gram) * gram_det(bs, d.gram)))
 
 
 def trand_check(d: RootDatum) -> list[dict]:

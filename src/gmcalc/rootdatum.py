@@ -247,7 +247,6 @@ class RootDatum:
                 row.append(p.numerator)
             cartan.append(tuple(row))
         # cartan[i][j] = <alpha_i, alpha_j^vee>
-        self.cartan: tuple[tuple[int, ...], ...] = tuple(cartan)
         coords = self.root_rows
         where = {c: k for k, c in enumerate(coords)}
         perms = []

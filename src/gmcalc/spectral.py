@@ -43,7 +43,6 @@ from .gmfamily import ScalarRootFns
 from .levilattice import (
     Levi,
     Ray,
-    _rel_basis,
     _vanishing_subset,
     chambers_of_rays,
     contains,
@@ -217,7 +216,7 @@ def tau_class(t: TauClass, mult: Mapping[Vec, Fraction] | None = None) -> TauCla
 def _restriction_spans(t: TauClass, upper: Levi) -> bool:
     """Do the pole rays lying in `upper` span the part of a_home orthogonal to a_upper?"""
     home = t.levi_L
-    need = len(_rel_basis(home, upper))
+    need = home.dim - upper.dim
     if need == 0:
         return True
     nb = t.nbeta
@@ -286,7 +285,7 @@ def n_constant(t: TauClass, L_levi: Levi) -> Fraction:
     home = t.levi_L
     if not contains(home, L_levi):
         raise NotARoot("L must contain the home Levi")
-    need = len(_rel_basis(home, L_levi))
+    need = home.dim - L_levi.dim
     nb = t.nbeta
     rays = rays_in(home, L_levi)
     # each n_beta / 2 as an integer over one denominator, each ray as an integer row

@@ -1,4 +1,5 @@
-"""Fraction references for the integer routes to ray signs, flat coordinates and restricted rays.
+"""Fraction references for the integer routes to products, projections, ray signs, flat coordinates
+and restricted rays.
 
 Each is the route the package ran on ``Fraction``s before its integer rows,
 kept here so the tests can compare the two on every Levi.
@@ -6,9 +7,26 @@ kept here so the tests can compare the two on every Levi.
 from fractions import Fraction
 from math import lcm
 
-from gmcalc.exactlin import mat_vec, vscale
-from gmcalc.levilattice import Ray, flat_projector
+from gmcalc.exactlin import gram_matrix, mat_vec, transpose, vscale
+from gmcalc.levilattice import Ray
 from gmcalc.rootdatum import RatVec
+
+
+def ref_mat_mul(a, b):
+    """The matrix product on Fractions."""
+    cols = list(zip(*b)) if b else []
+    return tuple(tuple(sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in cols) for row in a)
+
+
+def ref_projector(basis, S):
+    """The S-orthogonal projection onto the span of independent basis rows B, as the Fraction matrix
+    B^T G^-1 B S with G = B S B^T, each column of G^-1 B S solved by Gauss-Jordan on Fractions."""
+    n = len(S)
+    if not basis:
+        return ((Fraction(0),) * n,) * n
+    gram = gram_matrix(basis, S)  # symmetric: its rows are its columns
+    x = [ref_coords_in_basis(col, gram) for col in zip(*ref_mat_mul(basis, S))]
+    return ref_mat_mul(transpose(basis), transpose(x))
 
 
 def ref_sign_pattern(d, rays, point):
@@ -33,7 +51,7 @@ def ref_coords_in_basis(v, basis):
 def ref_restricted_rays(M):
     """The rays of a_M from the Fraction projection of every root, grouped as group_rays grouped them."""
     d = M.datum
-    proj = flat_projector(M)
+    proj = ref_projector(M.basis, d.gram)
     groups = {}
     for i, r in enumerate(d.roots):
         v = mat_vec(proj, r.coords)

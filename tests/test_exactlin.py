@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fraction_refs import ref_mat_mul
 from gmcalc import exactlin as el
 
 SETTINGS = settings(max_examples=150, deadline=None)
@@ -42,11 +43,6 @@ def ref_dot(u, v):
 
 def ref_mat_vec(m, v):
     return tuple(ref_dot(row, v) for row in m)
-
-
-def ref_mat_mul(a, b):
-    cols = list(zip(*b)) if b else []
-    return tuple(tuple(ref_dot(row, col) for col in cols) for row in a)
 
 
 def ref_rref(rows, ncols=None):
@@ -118,17 +114,6 @@ def test_mat_vec(mv):
 
 
 @SETTINGS
-@given(
-    st.tuples(st.integers(0, 3), st.integers(1, 3), st.integers(1, 3)).flatmap(
-        lambda s: st.tuples(matrices(s[0], s[1]), matrices(s[1], s[2]))
-    )
-)
-def test_mat_mul(ab):
-    a, b = ab
-    assert el.mat_mul(a, b) == ref_mat_mul(a, b)
-
-
-@SETTINGS
 @given(st.integers(1, 4).flatmap(lambda n: st.tuples(matrices(n, n), vectors(n), vectors(n))))
 def test_sym_pair(suv):
     S, u, v = suv
@@ -143,7 +128,7 @@ def test_length_mismatch_raises():
     with pytest.raises(ValueError):
         el.mat_vec(S, w)
     with pytest.raises(ValueError):
-        el.mat_mul(S, el.identity(3))
+        el.solve(S, [u])
     with pytest.raises(ValueError):
         el.sym_pair(S, u, w)
     with pytest.raises(ValueError):
@@ -203,6 +188,7 @@ def test_det_and_inverse(m):
     else:
         inv = el.mat_inv(m)
         assert ref_mat_mul(m, inv) == el.identity(len(m))
+        assert el.solve(m, el.identity(len(m)))[2] == got
         assert all(normalised(x) for row in inv for x in row)
 
 
@@ -227,9 +213,19 @@ def positive_definite(n):
     )
 )
 def test_projector(sbv):
+    """The projector B^T X onto the span of B from one solve of G X = B S, as a flat's coordinate map
+    builds it, with X as integer rows over their least common denominator and det G."""
     S, basis, v = sbv
-    P = el.projector(basis, S)
-    assert len(P) == len(S) and all(len(row) == len(S) for row in P)
+    basis = tuple(ref_rref(basis)[0])  # independent rows with the same span
+    gram = el.gram_matrix(basis, S)
+    C, c, det = el.solve(gram, [el.mat_vec(S, b) for b in basis])
+    X = tuple(el.ratio_vec(row, c) for row in C)
+    assert det == ref_det(gram) and normalised(det)
+    assert c > 0 and el.int_mat(X) == (C, c)
+    n = len(S)
+    P = tuple(
+        tuple(sum((b[a] * x[j] for b, x in zip(basis, X)), Fraction(0)) for j in range(n)) for a in range(n)
+    )
     assert ref_mat_vec(P, v) == ref_project(v, basis, S)
     assert ref_mat_mul(P, P) == P
     for b in basis:

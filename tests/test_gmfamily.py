@@ -1,3 +1,4 @@
+import hashlib
 import random
 import sys
 from collections import Counter
@@ -22,6 +23,7 @@ from gmcalc.gmfamily import (
     hull_volume,
     induced_family_value,
     orthogonal_set,
+    split_subsets,
     split_terms,
     _hull_volume,
     _lam_evaluator,
@@ -32,6 +34,7 @@ from gmcalc.levilattice import (
     cell_maps,
     chamber_at,
     coord_map,
+    enumerate_levis,
     flat_projector,
     gfull,
     levi_lattice,
@@ -416,19 +419,20 @@ def _count_integer_frames(monkeypatch):
 
 def test_hull_limit_builds_each_frame_once_per_levi(monkeypatch):
     d = build_root_system("A3")
-    projections = _count_calls(monkeypatch, exactlin, "projector", lambda basis, S: tuple(basis))
+    solves = _count_calls(monkeypatch, exactlin, "solve", lambda m, rhs: len(m))
     directions = _count_calls(monkeypatch, levilattice, "_generic_direction", lambda M, direction: id(M))
     orbits, frames = _count_integer_frames(monkeypatch)
     records = suite_hull_limit(load_config(overrides={"group": "A3"}), d)
     assert len(records) == 25 * len(levi_lattice(d))
     assert all(r.status == "pass" for r in records)
-    assert set(projections) == {M.basis for M in levi_lattice(d)}
-    assert set(projections.values()) == {1}
+    # one Gram solve per Levi, of the Levi's dimension, serves every projection of the suite
+    assert solves == Counter(M.dim for M in levi_lattice(d))
     assert set(directions) == {id(M) for M in levi_lattice(d) if M.dim}
     assert set(directions.values()) == {1}
     assert orbits == {id(d): 1}
     proper = {id(M): 1 for M in levi_lattice(d) if M.dim}
-    assert frames() == {"_orbit": proper, "_cell_maps": {id(M): 1 for M in levi_lattice(d)}, "_coord_map": proper}
+    every = {id(M): 1 for M in levi_lattice(d)}
+    assert frames() == {"_orbit": proper, "_cell_maps": every, "_coord_map": every}
 
 
 def test_second_datum_builds_its_own_frames(monkeypatch):
@@ -438,7 +442,7 @@ def test_second_datum_builds_its_own_frames(monkeypatch):
     for M in levi_lattice(first):
         oset = orthogonal_set(M, T)
         values[M.label] = (hull_volume(oset), family_limit(ExpPolyFamily.from_orthogonal_set(oset)))
-    projections = _count_calls(monkeypatch, exactlin, "projector", lambda basis, S: tuple(basis))
+    solves = _count_calls(monkeypatch, exactlin, "solve", lambda m, rhs: len(m))
     directions = _count_calls(monkeypatch, levilattice, "_generic_direction", lambda M, direction: id(M))
     orbits, frames = _count_integer_frames(monkeypatch)
     assert "rho_orbit" not in vars(second)
@@ -454,12 +458,12 @@ def test_second_datum_builds_its_own_frames(monkeypatch):
             assert limit_frame(M2) is not limit_frame(M1)
             assert projected_orbit(M2) is not projected_orbit(M1) and projected_orbit(M2) == projected_orbit(M1)
     assert second.rho_orbit is not first.rho_orbit and second.rho_orbit == first.rho_orbit
-    assert set(projections) == {M.basis for M in levi_lattice(second)}
-    assert set(projections.values()) == {1}
+    assert solves == Counter(M.dim for M in levi_lattice(second))
     assert set(directions) == {id(M) for M in levi_lattice(second) if M.dim}
     assert orbits == {id(second): 1}
     proper = {id(M): 1 for M in levi_lattice(second) if M.dim}
-    assert frames() == {"_orbit": proper, "_cell_maps": {id(M): 1 for M in levi_lattice(second)}, "_coord_map": proper}
+    every = {id(M): 1 for M in levi_lattice(second)}
+    assert frames() == {"_orbit": proper, "_cell_maps": every, "_coord_map": every}
 
 
 # -- family limits -----------------------------------------------------------
@@ -634,3 +638,53 @@ def test_split_formula_matches_induced_family_a2(template):
     combinatorial = split_terms(fns, M0, gfull(d), P, _lam_evaluator(d, lam0))
     analytic = induced_family_value(fns, P, lam0, P.chamber_point)
     assert abs(combinatorial - analytic) <= 1e-8
+
+
+def _split_terms_on_every_pair(d):
+    """split_terms on M0 for every pair M <= S, with a pole density on every ray and a generic lam."""
+    M0 = mzero(d)
+    fns = ScalarRootFns.uniform(M0, {"kind": "pole"}, {ray.key: Fraction(1) for ray in restricted_rays(M0)})
+    lam = _lam_evaluator(d, RatVec.of([Fraction(1, 3), Fraction(2, 7), Fraction(5, 11)]))
+    return [split_terms(fns, M, S, base_chamber(d), lam) for M in levi_lattice(d) for S in enumerate_levis(d, lower=M)]
+
+
+def test_split_terms_read_one_gram_solve_per_levi(monkeypatch):
+    d = build_root_system("A3")
+    solves = _count_calls(monkeypatch, exactlin, "solve", lambda m, rhs: len(m))
+    assert any(_split_terms_on_every_pair(d))
+    # the projections of every pair come from one Gram solve per Levi, of the Levi's dimension
+    assert solves == Counter(M.dim for M in levi_lattice(d))
+
+
+def test_repeated_split_terms_run_no_elimination(monkeypatch):
+    d = build_root_system("A3")
+    first = _split_terms_on_every_pair(d)
+    eliminations = _count_calls(monkeypatch, exactlin, "_eliminate", lambda rows, ncols: ncols)
+    assert _split_terms_on_every_pair(d) == first
+    assert not eliminations
+
+
+# Every split_subsets term (L1, M >= L1, S >= M, every chamber Q1 of L1): covolume square and sign and
+# the (rep, dual) pairs in order.  These are the exact inputs of the float contour path, pinned as
+# (sha256 of the term lines, number of terms) from the Fraction-projector route they replaced.
+SPLIT_SUBSET_DIGESTS = {
+    "A2": ("40c04b4ba4229b11f474eb6796a8f95ed5f730bdca4ae90c06598390faae4300", 121),
+    "B2": ("2302fc3a7c4bc54f72311d1eec7b6a4e666c016244e9ffc7b428b130d47b1b0d", 249),
+    "G2": ("c3412ac5e6721937eaee05163f62636a63078e7fd26b54407332b35605175fda", 745),
+    "A3": ("f5fba612b75c1bd1bb40728fb1ac9a0a35dd9ecc3666749fc10c2e9ec117e8f8", 4351),
+}
+
+
+@pytest.mark.parametrize("label", sorted(SPLIT_SUBSET_DIGESTS))
+def test_split_subsets_terms_match_their_pinned_digest(label):
+    d = build_root_system(label)
+    h, n = hashlib.sha256(), 0
+    for L1 in levi_lattice(d):
+        for M in enumerate_levis(d, lower=L1):
+            for S in enumerate_levis(d, lower=M):
+                for Q1 in parabolics(L1):
+                    for vol, factors in split_subsets(L1, M, S, Q1):
+                        pairs = " ".join(f"{rep}|{dual}" for rep, dual in factors)
+                        h.update(f"{L1.label} {M.label} {S.label} {Q1.index}: {vol.square} {vol.sign} {pairs}\n".encode())
+                        n += 1
+    assert (h.hexdigest(), n) == SPLIT_SUBSET_DIGESTS[label]

@@ -1,11 +1,12 @@
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 
-from fraction_refs import ref_coords_in_basis, ref_restricted_rays, ref_sign_pattern
+from fraction_refs import ref_coords_in_basis, ref_projector, ref_restricted_rays, ref_sign_pattern
 from gmcalc.errors import DimensionError, NotComparable
-from gmcalc.exactlin import int_row, mat_vec, vadd, zeros
+from gmcalc.exactlin import int_mat, int_row, mat_vec, vadd, zeros
 from gmcalc.levilattice import (
     QuadConst,
     base_chamber,
@@ -47,13 +48,11 @@ def test_enumerate_levis_bounds():
     d = build_root_system("A2")
     M0, G = mzero(d), gfull(d)
     assert enumerate_levis(d) == list(levi_lattice(d))
-    between = enumerate_levis(d, lower=M0, upper=G)
-    assert len(between) == 5
-    maximal = [L for L in levi_lattice(d) if L.dim == 1]
-    only = enumerate_levis(d, lower=maximal[0], upper=maximal[0])
-    assert only == [maximal[0]]
-    with pytest.raises(NotComparable):
-        enumerate_levis(d, lower=maximal[0], upper=maximal[1])
+    assert enumerate_levis(d, lower=M0) == list(levi_lattice(d))
+    assert enumerate_levis(d, lower=G) == [G]
+    for L in levi_lattice(d):
+        if L.dim == 1:
+            assert enumerate_levis(d, lower=L) == [L, G]
 
 
 def test_parabolic_counts_match_chamber_counts():
@@ -323,7 +322,7 @@ def ref_chambers_of_rays(M, rays):
         for b in M.basis:
             pt = vadd(pt, b)
         return [RatVec(pt)]
-    proj_m = flat_projector(M)
+    proj_m = ref_projector(M.basis, d.gram)
     best = {}
     for w in weyl_group(d):
         proj = mat_vec(proj_m, act(w, d.rho_check).coords)
@@ -362,7 +361,7 @@ def test_integer_routes_equal_the_fraction_references(label, gram):
     for M in levi_lattice(d):
         rays = restricted_rays(M)
         assert rays == ref_restricted_rays(M), M.label
-        proj = flat_projector(M)
+        proj = ref_projector(M.basis, d.gram)
         # the projected roots and probes, and the chamber points, lie on the flat; roots off it do not
         on_flat = [RatVec(mat_vec(proj, v.coords)) for v in ambient] + [P.chamber_point for P in parabolics(M)]
         sign = ray_signs(d, [r.rep for r in rays])
@@ -390,3 +389,49 @@ def test_chamber_at_rejects_points_of_the_wrong_length(label):
             for coords in (P.chamber_point.coords + (Fraction(1),), P.chamber_point.coords[:-1]):
                 with pytest.raises(DimensionError):
                     chamber_at(M, RatVec(coords))
+
+
+PROJECTION_DATA = [(g, None) for g in ("A2", "B2", "G2", "A3", "A1xA3")] + [("A2", [["1", "-1/2"], ["-1/2", "1"]])]
+
+
+@pytest.mark.parametrize("label, gram", PROJECTION_DATA)
+def test_integer_projector_equals_the_fraction_reference(label, gram):
+    from gmcalc.levilattice import _rel_basis
+
+    d = build_root_system(label, gram)
+    refs = {M: ref_projector(M.basis, d.gram) for M in levi_lattice(d)}
+    for M, ref in refs.items():
+        # the same rows over the same least common denominator
+        assert flat_projector(M) == int_mat(ref), M.label
+    for M in levi_lattice(d):
+        for S in enumerate_levis(d, lower=M):
+            # a_S lies in a_M, so the projection onto a_M minus a_S is P_M - P_S
+            rel = _rel_basis(M, S)
+            assert len(rel) == M.dim - S.dim, (M.label, S.label)
+            diff = tuple(tuple(a - b for a, b in zip(pm, ps)) for pm, ps in zip(refs[M], refs[S]))
+            assert ref_projector(rel, d.gram) == diff, (M.label, S.label)
+
+
+# Every d_constant(L1, L, S, upper) with L1 <= L, L1 <= S and upper None or above both: square and sign,
+# pinned as (sha256 of the value lines, number of values) from the route with a rank test before the
+# Gram determinants.
+D_CONSTANT_DIGESTS = {
+    "A2": ("f4aedefbf69d013256a4fcef9c278b531d774d68d9f144fdbafedcce83f339df", 92),
+    "B2": ("41aa5cfc80c5dd289a134742ff983b66ddb766ea078a7814c8a0d306e0209038", 127),
+    "G2": ("49073bf5e2e2edd3b4aea10d7b10007f6c97c3f21ebacd6b9fa6b87bad6a5385", 209),
+    "A3": ("dde947791a9c2265443d4a2ab52a8db86aec69f35b5c30e7c618959cf76c5f6d", 1066),
+}
+
+
+@pytest.mark.parametrize("label", sorted(D_CONSTANT_DIGESTS))
+def test_d_constant_values_match_their_pinned_digest(label):
+    d = build_root_system(label)
+    h, n = hashlib.sha256(), 0
+    for L1 in levi_lattice(d):
+        for L in enumerate_levis(d, lower=L1):
+            for S in enumerate_levis(d, lower=L1):
+                for U in [None] + [U for U in enumerate_levis(d, lower=L) if S.root_subset <= U.root_subset]:
+                    c = d_constant(L1, L, S, U)
+                    h.update(f"{L1.label} {L.label} {S.label} {None if U is None else U.label}: {c.square} {c.sign}\n".encode())
+                    n += 1
+    assert (h.hexdigest(), n) == D_CONSTANT_DIGESTS[label]

@@ -19,7 +19,8 @@ from gmcalc.spectral import (
     tau_class,
     tempext_check,
 )
-from gmcalc.exactlin import combine, int_row, mat, mat_vec, primitive_ray, projector, ratio_vec, transpose
+from fraction_refs import ref_projector
+from gmcalc.exactlin import combine, int_row, mat, mat_vec, primitive_ray, ratio_vec, transpose
 
 
 def full_sigma(d):
@@ -261,7 +262,7 @@ def test_core_checks_fail_on_a_core_cut_to_the_identity(label):
 def _nbeta_by_projection(t):
     """n by the earlier route: project each vanishing-set root onto the home flat and count per ray."""
     d = t.datum
-    proj_m = projector(t.levi_L.basis, d.gram)
+    proj_m = ref_projector(t.levi_L.basis, d.gram)
     projs = [mat_vec(proj_m, d.roots[i].coords) for i in t.sigma_roots]
     keys = [primitive_ray(p) for p in projs if any(p)]
     return {ray.key: Fraction(keys.count(ray.key), 2) for ray in restricted_rays(t.levi_L)}
