@@ -71,9 +71,12 @@ class TestFunction:
     def __post_init__(self):
         if self.scale <= 0:
             raise BadShift("test function scale must be positive")
+        # the same values as floats, converted once rather than on every call
+        object.__setattr__(self, "_coeffs", tuple(map(complex, self.coeffs)))
+        object.__setattr__(self, "_scale", float(self.scale))
 
     def __call__(self, z):
-        return _poly_eval(self.coeffs, z) * np.exp(float(self.scale) * z * z)
+        return _poly_eval(self._coeffs, z) * np.exp(self._scale * z * z)
 
     def cutoff(self) -> float:
         return 8.0 / math.sqrt(float(self.scale))

@@ -15,10 +15,10 @@ gcd instead of one per multiply and add.  Only the entrywise helpers
 Hot exact kernels skip the ``Fraction`` ends as well: ``int_row`` and
 ``int_mat`` write rationals as integer rows over one positive denominator,
 ``solve`` returns its solution that way, ``int_mat_vec``, ``idot``,
-``int_det``, ``int_normal`` and ``int_primitive`` work on those rows alone,
-and ``ratio_vec`` turns a row back into ``Fraction``s.  With one positive
-denominator, signs and the lexicographic order of the numerators are those
-of the rationals.
+``int_det``, ``int_gram_det``, ``int_normal`` and ``int_primitive`` work on
+those rows alone, and ``ratio_vec`` turns a row back into ``Fraction``s.
+With one positive denominator, signs and the lexicographic order of the
+numerators are those of the rationals.
 """
 from __future__ import annotations
 
@@ -178,7 +178,13 @@ def sym_pair(S: Mat, u: Vec, v: Vec) -> Fraction:
 
 
 def gram_matrix(vectors: Sequence[Vec], S: Mat) -> Mat:
-    return tuple(tuple(sym_pair(S, u, v) for v in vectors) for u in vectors)
+    """The matrix of the symmetric form S on the vectors; one triangle is computed and mirrored."""
+    k = len(vectors)
+    g = [[ZERO] * k for _ in range(k)]
+    for i, u in enumerate(vectors):
+        for j in range(i, k):
+            g[i][j] = g[j][i] = sym_pair(S, u, vectors[j])
+    return tuple(map(tuple, g))
 
 
 # ---------------------------------------------------------------------------
@@ -332,6 +338,17 @@ def gram_det(vectors: Sequence[Vec], S: Mat) -> Fraction:
     if not vectors:
         return ONE
     return det(gram_matrix(vectors, S))
+
+
+def int_gram_det(rows: Sequence[Sequence[int]], forms: Sequence[Sequence[int]]) -> int:
+    """det of the Gram matrix forms[i] . rows[j] of integer rows under a symmetric integer form, with
+    forms[i] = S rows[i]; one triangle is computed and mirrored (1 for no rows)."""
+    k = len(rows)
+    g = [[0] * k for _ in range(k)]
+    for i, f in enumerate(forms):
+        for j in range(i, k):
+            g[i][j] = g[j][i] = idot(f, rows[j])
+    return int_det(g)
 
 
 def int_primitive(ints: Sequence[int]) -> tuple[int, ...]:

@@ -279,17 +279,25 @@ class ScalarFn:
         self.label = label
         # the template kind with its exact parameters, and n: equal keys, equal functions
         self.key = (shape, self.n)
+        self._pole = -complex(self.n) if self.n else None  # the residue term's numerator, converted once
 
     def has_pole0(self) -> bool:
         return self.n != 0
 
     def __call__(self, z):
-        if self.n == 0:
+        if self._pole is None:
             return self.analytic(z)
-        return -complex(self.n) / z + self.analytic(z)
+        return self._pole / z + self.analytic(z)
 
     def __repr__(self):
         return f"ScalarFn({self.label}, n={self.n})"
+
+
+def density_at(f: ScalarFn, z: complex, beta: RatVec) -> complex:
+    """f(z) for the density f of beta; PoleHit where z hits a pole of f at 0."""
+    if f.has_pole0() and abs(z) < 1e-12:
+        raise PoleHit(f"density argument hits the pole at 0 along {beta}")
+    return f(z)
 
 
 def _complex_zero(z):
@@ -301,9 +309,10 @@ def _complex_zero(z):
     return np.zeros_like(z, dtype=complex)
 
 
-def _poly_eval(coeffs: Sequence[Fraction], z):
+def _poly_eval(coeffs: Sequence[complex], z):
+    """The polynomial with these coefficients, constant first, at z by Horner's rule."""
     total = _complex_zero(z)
-    for c in reversed([complex(c) for c in coeffs]):
+    for c in reversed(coeffs):
         total = total * z + c
     return total
 
@@ -329,7 +338,7 @@ def scalar_fn_from_template(template: Mapping, n: Fraction) -> ScalarFn:
     if not any(q):
         raise ValueError(f"{kind} density needs a nonzero denominator q")
 
-    def fn(z, p=p, q=q):
+    def fn(z, p=tuple(map(complex, p)), q=tuple(map(complex, q))):
         return _poly_eval(p, z) / _poly_eval(q, z)
 
     if kind == "pole_plus_rational":
@@ -376,11 +385,7 @@ class ScalarRootFns:
         if w is not None:
             winv = self.levi.datum.element(invert(w.perm))
             beta = RatVec(mat_vec(winv.matrix, beta.coords))
-        f = self.fn(beta)
-        arg = -z if conj else z
-        if f.has_pole0() and abs(arg) < 1e-12:
-            raise PoleHit(f"density argument hits the pole at 0 along {beta}")
-        return f(arg)
+        return density_at(self.fn(beta), -z if conj else z, beta)
 
 
 # ---------------------------------------------------------------------------

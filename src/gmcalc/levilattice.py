@@ -30,6 +30,12 @@ from ``flat_coords`` on the flat's ``coord_map``, and the projection of
 every root from ``projected_roots``, which the rays and the cell maps of
 the hull-limit frame both read.  The projected orbit that chamber
 witnesses are chosen from and the pairing row of lam0 are integer rows too.
+
+Splitting constants read the lattice before any Gram matrix: each Levi
+keeps the tuple of Levis above it (``enumerate_levis``), the join of L and
+S is the first Levi above both (its flat is a_L meet a_S), and
+d_L1^upper(L, S) is zero unless that join is upper.  Only a nonzero d takes
+Gram determinants, on integer rows of the relative bases kept on the Levi.
 """
 from __future__ import annotations
 
@@ -48,6 +54,7 @@ from .exactlin import (
     identity,
     idot,
     int_det,
+    int_gram_det,
     int_mat,
     int_mat_vec,
     int_primitive,
@@ -74,7 +81,7 @@ class QuadConst:
 
     @classmethod
     def zero(cls) -> "QuadConst":
-        return cls(Fraction(0), 0)
+        return _ZERO
 
     @classmethod
     def one(cls) -> "QuadConst":
@@ -86,18 +93,20 @@ class QuadConst:
         if sq < 0:
             raise ValueError("square must be nonnegative")
         if sq == 0 or sign == 0:
-            return cls.zero()
+            return _ZERO
         return cls(sq, 1 if sign > 0 else -1)
 
     @classmethod
     def from_rational(cls, q: Fraction) -> "QuadConst":
         q = Fraction(q)
         if q == 0:
-            return cls.zero()
+            return _ZERO
         return cls(q * q, 1 if q > 0 else -1)
 
     def __mul__(self, other: "QuadConst") -> "QuadConst":
-        return QuadConst.from_square(self.square * other.square, self.sign * other.sign)
+        if not self.sign or not other.sign:
+            return _ZERO
+        return QuadConst(self.square * other.square, self.sign * other.sign)
 
     def is_zero(self) -> bool:
         return self.sign == 0
@@ -112,19 +121,22 @@ class QuadConst:
         return f"QuadConst({s}sqrt({self.square}))"
 
 
+_ZERO = QuadConst(Fraction(0), 0)  # the one zero, which every constructor and product hands out
+
+
 class Levi:
     """A flat of the root arrangement: basis rows of a_L plus the roots vanishing on it.
 
     Objects read off the flat are built on first use and kept here: the
     integer projector onto a_L, read off the coordinate map's one Gram
     solve, the projected roots and rho_check orbit, the restricted rays, the
-    parabolic chambers, the bases relative to upper flats, the splitting
-    constants d_L1 and the splitting-sum terms with this flat as L1, and the
-    hull-limit frame: the integer maps proj o w of each chamber's Weyl cell,
-    the adjacent chamber pairs with integer wall directions, the integer
-    basis coordinate map with its Gram determinant, and per limit direction
-    the integer pairing row of a generic lam0 with each chamber's scale
-    q_P / theta*_P.
+    parabolic chambers, the Levis above it, the integer rows of the bases
+    relative to upper flats, the splitting constants d_L1 and the
+    splitting-sum terms with this flat as L1, and the hull-limit frame: the
+    integer maps proj o w of each chamber's Weyl cell, the adjacent chamber
+    pairs with integer wall directions, the integer basis coordinate map
+    with its Gram determinant, and per limit direction the integer pairing
+    row of a generic lam0 with each chamber's scale q_P / theta*_P.
     """
 
     def __init__(self, datum: RootDatum, basis: tuple[Vec, ...], root_subset: frozenset[int]):
@@ -141,7 +153,8 @@ class Levi:
         self._adjacent: tuple[tuple[int, int, tuple[int, ...]], ...] | None = None
         self._coord_map: tuple[IntRows, int, IntRows, int, Fraction] | None = None
         self._limit_frames: dict[RatVec | None, tuple[tuple[tuple[int, ...], int], tuple[Fraction, ...]]] = {}
-        self._rel_bases: dict[frozenset[int] | None, tuple[Vec, ...]] = {}
+        self._uppers: tuple[Levi, ...] | None = None
+        self._rel_rows: dict[frozenset[int] | None, tuple[IntRows, IntRows, int]] = {}
         self._d_constants: dict[tuple, QuadConst] = {}  # d_constant with this flat as L1
         self._split_subsets: dict[tuple, list] = {}  # gmfamily.split_subsets with this flat as L1
         positive = set(datum.pos_indices)
@@ -293,9 +306,23 @@ def contains(smaller: Levi, larger: Levi) -> bool:
     return smaller.root_subset <= larger.root_subset
 
 
-def enumerate_levis(d: RootDatum, lower: Levi | None = None) -> list[Levi]:
-    """The Levis containing lower (all of them when lower is None), in lattice order."""
-    return [L for L in levi_lattice(d) if lower is None or contains(lower, L)]
+def enumerate_levis(d: RootDatum, lower: Levi | None = None) -> tuple[Levi, ...]:
+    """The Levis containing lower (all of them when lower is None), in lattice order; the tuple is
+    built once per lower Levi."""
+    if lower is None:
+        return levi_lattice(d)
+    if lower._uppers is None:
+        lower._uppers = tuple(L for L in levi_lattice(d) if contains(lower, L))
+    return lower._uppers
+
+
+def _join(L: Levi, S: Levi) -> Levi:
+    """The least Levi containing L and S: the one whose flat is a_L meet a_S.
+
+    Every Levi containing both has its flat inside a_L meet a_S, so the join
+    is the common upper of largest dimension, the first in lattice order.
+    """
+    return next(U for U in enumerate_levis(L.datum, L) if contains(S, U))
 
 
 def conjugate_levi(w: WeylElement, L: Levi) -> Levi:
@@ -634,29 +661,36 @@ def limit_frame(M: Levi, direction: RatVec | None = None) -> tuple[tuple[tuple[i
 
 
 def _rel_basis(L: Levi, upper: Levi | None) -> tuple[Vec, ...]:
-    """Basis of the part of a_L orthogonal to a_upper (all of a_L when upper is None).
-
-    Memoised on L, keyed by the root set of upper.
-    """
-    key = None if upper is None else upper.root_subset
-    got = L._rel_bases.get(key)
-    if got is not None:
-        return got
+    """Basis of the part of a_L orthogonal to a_upper (all of a_L when upper is None)."""
     if upper is None or upper.dim == 0:
-        out = L.basis
-    else:
-        out = tuple(rref(flat_kernel(L.datum, L.basis, upper.basis)))
-    L._rel_bases[key] = out
-    return out
+        return L.basis
+    return tuple(rref(flat_kernel(L.datum, L.basis, upper.basis)))
+
+
+def _rel_rows(L: Levi, upper: Levi | None) -> tuple[IntRows, IntRows, int]:
+    """The relative basis of L under upper as integer rows, each row cleared of its own denominators,
+    their forms S row as integer rows over the form's denominator, and the integer Gram determinant
+    of the rows; memoised on L, keyed by the root set of upper."""
+    key = None if upper is None else upper.root_subset
+    got = L._rel_rows.get(key)
+    if got is None:
+        gram, _ = L.datum.int_gram
+        rows = tuple(tuple(int_row(b)[0]) for b in _rel_basis(L, upper))
+        forms = tuple(int_mat_vec(gram, r) for r in rows)
+        got = L._rel_rows[key] = (rows, forms, int_gram_det(rows, forms))
+    return got
 
 
 def d_constant(L1: Levi, L: Levi, S: Levi, upper: Levi | None = None) -> QuadConst:
     """Splitting constant of the decomposition a_L (+) a_S = a_L1 relative to upper.
 
-    Zero unless the two subspaces are independent and of complementary
-    dimension; otherwise the absolute determinant of the sum map with respect
-    to orthonormal bases, an exact square root of a rational.  Memoised on
-    L1, keyed by the root sets of L, S and upper, after the containment checks.
+    Zero unless the parts of a_L and a_S orthogonal to a_upper are independent
+    and of complementary dimension in that of a_L1; otherwise the absolute
+    determinant of the sum map with respect to orthonormal bases, an exact
+    square root of a rational.  Independence is a lattice fact (a_L meet a_S
+    is a_upper, or 0 when upper is None), so a zero needs no Gram matrix.
+    Memoised on L1, keyed by the root sets of L, S and upper, after the
+    containment checks.
     """
     for X in (L, S):
         if not contains(L1, X):
@@ -671,16 +705,22 @@ def d_constant(L1: Levi, L: Levi, S: Levi, upper: Levi | None = None) -> QuadCon
 
 
 def _split_constant(L1: Levi, L: Levi, S: Levi, upper: Levi | None) -> QuadConst:
-    d = L1.datum
-    bl = _rel_basis(L, upper)
-    bs = _rel_basis(S, upper)
-    b1 = _rel_basis(L1, upper)
-    if len(bl) + len(bs) != len(b1):
-        return QuadConst.zero()
-    num = gram_det(bl + bs, d.gram)
-    if not num:  # the two bases are dependent
-        return QuadConst.zero()
-    return QuadConst.from_square(num / (gram_det(bl, d.gram) * gram_det(bs, d.gram)))
+    """d by the lattice, then by integer Gram determinants of the relative rows.
+
+    The parts of a_L and a_S orthogonal to a_upper meet only in 0 exactly when
+    their join is upper (G when upper is None; a_G = 0).  Then they span that
+    part of a_L1 exactly when the dimensions add up, and d^2 is
+    det Gram(L + S) / (det Gram(L) det Gram(S)), which no rescaling of a row
+    changes, so the rows are read over their own denominators and the form
+    over its one denominator.
+    """
+    top = gfull(L1.datum) if upper is None else upper
+    if _join(L, S) != top or L.dim + S.dim != L1.dim + top.dim:
+        return _ZERO
+    rows_l, forms_l, det_l = _rel_rows(L, upper)
+    rows_s, forms_s, det_s = _rel_rows(S, upper)
+    num = int_gram_det(rows_l + rows_s, forms_l + forms_s)
+    return QuadConst(Fraction(num, det_l * det_s), 1)
 
 
 def trand_check(d: RootDatum) -> list[dict]:
@@ -697,14 +737,16 @@ def trand_check(d: RootDatum) -> list[dict]:
         ups_m1 = enumerate_levis(d, lower=m1)
         for m in ups_m1:
             for s1 in ups_m1:
+                ups_both = enumerate_levis(d, lower=_join(m, s1))  # the S >= M, S >= S1
                 for g1 in enumerate_levis(d, lower=s1):
                     t0 = time.monotonic()
                     lhs = d_constant(m1, m, g1)
                     nonzero = []
-                    for s in enumerate_levis(d, lower=m):
-                        if not contains(s1, s):
+                    for s in ups_both:
+                        first = d_constant(m1, m, s1, upper=s)
+                        if first.is_zero():
                             continue
-                        term = d_constant(m1, m, s1, upper=s) * d_constant(s1, s, g1)
+                        term = first * d_constant(s1, s, g1)
                         if not term.is_zero():
                             nonzero.append((s, term))
                     if len(nonzero) > 1:

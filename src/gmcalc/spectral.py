@@ -9,7 +9,9 @@ bounded-extension sweep) is a function of this shadow.
 The modeled stabilizer acts on the home flat in its basis coordinates, read
 through the home's integer coordinate map (``levilattice.flat_coords``), and
 every chamber, pole-wall and wall-point test reads ray signs from
-``levilattice.ray_signs``.
+``levilattice.ray_signs``.  The basis sum n^L and its elementary-symmetric
+cross-check read each pole ray once per class, as a primitive integer row
+with its n_beta / 2 over one denominator (``TauClass.pole_rows``).
 """
 from __future__ import annotations
 
@@ -31,7 +33,6 @@ from .exactlin import (
     Mat,
     Vec,
     combine,
-    int_rank,
     int_row,
     kernel,
     primitive_ray,
@@ -39,7 +40,7 @@ from .exactlin import (
     rref,
     sym_pair,
 )
-from .gmfamily import ScalarRootFns
+from .gmfamily import ScalarFn, ScalarRootFns, density_at
 from .levilattice import (
     Levi,
     Ray,
@@ -116,6 +117,15 @@ class TauClass:
     def tau_rays(self) -> tuple[Ray, ...]:
         """Rays carrying a pole (nonzero multiplicity)."""
         return tuple(ray for ray in restricted_rays(self.levi_L) if self.nbeta[ray.key] != 0)
+
+    @cached_property
+    def pole_rows(self) -> tuple[tuple[tuple[int, int, tuple[int, ...]], ...], int]:
+        """Per pole ray, in ray order: its first member root, n_beta / 2 as an integer over one
+        positive denominator and its primitive integer direction; with that denominator."""
+        rays = self.tau_rays
+        halves, den = int_row(self.nbeta[ray.key] / 2 for ray in rays)
+        rows = tuple((ray.members[0][0], half, tuple(int(x) for x in ray.key)) for ray, half in zip(rays, halves))
+        return rows, den
 
     @cached_property
     def core(self) -> tuple[TauWeyl, ...]:
@@ -275,26 +285,60 @@ def n_beta(t: TauClass, beta: RatVec) -> Fraction:
     raise NotARoot(f"{beta} is not a restricted root of the home flat")
 
 
+def _in_levi(t: TauClass, L_levi: Levi) -> tuple[list[tuple[int, tuple[int, ...]]], int]:
+    """The (n_beta / 2 numerator, integer direction) of each pole ray of the home lying in L, and the
+    halves' denominator.  A ray lies in L exactly when its member roots do (``rays_in``)."""
+    if not contains(t.levi_L, L_levi):
+        raise NotARoot("L must contain the home Levi")
+    rows, den = t.pole_rows
+    return [(half, row) for first, half, row in rows if first in L_levi.root_subset], den
+
+
+def _reduced(row: tuple[int, ...], basis: list[tuple[int, list[int]]]) -> tuple[int, list[int]] | None:
+    """The row reduced fraction-free against an echelon basis of (pivot, row) pairs and divided by the
+    gcd of its entries, with its first nonzero column as pivot; None when the row is in their span.
+
+    Each basis row is zero at the pivots of the rows before it, so clearing the pivots in order
+    leaves every earlier one clear.
+    """
+    v = list(row)
+    for p, b in basis:
+        f = v[p]
+        if f:
+            q = b[p]
+            v = [q * x - f * y for x, y in zip(v, b)]
+    pivot = next((k for k, x in enumerate(v) if x), None)
+    if pivot is None:
+        return None
+    g = math.gcd(*v)
+    return pivot, [x // g for x in v]
+
+
 def n_constant(t: TauClass, L_levi: Levi) -> Fraction:
     """The basis sum n^L for an upper Levi.
 
     n^L sums, over the sets of restricted rays of the home flat lying in L
     that form a basis of a_home / a_L, the product of their n_beta / 2.  A ray
-    and its negative give the same rank and factor, so no chamber is needed.
+    and its negative give the same rank and factor, so no chamber is needed,
+    and rays with n_beta = 0 add nothing.  The ray subsets are walked depth
+    first on the class's integer rows, growing one fraction-free echelon basis
+    per prefix: a ray in the span of the prefix is dropped with every
+    extension, so no subset is ranked twice.
     """
-    home = t.levi_L
-    if not contains(home, L_levi):
-        raise NotARoot("L must contain the home Levi")
-    need = home.dim - L_levi.dim
-    nb = t.nbeta
-    rays = rays_in(home, L_levi)
-    # each n_beta / 2 as an integer over one denominator, each ray as an integer row
-    halves, den = int_row(nb[ray.key] / 2 for ray in rays)
-    in_l = [(half, int_row(ray.rep.coords)[0]) for half, ray in zip(halves, rays)]
+    need = t.levi_L.dim - L_levi.dim
+    rays, den = _in_levi(t, L_levi)
     total = 0
-    for subset in combinations(in_l, need):
-        if int_rank([row for _, row in subset]) == need:
-            total += math.prod(half for half, _ in subset)
+    stack = [(0, [], 1)]  # (next ray, echelon basis of the prefix, product of its halves)
+    while stack:
+        start, basis, weight = stack.pop()
+        if len(basis) == need:
+            total += weight
+            continue
+        for k in range(start, len(rays) - need + len(basis) + 1):
+            half, row = rays[k]
+            red = _reduced(row, basis)
+            if red is not None:
+                stack.append((k + 1, basis + [red], weight * half))
     return Fraction(total, den**need)
 
 
@@ -306,17 +350,18 @@ def discrete_constants(t: TauClass, L_levi: Levi) -> dict:
 def nl_elementary(t: TauClass, L_levi: Levi) -> Fraction:
     """n^L by a second route: e_need of the n_beta / 2 of the home rays lying in L.
 
-    It is read off prod (1 + x n_beta / 2), with no subsets and no rank test,
-    so it equals n_constant(t, L) wherever any `need` distinct
-    rays are independent: always for need <= 2, since distinct reduced rays
-    are never parallel.
+    It is read off prod (1 + x n_beta / 2), on the class's integer halves,
+    with no subsets and no rank test, so it equals n_constant(t, L) wherever
+    any `need` distinct rays are independent: always for need <= 2, since
+    distinct reduced rays are never parallel.
     """
-    nb = t.nbeta
-    e = [Fraction(1)]
-    for ray in rays_in(t.levi_L, L_levi):
-        e = [a + nb[ray.key] / 2 * b for a, b in zip(e + [0], [0] + e)]
     need = t.levi_L.dim - L_levi.dim
-    return e[need] if need < len(e) else Fraction(0)
+    rays, den = _in_levi(t, L_levi)
+    e = [1] + [0] * need
+    for half, _ in rays:
+        for k in range(need, 0, -1):
+            e[k] += half * e[k - 1]
+    return Fraction(e[need], den**need)
 
 
 def _k_constant(t: TauClass, L_levi: Levi) -> int:
@@ -411,7 +456,11 @@ def tempext_check(
                 subsets.append(combo)
     if not subsets:
         subsets = [()]
+    # the float forms of the core and of each ray's dual pairing, built once per class
+    lifts = [tuple(tuple(map(float, row)) for row in u.lift.matrix) for u in t.core]
+    dual_rows = {ray.key: d.float_row(ray.dual) for ray in rays}
     for F in subsets:
+        pairings = [(ray.rep, fns.fn(ray.rep), dual_rows[ray.key]) for ray in F]
         for wall in F if F else []:
             wall_pts = _wall_points(t, wall)
             for phi_idx, phi in enumerate(phi_battery):
@@ -420,7 +469,7 @@ def tempext_check(
                     m = 0.0
                     for base in wall_pts:
                         lam = [float(x) + delta * float(y) for x, y in zip(base.coords, wall.rep.coords)]
-                        val, scale = _symmetrized_sum(t, fns, t.core, F, lam, phi)
+                        val, scale = _symmetrized_sum(lifts, pairings, lam, phi)
                         # below the cancellation noise floor the sum counts as zero
                         if abs(val) <= 1e-9 * scale:
                             val = 0.0
@@ -471,21 +520,22 @@ def _wall_points(t: TauClass, wall: Ray) -> list[RatVec]:
 
 
 def _symmetrized_sum(
-    t, fns: ScalarRootFns, core, F, lam_real: Sequence[float], phi
+    lifts: Sequence[Sequence[Sequence[float]]],
+    pairings: Sequence[tuple[RatVec, ScalarFn, Sequence[float]]],
+    lam_real: Sequence[float],
+    phi,
 ) -> tuple[complex, float]:
-    """The symmetrized sum and the total magnitude of its summands."""
-    d = t.datum
+    """The symmetrized sum over the core's float lift matrices, each ray of the subset given by its rep,
+    its density and the float row of its dual pairing, and the total magnitude of its summands."""
+    n = len(lam_real)
     total = 0j
     scale = 0.0
-    for u in core:
-        moved = [
-            sum(float(u.lift.matrix[i][j]) * lam_real[j] for j in range(d.rank))
-            for i in range(d.rank)
-        ]
+    for lift in lifts:
+        moved = [sum(lift[i][j] * lam_real[j] for j in range(n)) for i in range(n)]
         val = complex(phi(moved))
-        for ray in F:
-            z = 1j * sum(m * g for m, g in zip(moved, d.float_row(ray.dual)))
-            val *= fns.value(ray.rep, z)
+        for rep, f, row in pairings:
+            z = 1j * sum(m * g for m, g in zip(moved, row))
+            val *= density_at(f, z, rep)
         total += val
         scale += abs(val)
     return total, scale

@@ -1,14 +1,15 @@
-"""Fraction references for the integer routes to products, projections, ray signs, flat coordinates
-and restricted rays.
+"""Fraction references for the integer routes to products, projections, ray signs, flat coordinates,
+restricted rays, splitting constants and the basis sums n^L.
 
-Each is the route the package ran on ``Fraction``s before its integer rows,
-kept here so the tests can compare the two on every Levi.
+Each is the route the package ran on ``Fraction``s before its integer rows
+and lattice facts, kept here so the tests can compare the two on every Levi.
 """
 from fractions import Fraction
-from math import lcm
+from itertools import combinations
+from math import lcm, prod
 
-from gmcalc.exactlin import gram_matrix, mat_vec, transpose, vscale
-from gmcalc.levilattice import Ray
+from gmcalc.exactlin import gram_matrix, mat_vec, rank, transpose, vscale
+from gmcalc.levilattice import QuadConst, Ray, _rel_basis, rays_in
 from gmcalc.rootdatum import RatVec
 
 
@@ -68,3 +69,48 @@ def ref_restricted_rays(M):
         rep = RatVec(vscale(min(abs(c) for _, c in members), key))
         rays.append(Ray(key, rep, RatVec(vscale(Fraction(2) / d.pair(rep, rep), rep.coords)), members))
     return tuple(rays)
+
+
+def ref_gram_det(vectors, S):
+    """det of the full Fraction Gram matrix (S u) . v, both triangles, by Gaussian elimination (1 for none)."""
+    rows = [[sum((a * b for a, b in zip(mat_vec(S, u), v)), Fraction(0)) for v in vectors] for u in vectors]
+    det = Fraction(1)
+    for col in range(len(rows)):
+        piv = next((r for r in range(col, len(rows)) if rows[r][col]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            rows[col], rows[piv] = rows[piv], rows[col]
+            det = -det
+        det *= rows[col][col]
+        for r in range(col + 1, len(rows)):
+            f = rows[r][col] / rows[col][col]
+            rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
+    return det
+
+
+def ref_split_constant(L1, L, S, upper):
+    """d_L1^upper(L, S) by Gram determinants alone: zero unless the relative bases have complementary
+    sizes and together a nonzero Gram determinant, else the square root of det Gram(L + S) over
+    det Gram(L) det Gram(S)."""
+    gram = L1.datum.gram
+    bl, bs, b1 = (_rel_basis(X, upper) for X in (L, S, L1))
+    if len(bl) + len(bs) != len(b1):
+        return QuadConst.zero()
+    num = ref_gram_det(bl + bs, gram)
+    if not num:
+        return QuadConst.zero()
+    return QuadConst.from_square(num / (ref_gram_det(bl, gram) * ref_gram_det(bs, gram)))
+
+
+def ref_n_constant(t, L):
+    """n^L by ranking every subset of `need` home rays lying in L on Fractions."""
+    need = t.levi_L.dim - L.dim
+    return sum(
+        (
+            prod((t.nbeta[ray.key] / 2 for ray in subset), start=Fraction(1))
+            for subset in combinations(rays_in(t.levi_L, L), need)
+            if rank([ray.rep.coords for ray in subset]) == need
+        ),
+        Fraction(0),
+    )

@@ -94,6 +94,26 @@ def test_verify_trand_a2_report_contents(tmp_path):
     assert (out / "report-A2.timing.json").exists()
 
 
+REPORT_SCHEMA_PATH = Path(__file__).resolve().parents[1] / "schemas" / "report.schema.json"
+
+
+@pytest.mark.parametrize(
+    "group, suites", [("A2", ["all"]), ("A3", ["hull-limit", "trand", "tdisc", "nL-independence"])]
+)
+def test_canonical_report_validates_against_the_report_schema(tmp_path, group, suites):
+    jsonschema = pytest.importorskip("jsonschema")
+    schema = json.loads(REPORT_SCHEMA_PATH.read_text(encoding="utf-8"))
+    validator = jsonschema.validators.validator_for(schema)
+    validator.check_schema(schema)
+    argv = ["verify", "--group", group, "--out", str(tmp_path)]
+    for suite in suites:
+        argv += ["--suite", suite]
+    assert main(argv) == 0
+    report = json.loads((tmp_path / f"report-{group}.json").read_text(encoding="utf-8"))
+    assert report["checks"]
+    validator(schema).validate(report)
+
+
 def test_verify_env_output_dir(tmp_path, monkeypatch):
     target = tmp_path / "envdir"
     monkeypatch.setenv("GMCALC_REPORT_DIR", str(target))

@@ -4,15 +4,23 @@ from fractions import Fraction
 
 import pytest
 
-from fraction_refs import ref_coords_in_basis, ref_projector, ref_restricted_rays, ref_sign_pattern
+from fraction_refs import (
+    ref_coords_in_basis,
+    ref_projector,
+    ref_restricted_rays,
+    ref_sign_pattern,
+    ref_split_constant,
+)
 from gmcalc.errors import DimensionError, NotComparable
-from gmcalc.exactlin import int_mat, int_row, mat_vec, vadd, zeros
+from gmcalc.exactlin import int_mat, int_row, mat_vec, rank, vadd, zeros
 from gmcalc.levilattice import (
     QuadConst,
+    _join,
     base_chamber,
     chamber_at,
     chamber_cells,
     chambers_of_rays,
+    contains,
     coord_map,
     d_constant,
     enumerate_levis,
@@ -47,12 +55,13 @@ def test_levi_counts(label):
 def test_enumerate_levis_bounds():
     d = build_root_system("A2")
     M0, G = mzero(d), gfull(d)
-    assert enumerate_levis(d) == list(levi_lattice(d))
-    assert enumerate_levis(d, lower=M0) == list(levi_lattice(d))
-    assert enumerate_levis(d, lower=G) == [G]
+    assert enumerate_levis(d) == levi_lattice(d)
+    assert enumerate_levis(d, lower=M0) == levi_lattice(d)
+    assert enumerate_levis(d, lower=G) == (G,)
     for L in levi_lattice(d):
         if L.dim == 1:
-            assert enumerate_levis(d, lower=L) == [L, G]
+            assert enumerate_levis(d, lower=L) == (L, G)
+            assert enumerate_levis(d, lower=L) is enumerate_levis(d, lower=L)  # built once per Levi
 
 
 def test_parabolic_counts_match_chamber_counts():
@@ -435,3 +444,70 @@ def test_d_constant_values_match_their_pinned_digest(label):
                     h.update(f"{L1.label} {L.label} {S.label} {None if U is None else U.label}: {c.square} {c.sign}\n".encode())
                     n += 1
     assert (h.hexdigest(), n) == D_CONSTANT_DIGESTS[label]
+
+
+# The Weyl group's exponents m_i: by Orlik and Solomon (Invent. Math. 56, 1980) the flats X of a
+# reflection arrangement satisfy sum_X |mu(X)| t^codim X = prod_i (1 + m_i t).
+EXPONENTS = {
+    "A2": (1, 2),
+    "B2": (1, 3),
+    "G2": (1, 5),
+    "A3": (1, 2, 3),
+    "A1xA3": (1, 1, 2, 3),
+    "G2xG2": (1, 5, 1, 5),
+}
+
+
+def _mobius(d):
+    """mu(M0, L) on the lattice ordered by root sets (reverse inclusion of flats): 1 at M0, and minus
+    the sum over the Levis strictly below L elsewhere."""
+    mu = {}
+    for L in sorted(levi_lattice(d), key=lambda L: len(L.root_subset)):
+        mu[L] = -sum(m for X, m in mu.items() if X.root_subset < L.root_subset) if L.root_subset else 1
+    return mu
+
+
+@pytest.mark.parametrize("label", sorted(EXPONENTS))
+def test_flats_satisfy_orlik_solomon(label):
+    d = build_root_system(label)
+    poincare = [0] * (d.rank + 1)
+    for L, m in _mobius(d).items():
+        poincare[d.rank - L.dim] += abs(m)
+    product = [1]
+    for m in EXPONENTS[label]:
+        product = [a + m * b for a, b in zip(product + [0], [0] + product)]
+    assert poincare == product
+
+
+@pytest.mark.parametrize("label", sorted(EXPONENTS))
+def test_join_has_the_meet_of_the_flats(label):
+    d = build_root_system(label)
+    for L in levi_lattice(d):
+        for S in levi_lattice(d):
+            J = _join(L, S)
+            assert contains(L, J) and contains(S, J)
+            # a_J lies in a_L meet a_S, so equal dimensions make them equal
+            assert J.dim == L.dim + S.dim - rank(L.basis + S.basis), (L.label, S.label)
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "G2", "A3", "A1xA3"])
+def test_split_constants_equal_the_gram_reference(label):
+    d = build_root_system(label)
+    nonzero = 0
+    for L1 in levi_lattice(d):
+        for L in enumerate_levis(d, lower=L1):
+            for S in enumerate_levis(d, lower=L1):
+                for U in [None] + [U for U in enumerate_levis(d, lower=L) if contains(S, U)]:
+                    got = d_constant(L1, L, S, U)
+                    assert got == ref_split_constant(L1, L, S, U), (L1.label, L.label, S.label, U)
+                    nonzero += not got.is_zero()
+    assert nonzero > 0
+
+
+def test_quadconst_product_with_a_zero_factor_is_the_shared_zero():
+    zero, a = QuadConst.zero(), QuadConst.from_square(Fraction(3, 4), -1)
+    assert zero is QuadConst.from_rational(0) is QuadConst.from_square(Fraction(0))
+    for x, y in ((zero, a), (a, zero), (zero, zero)):
+        assert x * y is zero
+    assert a * a == QuadConst.from_square(Fraction(9, 16))
+    assert a * QuadConst.one() == a

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from fraction_refs import ref_coords_in_basis
+from fraction_refs import ref_coords_in_basis, ref_n_constant
 
 from gmcalc.errors import NotARoot, NotChamberStabilizer, NotSubsystem
 from gmcalc.gmfamily import ScalarRootFns
@@ -15,6 +15,8 @@ from gmcalc.spectral import (
     discrete_constants,
     enumerate_spectral_triples,
     n_beta,
+    n_constant,
+    nl_elementary,
     reflections_in_core,
     tau_class,
     tempext_check,
@@ -159,6 +161,24 @@ def test_discrete_constants_match_elementary_symmetric(nl_elementary):
         for t, L in pairs
         if t.levi_L.dim - L.dim <= 2
     )
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "G2", "A3", "A1xA3"])
+def test_n_constant_equals_the_subset_rank_reference(label):
+    d = build_root_system(label)
+    nontrivial = 0
+    for triple in enumerate_spectral_triples(d):
+        # the class's own n_beta (zeros included), then a distinct n per ray, so that every basis
+        # weighs differently and a dropped or doubled subset shows
+        distinct = {ray.key: Fraction(k + 1, 3) for k, ray in enumerate(restricted_rays(triple.levi_L))}
+        for t in (triple, tau_class(triple, distinct)):
+            for L in enumerate_levis(d, lower=t.levi_L):
+                want = ref_n_constant(t, L)
+                assert n_constant(t, L) == want, (label, t, L.label)
+                if t.levi_L.dim - L.dim <= 2:
+                    assert nl_elementary(t, L) == want, (label, t, L.label)
+                nontrivial += want not in (0, 1)
+    assert nontrivial > 0
 
 
 def test_tempext_a1_exact_cancellation():
