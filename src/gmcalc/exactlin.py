@@ -6,8 +6,8 @@ Everything here is pure and deterministic; no floating point.
 Invariant: normalised ``Fraction``s in and out, integer arithmetic inside.
 The products (``sym_pair``, ``mat_vec``) accumulate integer numerators over
 one running denominator, and everything built on elimination (``rref``,
-``rank``, ``kernel``, ``solve``, ``mat_inv``, ``det``) is fraction-free
-(Bareiss 1968) on integer rows.
+``kernel``, ``solve``, ``mat_inv``, ``det``) is fraction-free (Bareiss
+1968) on integer rows.
 Each result entry becomes a ``Fraction`` once, at the end, so it costs one
 gcd instead of one per multiply and add.  Only the entrywise helpers
 ``vadd``, ``vsub`` and ``vscale`` use ``Fraction``s.
@@ -15,8 +15,9 @@ gcd instead of one per multiply and add.  Only the entrywise helpers
 Hot exact kernels skip the ``Fraction`` ends as well: ``int_row`` and
 ``int_mat`` write rationals as integer rows over one positive denominator,
 ``solve`` returns its solution that way, ``int_mat_vec``, ``idot``,
-``int_det``, ``int_gram_det``, ``int_normal`` and ``int_primitive`` work on
-those rows alone, and ``ratio_vec`` turns a row back into ``Fraction``s.
+``int_det``, ``int_gram_det``, ``int_rank``, ``int_normal`` and
+``int_primitive`` work on those rows alone, and ``ratio_vec`` turns a row
+back into ``Fraction``s.
 With one positive denominator, signs and the lexicographic order of the
 numerators are those of the rationals.
 """
@@ -289,10 +290,6 @@ def int_rank(rows: Sequence[Sequence[int]]) -> int:
     if not rows:
         return 0
     return len(_eliminate(list(rows), len(rows[0]))[0])
-
-
-def rank(rows: Sequence[Vec]) -> int:
-    return int_rank(_int_rows(rows)[0])
 
 
 def kernel(rows: Sequence[Vec], n: int) -> list[Vec]:

@@ -58,9 +58,9 @@ from .levilattice import (
     coord_map,
     flat_coords,
     flat_projector,
+    form_signs,
     limit_frame,
     parabolics,
-    ray_signs,
     rays_in,
     restricted_rays,
     theta,
@@ -109,10 +109,8 @@ def orthogonal_set(M: Levi, T: RatVec) -> OrthogonalSet:
     """Weyl translates of a dominant point, projected chamber-wise to a_M; a cell's maps are compared on every call."""
     d = M.datum
     t, t_den = int_row(T.coords)
-    gram, _ = d.int_gram
-    # the simple roots are the unit vectors, so row k of the form pairs simple root k with T
-    for k, i in enumerate(d.simple):
-        if idot(gram[k], t) < 0:
+    for i, s in zip(d.simple, form_signs(d, [d.root_forms[i] for i in d.simple], t)):
+        if s < 0:
             raise NotDominant(f"point pairs negatively with simple root {i}")
     maps, den = cell_maps(M)
     rows = []
@@ -421,7 +419,7 @@ def split_subsets(
         rel = [[a * s_den - b * m_den for a, b in zip(ra, rb)] for ra, rb in zip(pm, ps)]
         candidates = []
         rays = rays_in(L1, S)
-        signs = ray_signs(d, [ray.rep for ray in rays])(int_row(Q1.chamber_point.coords)[0])
+        signs = form_signs(d, [ray.form for ray in rays], int_row(Q1.chamber_point.coords)[0])
         for ray, sign in zip(rays, signs):
             neg = ray if sign < 0 else -ray
             dual, dual_den = int_row(neg.dual.coords)
@@ -512,13 +510,14 @@ def induced_family_value(
     L1 = fns.levi
     d = L1.datum
     chambers = parabolics(L1)
+    rays = restricted_rays(L1)
     seg_nodes, seg_weights = np.polynomial.legendre.leggauss(32)
     rule = (seg_nodes.astype(complex), seg_weights)
     theta_at_dir = {Qp.index: float(theta(Qp, direction)) for Qp in chambers}
     ev0 = _lam_evaluator(d, lam0)
     # keep the circle well inside the disc where every member stays off its poles
     margin = None
-    for ray in restricted_rays(L1):
+    for ray in rays:
         dual = ray.dual
         z0 = abs(ev0(dual))
         step = abs(complex(d.pair(direction, dual)))
@@ -531,11 +530,11 @@ def induced_family_value(
     # positive on Qp and negative on P, of the density integrated from
     # <lam0, dual> to <lam0 + zeta, dual>.  Only the end point moves along the
     # circle, so each factor's density, dual row and start point are fixed here.
+    p_signs = form_signs(d, [ray.form for ray in rays], int_row(P.chamber_point.coords)[0])
     factors = {}
     for Qp in chambers:
         rows = []
-        for ray, sp in zip(restricted_rays(L1), Qp.signs):
-            sq = d.pair(ray.rep, P.chamber_point)
+        for ray, sp, sq in zip(rays, Qp.signs, p_signs):
             if not (sp > 0 > sq) and not (sp < 0 < sq):
                 continue
             pos = ray if sp > 0 else -ray

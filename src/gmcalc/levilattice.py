@@ -11,12 +11,12 @@ questions about them, and each is built once and kept on its owner: the
 lattice of Levi subgroups on the RootDatum (``d.lattice``); the coordinate
 map and projector, projected roots, projected rho_check orbit, rays,
 chambers, hull-limit frame, relative bases and splitting constants on the
-Levi.  Each ray keeps its dual, and ``-ray`` is its other side with that
-side's dual, so ``simple_restricted`` hands out signed rays.  Each chamber
-keeps the sign pattern of the rays on it, and ``chamber_at`` finds a
-point's chamber by that pattern.  ``rays_in(L1, S)`` lists the rays of a_L1
-vanishing on a_S.  There is no module-level cache, so two data built from
-the same label own separate lattices.
+Levi.  Each ray keeps its dual and its form, and ``-ray`` is its other side
+with that side's dual and form, so ``simple_restricted`` hands out signed
+rays.  Each chamber keeps the sign pattern of the rays on it, and
+``chamber_at`` finds a point's chamber by that pattern.  ``rays_in(L1, S)``
+lists the rays of a_L1 vanishing on a_S.  There is no module-level cache, so
+two data built from the same label own separate lattices.
 
 Each flat runs one Gram solve (``coord_map``), and every projection onto
 it is read off that solve's integer projector (``flat_projector``): the
@@ -24,8 +24,10 @@ projected roots, the projected rho_check orbit, the pole directions of the
 contour plan and, as P_M - P_S, the duals of the splitting sum.
 
 Three facts come from one integer route each, on rows over one positive
-denominator (``exactlin.int_row``): the sign of a ray at a point from
-``ray_signs``, the basis coordinates of a point of a flat (or None off it)
+denominator (``exactlin.int_row``): the signs of root or ray walls at a point
+from ``form_signs``, over the forms built once per datum
+(``RootDatum.root_forms``) and once per ray (``Ray.form``, S times the ray's
+direction), the basis coordinates of a point of a flat (or None off it)
 from ``flat_coords`` on the flat's ``coord_map``, and the projection of
 every root from ``projected_roots``, which the rays and the cell maps of
 the hull-limit frame both read.  The projected orbit that chamber
@@ -43,7 +45,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, prod
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .errors import DimensionError, IncompleteInput, InternalInconsistency, NotComparable
 from .exactlin import (
@@ -184,17 +186,18 @@ class Levi:
 class Ray:
     """One +- pair of restricted-root rays on a_M, seen from one side.
 
-    key and members name the pair; rep and dual are the side's.  The rays of
-    restricted_rays are the + sides, and -ray is the - side.
+    key and members name the pair; rep, dual and form are the side's.  The
+    rays of restricted_rays are the + sides, and -ray is the - side.
     """
 
     key: Vec                       # primitive direction of the + side
     rep: RatVec                    # reduced restricted root on this side
     dual: RatVec                   # 2 rep / <rep, rep>
     members: tuple[tuple[int, Fraction], ...]   # (ambient root index, scalar c with proj = c * key)
+    form: tuple[int, ...]          # S times the side's primitive direction, over int_gram's denominator
 
     def __neg__(self) -> "Ray":
-        return Ray(self.key, -self.rep, -self.dual, self.members)
+        return Ray(self.key, -self.rep, -self.dual, self.members, tuple(-x for x in self.form))
 
 
 class ParabolicChamber:
@@ -243,8 +246,7 @@ class ThetaValue:
 
 def _vanishing_subset(d: RootDatum, basis_rows: Sequence[Vec]) -> frozenset[int]:
     """The indices of the roots that vanish on every basis row."""
-    sign = ray_signs(d, d.roots)
-    patterns = [sign(int_row(b)[0]) for b in basis_rows]
+    patterns = [form_signs(d, d.root_forms, int_row(b)[0]) for b in basis_rows]
     return frozenset(i for i in range(len(d.roots)) if not any(p[i] for p in patterns))
 
 
@@ -350,9 +352,10 @@ def group_rays(d: RootDatum, vectors: Iterable[tuple[int, Sequence[int]]], den: 
     for key in sorted(groups):
         members = tuple(sorted(groups[key]))
         cmin = min(abs(c) for _, c in members)
-        norm = Fraction(idot(key, int_mat_vec(gram, key)), gram_den)  # <key, key>
+        form = int_mat_vec(gram, key)
+        norm = Fraction(idot(key, form), gram_den)  # <key, key>
         fkey = tuple(map(Fraction, key))
-        rays.append(Ray(fkey, RatVec(vscale(cmin, fkey)), RatVec(vscale(2 / (cmin * norm), fkey)), members))
+        rays.append(Ray(fkey, RatVec(vscale(cmin, fkey)), RatVec(vscale(2 / (cmin * norm), fkey)), members, form))
     return tuple(rays)
 
 
@@ -409,23 +412,17 @@ def rays_in(L1: Levi, S: Levi) -> list[Ray]:
     return [ray for ray in restricted_rays(L1) if ray.members[0][0] in S.root_subset]
 
 
-def ray_signs(d: RootDatum, reps: Iterable[RatVec]) -> Callable[[Sequence[int]], tuple[int, ...]]:
-    """The signs of the forms <rep, .> at a point: 1, -1, or 0 where the point lies on a rep's wall.
+def form_signs(d: RootDatum, forms: Iterable[Sequence[int]], x: Sequence[int]) -> tuple[int, ...]:
+    """The sign of each form at the point with integer numerators x over any positive denominator: 1, -1,
+    or 0 where the point lies on the form's wall.
 
-    The returned function takes the point's integer numerators over any
-    positive denominator.  Each form S rep is kept as an integer row over a
-    positive denominator, so the signs are those of the rational pairings.
+    The forms are rows of ``d.root_forms`` or ``Ray.form``, integer rows over
+    the form's one positive denominator, so the signs are those of the
+    rational pairings.
     """
-    gram, _ = d.int_gram
-    forms = [int_mat_vec(gram, int_row(rep)[0]) for rep in reps]
-    n = d.rank
-
-    def signs(x: Sequence[int]) -> tuple[int, ...]:
-        if len(x) != n:
-            raise DimensionError(f"expected vectors of length {n}")
-        return tuple((p > 0) - (p < 0) for p in (idot(f, x) for f in forms))
-
-    return signs
+    if len(x) != d.rank:
+        raise DimensionError(f"expected vectors of length {d.rank}")
+    return tuple((p > 0) - (p < 0) for p in (idot(f, x) for f in forms))
 
 
 def _witnesses(M: Levi, rays: Sequence[Ray]) -> dict[tuple[int, ...], RatVec]:
@@ -434,10 +431,10 @@ def _witnesses(M: Levi, rays: Sequence[Ray]) -> dict[tuple[int, ...], RatVec]:
     if not rays:
         return {(): RatVec(combine([1] * M.dim, M.basis, d.rank))}
     orbit, den = projected_orbit(M)
-    sign = ray_signs(d, [ray.rep for ray in rays])
+    forms = [ray.form for ray in rays]
     best: dict[tuple[int, ...], RatVec] = {}
     for x in orbit:  # sorted, so each pattern first meets its least point, and in witness order
-        key = sign(x)
+        key = form_signs(d, forms, x)
         if 0 not in key and key not in best:
             best[key] = RatVec(ratio_vec(x, den))
     if not best:
@@ -508,7 +505,7 @@ def adjacent_chambers(M: Levi) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
 
 def chamber_at(M: Levi, point: RatVec) -> ParabolicChamber:
     """The chamber of P(M) whose stored ray signs the point has."""
-    signs = ray_signs(M.datum, [ray.rep for ray in restricted_rays(M)])(int_row(point.coords)[0])
+    signs = form_signs(M.datum, [ray.form for ray in restricted_rays(M)], int_row(point.coords)[0])
     for P in parabolics(M):
         if P.signs == signs:
             return P
@@ -517,10 +514,10 @@ def chamber_at(M: Levi, point: RatVec) -> ParabolicChamber:
 
 
 def base_chamber(d: RootDatum) -> ParabolicChamber:
-    """The minimal parabolic whose chamber contains the dominant regular point."""
-    sign = ray_signs(d, [d.roots[i] for i in d.pos_indices])
+    """The minimal parabolic whose chamber contains the dominant regular point: its positive roots are
+    the positive roots."""
     for P in parabolics(mzero(d)):
-        if all(s > 0 for s in sign(int_row(P.chamber_point.coords)[0])):
+        if P.positive_roots == d.pos_indices:
             return P
     raise InternalInconsistency("dominant chamber not found")
 
@@ -622,14 +619,14 @@ def flat_coords(M: Levi, x: Sequence[int]) -> tuple[int, ...] | None:
 
 
 def _generic_direction(M: Levi, direction: RatVec | None) -> RatVec:
-    sign = ray_signs(M.datum, [ray.rep for ray in restricted_rays(M)])
+    forms = [ray.form for ray in restricted_rays(M)]
     base = parabolics(M)[0].chamber_point
     if direction is None:
         direction = base
     lam = direction
     step = Fraction(1, 97)
     for _ in range(64):
-        if 0 not in sign(int_row(lam.coords)[0]):
+        if 0 not in form_signs(M.datum, forms, int_row(lam.coords)[0]):
             return lam
         lam = lam + step * base
         step /= 97

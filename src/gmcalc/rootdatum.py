@@ -22,9 +22,10 @@ any caller holds is one of the group's own objects.
 The exact kernels that run once per Weyl element read integer forms: the
 root coordinates (``root_rows``), through which ``int_act`` applies an
 element to integer numerators, and, built on first use, the form as
-integer rows over one denominator (``int_gram``) and the Weyl orbit of
-rho_check as integer rows over one denominator (``rho_orbit``), in
-``weyl`` order.
+integer rows over one denominator (``int_gram``), the forms S alpha of the
+roots as integer rows over that denominator (``root_forms``), which every
+sign test of a root wall reads, and the Weyl orbit of rho_check as integer
+rows over one denominator (``rho_orbit``), in ``weyl`` order.
 """
 from __future__ import annotations
 
@@ -41,6 +42,7 @@ from .exactlin import (
     frac,
     idot,
     int_mat,
+    int_mat_vec,
     int_row,
     mat,
     mat_vec,
@@ -290,6 +292,12 @@ class RootDatum:
     def int_gram(self) -> tuple[tuple[tuple[int, ...], ...], int]:
         """The form as integer rows over one positive denominator."""
         return int_mat(self.gram)
+
+    @cached_property
+    def root_forms(self) -> tuple[tuple[int, ...], ...]:
+        """The forms S alpha of the roots, in root order, as integer rows over ``int_gram``'s denominator."""
+        gram, _ = self.int_gram
+        return tuple(int_mat_vec(gram, r) for r in self.root_rows)
 
     @cached_property
     def rho_orbit(self) -> tuple[tuple[tuple[int, ...], ...], int]:

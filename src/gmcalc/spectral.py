@@ -8,10 +8,15 @@ bounded-extension sweep) is a function of this shadow.
 
 The modeled stabilizer acts on the home flat in its basis coordinates, read
 through the home's integer coordinate map (``levilattice.flat_coords``), and
-every chamber, pole-wall and wall-point test reads ray signs from
-``levilattice.ray_signs``.  The basis sum n^L and its elementary-symmetric
-cross-check read each pole ray once per class, as a primitive integer row
-with its n_beta / 2 over one denominator (``TauClass.pole_rows``).
+every chamber, pole-wall and wall-point test reads the signs of integer
+forms built once per datum (``RootDatum.root_forms``) or per ray
+(``Ray.form``) through ``levilattice.form_signs``.  The chamber of a
+vanishing set is the one holding the least point of rho_check's orbit, which
+is regular, so the chamber-stabilizer test reads the root signs there with
+no chamber search.  The basis sum n^L, its elementary-symmetric cross-check,
+the discreteness span test and the independent pole-ray subsets of the
+bounded-extension sweep read each pole ray once per class, as a primitive
+integer row with its n_beta / 2 over one denominator (``TauClass.pole_rows``).
 """
 from __future__ import annotations
 
@@ -33,10 +38,10 @@ from .exactlin import (
     Mat,
     Vec,
     combine,
+    int_rank,
     int_row,
     kernel,
     primitive_ray,
-    rank as mat_rank,
     rref,
     sym_pair,
 )
@@ -50,11 +55,8 @@ from .levilattice import (
     coord_map,
     flat_coords,
     flat_kernel,
-    group_rays,
+    form_signs,
     levi_lattice,
-    mzero,
-    ray_signs,
-    rays_in,
     restricted_rays,
 )
 from .rootdatum import (
@@ -74,14 +76,15 @@ from .rootdatum import (
 class TauClass:
     """A spectral parameter: vanishing set, chamber-stabilizing r, multiplicity overrides.
 
-    The home Levi (the flat fixed by r) and the facts read off it are built on
-    first use and kept here.
+    r fixes the chamber of the vanishing set's arrangement that holds the
+    least point of rho_check's orbit (``_chamber_test``).  The home Levi (the
+    flat fixed by r) and the facts read off it are built on first use and
+    kept here.
     """
 
     datum: RootDatum
     sigma_roots: frozenset[int]
     r_elem: WeylElement
-    chamber_c: RatVec
     mult: tuple[tuple[Vec, Fraction], ...] = ()  # sorted (ray key, n) overrides
 
     def __repr__(self):
@@ -165,29 +168,26 @@ def _is_closed_subsystem(d: RootDatum, subset: frozenset[int]) -> bool:
     return True
 
 
-def _chamber_test(
-    d: RootDatum, roots: Iterable[int], chamber_c: RatVec | None = None
-) -> tuple[RatVec, Callable[[WeylElement], bool]]:
-    """A chamber of the roots' arrangement and a test for "w fixes it".
+def _chamber_test(d: RootDatum, roots: frozenset[int]) -> Callable[[WeylElement], bool]:
+    """A test for "w fixes the chamber of the roots' arrangement that holds c", c the least point of
+    rho_check's orbit.
 
-    Without a given point the chamber is the one with the lexicographically
-    smallest interior witness.  The roots are closed under negation, so each
-    ray's representative is a root alpha_m, and it pairs with w(c) as
-    w^-1(alpha_m) pairs with c: the test reads the sign of every root at c
-    through the permutation of w^-1.
+    c is regular, so it lies in a chamber of every such arrangement.  The
+    roots are closed under negation, so each wall is the wall of one positive
+    root alpha_m among them, and alpha_m pairs with w(c) as w^-1(alpha_m)
+    pairs with c: the test reads the sign of every root at c through the
+    permutation of w^-1.
     """
-    rays = group_rays(d, ((i, d.root_rows[i]) for i in roots), 1)
-    if chamber_c is None:
-        chamber_c = chambers_of_rays(mzero(d), rays)[0]
-    signs = ray_signs(d, d.roots)(int_row(chamber_c.coords)[0])
-    reps = [next(i for i, _ in ray.members if d.roots[i] == ray.rep) for ray in rays]
+    orbit, _ = d.rho_orbit
+    signs = form_signs(d, d.root_forms, min(orbit))
+    reps = [m for m in d.pos_indices if m in roots]
     base = [signs[m] for m in reps]
 
     def fixes(w: WeylElement) -> bool:
         back = invert(w.perm)
         return [signs[back[m]] for m in reps] == base
 
-    return chamber_c, fixes
+    return fixes
 
 
 def build_spectral_triple(
@@ -205,13 +205,13 @@ def build_spectral_triple(
             raise NotSubsystem(f"root index {i!r} is not an integer in 0..{len(ambient.roots) - 1}")
     if not _is_closed_subsystem(ambient, subset):
         raise NotSubsystem("vanishing set is not reflection-closed and symmetric")
-    chamber_c, fixes = _chamber_test(ambient, subset)
+    fixes = _chamber_test(ambient, subset)
     r = element_from_word(ambient, r_word, by_root_index=True)
     if any(r.perm[i] not in subset for i in subset):
         raise NotChamberStabilizer("r does not permute the vanishing set")
     if not fixes(r):
         raise NotChamberStabilizer("r moves the chosen chamber")
-    return TauClass(ambient, subset, r, chamber_c)
+    return TauClass(ambient, subset, r)
 
 
 def tau_class(t: TauClass, mult: Mapping[Vec, Fraction] | None = None) -> TauClass:
@@ -225,13 +225,8 @@ def tau_class(t: TauClass, mult: Mapping[Vec, Fraction] | None = None) -> TauCla
 
 def _restriction_spans(t: TauClass, upper: Levi) -> bool:
     """Do the pole rays lying in `upper` span the part of a_home orthogonal to a_upper?"""
-    home = t.levi_L
-    need = home.dim - upper.dim
-    if need == 0:
-        return True
-    nb = t.nbeta
-    vecs = [ray.rep.coords for ray in rays_in(home, upper) if nb[ray.key] != 0]
-    return bool(vecs) and mat_rank(vecs) == need
+    rays, _ = _in_levi(t, upper)
+    return int_rank([row for _, row in rays]) == t.levi_L.dim - upper.dim
 
 
 def _brute_force_discrete(t: TauClass, upper: Levi) -> bool:
@@ -369,7 +364,7 @@ def _k_constant(t: TauClass, L_levi: Levi) -> int:
     generated by r and the reflections in the vanishing roots of L."""
     d = t.datum
     roots = t.sigma_roots & L_levi.root_subset
-    _, fixes = _chamber_test(d, roots, t.chamber_c)
+    fixes = _chamber_test(d, roots)
     r = t.r_elem.perm
     wsig = d.subgroup([d.reflection_perms[i] for i in roots] + [r])
     return sum(1 for w in wsig if fixes(w) and compose(w.perm, r) == compose(r, w.perm))
@@ -403,10 +398,10 @@ def _on_home(t: TauClass, w: WeylElement) -> Mat | None:
 def chamber_transitivity(t: TauClass) -> bool:
     """Does the modeled stabilizer reach every pole-ray chamber from the first one?"""
     d = t.datum
-    sign = ray_signs(d, [ray.rep for ray in t.tau_rays])
+    forms = [ray.form for ray in t.tau_rays]
     points = [int_row(p.coords)[0] for p in t.pole_chambers]
-    patterns = {sign(x) for x in points}
-    reached = {sign(int_act(d, u.lift, points[0])) for u in t.core}
+    patterns = {form_signs(d, forms, x) for x in points}
+    reached = {form_signs(d, forms, int_act(d, u.lift, points[0])) for u in t.core}
     return reached == patterns
 
 
@@ -450,10 +445,11 @@ def tempext_check(
     rays = t.tau_rays
     records = []
     subsets = []
+    ray_rows = [(ray, row) for ray, (_, _, row) in zip(rays, t.pole_rows[0])]
     for size in range(1, home.dim + 1):
-        for combo in combinations(rays, size):
-            if mat_rank([r.rep.coords for r in combo]) == len(combo):
-                subsets.append(combo)
+        for combo in combinations(ray_rows, size):
+            if int_rank([row for _, row in combo]) == size:
+                subsets.append(tuple(ray for ray, _ in combo))
     if not subsets:
         subsets = [()]
     # the float forms of the core and of each ray's dual pairing, built once per class
@@ -507,14 +503,14 @@ def _wall_points(t: TauClass, wall: Ray) -> list[RatVec]:
         (Fraction(2, 3), Fraction(-1, 5), Fraction(1, 11), Fraction(-1, 17)),
         (Fraction(1, 2), Fraction(1, 9), Fraction(-1, 4), Fraction(1, 19)),
     ]
-    sign = ray_signs(d, [o.rep for o in others])
+    forms = [o.form for o in others]
     for ws in weights:
         cand = RatVec(combine(ws, wall_vecs, d.rank))
         tries = 0
-        while 0 in sign(int_row(cand.coords)[0]) and tries < 20:
+        while 0 in form_signs(d, forms, int_row(cand.coords)[0]) and tries < 20:
             cand = cand + Fraction(1, 23 + 4 * tries) * RatVec(wall_vecs[0])
             tries += 1
-        if 0 not in sign(int_row(cand.coords)[0]):
+        if 0 not in form_signs(d, forms, int_row(cand.coords)[0]):
             points.append(cand)
     return points or [RatVec(wall_vecs[0])]
 
@@ -562,9 +558,9 @@ def enumerate_spectral_triples(d: RootDatum) -> tuple[TauClass, ...]:
     if d.tau_classes is None:
         classes = []
         for subset in closed_subsystems(d):
-            chamber_c, fixes = _chamber_test(d, subset)
+            fixes = _chamber_test(d, subset)
             classes.extend(
-                TauClass(d, subset, w, chamber_c)
+                TauClass(d, subset, w)
                 for w in weyl_group(d)
                 if all(w.perm[i] in subset for i in subset) and fixes(w)
             )

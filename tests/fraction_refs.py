@@ -1,16 +1,17 @@
 """Fraction references for the integer routes to products, projections, ray signs, flat coordinates,
-restricted rays, splitting constants and the basis sums n^L.
+restricted rays, splitting constants, the basis sums n^L and the chamber-stabilizer test with k^L.
 
-Each is the route the package ran on ``Fraction``s before its integer rows
-and lattice facts, kept here so the tests can compare the two on every Levi.
+Each is the route the package ran on ``Fraction``s, or by a chamber search,
+before its integer rows and lattice facts, kept here so the tests can
+compare the two on every Levi.
 """
 from fractions import Fraction
 from itertools import combinations
 from math import lcm, prod
 
-from gmcalc.exactlin import gram_matrix, mat_vec, rank, transpose, vscale
-from gmcalc.levilattice import QuadConst, Ray, _rel_basis, rays_in
-from gmcalc.rootdatum import RatVec
+from gmcalc.exactlin import gram_matrix, int_mat, int_rank, mat_vec, transpose, vscale
+from gmcalc.levilattice import QuadConst, Ray, _rel_basis, chambers_of_rays, group_rays, mzero, rays_in
+from gmcalc.rootdatum import RatVec, compose, invert
 
 
 def ref_mat_mul(a, b):
@@ -64,10 +65,12 @@ def ref_restricted_rays(M):
             j = next(k for k, x in enumerate(key) if x)
             groups.setdefault(key, []).append((i, v[j] / key[j]))
     rays = []
+    _, den = d.int_gram
     for key in sorted(groups):
         members = tuple(sorted(groups[key]))
         rep = RatVec(vscale(min(abs(c) for _, c in members), key))
-        rays.append(Ray(key, rep, RatVec(vscale(Fraction(2) / d.pair(rep, rep), rep.coords)), members))
+        form = tuple(int(x * den) for x in mat_vec(d.gram, key))
+        rays.append(Ray(key, rep, RatVec(vscale(Fraction(2) / d.pair(rep, rep), rep.coords)), members, form))
     return tuple(rays)
 
 
@@ -110,7 +113,36 @@ def ref_n_constant(t, L):
         (
             prod((t.nbeta[ray.key] / 2 for ray in subset), start=Fraction(1))
             for subset in combinations(rays_in(t.levi_L, L), need)
-            if rank([ray.rep.coords for ray in subset]) == need
+            if int_rank(int_mat([ray.rep.coords for ray in subset])[0]) == need
         ),
         Fraction(0),
     )
+
+
+def ref_chamber_test(d, roots, chamber_c=None):
+    """The chamber point and "w fixes its chamber" test by the chamber search: the roots' rays grouped,
+    the first chamber witness of their arrangement on M0 unless a point is given, each ray's member
+    root equal to its rep, and the sign of every root at the point by Fraction pairings."""
+    rays = group_rays(d, ((i, d.root_rows[i]) for i in roots), 1)
+    if chamber_c is None:
+        chamber_c = chambers_of_rays(mzero(d), rays)[0]
+    signs = [(p > 0) - (p < 0) for p in (d.pair(r, chamber_c) for r in d.roots)]
+    reps = [next(i for i, _ in ray.members if d.roots[i] == ray.rep) for ray in rays]
+    base = [signs[m] for m in reps]
+
+    def fixes(w):
+        back = invert(w.perm)
+        return [signs[back[m]] for m in reps] == base
+
+    return chamber_c, fixes
+
+
+def ref_k_constant(t, L):
+    """k^L with the chamber of the class's vanishing set found by the chamber search."""
+    d = t.datum
+    chamber_c, _ = ref_chamber_test(d, t.sigma_roots)
+    roots = t.sigma_roots & L.root_subset
+    _, fixes = ref_chamber_test(d, roots, chamber_c)
+    r = t.r_elem.perm
+    wsig = d.subgroup([d.reflection_perms[i] for i in roots] + [r])
+    return sum(1 for w in wsig if fixes(w) and compose(w.perm, r) == compose(r, w.perm))

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 
 from gmcalc import exactlin, levilattice
 from gmcalc.config import load_config
-from gmcalc.errors import FamilyNotSmooth, InternalInconsistency, NotDominant
-from gmcalc.exactlin import int_mat, rank
+from gmcalc.errors import DimensionError, FamilyNotSmooth, InternalInconsistency, NotDominant
+from gmcalc.exactlin import int_mat, int_rank
 from gmcalc.gmfamily import (
     ExpPolyFamily,
     OrthogonalSet,
@@ -45,6 +45,7 @@ from gmcalc.levilattice import (
     restricted_rays,
 )
 from gmcalc.rootdatum import RatVec, RootDatum, act, build_root_system, weyl_group
+from gmcalc.spectral import enumerate_spectral_triples
 from gmcalc.suites import suite_hull_limit
 
 
@@ -106,7 +107,8 @@ def test_validate_rejects_reversed_and_bent_differences(label):
     negated = [-p for p in points]  # every difference stays on its wall ray's line and changes sign
     units = [RatVec.of([int(k == a) for k in range(d.rank)]) for a in range(d.rank)]
     bent = list(points)
-    bent[j] = points[j] + Fraction(1, 3) * next(e for e in units if rank([e.coords, wall]) == 2)  # off the wall ray
+    off_wall = next(e for e in units if int_rank(int_mat([e.coords, wall])[0]) == 2)
+    bent[j] = points[j] + Fraction(1, 3) * off_wall
     for moved in (negated, bent):
         with pytest.raises(InternalInconsistency, match="adjacent difference not a nonnegative coroot multiple"):
             OrthogonalSet(M, tuple(moved)).validate()
@@ -118,6 +120,10 @@ def test_orthogonal_set_requires_dominance():
     d = build_root_system("A2")
     with pytest.raises(NotDominant):
         orthogonal_set(mzero(d), -1 * (d.fund_coweights[0]))
+    # a point of the wrong length is rejected, not cut to the rank
+    for T in (RatVec.of([1, 2, 5]), RatVec.of([1])):
+        with pytest.raises(DimensionError):
+            orthogonal_set(mzero(d), T)
 
 
 # -- hull volumes ------------------------------------------------------------
@@ -247,7 +253,7 @@ def hull(pts, n):
 
 
 def ref_volume(pts, n):
-    if rank([tuple(x - y for x, y in zip(p, pts[0])) for p in pts]) < n:
+    if int_rank(int_mat([tuple(x - y for x, y in zip(p, pts[0])) for p in pts])[0]) < n:
         return Fraction(0)
     return (ref_length, ref_area, ref_volume_3d)[n - 1](pts)
 
@@ -394,24 +400,24 @@ def _count_builds(monkeypatch, name, slot):
     return lambda: {key: n for key, n in counts.items() if key is not None}
 
 
-def _count_orbit_builds(monkeypatch):
-    """Count, per datum, the builds of the cached RootDatum.rho_orbit."""
+def _count_datum_builds(monkeypatch, name):
+    """Count, per datum, the builds of the cached RootDatum attribute name."""
     counts = Counter()
-    build = RootDatum.__dict__["rho_orbit"].func
+    build = RootDatum.__dict__[name].func
 
     def counted(d):
         counts[id(d)] += 1
         return build(d)
 
     prop = cached_property(counted)
-    prop.__set_name__(RootDatum, "rho_orbit")
-    monkeypatch.setattr(RootDatum, "rho_orbit", prop)
+    prop.__set_name__(RootDatum, name)
+    monkeypatch.setattr(RootDatum, name, prop)
     return counts
 
 
 def _count_integer_frames(monkeypatch):
     """The build counters of the rho_check orbit and of each Levi's projected orbit and integer frame."""
-    orbits = _count_orbit_builds(monkeypatch)
+    orbits = _count_datum_builds(monkeypatch, "rho_orbit")
     frames = {slot: _count_builds(monkeypatch, name, slot)
               for name, slot in (("projected_orbit", "_orbit"), ("cell_maps", "_cell_maps"), ("coord_map", "_coord_map"))}
     return orbits, lambda: {slot: count() for slot, count in frames.items()}
@@ -464,6 +470,17 @@ def test_second_datum_builds_its_own_frames(monkeypatch):
     proper = {id(M): 1 for M in levi_lattice(second) if M.dim}
     every = {id(M): 1 for M in levi_lattice(second)}
     assert frames() == {"_orbit": proper, "_cell_maps": every, "_coord_map": every}
+
+
+def test_root_forms_built_once_per_datum(monkeypatch):
+    forms = _count_datum_builds(monkeypatch, "root_forms")
+    first, second = build_root_system("A3"), build_root_system("A3")
+    for d in (first, second):
+        levi_lattice(d)
+        homes = {t.levi_L for t in enumerate_spectral_triples(d)}
+        assert homes <= set(levi_lattice(d))
+    assert forms == {id(first): 1, id(second): 1}
+    assert second.root_forms is not first.root_forms and second.root_forms == first.root_forms
 
 
 # -- family limits -----------------------------------------------------------

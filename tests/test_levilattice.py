@@ -12,7 +12,7 @@ from fraction_refs import (
     ref_split_constant,
 )
 from gmcalc.errors import DimensionError, NotComparable
-from gmcalc.exactlin import int_mat, int_row, mat_vec, rank, vadd, zeros
+from gmcalc.exactlin import int_mat, int_rank, int_row, mat_vec, vadd, zeros
 from gmcalc.levilattice import (
     QuadConst,
     _join,
@@ -26,12 +26,12 @@ from gmcalc.levilattice import (
     enumerate_levis,
     flat_coords,
     flat_projector,
+    form_signs,
     gfull,
     levi_by_label,
     levi_lattice,
     mzero,
     parabolics,
-    ray_signs,
     restricted_rays,
     simple_restricted,
     theta,
@@ -233,11 +233,14 @@ def test_stored_sign_pattern_matches_fresh(label):
     d = build_root_system(label)
     for M in levi_lattice(d):
         rays = restricted_rays(M)
-        sign = ray_signs(d, [r.rep for r in rays])
+        forms = [r.form for r in rays]
         for P in parabolics(M):
             fresh = tuple(1 if d.pair(r.rep, P.chamber_point) > 0 else -1 for r in rays)
             assert P.signs == fresh == ref_sign_pattern(d, rays, P.chamber_point)
-            assert sign(int_row(P.chamber_point.coords)[0]) == fresh
+            x = int_row(P.chamber_point.coords)[0]
+            assert form_signs(d, forms, x) == fresh
+            # -ray carries the other side's form: every wall ray, on its chamber's side, is positive there
+            assert set(form_signs(d, [a.form for a in simple_restricted(P)], x)) <= {1}
 
 
 def test_d_constant_memo_matches_fresh_computation_on_a3():
@@ -373,7 +376,7 @@ def test_integer_routes_equal_the_fraction_references(label, gram):
         proj = ref_projector(M.basis, d.gram)
         # the projected roots and probes, and the chamber points, lie on the flat; roots off it do not
         on_flat = [RatVec(mat_vec(proj, v.coords)) for v in ambient] + [P.chamber_point for P in parabolics(M)]
-        sign = ray_signs(d, [r.rep for r in rays])
+        forms = [r.form for r in rays]
         _, c, _, _, _ = coord_map(M)
         off = 0
         for v in ambient + on_flat:
@@ -384,7 +387,7 @@ def test_integer_routes_equal_the_fraction_references(label, gram):
                 off += 1
             else:
                 assert got is not None and tuple(Fraction(y, c * den) for y in got) == want, (M.label, v)
-            assert sign(x) == ref_sign_pattern(d, rays, v), (M.label, v)
+            assert form_signs(d, forms, x) == ref_sign_pattern(d, rays, v), (M.label, v)
         assert all(flat_coords(M, int_row(v.coords)[0]) is not None for v in on_flat)
         assert (off > 0) == (M.dim < d.rank), M.label
 
@@ -487,7 +490,7 @@ def test_join_has_the_meet_of_the_flats(label):
             J = _join(L, S)
             assert contains(L, J) and contains(S, J)
             # a_J lies in a_L meet a_S, so equal dimensions make them equal
-            assert J.dim == L.dim + S.dim - rank(L.basis + S.basis), (L.label, S.label)
+            assert J.dim == L.dim + S.dim - int_rank(int_mat(L.basis + S.basis)[0]), (L.label, S.label)
 
 
 @pytest.mark.parametrize("label", ["A2", "B2", "G2", "A3", "A1xA3"])

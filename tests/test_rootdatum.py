@@ -43,7 +43,7 @@ def test_product_label():
 
 def test_unknown_label_rejected():
     with pytest.raises(UnsupportedType):
-        build_root_system("F4")
+        build_root_system("Z2")
     with pytest.raises(UnsupportedType):
         build_root_system("A1xA1xA1xA1xA1")
 

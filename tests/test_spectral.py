@@ -1,13 +1,14 @@
 from fractions import Fraction
 
 import pytest
-from fraction_refs import ref_coords_in_basis, ref_n_constant
+from fraction_refs import ref_chamber_test, ref_coords_in_basis, ref_k_constant, ref_n_constant
 
 from gmcalc.errors import NotARoot, NotChamberStabilizer, NotSubsystem
 from gmcalc.gmfamily import ScalarRootFns
 from gmcalc.levilattice import enumerate_levis, gfull, mzero, restricted_rays
 from gmcalc.rootdatum import act, build_root_system, int_act, weyl_group
 from gmcalc.spectral import (
+    _chamber_test,
     build_spectral_triple,
     chamber_transitivity,
     classify_tau,
@@ -308,3 +309,23 @@ def test_classes_built_once_and_overrides_copy():
     assert u is not t and u.sigma_roots == t.sigma_roots and u.r_elem is t.r_elem
     assert u.nbeta[ray.key] == Fraction(3, 2) and before[ray.key] == 1
     assert t.nbeta is before and t.nbeta == {key: 1 for key in before}
+
+
+CHAMBER_DATA = [(g, None) for g in ("A1", "A2", "B2", "G2", "A3", "A1xA3")] + [
+    ("A2", [["1", "-1/2"], ["-1/2", "1"]])
+]
+
+
+@pytest.mark.parametrize("label, gram", CHAMBER_DATA)
+def test_chamber_test_equals_the_chamber_search_reference(label, gram):
+    d = build_root_system(label, gram)
+    orbit, den = d.rho_orbit
+    for roots in closed_subsystems(d):
+        fixes = _chamber_test(d, roots)
+        point, ref = ref_chamber_test(d, roots)
+        # the search found the least orbit point for every non-empty subsystem
+        assert not roots or point.coords == ratio_vec(min(orbit), den), sorted(roots)
+        assert [fixes(w) for w in weyl_group(d)] == [ref(w) for w in weyl_group(d)], sorted(roots)
+    for t in enumerate_spectral_triples(d):
+        for L in enumerate_levis(d, t.levi_L):
+            assert discrete_constants(t, L)["kL"] == ref_k_constant(t, L), (t, L.label)
