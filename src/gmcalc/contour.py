@@ -12,28 +12,41 @@ by their inputs), then builds each distinct grid once and evaluates on it each
 distinct phi and a density table: each distinct pairing <lam, dual> once, and
 on it each distinct density read through that dual, keyed by the density's
 value key and the pairing row gd (so the datum's form is part of the key).
-The nodes lam are then dropped, since only the integrands are left to run and
-a grid's nodes would otherwise stay alive next to its tables (peak memory).
+The nodes lam are dropped once the last pairing is built, since only its
+densities and the integrands are left to run and a grid's nodes would
+otherwise stay alive next to its fullest table (peak memory).
 Every integrand that uses the grid runs, and the grid is dropped before the
 next is built: one grid's arrays are alive at a time.  Last it assembles each
 case.
 
+On a grid, integrals that read the same m-term sum share it: each distinct
+sum is computed once, and each distinct phi times it is integrated once.
+
 Report residuals near 1e-19 keep the bits of the per-integral evaluation
-only if every product keeps its operand order.  numpy computes a * b in place
-into a when a is a temporary of 256 KiB or more that nothing else references;
-if only b is such a temporary it writes into b and computes b * a, and array
-complex products are not bitwise commutative on every host.  So a shared
-array is copied before each product that used to take a fresh one.  A phi
-array is copied before it is multiplied by the m-terms, which keeps the order
-phi * m of the per-integral form phi(gram, lam) * m(lam).  A density from the
-table is copied before it multiplies the partial product val of an m-term,
-so val * fn(<lam, dual>) is still computed in place into the density values.
+only if every product keeps its operand order, because array complex
+products are not bitwise commutative on every host (a * b and b * a differ
+with AVX-512), while the order does not change with the array numpy writes
+into.  So every array product is an explicit ufunc call that states its
+order: np.multiply(density, val, out=val) for each factor of an m-term (the
+order numpy's temporary elision gave val * fn(<lam, dual>) on the 2-d grids,
+the only ones whose terms have two factors), np.multiply(phi, m) for the
+integrand, written into m once no other integral reads it, and
+np.multiply(vals, weight, out=vals) for the quadrature weights.  Point
+values on 0-dimensional flats keep Python complex arithmetic.
+
+Loading this module sets glibc's M_MMAP_THRESHOLD and M_TRIM_THRESHOLD to
+32 MiB.  A grid frees its working set of tens of MB when it is done; with
+the defaults glibc hands that memory back to the kernel and the next grid
+faults it in again.  Setting either value turns off glibc's dynamic
+thresholds, so both are set: on an A2 verify (x86-64, glibc) the minor page
+faults were 191k with neither, 708k with the trim value alone (every array
+is then mmapped), 309k with the mmap value alone and 14k with both.
 """
 from __future__ import annotations
 
+import ctypes
 import math
 import time
-from copy import copy
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -57,6 +70,29 @@ from .rootdatum import RootDatum
 from .spectral import TauClass, n_constant
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
+
+# glibc malloc.h parameter numbers, and the size below which freed memory stays in the heap
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_HEAP_KEEP = 32 << 20
+
+
+def _keep_freed_arrays() -> None:
+    """Keep freed grid arrays in the heap for the next grid (see the module docstring).
+
+    A silent no-op where the C library has no mallopt.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _HEAP_KEEP)
+    mallopt(_M_TRIM_THRESHOLD, _HEAP_KEEP)
+
+
+_keep_freed_arrays()
 
 
 @dataclass(frozen=True)
@@ -393,19 +429,23 @@ def _m_term_data(fns: ScalarRootFns, M: Levi, S: Levi, Q1: ParabolicChamber) -> 
     ]
 
 
-def _density_table(terms: Iterable[_MTermData], lam_coords) -> dict:
+def _density_table(terms: Iterable[_MTermData], lam_coords: list) -> dict:
     """Each distinct density of the terms on the nodes, keyed by (density key, gd).
 
     Each distinct pairing <lam, dual> is computed once, every density read
-    through it is evaluated on it, and it is dropped before the next.
+    through it is evaluated on it, and it is dropped before the next.  The
+    list lam_coords is emptied once the last pairing is built, so the nodes
+    are not alive next to the fullest table (peak memory).
     """
     by_gd: dict[tuple[float, ...], dict] = {}
     for term in terms:
         for fn, _, gd in term.factors:
             by_gd.setdefault(gd, {}).setdefault(fn.key, fn)
     table = {}
-    for gd, fns in by_gd.items():
+    for index, (gd, fns) in enumerate(by_gd.items(), 1):
         z = sum(lam_coords[i] * gd[i] for i in range(len(gd)))
+        if index == len(by_gd):
+            lam_coords.clear()
         for key, fn in fns.items():
             table[key, gd] = fn(z)
     return table
@@ -415,15 +455,19 @@ def _eval_m_terms(terms: list[_MTermData], table: dict) -> np.ndarray | complex:
     """The sum of the m-terms, each factor read from table (see _density_table).
 
     table holds density values as arrays on a grid's nodes, or as complex
-    numbers at a point.  An array is copied before the product, so it stays
-    the operand numpy writes into, as a freshly evaluated density was (see
-    the module docstring); copy returns a point's number as it is.
+    numbers at a point.  An array product is density * val, written into val
+    once val is an array of its own, so the table is never written (see the
+    module docstring).
     """
     total = None
     for term in terms:
         val = term.vol
         for fn, _, gd in term.factors:
-            val = val * copy(table[fn.key, gd])
+            density = table[fn.key, gd]
+            if isinstance(density, np.ndarray):
+                val = np.multiply(density, val, out=val if isinstance(val, np.ndarray) else None)
+            else:
+                val = val * density
         total = val if total is None else total + val
     if total is None:
         return 0j
@@ -612,20 +656,35 @@ def _plan(case_index: int, case: ShiftCase) -> _ShiftPlan:
     return _ShiftPlan(lhs, rhs)
 
 
+def _m_signature(terms: list[_MTermData]) -> tuple:
+    """What _eval_m_terms reads of the terms, in its order: equal signatures, equal sums."""
+    return tuple((term.vol, tuple((fn.key, gd) for fn, _, gd in term.factors)) for term in terms)
+
+
+def _charge(runtimes: list[float], cases: set[int], seconds: float) -> None:
+    """Split seconds evenly over the cases."""
+    share = seconds / len(cases)
+    for case in cases:
+        runtimes[case] += share
+
+
 def _evaluate(integrals: list[_Integral], runtimes: list[float]) -> dict[str, int]:
     """Fill the grid values of every planned integral, grid by grid.
 
     Each distinct grid is built once, and on it each distinct phi and each
     distinct density (with its pairing) is evaluated once; the nodes are
     dropped before the integrands run, and the rest of the grid before the
-    next one is built.  A grid's build, phi and density time is split evenly
-    over the cases that use it.
+    next one is built.  The grid's integrals are grouped by m-term signature
+    and then by phi: each distinct m-term sum is computed once, and each
+    distinct phi times it is integrated once, its value shared by the group.
+    A grid's build, phi and density time is split evenly over the cases that
+    use it, and an m-term sum's time, with its integrands, likewise.
     """
     users: dict[_Grid, list[tuple[_Integral, int]]] = {}
     for it in integrals:
         for slot, grid in enumerate(it.grids):
             users.setdefault(grid, []).append((it, slot))
-    phi_evals = pairings = densities = 0
+    phi_evals = pairings = densities = m_sums = integrands = 0
     for grid, uses in users.items():
         t0 = time.monotonic()
         lam, weight = grid.build()
@@ -638,25 +697,35 @@ def _evaluate(integrals: list[_Integral], runtimes: list[float]) -> dict[str, in
         phi_evals += len(phi_vals)
         pairings += len({gd for _, gd in table})
         densities += len(table)
-        cases = {it.case for it, _ in uses}
-        share = (time.monotonic() - t0) / len(cases)
-        for case in cases:
-            runtimes[case] += share
-        norm = (2 * np.pi) ** len(grid.onb)
+        _charge(runtimes, {it.case for it, _ in uses}, time.monotonic() - t0)
+        by_m: dict[tuple, tuple[list[_MTermData], dict]] = {}
         for it, slot in uses:
+            terms, by_phi = by_m.setdefault(_m_signature(it.terms), (it.terms, {}))
+            by_phi.setdefault((it.d, it.phi), []).append((it, slot))
+        m_sums += len(by_m)
+        norm = (2 * np.pi) ** len(grid.onb)
+        for terms, by_phi in by_m.values():
             t0 = time.monotonic()
-            # a fresh copy keeps phi the operand numpy writes into (see the
-            # module docstring): a shared phi array would make it compute m * phi
-            vals = phi_vals[it.d, it.phi].copy() * _eval_m_terms(it.terms, table)
-            it.values[slot] = complex(np.sum(vals * weight)) / norm
-            runtimes[it.case] += time.monotonic() - t0
-        del weight, phi_vals, table, vals
+            m = _eval_m_terms(terms, table)
+            reads = len(by_phi)
+            for (d, phi), group in by_phi.items():
+                reads -= 1
+                # phi * m, the order of the per-integral form phi(gram, lam) * m(lam)
+                vals = np.multiply(phi_vals[d, phi], m, out=None if reads or not isinstance(m, np.ndarray) else m)
+                value = complex(np.sum(np.multiply(vals, weight, out=vals))) / norm
+                for it, slot in group:
+                    it.values[slot] = value
+            integrands += len(by_phi)
+            _charge(runtimes, {it.case for group in by_phi.values() for it, _ in group}, time.monotonic() - t0)
+        del weight, phi_vals, table, m, vals
     return {
         "lemma_shift.integrals": sum(len(uses) for uses in users.values()),
         "lemma_shift.grids": len(users),
         "lemma_shift.phi_evals": phi_evals,
         "lemma_shift.pairings": pairings,
         "lemma_shift.densities": densities,
+        "lemma_shift.m_sums": m_sums,
+        "lemma_shift.integrands": integrands,
     }
 
 

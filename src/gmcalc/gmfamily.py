@@ -27,6 +27,7 @@ from numbers import Number
 from typing import Callable, Mapping, Sequence
 
 from .errors import (
+    DimensionError,
     FamilyNotSmooth,
     InternalInconsistency,
     NoConvergence,
@@ -72,6 +73,13 @@ from .rootdatum import RatVec, WeylElement, invert
 # orthogonal sets and hulls
 
 
+def _require_rank(levi: Levi, rows: Sequence[Sequence[int]]) -> None:
+    """Points given from outside must have the datum's rank; the integer kernels would cut them."""
+    rank = levi.datum.rank
+    if any(len(x) != rank for x in rows):
+        raise DimensionError(f"expected vectors of length {rank}")
+
+
 class OrthogonalSet:
     """One point per chamber of P(M), adjacent differences along coroot rays.
 
@@ -82,6 +90,7 @@ class OrthogonalSet:
     def __init__(self, levi: Levi, points: Sequence[RatVec]):
         self.levi = levi
         self.rows, self.den = int_mat([p.coords for p in points])
+        _require_rank(levi, self.rows)
 
     @classmethod
     def _of_rows(cls, levi: Levi, rows: Sequence[tuple[int, ...]], den: int) -> "OrthogonalSet":
@@ -203,6 +212,7 @@ class ExpPolyFamily:
         flat = [(c, X.coords) for chamber in terms for c, X in chamber]
         cs, c_den = int_row(c for c, _ in flat)
         xs, x_den = int_mat([x for _, x in flat])
+        _require_rank(levi, xs)
         it = zip(cs, xs)
         self._set(levi, tuple(tuple(next(it) for _ in chamber) for chamber in terms), c_den, x_den)
 

@@ -498,6 +498,8 @@ def test_lemma_shift_counters_and_runtimes_stay_in_the_sidecar(tmp_path):
         "lemma_shift.phi_evals": 43,
         "lemma_shift.pairings": 79,
         "lemma_shift.densities": 166,
+        "lemma_shift.m_sums": 167,
+        "lemma_shift.integrands": 177,
     }
     assert len(timing["runtimes"]) == len(report["checks"]) == 46
     assert all(rt is not None and rt > 0 for rt in timing["runtimes"].values())

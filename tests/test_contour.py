@@ -1,5 +1,7 @@
+import ctypes
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from gmcalc.contour import (
     TestFunction,
     _evaluate,
     _graded_edges,
+    _keep_freed_arrays,
     _plan,
     chamber_below,
     from_scalar_fn,
@@ -270,6 +273,10 @@ def test_grid_major_values_equal_naive_reference(group, wanted):
     assert counters["lemma_shift.grids"] < counters["lemma_shift.integrals"]
     factor_uses = sum(len(it.grids) * len(term.factors) for it in integrals for term in it.terms)
     assert counters["lemma_shift.pairings"] <= counters["lemma_shift.densities"] < factor_uses
+    assert counters["lemma_shift.m_sums"] <= counters["lemma_shift.integrands"] <= counters["lemma_shift.integrals"]
+    if group == "B2":
+        # integrals that share one value are compared with their own naive values
+        assert counters["lemma_shift.integrands"] < counters["lemma_shift.integrals"]
     for it in integrals:
         assert it.values == _naive_values(it)
 
@@ -327,3 +334,23 @@ def test_graded_edges_rejects_non_positive_step(fine):
         _graded_edges(0.0, 8.0, fine, None)
     with pytest.raises(BadShift):
         _graded_edges(-8.0, 8.0, None, fine)
+
+
+def test_allocator_setting_sets_both_thresholds_and_is_a_no_op_without_mallopt(monkeypatch):
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return 1
+
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=mallopt))
+    _keep_freed_arrays()
+    # M_MMAP_THRESHOLD and M_TRIM_THRESHOLD: either alone turns off the dynamic thresholds
+    assert calls == [(-3, 32 << 20), (-1, 32 << 20)]
+
+    def no_library(name):
+        raise OSError("no C library")
+
+    for cdll in (lambda name: SimpleNamespace(), no_library):
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+        _keep_freed_arrays()

@@ -116,6 +116,16 @@ def test_validate_rejects_reversed_and_bent_differences(label):
         OrthogonalSet(M, tuple(points[1:])).validate()
 
 
+def test_orthogonal_set_rejects_points_of_the_wrong_length():
+    # a third coordinate on A2 used to pass validate() and break hull_volume later
+    d = build_root_system("A2")
+    M = mzero(d)
+    points = orthogonal_set(M, dominant_point(d, range(1, d.rank + 1))).points
+    for moved in ([RatVec.of(p.coords + (0,)) for p in points], [RatVec.of(p.coords[:1]) for p in points]):
+        with pytest.raises(DimensionError, match="expected vectors of length 2"):
+            OrthogonalSet(M, tuple(moved))
+
+
 def test_orthogonal_set_requires_dominance():
     d = build_root_system("A2")
     with pytest.raises(NotDominant):
@@ -528,6 +538,17 @@ def test_family_limit_linear():
 
     rhs = float(a) * math.sqrt(float(v1.square)) * v1.sign + float(b) * math.sqrt(float(v2.square)) * v2.sign
     assert float(lhs) == pytest.approx(rhs, abs=1e-12)
+
+
+def test_exp_poly_family_rejects_points_of_the_wrong_length():
+    # a 7 appended to every point used to give the true family's limit, a silent wrong answer
+    d = build_root_system("A2")
+    M0 = mzero(d)
+    fam = ExpPolyFamily.from_orthogonal_set(orthogonal_set(M0, dominant_point(d, range(1, d.rank + 1))))
+    assert ExpPolyFamily(M0, fam.terms).rows == fam.rows
+    longer = [[(c, RatVec.of(X.coords + (7,))) for c, X in chamber] for chamber in fam.terms]
+    with pytest.raises(DimensionError, match="expected vectors of length 2"):
+        ExpPolyFamily(M0, longer)
 
 
 def test_family_limit_weyl_invariant():

@@ -1,7 +1,10 @@
-"""Exact outputs pinned to the benchmark's reference file (read, never written).
+"""Outputs pinned to the benchmark's reference file (read, never written).
 
-Both outputs are exact: every A3 residual of these suites is 0.0 or null,
-and the A1xA3 build fields are counts and digests of labels.
+The exact-a3 report and the A1xA3 build structure are exact: every A3
+residual of those suites is 0.0 or null, and the build fields are counts
+and digests of labels.  The verify-a2 report carries float residuals, so
+its sha pins every float bit of the A2 suites, the contour quadrature
+included.
 """
 import hashlib
 import json
@@ -30,6 +33,12 @@ def test_exact_a3_report_matches_reference(tmp_path):
     assert cli_main(args) == 0
     data = (tmp_path / "report-A3.json").read_bytes()
     assert hashlib.sha256(data).hexdigest() == REFERENCE["exact-a3"]["reports"][DEFAULT_SEED]
+
+
+def test_verify_a2_report_matches_reference(tmp_path):
+    assert cli_main(["verify", "--group", "A2", "--suite", "all", "--out", str(tmp_path)]) == 0
+    data = (tmp_path / "report-A2.json").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == REFERENCE["verify-a2"]["reports"][DEFAULT_SEED]
 
 
 def test_rank4_build_structure_matches_reference():
