@@ -8,10 +8,13 @@ from fractions import Fraction
 from pathlib import Path
 
 from .errors import ConfigError
-from .gmfamily import scalar_fn_from_template
+from .gmfamily import POLE_HIT_RADIUS, scalar_fn_from_template
 
 # the one statement of the config's structural rules; load_config adds only what it cannot state
 _SCHEMA = json.loads(Path(__file__).with_name("config.schema.json").read_text(encoding="utf-8"))
+
+# the least scale of flat_phi and the 1-d battery: tail cutoffs 8/sqrt(scale) <= 32 bound every panel count
+_MIN_SCALE = Fraction(_SCHEMA["properties"]["flat_phi"]["items"]["properties"]["scale"]["minimum"])
 
 # the suites in run order, as the schema lists them after "all"
 ALL_SUITES = tuple(s for s in _SCHEMA["properties"]["suites"]["items"]["enum"] if s != "all")
@@ -171,8 +174,8 @@ def load_config(data: dict | None = None, path: str | Path | None = None, overri
         # a list, not a generator: every coefficient must parse, also after the first non-zero one
         if not any([_rational("test function coefficient", c) for c in tf["poly"]]):
             raise ConfigError(f"test function poly must not be zero, got {tf['poly']!r}")
-        if _rational("test function scale", tf["scale"]) <= 0:
-            raise ConfigError(f"test function scale must be positive, got {tf['scale']!r}")
+        if _rational("test function scale", tf["scale"]) < _MIN_SCALE:
+            raise ConfigError(f"test function scale must be at least {_MIN_SCALE}, got {tf['scale']!r}")
     for entry in merged["flat_phi"]:
         if entry["c0"] == entry["c1"] == entry["c2"] == 0:
             raise ConfigError(f"flat_phi entry must not be zero, got {entry!r}")
@@ -185,6 +188,10 @@ def load_config(data: dict | None = None, path: str | Path | None = None, overri
     ladder = merged["delta_ladder"]
     if not all(a > b for a, b in zip(ladder, ladder[1:])):
         raise ConfigError(f"delta_ladder must strictly decrease, got {ladder!r}")
+    # an excision must leave the pole-hit disc and stay inside the smallest tail cutoff of both batteries
+    scale = max([Fraction(str(tf["scale"])) for tf in merged["test_functions"]] + [e["scale"] for e in merged["flat_phi"]])
+    if not (POLE_HIT_RADIUS <= ladder[-1] and ladder[0] < 8.0 / math.sqrt(scale)):
+        raise ConfigError(f"delta_ladder must lie in [{POLE_HIT_RADIUS}, {8.0 / math.sqrt(scale)}), got {ladder!r}")
     raw = {k: v for k, v in merged.items() if k != "schema"}
     return Config(
         group=merged["group"],

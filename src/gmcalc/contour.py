@@ -30,9 +30,20 @@ into.  So every array product is an explicit ufunc call that states its
 order: np.multiply(density, val, out=val) for each factor of an m-term (the
 order numpy's temporary elision gave val * fn(<lam, dual>) on the 2-d grids,
 the only ones whose terms have two factors), np.multiply(phi, m) for the
-integrand, written into m once no other integral reads it, and
-np.multiply(vals, weight, out=vals) for the quadrature weights.  Point
-values on 0-dimensional flats keep Python complex arithmetic.
+integrand, written into m once no other integral reads it,
+np.multiply(vals, weight, out=vals) for the quadrature weights, and
+np.multiply(prefactor, exponential) in FlatTestFunction (numpy may swap a
+named array times a temporary).  Point values on 0-dimensional flats keep
+Python complex arithmetic.
+
+Integrands run on whole arrays: one call on all panel nodes of a segment
+(_quad_on_panels), one on all nodes of a segment in the analytic route
+(gmfamily._segment_integral), and grid coordinates from broadcast 1-d axes.
+Numpy's complex add, multiply, divide and exp give an element the same bits
+in any layout, broadcast operand or numpy scalar (numpy 2.4, x86-64 with
+AVX-512), so no node's bits move.  Merged reductions would add in another
+order, so each panel stays one np.dot of its 12 nodes, added in panel order,
+and pv_integral, shifted_integral and _axis_integral keep one call per segment.
 
 Loading this module sets glibc's M_MMAP_THRESHOLD and M_TRIM_THRESHOLD to
 32 MiB.  A grid frees its working set of tens of MB when it is done; with
@@ -201,12 +212,13 @@ def _capped(edges: Sequence[float]) -> list[float]:
 
 
 def _quad_on_panels(g: Callable, edges: Sequence[float]) -> complex:
+    """Gauss-Legendre on each panel, g called once on every node; panel sums added in panel order."""
+    a, b = np.array(edges[:-1]), np.array(edges[1:])
+    mids, halves = (a + b) / 2, (b - a) / 2
+    rows = g(mids[:, None] + halves[:, None] * _GL_NODES)
     total = 0j
-    for a, b in zip(edges[:-1], edges[1:]):
-        mid = (a + b) / 2
-        half = (b - a) / 2
-        ts = mid + half * _GL_NODES
-        total += half * np.dot(_GL_WEIGHTS, g(ts))
+    for half, row in zip(halves.tolist(), rows):
+        total += half * np.dot(_GL_WEIGHTS, row)
     return complex(total)
 
 
@@ -383,8 +395,13 @@ class FlatTestFunction:
     def __call__(self, gram, lam_coords):
         gl = self.pair_arrays(gram, lam_coords)
         qq = sum(lam_coords[i] * gl[i] for i in range(len(lam_coords)))
-        lin = sum(self.v0[i] * gl[i] for i in range(len(lam_coords)))
-        return (self.c0 + self.c1 * lin + self.c2 * qq) * np.exp(self.scale * qq)
+        pre = self.c0  # a term with a zero coefficient would add only signed zeros
+        if self.c1 != 0:
+            pre = pre + self.c1 * sum(self.v0[i] * gl[i] for i in range(len(lam_coords)))
+        if self.c2 != 0:
+            pre = pre + self.c2 * qq
+        # pre * np.exp(...) would let numpy write into the temporary exponential and swap the order
+        return np.multiply(pre, np.exp(self.scale * qq))
 
     def cutoff(self) -> float:
         # on imaginary slices <lam, lam> = -|y|^2, so positive scale decays
@@ -456,8 +473,8 @@ def _eval_m_terms(terms: list[_MTermData], table: dict) -> np.ndarray | complex:
 
     table holds density values as arrays on a grid's nodes, or as complex
     numbers at a point.  An array product is density * val, written into val
-    once val is an array of its own, so the table is never written (see the
-    module docstring).
+    once val is an array of its own, and total + val is written into total
+    once total is, so the table is never written (see the module docstring).
     """
     total = None
     for term in terms:
@@ -468,7 +485,10 @@ def _eval_m_terms(terms: list[_MTermData], table: dict) -> np.ndarray | complex:
                 val = np.multiply(density, val, out=val if isinstance(val, np.ndarray) else None)
             else:
                 val = val * density
-        total = val if total is None else total + val
+        if isinstance(total, np.ndarray):
+            np.add(total, val, out=total)
+        else:
+            total = val if total is None else total + val
     if total is None:
         return 0j
     return total
@@ -511,15 +531,16 @@ class _Grid:
                 # smooth axes still need refinement around 0 at the feature scale
                 xs, ws = half_axis(0.0, self.fine_scale)
             axes.append((np.concatenate([-xs[::-1], xs]), np.concatenate([ws[::-1], ws])))
-        mesh = np.meshgrid(*[a[0] for a in axes], indexing="ij")
         weight = axes[0][1]
         for a in axes[1:]:
             weight = np.multiply.outer(weight, a[1])
+        # i*t on each 1-d axis, shaped to broadcast along its own grid axis
+        its = [(1j * xs).reshape([-1 if a == j else 1 for a in range(len(axes))]) for j, (xs, _) in enumerate(axes)]
         lam = []
         for i in range(len(self.onb[0])):
             comp = 0j
-            for axis_index, tgrid in enumerate(mesh):
-                comp = comp + 1j * tgrid * self.onb[axis_index][i]
+            for axis_index, it in enumerate(its):
+                comp = comp + it * self.onb[axis_index][i]
             if self.shift is not None:
                 comp = comp + self.shift[i]
             lam.append(comp)

@@ -301,9 +301,12 @@ class ScalarFn:
         return f"ScalarFn({self.label}, n={self.n})"
 
 
+POLE_HIT_RADIUS = 1e-12  # |z| below this hits a density's pole at 0
+
+
 def density_at(f: ScalarFn, z: complex, beta: RatVec) -> complex:
     """f(z) for the density f of beta; PoleHit where z hits a pole of f at 0."""
-    if f.has_pole0() and abs(z) < 1e-12:
+    if f.has_pole0() and abs(z) < POLE_HIT_RADIUS:
         raise PoleHit(f"density argument hits the pole at 0 along {beta}")
     return f(z)
 
@@ -496,9 +499,7 @@ def _segment_integral(f: ScalarFn, z0: complex, z1: complex, rule) -> complex:
     nodes, weights = rule
     mid = (z0 + z1) / 2
     half = (z1 - z0) / 2
-    zs = mid + half * nodes
-    vals = np.asarray([f(z) for z in zs], dtype=complex)
-    return complex(half * np.dot(weights, vals))
+    return complex(half * np.dot(weights, f(mid + half * nodes)))
 
 
 def induced_family_value(

@@ -314,6 +314,19 @@ BAD_VALUES = [
     # 1e999 reads as inf, which passed every check
     {"tolerances": {"lemma_shift": float("inf")}},
     {"epsilons": [float("inf"), 0.1]},
+    # an OverflowError and a LinAlgError traceback, then 18 failing records: deltas outside [1e-12, cutoff)
+    {"delta_ladder": [1e300, 1e-300, 1e-310]},
+    {"delta_ladder": [0.5, 1e-300, 1e-310]},
+    {"delta_ladder": [20, 10, 9]},
+]
+
+# scales below 1/16 push the tail cutoff 8/sqrt(scale) past 32; 1e-300 added unit panels until memory ran out,
+# so these are loaded only, never run
+BAD_SCALES = [
+    {"flat_phi": [{"c0": 1.0, "c1": 0.0, "c2": 0.0, "scale": 1e-300}]},
+    {"flat_phi": [{"c0": 1.0, "c1": 0.0, "c2": 0.0, "scale": 0.06}]},
+    {"test_functions": [{"poly": ["1"], "scale": "1e-300"}]},
+    {"test_functions": [{"poly": ["1"], "scale": "1/17"}]},
 ]
 
 # once accepted by load_config although the schema rejects them
@@ -462,6 +475,24 @@ def test_schema_rejects_what_load_config_rejects(bad):
         jsonschema.validate(bad, schema)
     with pytest.raises(ConfigError):
         load_config(bad)
+
+
+@pytest.mark.parametrize("bad", BAD_SCALES)
+def test_load_config_rejects_scales_below_a_sixteenth(bad):
+    with pytest.raises(ConfigError, match="scale"):
+        load_config(bad)
+
+
+def test_load_config_accepts_the_boundary_scales_and_ladders():
+    # scale 1/16 gives cutoff 32, the smallest cutoff bounds the ladder from above
+    cfg = load_config({
+        "test_functions": [{"poly": ["1"], "scale": "1/16"}],
+        "flat_phi": [{"c0": 1.0, "c1": 0.0, "c2": 0.0, "scale": 0.0625}],
+        "delta_ladder": [31.5, 1e-12],
+    })
+    assert cfg.delta_ladder == [31.5, 1e-12]
+    with pytest.raises(ConfigError, match="delta_ladder"):
+        load_config({"delta_ladder": [5.66, 0.1]})
 
 
 @pytest.mark.parametrize("group", [5, None])

@@ -6,10 +6,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from float_refs import ref_flat_phi, ref_grid_build, ref_quad_on_panels, same_bits
+from gmcalc import contour
 from gmcalc.config import load_config
 from gmcalc.contour import (
-    _GL_NODES,
-    _GL_WEIGHTS,
     DEFAULT_BATTERY,
     FlatTestFunction,
     MeromorphicLine,
@@ -123,6 +123,29 @@ def test_residue_identity_n_zero_is_cauchy():
     assert rec["pass"]
 
 
+@pytest.mark.parametrize("kind", ["pole", "model"])
+def test_panel_quadrature_keeps_the_per_panel_bits(monkeypatch, kind):
+    # every panel set of the residue-1d identities, on the suite's lines and battery
+    cfg = load_config()
+    batched = contour._quad_on_panels
+    calls = []
+
+    def both(g, edges):
+        got = batched(g, edges)
+        assert same_bits(got, ref_quad_on_panels(g, edges))
+        calls.append(len(edges) - 1)
+        return got
+
+    monkeypatch.setattr(contour, "_quad_on_panels", both)
+    for n in (Fraction(1, 2), Fraction(1), Fraction(2)):
+        line = from_scalar_fn(scalar_fn_from_template({"kind": "pole"} if kind == "pole" else cfg.m_model, n))
+        for phi in DEFAULT_BATTERY:
+            residue_identity_1d(line, phi, cfg.epsilons[0], n, cfg.delta_ladder)
+    # one shifted line and two segments per delta for each identity
+    assert len(calls) == 3 * len(DEFAULT_BATTERY) * (1 + 2 * len(cfg.delta_ladder))
+    assert min(calls) > 1
+
+
 PHI_FLAT = FlatTestFunction(1.0, 0.0, 0.0, 1.0, (0.0, 0.0, 0.0, 0.0))
 
 
@@ -182,39 +205,37 @@ def test_lemma_shift_a1xa1_intermediate_levi():
 # grid-major evaluation against a naive per-integral reference
 
 
-def _naive_grid(g):
-    """A fresh tensor grid from the grid's inputs, one axis at a time."""
-    k = len(g.onb)
+AXES = ((0.6, -0.8, 0.1), (0.3, 0.4, -0.7))
+SHIFT = (0.05, -0.02, 0.03)
 
-    def half_axis(start, fine):
-        edges = _graded_edges(start, g.T, fine, None)
-        xs, ws = [], []
-        for a, b in zip(edges[:-1], edges[1:]):
-            mid, half = (a + b) / 2, (b - a) / 2
-            xs.extend(mid + half * _GL_NODES)
-            ws.extend(half * _GL_WEIGHTS)
-        return np.array(xs), np.array(ws)
 
-    axes = []
-    for axis in range(k):
-        if axis < g.pole_axes:
-            xs, ws = half_axis(g.delta, g.delta)
-        else:
-            xs, ws = half_axis(0.0, g.fine_scale)
-        axes.append((np.concatenate([-xs[::-1], xs]), np.concatenate([ws[::-1], ws])))
-    mesh = np.meshgrid(*[a[0] for a in axes], indexing="ij")
-    weight = axes[0][1]
-    for a in axes[1:]:
-        weight = np.multiply.outer(weight, a[1])
-    lam = []
-    for i in range(len(g.onb[0])):
-        comp = 0j
-        for axis_index, tgrid in enumerate(mesh):
-            comp = comp + 1j * tgrid * g.onb[axis_index][i]
-        if g.shift is not None:
-            comp = comp + g.shift[i]
-        lam.append(comp)
-    return lam, weight
+@pytest.mark.parametrize("k, pole_axes, shift", [
+    (1, 0, None), (1, 0, SHIFT), (1, 1, None), (1, 1, SHIFT),
+    (2, 0, None), (2, 0, SHIFT), (2, 1, None), (2, 1, SHIFT), (2, 2, None),
+])
+def test_grid_build_keeps_the_meshgrid_bits(k, pole_axes, shift):
+    grid = contour._Grid(AXES[:k], pole_axes, 0.01 if pole_axes else None, shift, 8.0, 0.0125)
+    lam, weight = grid.build()
+    ref_lam, ref_weight = ref_grid_build(grid)
+    assert len(lam) == len(ref_lam) == 3
+    assert all(same_bits(a, b) for a, b in zip(lam, ref_lam))
+    assert same_bits(weight, ref_weight)
+
+
+@pytest.mark.parametrize("c0, c1, c2", [
+    (1.0, 0.0, 0.0), (1.0, 0.3, 0.0), (1.0, 0.0, 0.1), (1.0, 0.3, 0.1), (0.0, 0.0, 0.25), (-0.5, 0.0, 0.0),
+])
+def test_flat_phi_keeps_the_full_prefactor_bits(c0, c1, c2):
+    d = build_root_system("A3")
+    phi = FlatTestFunction(c0, c1, c2, 0.5, (0.7, 0.2, -0.4))
+    nodes = [grid.build()[0] for grid in (
+        contour._Grid(AXES, 1, 0.01, SHIFT, phi.cutoff(), 0.0125),
+        contour._Grid(AXES[:1], 0, None, None, phi.cutoff(), 0.0125),
+    )]
+    # the point values of 0-dimensional flats, at a shift and at the origin
+    nodes += [[complex(x) for x in SHIFT], [0j, 0j, 0j]]
+    for lam in nodes:
+        assert same_bits(phi(d.gram, lam), ref_flat_phi(phi, d.gram, lam))
 
 
 def _naive_m(d, terms, lam):
@@ -234,11 +255,11 @@ def _naive_values(it):
     d = it.d
     if not it.grids:
         lam = [complex(x) for x in np.zeros(d.rank)]
-        return [complex(it.phi(d.gram, lam) * _naive_m(d, it.terms, lam))]
+        return [complex(ref_flat_phi(it.phi, d.gram, lam) * _naive_m(d, it.terms, lam))]
     out = []
     for g in it.grids:
-        lam, weight = _naive_grid(g)
-        vals = it.phi(d.gram, lam) * _naive_m(d, it.terms, lam)
+        lam, weight = ref_grid_build(g)
+        vals = ref_flat_phi(it.phi, d.gram, lam) * _naive_m(d, it.terms, lam)
         out.append(complex(np.sum(vals * weight)) / (2 * np.pi) ** len(g.onb))
     return out
 

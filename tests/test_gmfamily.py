@@ -11,7 +11,8 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from gmcalc import exactlin, levilattice
+from float_refs import ref_segment_integral, same_bits
+from gmcalc import exactlin, gmfamily, levilattice
 from gmcalc.config import load_config
 from gmcalc.errors import DimensionError, FamilyNotSmooth, InternalInconsistency, NotDominant
 from gmcalc.exactlin import int_mat, int_rank
@@ -676,6 +677,31 @@ def test_split_formula_matches_induced_family_a2(template):
     combinatorial = split_terms(fns, M0, gfull(d), P, _lam_evaluator(d, lam0))
     analytic = induced_family_value(fns, P, lam0, P.chamber_point)
     assert abs(combinatorial - analytic) <= 1e-8
+
+
+@pytest.mark.parametrize("template", [
+    {"kind": "pole"},
+    {"kind": "model_plancherel", "c": "1"},
+    {"kind": "rational", "p": ["1", "2"], "q": ["5", "0", "1"]},
+])
+def test_segment_integral_keeps_the_per_node_bits(monkeypatch, template):
+    # every segment of the analytic route on A2, its density called once on all 32 nodes
+    batched = gmfamily._segment_integral
+    calls = []
+
+    def both(f, z0, z1, rule):
+        got = batched(f, z0, z1, rule)
+        assert same_bits(got, ref_segment_integral(f, z0, z1, rule))
+        calls.append(f.key)
+        return got
+
+    monkeypatch.setattr(gmfamily, "_segment_integral", both)
+    d = build_root_system("A2")
+    M0 = mzero(d)
+    fns = ScalarRootFns.uniform(M0, template, {ray.key: Fraction(1) for ray in restricted_rays(M0)})
+    P = base_chamber(d)
+    induced_family_value(fns, P, [0.31j, 0.17j], P.chamber_point)
+    assert len(calls) > 100
 
 
 def _split_terms_on_every_pair(d):

@@ -1,14 +1,21 @@
-"""Outputs pinned to the benchmark's reference file (read, never written).
+"""Outputs pinned to the benchmark's reference file (read, never written), and two more float reports.
 
 The exact-a3 report and the A1xA3 build structure are exact: every A3
 residual of those suites is 0.0 or null, and the build fields are counts
 and digests of labels.  The verify-a2 report carries float residuals, so
 its sha pins every float bit of the A2 suites, the contour quadrature
 included.
+
+The A1xA1 and B2 report shas are not in the benchmark's reference file:
+they are the canonical ``verify --suite all`` shas with the default config
+recorded in CHANGES.md.  They pin the float path on a product group, and
+on B2's 90 computed ``lemma-shift`` cases.
 """
 import hashlib
 import json
 from pathlib import Path
+
+import pytest
 
 from gmcalc.cli import main as cli_main
 from gmcalc.levilattice import levi_lattice, parabolics, weyl_cosets
@@ -39,6 +46,20 @@ def test_verify_a2_report_matches_reference(tmp_path):
     assert cli_main(["verify", "--group", "A2", "--suite", "all", "--out", str(tmp_path)]) == 0
     data = (tmp_path / "report-A2.json").read_bytes()
     assert hashlib.sha256(data).hexdigest() == REFERENCE["verify-a2"]["reports"][DEFAULT_SEED]
+
+
+# canonical verify --suite all report shas with the default config, from CHANGES.md
+FLOAT_REPORTS = {
+    "A1xA1": "99b679ee08602b02363cce349aa275712b56b0a23c79db5a6e0b02cbbfc83ba2",
+    "B2": "729054cf6c0c547233cb21e9fa6f11022ee8124c193615939b396b8a8c0b8c34",
+}
+
+
+@pytest.mark.parametrize("group", sorted(FLOAT_REPORTS))
+def test_float_report_matches_pinned_sha(tmp_path, group):
+    assert cli_main(["verify", "--group", group, "--suite", "all", "--out", str(tmp_path)]) == 0
+    data = (tmp_path / f"report-{group}.json").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == FLOAT_REPORTS[group]
 
 
 def test_rank4_build_structure_matches_reference():
