@@ -125,7 +125,7 @@ def cmd_verify(args) -> int:
     report_path = out_dir / f"report-{cfg.group}.json"
     report_path.write_text(report.render(), encoding="utf-8")
     timing_path = out_dir / f"report-{cfg.group}.timing.json"
-    timing_path.write_text(json.dumps(report.timing_json(), indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    timing_path.write_text(report.render_timing(), encoding="utf-8")
     for rec in sorted(report.records, key=lambda r: r.id):
         residual = "" if rec.residual is None else f"  residual={rec.residual:.3g}"
         extra = f"  ({rec.detail})" if rec.detail else ""

@@ -15,9 +15,8 @@ gcd instead of one per multiply and add.  Only the entrywise helpers
 Hot exact kernels skip the ``Fraction`` ends as well: ``int_row`` and
 ``int_mat`` write rationals as integer rows over one positive denominator,
 ``solve`` returns its solution that way, ``int_mat_vec``, ``idot``,
-``int_det``, ``int_gram_det``, ``int_rank``, ``int_normal`` and
-``int_primitive`` work on those rows alone, and ``ratio_vec`` turns a row
-back into ``Fraction``s.
+``int_det``, ``int_gram_det``, ``int_rank`` and ``int_primitive`` work on
+those rows alone, and ``ratio_vec`` turns a row back into ``Fraction``s.
 With one positive denominator, signs and the lexicographic order of the
 numerators are those of the rationals.
 """
@@ -248,27 +247,6 @@ def int_det(rows: Sequence[Sequence[int]]) -> int:
     n = len(rows)
     pivots, d, sign = _eliminate(list(rows), n)
     return sign * d if len(pivots) == n else 0
-
-
-def int_normal(rows: Sequence[Sequence[int]], n: int) -> list[int]:
-    """A vector orthogonal to n-1 integer rows of length n: their cofactor vector up to one sign.
-
-    One elimination gives it (Cramer): when the rows are independent, one
-    column f is free, and the kernel vector with x_f = d, the final pivot,
-    has x_p = -row[f] at each pivot p.  The entry f of the cofactor vector is
-    +-d, the minor of the pivot columns, so the two agree up to sign.  The
-    zero vector when the rows are dependent; the rows are not changed.
-    """
-    work = [list(r) for r in rows]
-    pivots, d, _ = _eliminate(work, n)
-    if len(pivots) != n - 1:
-        return [0] * n
-    f = next(c for c in range(n) if c not in pivots)
-    x = [0] * n
-    x[f] = d
-    for row, p in zip(work, pivots):
-        x[p] = -row[f]
-    return x
 
 
 def det(m: Mat) -> Fraction:

@@ -3,8 +3,9 @@
 A chamber family holds, per chamber, rational multiples of exp(lam(X)).  Its
 limit, the (G,M)-family limit of Arthur (Ann. Math. 114, 1981), is computed
 exactly as the constant Laurent coefficient along a generic rational line; the
-volume of a convex hull is computed in every dimension by one exact
-beneath-beyond triangulation on integer points.  Both return numbers with
+volume of the convex hull of an orthogonal set is a sum of integer
+determinants over one pulling triangulation that each Levi reads off its
+face lattice (``levilattice.hull_faces``).  Both return numbers with
 rational square so the two routes can be compared with no tolerance at all.
 
 Orthogonal sets and families are integer rows over one positive denominator
@@ -41,8 +42,6 @@ from .exactlin import (
     idot,
     int_mat,
     int_mat_vec,
-    int_normal,
-    int_rank,
     int_row,
     mat_vec,
     primitive_ray,
@@ -60,6 +59,7 @@ from .levilattice import (
     flat_coords,
     flat_projector,
     form_signs,
+    hull_simplices,
     limit_frame,
     parabolics,
     rays_in,
@@ -130,68 +130,39 @@ def orthogonal_set(M: Levi, T: RatVec) -> OrthogonalSet:
     return OrthogonalSet._of_rows(M, rows, den * t_den)
 
 
-def _hull_volume(pts: Sequence[Sequence[int]], n: int) -> int:
-    """n! times the volume of the convex hull of integer points in Z^n (n >= 1), by beneath-beyond.
+def _wedge(w: dict[int, int], row: Sequence[int]) -> dict[int, int]:
+    """w ^ row on coordinates keyed by the bitmask of their basis indices: e_I ^ e_j = (-1)^#{i in I: i > j} e_(I+j)."""
+    out: dict[int, int] = {}
+    for mask, x in w.items():
+        for j, r in enumerate(row):
+            if r and not mask >> j & 1:
+                out[mask | 1 << j] = out.get(mask | 1 << j, 0) + (-x * r if (mask >> j).bit_count() & 1 else x * r)
+    return out
 
-    The hull starts from a greedy affinely independent simplex; each further
-    point that lies strictly beyond some facets replaces them by the cone from
-    the point over their horizon, the ridges that belong to exactly one
-    visible facet.  A facet q = (q_0..q_{n-1}) keeps its outward cofactor
-    normal N, from one elimination of its edges, and offset N.q_0, so that
-    |det(q - a)| = N.q_0 - N.a for every point a of the hull.  The sum of
-    these over the facets, for the apex a = first simplex vertex, is n! times
-    the volume (facets through the apex add 0).
-    """
-    ipts = sorted(set(map(tuple, pts)))
-    simplex = [ipts[0]]
-    for p in ipts[1:]:
-        if int_rank([tuple(x - y for x, y in zip(q, ipts[0])) for q in simplex[1:] + [p]]) == len(simplex):
-            simplex.append(p)
-            if len(simplex) == n + 1:
-                break
-    else:
-        return 0
-    inner = [sum(col) for col in zip(*simplex)]  # n+1 times an interior point
 
-    def facet(verts: tuple) -> tuple:
-        q0 = verts[0]
-        normal = int_normal([tuple(x - y for x, y in zip(q, q0)) for q in verts[1:]], n)
-        offset = idot(normal, q0)
-        if idot(normal, inner) > (n + 1) * offset:
-            normal, offset = [-a for a in normal], -offset
-        return verts, normal, offset
-
-    facets = [facet(tuple(simplex[:i] + simplex[i + 1:])) for i in range(n + 1)]
-    for p in ipts:
-        kept, visible = [], []
-        for f in facets:
-            (visible if idot(f[1], p) > f[2] else kept).append(f)
-        if not visible:
-            continue
-        ridges: dict[frozenset, tuple] = {}
-        for verts, _, _ in visible:
-            for i in range(n):
-                ridge = verts[:i] + verts[i + 1:]
-                key = frozenset(ridge)
-                if key in ridges:
-                    del ridges[key]
-                else:
-                    ridges[key] = ridge
-        facets = kept + [facet(ridge + (p,)) for ridge in ridges.values()]
-    apex = simplex[0]
-    return sum(offset - idot(normal, apex) for _, normal, offset in facets)
+def _hull_det_sum(M: Levi, coords: Sequence[Sequence[int]]) -> int:
+    """n! vol of the hull of integer points in Z^n, one per chamber of P(M) (n = dim a_M; 1 for a point): the
+    sum of |det(Y_i1 - Y_0, ..., Y_in - Y_0)| over ``hull_simplices``, each determinant the wedge of its rows
+    in order, and each wedge of a simplex prefix built once."""
+    rows = [tuple(a - b for a, b in zip(y, coords[0])) for y in coords]
+    wedges = {(0,): {0: 1}}  # every simplex starts at vertex 0, whose row is 0: the empty wedge
+    for s in hull_simplices(M):
+        for k in range(2, len(s) + 1):
+            if s[:k] not in wedges:
+                wedges[s[:k]] = _wedge(wedges[s[:k - 1]], rows[s[k - 1]])
+    return sum(abs(wedges[s].get((1 << M.dim) - 1, 0)) for s in hull_simplices(M))
 
 
 def hull_volume(pts: OrthogonalSet) -> QuadConst:
-    """Volume of the convex hull in the invariant measure on a_M."""
+    """Volume of the convex hull of a positive orthogonal set in the invariant measure on a_M; the triangulation
+    holds for those only, so a set off the flat or one that ``validate`` rejects raises InternalInconsistency."""
     M = pts.levi
-    if M.dim == 0:
-        return QuadConst.one()
     coords = [flat_coords(M, x) for x in pts.rows]
     if None in coords:
         raise InternalInconsistency("hull point outside the flat")
+    pts.validate()
     _, c, _, _, disc = coord_map(M)
-    vol = Fraction(_hull_volume(coords, M.dim), factorial(M.dim) * (c * pts.den) ** M.dim)
+    vol = Fraction(_hull_det_sum(M, coords), factorial(M.dim) * (c * pts.den) ** M.dim)
     return QuadConst.from_square(vol * vol * disc)
 
 

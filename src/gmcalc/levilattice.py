@@ -137,8 +137,9 @@ class Levi:
     splitting-sum terms with this flat as L1, and the hull-limit frame: the
     integer maps proj o w of each chamber's Weyl cell, the adjacent chamber
     pairs with integer wall directions, the integer basis coordinate map
-    with its Gram determinant, and per limit direction the integer pairing
-    row of a generic lam0 with each chamber's scale q_P / theta*_P.
+    with its Gram determinant, per limit direction the integer pairing
+    row of a generic lam0 with each chamber's scale q_P / theta*_P, and the
+    faces of the M-hull with a pulling triangulation read off them.
     """
 
     def __init__(self, datum: RootDatum, basis: tuple[Vec, ...], root_subset: frozenset[int]):
@@ -154,6 +155,8 @@ class Levi:
         self._cell_maps: tuple[tuple[tuple[IntRows, ...], ...], int] | None = None
         self._adjacent: tuple[tuple[int, int, tuple[int, ...]], ...] | None = None
         self._coord_map: tuple[IntRows, int, IntRows, int, Fraction] | None = None
+        self._hull_faces: tuple[tuple[ParabolicChamber, tuple[int, ...]], ...] | None = None
+        self._hull_simplices: tuple[tuple[int, ...], ...] | None = None
         self._limit_frames: dict[RatVec | None, tuple[tuple[tuple[int, ...], int], tuple[Fraction, ...]]] = {}
         self._uppers: tuple[Levi, ...] | None = None
         self._rel_rows: dict[frozenset[int] | None, tuple[IntRows, IntRows, int]] = {}
@@ -563,6 +566,37 @@ def cell_maps(M: Levi) -> tuple[tuple[tuple[IntRows, ...], ...], int]:
         maps = tuple(tuple(tuple(image[w.perm[i]] for i in d.simple) for w in cells[P.index]) for P in parabolics(M))
         M._cell_maps = (maps, den)
     return M._cell_maps
+
+
+def hull_faces(M: Levi) -> tuple[tuple[ParabolicChamber, tuple[int, ...]], ...]:
+    """The faces of the hull of a positive orthogonal set on P(M) as (Q, vertex indices), built once per Levi:
+    per Q in P(L), L >= M in lattice order, the Y_P with P <= Q span a face of dimension dim a_M - dim a_L
+    (Arthur, Ann. of Math. 114, 1981), which may collapse on a degenerate set."""
+    if M._hull_faces is None:
+        chambers = [(P.index, set(P.positive_roots)) for P in parabolics(M)]
+        M._hull_faces = tuple(
+            (Q, tuple(i for i, pos in chambers if pos.issuperset(Q.positive_roots)))
+            for L in enumerate_levis(M.datum, lower=M) for Q in parabolics(L)
+        )
+    return M._hull_faces
+
+
+def hull_simplices(M: Levi) -> tuple[tuple[int, ...], ...]:
+    """A pulling triangulation of the M-hull read off ``hull_faces`` as vertex index tuples, built once per Levi:
+    a face pulls its least vertex and cones it over the triangulations of its facets that miss it, the faces
+    one dimension down whose vertices it holds.  The last face, G's, is the whole hull."""
+    if M._hull_simplices is None:
+        faces = [(M.dim - Q.levi.dim, verts) for Q, verts in hull_faces(M)]
+
+        def pulled(k: int, verts: tuple[int, ...]) -> list[tuple[int, ...]]:
+            held = set(verts)
+            return [verts] if k == 0 else [
+                (verts[0],) + s for j, facet in faces
+                if j == k - 1 and facet[0] != verts[0] and held.issuperset(facet) for s in pulled(j, facet)
+            ]
+
+        M._hull_simplices = tuple(pulled(*faces[-1]))
+    return M._hull_simplices
 
 
 def simple_restricted(P: ParabolicChamber) -> list[Ray]:

@@ -3,12 +3,16 @@
 The canonical report file contains no wall-clock data so consecutive runs of
 the same configuration are byte-identical; per-check runtimes go to a
 separate timing sidecar and the console, and so do the counters a suite keeps.
+Both files are the bytes of ``json.dumps(doc, sort_keys=True, indent=2)``, whose pure-Python encoder an
+indent selects, so the long part of each, the records or the runtimes, is written entry by entry here.
 """
 from __future__ import annotations
 
 import hashlib
 import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _quote
+from math import isfinite
 from typing import Any
 
 SCHEMA = "gmcalc-report-v1"
@@ -16,6 +20,24 @@ SCHEMA = "gmcalc-report-v1"
 
 def digest(obj: Any) -> str:
     return hashlib.sha256(json.dumps(obj, sort_keys=True, default=str).encode()).hexdigest()[:16]
+
+
+def _scalar(v: Any) -> str:
+    """A JSON scalar as json.dumps writes it; finite floats skip the encoder."""
+    return float.__repr__(v) if type(v) is float and isfinite(v) else json.dumps(v)
+
+
+def _dumps(doc: dict, key: str, entries: list[str], ends: str) -> str:
+    """json.dumps(doc | {key: container}, sort_keys=True, indent=2) + newline, the container laid out from
+    its entries, written already, in one join (the list is consumed); only a top-level key's line starts
+    with a newline, two spaces and a quote."""
+    mark = f"\n  {_quote(key)}: "
+    head, tail = json.dumps({**doc, key: None}, sort_keys=True, indent=2).split(mark + "null", 1)
+    if not entries:
+        return head + mark + ends + tail + "\n"
+    entries[0] = head + mark + ends[0] + "\n" + entries[0]
+    entries[-1] += "\n  " + ends[1] + tail + "\n"
+    return ",\n".join(entries)
 
 
 @dataclass
@@ -28,17 +50,15 @@ class CheckRecord:
     detail: str | None = None
     runtime: float | None = None  # console/sidecar only, never in the canonical file
 
-    def to_json(self) -> dict:
-        out = {
-            "id": self.id,
-            "anchor": self.anchor,
-            "inputs": self.inputs,
-            "status": self.status,
-            "residual": self.residual,
-        }
-        if self.detail is not None:
-            out["detail"] = self.detail
-        return out
+    def render(self) -> str:
+        """The record as an entry of the report's "checks" list: its fields but the runtime, keys sorted,
+        as json.dumps(sort_keys=True, indent=2) writes them there; no detail field when detail is None."""
+        detail = "" if self.detail is None else f'      "detail": {_scalar(self.detail)},\n'
+        return (
+            f'    {{\n      "anchor": {_quote(self.anchor)},\n{detail}      "id": {_quote(self.id)},\n'
+            f'      "inputs": {_quote(self.inputs)},\n      "residual": {_scalar(self.residual)},\n'
+            f'      "status": {_quote(self.status)}\n    }}'
+        )
 
 
 class SuiteRecords(list):
@@ -71,23 +91,20 @@ class VerificationReport:
             out[r.status] += 1
         return out
 
-    def to_json(self) -> dict:
-        return {
+    def render(self) -> str:
+        """The canonical report: schema, group, gram, config digest, numerics, summary and records by id."""
+        doc = {
             "schema": SCHEMA,
             "group": self.group,
             "gram": self.gram,
             "config_digest": self.config_digest,
             "numerics": self.numerics,
-            "checks": [r.to_json() for r in sorted(self.records, key=lambda r: r.id)],
             "summary": self.summary(),
         }
+        return _dumps(doc, "checks", [r.render() for r in sorted(self.records, key=lambda r: r.id)], "[]")
 
-    def render(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True, indent=2) + "\n"
-
-    def timing_json(self) -> dict:
-        return {
-            "schema": SCHEMA + "-timing",
-            "counters": self.counters,
-            "runtimes": {r.id: r.runtime for r in sorted(self.records, key=lambda r: r.id)},
-        }
+    def render_timing(self) -> str:
+        """The timing sidecar: the counters and each record's runtime by id (a repeated id keeps its last)."""
+        runtimes = {r.id: r.runtime for r in sorted(self.records, key=lambda r: r.id)}
+        entries = [f"    {_quote(k)}: {_scalar(v)}" for k, v in runtimes.items()]
+        return _dumps({"schema": SCHEMA + "-timing", "counters": self.counters}, "runtimes", entries, "{}")

@@ -1,15 +1,18 @@
 """Fraction references for the integer routes to products, projections, ray signs, flat coordinates,
-restricted rays, splitting constants, the basis sums n^L and the chamber-stabilizer test with k^L.
+restricted rays, splitting constants, the basis sums n^L and the chamber-stabilizer test with k^L,
+and the beneath-beyond reference for hull volumes.
 
 Each is the route the package ran on ``Fraction``s, or by a chamber search,
 before its integer rows and lattice facts, kept here so the tests can
-compare the two on every Levi.
+compare the two on every Levi.  The hull reference searches for the facets
+of every hull from its points alone, where the package reads one
+triangulation off the face lattice of each Levi.
 """
 from fractions import Fraction
 from itertools import combinations
 from math import lcm, prod
 
-from gmcalc.exactlin import gram_matrix, int_mat, int_rank, mat_vec, transpose, vscale
+from gmcalc.exactlin import _eliminate, gram_matrix, idot, int_mat, int_rank, mat_vec, transpose, vscale
 from gmcalc.levilattice import QuadConst, Ray, _rel_basis, chambers_of_rays, group_rays, mzero, rays_in
 from gmcalc.rootdatum import RatVec, compose, invert
 
@@ -146,3 +149,76 @@ def ref_k_constant(t, L):
     r = t.r_elem.perm
     wsig = d.subgroup([d.reflection_perms[i] for i in roots] + [r])
     return sum(1 for w in wsig if fixes(w) and compose(w.perm, r) == compose(r, w.perm))
+
+
+def int_normal(rows, n):
+    """A vector orthogonal to n-1 integer rows of length n: their cofactor vector up to one sign.
+
+    One elimination gives it (Cramer): when the rows are independent, one
+    column f is free, and the kernel vector with x_f = d, the final pivot,
+    has x_p = -row[f] at each pivot p.  The entry f of the cofactor vector is
+    +-d, the minor of the pivot columns, so the two agree up to sign.  The
+    zero vector when the rows are dependent; the rows are not changed.
+    """
+    work = [list(r) for r in rows]
+    pivots, d, _ = _eliminate(work, n)
+    if len(pivots) != n - 1:
+        return [0] * n
+    f = next(c for c in range(n) if c not in pivots)
+    x = [0] * n
+    x[f] = d
+    for row, p in zip(work, pivots):
+        x[p] = -row[f]
+    return x
+
+
+def ref_hull_volume(pts, n):
+    """n! times the volume of the convex hull of integer points in Z^n (n >= 1), by beneath-beyond.
+
+    The hull starts from a greedy affinely independent simplex; each further
+    point that lies strictly beyond some facets replaces them by the cone from
+    the point over their horizon, the ridges that belong to exactly one
+    visible facet.  A facet q = (q_0..q_{n-1}) keeps its outward cofactor
+    normal N, from one elimination of its edges, and offset N.q_0, so that
+    |det(q - a)| = N.q_0 - N.a for every point a of the hull.  The sum of
+    these over the facets, for the apex a = first simplex vertex, is n! times
+    the volume (facets through the apex add 0).
+    """
+    ipts = sorted(set(map(tuple, pts)))
+    simplex = [ipts[0]]
+    for p in ipts[1:]:
+        if int_rank([tuple(x - y for x, y in zip(q, ipts[0])) for q in simplex[1:] + [p]]) == len(simplex):
+            simplex.append(p)
+            if len(simplex) == n + 1:
+                break
+    else:
+        return 0
+    inner = [sum(col) for col in zip(*simplex)]  # n+1 times an interior point
+
+    def facet(verts):
+        q0 = verts[0]
+        normal = int_normal([tuple(x - y for x, y in zip(q, q0)) for q in verts[1:]], n)
+        offset = idot(normal, q0)
+        if idot(normal, inner) > (n + 1) * offset:
+            normal, offset = [-a for a in normal], -offset
+        return verts, normal, offset
+
+    facets = [facet(tuple(simplex[:i] + simplex[i + 1:])) for i in range(n + 1)]
+    for p in ipts:
+        kept, visible = [], []
+        for f in facets:
+            (visible if idot(f[1], p) > f[2] else kept).append(f)
+        if not visible:
+            continue
+        ridges = {}
+        for verts, _, _ in visible:
+            for i in range(n):
+                ridge = verts[:i] + verts[i + 1:]
+                key = frozenset(ridge)
+                if key in ridges:
+                    del ridges[key]
+                else:
+                    ridges[key] = ridge
+        facets = kept + [facet(ridge + (p,)) for ridge in ridges.values()]
+    apex = simplex[0]
+    return sum(offset - idot(normal, apex) for _, normal, offset in facets)

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import random
 import sys
 from collections import Counter
@@ -12,7 +13,9 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from float_refs import ref_segment_integral, same_bits
+from fraction_refs import ref_hull_volume
 from gmcalc import exactlin, gmfamily, levilattice
+from gmcalc.cli import main as cli_main
 from gmcalc.config import load_config
 from gmcalc.errors import DimensionError, FamilyNotSmooth, InternalInconsistency, NotDominant
 from gmcalc.exactlin import int_mat, int_rank
@@ -26,7 +29,7 @@ from gmcalc.gmfamily import (
     orthogonal_set,
     split_subsets,
     split_terms,
-    _hull_volume,
+    _hull_det_sum,
     _lam_evaluator,
 )
 from gmcalc.levilattice import (
@@ -36,8 +39,11 @@ from gmcalc.levilattice import (
     chamber_at,
     coord_map,
     enumerate_levis,
+    flat_coords,
     flat_projector,
     gfull,
+    hull_faces,
+    hull_simplices,
     levi_lattice,
     limit_frame,
     mzero,
@@ -47,7 +53,7 @@ from gmcalc.levilattice import (
 )
 from gmcalc.rootdatum import RatVec, RootDatum, act, build_root_system, weyl_group
 from gmcalc.spectral import enumerate_spectral_triples
-from gmcalc.suites import suite_hull_limit
+from gmcalc.suites import _dominant_samples, suite_hull_limit
 
 
 def dominant_point(d, coeffs):
@@ -113,6 +119,9 @@ def test_validate_rejects_reversed_and_bent_differences(label):
     for moved in (negated, bent):
         with pytest.raises(InternalInconsistency, match="adjacent difference not a nonnegative coroot multiple"):
             OrthogonalSet(M, tuple(moved)).validate()
+        # the fixed faces describe positive orthogonal sets only, so the hull refuses these too
+        with pytest.raises(InternalInconsistency, match="adjacent difference not a nonnegative coroot multiple"):
+            hull_volume(OrthogonalSet(M, tuple(moved)))
     with pytest.raises(InternalInconsistency, match="point list does not match the chamber list"):
         OrthogonalSet(M, tuple(points[1:])).validate()
 
@@ -258,9 +267,9 @@ def ref_volume_3d(pts):
 
 
 def hull(pts, n):
-    """_hull_volume on rational points, scaled to integers over one denominator."""
+    """The beneath-beyond reference on rational points, scaled to integers over one denominator."""
     rows, den = int_mat(pts)
-    return Fraction(_hull_volume(rows, n), factorial(n) * den**n)
+    return Fraction(ref_hull_volume(rows, n), factorial(n) * den**n)
 
 
 def ref_volume(pts, n):
@@ -328,6 +337,64 @@ def test_hull_volume_of_product_is_product_of_volumes(label, factors):
         got = hull_volume(orthogonal_set(mzero(d), dominant_point(d, coeffs)))
         assert got == expected, (label, coeffs)
         assert k % 3 == 0 or not got.is_zero()
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "B2", "G2", "A1xA1", "A3", "A1xA3"])
+def test_pulled_triangulation_matches_beneath_beyond(label):
+    # every Levi and default sample, degenerate hulls included
+    d = build_root_system(label)
+    samples = _dominant_samples(d, 25, 20260810)
+    for M in levi_lattice(d):
+        if M.dim == 0:
+            continue
+        for T in samples:
+            coords = [flat_coords(M, x) for x in orthogonal_set(M, T).rows]
+            assert _hull_det_sum(M, coords) == ref_hull_volume(coords, M.dim), (M.label, T)
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "G2", "A3", "A1xA3"])
+def test_hull_faces_form_a_face_lattice(label):
+    d = build_root_system(label)
+    for M in levi_lattice(d):
+        faces = hull_faces(M)
+        counts = Counter(M.dim - Q.levi.dim for Q, _ in faces)
+        # Euler: the alternating face count of a polytope, itself included, is 1
+        assert sum((-1) ** k * n for k, n in counts.items()) == 1, M.label
+        assert counts[0] == len(parabolics(M)) and counts[M.dim] == 1
+        assert len({verts for _, verts in faces}) == len(faces)
+        assert all(len(verts) > M.dim - Q.levi.dim for Q, verts in faces)
+        simplices = hull_simplices(M)
+        assert all(len(s) == M.dim + 1 and s[0] == 0 for s in simplices)
+        assert {i for s in simplices for i in s} == set(range(len(parabolics(M))))
+
+
+def _facet_missing_vertex_zero(faces):
+    """The index of the first facet of the whole hull that misses vertex 0: its cone over 0 is in the sum."""
+    top = faces[-1][0].levi.dim
+    return next(k for k, (Q, verts) in enumerate(faces) if Q.levi.dim == top + 1 and 0 not in verts)
+
+
+def _drop_face(faces):
+    k = _facet_missing_vertex_zero(faces)
+    return faces[:k] + faces[k + 1:]
+
+
+def _flip_one_containment(faces):
+    # its last chamber P now fails the test P <= Q
+    k = _facet_missing_vertex_zero(faces)
+    Q, verts = faces[k]
+    return faces[:k] + ((Q, verts[:-1]),) + faces[k + 1:]
+
+
+@pytest.mark.parametrize("mutate", [_drop_face, _flip_one_containment])
+@pytest.mark.parametrize("label", ["A2", "A3"])
+def test_broken_face_lattice_fails_hull_limit(monkeypatch, tmp_path, label, mutate):
+    real = levilattice.hull_faces
+    monkeypatch.setattr(levilattice, "hull_faces", lambda M: mutate(real(M)) if M.label == "M0" else real(M))
+    assert cli_main(["verify", "--group", label, "--suite", "hull-limit", "--out", str(tmp_path)]) == 1
+    report = json.loads((tmp_path / f"report-{label}.json").read_text())
+    failed = [c for c in report["checks"] if c["status"] == "fail"]
+    assert failed and all(c["id"].split("/")[2] == "M0" and c["detail"].startswith("hull ") for c in failed)
 
 
 def test_hull_limit_suite_passes_on_rank_four():
@@ -463,14 +530,17 @@ def test_second_datum_builds_its_own_frames(monkeypatch):
     directions = _count_calls(monkeypatch, levilattice, "_generic_direction", lambda M, direction: id(M))
     orbits, frames = _count_integer_frames(monkeypatch)
     assert "rho_orbit" not in vars(second)
+    # checked before any hull of second is built: the hull of M reads the chambers of every L >= M
     for M1, M2 in zip(levi_lattice(first), levi_lattice(second)):
         assert M2 == M1 and M2 is not M1  # equal keys: a cache keyed on them would hand out M1's frame
         assert M2._proj is None and M2._cell_maps is None and M2._coord_map is None and not M2._limit_frames
-        assert M2._orbit is None
+        assert M2._orbit is None and M2._hull_faces is None and M2._hull_simplices is None
+    for M1, M2 in zip(levi_lattice(first), levi_lattice(second)):
         oset = orthogonal_set(M2, T)
         assert (hull_volume(oset), family_limit(ExpPolyFamily.from_orthogonal_set(oset))) == values[M2.label]
         assert flat_projector(M2) is not flat_projector(M1)
         assert cell_maps(M2) is not cell_maps(M1) and coord_map(M2) is not coord_map(M1)
+        assert hull_faces(M2) is not hull_faces(M1) and hull_simplices(M2) == hull_simplices(M1)
         if M2.dim:
             assert limit_frame(M2) is not limit_frame(M1)
             assert projected_orbit(M2) is not projected_orbit(M1) and projected_orbit(M2) == projected_orbit(M1)

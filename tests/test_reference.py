@@ -9,7 +9,9 @@ included.
 The A1xA1 and B2 report shas are not in the benchmark's reference file:
 they are the canonical ``verify --suite all`` shas with the default config
 recorded in CHANGES.md.  They pin the float path on a product group, and
-on B2's 90 computed ``lemma-shift`` cases.
+on B2's 90 computed ``lemma-shift`` cases.  The A1xA3 and G2
+``verify --suite hull-limit`` shas, also from CHANGES.md, pin the exact
+hull volumes of 4-d hulls and of twelve-chamber hulls.
 """
 import hashlib
 import json
@@ -60,6 +62,21 @@ def test_float_report_matches_pinned_sha(tmp_path, group):
     assert cli_main(["verify", "--group", group, "--suite", "all", "--out", str(tmp_path)]) == 0
     data = (tmp_path / f"report-{group}.json").read_bytes()
     assert hashlib.sha256(data).hexdigest() == FLOAT_REPORTS[group]
+
+
+# canonical verify --suite hull-limit report shas with the default config, from CHANGES.md: exact-a3
+# reaches no 4-d hull (A1xA3) and no hull of G2's twelve chambers
+HULL_REPORTS = {
+    "A1xA3": "f1da12f41410afb3d2cea5bf9e1c7c07d4214b02529f5e814bb28a34a8940648",
+    "G2": "cdc81f586c961f6c04e3d11217d57ce5ff66783af6c8f1d47bcd5194fceb98d3",
+}
+
+
+@pytest.mark.parametrize("group", sorted(HULL_REPORTS))
+def test_hull_report_matches_pinned_sha(tmp_path, group):
+    assert cli_main(["verify", "--group", group, "--suite", "hull-limit", "--out", str(tmp_path)]) == 0
+    data = (tmp_path / f"report-{group}.json").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == HULL_REPORTS[group]
 
 
 def test_rank4_build_structure_matches_reference():
