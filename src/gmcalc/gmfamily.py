@@ -66,7 +66,7 @@ from .levilattice import (
     restricted_rays,
     theta,
 )
-from .rootdatum import RatVec, WeylElement, invert
+from .rootdatum import RatVec, WeylElement, invert, kept
 
 
 # ---------------------------------------------------------------------------
@@ -115,19 +115,14 @@ class OrthogonalSet:
 
 
 def orthogonal_set(M: Levi, T: RatVec) -> OrthogonalSet:
-    """Weyl translates of a dominant point, projected chamber-wise to a_M; a cell's maps are compared on every call."""
+    """Weyl translates of a dominant point, projected chamber-wise to a_M by the map each chamber's cell shares."""
     d = M.datum
     t, t_den = int_row(T.coords)
     for i, s in zip(d.simple, form_signs(d, [d.root_forms[i] for i in d.simple], t)):
         if s < 0:
             raise NotDominant(f"point pairs negatively with simple root {i}")
     maps, den = cell_maps(M)
-    rows = []
-    for cell in maps:
-        if any(m != cell[0] for m in cell[1:]):
-            raise InternalInconsistency("projection not constant on a chamber cell")
-        rows.append(int_mat_vec(zip(*cell[0]), t))  # the map's rows are the columns' entries
-    return OrthogonalSet._of_rows(M, rows, den * t_den)
+    return OrthogonalSet._of_rows(M, [int_mat_vec(m, t) for m in maps], den * t_den)
 
 
 def _wedge(w: dict[int, int], row: Sequence[int]) -> dict[int, int]:
@@ -374,6 +369,7 @@ class ScalarRootFns:
 # the relative splitting sum
 
 
+@kept
 def split_subsets(
     L1: Levi, M: Levi, S: Levi, Q1: ParabolicChamber
 ) -> list[tuple[QuadConst, list[tuple[RatVec, RatVec]]]]:
@@ -389,10 +385,6 @@ def split_subsets(
     candidate and subset order.  With nothing to split there is one empty
     term of weight 1.
     """
-    key = (M.root_subset, S.root_subset, Q1)
-    got = L1._split_subsets.get(key)
-    if got is not None:
-        return got
     d = L1.datum
     ks = M.dim - S.dim
     if ks == 0:
@@ -415,7 +407,6 @@ def split_subsets(
             sq = gram_det([proj for _, _, proj in subset], d.gram)
             if sq:
                 terms.append((QuadConst.from_square(sq), [(rep_neg, dual_neg) for rep_neg, dual_neg, _ in subset]))
-    L1._split_subsets[key] = terms
     return terms
 
 

@@ -7,11 +7,11 @@ as coordinate rows.  Parabolic sets P(M) are realized as the chambers of the
 restricted root arrangement on a_M.
 
 This module is the one place that derives these objects and answers
-questions about them, and each is built once and kept on its owner: the
-lattice of Levi subgroups on the RootDatum (``d.lattice``); the coordinate
-map and projector, projected roots, projected rho_check orbit, rays,
-chambers, hull-limit frame, relative bases and splitting constants on the
-Levi.  Each ray keeps its dual and its form, and ``-ray`` is its other side
+questions about them, and each is built once and kept on its owner by
+``rootdatum.kept``: the lattice of Levi subgroups on the RootDatum; the
+coordinate map and projector, projected roots, projected rho_check orbit,
+rays, chambers, hull-limit frame, relative bases and splitting constants on
+the Levi.  Each ray keeps its dual and its form, and ``-ray`` is its other side
 with that side's dual and form, so ``simple_restricted`` hands out signed
 rays.  Each chamber keeps the sign pattern of the rays on it, and
 ``chamber_at`` finds a point's chamber by that pattern.  ``rays_in(L1, S)``
@@ -69,7 +69,7 @@ from .exactlin import (
     sym_pair,
     vscale,
 )
-from .rootdatum import RatVec, RootDatum, WeylElement, compose, reflect_subgroup, weyl_group
+from .rootdatum import RatVec, RootDatum, WeylElement, compose, kept, reflect_subgroup, weyl_group
 
 IntRows = tuple[tuple[int, ...], ...]
 
@@ -129,17 +129,18 @@ _ZERO = QuadConst(Fraction(0), 0)  # the one zero, which every constructor and p
 class Levi:
     """A flat of the root arrangement: basis rows of a_L plus the roots vanishing on it.
 
-    Objects read off the flat are built on first use and kept here: the
-    integer projector onto a_L, read off the coordinate map's one Gram
-    solve, the projected roots and rho_check orbit, the restricted rays, the
-    parabolic chambers, the Levis above it, the integer rows of the bases
-    relative to upper flats, the splitting constants d_L1 and the
-    splitting-sum terms with this flat as L1, and the hull-limit frame: the
-    integer maps proj o w of each chamber's Weyl cell, the adjacent chamber
-    pairs with integer wall directions, the integer basis coordinate map
-    with its Gram determinant, per limit direction the integer pairing
-    row of a generic lam0 with each chamber's scale q_P / theta*_P, and the
-    faces of the M-hull with a pulling triangulation read off them.
+    Objects read off the flat are built on first use and kept in ``kept``
+    (``rootdatum.kept``): the integer projector onto a_L, read off the
+    coordinate map's one Gram solve, the projected roots and rho_check
+    orbit, the restricted rays, the parabolic chambers, the Levis above it,
+    the integer rows of the bases relative to upper flats, the splitting
+    constants d_L1 and the splitting-sum terms with this flat as L1, and the
+    hull-limit frame: the integer map proj o w of each chamber's Weyl cell,
+    the adjacent chamber pairs with integer wall directions, the integer
+    basis coordinate map with its Gram determinant, per limit direction the
+    integer pairing row of a generic lam0 with each chamber's scale
+    q_P / theta*_P, and the faces of the M-hull with a pulling triangulation
+    read off them.
     """
 
     def __init__(self, datum: RootDatum, basis: tuple[Vec, ...], root_subset: frozenset[int]):
@@ -147,21 +148,7 @@ class Levi:
         self.basis = basis
         self.root_subset = root_subset
         self.dim = len(basis)
-        self._proj: tuple[IntRows, int] | None = None
-        self._orbit: tuple[IntRows, int] | None = None
-        self._roots: tuple[IntRows, int] | None = None
-        self._rays: tuple[Ray, ...] | None = None
-        self._chambers: tuple[ParabolicChamber, ...] | None = None
-        self._cell_maps: tuple[tuple[tuple[IntRows, ...], ...], int] | None = None
-        self._adjacent: tuple[tuple[int, int, tuple[int, ...]], ...] | None = None
-        self._coord_map: tuple[IntRows, int, IntRows, int, Fraction] | None = None
-        self._hull_faces: tuple[tuple[ParabolicChamber, tuple[int, ...]], ...] | None = None
-        self._hull_simplices: tuple[tuple[int, ...], ...] | None = None
-        self._limit_frames: dict[RatVec | None, tuple[tuple[tuple[int, ...], int], tuple[Fraction, ...]]] = {}
-        self._uppers: tuple[Levi, ...] | None = None
-        self._rel_rows: dict[frozenset[int] | None, tuple[IntRows, IntRows, int]] = {}
-        self._d_constants: dict[tuple, QuadConst] = {}  # d_constant with this flat as L1
-        self._split_subsets: dict[tuple, list] = {}  # gmfamily.split_subsets with this flat as L1
+        self.kept: dict[tuple, object] = {}
         positive = set(datum.pos_indices)
         pos = sorted(i for i in root_subset if i in positive)
         if not root_subset:
@@ -176,7 +163,7 @@ class Levi:
         return (self.datum.label, self.datum.gram, self.root_subset)
 
     def __hash__(self):
-        return hash(self.key)
+        return hash(self.root_subset)  # a frozenset keeps its hash
 
     def __eq__(self, other):
         return isinstance(other, Levi) and self.key == other.key
@@ -224,7 +211,7 @@ class ParabolicChamber:
         return f"ParabolicChamber({self.levi.label}#{self.index})"
 
     def __hash__(self):
-        return hash((self.levi.key, self.positive_roots))
+        return hash((self.levi.root_subset, self.positive_roots))
 
     def __eq__(self, other):
         return (
@@ -263,10 +250,9 @@ def flat_kernel(d: RootDatum, basis: Sequence[Vec], forms: Iterable[Vec]) -> lis
     return [combine(kv, basis, d.rank) for kv in kernel(rows, len(basis))]
 
 
+@kept
 def levi_lattice(d: RootDatum) -> tuple[Levi, ...]:
     """All flats of the arrangement, i.e. all Levi subgroups containing M0; built once per datum."""
-    if d.lattice is not None:
-        return d.lattice
     full = identity(d.rank)
     full_subset = _vanishing_subset(d, full)
     flats: dict[frozenset[int], tuple[Vec, ...]] = {full_subset: full}
@@ -287,8 +273,7 @@ def levi_lattice(d: RootDatum) -> tuple[Levi, ...]:
         frontier = nxt
     levis = [Levi(d, basis, subset) for subset, basis in flats.items()]
     levis.sort(key=lambda L: (-L.dim, sorted(L.root_subset)))
-    d.lattice = tuple(levis)
-    return d.lattice
+    return tuple(levis)
 
 
 def mzero(d: RootDatum) -> Levi:
@@ -312,13 +297,14 @@ def contains(smaller: Levi, larger: Levi) -> bool:
 
 
 def enumerate_levis(d: RootDatum, lower: Levi | None = None) -> tuple[Levi, ...]:
-    """The Levis containing lower (all of them when lower is None), in lattice order; the tuple is
-    built once per lower Levi."""
-    if lower is None:
-        return levi_lattice(d)
-    if lower._uppers is None:
-        lower._uppers = tuple(L for L in levi_lattice(d) if contains(lower, L))
-    return lower._uppers
+    """The Levis containing lower (all of them when lower is None), in lattice order."""
+    return levi_lattice(d) if lower is None else _uppers(lower)
+
+
+@kept
+def _uppers(lower: Levi) -> tuple[Levi, ...]:
+    """The Levis containing lower, in lattice order; built once per Levi."""
+    return tuple(L for L in levi_lattice(lower.datum) if contains(lower, L))
 
 
 def _join(L: Levi, S: Levi) -> Levi:
@@ -362,6 +348,7 @@ def group_rays(d: RootDatum, vectors: Iterable[tuple[int, Sequence[int]]], den: 
     return tuple(rays)
 
 
+@kept
 def flat_projector(M: Levi) -> tuple[IntRows, int]:
     """The orthogonal projection onto a_M as integer rows over their least common positive denominator;
     built once per Levi from the coordinate map.
@@ -370,40 +357,35 @@ def flat_projector(M: Levi) -> tuple[IntRows, int]:
     projection B^T X is E^T C / (e c), divided through by the gcd of its
     entries and e c.
     """
-    if M._proj is None:
-        cmap, _, lift, scale, _ = coord_map(M)
-        cols = tuple(zip(*cmap)) or ((),) * len(lift)  # the columns of C, empty ones on a point flat
-        rows = [int_mat_vec(cols, row) for row in lift]
-        g = gcd(scale, *(x for row in rows for x in row))
-        M._proj = (tuple(tuple(x // g for x in row) for row in rows), scale // g)
-    return M._proj
+    cmap, _, lift, scale, _ = coord_map(M)
+    cols = tuple(zip(*cmap)) or ((),) * len(lift)  # the columns of C, empty ones on a point flat
+    rows = [int_mat_vec(cols, row) for row in lift]
+    g = gcd(scale, *(x for row in rows for x in row))
+    return tuple(tuple(x // g for x in row) for row in rows), scale // g
 
 
+@kept
 def projected_orbit(M: Levi) -> tuple[IntRows, int]:
     """The distinct projections of the rho_check orbit onto a_M, sorted, as integer rows over one
     positive denominator; built once per Levi."""
-    if M._orbit is None:
-        proj, den = flat_projector(M)
-        orbit, orbit_den = M.datum.rho_orbit
-        M._orbit = (tuple(sorted({int_mat_vec(proj, x) for x in orbit})), den * orbit_den)
-    return M._orbit
+    proj, den = flat_projector(M)
+    orbit, orbit_den = M.datum.rho_orbit
+    return tuple(sorted({int_mat_vec(proj, x) for x in orbit})), den * orbit_den
 
 
+@kept
 def projected_roots(M: Levi) -> tuple[IntRows, int]:
     """The projections of the roots onto a_M, in root order, as integer rows over the projector's one
     positive denominator; built once per Levi."""
-    if M._roots is None:
-        proj, den = flat_projector(M)
-        M._roots = (tuple(int_mat_vec(proj, r) for r in M.datum.root_rows), den)
-    return M._roots
+    proj, den = flat_projector(M)
+    return tuple(int_mat_vec(proj, r) for r in M.datum.root_rows), den
 
 
+@kept
 def restricted_rays(M: Levi) -> tuple[Ray, ...]:
     """Reduced restricted-root rays on a_M, grouped in +- pairs; built once per Levi."""
-    if M._rays is None:
-        image, den = projected_roots(M)
-        M._rays = group_rays(M.datum, ((i, p) for i, p in enumerate(image) if any(p)), den)
-    return M._rays
+    image, den = projected_roots(M)
+    return group_rays(M.datum, ((i, p) for i, p in enumerate(image) if any(p)), den)
 
 
 def rays_in(L1: Levi, S: Levi) -> list[Ray]:
@@ -459,6 +441,7 @@ def chambers_of_rays(M: Levi, rays: Sequence[Ray]) -> list[RatVec]:
     return list(_witnesses(M, rays).values())
 
 
+@kept
 def parabolics(M: Levi) -> tuple[ParabolicChamber, ...]:
     """Chambers of the restricted arrangement on a_M; a single improper chamber for M = G.
 
@@ -466,12 +449,9 @@ def parabolics(M: Levi) -> tuple[ParabolicChamber, ...]:
     are recovered from sign adjacency: a ray is a wall of a chamber exactly
     when flipping its sign alone lands on another chamber.
     """
-    if M._chambers is not None:
-        return M._chambers
     d = M.datum
     if M.dim == 0:
-        M._chambers = (ParabolicChamber(M, 0, (), RatVec.zero(d.rank)),)
-        return M._chambers
+        return (ParabolicChamber(M, 0, (), RatVec.zero(d.rank)),)
     rays = restricted_rays(M)
     witnesses = _witnesses(M, rays)
     chambers = []
@@ -486,24 +466,22 @@ def parabolics(M: Levi) -> tuple[ParabolicChamber, ...]:
         # a member root pairs with pt as c times its ray's + side
         pos = tuple(sorted(i for ray, s in zip(rays, sig) for i, c in ray.members if c * s > 0))
         chambers.append(ParabolicChamber(M, idx, pos, pt, walls, sig))
-    M._chambers = tuple(chambers)
-    return M._chambers
+    return tuple(chambers)
 
 
+@kept
 def adjacent_chambers(M: Levi) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
     """The chamber pairs i < j across one wall, each with the primitive integer direction of its wall ray
     signed positive on i; built once per Levi."""
-    if M._adjacent is None:
-        by_signs = {P.signs: P.index for P in parabolics(M)}
-        rays = restricted_rays(M)
-        pairs = []
-        for P in parabolics(M):
-            for k in P.wall_rays:
-                j = by_signs[tuple(s if m != k else -s for m, s in enumerate(P.signs))]
-                if P.index < j:
-                    pairs.append((P.index, j, tuple(P.signs[k] * int(x) for x in rays[k].key)))
-        M._adjacent = tuple(sorted(pairs, key=lambda pair: pair[:2]))
-    return M._adjacent
+    by_signs = {P.signs: P.index for P in parabolics(M)}
+    rays = restricted_rays(M)
+    pairs = []
+    for P in parabolics(M):
+        for k in P.wall_rays:
+            j = by_signs[tuple(s if m != k else -s for m, s in enumerate(P.signs))]
+            if P.index < j:
+                pairs.append((P.index, j, tuple(P.signs[k] * int(x) for x in rays[k].key)))
+    return tuple(sorted(pairs, key=lambda pair: pair[:2]))
 
 
 def chamber_at(M: Levi, point: RatVec) -> ParabolicChamber:
@@ -550,53 +528,54 @@ def chamber_cells(M: Levi) -> dict[int, tuple[WeylElement, ...]]:
     return {idx: tuple(ws) for idx, ws in cells.items()}
 
 
-def cell_maps(M: Levi) -> tuple[tuple[tuple[IntRows, ...], ...], int]:
-    """For each chamber of P(M) in order, the maps proj_M o w of the w in its cell; built once per Levi.
+@kept
+def cell_maps(M: Levi) -> tuple[tuple[IntRows, ...], int]:
+    """For each chamber of P(M) in order, the map proj_M o w, which every w in its cell shares; built once
+    per Levi, raising InternalInconsistency where two elements of a cell give different maps.
 
-    A map is kept as its columns, integer rows over the one denominator of
-    the projector, returned with the maps: column j is the projection of
-    the root w(alpha_{simple j}).
-    Each projected root is one object, so comparing two equal maps column by
-    column is mostly an identity test.
+    A map is kept as integer rows over the one denominator of the projector,
+    returned with the maps: its column j is the projection of the root
+    w(alpha_{simple j}).  Each projected root is one object, so comparing two
+    equal maps column by column is mostly an identity test.
     """
-    if M._cell_maps is None:
-        d = M.datum
-        image, den = projected_roots(M)
-        cells = chamber_cells(M)
-        maps = tuple(tuple(tuple(image[w.perm[i]] for i in d.simple) for w in cells[P.index]) for P in parabolics(M))
-        M._cell_maps = (maps, den)
-    return M._cell_maps
+    d = M.datum
+    image, den = projected_roots(M)
+    cells = chamber_cells(M)
+    maps = []
+    for P in parabolics(M):
+        cols = [tuple(image[w.perm[i]] for i in d.simple) for w in cells[P.index]]
+        if any(m != cols[0] for m in cols[1:]):
+            raise InternalInconsistency("projection not constant on a chamber cell")
+        maps.append(tuple(zip(*cols[0])))
+    return tuple(maps), den
 
 
+@kept
 def hull_faces(M: Levi) -> tuple[tuple[ParabolicChamber, tuple[int, ...]], ...]:
     """The faces of the hull of a positive orthogonal set on P(M) as (Q, vertex indices), built once per Levi:
     per Q in P(L), L >= M in lattice order, the Y_P with P <= Q span a face of dimension dim a_M - dim a_L
     (Arthur, Ann. of Math. 114, 1981), which may collapse on a degenerate set."""
-    if M._hull_faces is None:
-        chambers = [(P.index, set(P.positive_roots)) for P in parabolics(M)]
-        M._hull_faces = tuple(
-            (Q, tuple(i for i, pos in chambers if pos.issuperset(Q.positive_roots)))
-            for L in enumerate_levis(M.datum, lower=M) for Q in parabolics(L)
-        )
-    return M._hull_faces
+    chambers = [(P.index, set(P.positive_roots)) for P in parabolics(M)]
+    return tuple(
+        (Q, tuple(i for i, pos in chambers if pos.issuperset(Q.positive_roots)))
+        for L in enumerate_levis(M.datum, lower=M) for Q in parabolics(L)
+    )
 
 
+@kept
 def hull_simplices(M: Levi) -> tuple[tuple[int, ...], ...]:
     """A pulling triangulation of the M-hull read off ``hull_faces`` as vertex index tuples, built once per Levi:
     a face pulls its least vertex and cones it over the triangulations of its facets that miss it, the faces
-    one dimension down whose vertices it holds.  The last face, G's, is the whole hull."""
-    if M._hull_simplices is None:
-        faces = [(M.dim - Q.levi.dim, verts) for Q, verts in hull_faces(M)]
-
-        def pulled(k: int, verts: tuple[int, ...]) -> list[tuple[int, ...]]:
-            held = set(verts)
-            return [verts] if k == 0 else [
-                (verts[0],) + s for j, facet in faces
-                if j == k - 1 and facet[0] != verts[0] and held.issuperset(facet) for s in pulled(j, facet)
-            ]
-
-        M._hull_simplices = tuple(pulled(*faces[-1]))
-    return M._hull_simplices
+    one dimension down whose vertices it holds.  The last face, G's, is the whole hull.  Faces are
+    triangulated by dimension, each once, and each face's facets are found by one scan."""
+    by_dim: dict[int, list[tuple[tuple[int, ...], list[tuple[int, ...]]]]] = {}  # (face, triangulation)
+    for k, verts in sorted(((M.dim - Q.levi.dim, verts) for Q, verts in hull_faces(M)), key=lambda f: f[0]):
+        held = set(verts)
+        by_dim.setdefault(k, []).append((verts, [verts] if k == 0 else [
+            (verts[0],) + s for facet, pulled in by_dim[k - 1]
+            if facet[0] != verts[0] and held.issuperset(facet) for s in pulled
+        ]))
+    return tuple(by_dim[M.dim][-1][1])
 
 
 def simple_restricted(P: ParabolicChamber) -> list[Ray]:
@@ -625,6 +604,7 @@ def theta(P: ParabolicChamber, lam: RatVec) -> ThetaValue:
     return ThetaValue(product, covol)
 
 
+@kept
 def coord_map(M: Levi) -> tuple[IntRows, int, IntRows, int, Fraction]:
     """The basis coordinate map of a_M in integer rows, its inverse check, and det G; built once per Levi
     from the flat's one Gram solve.
@@ -636,13 +616,11 @@ def coord_map(M: Levi) -> tuple[IntRows, int, IntRows, int, Fraction]:
     E^T (C x) = e c x (``flat_coords``).  ``flat_projector`` reads the
     projection E^T C / (e c) off the same rows.
     """
-    if M._coord_map is None:
-        S = M.datum.gram
-        cmap, c, disc = solve(gram_matrix(M.basis, S), [mat_vec(S, b) for b in M.basis])
-        basis, e = int_mat(M.basis)
-        lift = tuple(tuple(row[k] for row in basis) for k in range(M.datum.rank))
-        M._coord_map = (cmap, c, lift, e * c, disc)
-    return M._coord_map
+    S = M.datum.gram
+    cmap, c, disc = solve(gram_matrix(M.basis, S), [mat_vec(S, b) for b in M.basis])
+    basis, e = int_mat(M.basis)
+    lift = tuple(tuple(row[k] for row in basis) for k in range(M.datum.rank))
+    return cmap, c, lift, e * c, disc
 
 
 def flat_coords(M: Levi, x: Sequence[int]) -> tuple[int, ...] | None:
@@ -667,28 +645,26 @@ def _generic_direction(M: Levi, direction: RatVec | None) -> RatVec:
     raise InternalInconsistency("no generic direction found")
 
 
-def limit_frame(M: Levi, direction: RatVec | None = None) -> tuple[tuple[tuple[int, ...], int], tuple[Fraction, ...]]:
-    """The pairing row of a generic lam0 near the direction (default: the first chamber's point) and per chamber q_P / theta*_P.
+@kept
+def limit_frame(M: Levi, direction: RatVec | None) -> tuple[tuple[tuple[int, ...], int], tuple[Fraction, ...]]:
+    """The pairing row of a generic lam0 near the direction (None: the first chamber's point) and per chamber q_P / theta*_P.
 
     The pairing row S lam0 is an integer row over one positive denominator.
     q_P: covolume of the simple duals in basis coordinates; theta*_P: their
     product with lam0.  Built once per direction.
     """
-    got = M._limit_frames.get(direction)
-    if got is None:
-        d = M.datum
-        lam0 = _generic_direction(M, direction)
-        cmap, c, _, _, _ = coord_map(M)
-        scales = []
-        for P in parabolics(M):
-            simples = simple_restricted(P)
-            duals = [int_row(a.dual.coords) for a in simples]
-            q_num = abs(int_det([int_mat_vec(cmap, v) for v, _ in duals]))
-            q_p = Fraction(q_num, c ** M.dim * prod(e for _, e in duals))
-            scales.append(q_p / prod(d.pair(lam0, a.dual) for a in simples))
-        row, den = int_row(mat_vec(d.gram, lam0.coords))
-        got = M._limit_frames[direction] = ((tuple(row), den), tuple(scales))
-    return got
+    d = M.datum
+    lam0 = _generic_direction(M, direction)
+    cmap, c, _, _, _ = coord_map(M)
+    scales = []
+    for P in parabolics(M):
+        simples = simple_restricted(P)
+        duals = [int_row(a.dual.coords) for a in simples]
+        q_num = abs(int_det([int_mat_vec(cmap, v) for v, _ in duals]))
+        q_p = Fraction(q_num, c ** M.dim * prod(e for _, e in duals))
+        scales.append(q_p / prod(d.pair(lam0, a.dual) for a in simples))
+    row, den = int_row(mat_vec(d.gram, lam0.coords))
+    return (tuple(row), den), tuple(scales)
 
 
 def _rel_basis(L: Levi, upper: Levi | None) -> tuple[Vec, ...]:
@@ -698,18 +674,15 @@ def _rel_basis(L: Levi, upper: Levi | None) -> tuple[Vec, ...]:
     return tuple(rref(flat_kernel(L.datum, L.basis, upper.basis)))
 
 
+@kept
 def _rel_rows(L: Levi, upper: Levi | None) -> tuple[IntRows, IntRows, int]:
     """The relative basis of L under upper as integer rows, each row cleared of its own denominators,
     their forms S row as integer rows over the form's denominator, and the integer Gram determinant
-    of the rows; memoised on L, keyed by the root set of upper."""
-    key = None if upper is None else upper.root_subset
-    got = L._rel_rows.get(key)
-    if got is None:
-        gram, _ = L.datum.int_gram
-        rows = tuple(tuple(int_row(b)[0]) for b in _rel_basis(L, upper))
-        forms = tuple(int_mat_vec(gram, r) for r in rows)
-        got = L._rel_rows[key] = (rows, forms, int_gram_det(rows, forms))
-    return got
+    of the rows; built once per upper."""
+    gram, _ = L.datum.int_gram
+    rows = tuple(tuple(int_row(b)[0]) for b in _rel_basis(L, upper))
+    forms = tuple(int_mat_vec(gram, r) for r in rows)
+    return rows, forms, int_gram_det(rows, forms)
 
 
 def d_constant(L1: Levi, L: Levi, S: Levi, upper: Levi | None = None) -> QuadConst:
@@ -720,21 +693,18 @@ def d_constant(L1: Levi, L: Levi, S: Levi, upper: Levi | None = None) -> QuadCon
     determinant of the sum map with respect to orthonormal bases, an exact
     square root of a rational.  Independence is a lattice fact (a_L meet a_S
     is a_upper, or 0 when upper is None), so a zero needs no Gram matrix.
-    Memoised on L1, keyed by the root sets of L, S and upper, after the
-    containment checks.
+    Kept on L1 by ``_split_constant``, which runs after the containment
+    checks.
     """
     for X in (L, S):
         if not contains(L1, X):
             raise NotComparable(f"{L1.label} is not contained in {X.label}")
         if upper is not None and not contains(X, upper):
             raise NotComparable(f"{X.label} is not contained in {upper.label}")
-    key = (L.root_subset, S.root_subset, None if upper is None else upper.root_subset)
-    got = L1._d_constants.get(key)
-    if got is None:
-        got = L1._d_constants[key] = _split_constant(L1, L, S, upper)
-    return got
+    return _split_constant(L1, L, S, upper)
 
 
+@kept
 def _split_constant(L1: Levi, L: Levi, S: Levi, upper: Levi | None) -> QuadConst:
     """d by the lattice, then by integer Gram determinants of the relative rows.
 

@@ -31,8 +31,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from typing import Iterable, Sequence
+from functools import cached_property, wraps
+from typing import Callable, Iterable, Sequence
 
 from .errors import DimensionError, NotARoot, UnsupportedType
 from .exactlin import (
@@ -57,6 +57,22 @@ from .exactlin import (
 )
 
 Perm = tuple[int, ...]
+
+
+def kept(fn: Callable) -> Callable:
+    """fn(owner, *args), built on first use and kept in ``owner.kept``, keyed by the function and the
+    arguments: the one rule by which a datum or a Levi keeps the facts other modules derive from it.
+    A build that raises keeps nothing."""
+
+    @wraps(fn)
+    def keep(owner, *args):
+        key = (keep, *args)
+        got = owner.kept.get(key, keep)  # keep itself is no fact: it marks one not built yet
+        if got is keep:
+            got = owner.kept[key] = fn(owner, *args)
+        return got
+
+    return keep
 
 
 @dataclass(frozen=True)
@@ -176,8 +192,7 @@ class RootDatum:
         self.gram = gram
         self.factors = factors
         self.rank = len(gram)
-        self.lattice = None  # the Levi lattice, built once by levilattice.levi_lattice
-        self.tau_classes = None  # built once by spectral.enumerate_spectral_triples
+        self.kept: dict[tuple, object] = {}  # facts other modules derive from the datum (``kept``)
         # before the build: on another form a root has length 0 or the reflections generate without end
         for k in range(1, self.rank + 1):
             if det(tuple(row[:k] for row in gram[:k])) <= 0:

@@ -17,6 +17,8 @@ no chamber search.  The basis sum n^L, its elementary-symmetric cross-check,
 the discreteness span test and the independent pole-ray subsets of the
 bounded-extension sweep read each pole ray once per class, as a primitive
 integer row with its n_beta / 2 over one denominator (``TauClass.pole_rows``).
+A class keeps its facts as cached properties; the classes of a datum are
+enumerated once and kept on the datum (``rootdatum.kept``).
 """
 from __future__ import annotations
 
@@ -67,6 +69,7 @@ from .rootdatum import (
     element_from_word,
     int_act,
     invert,
+    kept,
     reflect_subgroup,
     weyl_group,
 )
@@ -553,16 +556,15 @@ def closed_subsystems(d: RootDatum) -> list[frozenset[int]]:
     return out
 
 
+@kept
 def enumerate_spectral_triples(d: RootDatum) -> tuple[TauClass, ...]:
     """Every (vanishing set, chamber-stabilizing r) class, deterministically ordered; built once per datum."""
-    if d.tau_classes is None:
-        classes = []
-        for subset in closed_subsystems(d):
-            fixes = _chamber_test(d, subset)
-            classes.extend(
-                TauClass(d, subset, w)
-                for w in weyl_group(d)
-                if all(w.perm[i] in subset for i in subset) and fixes(w)
-            )
-        d.tau_classes = tuple(classes)
-    return d.tau_classes
+    classes = []
+    for subset in closed_subsystems(d):
+        fixes = _chamber_test(d, subset)
+        classes.extend(
+            TauClass(d, subset, w)
+            for w in weyl_group(d)
+            if all(w.perm[i] in subset for i in subset) and fixes(w)
+        )
+    return tuple(classes)

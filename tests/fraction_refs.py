@@ -1,19 +1,22 @@
 """Fraction references for the integer routes to products, projections, ray signs, flat coordinates,
 restricted rays, splitting constants, the basis sums n^L and the chamber-stabilizer test with k^L,
-and the beneath-beyond reference for hull volumes.
+the beneath-beyond reference for hull volumes, and the recursive pulling triangulation.
 
 Each is the route the package ran on ``Fraction``s, or by a chamber search,
 before its integer rows and lattice facts, kept here so the tests can
 compare the two on every Levi.  The hull reference searches for the facets
 of every hull from its points alone, where the package reads one
-triangulation off the face lattice of each Levi.
+triangulation off the face lattice of each Levi.  The triangulation
+reference recurses from the whole hull down to its vertices, scanning for
+the facets of a face and triangulating it once per path that reaches it,
+where the package triangulates each face once, by dimension.
 """
 from fractions import Fraction
 from itertools import combinations
 from math import lcm, prod
 
 from gmcalc.exactlin import _eliminate, gram_matrix, idot, int_mat, int_rank, mat_vec, transpose, vscale
-from gmcalc.levilattice import QuadConst, Ray, _rel_basis, chambers_of_rays, group_rays, mzero, rays_in
+from gmcalc.levilattice import QuadConst, Ray, _rel_basis, chambers_of_rays, group_rays, hull_faces, mzero, rays_in
 from gmcalc.rootdatum import RatVec, compose, invert
 
 
@@ -222,3 +225,19 @@ def ref_hull_volume(pts, n):
         facets = kept + [facet(ridge + (p,)) for ridge in ridges.values()]
     apex = simplex[0]
     return sum(offset - idot(normal, apex) for _, normal, offset in facets)
+
+
+def ref_hull_simplices(M):
+    """The pulling triangulation of the M-hull read off ``hull_faces`` by recursion from the whole hull: a
+    face pulls its least vertex and cones it over the triangulations of its facets that miss it, the faces
+    one dimension down whose vertices it holds."""
+    faces = [(M.dim - Q.levi.dim, verts) for Q, verts in hull_faces(M)]
+
+    def pulled(k, verts):
+        held = set(verts)
+        return [verts] if k == 0 else [
+            (verts[0],) + s for j, facet in faces
+            if j == k - 1 and facet[0] != verts[0] and held.issuperset(facet) for s in pulled(j, facet)
+        ]
+
+    return tuple(pulled(*faces[-1]))

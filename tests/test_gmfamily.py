@@ -13,7 +13,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from float_refs import ref_segment_integral, same_bits
-from fraction_refs import ref_hull_volume
+from fraction_refs import ref_hull_simplices, ref_hull_volume
 from gmcalc import exactlin, gmfamily, levilattice
 from gmcalc.cli import main as cli_main
 from gmcalc.config import load_config
@@ -50,8 +50,9 @@ from gmcalc.levilattice import (
     parabolics,
     projected_orbit,
     restricted_rays,
+    trand_check,
 )
-from gmcalc.rootdatum import RatVec, RootDatum, act, build_root_system, weyl_group
+from gmcalc.rootdatum import RatVec, RootDatum, act, build_root_system, kept, weyl_group
 from gmcalc.spectral import enumerate_spectral_triples
 from gmcalc.suites import _dominant_samples, suite_hull_limit
 
@@ -368,6 +369,13 @@ def test_hull_faces_form_a_face_lattice(label):
         assert {i for s in simplices for i in s} == set(range(len(parabolics(M))))
 
 
+@pytest.mark.parametrize("label", ["A1", "A2", "B2", "G2", "A1xA1", "A3", "A1xA3", "G2xG2"])
+def test_hull_simplices_equal_the_recursive_reference(label):
+    d = build_root_system(label)
+    for M in levi_lattice(d):
+        assert hull_simplices(M) == ref_hull_simplices(M), M.label
+
+
 def _facet_missing_vertex_zero(faces):
     """The index of the first facet of the whole hull that misses vertex 0: its cone over 0 is in the sum."""
     top = faces[-1][0].levi.dim
@@ -429,8 +437,8 @@ def test_moved_cell_element_fails_every_orthogonal_set_of_its_levi(monkeypatch):
 def test_perturbed_chamber_scale_fails_every_record_of_its_levi(label):
     d = build_root_system(label)
     M = mzero(d)
-    lam0, scales = limit_frame(M)
-    M._limit_frames[None] = (lam0, (2 * scales[0],) + scales[1:])
+    lam0, scales = limit_frame(M, None)
+    M.kept[limit_frame, None] = (lam0, (2 * scales[0],) + scales[1:])
     records = suite_hull_limit(load_config(overrides={"group": label}), d)
     records = [r for r in records if r.id.split("/")[2] == M.label]
     assert len(records) == 25
@@ -472,9 +480,10 @@ def _count_calls(monkeypatch, module, name, key):
     return counts
 
 
-def _count_builds(monkeypatch, name, slot):
-    """Count, per Levi, the calls of levilattice.name that find the Levi's slot empty: its builds."""
-    counts = _count_calls(monkeypatch, levilattice, name, lambda M, *rest: id(M) if getattr(M, slot) is None else None)
+def _count_builds(monkeypatch, name):
+    """Count, per Levi, the calls of levilattice.name that find nothing kept for them on the Levi: its builds."""
+    fn = getattr(levilattice, name)
+    counts = _count_calls(monkeypatch, levilattice, name, lambda M, *rest: None if (fn, *rest) in M.kept else id(M))
     return lambda: {key: n for key, n in counts.items() if key is not None}
 
 
@@ -496,9 +505,8 @@ def _count_datum_builds(monkeypatch, name):
 def _count_integer_frames(monkeypatch):
     """The build counters of the rho_check orbit and of each Levi's projected orbit and integer frame."""
     orbits = _count_datum_builds(monkeypatch, "rho_orbit")
-    frames = {slot: _count_builds(monkeypatch, name, slot)
-              for name, slot in (("projected_orbit", "_orbit"), ("cell_maps", "_cell_maps"), ("coord_map", "_coord_map"))}
-    return orbits, lambda: {slot: count() for slot, count in frames.items()}
+    frames = {name: _count_builds(monkeypatch, name) for name in ("projected_orbit", "cell_maps", "coord_map")}
+    return orbits, lambda: {name: count() for name, count in frames.items()}
 
 
 def test_hull_limit_builds_each_frame_once_per_levi(monkeypatch):
@@ -516,7 +524,7 @@ def test_hull_limit_builds_each_frame_once_per_levi(monkeypatch):
     assert orbits == {id(d): 1}
     proper = {id(M): 1 for M in levi_lattice(d) if M.dim}
     every = {id(M): 1 for M in levi_lattice(d)}
-    assert frames() == {"_orbit": proper, "_cell_maps": every, "_coord_map": every}
+    assert frames() == {"projected_orbit": proper, "cell_maps": every, "coord_map": every}
 
 
 def test_second_datum_builds_its_own_frames(monkeypatch):
@@ -533,8 +541,7 @@ def test_second_datum_builds_its_own_frames(monkeypatch):
     # checked before any hull of second is built: the hull of M reads the chambers of every L >= M
     for M1, M2 in zip(levi_lattice(first), levi_lattice(second)):
         assert M2 == M1 and M2 is not M1  # equal keys: a cache keyed on them would hand out M1's frame
-        assert M2._proj is None and M2._cell_maps is None and M2._coord_map is None and not M2._limit_frames
-        assert M2._orbit is None and M2._hull_faces is None and M2._hull_simplices is None
+        assert M2.kept == {}
     for M1, M2 in zip(levi_lattice(first), levi_lattice(second)):
         oset = orthogonal_set(M2, T)
         assert (hull_volume(oset), family_limit(ExpPolyFamily.from_orthogonal_set(oset))) == values[M2.label]
@@ -542,7 +549,7 @@ def test_second_datum_builds_its_own_frames(monkeypatch):
         assert cell_maps(M2) is not cell_maps(M1) and coord_map(M2) is not coord_map(M1)
         assert hull_faces(M2) is not hull_faces(M1) and hull_simplices(M2) == hull_simplices(M1)
         if M2.dim:
-            assert limit_frame(M2) is not limit_frame(M1)
+            assert limit_frame(M2, None) is not limit_frame(M1, None)
             assert projected_orbit(M2) is not projected_orbit(M1) and projected_orbit(M2) == projected_orbit(M1)
     assert second.rho_orbit is not first.rho_orbit and second.rho_orbit == first.rho_orbit
     assert solves == Counter(M.dim for M in levi_lattice(second))
@@ -550,7 +557,7 @@ def test_second_datum_builds_its_own_frames(monkeypatch):
     assert orbits == {id(second): 1}
     proper = {id(M): 1 for M in levi_lattice(second) if M.dim}
     every = {id(M): 1 for M in levi_lattice(second)}
-    assert frames() == {"_orbit": proper, "_cell_maps": every, "_coord_map": every}
+    assert frames() == {"projected_orbit": proper, "cell_maps": every, "coord_map": every}
 
 
 def test_root_forms_built_once_per_datum(monkeypatch):
@@ -562,6 +569,44 @@ def test_root_forms_built_once_per_datum(monkeypatch):
         assert homes <= set(levi_lattice(d))
     assert forms == {id(first): 1, id(second): 1}
     assert second.root_forms is not first.root_forms and second.root_forms == first.root_forms
+
+
+def _kept_values(d) -> list:
+    return [got for owner in (d, *levi_lattice(d)) for got in owner.kept.values()]
+
+
+def test_kept_builds_once_per_owner_and_keeps_no_failed_build():
+    builds = []
+
+    @kept
+    def fact(d, k):
+        builds.append((d, k))
+        if k < 0:
+            raise ValueError(k)
+        return [d.label, k]
+
+    first, second = build_root_system("A2"), build_root_system("A2")
+    assert fact(first, 1) is fact(first, 1) and builds == [(first, 1)]
+    assert fact(second, 1) == fact(first, 1) and fact(second, 1) is not fact(first, 1)
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            fact(first, -1)
+    assert builds == [(first, 1), (second, 1), (first, -1), (first, -1)] and (fact, -1) not in first.kept
+    # every fact the suites keep on a datum and its Levis: the second datum builds its own
+    T = dominant_point(first, [1, 2])
+    for d in (first, second):
+        trand_check(d)
+        enumerate_spectral_triples(d)
+        for M in levi_lattice(d):
+            oset = orthogonal_set(M, T)
+            hull_volume(oset)
+            family_limit(ExpPolyFamily.from_orthogonal_set(oset))
+    assert [len(owner.kept) for owner in (first, *levi_lattice(first))] == [
+        len(owner.kept) for owner in (second, *levi_lattice(second))
+    ]
+    shared = {id(got) for got in _kept_values(first)} & {id(got) for got in _kept_values(second)}
+    # only the immutable singletons: the empty tuple and the one zero constant
+    assert all(got == () or got is QuadConst.zero() for got in _kept_values(first) if id(got) in shared)
 
 
 # -- family limits -----------------------------------------------------------

@@ -251,9 +251,37 @@ def test_config_schema_uses_only_what_the_validator_implements():
     assert types <= {k.value for k in _assigned(SRC / "config.py", "_TYPES").keys}
 
 
-def _module_caches(tree: ast.Module) -> list[str]:
-    """functools.cache / lru_cache decorators anywhere, and module-level names ending in _CACHE (any case)."""
+def _param_stores(node: ast.AST, params: frozenset[str] = frozenset()) -> list[str]:
+    """Stores to an attribute of a function parameter other than self and cls, or to an item of one, in
+    the functions under node: each keeps a fact on an object the function was handed.  ``kept``, the one
+    rule for keeping facts on their owner, is exempt."""
     found = []
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if child.name != "kept":
+                args = child.args
+                names = {a.arg for a in [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg] if a}
+                found += _param_stores(child, params | (names - {"self", "cls"}))
+            continue
+        if isinstance(child, ast.Assign):
+            targets = child.targets
+        elif isinstance(child, (ast.AugAssign, ast.AnnAssign)):
+            targets = [child.target]
+        else:
+            targets = []
+        for target in targets:
+            for store in target.elts if isinstance(target, ast.Tuple) else [target]:
+                base = store.value if isinstance(store, ast.Subscript) else store
+                if isinstance(base, ast.Attribute) and isinstance(base.value, ast.Name) and base.value.id in params:
+                    found.append(f"store to {ast.unparse(store)}, line {child.lineno}")
+        found += _param_stores(child, params)
+    return found
+
+
+def _module_caches(tree: ast.Module) -> list[str]:
+    """functools.cache / lru_cache decorators anywhere, module-level names ending in _CACHE (any case), and
+    hand-kept facts (``_param_stores``)."""
+    found = _param_stores(tree)
     for node in ast.walk(tree):
         for dec in getattr(node, "decorator_list", []):
             target = dec.func if isinstance(dec, ast.Call) else dec
@@ -282,8 +310,14 @@ def test_module_cache_detector_finds_each_kind():
         "class C:\n    @lru_cache\n    def c(self): pass\n"
         "_RAY_CACHE = {}\n_nbeta_cache: dict = {}\nX, _Y_CACHE = 1, {}\n"
         "def f():\n    LOCAL_CACHE = {}\n"
+        "def g(M, d, *rest, **kw):\n    M._proj = 1\n    d.lattice, x = (), 0\n    M._frames[0] = 1\n"
+        "    kw.n += 1\n    rest.x: int = 0\n    got = M._memo[1] = 2\n"
+        "    def inner(x):\n        M.y = x.z = 0\n"
+        "class D:\n    def __init__(self, L):\n        self.x = cls.y = 0\n        L.z[0] = 1\n"
+        "def kept(fn):\n    def keep(owner):\n        owner.kept[0] = 1\n"
+        "def h(x):\n    pts = object()\n    pts.levi = x.a.b = x\n    x[0] = y = 1\n"
     )
-    assert len(_module_caches(ast.parse(src))) == 6
+    assert len(_module_caches(ast.parse(src))) == 15
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)

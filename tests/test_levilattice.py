@@ -16,6 +16,7 @@ from gmcalc.exactlin import int_mat, int_rank, int_row, mat_vec, vadd, zeros
 from gmcalc.levilattice import (
     QuadConst,
     _join,
+    _split_constant,
     base_chamber,
     chamber_at,
     chamber_cells,
@@ -243,32 +244,37 @@ def test_stored_sign_pattern_matches_fresh(label):
             assert set(form_signs(d, [a.form for a in simple_restricted(P)], x)) <= {1}
 
 
-def test_d_constant_memo_matches_fresh_computation_on_a3():
-    from gmcalc.levilattice import _split_constant
+def _kept(owner, fn) -> dict:
+    """What owner keeps for fn, by the arguments after owner."""
+    return {key[1:]: got for key, got in owner.kept.items() if key[0] is fn}
 
+
+def test_d_constant_memo_matches_fresh_computation_on_a3():
     d = build_root_system("A3")
     trand_check(d)
     fresh = build_root_system("A3")
     by_roots = {L.root_subset: L for L in levi_lattice(fresh)}
     entries = 0
     for L1 in levi_lattice(d):
-        for (l_roots, s_roots, upper_roots), got in L1._d_constants.items():
-            upper = None if upper_roots is None else by_roots[upper_roots]
-            want = _split_constant(by_roots[L1.root_subset], by_roots[l_roots], by_roots[s_roots], upper)
+        for (L, S, upper), got in _kept(L1, _split_constant).items():
+            assert L.datum is S.datum is d and (upper is None or upper.datum is d)
+            upper = None if upper is None else by_roots[upper.root_subset]
+            # the build itself, which keeps nothing on fresh
+            want = _split_constant.__wrapped__(by_roots[L1.root_subset], by_roots[L.root_subset], by_roots[S.root_subset], upper)
             assert got == want
             entries += 1
     # every distinct (L1, L, S, upper) tuple trand_check asks for, computed once
     assert entries == 1066
-    assert all(not L._d_constants for L in levi_lattice(fresh))
+    assert all(not _kept(L, _split_constant) for L in levi_lattice(fresh))
 
 
 def test_d_constant_memo_is_per_datum_and_checks_containment_first():
     first, second = build_root_system("A2"), build_root_system("A2")
     lines = [[L for L in levi_lattice(d) if L.dim == 1] for d in (first, second)]
     got = d_constant(mzero(first), lines[0][0], lines[0][1])
-    assert len(mzero(first)._d_constants) == 1 and not mzero(second)._d_constants
+    assert len(_kept(mzero(first), _split_constant)) == 1 and not _kept(mzero(second), _split_constant)
     assert d_constant(mzero(second), lines[1][0], lines[1][1]) == got
-    assert mzero(second)._d_constants is not mzero(first)._d_constants
+    assert mzero(second).kept is not mzero(first).kept
     # the containment checks run on every call, memoised or not
     for _ in range(2):
         with pytest.raises(NotComparable):
