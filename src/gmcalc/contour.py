@@ -132,15 +132,6 @@ class TestFunction:
         return f"poly{[str(c) for c in self.coeffs]}*exp({self.scale}z^2)"
 
 
-DEFAULT_BATTERY = (
-    TestFunction((Fraction(1),), Fraction(1)),
-    TestFunction((Fraction(0), Fraction(1)), Fraction(1)),
-    TestFunction((Fraction(1), Fraction(1)), Fraction(1, 2)),
-    TestFunction((Fraction(-2), Fraction(0), Fraction(1)), Fraction(1)),
-    TestFunction((Fraction(0), Fraction(1), Fraction(0), Fraction(1)), Fraction(2)),
-)
-
-
 @dataclass(frozen=True)
 class MeromorphicLine:
     """analytic part plus declared simple poles i*loc on the imaginary axis."""

@@ -209,10 +209,10 @@ def family_limit(f: ExpPolyFamily, direction: RatVec | None = None) -> QuadConst
     family is incompatible and FamilyNotSmooth is raised.  The sums run on
     integer numerators; order k has denominator k! times one common
     denominator to the power k, times that of the scales and coefficients.
+    On a point flat (K = 0) the one chamber's scale is 1, so the limit is its
+    summed coefficient.
     """
     M = f.levi
-    if M.dim == 0:
-        return QuadConst.from_rational(Fraction(sum(c for c, _ in f.rows[0]), f.c_den))
     (lam, lam_den), scales = limit_frame(M, direction)
     nums, scale_den = int_row(scales)
     K = M.dim
@@ -382,31 +382,27 @@ def split_subsets(
     is P_M - P_S, read off the two flats' projectors.  Each subset of
     candidates whose projected duals form a basis of that part (nonzero Gram
     determinant) is one term, weighted by their covolume; terms come in
-    candidate and subset order.  With nothing to split there is one empty
-    term of weight 1.
+    candidate and subset order.  With nothing to split (M = S) the empty
+    subset is the one term, of weight the empty Gram determinant 1.
     """
     d = L1.datum
-    ks = M.dim - S.dim
-    if ks == 0:
-        terms = [(QuadConst.one(), [])]
-    else:
-        (pm, m_den), (ps, s_den) = flat_projector(M), flat_projector(S)
-        den = m_den * s_den
-        rel = [[a * s_den - b * m_den for a, b in zip(ra, rb)] for ra, rb in zip(pm, ps)]
-        candidates = []
-        rays = rays_in(L1, S)
-        signs = form_signs(d, [ray.form for ray in rays], int_row(Q1.chamber_point.coords)[0])
-        for ray, sign in zip(rays, signs):
-            neg = ray if sign < 0 else -ray
-            dual, dual_den = int_row(neg.dual.coords)
-            proj = int_mat_vec(rel, dual)
-            if any(proj):
-                candidates.append((neg.rep, neg.dual, ratio_vec(proj, den * dual_den)))
-        terms = []
-        for subset in combinations(candidates, ks):
-            sq = gram_det([proj for _, _, proj in subset], d.gram)
-            if sq:
-                terms.append((QuadConst.from_square(sq), [(rep_neg, dual_neg) for rep_neg, dual_neg, _ in subset]))
+    (pm, m_den), (ps, s_den) = flat_projector(M), flat_projector(S)
+    den = m_den * s_den
+    rel = [[a * s_den - b * m_den for a, b in zip(ra, rb)] for ra, rb in zip(pm, ps)]
+    candidates = []
+    rays = rays_in(L1, S)
+    signs = form_signs(d, [ray.form for ray in rays], int_row(Q1.chamber_point.coords)[0])
+    for ray, sign in zip(rays, signs):
+        neg = ray if sign < 0 else -ray
+        dual, dual_den = int_row(neg.dual.coords)
+        proj = int_mat_vec(rel, dual)
+        if any(proj):
+            candidates.append((neg.rep, neg.dual, ratio_vec(proj, den * dual_den)))
+    terms = []
+    for subset in combinations(candidates, M.dim - S.dim):
+        sq = gram_det([proj for _, _, proj in subset], d.gram)
+        if sq:
+            terms.append((QuadConst.from_square(sq), [(rep_neg, dual_neg) for rep_neg, dual_neg, _ in subset]))
     return terms
 
 

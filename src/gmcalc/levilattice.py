@@ -86,10 +86,6 @@ class QuadConst:
         return _ZERO
 
     @classmethod
-    def one(cls) -> "QuadConst":
-        return cls(Fraction(1), 1)
-
-    @classmethod
     def from_square(cls, sq: Fraction, sign: int = 1) -> "QuadConst":
         sq = Fraction(sq)
         if sq < 0:
@@ -97,13 +93,6 @@ class QuadConst:
         if sq == 0 or sign == 0:
             return _ZERO
         return cls(sq, 1 if sign > 0 else -1)
-
-    @classmethod
-    def from_rational(cls, q: Fraction) -> "QuadConst":
-        q = Fraction(q)
-        if q == 0:
-            return _ZERO
-        return cls(q * q, 1 if q > 0 else -1)
 
     def __mul__(self, other: "QuadConst") -> "QuadConst":
         if not self.sign or not other.sign:
@@ -197,8 +186,8 @@ class ParabolicChamber:
         index: int,
         positive_roots: tuple[int, ...],
         chamber_point: RatVec,
-        wall_rays: tuple[int, ...] = (),
-        signs: tuple[int, ...] = (),
+        wall_rays: tuple[int, ...],
+        signs: tuple[int, ...],
     ):
         self.levi = levi
         self.index = index
@@ -260,8 +249,6 @@ def levi_lattice(d: RootDatum) -> tuple[Levi, ...]:
     while frontier:
         nxt = []
         for subset, basis_rows in frontier:
-            if not basis_rows:
-                continue
             for i in d.pos_indices:
                 if i in subset:
                     continue
@@ -449,9 +436,6 @@ def parabolics(M: Levi) -> tuple[ParabolicChamber, ...]:
     are recovered from sign adjacency: a ray is a wall of a chamber exactly
     when flipping its sign alone lands on another chamber.
     """
-    d = M.datum
-    if M.dim == 0:
-        return (ParabolicChamber(M, 0, (), RatVec.zero(d.rank)),)
     rays = restricted_rays(M)
     witnesses = _witnesses(M, rays)
     chambers = []
@@ -514,7 +498,7 @@ def chamber_cells(M: Levi) -> dict[int, tuple[WeylElement, ...]]:
     d = M.datum
     chambers = parabolics(M)
     by_pos = {P.positive_roots: P.index for P in chambers}
-    nonzero = {i for ray in restricted_rays(M) for i, _ in ray.members} if M.dim else set()
+    nonzero = {i for ray in restricted_rays(M) for i, _ in ray.members}
     cells: dict[int, list[WeylElement]] = {P.index: [] for P in chambers}
     for w in weyl_group(d):
         img_pos = sorted(j for j in (w.perm[i] for i in d.pos_indices) if j in nonzero)
@@ -580,22 +564,17 @@ def hull_simplices(M: Levi) -> tuple[tuple[int, ...], ...]:
 
 def simple_restricted(P: ParabolicChamber) -> list[Ray]:
     """The wall rays of the chamber, each on its positive side (none for the improper one)."""
-    M = P.levi
-    if M.dim == 0:
-        return []
-    rays = restricted_rays(M)
+    rays = restricted_rays(P.levi)
     return [rays[k] if P.signs[k] > 0 else -rays[k] for k in P.wall_rays]
 
 
 def theta(P: ParabolicChamber, lam: RatVec) -> ThetaValue:
     """Normalized product of simple coroot pairings over the chamber's walls.
 
-    For the improper chamber (M = G) the value is identically 1 by convention.
+    The improper chamber (M = G) has no walls, so its value is the empty
+    product over the empty Gram determinant: 1 over covolume 1.
     """
-    M = P.levi
-    d = M.datum
-    if M.dim == 0:
-        return ThetaValue(Fraction(1), QuadConst.one())
+    d = P.levi.datum
     simples = simple_restricted(P)
     product = Fraction(1)
     for a in simples:
@@ -667,15 +646,13 @@ def limit_frame(M: Levi, direction: RatVec | None) -> tuple[tuple[tuple[int, ...
     return (tuple(row), den), tuple(scales)
 
 
-def _rel_basis(L: Levi, upper: Levi | None) -> tuple[Vec, ...]:
-    """Basis of the part of a_L orthogonal to a_upper (all of a_L when upper is None)."""
-    if upper is None or upper.dim == 0:
-        return L.basis
+def _rel_basis(L: Levi, upper: Levi) -> tuple[Vec, ...]:
+    """Basis of the part of a_L orthogonal to a_upper, in reduced row echelon form (L's own basis for G)."""
     return tuple(rref(flat_kernel(L.datum, L.basis, upper.basis)))
 
 
 @kept
-def _rel_rows(L: Levi, upper: Levi | None) -> tuple[IntRows, IntRows, int]:
+def _rel_rows(L: Levi, upper: Levi) -> tuple[IntRows, IntRows, int]:
     """The relative basis of L under upper as integer rows, each row cleared of its own denominators,
     their forms S row as integer rows over the form's denominator, and the integer Gram determinant
     of the rows; built once per upper."""
@@ -692,31 +669,31 @@ def d_constant(L1: Levi, L: Levi, S: Levi, upper: Levi | None = None) -> QuadCon
     and of complementary dimension in that of a_L1; otherwise the absolute
     determinant of the sum map with respect to orthonormal bases, an exact
     square root of a rational.  Independence is a lattice fact (a_L meet a_S
-    is a_upper, or 0 when upper is None), so a zero needs no Gram matrix.
-    Kept on L1 by ``_split_constant``, which runs after the containment
-    checks.
+    is a_upper), so a zero needs no Gram matrix.  None stands for upper = G
+    (a_G = 0) and is replaced by G once, here, before the containment checks;
+    the constant is kept on L1 by ``_split_constant``, which runs after them.
     """
+    upper = gfull(L1.datum) if upper is None else upper
     for X in (L, S):
         if not contains(L1, X):
             raise NotComparable(f"{L1.label} is not contained in {X.label}")
-        if upper is not None and not contains(X, upper):
+        if not contains(X, upper):
             raise NotComparable(f"{X.label} is not contained in {upper.label}")
     return _split_constant(L1, L, S, upper)
 
 
 @kept
-def _split_constant(L1: Levi, L: Levi, S: Levi, upper: Levi | None) -> QuadConst:
+def _split_constant(L1: Levi, L: Levi, S: Levi, upper: Levi) -> QuadConst:
     """d by the lattice, then by integer Gram determinants of the relative rows.
 
     The parts of a_L and a_S orthogonal to a_upper meet only in 0 exactly when
-    their join is upper (G when upper is None; a_G = 0).  Then they span that
-    part of a_L1 exactly when the dimensions add up, and d^2 is
+    their join is upper.  Then they span that part of a_L1 exactly when the
+    dimensions add up, and d^2 is
     det Gram(L + S) / (det Gram(L) det Gram(S)), which no rescaling of a row
     changes, so the rows are read over their own denominators and the form
     over its one denominator.
     """
-    top = gfull(L1.datum) if upper is None else upper
-    if _join(L, S) != top or L.dim + S.dim != L1.dim + top.dim:
+    if _join(L, S) != upper or L.dim + S.dim != L1.dim + upper.dim:
         return _ZERO
     rows_l, forms_l, det_l = _rel_rows(L, upper)
     rows_s, forms_s, det_s = _rel_rows(S, upper)

@@ -6,7 +6,12 @@ and per-ray multiplicities.  Everything downstream (discreteness tests, the
 constants n^L and k^L, the modeled stabilizer on the home flat, the
 bounded-extension sweep) is a function of this shadow.
 
-The modeled stabilizer acts on the home flat in its basis coordinates, read
+The home of a class is the first Levi in lattice order that r fixes
+pointwise, read off the integer basis rows of each Levi's coordinate map
+(``rootdatum.int_act``), and the dimension of a fixed space is the rank less
+the integer rank of w - 1; the coset search of the discreteness test reads
+the same two facts, so no Fraction kernel runs on a Weyl matrix.  The
+modeled stabilizer acts on the home flat in its basis coordinates, read
 through the home's integer coordinate map (``levilattice.flat_coords``), and
 every chamber, pole-wall and wall-point test reads the signs of integer
 forms built once per datum (``RootDatum.root_forms``) or per ray
@@ -42,16 +47,13 @@ from .exactlin import (
     combine,
     int_rank,
     int_row,
-    kernel,
     primitive_ray,
-    rref,
     sym_pair,
 )
 from .gmfamily import ScalarFn, ScalarRootFns, density_at
 from .levilattice import (
     Levi,
     Ray,
-    _vanishing_subset,
     chambers_of_rays,
     contains,
     coord_map,
@@ -95,12 +97,13 @@ class TauClass:
 
     @cached_property
     def levi_L(self) -> Levi:
-        """The elliptic home Levi: the flat of the roots vanishing on the fixed space of r."""
-        d = self.datum
-        fix = _fixed_space(d, self.r_elem)
-        subset = _vanishing_subset(d, fix)
-        home = next((L for L in levi_lattice(d) if L.root_subset == subset), None)
-        if home is None or home.dim != len(fix):
+        """The elliptic home Levi: the fixed space of r, as the first Levi in lattice order (larger flats
+        first) that r fixes pointwise.  No flat larger than the fixed space is fixed, every r fixes
+        a_G = 0, and the Levi found is the fixed space of r exactly when the dimensions agree."""
+        d, r = self.datum, self.r_elem
+        fixed = _fixed_dim(d, r)
+        home = next(L for L in levi_lattice(d) if L.dim <= fixed and _fixes_flat(d, r, L))
+        if home.dim != fixed:
             raise InternalInconsistency("fixed space of r is not a flat of the arrangement")
         return home
 
@@ -136,12 +139,9 @@ class TauClass:
     @cached_property
     def core(self) -> tuple[TauWeyl, ...]:
         """W_tau: restrictions to the home flat of reflection-part elements commuting with r."""
-        w0 = reflect_subgroup(self.datum, self.sigma_roots)
-        if self.levi_L.dim == 0:
-            return (TauWeyl((), w0[0]),)
         out: dict[Mat, TauWeyl] = {}
         r = self.r_elem.perm
-        for w in w0:
+        for w in reflect_subgroup(self.datum, self.sigma_roots):
             if compose(w.perm, r) != compose(r, w.perm):
                 continue
             m = _on_home(self, w)
@@ -155,10 +155,15 @@ class TauClass:
         return chambers_of_rays(self.levi_L, self.tau_rays)
 
 
-def _fixed_space(d: RootDatum, w: WeylElement) -> list[Vec]:
-    n = d.rank
-    rows = [tuple(w.matrix[i][j] - (1 if i == j else 0) for j in range(n)) for i in range(n)]
-    return kernel(rows, n)
+def _fixes_flat(d: RootDatum, w: WeylElement, L: Levi) -> bool:
+    """Does w fix a_L pointwise?  It does exactly when it fixes each integer basis row of a_L."""
+    return all(int_act(d, w, b) == b for b in zip(*coord_map(L)[2]))
+
+
+def _fixed_dim(d: RootDatum, w: WeylElement) -> int:
+    """dim Fix(w) = rank - rank(w - 1), where column j of w - 1 is w(alpha_{simple j}) - e_j."""
+    cols = [tuple(x - (k == j) for k, x in enumerate(d.root_rows[w.perm[i]])) for j, i in enumerate(d.simple)]
+    return d.rank - int_rank(cols)
 
 
 def _is_closed_subsystem(d: RootDatum, subset: frozenset[int]) -> bool:
@@ -233,16 +238,13 @@ def _restriction_spans(t: TauClass, upper: Levi) -> bool:
 
 
 def _brute_force_discrete(t: TauClass, upper: Levi) -> bool:
-    """Does the reflection-coset of r contain an element whose fixed space is a_upper?"""
+    """Does the reflection-coset of r contain an element whose fixed space is a_upper?  An element has
+    that fixed space exactly when it fixes a_upper pointwise and its fixed space has the dimension of a_upper."""
     d = t.datum
     sub_roots = [i for i in t.sigma_roots if i in upper.root_subset]
-    w0 = reflect_subgroup(d, sub_roots)
-    target = rref(upper.basis) if upper.dim else []
-    for w in w0:
-        fixed = _fixed_space(d, d.element(compose(t.r_elem.perm, w.perm)))
-        if len(fixed) != upper.dim:
-            continue
-        if rref(list(fixed)) == target:
+    for w in reflect_subgroup(d, sub_roots):
+        u = d.element(compose(t.r_elem.perm, w.perm))
+        if _fixes_flat(d, u, upper) and _fixed_dim(d, u) == upper.dim:
             return True
     return False
 
@@ -251,7 +253,7 @@ def classify_tau(t: TauClass, G_levi: Levi | None = None) -> bool:
     """Does the class induce discretely to the upper Levi?  Computed two independent ways.
 
     The class is elliptic in its home Levi by construction: the home is the
-    flat of the roots vanishing on the fixed space of r, of the same dimension.
+    fixed space of r.
     """
     upper = G_levi if G_levi is not None else levi_lattice(t.datum)[-1]
     if not contains(t.levi_L, upper):
@@ -453,14 +455,12 @@ def tempext_check(
         for combo in combinations(ray_rows, size):
             if int_rank([row for _, row in combo]) == size:
                 subsets.append(tuple(ray for ray, _ in combo))
-    if not subsets:
-        subsets = [()]
     # the float forms of the core and of each ray's dual pairing, built once per class
     lifts = [tuple(tuple(map(float, row)) for row in u.lift.matrix) for u in t.core]
     dual_rows = {ray.key: d.float_row(ray.dual) for ray in rays}
     for F in subsets:
         pairings = [(ray.rep, fns.fn(ray.rep), dual_rows[ray.key]) for ray in F]
-        for wall in F if F else []:
+        for wall in F:
             wall_pts = _wall_points(t, wall)
             for phi_idx, phi in enumerate(phi_battery):
                 maxima = []

@@ -1,6 +1,7 @@
 """Fraction references for the integer routes to products, projections, ray signs, flat coordinates,
-restricted rays, splitting constants, the basis sums n^L and the chamber-stabilizer test with k^L,
-the beneath-beyond reference for hull volumes, and the recursive pulling triangulation.
+restricted rays, splitting constants, the basis sums n^L, the chamber-stabilizer test with k^L and
+the fixed spaces of Weyl elements, the beneath-beyond reference for hull volumes, and the recursive
+pulling triangulation.
 
 Each is the route the package ran on ``Fraction``s, or by a chamber search,
 before its integer rows and lattice facts, kept here so the tests can
@@ -15,9 +16,21 @@ from fractions import Fraction
 from itertools import combinations
 from math import lcm, prod
 
-from gmcalc.exactlin import _eliminate, gram_matrix, idot, int_mat, int_rank, mat_vec, transpose, vscale
-from gmcalc.levilattice import QuadConst, Ray, _rel_basis, chambers_of_rays, group_rays, hull_faces, mzero, rays_in
-from gmcalc.rootdatum import RatVec, compose, invert
+from gmcalc.exactlin import _eliminate, gram_matrix, idot, int_mat, int_rank, kernel, mat_vec, rref, transpose, vscale
+from gmcalc.levilattice import (
+    QuadConst,
+    Ray,
+    _rel_basis,
+    _vanishing_subset,
+    chambers_of_rays,
+    gfull,
+    group_rays,
+    hull_faces,
+    levi_lattice,
+    mzero,
+    rays_in,
+)
+from gmcalc.rootdatum import RatVec, compose, invert, reflect_subgroup
 
 
 def ref_mat_mul(a, b):
@@ -101,8 +114,9 @@ def ref_gram_det(vectors, S):
 def ref_split_constant(L1, L, S, upper):
     """d_L1^upper(L, S) by Gram determinants alone: zero unless the relative bases have complementary
     sizes and together a nonzero Gram determinant, else the square root of det Gram(L + S) over
-    det Gram(L) det Gram(S)."""
+    det Gram(L) det Gram(S).  No upper is G, whose flat is 0."""
     gram = L1.datum.gram
+    upper = gfull(L1.datum) if upper is None else upper
     bl, bs, b1 = (_rel_basis(X, upper) for X in (L, S, L1))
     if len(bl) + len(bs) != len(b1):
         return QuadConst.zero()
@@ -152,6 +166,33 @@ def ref_k_constant(t, L):
     r = t.r_elem.perm
     wsig = d.subgroup([d.reflection_perms[i] for i in roots] + [r])
     return sum(1 for w in wsig if fixes(w) and compose(w.perm, r) == compose(r, w.perm))
+
+
+def ref_fixed_space(d, w):
+    """The fixed space of w: the kernel of its matrix minus 1, on Fractions."""
+    n = d.rank
+    return kernel([tuple(w.matrix[i][j] - (i == j) for j in range(n)) for i in range(n)], n)
+
+
+def ref_levi_L(t):
+    """The home of a class by the Fraction fixed space of r: the flat of the roots vanishing on it, or
+    None when that flat is not the fixed space."""
+    d = t.datum
+    fix = ref_fixed_space(d, t.r_elem)
+    subset = _vanishing_subset(d, fix)
+    home = next((L for L in levi_lattice(d) if L.root_subset == subset), None)
+    return home if home is not None and home.dim == len(fix) else None
+
+
+def ref_brute_force_discrete(t, upper):
+    """The coset search on Fraction fixed spaces: does some r w, w in the reflection group of the class's
+    roots in upper, have a fixed space with the reduced row echelon form of a_upper?"""
+    d = t.datum
+    for w in reflect_subgroup(d, [i for i in t.sigma_roots if i in upper.root_subset]):
+        fixed = ref_fixed_space(d, d.element(compose(t.r_elem.perm, w.perm)))
+        if len(fixed) == upper.dim and rref(fixed) == rref(upper.basis):
+            return True
+    return False
 
 
 def int_normal(rows, n):

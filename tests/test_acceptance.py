@@ -7,8 +7,8 @@ import numpy as np
 
 from gmcalc.asymptotic import SigmaModel, assemble_PhiP, c_coefficient_example, multiplier_alpha
 from gmcalc.cli import main as cli_main
+from gmcalc.config import load_config
 from gmcalc.contour import (
-    DEFAULT_BATTERY,
     FlatTestFunction,
     MeromorphicLine,
     chamber_below,
@@ -45,7 +45,7 @@ from gmcalc.spectral import (
     tau_class,
     tempext_check,
 )
-from gmcalc.suites import _dominant_samples
+from gmcalc.suites import _battery, _dominant_samples
 
 HULL_GROUPS = ("A1", "A2", "B2", "A1xA1", "A3")
 RANK3_GROUPS = (
@@ -53,6 +53,7 @@ RANK3_GROUPS = (
     "A1xA1", "A1xA2", "A1xB2", "A1xC2", "A1xG2", "A1xA1xA1",
 )
 RANK2_GROUPS = ("A1", "A2", "B2", "C2", "G2", "A1xA1")
+BATTERY = _battery(load_config())  # the configured default test functions
 
 
 def report(num, name, ok, note=""):
@@ -136,11 +137,11 @@ def test_criterion_5_residue_identity_1d():
             lambda z: np.zeros_like(z, dtype=complex) if not np.isscalar(z) else 0j,
             ((0.0, complex(-n)),), "pole",
         )
-        for phi in DEFAULT_BATTERY:
+        for phi in BATTERY:
             rec = residue_identity_1d(pole, phi, 0.05, n, tol=1e-6)
             assert rec["pass"], rec
             worst = max(worst, rec["residual"])
-        even = DEFAULT_BATTERY[0]
+        even = BATTERY[0]
         pv, _ = pv_integral(pole, even)
         lhs = shifted_integral(pole, even, 0.05)
         assert abs(pv) <= 1e-8

@@ -226,6 +226,15 @@ def test_eval_theta(capsys):
     assert "product:" in out and "covol_sq: 2" in out
 
 
+def test_eval_theta_on_g_is_one(capsys):
+    # G's one chamber has no walls: the empty product over covolume 1
+    code = main(["eval", "--group", "A2", "--expr", "theta",
+                 "--args", json.dumps({"M": "G", "chamber": 0, "lambda": ["1/2", "-3"]})])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "product: 1\n" in out and "covol_sq: 1\n" in out and "value: 1.0\n" in out
+
+
 def test_eval_n_beta(capsys):
     args = json.dumps({"sigma_roots": [0, 1], "beta": ["1"]})
     assert main(["eval", "--group", "A1", "--expr", "n_beta", "--args", args]) == 0

@@ -10,7 +10,6 @@ from float_refs import ref_flat_phi, ref_grid_build, ref_quad_on_panels, same_bi
 from gmcalc import contour
 from gmcalc.config import load_config
 from gmcalc.contour import (
-    DEFAULT_BATTERY,
     FlatTestFunction,
     MeromorphicLine,
     ShiftCase,
@@ -33,7 +32,7 @@ from gmcalc.gmfamily import ScalarRootFns, scalar_fn_from_template
 from gmcalc.levilattice import base_chamber, levi_lattice, mzero, parabolics
 from gmcalc.rootdatum import build_root_system
 from gmcalc.spectral import build_spectral_triple, enumerate_spectral_triples, tau_class
-from gmcalc.suites import _lemma_shift_cases
+from gmcalc.suites import _battery, _lemma_shift_cases
 
 
 def pole(n):
@@ -42,6 +41,7 @@ def pole(n):
 
 GAUSS = TestFunction((Fraction(1),), Fraction(1))
 ZGAUSS = TestFunction((Fraction(0), Fraction(1)), Fraction(1))
+BATTERY = _battery(load_config())  # the configured default test functions
 
 
 def test_verify_residues_catches_wrong_declaration():
@@ -105,7 +105,7 @@ def test_shifted_pure_pole_even_phi():
 @pytest.mark.parametrize("n", [Fraction(1, 2), Fraction(1), Fraction(2)])
 def test_residue_identity_battery(n):
     f = pole(n)
-    for phi in DEFAULT_BATTERY:
+    for phi in BATTERY:
         rec = residue_identity_1d(f, phi, 0.05, n)
         assert rec["pass"], rec
 
@@ -139,10 +139,10 @@ def test_panel_quadrature_keeps_the_per_panel_bits(monkeypatch, kind):
     monkeypatch.setattr(contour, "_quad_on_panels", both)
     for n in (Fraction(1, 2), Fraction(1), Fraction(2)):
         line = from_scalar_fn(scalar_fn_from_template({"kind": "pole"} if kind == "pole" else cfg.m_model, n))
-        for phi in DEFAULT_BATTERY:
+        for phi in BATTERY:
             residue_identity_1d(line, phi, cfg.epsilons[0], n, cfg.delta_ladder)
     # one shifted line and two segments per delta for each identity
-    assert len(calls) == 3 * len(DEFAULT_BATTERY) * (1 + 2 * len(cfg.delta_ladder))
+    assert len(calls) == 3 * len(BATTERY) * (1 + 2 * len(cfg.delta_ladder))
     assert min(calls) > 1
 
 

@@ -13,8 +13,10 @@ from fraction_refs import (
 )
 from gmcalc.errors import DimensionError, NotComparable
 from gmcalc.exactlin import int_mat, int_rank, int_row, mat_vec, vadd, zeros
+from gmcalc.gmfamily import ExpPolyFamily, family_limit, split_subsets
 from gmcalc.levilattice import (
     QuadConst,
+    ThetaValue,
     _join,
     _split_constant,
     base_chamber,
@@ -40,7 +42,7 @@ from gmcalc.levilattice import (
     weyl_cosets,
 )
 from gmcalc.rootdatum import RatVec, act, build_root_system, weyl_group
-from gmcalc.spectral import enumerate_spectral_triples
+from gmcalc.spectral import TauWeyl, enumerate_spectral_triples
 
 # Flat counts: A1 has {M0, G}; A2 adds one line per positive-root kernel;
 # A3 flats match the partition lattice of a 4-element set (15 blocks).
@@ -133,14 +135,14 @@ def test_theta_improper_chamber_is_one():
     d = build_root_system("A2")
     P = parabolics(gfull(d))[0]
     t = theta(P, RatVec.zero(d.rank))
-    assert t.product == 1 and t.covol == QuadConst.one()
+    assert t.product == 1 and t.covol == QuadConst.from_square(1)
 
 
 def test_d_constant_trivial_and_dimension_obstruction():
     d = build_root_system("A2")
     M0, G = mzero(d), gfull(d)
-    assert d_constant(M0, M0, G) == QuadConst.one()
-    assert d_constant(M0, G, M0) == QuadConst.one()
+    assert d_constant(M0, M0, G) == QuadConst.from_square(1)
+    assert d_constant(M0, G, M0) == QuadConst.from_square(1)
     maxes = [L for L in levi_lattice(d) if L.dim == 1]
     assert d_constant(M0, maxes[0], G).is_zero()  # 1 + 0 != 2
     with pytest.raises(NotComparable):
@@ -257,14 +259,13 @@ def test_d_constant_memo_matches_fresh_computation_on_a3():
     entries = 0
     for L1 in levi_lattice(d):
         for (L, S, upper), got in _kept(L1, _split_constant).items():
-            assert L.datum is S.datum is d and (upper is None or upper.datum is d)
-            upper = None if upper is None else by_roots[upper.root_subset]
+            assert L.datum is S.datum is upper.datum is d  # d_constant hands on G where it is given None
             # the build itself, which keeps nothing on fresh
-            want = _split_constant.__wrapped__(by_roots[L1.root_subset], by_roots[L.root_subset], by_roots[S.root_subset], upper)
+            want = _split_constant.__wrapped__(*(by_roots[X.root_subset] for X in (L1, L, S, upper)))
             assert got == want
             entries += 1
-    # every distinct (L1, L, S, upper) tuple trand_check asks for, computed once
-    assert entries == 1066
+    # every distinct (L1, L, S, upper) tuple trand_check asks for, computed once; no upper and G share a key
+    assert entries == 662
     assert all(not _kept(L, _split_constant) for L in levi_lattice(fresh))
 
 
@@ -369,6 +370,34 @@ def test_integer_witnesses_equal_the_fraction_search(label, gram):
         homes.setdefault((t.levi_L.root_subset, t.tau_rays), t)
     for t in homes.values():
         assert t.pole_chambers == ref_chambers_of_rays(t.levi_L, t.tau_rays), (t.levi_L.label, t.tau_rays)
+
+
+@pytest.mark.parametrize("label, gram", ORACLE_DATA)
+def test_point_flat_and_no_upper_take_the_general_path_to_their_conventions(label, gram):
+    # the conventions at the point flat a_G = 0 and for d with no upper, which the general path gives
+    d = build_root_system(label, gram)
+    G, zero = gfull(d), RatVec.zero(d.rank)
+    (P_G,) = parabolics(G)
+    assert (P_G.index, P_G.positive_roots, P_G.wall_rays, P_G.signs, P_G.chamber_point) == (0, (), (), (), zero)
+    generic = RatVec.of([Fraction(1, 3)] + [Fraction(-2, 5 + k) for k in range(d.rank - 1)])
+    for lam in (zero, generic, d.rho_check):
+        assert theta(P_G, lam) == ThetaValue(Fraction(1), QuadConst.from_square(1))
+    # on G the limit is the one chamber's summed coefficient, whatever the points and the direction
+    for coeffs in ([Fraction(5, 3)], [Fraction(-2, 7), Fraction(1, 2)], [Fraction(1), Fraction(-1)]):
+        fam = ExpPolyFamily(G, [[(c, k * generic) for k, c in enumerate(coeffs)]])
+        total = sum(coeffs)
+        want = QuadConst.from_square(total * total, (total > 0) - (total < 0))
+        assert family_limit(fam) == want and family_limit(fam, generic) == want, coeffs
+    for L1 in levi_lattice(d):
+        for M in enumerate_levis(d, lower=L1):
+            for Q1 in parabolics(L1):
+                assert split_subsets(L1, M, M, Q1) == [(QuadConst.from_square(1), [])], (L1.label, M.label)
+            for S in enumerate_levis(d, lower=L1):
+                assert d_constant(L1, M, S) is d_constant(L1, M, S, G), (L1.label, M.label, S.label)
+    identity = weyl_group(d)[0]
+    for t in enumerate_spectral_triples(d):
+        if t.levi_L.dim == 0:
+            assert t.core == (TauWeyl((), identity),) and t.core[0].lift == identity, t
 
 
 @pytest.mark.parametrize("label, gram", ORACLE_DATA)
@@ -515,8 +544,8 @@ def test_split_constants_equal_the_gram_reference(label):
 
 def test_quadconst_product_with_a_zero_factor_is_the_shared_zero():
     zero, a = QuadConst.zero(), QuadConst.from_square(Fraction(3, 4), -1)
-    assert zero is QuadConst.from_rational(0) is QuadConst.from_square(Fraction(0))
+    assert zero is QuadConst.from_square(Fraction(1), 0) is QuadConst.from_square(Fraction(0))
     for x, y in ((zero, a), (a, zero), (zero, zero)):
         assert x * y is zero
     assert a * a == QuadConst.from_square(Fraction(9, 16))
-    assert a * QuadConst.one() == a
+    assert a * QuadConst.from_square(1) == a

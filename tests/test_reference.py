@@ -11,7 +11,10 @@ they are the canonical ``verify --suite all`` shas with the default config
 recorded in CHANGES.md.  They pin the float path on a product group, and
 on B2's 90 computed ``lemma-shift`` cases.  The A1xA3 and G2
 ``verify --suite hull-limit`` shas, also from CHANGES.md, pin the exact
-hull volumes of 4-d hulls and of twelve-chamber hulls.
+hull volumes of 4-d hulls and of twelve-chamber hulls.  The G2
+``verify --suite tdisc --suite tempext`` sha pins the order of each class's
+modeled stabilizer (``TauClass.core``), which sets the summation order of
+the float sums of ``tempext``.
 """
 import hashlib
 import json
@@ -77,6 +80,16 @@ def test_hull_report_matches_pinned_sha(tmp_path, group):
     assert cli_main(["verify", "--group", group, "--suite", "hull-limit", "--out", str(tmp_path)]) == 0
     data = (tmp_path / f"report-{group}.json").read_bytes()
     assert hashlib.sha256(data).hexdigest() == HULL_REPORTS[group]
+
+
+# the canonical G2 verify --suite tdisc --suite tempext report sha with the default config
+TEMPEXT_G2 = "d76746d6c8bd12cb4c40f4462494aabd275b374bba2e6ab0702b97a9ab07ffc6"
+
+
+def test_tdisc_tempext_report_matches_pinned_sha(tmp_path):
+    args = ["verify", "--group", "G2", "--suite", "tdisc", "--suite", "tempext", "--out", str(tmp_path)]
+    assert cli_main(args) == 0
+    assert hashlib.sha256((tmp_path / "report-G2.json").read_bytes()).hexdigest() == TEMPEXT_G2
 
 
 def test_rank4_build_structure_matches_reference():

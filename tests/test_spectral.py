@@ -1,14 +1,25 @@
 from fractions import Fraction
 
 import pytest
-from fraction_refs import ref_chamber_test, ref_coords_in_basis, ref_k_constant, ref_n_constant
+from fraction_refs import (
+    ref_brute_force_discrete,
+    ref_chamber_test,
+    ref_coords_in_basis,
+    ref_fixed_space,
+    ref_k_constant,
+    ref_levi_L,
+    ref_n_constant,
+)
 
 from gmcalc.errors import NotARoot, NotChamberStabilizer, NotSubsystem
 from gmcalc.gmfamily import ScalarRootFns
-from gmcalc.levilattice import enumerate_levis, gfull, mzero, restricted_rays
-from gmcalc.rootdatum import act, build_root_system, int_act, weyl_group
+from gmcalc.levilattice import enumerate_levis, gfull, levi_lattice, mzero, restricted_rays
+from gmcalc.rootdatum import RatVec, act, build_root_system, int_act, weyl_group
 from gmcalc.spectral import (
+    _brute_force_discrete,
     _chamber_test,
+    _fixed_dim,
+    _fixes_flat,
     build_spectral_triple,
     chamber_transitivity,
     classify_tau,
@@ -329,3 +340,16 @@ def test_chamber_test_equals_the_chamber_search_reference(label, gram):
     for t in enumerate_spectral_triples(d):
         for L in enumerate_levis(d, t.levi_L):
             assert discrete_constants(t, L)["kL"] == ref_k_constant(t, L), (t, L.label)
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "B2", "G2", "A1xA1", "A3", "A1xA3"])
+def test_fixed_spaces_on_integer_rows_equal_the_fraction_kernel(label):
+    d = build_root_system(label)
+    for w in weyl_group(d):
+        assert _fixed_dim(d, w) == len(ref_fixed_space(d, w)), w
+        for L in levi_lattice(d):
+            assert _fixes_flat(d, w, L) == all(act(w, RatVec(b)) == RatVec(b) for b in L.basis), (w, L.label)
+    for t in enumerate_spectral_triples(d):
+        assert t.levi_L == ref_levi_L(t), t
+        for upper in enumerate_levis(d, lower=t.levi_L):
+            assert _brute_force_discrete(t, upper) == ref_brute_force_discrete(t, upper), (t, upper.label)
