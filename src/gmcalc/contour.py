@@ -2,9 +2,9 @@
 
 Conventions: contours carry the measure dz/(2 pi i), the imaginary axis is
 oriented upward, and principal values are limits over shrinking symmetric
-delta-neighbourhoods of the poles, extrapolated over a fixed delta ladder.
-Gaussian factors make every tail beyond |Im z| = 8/sqrt(scale) smaller than
-1e-12, so truncation there is part of the fixed grid.
+delta-neighbourhoods of the pole at the origin, extrapolated over a fixed
+delta ladder.  Gaussian factors make every tail beyond |Im z| = 8/sqrt(scale)
+smaller than 1e-12, so truncation there is part of the fixed grid.
 
 The contour-shift checks run grid-major.  lemma_shift_batch first plans every
 case (all exact work, and a list of integrals, each naming the grids it needs
@@ -43,7 +43,7 @@ Numpy's complex add, multiply, divide and exp give an element the same bits
 in any layout, broadcast operand or numpy scalar (numpy 2.4, x86-64 with
 AVX-512), so no node's bits move.  Merged reductions would add in another
 order, so each panel stays one np.dot of its 12 nodes, added in panel order,
-and pv_integral, shifted_integral and _axis_integral keep one call per segment.
+and pv_integral, shifted_integral and _excised_axis keep one call per segment.
 
 Loading this module sets glibc's M_MMAP_THRESHOLD and M_TRIM_THRESHOLD to
 32 MiB.  A grid frees its working set of tens of MB when it is done; with
@@ -66,7 +66,7 @@ import numpy as np
 
 from .errors import BadShift, GmcalcError, NoConvergence, NotComparable
 from .exactlin import int_mat_vec, int_row, ratio_vec, sym_pair
-from .gmfamily import ScalarRootFns, _poly_eval, split_subsets
+from .gmfamily import ScalarFn, ScalarRootFns, _poly_eval, split_subsets
 from .levilattice import (
     Levi,
     ParabolicChamber,
@@ -132,41 +132,15 @@ class TestFunction:
         return f"poly{[str(c) for c in self.coeffs]}*exp({self.scale}z^2)"
 
 
-@dataclass(frozen=True)
-class MeromorphicLine:
-    """analytic part plus declared simple poles i*loc on the imaginary axis."""
-
-    analytic: Callable
-    poles: tuple[tuple[float, complex], ...] = ()
-    label: str = ""
-
-    def __call__(self, z):
-        total = self.analytic(z)
-        for loc, res in self.poles:
-            total = total + res / (z - 1j * loc)
-        return total
-
-
-def from_scalar_fn(fn) -> MeromorphicLine:
-    """View a per-ray density as a line function with its pole at the origin declared."""
-    n = fn.n
-    return MeromorphicLine(fn.analytic, ((0.0, complex(-n)),) if n else (), fn.label)
-
-
-def verify_residues(f: MeromorphicLine) -> None:
-    """Quadrature on a circle of radius 0.02 around each declared pole; a disagreement beyond 1e-8
-    (relative to a residue above 1) is fatal."""
+def verify_residues(f: ScalarFn) -> None:
+    """Quadrature on a circle of radius 0.02 around the origin; a residue there that is not -f.n,
+    beyond 1e-8 (relative to a residue above 1), is fatal."""
     m = 256
-    angles = 2 * np.pi * np.arange(m) / m
-    ring = 0.02 * np.exp(1j * angles)
-    for loc, res in f.poles:
-        zs = 1j * loc + ring
-        vals = f(zs) * ring
-        approx = complex(np.mean(vals))
-        if abs(approx - res) > 1e-8 * max(1.0, abs(res)):
-            raise NoConvergence(
-                f"declared residue {res} at i*{loc} but contour gives {approx}"
-            )
+    ring = 0.02 * np.exp(1j * (2 * np.pi * np.arange(m) / m))
+    approx = complex(np.mean(f(ring) * ring))
+    res = -complex(f.n)
+    if abs(approx - res) > 1e-8 * max(1.0, abs(res)):
+        raise NoConvergence(f"declared residue {res} at 0 but contour gives {approx}")
 
 
 def _graded_edges(lo: float, hi: float, fine_lo: float | None, fine_hi: float | None) -> list[float]:
@@ -213,37 +187,13 @@ def _quad_on_panels(g: Callable, edges: Sequence[float]) -> complex:
     return complex(total)
 
 
-def _axis_integral(g: Callable, T: float, excisions: Sequence[tuple[float, float]]) -> complex:
-    """Integral of g over [-T, T] minus the excised intervals, pole-graded panels."""
-    cuts = sorted((max(a, -T), min(b, T)) for a, b in excisions if b > -T and a < T)
-    segments = []
-    prev = -T
-    for a, b in cuts:
-        if a > prev:
-            segments.append((prev, a))
-        prev = max(prev, b)
-    if prev < T:
-        segments.append((prev, T))
-    total = 0j
-    for lo, hi in segments:
-        near_lo = any(abs(lo - b) < 1e-15 for _, b in cuts)
-        near_hi = any(abs(hi - a) < 1e-15 for a, _ in cuts)
-        fine_lo = _smallest_half_gap(cuts) if near_lo else None
-        fine_hi = _smallest_half_gap(cuts) if near_hi else None
-        total += _quad_on_panels(g, _graded_edges(lo, hi, fine_lo, fine_hi))
-    return total
-
-
-def _smallest_half_gap(cuts) -> float:
-    """Half the width of the narrowest cut, or 0.1 if there is none or it has zero width.
-
-    Every panel edge next to a cut is graded to this one scale.
-    """
-    best = None
-    for a, b in cuts:
-        w = (b - a) / 2
-        best = w if best is None else min(best, w)
-    return best if best else 0.1
+def _excised_axis(g: Callable, T: float, delta: float) -> complex:
+    """Integral of g over [-T, T] minus the cut (-delta, delta), panels graded toward the cut."""
+    if not 0 < delta < T:
+        raise BadShift(f"excision radius must lie in (0, {T}), got {delta}")
+    left = _quad_on_panels(g, _graded_edges(-T, -delta, None, delta))
+    right = _quad_on_panels(g, _graded_edges(delta, T, delta, None))
+    return 0j + left + right  # starting from 0j, no part of the sum is -0.0
 
 
 def _neville_at_zero(xs: Sequence[float], ys: Sequence[complex]) -> tuple[complex, float]:
@@ -267,7 +217,7 @@ def _neville_at_zero(xs: Sequence[float], ys: Sequence[complex]) -> tuple[comple
 
 
 def pv_integral(
-    f: MeromorphicLine,
+    f: ScalarFn,
     phi: TestFunction,
     deltas: Sequence[float] = (1e-1, 1e-2, 1e-3),
     tol: float = 1e-6,
@@ -284,14 +234,10 @@ def pv_integral(
         z = 1j * ts
         return phi(z) * f(z) / (2 * np.pi)
 
-    locs = [loc for loc, _ in f.poles]
-    if not locs:
+    if not f.has_pole0():
         val = _quad_on_panels(g, _graded_edges(-T, T, None, None))
         return val, 0.0
-    values = []
-    for delta in deltas:
-        excisions = [(loc - delta, loc + delta) for loc in locs]
-        values.append(_axis_integral(g, T, excisions))
+    values = [_excised_axis(g, T, delta) for delta in deltas]
     # the symmetric excision defect is an odd series in delta, so fit 1, d, d^3
     est, err = _extrapolate_odd(list(deltas), values)
     if err > tol:
@@ -316,8 +262,8 @@ def _extrapolate_odd(xs: Sequence[float], ys: Sequence[complex]) -> tuple[comple
     return est, err
 
 
-def shifted_integral(f: MeromorphicLine, phi: TestFunction, eps: float) -> complex:
-    """Integral over the line Re z = -eps (all declared poles lie to its right)."""
+def shifted_integral(f: ScalarFn, phi: TestFunction, eps: float) -> complex:
+    """Integral over the line Re z = -eps (the pole at the origin lies to its right)."""
     if eps <= 0:
         raise BadShift("shift must be positive")
     T = phi.cutoff()
@@ -327,32 +273,31 @@ def shifted_integral(f: MeromorphicLine, phi: TestFunction, eps: float) -> compl
         return phi(z) * f(z) / (2 * np.pi)
 
     edges = [-T, T]
-    for loc, _ in f.poles:
+    if f.has_pole0():
         for k in (0.0, eps / 4, eps / 2, eps, 2 * eps, 4 * eps):
             for s in (-1, 1):
-                x = loc + s * k
+                x = 0.0 + s * k  # 0.0 + keeps -0.0 out of the edges
                 if -T < x < T:
                     edges.append(x)
     return _quad_on_panels(g, _capped(sorted(set(edges))))
 
 
 def residue_identity_1d(
-    f: MeromorphicLine,
+    f: ScalarFn,
     phi: TestFunction,
     eps: float,
-    n: Fraction,
     deltas: Sequence[float] = (1e-1, 1e-2, 1e-3),
     tol: float = 1e-6,
 ) -> dict:
-    """Check shifted = (n/2) phi(0) + principal value for a single pole at 0."""
+    """Check shifted = (n/2) phi(0) + principal value for f's pole -n/z at 0."""
     lhs = shifted_integral(f, phi, eps)
-    pv, pv_err = pv_integral(f, phi, deltas)
-    expected = complex(float(Fraction(n) / 2)) * complex(phi(0.0)) + pv
+    pv, pv_err = pv_integral(f, phi, deltas, tol)
+    expected = complex(float(f.n / 2)) * complex(phi(0.0)) + pv
     residual = abs(lhs - expected)
     return {
         "phi": phi.describe(),
         "eps": eps,
-        "n": str(n),
+        "n": str(f.n),
         "lhs": (lhs.real, lhs.imag),
         "pv": (pv.real, pv.imag),
         "pv_err": pv_err,

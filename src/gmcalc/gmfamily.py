@@ -306,7 +306,7 @@ def scalar_fn_from_template(template: Mapping, n: Fraction) -> ScalarFn:
         cf = complex(c)
         # poles at +-sqrt(c) on the real axis, off the integration lines
         return ScalarFn(n, lambda z, cf=cf: z / (z * z - cf), f"model_plancherel({c})", (kind, c))
-    if kind not in ("pole_plus_rational", "rational"):
+    if kind != "pole_plus_rational":
         raise ValueError(f"unknown density template {kind!r}")
     if "p" not in template or "q" not in template:
         raise ValueError(f"{kind} density needs p and q")
@@ -318,13 +318,7 @@ def scalar_fn_from_template(template: Mapping, n: Fraction) -> ScalarFn:
     def fn(z, p=tuple(map(complex, p)), q=tuple(map(complex, q))):
         return _poly_eval(p, z) / _poly_eval(q, z)
 
-    if kind == "pole_plus_rational":
-        return ScalarFn(n, fn, kind, (kind, p, q))
-    exact_poles = tuple(
-        (Fraction(str(item["im"])), Fraction(str(item.get("re_res", 0))), Fraction(str(item.get("im_res", 0))))
-        for item in template.get("poles", [])
-    )
-    return ScalarFn(Fraction(0), fn, kind, (kind, p, q, exact_poles))
+    return ScalarFn(n, fn, kind, (kind, p, q))
 
 
 class ScalarRootFns:

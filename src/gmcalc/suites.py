@@ -205,21 +205,21 @@ def _battery(cfg: Config) -> list[TestFunction]:
 
 
 def suite_residue_1d(cfg: Config, d: RootDatum) -> list[CheckRecord]:
-    from .contour import from_scalar_fn, pv_integral, residue_identity_1d, shifted_integral
+    from .contour import pv_integral, residue_identity_1d, shifted_integral
 
     records = []
     battery = _battery(cfg)
     tol = float(cfg.tolerances["residue_1d"])
     pv_tol = float(cfg.tolerances["pv_zero"])
     for n in (Fraction(1, 2), Fraction(1), Fraction(2)):
-        pure = from_scalar_fn(scalar_fn_from_template({"kind": "pole"}, n))
-        model = from_scalar_fn(scalar_fn_from_template(cfg.m_model, n))
+        pure = scalar_fn_from_template({"kind": "pole"}, n)
+        model = scalar_fn_from_template(cfg.m_model, n)
         for kind, line in (("pole", pure), ("model", model)):
             for j, phi in enumerate(battery):
                 inputs = {"n": str(n), "kind": kind, "phi": phi.describe()}
 
                 def check():
-                    rec = residue_identity_1d(line, phi, cfg.epsilons[0], n, cfg.delta_ladder, tol)
+                    rec = residue_identity_1d(line, phi, cfg.epsilons[0], cfg.delta_ladder, tol)
                     return rec["pass"], rec["residual"], None
 
                 _check(records, f"residue-1d/n{n.numerator}_{n.denominator}/{kind}/phi{j}", "residue-1d", inputs, check)

@@ -3,14 +3,11 @@ import json
 import time
 from fractions import Fraction
 
-import numpy as np
-
 from gmcalc.asymptotic import SigmaModel, assemble_PhiP, c_coefficient_example, multiplier_alpha
 from gmcalc.cli import main as cli_main
 from gmcalc.config import load_config
 from gmcalc.contour import (
     FlatTestFunction,
-    MeromorphicLine,
     chamber_below,
     lemma_shift_check,
     pv_integral,
@@ -24,6 +21,7 @@ from gmcalc.gmfamily import (
     hull_volume,
     induced_family_value,
     orthogonal_set,
+    scalar_fn_from_template,
     split_terms,
     _lam_evaluator,
 )
@@ -133,12 +131,9 @@ def test_criterion_4_nl_well_defined(nl_elementary):
 def test_criterion_5_residue_identity_1d():
     worst = 0.0
     for n in (Fraction(1, 2), Fraction(1), Fraction(2)):
-        pole = MeromorphicLine(
-            lambda z: np.zeros_like(z, dtype=complex) if not np.isscalar(z) else 0j,
-            ((0.0, complex(-n)),), "pole",
-        )
+        pole = scalar_fn_from_template({"kind": "pole"}, n)
         for phi in BATTERY:
-            rec = residue_identity_1d(pole, phi, 0.05, n, tol=1e-6)
+            rec = residue_identity_1d(pole, phi, 0.05, tol=1e-6)
             assert rec["pass"], rec
             worst = max(worst, rec["residual"])
         even = BATTERY[0]

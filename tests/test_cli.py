@@ -313,9 +313,9 @@ BAD_VALUES = [
     {"delta_ladder": [0.1, 0.1]},
     {"delta_ladder": [0.001, 0.1]},
     # a zero denominator ended in a ZeroDivisionError traceback
-    {"m_model": {"kind": "rational", "p": ["1"], "q": ["0"]}},
+    {"m_model": {"kind": "pole_plus_rational", "p": ["1"], "q": ["0"]}},
     {"r_model": {"kind": "pole_plus_rational", "p": ["1"], "q": []}},
-    {"m_model": {"kind": "rational", "p": ["1"]}},
+    {"m_model": {"kind": "pole_plus_rational", "p": ["1"]}},
     # zero test data made every compared side 0: a vacuous pass
     {"test_functions": [{"poly": [], "scale": "1"}]},
     {"test_functions": [{"poly": ["0", "0"], "scale": "1"}]},
@@ -342,7 +342,9 @@ BAD_SCALES = [
 BAD_SHAPES = [
     {"output_dir": 5},
     {"m_model": {"kind": "model_plancherel", "junk": 3}},
-    {"m_model": {"kind": "rational", "p": ["1"], "q": ["0", "1"], "poles": [{"im": "0", "junk": 1}]}},
+    {"m_model": {"kind": "pole_plus_rational", "p": ["1"], "q": ["0", "1"], "poles": [{"im": "0", "junk": 1}]}},
+    # the rational kind, which dropped the ray's multiplicity, is gone
+    {"m_model": {"kind": "rational", "p": ["1"], "q": ["0", "1"]}},
     {"tolerances": {"lemma_shift": 0}},
     {"tolerances": {"pv_zero": -1e-8}},
 ]
@@ -575,8 +577,8 @@ def test_eval_rejects_bad_vectors_and_indices(capsys, expr, args):
         ("delta_Sigma", {"Y": [[0, 0]], "sigma": 5}, "sigma must be a list of root indices"),
         ("eps_M", {"sigma": [99]}, "sigma must be a list of root indices"),
         ("c_coeff", {"model": 5}, "model must be of type object"),
-        ("c_coeff", {"model": {"kind": "rational", "p": ["1"], "q": ["0"]}}, "nonzero denominator"),
-        ("phi_TT", {"sigma_roots": [0, 1], "model": {"kind": "rational"}}, "needs p and q"),
+        ("c_coeff", {"model": {"kind": "pole_plus_rational", "p": ["1"], "q": ["0"]}}, "nonzero denominator"),
+        ("phi_TT", {"sigma_roots": [0, 1], "model": {"kind": "pole_plus_rational"}}, "needs p and q"),
         ("theta", {"lambda": ["1/2"], "M": [1]}, "no Levi labeled [1]"),
         ("theta", {"lambda": ["1/0"]}, "lambda must be a list of 1 rationals"),
         ("c_coeff", {"u": [float("inf"), 0]}, "u must be a pair [re, im] of finite numbers"),

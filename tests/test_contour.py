@@ -1,6 +1,8 @@
 import ctypes
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,7 +13,6 @@ from gmcalc import contour
 from gmcalc.config import load_config
 from gmcalc.contour import (
     FlatTestFunction,
-    MeromorphicLine,
     ShiftCase,
     TestFunction,
     _evaluate,
@@ -19,7 +20,6 @@ from gmcalc.contour import (
     _keep_freed_arrays,
     _plan,
     chamber_below,
-    from_scalar_fn,
     lemma_shift_batch,
     lemma_shift_check,
     pv_integral,
@@ -28,35 +28,54 @@ from gmcalc.contour import (
     verify_residues,
 )
 from gmcalc.errors import BadShift, GmcalcError, NoConvergence, NotComparable
-from gmcalc.gmfamily import ScalarRootFns, scalar_fn_from_template
+from gmcalc.gmfamily import ScalarFn, ScalarRootFns, scalar_fn_from_template
 from gmcalc.levilattice import base_chamber, levi_lattice, mzero, parabolics
 from gmcalc.rootdatum import build_root_system
 from gmcalc.spectral import build_spectral_triple, enumerate_spectral_triples, tau_class
-from gmcalc.suites import _battery, _lemma_shift_cases
+from gmcalc.suites import _battery, _lemma_shift_cases, suite_residue_1d
 
 
 def pole(n):
-    return MeromorphicLine(lambda z: 0j if np.isscalar(z) else np.zeros_like(z, dtype=complex), ((0.0, complex(-n)),), f"-{n}/z")
+    return scalar_fn_from_template({"kind": "pole"}, Fraction(n))
+
+
+def analytic(fn, label):
+    """The line function fn with no pole at the origin."""
+    return ScalarFn(Fraction(0), fn, label, (label,))
 
 
 GAUSS = TestFunction((Fraction(1),), Fraction(1))
 ZGAUSS = TestFunction((Fraction(0), Fraction(1)), Fraction(1))
 BATTERY = _battery(load_config())  # the configured default test functions
+DENSITY_KINDS = json.loads(
+    (Path(__file__).resolve().parents[1] / "src" / "gmcalc" / "config.schema.json").read_text(encoding="utf-8")
+)["$defs"]["density"]["properties"]["kind"]["enum"]
 
 
 def test_verify_residues_catches_wrong_declaration():
-    bad = MeromorphicLine(lambda z: np.zeros_like(z, dtype=complex) if not np.isscalar(z) else 0j, ((0.0, 2.0 + 0j),), "claims 2, is 0")
-
-    def analytic(z):
-        return 1.0 / z if np.isscalar(z) else 1.0 / z
-
-    wrong = MeromorphicLine(analytic, ((0.0, 0j),), "hidden pole")
+    # -1/z + 1/z has residue 0 at the origin against the declared -1
+    bad = ScalarFn(Fraction(1), lambda z: 1.0 / z, "claims -1, is 0", ("bad",))
+    with pytest.raises(NoConvergence):
+        verify_residues(bad)
+    # n = 0 declares residue 0, and the hidden pole 1/z has residue 1
+    wrong = analytic(lambda z: 1.0 / z, "hidden pole")
     with pytest.raises(NoConvergence):
         verify_residues(wrong)
 
 
+@pytest.mark.parametrize("n", [Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2)])
+@pytest.mark.parametrize("kind", DENSITY_KINDS)
+def test_every_density_kind_has_residue_minus_n(kind, n):
+    # the convention: a density's residue at the origin is minus the ray multiplicity
+    template = {"kind": kind, "c": "1", "p": ["1", "1"], "q": ["-4", "0", "1"]}
+    fn = scalar_fn_from_template(template, n)
+    ring = 0.02 * np.exp(2j * np.pi * np.arange(256) / 256)
+    assert abs(complex(np.mean(fn(ring) * ring)) + float(n)) <= 1e-12
+    verify_residues(fn)
+
+
 def test_pv_no_pole_matches_direct_quadrature():
-    f = MeromorphicLine(lambda z: np.exp(z) if not np.isscalar(z) else math.e ** z, (), "exp")
+    f = analytic(np.exp, "exp")
     val, err = pv_integral(f, GAUSS)
     # direct: integral of exp(it) exp(-t^2) dt / 2pi = exp(-1/4) sqrt(pi) / 2pi
     expected = math.exp(-0.25) * math.sqrt(math.pi) / (2 * math.pi)
@@ -77,7 +96,7 @@ def test_pv_pure_pole_odd_phi_closed_form():
 
 
 def test_shifted_equals_pv_for_analytic():
-    f = MeromorphicLine(lambda z: np.cos(z) if not np.isscalar(z) else math.cos(z), (), "cos")
+    f = analytic(np.cos, "cos")
     pv, _ = pv_integral(f, GAUSS)
     for eps in (0.05, 0.1):
         assert abs(shifted_integral(f, GAUSS, eps) - pv) <= 1e-8
@@ -95,6 +114,23 @@ def test_shifted_bad_eps():
         shifted_integral(pole(1), GAUSS, 0.0)
 
 
+@pytest.mark.parametrize("deltas", [(20, 10, 9), (8.0, 0.1, 0.01), (0.1, 0.01, 0.0), (0.1, 0.01, -0.001)])
+def test_pv_rejects_a_cut_outside_the_axis(deltas):
+    # GAUSS is cut off at |t| = 8; the cut (-20, 20) once swallowed the axis and gave (0j, 0.0)
+    with pytest.raises(BadShift):
+        pv_integral(pole(1), GAUSS, deltas)
+
+
+def test_residue_1d_judges_the_ladder_by_its_tolerance():
+    # this ladder settles to between 1.6e-6 and 2.1e-5, once judged against 1e-6 whatever the tolerance
+    d = build_root_system("A2")
+    coarse = {"delta_ladder": [0.2, 0.05, 0.01]}
+    loose = suite_residue_1d(load_config({**coarse, "tolerances": {"residue_1d": 1e-4}}), d)
+    assert len(loose) == 33 and all(r.status == "pass" for r in loose)
+    tight = [r for r in suite_residue_1d(load_config({**coarse, "tolerances": {"residue_1d": 1e-6}}), d) if r.status != "pass"]
+    assert tight and all("principal value ladder did not settle" in r.detail for r in tight)
+
+
 def test_shifted_pure_pole_even_phi():
     # with p.v. zero the shifted value must be n/2 phi(0)
     for n in (Fraction(1, 2), Fraction(1), Fraction(2)):
@@ -106,20 +142,18 @@ def test_shifted_pure_pole_even_phi():
 def test_residue_identity_battery(n):
     f = pole(n)
     for phi in BATTERY:
-        rec = residue_identity_1d(f, phi, 0.05, n)
+        rec = residue_identity_1d(f, phi, 0.05)
         assert rec["pass"], rec
 
 
 def test_residue_identity_model_plancherel():
     fn = scalar_fn_from_template({"kind": "model_plancherel", "c": "1"}, Fraction(1))
-    f = from_scalar_fn(fn)
-    rec = residue_identity_1d(f, TestFunction((Fraction(1),), Fraction(1)), 0.05, Fraction(1))
+    rec = residue_identity_1d(fn, TestFunction((Fraction(1),), Fraction(1)), 0.05)
     assert rec["pass"], rec
 
 
 def test_residue_identity_n_zero_is_cauchy():
-    f = MeromorphicLine(lambda z: np.exp(z) if not np.isscalar(z) else math.e ** z, (), "exp")
-    rec = residue_identity_1d(f, GAUSS, 0.05, Fraction(0))
+    rec = residue_identity_1d(analytic(np.exp, "exp"), GAUSS, 0.05)
     assert rec["pass"]
 
 
@@ -138,9 +172,9 @@ def test_panel_quadrature_keeps_the_per_panel_bits(monkeypatch, kind):
 
     monkeypatch.setattr(contour, "_quad_on_panels", both)
     for n in (Fraction(1, 2), Fraction(1), Fraction(2)):
-        line = from_scalar_fn(scalar_fn_from_template({"kind": "pole"} if kind == "pole" else cfg.m_model, n))
+        line = scalar_fn_from_template({"kind": "pole"} if kind == "pole" else cfg.m_model, n)
         for phi in BATTERY:
-            residue_identity_1d(line, phi, cfg.epsilons[0], n, cfg.delta_ladder)
+            residue_identity_1d(line, phi, cfg.epsilons[0], cfg.delta_ladder)
     # one shifted line and two segments per delta for each identity
     assert len(calls) == 3 * len(BATTERY) * (1 + 2 * len(cfg.delta_ladder))
     assert min(calls) > 1

@@ -797,7 +797,7 @@ def test_split_formula_matches_induced_family_a2(template):
 @pytest.mark.parametrize("template", [
     {"kind": "pole"},
     {"kind": "model_plancherel", "c": "1"},
-    {"kind": "rational", "p": ["1", "2"], "q": ["5", "0", "1"]},
+    {"kind": "pole_plus_rational", "p": ["1", "2"], "q": ["5", "0", "1"]},
 ])
 def test_segment_integral_keeps_the_per_node_bits(monkeypatch, template):
     # every segment of the analytic route on A2, its density called once on all 32 nodes

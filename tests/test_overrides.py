@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from gmcalc.contour import MeromorphicLine, TestFunction, from_scalar_fn, residue_identity_1d, verify_residues
+from gmcalc.contour import TestFunction, residue_identity_1d
 from gmcalc.errors import UnsupportedType
 from gmcalc.gmfamily import (
     ExpPolyFamily,
@@ -102,25 +102,10 @@ def test_multiplicity_override():
     assert fns.fn(alpha).n == Fraction(3, 2)
 
 
-def test_rational_template_with_declared_poles():
-    # f(z) = 1/(z - i) has a declared unit residue at i and none at the origin
-    template = {
-        "kind": "rational",
-        "p": ["1"],
-        "q": ["-1", "0"],  # placeholder, replaced below
-    }
-    fn = scalar_fn_from_template(
-        {"kind": "rational", "p": ["1"], "q": ["0", "1"], "poles": [{"im": "0", "re_res": "1"}]},
-        Fraction(0),
-    )
-    line = MeromorphicLine(lambda z: fn.analytic(z) - 1.0 / z, ((0.0, 1.0 + 0j),), "1/z declared")
-    verify_residues(line)
-
-
 def test_pole_plus_rational_template_identity():
     fn = scalar_fn_from_template({"kind": "pole_plus_rational", "p": ["1", "1"], "q": ["-4", "0", "1"]}, Fraction(1))
     # analytic part (1+z)/(z^2-4) is regular on the axis; the identity holds
-    rec = residue_identity_1d(from_scalar_fn(fn), TestFunction((Fraction(1),), Fraction(1)), 0.05, Fraction(1))
+    rec = residue_identity_1d(fn, TestFunction((Fraction(1),), Fraction(1)), 0.05)
     assert rec["pass"], rec
 
 

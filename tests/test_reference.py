@@ -14,7 +14,8 @@ on B2's 90 computed ``lemma-shift`` cases.  The A1xA3 and G2
 hull volumes of 4-d hulls and of twelve-chamber hulls.  The G2
 ``verify --suite tdisc --suite tempext`` sha pins the order of each class's
 modeled stabilizer (``TauClass.core``), which sets the summation order of
-the float sums of ``tempext``.
+the float sums of ``tempext``.  Two A2 ``verify --suite residue-1d`` shas
+pin the 1-d route's bits beyond the default config.
 """
 import hashlib
 import json
@@ -90,6 +91,28 @@ def test_tdisc_tempext_report_matches_pinned_sha(tmp_path):
     args = ["verify", "--group", "G2", "--suite", "tdisc", "--suite", "tempext", "--out", str(tmp_path)]
     assert cli_main(args) == 0
     assert hashlib.sha256((tmp_path / "report-G2.json").read_bytes()).hexdigest() == TEMPEXT_G2
+
+
+# canonical A2 verify --suite residue-1d report shas with two non-default 1-d configs: a density with
+# an analytic part that is not odd, and shifts four to six times the default
+RESIDUE_1D_REPORTS = [
+    (
+        {"m_model": {"kind": "pole_plus_rational", "p": ["1", "1"], "q": ["-4", "0", "1"]}},
+        "6445ca084ea8799bb1204acbf119e050fd2af022ecc3c3520fa5a60834beccf9",
+    ),
+    (
+        {"m_model": {"kind": "pole"}, "epsilons": [0.2, 0.3]},
+        "3ded006ab5e5ee87cbe4fa2803f1b4d9579a4f5d0bdb0c4f6443577ca0838d32",
+    ),
+]
+
+
+@pytest.mark.parametrize("config, sha", RESIDUE_1D_REPORTS)
+def test_residue_1d_report_matches_pinned_sha(tmp_path, config, sha):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config), encoding="utf-8")
+    assert cli_main(["--config", str(cfg), "verify", "--group", "A2", "--suite", "residue-1d", "--out", str(tmp_path)]) == 0
+    assert hashlib.sha256((tmp_path / "report-A2.json").read_bytes()).hexdigest() == sha
 
 
 def test_rank4_build_structure_matches_reference():
