@@ -33,8 +33,9 @@ the only ones whose terms have two factors), np.multiply(phi, m) for the
 integrand, written into m once no other integral reads it,
 np.multiply(vals, weight, out=vals) for the quadrature weights, and
 np.multiply(prefactor, exponential) in FlatTestFunction (numpy may swap a
-named array times a temporary).  Point values on 0-dimensional flats keep
-Python complex arithmetic.
+named array times a temporary).  A 0-dimensional flat comes only from L = G,
+where S = M = L1, so its one m-term is the empty subset: no density is read
+there.
 
 Integrands run on whole arrays: one call on all panel nodes of a segment
 (_quad_on_panels), one on all nodes of a segment in the analytic route
@@ -407,20 +408,16 @@ def _density_table(terms: Iterable[_MTermData], lam_coords: list) -> dict:
 def _eval_m_terms(terms: list[_MTermData], table: dict) -> np.ndarray | complex:
     """The sum of the m-terms, each factor read from table (see _density_table).
 
-    table holds density values as arrays on a grid's nodes, or as complex
-    numbers at a point.  An array product is density * val, written into val
-    once val is an array of its own, and total + val is written into total
-    once total is, so the table is never written (see the module docstring).
+    Each factor is density * val, written into val once val is an array of
+    its own, and total + val is written into total once total is, so the
+    table is never written (see the module docstring).  A term with no
+    factors is its covolume.
     """
     total = None
     for term in terms:
         val = term.vol
         for fn, _, gd in term.factors:
-            density = table[fn.key, gd]
-            if isinstance(density, np.ndarray):
-                val = np.multiply(density, val, out=val if isinstance(val, np.ndarray) else None)
-            else:
-                val = val * density
+            val = np.multiply(table[fn.key, gd], val, out=val if isinstance(val, np.ndarray) else None)
         if isinstance(total, np.ndarray):
             np.add(total, val, out=total)
         else:
@@ -500,11 +497,12 @@ class _Integral:
     deltas: list[float] | None
     values: list
 
-    def value(self) -> complex:
+    def value(self, tol: float) -> complex:
+        """The value, extrapolated over the delta ladder; an error estimate above tol raises."""
         if self.deltas is None:
             return self.values[0]
         est, err = _neville_at_zero(self.deltas, self.values)
-        if err > 1e-4:
+        if err > tol:
             raise NoConvergence(f"iterated principal value did not settle: {err}")
         return est
 
@@ -536,10 +534,10 @@ class _ShiftPlan:
     """The integrals of one case: one per shift, then per (L, S) term of the sum."""
 
     lhs: list[_Integral]
-    rhs: list[tuple[QuadConst, Fraction, list[_Integral], dict]]  # d, n^L, integrals, record
+    rhs: list[tuple[QuadConst, Fraction, list[_Integral]]]  # d, n^L, integrals
 
     def integrals(self) -> list[_Integral]:
-        return self.lhs + [it for _, _, its, _ in self.rhs for it in its]
+        return self.lhs + [it for _, _, its in self.rhs for it in its]
 
 
 def _require_orthogonal(d: RootDatum, dirs) -> None:
@@ -609,7 +607,7 @@ def _plan(case_index: int, case: ShiftCase) -> _ShiftPlan:
                 _require_orthogonal(d, pole_dirs)
                 onb_l = _orthonormal_basis(d, L.basis, pole_dirs)
                 integrals.append(integral([term], onb_l, len(pole_dirs), None))
-            rhs.append((dc, nl, integrals, {"L": L.label, "S": S.label, "d": float(dc), "nL": str(nl)}))
+            rhs.append((dc, nl, integrals))
     return _ShiftPlan(lhs, rhs)
 
 
@@ -687,27 +685,19 @@ def _evaluate(integrals: list[_Integral], runtimes: list[float]) -> dict[str, in
 
 
 def _assemble(case: ShiftCase, plan: _ShiftPlan) -> dict:
-    lhs_values = [it.value() for it in plan.lhs]
+    lhs_values = [it.value(case.tol) for it in plan.lhs]
     rhs = 0j
-    terms_used = []
-    for dc, nl, integrals, used in plan.rhs:
+    for dc, nl, integrals in plan.rhs:
         total_term = 0j
         for it in integrals:
-            total_term += it.value()
-        contribution = float(dc) * float(nl) * total_term
-        rhs += contribution
-        terms_used.append(used)
+            total_term += it.value(case.tol)
+        rhs += float(dc) * float(nl) * total_term
     residuals = [abs(lhs - rhs) for lhs in lhs_values]
-    eps_spread = abs(lhs_values[0] - lhs_values[-1])
     return {
-        "M": case.M.label,
-        "P": case.P.index,
-        "epsilons": list(case.epsilons),
         "lhs": [(v.real, v.imag) for v in lhs_values],
         "rhs": (rhs.real, rhs.imag),
-        "terms": terms_used,
         "residuals": residuals,
-        "eps_stability": eps_spread,
+        "eps_stability": abs(lhs_values[0] - lhs_values[-1]),
         "pass": all(r <= case.tol for r in residuals),
     }
 

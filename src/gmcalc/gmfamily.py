@@ -51,7 +51,6 @@ from .levilattice import (
     Levi,
     ParabolicChamber,
     QuadConst,
-    Ray,
     adjacent_chambers,
     cell_maps,
     contains,
@@ -327,7 +326,6 @@ class ScalarRootFns:
     def __init__(self, levi_l1: Levi, fns: Mapping[Vec, ScalarFn]):
         self.levi = levi_l1
         self._fns = dict(fns)
-        self._rays = {ray.key: ray for ray in restricted_rays(levi_l1)}
 
     @classmethod
     def uniform(cls, levi_l1: Levi, template: Mapping, n_of_ray: Mapping[Vec, Fraction] | None = None):
@@ -337,19 +335,13 @@ class ScalarRootFns:
             fns[ray.key] = scalar_fn_from_template(template, n)
         return cls(levi_l1, fns)
 
-    def ray_of(self, beta: RatVec) -> tuple[Ray, int]:
-        """The +- ray containing beta and the sign of beta relative to the + side."""
-        key = primitive_ray(beta.coords)
-        ray = self._rays.get(key)
-        if ray is None:
-            raise KeyError(f"no density ray along {key}")
-        j = next(i for i, x in enumerate(key) if x != 0)
-        sign = 1 if beta.coords[j] / key[j] > 0 else -1
-        return ray, sign
-
     def fn(self, beta: RatVec) -> ScalarFn:
-        ray, _ = self.ray_of(beta)
-        return self._fns[ray.key]
+        """The density of the +- ray containing beta."""
+        key = primitive_ray(beta.coords)
+        fn = self._fns.get(key)
+        if fn is None:
+            raise KeyError(f"no density ray along {key}")
+        return fn
 
     def value(self, beta: RatVec, z: complex, w: WeylElement | None = None, conj: bool = False) -> complex:
         """Evaluate the density of beta at z, optionally Weyl-moved or contragredient."""

@@ -250,14 +250,16 @@ def _shift_classes(d: RootDatum):
     return out
 
 
-def _lemma_shift_cases(cfg: Config, d: RootDatum) -> list[tuple[str, dict, ShiftCase | GmcalcError, float]]:
-    """(record id, inputs, case or the error building it, seconds spent) per check."""
+def _lemma_shift_cases(cfg: Config, d: RootDatum) -> list[tuple[str, dict, ShiftCase]]:
+    """(record id, inputs, case) per check."""
     from .contour import FlatTestFunction, ShiftCase, chamber_below
 
     tol = float(cfg.tolerances["lemma_shift"])
     phi_cfg = cfg.flat_phi[0]
     out = []
     for ci, t in enumerate(_shift_classes(d)):
+        models = [(name, ScalarRootFns.uniform(t.levi_L, template, t.nbeta))
+                  for name, template in (("m", cfg.m_model), ("r", cfg.r_model))]
         for M in enumerate_levis(d, lower=t.levi_L):
             if M.dim == 0:
                 continue
@@ -267,7 +269,7 @@ def _lemma_shift_cases(cfg: Config, d: RootDatum) -> list[tuple[str, dict, Shift
                 float(phi_cfg["scale"]),
                 tuple(float(x) for x in chamber_below(P, t.levi_L).chamber_point.coords),
             )
-            for model_name, template in (("m", cfg.m_model), ("r", cfg.r_model)):
+            for model_name, fns in models:
                 cid = f"lemma-shift/{d.label}/c{ci:02d}/{M.label}/{model_name}"
                 inputs = {
                     "group": d.label,
@@ -276,31 +278,20 @@ def _lemma_shift_cases(cfg: Config, d: RootDatum) -> list[tuple[str, dict, Shift
                     "M": M.label,
                     "model": model_name,
                 }
-                t0 = time.monotonic()
-                try:
-                    fns = ScalarRootFns.uniform(t.levi_L, template, t.nbeta)
-                    case = ShiftCase(t, fns, M, P, phi, cfg.epsilons, cfg.delta_ladder, tol)
-                except GmcalcError as exc:
-                    case = exc
-                out.append((cid, inputs, case, time.monotonic() - t0))
+                out.append((cid, inputs, ShiftCase(t, fns, M, P, phi, cfg.epsilons, cfg.delta_ladder, tol)))
     return out
 
 
 def suite_lemma_shift(cfg: Config, d: RootDatum) -> list[CheckRecord]:
-    from .contour import ShiftCase, lemma_shift_batch
+    from .contour import lemma_shift_batch
 
     cases = _lemma_shift_cases(cfg, d)
-    batch = lemma_shift_batch([case for _, _, case, _ in cases if isinstance(case, ShiftCase)])
-    done = iter(zip(batch.outcomes, batch.runtimes))
+    batch = lemma_shift_batch([case for _, _, case in cases])
     records = SuiteRecords(counters=batch.counters)
-    for cid, inputs, outcome, rt in cases:
-        if isinstance(outcome, ShiftCase):
-            outcome, batch_rt = next(done)
-            rt += batch_rt
-        if isinstance(outcome, NotComparable):
-            records.append(_record(cid, "lemma-shift", inputs, True, None, str(outcome), rt, skip=True))
-        elif isinstance(outcome, GmcalcError):
-            records.append(_record(cid, "lemma-shift", inputs, False, None, str(outcome), rt))
+    for (cid, inputs, _), outcome, rt in zip(cases, batch.outcomes, batch.runtimes):
+        if isinstance(outcome, GmcalcError):
+            records.append(_record(cid, "lemma-shift", inputs, False, None, str(outcome), rt,
+                                   skip=isinstance(outcome, NotComparable)))
         else:
             records.append(
                 _record(cid, "lemma-shift", inputs, outcome["pass"], max(outcome["residuals"]), None, rt)

@@ -1,6 +1,7 @@
 import ctypes
 import json
 import math
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -32,7 +33,7 @@ from gmcalc.gmfamily import ScalarFn, ScalarRootFns, scalar_fn_from_template
 from gmcalc.levilattice import base_chamber, levi_lattice, mzero, parabolics
 from gmcalc.rootdatum import build_root_system
 from gmcalc.spectral import build_spectral_triple, enumerate_spectral_triples, tau_class
-from gmcalc.suites import _battery, _lemma_shift_cases, suite_residue_1d
+from gmcalc.suites import _battery, _lemma_shift_cases, suite_lemma_shift, suite_residue_1d
 
 
 def pole(n):
@@ -301,10 +302,32 @@ def _naive_values(it):
 def _suite_cases(group, wanted=None):
     d = build_root_system(group)
     rows = _lemma_shift_cases(load_config(overrides={"group": group}), d)
-    return [
-        (cid, case) for cid, _, case, _ in rows
-        if isinstance(case, ShiftCase) and (wanted is None or cid.split("/", 2)[2] in wanted)
-    ]
+    return [(cid, case) for cid, _, case in rows if wanted is None or cid.split("/", 2)[2] in wanted]
+
+
+@pytest.mark.parametrize("group, points", [("A1", 2), ("B2", 16), ("G2", 22), ("A1xA1", 6), ("A3", 4)])
+def test_point_flats_read_no_density(group, points):
+    # a 0-dimensional flat comes only from L = G, where S = M = L1: its one term is the empty subset
+    found = []
+    for index, (_, case) in enumerate(_suite_cases(group)):
+        try:
+            plan = _plan(index, case)
+        except NotComparable:
+            continue
+        found += [it for it in plan.integrals() if not it.grids]
+    assert len(found) == points
+    assert all(len(it.terms) == 1 and not it.terms[0].factors for it in found)
+
+
+def test_lemma_shift_ladder_reads_the_configured_tolerance():
+    d = build_root_system("A2")
+    coarse = {"group": "A2", "delta_ladder": [0.5, 0.2, 0.05]}
+    # the ladder error of c04/M0/m is near 1.7e-4: inside 1e-2, outside 1e-5
+    loose = suite_lemma_shift(load_config(overrides={**coarse, "tolerances": {"lemma_shift": 1e-2}}), d)
+    assert Counter(r.status for r in loose) == {"pass": 38, "skip": 8}
+    tight = suite_lemma_shift(load_config(overrides={**coarse, "tolerances": {"lemma_shift": 1e-5}}), d)
+    rec = next(r for r in tight if r.id == "lemma-shift/A2/c04/M0/m")
+    assert rec.status == "fail" and rec.detail.startswith("iterated principal value did not settle")
 
 
 @pytest.mark.parametrize("group, wanted", [

@@ -722,6 +722,19 @@ def test_family_limit_g_case():
 # -- splitting formula -------------------------------------------------------
 
 
+def test_root_fns_read_the_density_of_either_side_of_a_ray():
+    d = build_root_system("A2")
+    M0 = mzero(d)
+    rays = restricted_rays(M0)
+    fns = ScalarRootFns.uniform(M0, {"kind": "pole"}, {ray.key: Fraction(k + 1) for k, ray in enumerate(rays)})
+    for k, ray in enumerate(rays):
+        assert fns.fn(ray.rep).n == fns.fn(-ray.rep).n == k + 1
+    # rep_0 + 3 rep_1 is a multiple of no root of A2
+    off_ray = RatVec.of([a + 3 * b for a, b in zip(rays[0].rep.coords, rays[1].rep.coords)])
+    with pytest.raises(KeyError, match="no density ray along"):
+        fns.fn(off_ray)
+
+
 def test_split_formula_zero_densities():
     d = build_root_system("A2")
     M0 = mzero(d)

@@ -15,7 +15,10 @@ hull volumes of 4-d hulls and of twelve-chamber hulls.  The G2
 ``verify --suite tdisc --suite tempext`` sha pins the order of each class's
 modeled stabilizer (``TauClass.core``), which sets the summation order of
 the float sums of ``tempext``.  Two A2 ``verify --suite residue-1d`` shas
-pin the 1-d route's bits beyond the default config.
+pin the 1-d route's bits beyond the default config, and two
+``verify --suite lemma-shift`` shas, on A2 and B2, pin the flat test
+function's c1 and c2 terms.  The A3 ``verify --suite lemma-shift --suite
+tempext`` sha pins a rank-3 contour-shift run.
 """
 import hashlib
 import json
@@ -113,6 +116,34 @@ def test_residue_1d_report_matches_pinned_sha(tmp_path, config, sha):
     cfg.write_text(json.dumps(config), encoding="utf-8")
     assert cli_main(["--config", str(cfg), "verify", "--group", "A2", "--suite", "residue-1d", "--out", str(tmp_path)]) == 0
     assert hashlib.sha256((tmp_path / "report-A2.json").read_bytes()).hexdigest() == sha
+
+
+# canonical verify --suite lemma-shift report shas with a flat test function whose c1 and c2 terms
+# are nonzero, which the default config leaves at zero
+FLAT_PHI = {"flat_phi": [{"c0": 1.0, "c1": 0.3, "c2": 0.1, "scale": 0.5}]}
+LEMMA_SHIFT_PHI_REPORTS = {
+    "A2": "8e833afd9d26fcffe677a584b1b4665d485e7719d92a8db3a5d9eaf884f99b26",
+    "B2": "f1d1379e44a7b2ee18a783f0a59fef482120dd10d21c3d2c1b060dee92e04842",
+}
+
+
+@pytest.mark.parametrize("group", sorted(LEMMA_SHIFT_PHI_REPORTS))
+def test_lemma_shift_flat_phi_report_matches_pinned_sha(tmp_path, group):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(FLAT_PHI), encoding="utf-8")
+    assert cli_main(["--config", str(cfg), "verify", "--group", group, "--suite", "lemma-shift", "--out", str(tmp_path)]) == 0
+    assert hashlib.sha256((tmp_path / f"report-{group}.json").read_bytes()).hexdigest() == LEMMA_SHIFT_PHI_REPORTS[group]
+
+
+# the canonical A3 verify --suite lemma-shift --suite tempext report sha with the default config: the
+# one rank-3 lemma-shift run, whose cases plan 0-dimensional flats
+LEMMA_SHIFT_A3 = "85293cd34a4f06b53d416f3ffa78ddb127378f109de0310b96cb0ef40f951825"
+
+
+def test_lemma_shift_a3_report_matches_pinned_sha(tmp_path):
+    args = ["verify", "--group", "A3", "--suite", "lemma-shift", "--suite", "tempext", "--out", str(tmp_path)]
+    assert cli_main(args) == 0
+    assert hashlib.sha256((tmp_path / "report-A3.json").read_bytes()).hexdigest() == LEMMA_SHIFT_A3
 
 
 def test_rank4_build_structure_matches_reference():
