@@ -22,6 +22,22 @@ case.
 On a grid, integrals that read the same m-term sum share it: each distinct
 sum is computed once, and each distinct phi times it is integrated once.
 
+Every grid is evaluated on the first half of its axis 0 only, and the other
+half of each weighted integrand is the conjugate mirror of it.  Every axis
+is symmetric about 0 (-xs[::-1] next to xs, with the weights ws[::-1] next
+to ws) and every shift, basis row and pairing row is real, so reversing
+every axis of the grid, which is index N-1-k of the flattened grid for
+index k, takes the node lam to conj(lam) and keeps the weight.  Every
+density template and FlatTestFunction has real coefficients, and the
+integrand uses only +, -, *, / and exp, whose rounding is symmetric under
+conjugation: each pairing, density, m-sum, phi * m and weighted value at
+N-1-k is then the conjugate of its value at k, bit for bit up to the signs
+of zeros.  No step turns the sign of a zero into a nonzero bit (the config
+rejects a density with a pole on the imaginary axis other than the excised
+one at 0, so no division by zero is reached), so the sum over the whole
+array, of the same shape and in the same order, keeps every bit of the
+full-grid evaluation.
+
 Report residuals near 1e-19 keep the bits of the per-integral evaluation
 only if every product keeps its operand order, because array complex
 products are not bitwise commutative on every host (a * b and b * a differ
@@ -30,8 +46,8 @@ into.  So every array product is an explicit ufunc call that states its
 order: np.multiply(density, val, out=val) for each factor of an m-term (the
 order numpy's temporary elision gave val * fn(<lam, dual>) on the 2-d grids,
 the only ones whose terms have two factors), np.multiply(phi, m) for the
-integrand, written into m once no other integral reads it,
-np.multiply(vals, weight, out=vals) for the quadrature weights, and
+integrand, written into the first half of the grid's integrand array,
+np.multiply(half, weight, out=half) for the quadrature weights, and
 np.multiply(prefactor, exponential) in FlatTestFunction (numpy may swap a
 named array times a temporary).  A 0-dimensional flat comes only from L = G,
 where S = M = L1, so its one m-term is the empty subset: no density is read
@@ -50,9 +66,12 @@ Loading this module sets glibc's M_MMAP_THRESHOLD and M_TRIM_THRESHOLD to
 32 MiB.  A grid frees its working set of tens of MB when it is done; with
 the defaults glibc hands that memory back to the kernel and the next grid
 faults it in again.  Setting either value turns off glibc's dynamic
-thresholds, so both are set: on an A2 verify (x86-64, glibc) the minor page
-faults were 191k with neither, 708k with the trim value alone (every array
-is then mmapped), 309k with the mmap value alone and 14k with both.
+thresholds, so both are set: on an A2 verify --suite all (x86-64, glibc
+2.36, Python 3.11, one process) the minor page faults were 75k with neither,
+303k with the trim value alone (every array is then mmapped), 141k with the
+mmap value alone and 10k with both.  A G2 verify --suite all takes 15k with
+both, at a 74 MB peak RSS (165k and 107 MB when every grid was evaluated on
+all its nodes).
 """
 from __future__ import annotations
 
@@ -445,7 +464,14 @@ class _Grid:
     fine_scale: float
 
     def build(self) -> tuple[list[np.ndarray], np.ndarray]:
-        """The nodes, one complex array per ambient coordinate, and the weights."""
+        """The first half of the grid along axis 0: its nodes, one complex array per ambient
+        coordinate, and its weights.
+
+        Every axis is symmetric about 0 and onb and shift are real, so
+        reversing every axis of the grid maps the node at t to its conjugate
+        at -t, with the same weight: the other half is the conjugate mirror of
+        this one (see the module docstring).
+        """
 
         def half_axis(start: float, fine: float):
             edges = _graded_edges(start, self.T, fine, None)
@@ -463,7 +489,11 @@ class _Grid:
             else:
                 # smooth axes still need refinement around 0 at the feature scale
                 xs, ws = half_axis(0.0, self.fine_scale)
-            axes.append((np.concatenate([-xs[::-1], xs]), np.concatenate([ws[::-1], ws])))
+            if axis == 0:
+                # the half below 0 only: the rest of the grid is its conjugate mirror
+                axes.append((-xs[::-1], ws[::-1]))
+            else:
+                axes.append((np.concatenate([-xs[::-1], xs]), np.concatenate([ws[::-1], ws])))
         weight = axes[0][1]
         for a in axes[1:]:
             weight = np.multiply.outer(weight, a[1])
@@ -632,14 +662,17 @@ def _evaluate(integrals: list[_Integral], runtimes: list[float]) -> dict[str, in
     next one is built.  The grid's integrals are grouped by m-term signature
     and then by phi: each distinct m-term sum is computed once, and each
     distinct phi times it is integrated once, its value shared by the group.
-    A grid's build, phi and density time is split evenly over the cases that
-    use it, and an m-term sum's time, with its integrands, likewise.
+    All of it runs on the first half of the grid, and each weighted
+    integrand fills the other half with its conjugate mirror before the sum
+    over the whole grid (see the module docstring).  A grid's build, phi and
+    density time is split evenly over the cases that use it, and an m-term
+    sum's time, with its integrands, likewise.
     """
     users: dict[_Grid, list[tuple[_Integral, int]]] = {}
     for it in integrals:
         for slot, grid in enumerate(it.grids):
             users.setdefault(grid, []).append((it, slot))
-    phi_evals = pairings = densities = m_sums = integrands = 0
+    phi_evals = pairings = densities = m_sums = integrands = nodes = 0
     for grid, uses in users.items():
         t0 = time.monotonic()
         lam, weight = grid.build()
@@ -659,20 +692,23 @@ def _evaluate(integrals: list[_Integral], runtimes: list[float]) -> dict[str, in
             by_phi.setdefault((it.d, it.phi), []).append((it, slot))
         m_sums += len(by_m)
         norm = (2 * np.pi) ** len(grid.onb)
+        vals = np.empty((2 * len(weight), *weight.shape[1:]), complex)
+        half, rest = vals[: len(weight)], vals[len(weight):]
+        nodes += half.size
         for terms, by_phi in by_m.values():
             t0 = time.monotonic()
             m = _eval_m_terms(terms, table)
-            reads = len(by_phi)
             for (d, phi), group in by_phi.items():
-                reads -= 1
-                # phi * m, the order of the per-integral form phi(gram, lam) * m(lam)
-                vals = np.multiply(phi_vals[d, phi], m, out=None if reads or not isinstance(m, np.ndarray) else m)
-                value = complex(np.sum(np.multiply(vals, weight, out=vals))) / norm
+                # phi * m, the order of the per-integral form phi(gram, lam) * m(lam), then the weights
+                np.multiply(phi_vals[d, phi], m, out=half)
+                np.multiply(half, weight, out=half)
+                np.conjugate(np.flip(half), out=rest)
+                value = complex(np.sum(vals)) / norm
                 for it, slot in group:
                     it.values[slot] = value
             integrands += len(by_phi)
             _charge(runtimes, {it.case for group in by_phi.values() for it, _ in group}, time.monotonic() - t0)
-        del weight, phi_vals, table, m, vals
+        del weight, phi_vals, table, m, vals, half, rest
     return {
         "lemma_shift.integrals": sum(len(uses) for uses in users.values()),
         "lemma_shift.grids": len(users),
@@ -681,6 +717,7 @@ def _evaluate(integrals: list[_Integral], runtimes: list[float]) -> dict[str, in
         "lemma_shift.densities": densities,
         "lemma_shift.m_sums": m_sums,
         "lemma_shift.integrands": integrands,
+        "lemma_shift.nodes": nodes,
     }
 
 

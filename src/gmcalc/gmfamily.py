@@ -293,6 +293,50 @@ def _poly_eval(coeffs: Sequence[complex], z):
     return total
 
 
+def _trimmed(p: Sequence[Fraction]) -> list[Fraction]:
+    """The coefficients, constant first, without trailing zeros (the zero polynomial is [])."""
+    p = list(p)
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def _poly_rem(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
+    """The remainder of a on division by the nonzero trimmed b, trimmed."""
+    a = _trimmed(a)
+    while len(a) >= len(b):
+        c, shift = a[-1] / b[-1], len(a) - len(b)
+        a = _trimmed([x - c * b[i - shift] if i >= shift else x for i, x in enumerate(a)])
+    return a
+
+
+def _real_root_count(p: Sequence[Fraction]) -> int:
+    """The number of distinct real roots of the nonzero trimmed p, by Sturm's theorem."""
+    chain = [list(p), [k * c for k, c in enumerate(p)][1:]]
+    while chain[-1]:
+        chain.append([-x for x in _poly_rem(chain[-2], chain[-1])])
+    chain.pop()
+
+    def changes(signs: list[bool]) -> int:
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    # the signs of the chain at +inf and at -inf, read off the leading coefficients
+    return changes([(q[-1] > 0) == (len(q) % 2 == 1) for q in chain]) - changes([q[-1] > 0 for q in chain])
+
+
+def _zero_on_imaginary_axis(q: Sequence[Fraction]) -> bool:
+    """Whether the nonzero q vanishes at some iy with y real, the origin included.
+
+    q(iy) = A(y) + i B(y) with A, B real, so its zeros on the axis are the
+    common real roots of A and B: the real roots of gcd(A, B).
+    """
+    a, b = ([c * (-1) ** (k // 2) if k % 2 == r else Fraction(0) for k, c in enumerate(q)] for r in (0, 1))
+    a, b = _trimmed(a), _trimmed(b)
+    while b:
+        a, b = b, _poly_rem(a, b)
+    return _real_root_count(a) > 0
+
+
 def scalar_fn_from_template(template: Mapping, n: Fraction) -> ScalarFn:
     """Built-in density shapes; n is the residue magnitude tied to the ray."""
     kind = template.get("kind")
@@ -313,6 +357,9 @@ def scalar_fn_from_template(template: Mapping, n: Fraction) -> ScalarFn:
     q = tuple(Fraction(str(x)) for x in template["q"])
     if not any(q):
         raise ValueError(f"{kind} density needs a nonzero denominator q")
+    # the quadrature excises only the declared pole at 0: q may not vanish anywhere on the imaginary axis
+    if _zero_on_imaginary_axis(q):
+        raise ValueError(f"{kind} density needs a denominator q with no zero on the imaginary axis")
 
     def fn(z, p=tuple(map(complex, p)), q=tuple(map(complex, q))):
         return _poly_eval(p, z) / _poly_eval(q, z)

@@ -316,6 +316,10 @@ BAD_VALUES = [
     {"m_model": {"kind": "pole_plus_rational", "p": ["1"], "q": ["0"]}},
     {"r_model": {"kind": "pole_plus_rational", "p": ["1"], "q": []}},
     {"m_model": {"kind": "pole_plus_rational", "p": ["1"]}},
+    # q with zeros on the imaginary axis (at +-i, at 0, at +-2i) loaded and ended in failing records
+    {"m_model": {"kind": "pole_plus_rational", "p": ["1"], "q": ["1", "0", "1"]}},
+    {"r_model": {"kind": "pole_plus_rational", "p": ["1"], "q": ["0", "1"]}},
+    {"m_model": {"kind": "pole_plus_rational", "p": ["1", "1"], "q": ["4", "0", "1"]}},
     # zero test data made every compared side 0: a vacuous pass
     {"test_functions": [{"poly": [], "scale": "1"}]},
     {"test_functions": [{"poly": ["0", "0"], "scale": "1"}]},
@@ -542,6 +546,8 @@ def test_lemma_shift_counters_and_runtimes_stay_in_the_sidecar(tmp_path):
         "lemma_shift.densities": 166,
         "lemma_shift.m_sums": 167,
         "lemma_shift.integrands": 177,
+        # half of the 3,619,512 grid nodes: the other half of each integrand is its conjugate mirror
+        "lemma_shift.nodes": 1809756,
     }
     assert len(timing["runtimes"]) == len(report["checks"]) == 46
     assert all(rt is not None and rt > 0 for rt in timing["runtimes"].values())

@@ -252,14 +252,23 @@ def test_grid_build_keeps_the_meshgrid_bits(k, pole_axes, shift):
     grid = contour._Grid(AXES[:k], pole_axes, 0.01 if pole_axes else None, shift, 8.0, 0.0125)
     lam, weight = grid.build()
     ref_lam, ref_weight = ref_grid_build(grid)
+    half = len(ref_weight) // 2
     assert len(lam) == len(ref_lam) == 3
-    assert all(same_bits(a, b) for a, b in zip(lam, ref_lam))
-    assert same_bits(weight, ref_weight)
+    for a, b in zip(lam, ref_lam):
+        # build computes the first half of axis 0; the other half is its conjugate mirror, equal as
+        # values (without pole axes the real parts of 2-d grids differ from it in the sign of zero)
+        assert same_bits(a, b[:half])
+        assert np.array_equal(b[half:], np.conj(np.flip(a)))
+    assert same_bits(weight, ref_weight[:half])
+    assert same_bits(np.flip(weight), ref_weight[half:])
 
 
-@pytest.mark.parametrize("c0, c1, c2", [
+FLAT_PHI_CASES = [
     (1.0, 0.0, 0.0), (1.0, 0.3, 0.0), (1.0, 0.0, 0.1), (1.0, 0.3, 0.1), (0.0, 0.0, 0.25), (-0.5, 0.0, 0.0),
-])
+]
+
+
+@pytest.mark.parametrize("c0, c1, c2", FLAT_PHI_CASES)
 def test_flat_phi_keeps_the_full_prefactor_bits(c0, c1, c2):
     d = build_root_system("A3")
     phi = FlatTestFunction(c0, c1, c2, 0.5, (0.7, 0.2, -0.4))
@@ -271,6 +280,22 @@ def test_flat_phi_keeps_the_full_prefactor_bits(c0, c1, c2):
     nodes += [[complex(x) for x in SHIFT], [0j, 0j, 0j]]
     for lam in nodes:
         assert same_bits(phi(d.gram, lam), ref_flat_phi(phi, d.gram, lam))
+
+
+@pytest.mark.parametrize("n", ["0", "1/2", "1", "2"])
+def test_every_density_kind_and_flat_phi_commute_with_conjugation(n):
+    # the precondition of evaluating each grid on half its nodes (see the contour module docstring):
+    # real coefficients, so that f(conj z) == conj(f(z)) on the nodes of a shifted 2-d grid
+    lam, _ = ref_grid_build(contour._Grid(AXES, 1, 0.01, SHIFT, 8.0, 0.0125))
+    conj_lam = [np.conj(c) for c in lam]
+    z = sum(c * g for c, g in zip(lam, (0.6, -0.3, 0.2)))
+    for kind in DENSITY_KINDS:
+        f = scalar_fn_from_template({"kind": kind, "c": "1", "p": ["1", "1"], "q": ["-4", "0", "1"]}, Fraction(n))
+        assert np.array_equal(f(np.conj(z)), np.conj(f(z))), kind
+    d = build_root_system("A3")
+    for c0, c1, c2 in FLAT_PHI_CASES:
+        phi = FlatTestFunction(c0, c1, c2, 0.5, (0.7, 0.2, -0.4))
+        assert np.array_equal(phi(d.gram, conj_lam), np.conj(phi(d.gram, lam))), (c0, c1, c2)
 
 
 def _naive_m(d, terms, lam):
@@ -299,9 +324,9 @@ def _naive_values(it):
     return out
 
 
-def _suite_cases(group, wanted=None):
+def _suite_cases(group, wanted=None, config=None):
     d = build_root_system(group)
-    rows = _lemma_shift_cases(load_config(overrides={"group": group}), d)
+    rows = _lemma_shift_cases(load_config(config, overrides={"group": group}), d)
     return [(cid, case) for cid, _, case in rows if wanted is None or cid.split("/", 2)[2] in wanted]
 
 
@@ -330,15 +355,20 @@ def test_lemma_shift_ladder_reads_the_configured_tolerance():
     assert rec.status == "fail" and rec.detail.startswith("iterated principal value did not settle")
 
 
-@pytest.mark.parametrize("group, wanted", [
-    ("A1xA1", None),
+@pytest.mark.parametrize("group, wanted, config", [
+    ("A1xA1", None, None),
     # the A2 cases whose residuals move when phi * m is computed as m * phi
-    ("A2", {f"{c}/{m}" for c in ("c00/L4", "c00/L5", "c04/M0") for m in ("m", "r")}),
+    ("A2", {f"{c}/{m}" for c in ("c00/L4", "c00/L5", "c04/M0") for m in ("m", "r")}, None),
     # B2 cases whose grids carry one density for several integrals
-    ("B2", {"c00/M0/m", "c00/M0/r", "c05/M0/m", "c05/L7/m"}),
-])
-def test_grid_major_values_equal_naive_reference(group, wanted):
-    cases = _suite_cases(group, wanted)
+    ("B2", {"c00/M0/m", "c00/M0/r", "c05/M0/m", "c05/L7/m"}, None),
+    # a density and a phi that are neither odd nor even, so no half of a grid mirrors the other by symmetry
+    ("A1xA1", None, {
+        "m_model": {"kind": "pole_plus_rational", "p": ["1", "1"], "q": ["-4", "0", "1"]},
+        "flat_phi": [{"c0": 1.0, "c1": 0.3, "c2": 0.1, "scale": 0.5}],
+    }),
+], ids=["A1xA1-None", "A2-wanted1", "B2-wanted2", "A1xA1-pole_plus_rational"])
+def test_grid_major_values_equal_naive_reference(group, wanted, config):
+    cases = _suite_cases(group, wanted, config)
     assert len(cases) == (len(wanted) if wanted else 32)
     plans = []
     for index, (_, case) in enumerate(cases):

@@ -810,7 +810,8 @@ def test_split_formula_matches_induced_family_a2(template):
 @pytest.mark.parametrize("template", [
     {"kind": "pole"},
     {"kind": "model_plancherel", "c": "1"},
-    {"kind": "pole_plus_rational", "p": ["1", "2"], "q": ["5", "0", "1"]},
+    # real poles at +-sqrt(5): a q with zeros on the imaginary axis is rejected
+    {"kind": "pole_plus_rational", "p": ["1", "2"], "q": ["-5", "0", "1"]},
 ])
 def test_segment_integral_keeps_the_per_node_bits(monkeypatch, template):
     # every segment of the analytic route on A2, its density called once on all 32 nodes
@@ -830,6 +831,42 @@ def test_segment_integral_keeps_the_per_node_bits(monkeypatch, template):
     P = base_chamber(d)
     induced_family_value(fns, P, [0.31j, 0.17j], P.chamber_point)
     assert len(calls) > 100
+
+
+def _times(p, q):
+    """The product of two polynomials, constant first."""
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+# factors of q with zeros on the imaginary axis: z, z^2 (a double zero), z^2 + 4, z^2 + 1/4, (z^2 + 4)^2
+ON_AXIS = [[0, 1], [0, 0, 1], [4, 0, 1], [Fraction(1, 4), 0, 1], _times([4, 0, 1], [4, 0, 1])]
+# and without: 2, z - 3, z + 1/2, z^2 + 2z + 2 (zeros -1 +- i), z^2 - 2z + 5 (zeros 1 +- 2i), z^2 - 4
+OFF_AXIS = [[2], [-3, 1], [Fraction(1, 2), 1], [2, 2, 1], [5, -2, 1], [-4, 0, 1]]
+
+
+@pytest.mark.parametrize("off", OFF_AXIS + [_times(OFF_AXIS[1], OFF_AXIS[3]), _times(OFF_AXIS[4], OFF_AXIS[4])])
+def test_pole_plus_rational_rejects_exactly_a_q_with_a_zero_on_the_imaginary_axis(off):
+    def load(q):
+        template = {"kind": "pole_plus_rational", "p": ["1"], "q": [str(c) for c in q]}
+        return gmfamily.scalar_fn_from_template(template, Fraction(1))
+
+    load(off)
+    for on in ON_AXIS:
+        with pytest.raises(ValueError, match="no zero on the imaginary axis"):
+            load(_times(on, off))
+
+
+def test_sturm_count_gives_the_distinct_real_roots():
+    cases = [
+        ([-1, 1], 1), (_times([-1, 1], [-1, 1]), 1), (_times(_times([-1, 1], [-2, 1]), [3, 1]), 3),
+        ([1, 0, 1], 0), (_times([1, 0, 1], [-1, 1]), 1), ([7], 0), (_times([0, 0, 1], [-2, 0, 1]), 3),
+    ]
+    for p, roots in cases:
+        assert gmfamily._real_root_count([Fraction(c) for c in p]) == roots, p
 
 
 def _split_terms_on_every_pair(d):

@@ -1,6 +1,8 @@
 import hashlib
 import random
 from fractions import Fraction
+from itertools import accumulate
+from math import prod
 
 import pytest
 
@@ -41,7 +43,7 @@ from gmcalc.levilattice import (
     trand_check,
     weyl_cosets,
 )
-from gmcalc.rootdatum import RatVec, act, build_root_system, weyl_group
+from gmcalc.rootdatum import _ROOT_COUNT, _WEYL_ORDER, RatVec, act, build_root_system, weyl_group
 from gmcalc.spectral import TauWeyl, enumerate_spectral_triples
 
 # Flat counts: A1 has {M0, G}; A2 adds one line per positive-root kernel;
@@ -496,12 +498,14 @@ EXPONENTS = {
 }
 
 
-def _mobius(d):
-    """mu(M0, L) on the lattice ordered by root sets (reverse inclusion of flats): 1 at M0, and minus
-    the sum over the Levis strictly below L elsewhere."""
+def _mobius(d, bottom):
+    """mu(bottom, X) for the Levis X above bottom (the flats in a_bottom), on the lattice ordered by
+    root sets (reverse inclusion of flats): 1 at bottom, and minus the sum over the Levis from bottom
+    strictly below X elsewhere."""
     mu = {}
-    for L in sorted(levi_lattice(d), key=lambda L: len(L.root_subset)):
-        mu[L] = -sum(m for X, m in mu.items() if X.root_subset < L.root_subset) if L.root_subset else 1
+    for X in sorted(levi_lattice(d), key=lambda X: len(X.root_subset)):
+        if bottom.root_subset <= X.root_subset:
+            mu[X] = -sum(m for Y, m in mu.items() if Y.root_subset < X.root_subset) if mu else 1
     return mu
 
 
@@ -509,12 +513,54 @@ def _mobius(d):
 def test_flats_satisfy_orlik_solomon(label):
     d = build_root_system(label)
     poincare = [0] * (d.rank + 1)
-    for L, m in _mobius(d).items():
+    for L, m in _mobius(d, mzero(d)).items():
         poincare[d.rank - L.dim] += abs(m)
     product = [1]
     for m in EXPONENTS[label]:
         product = [a + m * b for a, b in zip(product + [0], [0] + product)]
     assert poincare == product
+
+
+@pytest.mark.parametrize("label", sorted(EXPONENTS))
+def test_chambers_of_every_flat_number_its_zaslavsky_count(label):
+    # Zaslavsky (Mem. AMS 154, 1975): the arrangement restricted to a_L has sum_X |mu(a_L, X)| chambers,
+    # X over the flats in a_L, so the parabolics and the lattice, built apart, must agree
+    d = build_root_system(label)
+    for L in levi_lattice(d):
+        assert len(parabolics(L)) == sum(abs(m) for m in _mobius(d, L).values()), L.label
+
+
+def _nonnegative_integer_roots(chi):
+    """The roots of the monic integer polynomial chi (constant first), with multiplicity, if they are
+    all nonnegative integers; else None."""
+    roots = []
+    # nonnegative roots are each at most their sum, -chi[-2]
+    for r in range(abs(chi[-2]) + 1 if len(chi) > 1 else 0):
+        while len(chi) > 1:
+            carries = list(accumulate(reversed(chi), lambda carry, c: carry * r + c))  # synthetic division
+            if carries[-1]:
+                break
+            chi = carries[-2::-1]
+            roots.append(r)
+    return roots if len(chi) == 1 else None
+
+
+@pytest.mark.parametrize("label", sorted(EXPONENTS))
+def test_restricted_characteristic_polynomials_have_nonnegative_integer_roots(label):
+    # restrictions of Coxeter arrangements are free (Orlik and Solomon 1983), so by Terao's factorization
+    # theorem (Invent. Math. 63, 1981) chi_L(t) = sum_X mu(a_L, X) t^dim X has nonnegative integer roots;
+    # at M0 they are the exponents m_i, with sum m_i = |Phi+| and prod (1 + m_i) = |W|
+    d = build_root_system(label)
+    for L in levi_lattice(d):
+        chi = [0] * (L.dim + 1)
+        for X, m in _mobius(d, L).items():
+            chi[X.dim] += m
+        roots = _nonnegative_integer_roots(chi)
+        assert roots is not None, (L.label, chi)
+        if L == mzero(d):
+            assert 2 * sum(roots) == sum(_ROOT_COUNT[f] for f in d.factors)
+            assert prod(1 + m for m in roots) == prod(_WEYL_ORDER[f] for f in d.factors)
+            assert sorted(roots) == sorted(EXPONENTS[label])
 
 
 @pytest.mark.parametrize("label", sorted(EXPONENTS))
