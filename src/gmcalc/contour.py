@@ -8,19 +8,20 @@ smaller than 1e-12, so truncation there is part of the fixed grid.
 
 The contour-shift checks run grid-major.  lemma_shift_batch first plans every
 case (all exact work, and a list of integrals, each naming the grids it needs
-by their inputs), then builds each distinct grid once and evaluates on it each
-distinct phi and a density table: each distinct pairing <lam, dual> once, and
-on it each distinct density read through that dual, keyed by the density's
-value key and the pairing row gd (so the datum's form is part of the key).
-The nodes lam are dropped once the last pairing is built, since only its
-densities and the integrands are left to run and a grid's nodes would
-otherwise stay alive next to its fullest table (peak memory).
-Every integrand that uses the grid runs, and the grid is dropped before the
-next is built: one grid's arrays are alive at a time.  Last it assembles each
+by their inputs), then evaluates each distinct grid slab by slab: runs of
+rows along axis 0 of at most _SLAB nodes, built from the grid's 1-d axes.
+On each slab it evaluates each distinct phi and a density table: each
+distinct pairing <lam, dual> once, and on it each distinct density read
+through that dual, keyed by the density's value key and the pairing row gd
+(so the datum's form is part of the key).  Every integrand that uses the
+grid runs on the slab and feeds its weighted values to its own _MirrorSum,
+and the slab's arrays are dropped before the next slab is built: memory is
+bounded by one slab, not by the grid's node count.  Last it assembles each
 case.
 
 On a grid, integrals that read the same m-term sum share it: each distinct
-sum is computed once, and each distinct phi times it is integrated once.
+sum is computed once per slab, and each distinct phi times it is integrated
+once.
 
 Every grid is evaluated on the first half of its axis 0 only, and the other
 half of each weighted integrand is the conjugate mirror of it.  Every axis
@@ -34,9 +35,14 @@ conjugation: each pairing, density, m-sum, phi * m and weighted value at
 N-1-k is then the conjugate of its value at k, bit for bit up to the signs
 of zeros.  No step turns the sign of a zero into a nonzero bit (the config
 rejects a density with a pole on the imaginary axis other than the excised
-one at 0, so no division by zero is reached), so the sum over the whole
-array, of the same shape and in the same order, keeps every bit of the
-full-grid evaluation.
+one at 0, so no division by zero is reached), so np.sum of the array
+[half, conj(flip(half))] keeps every bit of the full-grid evaluation.
+_MirrorSum gives that sum without the array: it replays numpy's pairwise
+summation tree, sums each leaf of at most _LEAF elements once the slabs
+have fed the values it reads (a leaf past the middle reads a range of the
+half reversed and conjugated), and adds the leaf sums in the tree's order.
+Between slabs it holds the values of the leaves not yet summed, at most
+_LEAF per integrand.
 
 Report residuals near 1e-19 keep the bits of the per-integral evaluation
 only if every product keeps its operand order, because array complex
@@ -46,8 +52,7 @@ into.  So every array product is an explicit ufunc call that states its
 order: np.multiply(density, val, out=val) for each factor of an m-term (the
 order numpy's temporary elision gave val * fn(<lam, dual>) on the 2-d grids,
 the only ones whose terms have two factors), np.multiply(phi, m) for the
-integrand, written into the first half of the grid's integrand array,
-np.multiply(half, weight, out=half) for the quadrature weights, and
+integrand, np.multiply(vals, weight, out=vals) for the quadrature weights, and
 np.multiply(prefactor, exponential) in FlatTestFunction (numpy may swap a
 named array times a temporary).  A 0-dimensional flat comes only from L = G,
 where S = M = L1, so its one m-term is the empty subset: no density is read
@@ -63,15 +68,16 @@ order, so each panel stays one np.dot of its 12 nodes, added in panel order,
 and pv_integral, shifted_integral and _excised_axis keep one call per segment.
 
 Loading this module sets glibc's M_MMAP_THRESHOLD and M_TRIM_THRESHOLD to
-32 MiB.  A grid frees its working set of tens of MB when it is done; with
-the defaults glibc hands that memory back to the kernel and the next grid
-faults it in again.  Setting either value turns off glibc's dynamic
-thresholds, so both are set: on an A2 verify --suite all (x86-64, glibc
-2.36, Python 3.11, one process) the minor page faults were 75k with neither,
-303k with the trim value alone (every array is then mmapped), 141k with the
-mmap value alone and 10k with both.  A G2 verify --suite all takes 15k with
-both, at a 74 MB peak RSS (165k and 107 MB when every grid was evaluated on
-all its nodes).
+32 MiB.  Each slab frees arrays of a few hundred kB, and each grid a few MB,
+when it is done; with the defaults glibc hands that memory back to the
+kernel and the next slab faults it in again.  Setting either value turns
+off glibc's dynamic thresholds, so both are set: on an A2 verify --suite all
+(x86-64, glibc 2.36, Python 3.11, one process) the minor page faults were
+86k with neither, 53k with the trim value alone, 87k with the mmap value
+alone and 6.7k with both, at a 41 MB peak RSS.  A G2 verify --suite all
+takes 8.4k with both and 583k with neither, at a 47 MB peak RSS (15k and
+74 MB when each grid's half was evaluated whole, 165k and 107 MB when every
+grid was evaluated on all its nodes).
 """
 from __future__ import annotations
 
@@ -80,7 +86,7 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -101,6 +107,10 @@ from .rootdatum import RootDatum
 from .spectral import TauClass, n_constant
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
+
+# the most half-grid nodes evaluated at once, and the longest run of numpy's pairwise sum kept whole
+_SLAB = 16384
+_LEAF = 2048
 
 # glibc malloc.h parameter numbers, and the size below which freed memory stays in the heap
 _M_TRIM_THRESHOLD = -1
@@ -335,7 +345,10 @@ class FlatTestFunction:
     """phi(lam) = (c0 + c1 <lam, v0> + c2 <lam, lam>) exp(scale <lam, lam>).
 
     Written in invariant pairings so no basis choice enters; entire in lam and
-    Paley-Wiener-like on every shifted imaginary slice.
+    Paley-Wiener-like on every shifted imaginary slice.  v0 is read only
+    through c1, so it is () when c1 is 0: functions equal as functions then
+    compare equal and share one evaluation on a grid.  gram is the datum's
+    float form (RootDatum.float_gram).
     """
 
     c0: float
@@ -344,16 +357,17 @@ class FlatTestFunction:
     scale: float
     v0: tuple[float, ...]
 
-    def pair_arrays(self, gram, lam_coords):
-        gl = [sum(float(gram[i][j]) * lam_coords[j] for j in range(len(lam_coords))) for i in range(len(lam_coords))]
-        return gl
+    def __post_init__(self):
+        if self.c1 == 0:
+            object.__setattr__(self, "v0", ())
 
     def __call__(self, gram, lam_coords):
-        gl = self.pair_arrays(gram, lam_coords)
-        qq = sum(lam_coords[i] * gl[i] for i in range(len(lam_coords)))
+        k = len(lam_coords)
+        gl = [sum(gram[i][j] * lam_coords[j] for j in range(k)) for i in range(k)]
+        qq = sum(lam_coords[i] * gl[i] for i in range(k))
         pre = self.c0  # a term with a zero coefficient would add only signed zeros
         if self.c1 != 0:
-            pre = pre + self.c1 * sum(self.v0[i] * gl[i] for i in range(len(lam_coords)))
+            pre = pre + self.c1 * sum(self.v0[i] * gl[i] for i in range(k))
         if self.c2 != 0:
             pre = pre + self.c2 * qq
         # pre * np.exp(...) would let numpy write into the temporary exponential and swap the order
@@ -366,7 +380,7 @@ class FlatTestFunction:
 
 def _orthonormal_basis(d: RootDatum, basis_rows, first_dirs) -> list[np.ndarray]:
     """Float Gram-Schmidt basis of the flat, the given directions first."""
-    S = np.array([[float(x) for x in row] for row in d.gram])
+    S = np.array(d.float_gram)
     vecs = [np.array([float(x) for x in v]) for v in first_dirs]
     vecs += [np.array([float(x) for x in b]) for b in basis_rows]
     out: list[np.ndarray] = []
@@ -402,30 +416,37 @@ def _m_term_data(fns: ScalarRootFns, M: Levi, S: Levi, Q1: ParabolicChamber) -> 
     ]
 
 
-def _density_table(terms: Iterable[_MTermData], lam_coords: list) -> dict:
-    """Each distinct density of the terms on the nodes, keyed by (density key, gd).
-
-    Each distinct pairing <lam, dual> is computed once, every density read
-    through it is evaluated on it, and it is dropped before the next.  The
-    list lam_coords is emptied once the last pairing is built, so the nodes
-    are not alive next to the fullest table (peak memory).
-    """
+def _by_pairing(terms: Iterable[_MTermData]) -> dict[tuple[float, ...], dict]:
+    """Each distinct density of the terms, keyed by its value key, grouped by its pairing row gd."""
     by_gd: dict[tuple[float, ...], dict] = {}
     for term in terms:
         for fn, _, gd in term.factors:
             by_gd.setdefault(gd, {}).setdefault(fn.key, fn)
-    table = {}
-    for index, (gd, fns) in enumerate(by_gd.items(), 1):
+    return by_gd
+
+
+def _reads(term_lists: Iterable[list[_MTermData]], by_gd: dict[tuple[float, ...], dict]) -> list:
+    """For each list of terms, each term's covolume and the places of its densities in
+    _density_table(by_gd, ...): read once per grid, so that no density key is hashed on each slab."""
+    place = {(key, gd): i for i, (gd, key) in enumerate((gd, key) for gd, fns in by_gd.items() for key in fns)}
+    return [[(term.vol, [place[fn.key, gd] for fn, _, gd in term.factors]) for term in terms] for terms in term_lists]
+
+
+def _density_table(by_gd: dict[tuple[float, ...], dict], lam_coords: list) -> list[np.ndarray]:
+    """Each density of by_gd (see _by_pairing) on the nodes, in the order of by_gd.
+
+    Each distinct pairing <lam, dual> is computed once, every density read
+    through it is evaluated on it, and it is dropped before the next.
+    """
+    table = []
+    for gd, fns in by_gd.items():
         z = sum(lam_coords[i] * gd[i] for i in range(len(gd)))
-        if index == len(by_gd):
-            lam_coords.clear()
-        for key, fn in fns.items():
-            table[key, gd] = fn(z)
+        table += [fn(z) for fn in fns.values()]
     return table
 
 
-def _eval_m_terms(terms: list[_MTermData], table: dict) -> np.ndarray | complex:
-    """The sum of the m-terms, each factor read from table (see _density_table).
+def _eval_m_terms(reads: list[tuple[float, list[int]]], table: list[np.ndarray]) -> np.ndarray | complex:
+    """The sum of the m-terms, each factor read from table (see _reads and _density_table).
 
     Each factor is density * val, written into val once val is an array of
     its own, and total + val is written into total once total is, so the
@@ -433,10 +454,10 @@ def _eval_m_terms(terms: list[_MTermData], table: dict) -> np.ndarray | complex:
     factors is its covolume.
     """
     total = None
-    for term in terms:
-        val = term.vol
-        for fn, _, gd in term.factors:
-            val = np.multiply(table[fn.key, gd], val, out=val if isinstance(val, np.ndarray) else None)
+    for vol, places in reads:
+        val = vol
+        for place in places:
+            val = np.multiply(table[place], val, out=val if isinstance(val, np.ndarray) else None)
         if isinstance(total, np.ndarray):
             np.add(total, val, out=total)
         else:
@@ -463,14 +484,13 @@ class _Grid:
     T: float
     fine_scale: float
 
-    def build(self) -> tuple[list[np.ndarray], np.ndarray]:
-        """The first half of the grid along axis 0: its nodes, one complex array per ambient
-        coordinate, and its weights.
+    def axes(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """The 1-d nodes and weights of each axis, axis 0 its half below 0 only.
 
         Every axis is symmetric about 0 and onb and shift are real, so
         reversing every axis of the grid maps the node at t to its conjugate
         at -t, with the same weight: the other half is the conjugate mirror of
-        this one (see the module docstring).
+        the first half of axis 0 (see the module docstring).
         """
 
         def half_axis(start: float, fine: float):
@@ -490,24 +510,139 @@ class _Grid:
                 # smooth axes still need refinement around 0 at the feature scale
                 xs, ws = half_axis(0.0, self.fine_scale)
             if axis == 0:
-                # the half below 0 only: the rest of the grid is its conjugate mirror
                 axes.append((-xs[::-1], ws[::-1]))
             else:
                 axes.append((np.concatenate([-xs[::-1], xs]), np.concatenate([ws[::-1], ws])))
-        weight = axes[0][1]
-        for a in axes[1:]:
-            weight = np.multiply.outer(weight, a[1])
-        # i*t on each 1-d axis, shaped to broadcast along its own grid axis
-        its = [(1j * xs).reshape([-1 if a == j else 1 for a in range(len(axes))]) for j, (xs, _) in enumerate(axes)]
-        lam = []
-        for i in range(len(self.onb[0])):
-            comp = 0j
-            for axis_index, it in enumerate(its):
-                comp = comp + it * self.onb[axis_index][i]
-            if self.shift is not None:
-                comp = comp + self.shift[i]
-            lam.append(comp)
-        return lam, weight
+        return axes
+
+    def slabs(self, axes) -> Iterator[tuple[list[np.ndarray], np.ndarray]]:
+        """The nodes (one complex array per ambient coordinate) and weights of the half grid on
+        axes, slab by slab: runs of axis-0 rows of at most _SLAB nodes (one row if a row is longer)."""
+        row = math.prod(len(ws) for _, ws in axes[1:])
+        step = max(1, _SLAB // row)
+        for start in range(0, len(axes[0][0]), step):
+            rows = slice(start, start + step)
+            weight = axes[0][1][rows]
+            for a in axes[1:]:
+                weight = np.multiply.outer(weight, a[1])
+            # i*t on each 1-d axis, shaped to broadcast along its own grid axis
+            its = [
+                (1j * (xs[rows] if j == 0 else xs)).reshape([-1 if a == j else 1 for a in range(len(axes))])
+                for j, (xs, _) in enumerate(axes)
+            ]
+            lam = []
+            for i in range(len(self.onb[0])):
+                comp = 0j
+                for axis_index, it in enumerate(its):
+                    comp = comp + it * self.onb[axis_index][i]
+                if self.shift is not None:
+                    comp = comp + self.shift[i]
+                lam.append(comp)
+            yield lam, weight
+
+
+def _pairwise_leaves(start: int, n: int) -> Iterator[tuple[int, int]]:
+    """The leaves of numpy's pairwise sum of n elements from start, cut at _LEAF, in order."""
+    if n <= _LEAF:
+        yield start, start + n
+        return
+    split = (n - n % 8) // 2
+    yield from _pairwise_leaves(start, split)
+    yield from _pairwise_leaves(start + split, n - split)
+
+
+def _pairwise_join(sums: Iterator[complex], n: int) -> complex:
+    """The leaf sums of _pairwise_leaves(0, n), added in numpy's tree order."""
+    if n <= _LEAF:
+        return next(sums)
+    split = (n - n % 8) // 2
+    return _pairwise_join(sums, split) + _pairwise_join(sums, n - split)
+
+
+class _MirrorLeaves(NamedTuple):
+    """The leaves of the sum of [half, conj(flip(half))] for n values of half (see _MirrorSum).
+
+    leaves[i] is (k, (h0, h1), (m0, m1)): leaf k of _pairwise_leaves(0, 2n)
+    reads half[h0:h1] and then half[m0:m1] reversed and conjugated (either
+    range may be empty).  The leaves are in the order their values are
+    complete: leaves[i] needs half[:ready[i]], and the leaves from i on read
+    nothing before keep[i].
+    """
+
+    n: int
+    leaves: list[tuple[int, tuple[int, int], tuple[int, int]]]
+    ready: list[int]
+    keep: list[int]
+
+    @classmethod
+    def of(cls, n: int) -> _MirrorLeaves:
+        leaves = []
+        for k, (a, b) in enumerate(_pairwise_leaves(0, 2 * n)):
+            parts = ((min(a, n), min(b, n)), (min(2 * n - b, n), 2 * n - max(a, n)))
+            spans = [r for r in parts if r[0] < r[1]]
+            leaves.append((max(r[1] for r in spans), min(r[0] for r in spans), k, parts))
+        leaves.sort()
+        keep = [n] * (len(leaves) + 1)
+        for i in reversed(range(len(leaves))):
+            keep[i] = min(keep[i + 1], leaves[i][1])
+        return cls(n, [(k, *parts) for _, _, k, parts in leaves], [leaf[0] for leaf in leaves], keep)
+
+
+class _MirrorSum:
+    """complex(np.sum(np.concatenate([half, np.conjugate(np.flip(half))]))), bit for bit, from the
+    n values of half fed in order, holding only the values of leaves not yet summed.
+
+    numpy sums a contiguous complex array as 0 + PW(array), where PW adds a
+    run of at most 64 elements in a fixed order and splits a longer run of n
+    at (n - n % 8) // 2 (it splits the 2n doubles at a multiple of 8).  So
+    each leaf of that tree cut at _LEAF elements is summed by np.add.reduce
+    of its values in a contiguous array, and the leaf sums are added in tree
+    order, then to 0j.  np.add.reduce gives 0 + PW(leaf), which differs from
+    PW(leaf) at most in the sign of a zero; no addition turns that sign into
+    a nonzero bit, and the 0j + of the total removes it.  Past index n a
+    leaf reads a range of half reversed and conjugated; a leaf that
+    straddles n (the whole array when 2n <= _LEAF) joins both parts.
+    """
+
+    def __init__(self, plan: _MirrorLeaves):
+        self.plan = plan
+        self.sums = [0j] * len(plan.leaves)
+        self.done = 0
+        self.start = 0
+        self.held = np.empty(0, complex)  # half[start:], read by leaves not yet summed
+
+    def add(self, values: np.ndarray) -> None:
+        """Feed the next values of half, in C order."""
+        plan, start, held, new = self.plan, self.start, self.held, values.ravel()
+        mid = start + len(held)
+        end = mid + len(new)
+
+        def take(lo: int, hi: int) -> np.ndarray:
+            if lo >= mid:
+                return new[lo - mid:hi - mid]
+            if hi <= mid:
+                return held[lo - start:hi - start]
+            return np.concatenate([held[lo - start:], new[:hi - mid]])
+
+        done = self.done
+        while done < len(plan.leaves) and plan.ready[done] <= end:
+            k, (h0, h1), (m0, m1) = plan.leaves[done]
+            if m0 == m1:
+                leaf = take(h0, h1)
+            elif h0 == h1:
+                leaf = np.conjugate(take(m0, m1)[::-1])
+            else:
+                leaf = np.concatenate([take(h0, h1), np.conjugate(take(m0, m1)[::-1])])
+            self.sums[k] = complex(np.add.reduce(leaf))
+            done += 1
+        self.done = done
+        self.start = plan.keep[done]
+        # a copy, so that no view keeps the fed array alive
+        self.held = take(self.start, end).copy()
+
+    def total(self) -> complex:
+        """The sum, once all n values are fed."""
+        return 0j + _pairwise_join(iter(self.sums), 2 * self.plan.n)
 
 
 @dataclass
@@ -600,7 +735,8 @@ def _plan(case_index: int, case: ShiftCase) -> _ShiftPlan:
         pole_axes coordinates carry principal-value excisions at 0."""
         if not basis:
             lam = [complex(x) for x in (shift if shift is not None else np.zeros(d.rank))]
-            point = complex(phi(d.gram, lam) * _eval_m_terms(terms, _density_table(terms, lam)))
+            by_gd = _by_pairing(terms)
+            point = complex(phi(d.float_gram, lam) * _eval_m_terms(_reads([terms], by_gd)[0], _density_table(by_gd, lam)))
             return _Integral(case_index, d, phi, terms, [], None, [point])
         axes = tuple(tuple(float(x) for x in v) for v in basis)
         ladder = list(deltas) if pole_axes else None
@@ -654,61 +790,74 @@ def _charge(runtimes: list[float], cases: set[int], seconds: float) -> None:
 
 
 def _evaluate(integrals: list[_Integral], runtimes: list[float]) -> dict[str, int]:
-    """Fill the grid values of every planned integral, grid by grid.
+    """Fill the grid values of every planned integral, grid by grid and slab by slab.
 
-    Each distinct grid is built once, and on it each distinct phi and each
-    distinct density (with its pairing) is evaluated once; the nodes are
-    dropped before the integrands run, and the rest of the grid before the
-    next one is built.  The grid's integrals are grouped by m-term signature
-    and then by phi: each distinct m-term sum is computed once, and each
-    distinct phi times it is integrated once, its value shared by the group.
-    All of it runs on the first half of the grid, and each weighted
-    integrand fills the other half with its conjugate mirror before the sum
-    over the whole grid (see the module docstring).  A grid's build, phi and
-    density time is split evenly over the cases that use it, and an m-term
-    sum's time, with its integrands, likewise.
+    On each distinct grid, each distinct phi and each distinct density (with
+    its pairing) is evaluated once per slab.  The grid's integrals are
+    grouped by m-term signature and then by phi: each distinct m-term sum is
+    computed once per slab, and each distinct phi times it is weighted and
+    fed to one _MirrorSum, whose total is the value the group shares (see
+    the module docstring).  A grid's build, phi and density time is split
+    evenly over the cases that use it, and an m-term sum's time, with its
+    integrands, likewise.
     """
     users: dict[_Grid, list[tuple[_Integral, int]]] = {}
     for it in integrals:
         for slot, grid in enumerate(it.grids):
             users.setdefault(grid, []).append((it, slot))
+    plans: dict[int, _MirrorLeaves] = {}
     phi_evals = pairings = densities = m_sums = integrands = nodes = 0
     for grid, uses in users.items():
-        t0 = time.monotonic()
-        lam, weight = grid.build()
-        phi_vals = {}
-        for it, _ in uses:
-            if (it.d, it.phi) not in phi_vals:
-                phi_vals[it.d, it.phi] = it.phi(it.d.gram, lam)
-        table = _density_table((term for it, _ in uses for term in it.terms), lam)
-        del lam
-        phi_evals += len(phi_vals)
-        pairings += len({gd for _, gd in table})
-        densities += len(table)
-        _charge(runtimes, {it.case for it, _ in uses}, time.monotonic() - t0)
         by_m: dict[tuple, tuple[list[_MTermData], dict]] = {}
         for it, slot in uses:
             terms, by_phi = by_m.setdefault(_m_signature(it.terms), (it.terms, {}))
             by_phi.setdefault((it.d, it.phi), []).append((it, slot))
-        m_sums += len(by_m)
+        by_gd = _by_pairing(term for it, _ in uses for term in it.terms)
+        axes = grid.axes()
+        size = math.prod(len(ws) for _, ws in axes)
+        if size not in plans:
+            plans[size] = _MirrorLeaves.of(size)
+        # per distinct m-term sum: its reads, and per distinct phi the sum of phi * m and its integrals
+        groups = list(by_m.values())
+        sums = [
+            (reads, [(key, _MirrorSum(plans[size]), group) for key, group in by_phi.items()])
+            for reads, (_, by_phi) in zip(_reads([terms for terms, _ in groups], by_gd), groups)
+        ]
+        build_s = 0.0
+        m_s = [0.0] * len(sums)
+        clock = time.monotonic()
+        for lam, weight in grid.slabs(axes):
+            phi_vals = {}
+            for it, _ in uses:
+                if (it.d, it.phi) not in phi_vals:
+                    phi_vals[it.d, it.phi] = it.phi(it.d.float_gram, lam)
+            table = _density_table(by_gd, lam)
+            now = time.monotonic()
+            build_s, clock = build_s + now - clock, now
+            for index, (reads, phis) in enumerate(sums):
+                m = _eval_m_terms(reads, table)
+                for key, acc, _ in phis:
+                    # phi * m, the order of the per-integral form phi(gram, lam) * m(lam), then the weights
+                    vals = np.multiply(phi_vals[key], m)
+                    acc.add(np.multiply(vals, weight, out=vals))
+                now = time.monotonic()
+                m_s[index], clock = m_s[index] + now - clock, now
+                del m, vals  # before the next sum is computed (peak memory)
+            del lam, phi_vals, table  # before the next slab is built (peak memory)
+        _charge(runtimes, {it.case for it, _ in uses}, build_s)
         norm = (2 * np.pi) ** len(grid.onb)
-        vals = np.empty((2 * len(weight), *weight.shape[1:]), complex)
-        half, rest = vals[: len(weight)], vals[len(weight):]
-        nodes += half.size
-        for terms, by_phi in by_m.values():
-            t0 = time.monotonic()
-            m = _eval_m_terms(terms, table)
-            for (d, phi), group in by_phi.items():
-                # phi * m, the order of the per-integral form phi(gram, lam) * m(lam), then the weights
-                np.multiply(phi_vals[d, phi], m, out=half)
-                np.multiply(half, weight, out=half)
-                np.conjugate(np.flip(half), out=rest)
-                value = complex(np.sum(vals)) / norm
+        for (_, phis), seconds in zip(sums, m_s):
+            for _, acc, group in phis:
+                value = acc.total() / norm
                 for it, slot in group:
                     it.values[slot] = value
-            integrands += len(by_phi)
-            _charge(runtimes, {it.case for group in by_phi.values() for it, _ in group}, time.monotonic() - t0)
-        del weight, phi_vals, table, m, vals, half, rest
+            _charge(runtimes, {it.case for _, _, group in phis for it, _ in group}, seconds)
+        phi_evals += len({(it.d, it.phi) for it, _ in uses})
+        pairings += len(by_gd)
+        densities += sum(map(len, by_gd.values()))
+        m_sums += len(sums)
+        integrands += sum(len(phis) for _, phis in sums)
+        nodes += size
     return {
         "lemma_shift.integrals": sum(len(uses) for uses in users.values()),
         "lemma_shift.grids": len(users),

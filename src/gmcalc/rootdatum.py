@@ -286,10 +286,15 @@ class RootDatum:
             raise DimensionError(f"expected vectors of length {self.rank}")
         return sym_pair(self.gram, u.coords, v.coords)
 
+    @cached_property
+    def float_gram(self) -> tuple[tuple[float, ...], ...]:
+        """The form as floats, each entry converted once for every float pairing of the datum."""
+        return tuple(tuple(map(float, row)) for row in self.gram)
+
     def float_row(self, v: RatVec) -> tuple[float, ...]:
         """The pairing lam -> <lam, v> as a float row in ambient coordinates."""
-        n = self.rank
-        return tuple(sum(float(self.gram[i][j]) * float(v.coords[j]) for j in range(n)) for i in range(n))
+        vf = tuple(map(float, v.coords))
+        return tuple(sum(g * x for g, x in zip(row, vf)) for row in self.float_gram)
 
     @cached_property
     def weyl(self) -> tuple[WeylElement, ...]:

@@ -2,9 +2,10 @@
 quadrature, the segment quadrature, the tensor grid build and the flat test function.
 
 Each is the route the package ran one panel, one node or one full-grid mesh
-at a time, or with every term of the prefactor, before it was batched.  The
-batched kernels keep every float operation and its operand order, so the
-tests require the same bits from both (``same_bits``).
+at a time, or with every term of the prefactor, before it was batched or
+cut into slabs.  The batched kernels keep every float operation and its
+operand order, so the tests require the same bits from both
+(``same_bits``).
 """
 import numpy as np
 
@@ -74,8 +75,13 @@ def ref_grid_build(g):
 
 
 def ref_flat_phi(phi, gram, lam_coords):
-    """A FlatTestFunction's value with every term of its prefactor, zero coefficients included."""
-    gl = phi.pair_arrays(gram, lam_coords)
-    qq = sum(lam_coords[i] * gl[i] for i in range(len(lam_coords)))
-    lin = sum(phi.v0[i] * gl[i] for i in range(len(lam_coords)))
+    """A FlatTestFunction's value with every term of its prefactor, zero coefficients included, each
+    pairing converting the entries of the form gram as it reads them.
+
+    A phi with c1 = 0 keeps no v0, and its linear term is then an exact 0.0.
+    """
+    k = len(lam_coords)
+    gl = [sum(float(gram[i][j]) * lam_coords[j] for j in range(k)) for i in range(k)]
+    qq = sum(lam_coords[i] * gl[i] for i in range(k))
+    lin = sum(v * g for v, g in zip(phi.v0, gl))
     return (phi.c0 + phi.c1 * lin + phi.c2 * qq) * np.exp(phi.scale * qq)

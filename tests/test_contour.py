@@ -1,6 +1,7 @@
 import ctypes
 import json
 import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -244,23 +245,34 @@ AXES = ((0.6, -0.8, 0.1), (0.3, 0.4, -0.7))
 SHIFT = (0.05, -0.02, 0.03)
 
 
+def joined_slabs(grid):
+    """The nodes and weights of every slab of the grid, joined along axis 0, and the slab count."""
+    slabs = list(grid.slabs(grid.axes()))
+    lam = [np.concatenate([nodes[i] for nodes, _ in slabs]) for i in range(len(slabs[0][0]))]
+    return lam, np.concatenate([weight for _, weight in slabs]), len(slabs)
+
+
 @pytest.mark.parametrize("k, pole_axes, shift", [
     (1, 0, None), (1, 0, SHIFT), (1, 1, None), (1, 1, SHIFT),
     (2, 0, None), (2, 0, SHIFT), (2, 1, None), (2, 1, SHIFT), (2, 2, None),
 ])
-def test_grid_build_keeps_the_meshgrid_bits(k, pole_axes, shift):
+def test_grid_build_keeps_the_meshgrid_bits(monkeypatch, k, pole_axes, shift):
     grid = contour._Grid(AXES[:k], pole_axes, 0.01 if pole_axes else None, shift, 8.0, 0.0125)
-    lam, weight = grid.build()
     ref_lam, ref_weight = ref_grid_build(grid)
     half = len(ref_weight) // 2
-    assert len(lam) == len(ref_lam) == 3
-    for a, b in zip(lam, ref_lam):
-        # build computes the first half of axis 0; the other half is its conjugate mirror, equal as
-        # values (without pole axes the real parts of 2-d grids differ from it in the sign of zero)
-        assert same_bits(a, b[:half])
-        assert np.array_equal(b[half:], np.conj(np.flip(a)))
-    assert same_bits(weight, ref_weight[:half])
-    assert same_bits(np.flip(weight), ref_weight[half:])
+    assert half == 192
+    # slabs of the default size, of one row (or node), of 100 nodes, of two rows, and of the whole half
+    for slab, slabs in ((contour._SLAB, (1, 5)), (1, (192, 192)), (100, (2, 192)), (1000, (1, 96)), (10**9, (1, 1))):
+        monkeypatch.setattr(contour, "_SLAB", slab)
+        lam, weight, count = joined_slabs(grid)
+        assert count == slabs[k - 1] and len(lam) == len(ref_lam) == 3
+        for a, b in zip(lam, ref_lam):
+            # the slabs cover the first half of axis 0; the other half is its conjugate mirror, equal as
+            # values (without pole axes the real parts of 2-d grids differ from it in the sign of zero)
+            assert same_bits(a, b[:half])
+            assert np.array_equal(b[half:], np.conj(np.flip(a)))
+        assert same_bits(weight, ref_weight[:half])
+        assert same_bits(np.flip(weight), ref_weight[half:])
 
 
 FLAT_PHI_CASES = [
@@ -269,17 +281,26 @@ FLAT_PHI_CASES = [
 
 
 @pytest.mark.parametrize("c0, c1, c2", FLAT_PHI_CASES)
-def test_flat_phi_keeps_the_full_prefactor_bits(c0, c1, c2):
+def test_flat_phi_keeps_the_full_prefactor_bits(monkeypatch, c0, c1, c2):
+    monkeypatch.setattr(contour, "_SLAB", 1000)
     d = build_root_system("A3")
     phi = FlatTestFunction(c0, c1, c2, 0.5, (0.7, 0.2, -0.4))
-    nodes = [grid.build()[0] for grid in (
+    nodes = [joined_slabs(grid)[0] for grid in (
         contour._Grid(AXES, 1, 0.01, SHIFT, phi.cutoff(), 0.0125),
         contour._Grid(AXES[:1], 0, None, None, phi.cutoff(), 0.0125),
     )]
     # the point values of 0-dimensional flats, at a shift and at the origin
     nodes += [[complex(x) for x in SHIFT], [0j, 0j, 0j]]
     for lam in nodes:
-        assert same_bits(phi(d.gram, lam), ref_flat_phi(phi, d.gram, lam))
+        # the float form against the exact one converted entry by entry
+        assert same_bits(phi(d.float_gram, lam), ref_flat_phi(phi, d.gram, lam))
+
+
+def test_flat_phi_without_a_linear_term_keeps_no_v0():
+    one, other = (FlatTestFunction(1.0, 0.0, 0.1, 0.5, v0) for v0 in ((0.7, 0.2, -0.4), (0.1, 0.0, 0.3)))
+    assert one.v0 == () and one == other and hash(one) == hash(other)
+    linear = FlatTestFunction(1.0, 0.3, 0.1, 0.5, (0.7, 0.2, -0.4))
+    assert linear.v0 == (0.7, 0.2, -0.4) and linear != FlatTestFunction(1.0, 0.3, 0.1, 0.5, (0.1, 0.0, 0.3))
 
 
 @pytest.mark.parametrize("n", ["0", "1/2", "1", "2"])
@@ -295,7 +316,60 @@ def test_every_density_kind_and_flat_phi_commute_with_conjugation(n):
     d = build_root_system("A3")
     for c0, c1, c2 in FLAT_PHI_CASES:
         phi = FlatTestFunction(c0, c1, c2, 0.5, (0.7, 0.2, -0.4))
-        assert np.array_equal(phi(d.gram, conj_lam), np.conj(phi(d.gram, lam))), (c0, c1, c2)
+        assert np.array_equal(phi(d.float_gram, conj_lam), np.conj(phi(d.float_gram, lam))), (c0, c1, c2)
+
+
+def _mixed_complex(rng, shape):
+    """Complex values of magnitudes 1e-12 to 1e12 and both signs, a tenth of the parts 0.0, a tenth -0.0."""
+    parts = []
+    for _ in range(2):
+        x = rng.standard_normal(shape) * 10.0 ** rng.uniform(-12, 12, shape)
+        u = rng.uniform(size=shape)
+        x[u < 0.1] = 0.0
+        x[(u >= 0.1) & (u < 0.2)] = -0.0
+        parts.append(x)
+    return parts[0] + 1j * parts[1]
+
+
+def _mirror_sum(half, rows):
+    acc = contour._MirrorSum(contour._MirrorLeaves.of(half.size))
+    for start in range(0, len(half), rows):
+        acc.add(half[start:start + rows])
+    return acc.total()
+
+
+# every half-grid shape of the default A2, B2 and G2 runs, then small, odd and unaligned lengths: 4 and 12
+# (the whole array one run of numpy's sum), 1036 % 8 == 4, 1000 (the whole array one leaf), and lengths
+# that are not multiples of 4, whose leaves straddle the middle of the full array
+MIRROR_SHAPES = [
+    (156,), (180,), (192,), (240,), (156, 312), (180, 360), (156, 384), (192, 384), (240, 384), (240, 480),
+    (4,), (12,), (60,), (1036,), (1000,), (6,), (1030,), (4099,), (30, 7),
+]
+
+
+@pytest.mark.parametrize("shape", MIRROR_SHAPES, ids=lambda s: "x".join(map(str, s)))
+def test_mirror_sum_is_numpys_sum_of_the_mirrored_array(shape):
+    rng = np.random.default_rng(sum(shape))
+    half = _mixed_complex(rng, shape)
+    want = complex(np.sum(np.concatenate([half, np.conj(np.flip(half))])))
+    # slabs of one row, of rows not aligned to the leaves, and of more rows than there are
+    for rows in (1, 7, 301, len(half) + 5):
+        assert same_bits(_mirror_sum(half, rows), want), rows
+
+
+def test_mirror_sum_keeps_the_signs_of_zeros_that_numpy_keeps():
+    for half in (np.full(12, complex(-0.0, -0.0)), np.full(1200, complex(-0.0, -0.0)), np.zeros(4000, complex)):
+        want = complex(np.sum(np.concatenate([half, np.conj(np.flip(half))])))
+        assert same_bits(_mirror_sum(half, 100), want)
+
+
+@pytest.mark.parametrize("shape, rows", [((240, 384), 42), ((4099,), 301), ((1000,), 7)])
+def test_mirror_sum_holds_at_most_one_leaf_between_slabs(shape, rows):
+    half = _mixed_complex(np.random.default_rng(7), shape)
+    acc = contour._MirrorSum(contour._MirrorLeaves.of(half.size))
+    for start in range(0, len(half), rows):
+        acc.add(half[start:start + rows])
+        assert acc.held.size <= contour._LEAF and acc.held.base is None
 
 
 def _naive_m(d, terms, lam):
@@ -462,3 +536,16 @@ def test_allocator_setting_sets_both_thresholds_and_is_a_no_op_without_mallopt(m
     for cdll in (lambda name: SimpleNamespace(), no_library):
         monkeypatch.setattr(ctypes, "CDLL", cdll)
         _keep_freed_arrays()
+
+
+def test_lemma_shift_peak_memory_is_bounded_by_slabs_not_grids():
+    # the default A2 cases: one 92,160-node half grid took a 17.9 MB peak when evaluated whole
+    cases = [case for _, _, case in _lemma_shift_cases(load_config(overrides={"group": "A2"}), build_root_system("A2"))]
+    tracemalloc.start()
+    try:
+        batch = lemma_shift_batch(cases)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert batch.counters["lemma_shift.nodes"] == 1809756
+    assert peak <= 6e6

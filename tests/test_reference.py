@@ -18,7 +18,8 @@ the float sums of ``tempext``.  Two A2 ``verify --suite residue-1d`` shas
 pin the 1-d route's bits beyond the default config, and two
 ``verify --suite lemma-shift`` shas, on A2 and B2, pin the flat test
 function's c1 and c2 terms.  The A3 ``verify --suite lemma-shift --suite
-tempext`` sha pins a rank-3 contour-shift run.
+tempext`` sha pins a rank-3 contour-shift run, and the G2 ``verify --suite
+lemma-shift`` sha the G2 grids, which no other pin in this file reads.
 """
 import hashlib
 import json
@@ -144,6 +145,16 @@ def test_lemma_shift_a3_report_matches_pinned_sha(tmp_path):
     args = ["verify", "--group", "A3", "--suite", "lemma-shift", "--suite", "tempext", "--out", str(tmp_path)]
     assert cli_main(args) == 0
     assert hashlib.sha256((tmp_path / "report-A3.json").read_bytes()).hexdigest() == LEMMA_SHIFT_A3
+
+
+# the canonical G2 verify --suite lemma-shift report sha with the default config: nine grids with two
+# pole axes (B2 has six) and one that carries 78 distinct m-term sums (B2's most is 32)
+LEMMA_SHIFT_G2 = "3bf4f82be2610bca9d34b2205b6299220a0462bf019c19e219db3becc1897844"
+
+
+def test_lemma_shift_g2_report_matches_pinned_sha(tmp_path):
+    assert cli_main(["verify", "--group", "G2", "--suite", "lemma-shift", "--out", str(tmp_path)]) == 0
+    assert hashlib.sha256((tmp_path / "report-G2.json").read_bytes()).hexdigest() == LEMMA_SHIFT_G2
 
 
 def test_rank4_build_structure_matches_reference():

@@ -201,6 +201,13 @@ def test_subgroups_and_words_match_reflection_products(case):
 
 
 @pytest.mark.parametrize("label", ["A2", "B2", "G2", "A1xA3"])
+def test_float_gram_is_the_form_converted_once(label):
+    d = build_root_system(label)
+    assert d.float_gram == tuple(tuple(float(x) for x in row) for row in d.gram)
+    assert d.float_gram is d.float_gram
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "G2", "A1xA3"])
 def test_float_row_is_the_inline_pairing_row(label):
     d = build_root_system(label)
     for v in list(d.roots) + list(d.coroots) + [d.rho_check]:
