@@ -40,7 +40,7 @@ def _dumps(doc: dict, key: str, entries: list[str], ends: str) -> str:
     return ",\n".join(entries)
 
 
-@dataclass
+@dataclass(slots=True)
 class CheckRecord:
     id: str
     anchor: str
@@ -78,9 +78,9 @@ class VerificationReport:
     records: list[CheckRecord] = field(default_factory=list)
     counters: dict[str, int] = field(default_factory=dict)  # sidecar only
 
-    def extend(self, records) -> None:
+    def extend(self, records: SuiteRecords) -> None:
         self.records.extend(records)
-        self.counters.update(getattr(records, "counters", {}))
+        self.counters.update(records.counters)
 
     def passed(self) -> bool:
         return all(r.status != "fail" for r in self.records)

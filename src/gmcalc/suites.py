@@ -1,10 +1,10 @@
-"""Verification suites: each one turns a configured group into check records."""
+"""Verification suites: each one yields the checks of a configured group, and ``_records`` makes their records."""
 from __future__ import annotations
 
+import functools
 import json
 import random
 import time
-from dataclasses import replace
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -31,6 +31,7 @@ from .gmfamily import (
     induced_family_value,
 )
 from .levilattice import (
+    Levi,
     base_chamber,
     d_constant,
     enumerate_levis,
@@ -44,6 +45,7 @@ from .levilattice import (
 from .report import CheckRecord, SuiteRecords, VerificationReport, digest
 from .rootdatum import RatVec, RootDatum, build_root_system, weyl_group
 from .spectral import (
+    TauClass,
     build_spectral_triple,
     chamber_transitivity,
     classify_tau,
@@ -74,32 +76,44 @@ ANCHORS = {
 }
 
 
-def _record(check_id, anchor_key, inputs, ok, residual=None, detail=None, runtime=None, skip=False):
-    return CheckRecord(
-        id=check_id,
-        anchor=ANCHORS[anchor_key],
-        inputs=digest(inputs),
-        status="skip" if skip else ("pass" if ok else "fail"),
-        residual=residual,
-        detail=detail,
-        runtime=runtime,
-    )
+def _records(suite):
+    """The one maker of check records, around a suite that yields its checks.
 
-
-def _check(records: list, check_id: str, anchor_key: str, inputs, fn) -> bool:
-    """Run one check, timed, and append its record.
-
-    fn returns (ok, residual, detail); a GmcalcError it raises fails the check
-    with its message.  Returns whether fn ran to the end.
+    suite(cfg, d) yields (id, anchor key, inputs, outcome) or, from a batch,
+    (id, anchor key, inputs, outcome, seconds charged).  An outcome is
+    (ok, residual, detail), ok None for a skip, or the GmcalcError the check
+    raised: that fails the record with its message, and a NotComparable skips
+    it.  A record's runtime is the seconds charged, else the time the suite
+    took to yield it.  The counters the suite returns go to the sidecar.
     """
-    t0 = time.monotonic()
+
+    @functools.wraps(suite)
+    def run(cfg: Config, d: RootDatum) -> SuiteRecords:
+        records = SuiteRecords()
+        items = suite(cfg, d)
+        while True:
+            t0 = time.monotonic()
+            try:
+                check_id, anchor_key, inputs, outcome, *charged = next(items)
+            except StopIteration as end:
+                records.counters.update(end.value or {})
+                return records
+            rt = charged[0] if charged else time.monotonic() - t0
+            if isinstance(outcome, GmcalcError):
+                outcome = None if isinstance(outcome, NotComparable) else False, None, str(outcome)
+            ok, residual, detail = outcome
+            status = "skip" if ok is None else "pass" if ok else "fail"
+            records.append(CheckRecord(check_id, ANCHORS[anchor_key], digest(inputs), status, residual, detail, rt))
+
+    return run
+
+
+def _attempt(check, *args):
+    """check(*args), an outcome, or the GmcalcError it raised."""
     try:
-        ok, residual, detail = fn()
-        done = True
+        return check(*args)
     except GmcalcError as exc:
-        ok, residual, detail, done = False, None, str(exc), False
-    records.append(_record(check_id, anchor_key, inputs, ok, residual, detail, time.monotonic() - t0))
-    return done
+        return exc
 
 
 def _dominant_samples(d: RootDatum, count: int, seed: int) -> list[RatVec]:
@@ -116,83 +130,65 @@ def _dominant_samples(d: RootDatum, count: int, seed: int) -> list[RatVec]:
     return out
 
 
-def suite_hull_limit(cfg: Config, d: RootDatum) -> list[CheckRecord]:
-    records = []
+def _hull_limit(M: Levi, T: RatVec):
+    oset = orthogonal_set(M, T)
+    hv = hull_volume(oset)  # rejects a set that validate() rejects
+    fl = family_limit(ExpPolyFamily.from_orthogonal_set(oset))
+    ok = hv == fl
+    return ok, abs(float(hv) - float(fl)), None if ok else f"hull {hv!r} vs limit {fl!r}"
+
+
+@_records
+def suite_hull_limit(cfg: Config, d: RootDatum):
     samples = _dominant_samples(d, cfg.hull_samples, cfg.seed)
     for M in levi_lattice(d):
         for k, T in enumerate(samples):
             inputs = {"group": d.label, "M": M.label, "T": [str(x) for x in T.coords]}
-
-            def check():
-                oset = orthogonal_set(M, T)
-                hv = hull_volume(oset)  # rejects a set that validate() rejects
-                fl = family_limit(ExpPolyFamily.from_orthogonal_set(oset))
-                ok = hv == fl
-                return ok, abs(float(hv) - float(fl)), None if ok else f"hull {hv!r} vs limit {fl!r}"
-
-            _check(records, f"hull-limit/{d.label}/{M.label}/t{k:02d}", "hull-limit", inputs, check)
-    return records
+            yield f"hull-limit/{d.label}/{M.label}/t{k:02d}", "hull-limit", inputs, _attempt(_hull_limit, M, T)
 
 
-def suite_trand(cfg: Config, d: RootDatum) -> list[CheckRecord]:
-    out = []
+@_records
+def suite_trand(cfg: Config, d: RootDatum):
     for k, r in enumerate(trand_check(d)):
-        chain = "-".join(r["chain"])
-        out.append(
-            _record(
-                f"trand/{d.label}/{k:04d}/{chain}",
-                "trand",
-                {"chain": r["chain"]},
-                r["pass"],
-                0.0 if r["pass"] else None,
-                f"lhs_sq={r['lhs_sq']} rhs_sq={r['rhs_sq']}",
-                r["seconds"],
-            )
-        )
-    return out
+        ok, chain = r["pass"], "-".join(r["chain"])
+        outcome = ok, 0.0 if ok else None, f"lhs_sq={r['lhs_sq']} rhs_sq={r['rhs_sq']}"
+        yield f"trand/{d.label}/{k:04d}/{chain}", "trand", {"chain": r["chain"]}, outcome, r["seconds"]
 
 
-def suite_tdisc(cfg: Config, d: RootDatum) -> list[CheckRecord]:
-    records = []
+@_records
+def suite_tdisc(cfg: Config, d: RootDatum):
     for idx, t in enumerate(enumerate_spectral_triples(d)):
         inputs = {"group": d.label, "sigma": sorted(t.sigma_roots), "r": t.r_elem.word}
-
-        def classify():
-            classify_tau(t)
-            return True, 0.0, None
-
-        if _check(records, f"tdisc/{d.label}/classify/{idx:03d}", "tdisc-classify", inputs, classify):
-            _check(records, f"tdisc/{d.label}/transitivity/{idx:03d}", "tdisc-transitivity", inputs,
-                   lambda: (chamber_transitivity(t), None, None))
-            _check(records, f"tdisc/{d.label}/reflections/{idx:03d}", "tdisc-reflections", inputs,
-                   lambda: (reflections_in_core(t), None, None))
-    return records
+        classified = _attempt(classify_tau, t)
+        ok = not isinstance(classified, GmcalcError)
+        yield f"tdisc/{d.label}/classify/{idx:03d}", "tdisc-classify", inputs, (True, 0.0, None) if ok else classified
+        if ok:
+            yield (f"tdisc/{d.label}/transitivity/{idx:03d}", "tdisc-transitivity", inputs,
+                   _attempt(lambda: (chamber_transitivity(t), None, None)))
+            yield (f"tdisc/{d.label}/reflections/{idx:03d}", "tdisc-reflections", inputs,
+                   _attempt(lambda: (reflections_in_core(t), None, None)))
 
 
-def suite_nl_independence(cfg: Config, d: RootDatum) -> list[CheckRecord]:
-    records = []
+def _nl_routes(t: TauClass):
+    for L in enumerate_levis(t.datum, lower=t.levi_L):
+        nl = n_constant(t, L)
+        # two distinct rays are independent, so the routes must agree up to need 2
+        e = nl_elementary(t, L) if t.levi_L.dim - L.dim <= 2 else nl
+        if nl != e:
+            return False, abs(float(nl - e)), f"n^{L.label} = {nl} but e_need of n_beta/2 is {e}"
+    return True, 0.0, None
+
+
+@_records
+def suite_nl_independence(cfg: Config, d: RootDatum):
     for idx, t in enumerate(enumerate_spectral_triples(d)):
         inputs = {"group": d.label, "sigma": sorted(t.sigma_roots), "r": t.r_elem.word}
-        home = None
-
-        def check():
-            nonlocal home
-            for L in enumerate_levis(d, lower=t.levi_L):
-                nl = n_constant(t, L)
-                if L == t.levi_L and nl != 1:
-                    home = L.label
-                    return False, float(nl), "home value is not 1"
-                # two distinct rays are independent, so the routes must agree up to need 2
-                e = nl_elementary(t, L) if t.levi_L.dim - L.dim <= 2 else nl
-                if nl != e:
-                    return False, abs(float(nl - e)), f"n^{L.label} = {nl} but e_need of n_beta/2 is {e}"
-            return True, 0.0, None
-
         cid = f"nL/{d.label}/{idx:03d}"
-        _check(records, cid, "nL-independence", inputs, check)
-        if home is not None:
-            records[-1] = replace(records[-1], id=f"{cid}/{home}", anchor=ANCHORS["nL-home"])
-    return records
+        home = _attempt(n_constant, t, t.levi_L)  # the home is the first Levi _nl_routes visits
+        if isinstance(home, GmcalcError) or home == 1:
+            yield cid, "nL-independence", inputs, _attempt(_nl_routes, t)
+        else:
+            yield f"{cid}/{t.levi_L.label}", "nL-home", inputs, (False, float(home), "home value is not 1")
 
 
 def _battery(cfg: Config) -> list[TestFunction]:
@@ -204,36 +200,39 @@ def _battery(cfg: Config) -> list[TestFunction]:
     ]
 
 
-def suite_residue_1d(cfg: Config, d: RootDatum) -> list[CheckRecord]:
-    from .contour import pv_integral, residue_identity_1d, shifted_integral
+def _residue_1d(cfg: Config, line, phi: TestFunction, tol: float):
+    from .contour import residue_identity_1d
 
-    records = []
+    rec = residue_identity_1d(line, phi, cfg.epsilons[0], cfg.delta_ladder, tol)
+    return rec["pass"], rec["residual"], None
+
+
+def _even_zero(cfg: Config, pure, even_phi: TestFunction, n: Fraction, tol: float):
+    """Even test data against the pure pole: the principal value must vanish."""
+    from .contour import pv_integral, shifted_integral
+
+    pv, _ = pv_integral(pure, even_phi, cfg.delta_ladder, tol)
+    lhs = shifted_integral(pure, even_phi, cfg.epsilons[0])
+    ok = abs(pv) <= float(cfg.tolerances["pv_zero"]) and abs(lhs - float(n) / 2 * complex(even_phi(0.0))) <= tol
+    return ok, abs(pv), None
+
+
+@_records
+def suite_residue_1d(cfg: Config, d: RootDatum):
     battery = _battery(cfg)
+    even = next((phi for phi in battery if not any(phi.coeffs[1::2])), None)
     tol = float(cfg.tolerances["residue_1d"])
-    pv_tol = float(cfg.tolerances["pv_zero"])
     for n in (Fraction(1, 2), Fraction(1), Fraction(2)):
         pure = scalar_fn_from_template({"kind": "pole"}, n)
         model = scalar_fn_from_template(cfg.m_model, n)
         for kind, line in (("pole", pure), ("model", model)):
             for j, phi in enumerate(battery):
                 inputs = {"n": str(n), "kind": kind, "phi": phi.describe()}
-
-                def check():
-                    rec = residue_identity_1d(line, phi, cfg.epsilons[0], cfg.delta_ladder, tol)
-                    return rec["pass"], rec["residual"], None
-
-                _check(records, f"residue-1d/n{n.numerator}_{n.denominator}/{kind}/phi{j}", "residue-1d", inputs, check)
-
-        # even test data against the pure pole: principal value must vanish
-        def even_zero():
-            even_phi = battery[0]
-            pv, _ = pv_integral(pure, even_phi, cfg.delta_ladder, tol)
-            lhs = shifted_integral(pure, even_phi, cfg.epsilons[0])
-            ok = abs(pv) <= pv_tol and abs(lhs - float(n) / 2 * complex(even_phi(0.0))) <= tol
-            return ok, abs(pv), None
-
-        _check(records, f"residue-1d/n{n.numerator}_{n.denominator}/even-zero", "pv-even-zero", {"n": str(n)}, even_zero)
-    return records
+                yield (f"residue-1d/n{n.numerator}_{n.denominator}/{kind}/phi{j}", "residue-1d", inputs,
+                       _attempt(_residue_1d, cfg, line, phi, tol))
+        yield (f"residue-1d/n{n.numerator}_{n.denominator}/even-zero", "pv-even-zero", {"n": str(n)},
+               (None, None, "no even test function in the battery") if even is None
+               else _attempt(_even_zero, cfg, pure, even, n, tol))
 
 
 def _shift_classes(d: RootDatum):
@@ -282,47 +281,36 @@ def _lemma_shift_cases(cfg: Config, d: RootDatum) -> list[tuple[str, dict, Shift
     return out
 
 
-def suite_lemma_shift(cfg: Config, d: RootDatum) -> list[CheckRecord]:
+@_records
+def suite_lemma_shift(cfg: Config, d: RootDatum):
     from .contour import lemma_shift_batch
 
     cases = _lemma_shift_cases(cfg, d)
     batch = lemma_shift_batch([case for _, _, case in cases])
-    records = SuiteRecords(counters=batch.counters)
-    for (cid, inputs, _), outcome, rt in zip(cases, batch.outcomes, batch.runtimes):
-        if isinstance(outcome, GmcalcError):
-            records.append(_record(cid, "lemma-shift", inputs, False, None, str(outcome), rt,
-                                   skip=isinstance(outcome, NotComparable)))
-        else:
-            records.append(
-                _record(cid, "lemma-shift", inputs, outcome["pass"], max(outcome["residuals"]), None, rt)
-            )
-    return records
+    for (cid, inputs, _), out, seconds in zip(cases, batch.outcomes, batch.runtimes):
+        outcome = out if isinstance(out, GmcalcError) else (out["pass"], max(out["residuals"]), None)
+        yield cid, "lemma-shift", inputs, outcome, seconds
+    return batch.counters
 
 
-def suite_tempext(cfg: Config, d: RootDatum) -> list[CheckRecord]:
-    records = []
+def _tempext(cfg: Config, t: TauClass):
+    fns = ScalarRootFns.uniform(t.levi_L, cfg.m_model, t.nbeta)
     phis = [lambda lam: 1.0, lambda lam: 1.0 + sum(x * x for x in lam)]
+    recs = tempext_check(t, fns, phis, cfg.tempext_deltas, cfg.growth_threshold)
+    bad = [r for r in recs if not r["pass"]]
+    worst = max((r["exponent"] for r in recs), default=float("-inf"))
+    return not bad, worst if worst != float("-inf") else 0.0, None if not bad else f"{len(bad)} walls grew too fast"
+
+
+@_records
+def suite_tempext(cfg: Config, d: RootDatum):
     for ci, t in enumerate(_shift_classes(d)):
         inputs = {
             "group": d.label,
             "home": t.levi_L.label,
             "n": {str(k): str(v) for k, v in sorted(t.nbeta.items())},
         }
-
-        def check():
-            fns = ScalarRootFns.uniform(t.levi_L, cfg.m_model, t.nbeta)
-            recs = tempext_check(t, fns, phis, cfg.tempext_deltas, cfg.growth_threshold)
-            bad = [r for r in recs if not r["pass"]]
-            worst = max((r["exponent"] for r in recs), default=float("-inf"))
-            return (
-                not bad,
-                worst if worst != float("-inf") else 0.0,
-                None if not bad else f"{len(bad)} walls grew too fast",
-            )
-
-        _check(records, f"tempext/{d.label}/c{ci:02d}", "tempext", inputs, check)
-    return records
-
+        yield f"tempext/{d.label}/c{ci:02d}", "tempext", inputs, _attempt(_tempext, cfg, t)
 
 
 def _generic_offset(d: RootDatum) -> RatVec:
@@ -330,25 +318,24 @@ def _generic_offset(d: RootDatum) -> RatVec:
     pt = base_chamber(d).chamber_point
     return RatVec.of([Fraction(x) * Fraction(1, 7) for x in pt.coords])
 
-def suite_examples(cfg: Config, d: RootDatum) -> list[CheckRecord]:
-    records = []
+
+@_records
+def suite_examples(cfg: Config, d: RootDatum):
     M0, G = mzero(d), gfull(d)
     P0 = base_chamber(d)
-
-    def add(name, fn, inputs):
-        _check(records, f"examples/{d.label}/{name}", "examples", inputs, fn)
+    name = f"examples/{d.label}/"
 
     def theta_zero():
         val = theta(P0, RatVec.zero(d.rank))
         return val.product == 0, float(abs(val.product)), None
 
-    add("theta-zero", theta_zero, {"lambda": "0"})
+    yield name + "theta-zero", "examples", {"lambda": "0"}, _attempt(theta_zero)
 
     def d_trivial():
         got = d_constant(M0, M0, G)
         return float(got) == 1.0, abs(float(got) - 1.0), None
 
-    add("d-trivial", d_trivial, {"chain": (M0.label, M0.label, G.label)})
+    yield name + "d-trivial", "examples", {"chain": (M0.label, M0.label, G.label)}, _attempt(d_trivial)
 
     def multiplier():
         one = multiplier_alpha(M0, RatVec.zero(d.rank), RatVec.zero(d.rank))
@@ -361,7 +348,7 @@ def suite_examples(cfg: Config, d: RootDatum) -> list[CheckRecord]:
         ok = one == 1 and worst <= 1e-12
         return ok, max(worst, abs(one - 1)), None
 
-    add("multiplier-bound", multiplier, {"samples": 100})
+    yield name + "multiplier-bound", "examples", {"samples": 100}, _attempt(multiplier)
 
     def weyl_denom():
         sigma = list(d.pos_indices)
@@ -374,7 +361,7 @@ def suite_examples(cfg: Config, d: RootDatum) -> list[CheckRecord]:
             worst = max(worst, abs(lhs - eps_M_sign(d, w, sigma) * base))
         return worst <= 1e-9 * max(1.0, abs(base)), worst, None
 
-    add("weyl-denominator-antisymmetry", weyl_denom, {"Y": "fixed sample"})
+    yield name + "weyl-denominator-antisymmetry", "examples", {"Y": "fixed sample"}, _attempt(weyl_denom)
 
     def c_coeff_case():
         t = build_spectral_triple(d, range(len(d.roots)))
@@ -391,7 +378,7 @@ def suite_examples(cfg: Config, d: RootDatum) -> list[CheckRecord]:
         residual = abs(got - direct)
         return residual <= 1e-12, residual, None
 
-    add("c-coefficient-identity-case", c_coeff_case, {"w": "identity", "L": M0.label})
+    yield name + "c-coefficient-identity-case", "examples", {"w": "identity", "L": M0.label}, _attempt(c_coeff_case)
 
     def assemble_zero():
         t = build_spectral_triple(d, range(len(d.roots)))
@@ -404,7 +391,7 @@ def suite_examples(cfg: Config, d: RootDatum) -> list[CheckRecord]:
         got = assemble_PhiP({}, G, G, model, P)
         return got == 0, abs(got), None
 
-    add("assemble-empty-filter", assemble_zero, {"L1": G.label})
+    yield name + "assemble-empty-filter", "examples", {"L1": G.label}, _attempt(assemble_zero)
 
     def split_match():
         if d.label != "A2":
@@ -419,7 +406,7 @@ def suite_examples(cfg: Config, d: RootDatum) -> list[CheckRecord]:
             worst = max(worst, abs(comb - ana))
         return worst <= float(cfg.tolerances["split_match"]), worst, None
 
-    add("split-formula-dual-route", split_match, {"templates": ["pole", "m_model"]})
+    yield name + "split-formula-dual-route", "examples", {"templates": ["pole", "m_model"]}, _attempt(split_match)
 
     def phi_tt_terms():
         if d.rank > 2:
@@ -435,9 +422,7 @@ def suite_examples(cfg: Config, d: RootDatum) -> list[CheckRecord]:
         ok = len(exp.terms) == expected
         return ok, float(len(exp.terms) - expected), json.dumps(exp.serialize(), sort_keys=True)
 
-    add("formal-expansion-terms", phi_tt_terms, {"chamber": P0.index})
-
-    return records
+    yield name + "formal-expansion-terms", "examples", {"chamber": P0.index}, _attempt(phi_tt_terms)
 
 
 SUITE_FUNCS = {

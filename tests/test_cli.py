@@ -112,6 +112,10 @@ def test_canonical_report_validates_against_the_report_schema(tmp_path, group, s
     report = json.loads((tmp_path / f"report-{group}.json").read_text(encoding="utf-8"))
     assert report["checks"]
     validator(schema).validate(report)
+    # every record's runtime reaches the sidecar: the time its suite took to yield it, or a batch's share
+    runtimes = json.loads((tmp_path / f"report-{group}.timing.json").read_text(encoding="utf-8"))["runtimes"]
+    assert set(runtimes) == {c["id"] for c in report["checks"]}
+    assert all(rt > 0 for rt in runtimes.values())
 
 
 def test_verify_env_output_dir(tmp_path, monkeypatch):

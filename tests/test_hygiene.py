@@ -325,3 +325,30 @@ def test_no_module_level_caches(path):
     # per-flat and per-datum facts are kept on their owner, so two data never share them
     found = _module_caches(_tree(path))
     assert not found, f"{path.name} keeps a module-level cache: {found}"
+
+
+def test_one_call_constructs_check_records():
+    # the runner in suites.py makes every record, so a second record path cannot come back unseen
+    calls = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.Call)
+        and "CheckRecord" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+    assert len(calls) == 1, f"CheckRecord is constructed in more than one place: {calls}"
+
+
+def test_every_anchor_key_is_yielded_by_a_suite():
+    # a suite yields (id, anchor key, inputs, outcome[, seconds]); an anchor no suite yields is dead text
+    suites = SRC / "suites.py"
+    keys = _assigned(suites, "ANCHORS").keys
+    assert all(isinstance(k, ast.Constant) and isinstance(k.value, str) for k in keys)
+    yielded = {
+        node.value.elts[1].value
+        for node in ast.walk(_tree(suites))
+        if isinstance(node, ast.Yield)
+        and isinstance(node.value, ast.Tuple)
+        and isinstance(node.value.elts[1], ast.Constant)
+    }
+    assert {k.value for k in keys} == yielded
