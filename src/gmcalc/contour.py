@@ -206,11 +206,18 @@ def _capped(edges: Sequence[float]) -> list[float]:
     return out
 
 
-def _quad_on_panels(g: Callable, edges: Sequence[float]) -> complex:
-    """Gauss-Legendre on each panel, g called once on every node; panel sums added in panel order."""
+def _panels(edges: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+    """The Gauss-Legendre nodes of each panel between successive edges (one row per panel) and
+    each panel's half width, which scales _GL_WEIGHTS on it."""
     a, b = np.array(edges[:-1]), np.array(edges[1:])
     mids, halves = (a + b) / 2, (b - a) / 2
-    rows = g(mids[:, None] + halves[:, None] * _GL_NODES)
+    return mids[:, None] + halves[:, None] * _GL_NODES, halves
+
+
+def _quad_on_panels(g: Callable, edges: Sequence[float]) -> complex:
+    """Gauss-Legendre on each panel, g called once on every node; panel sums added in panel order."""
+    nodes, halves = _panels(edges)
+    rows = g(nodes)
     total = 0j
     for half, row in zip(halves.tolist(), rows):
         total += half * np.dot(_GL_WEIGHTS, row)
@@ -425,11 +432,13 @@ def _by_pairing(terms: Iterable[_MTermData]) -> dict[tuple[float, ...], dict]:
     return by_gd
 
 
-def _reads(term_lists: Iterable[list[_MTermData]], by_gd: dict[tuple[float, ...], dict]) -> list:
+def _reads(term_lists: Iterable[list[_MTermData]], by_gd: dict[tuple[float, ...], dict]) -> list[tuple]:
     """For each list of terms, each term's covolume and the places of its densities in
-    _density_table(by_gd, ...): read once per grid, so that no density key is hashed on each slab."""
+    _density_table(by_gd, ...): read once per grid, so that no density key is hashed on each slab.
+    A place stands for one (density key, pairing row), so equal reads mean equal m-term sums."""
     place = {(key, gd): i for i, (gd, key) in enumerate((gd, key) for gd, fns in by_gd.items() for key in fns)}
-    return [[(term.vol, [place[fn.key, gd] for fn, _, gd in term.factors]) for term in terms] for terms in term_lists]
+    return [tuple((term.vol, tuple(place[fn.key, gd] for fn, _, gd in term.factors)) for term in terms)
+            for terms in term_lists]
 
 
 def _density_table(by_gd: dict[tuple[float, ...], dict], lam_coords: list) -> list[np.ndarray]:
@@ -445,7 +454,7 @@ def _density_table(by_gd: dict[tuple[float, ...], dict], lam_coords: list) -> li
     return table
 
 
-def _eval_m_terms(reads: list[tuple[float, list[int]]], table: list[np.ndarray]) -> np.ndarray | complex:
+def _eval_m_terms(reads: tuple[tuple[float, tuple[int, ...]], ...], table: list[np.ndarray]) -> np.ndarray | complex:
     """The sum of the m-terms, each factor read from table (see _reads and _density_table).
 
     Each factor is density * val, written into val once val is an array of
@@ -494,13 +503,8 @@ class _Grid:
         """
 
         def half_axis(start: float, fine: float):
-            edges = _graded_edges(start, self.T, fine, None)
-            xs, ws = [], []
-            for a, b in zip(edges[:-1], edges[1:]):
-                mid, half = (a + b) / 2, (b - a) / 2
-                xs.extend(mid + half * _GL_NODES)
-                ws.extend(half * _GL_WEIGHTS)
-            return np.array(xs), np.array(ws)
+            nodes, halves = _panels(_graded_edges(start, self.T, fine, None))
+            return nodes.ravel(), (halves[:, None] * _GL_WEIGHTS).ravel()
 
         axes = []
         for axis in range(len(self.onb)):
@@ -777,11 +781,6 @@ def _plan(case_index: int, case: ShiftCase) -> _ShiftPlan:
     return _ShiftPlan(lhs, rhs)
 
 
-def _m_signature(terms: list[_MTermData]) -> tuple:
-    """What _eval_m_terms reads of the terms, in its order: equal signatures, equal sums."""
-    return tuple((term.vol, tuple((fn.key, gd) for fn, _, gd in term.factors)) for term in terms)
-
-
 def _charge(runtimes: list[float], cases: set[int], seconds: float) -> None:
     """Split seconds evenly over the cases."""
     share = seconds / len(cases)
@@ -794,12 +793,12 @@ def _evaluate(integrals: list[_Integral], runtimes: list[float]) -> dict[str, in
 
     On each distinct grid, each distinct phi and each distinct density (with
     its pairing) is evaluated once per slab.  The grid's integrals are
-    grouped by m-term signature and then by phi: each distinct m-term sum is
-    computed once per slab, and each distinct phi times it is weighted and
-    fed to one _MirrorSum, whose total is the value the group shares (see
-    the module docstring).  A grid's build, phi and density time is split
-    evenly over the cases that use it, and an m-term sum's time, with its
-    integrands, likewise.
+    grouped by their reads of the density table (see _reads) and then by
+    phi: each distinct m-term sum is computed once per slab, and each
+    distinct phi times it is weighted and fed to one _MirrorSum, whose total
+    is the value the group shares (see the module docstring).  A grid's
+    build, phi and density time is split evenly over the cases that use it,
+    and an m-term sum's time, with its integrands, likewise.
     """
     users: dict[_Grid, list[tuple[_Integral, int]]] = {}
     for it in integrals:
@@ -808,20 +807,18 @@ def _evaluate(integrals: list[_Integral], runtimes: list[float]) -> dict[str, in
     plans: dict[int, _MirrorLeaves] = {}
     phi_evals = pairings = densities = m_sums = integrands = nodes = 0
     for grid, uses in users.items():
-        by_m: dict[tuple, tuple[list[_MTermData], dict]] = {}
-        for it, slot in uses:
-            terms, by_phi = by_m.setdefault(_m_signature(it.terms), (it.terms, {}))
-            by_phi.setdefault((it.d, it.phi), []).append((it, slot))
         by_gd = _by_pairing(term for it, _ in uses for term in it.terms)
+        by_m: dict[tuple, dict] = {}
+        for (it, slot), reads in zip(uses, _reads([it.terms for it, _ in uses], by_gd)):
+            by_m.setdefault(reads, {}).setdefault((it.d, it.phi), []).append((it, slot))
         axes = grid.axes()
         size = math.prod(len(ws) for _, ws in axes)
         if size not in plans:
             plans[size] = _MirrorLeaves.of(size)
         # per distinct m-term sum: its reads, and per distinct phi the sum of phi * m and its integrals
-        groups = list(by_m.values())
         sums = [
             (reads, [(key, _MirrorSum(plans[size]), group) for key, group in by_phi.items()])
-            for reads, (_, by_phi) in zip(_reads([terms for terms, _ in groups], by_gd), groups)
+            for reads, by_phi in by_m.items()
         ]
         build_s = 0.0
         m_s = [0.0] * len(sums)

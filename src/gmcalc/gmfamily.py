@@ -468,8 +468,7 @@ def split_terms(
 
 
 def _lam_evaluator(d, lam) -> Callable[[RatVec], complex]:
-    if isinstance(lam, RatVec):
-        return lambda dual: complex(d.pair(lam, dual))
+    """dual -> <lam, dual> for lam given by its float or complex ambient coordinates."""
     coords = tuple(complex(x) for x in lam)
 
     def ev(dual: RatVec) -> complex:

@@ -41,11 +41,10 @@ Gram determinants, on integer rows of the relative bases kept on the Levi.
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, prod
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DimensionError, IncompleteInput, InternalInconsistency, NotComparable
 from .exactlin import (
@@ -701,48 +700,31 @@ def _split_constant(L1: Levi, L: Levi, S: Levi, upper: Levi) -> QuadConst:
     return QuadConst(Fraction(num, det_l * det_s), 1)
 
 
-def trand_check(d: RootDatum) -> list[dict]:
+def trand_check(d: RootDatum) -> Iterator[tuple[tuple[str, ...], QuadConst, QuadConst, bool]]:
     """Exhaustive exact check of the composition identity for splitting constants.
 
     For every chain M1 <= M, M1 <= S1, G1 >= S1 the constant d_{M1}(M, G1)
     must equal the sum over S >= M, S >= S1 of d_{M1}^S(M, S1) d_{S1}(S, G1);
-    at most one summand is nonzero, which keeps the comparison exact.  Each
-    record carries the seconds its chain took.
+    at most one summand is nonzero, which keeps the comparison exact.  Yields
+    (chain labels, lhs, rhs, ok) one chain at a time.
     """
-    records = []
-    lattice = levi_lattice(d)
-    for m1 in lattice:
+    for m1 in levi_lattice(d):
         ups_m1 = enumerate_levis(d, lower=m1)
         for m in ups_m1:
             for s1 in ups_m1:
                 ups_both = enumerate_levis(d, lower=_join(m, s1))  # the S >= M, S >= S1
                 for g1 in enumerate_levis(d, lower=s1):
-                    t0 = time.monotonic()
                     lhs = d_constant(m1, m, g1)
-                    nonzero = []
+                    terms = []
                     for s in ups_both:
                         first = d_constant(m1, m, s1, upper=s)
                         if first.is_zero():
                             continue
                         term = first * d_constant(s1, s, g1)
                         if not term.is_zero():
-                            nonzero.append((s, term))
-                    if len(nonzero) > 1:
-                        ok = False
-                        rhs = QuadConst.zero()
-                    else:
-                        rhs = nonzero[0][1] if nonzero else QuadConst.zero()
-                        ok = rhs == lhs
-                    records.append(
-                        {
-                            "chain": (m1.label, m.label, s1.label, g1.label),
-                            "lhs_sq": str(lhs.square),
-                            "rhs_sq": str(rhs.square),
-                            "pass": ok,
-                            "seconds": time.monotonic() - t0,
-                        }
-                    )
-    return records
+                            terms.append(term)
+                    rhs = terms[0] if len(terms) == 1 else QuadConst.zero()
+                    yield (m1.label, m.label, s1.label, g1.label), lhs, rhs, len(terms) <= 1 and rhs == lhs
 
 
 def weyl_cosets(L: Levi) -> list[WeylElement]:

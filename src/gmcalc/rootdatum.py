@@ -291,8 +291,9 @@ class RootDatum:
         """The form as floats, each entry converted once for every float pairing of the datum."""
         return tuple(tuple(map(float, row)) for row in self.gram)
 
+    @kept
     def float_row(self, v: RatVec) -> tuple[float, ...]:
-        """The pairing lam -> <lam, v> as a float row in ambient coordinates."""
+        """The pairing lam -> <lam, v> as a float row in ambient coordinates, built once per v."""
         vf = tuple(map(float, v.coords))
         return tuple(sum(g * x for g, x in zip(row, vf)) for row in self.float_gram)
 

@@ -79,12 +79,13 @@ ANCHORS = {
 def _records(suite):
     """The one maker of check records, around a suite that yields its checks.
 
-    suite(cfg, d) yields (id, anchor key, inputs, outcome) or, from a batch,
-    (id, anchor key, inputs, outcome, seconds charged).  An outcome is
-    (ok, residual, detail), ok None for a skip, or the GmcalcError the check
-    raised: that fails the record with its message, and a NotComparable skips
-    it.  A record's runtime is the seconds charged, else the time the suite
-    took to yield it.  The counters the suite returns go to the sidecar.
+    suite(cfg, d) yields (id, anchor key, inputs, outcome) or, from the
+    grid-major lemma-shift batch, (id, anchor key, inputs, outcome, seconds
+    charged).  An outcome is (ok, residual, detail), ok None for a skip, or
+    the GmcalcError the check raised: that fails the record with its message,
+    and a NotComparable skips it.  A record's runtime is the seconds charged,
+    else the time the suite took to yield it.  The counters the suite returns
+    go to the sidecar.
     """
 
     @functools.wraps(suite)
@@ -149,10 +150,9 @@ def suite_hull_limit(cfg: Config, d: RootDatum):
 
 @_records
 def suite_trand(cfg: Config, d: RootDatum):
-    for k, r in enumerate(trand_check(d)):
-        ok, chain = r["pass"], "-".join(r["chain"])
-        outcome = ok, 0.0 if ok else None, f"lhs_sq={r['lhs_sq']} rhs_sq={r['rhs_sq']}"
-        yield f"trand/{d.label}/{k:04d}/{chain}", "trand", {"chain": r["chain"]}, outcome, r["seconds"]
+    for k, (chain, lhs, rhs, ok) in enumerate(trand_check(d)):
+        outcome = ok, 0.0 if ok else None, f"lhs_sq={lhs.square} rhs_sq={rhs.square}"
+        yield f"trand/{d.label}/{k:04d}/{'-'.join(chain)}", "trand", {"chain": chain}, outcome
 
 
 @_records

@@ -352,3 +352,22 @@ def test_every_anchor_key_is_yielded_by_a_suite():
         and isinstance(node.value.elts[1], ast.Constant)
     }
     assert {k.value for k in keys} == yielded
+
+
+def test_only_the_runner_and_the_grid_batch_read_a_clock():
+    # the record runner times every check it is not charged for; a module that keeps its own clock
+    # makes a second record time that can drift from the runner's
+    clocked = sorted(path.name for path in MODULES if "time" in _imported_names(_tree(path)))
+    assert clocked == ["contour.py", "suites.py"]
+
+
+def test_only_lemma_shift_charges_record_seconds():
+    # the fifth element of a suite's yield is seconds a batch charged; every other record gets the runner's time
+    charging = {
+        fn.name
+        for fn in _tree(SRC / "suites.py").body
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Yield) and isinstance(node.value, ast.Tuple) and len(node.value.elts) == 5
+    }
+    assert charging == {"suite_lemma_shift"}

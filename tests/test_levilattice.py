@@ -177,9 +177,9 @@ def test_d_constant_symmetry_random_products():
 @pytest.mark.parametrize("label", ["A1", "A2", "B2"])
 def test_trand_exact(label):
     d = build_root_system(label)
-    records = trand_check(d)
+    records = list(trand_check(d))
     assert records, "no chains enumerated"
-    bad = [r for r in records if not r["pass"]]
+    bad = [r for r in records if not r[3]]
     assert bad == []
 
 
@@ -255,7 +255,7 @@ def _kept(owner, fn) -> dict:
 
 def test_d_constant_memo_matches_fresh_computation_on_a3():
     d = build_root_system("A3")
-    trand_check(d)
+    assert all(ok for *_, ok in trand_check(d))
     fresh = build_root_system("A3")
     by_roots = {L.root_subset: L for L in levi_lattice(fresh)}
     entries = 0
@@ -269,6 +269,17 @@ def test_d_constant_memo_matches_fresh_computation_on_a3():
     # every distinct (L1, L, S, upper) tuple trand_check asks for, computed once; no upper and G share a key
     assert entries == 662
     assert all(not _kept(L, _split_constant) for L in levi_lattice(fresh))
+
+
+def test_trand_check_yields_each_chain_before_the_walk_ends():
+    d = build_root_system("A2")
+    chains = trand_check(d)
+    assert iter(chains) is chains
+    next(chains)
+    built = sum(len(_kept(L, _split_constant)) for L in levi_lattice(d))
+    assert sum(1 for _ in chains) > 0
+    # the first chain came out before the constants of the later chains were built
+    assert 0 < built < sum(len(_kept(L, _split_constant)) for L in levi_lattice(d))
 
 
 def test_d_constant_memo_is_per_datum_and_checks_containment_first():

@@ -217,3 +217,11 @@ def test_float_row_is_the_inline_pairing_row(label):
         got = d.float_row(v)
         assert type(got) is tuple and got == inline
         assert all(a.hex() == b.hex() for a, b in zip(got, inline))
+
+
+def test_float_row_is_built_once_per_dual_and_datum():
+    first, second = build_root_system("G2"), build_root_system("G2")
+    v = first.coroots[first.simple[0]]
+    row = first.float_row(v)
+    assert first.float_row(v) is row and first.float_row(RatVec.of(v.coords)) is row
+    assert second.float_row(v) == row and second.float_row(v) is not row

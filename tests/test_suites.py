@@ -1,4 +1,5 @@
 """The record runner of gmcalc.suites and the record paths that only a failing check takes."""
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from gmcalc import suites
 from gmcalc.config import load_config
 from gmcalc.errors import BadShift, FamilyNotSmooth, InternalInconsistency, NotComparable
-from gmcalc.levilattice import levi_lattice
+from gmcalc.levilattice import levi_lattice, trand_check
 from gmcalc.report import VerificationReport, digest
 from gmcalc.rootdatum import build_root_system
 from gmcalc.spectral import enumerate_spectral_triples
@@ -143,3 +144,17 @@ def test_pv_even_zero_reads_the_first_even_test_function(battery, want):
     if want["skip"]:
         assert all(r.status == "skip" and r.detail == "no even test function in the battery" for r in even)
         assert all(r.residual is None for r in even)
+
+
+def test_trand_holds_no_second_copy_of_its_records():
+    # with the splitting constants kept warm, what suite_trand holds at its peak is the records it returns
+    cfg = load_config(overrides={"group": "A1xA3", "suites": ["trand"]})
+    d = build_root_system("A1xA3")
+    assert all(ok for *_, ok in trand_check(d))
+    tracemalloc.start()
+    try:
+        records = suites.suite_trand(cfg, d)
+        size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(records) == 9121 and peak <= 1.1 * size
