@@ -123,10 +123,11 @@ def cmd_verify(args) -> int:
         print(f"error: cannot create the report directory: {exc}", file=sys.stderr)
         return 2
     report_path = out_dir / f"report-{cfg.group}.json"
-    report_path.write_text(report.render(), encoding="utf-8")
-    timing_path = out_dir / f"report-{cfg.group}.timing.json"
-    timing_path.write_text(report.render_timing(), encoding="utf-8")
-    for rec in sorted(report.records, key=lambda r: r.id):
+    with open(report_path, "w", encoding="utf-8") as out:
+        report.render(out)
+    with open(out_dir / f"report-{cfg.group}.timing.json", "w", encoding="utf-8") as out:
+        report.render_timing(out)
+    for rec in report.records:  # sorted by id, as render left them
         residual = "" if rec.residual is None else f"  residual={rec.residual:.3g}"
         extra = f"  ({rec.detail})" if rec.detail else ""
         print(f"[{rec.status:4s}] {rec.id}{residual}{extra}")

@@ -103,7 +103,7 @@ from .levilattice import (
     gfull,
     parabolics,
 )
-from .rootdatum import RootDatum
+from .rootdatum import RootDatum, kept
 from .spectral import TauClass, n_constant
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
@@ -385,11 +385,16 @@ class FlatTestFunction:
         return 8.0 / math.sqrt(self.scale)
 
 
-def _orthonormal_basis(d: RootDatum, basis_rows, first_dirs) -> list[np.ndarray]:
+@kept
+def _float_basis(L: Levi) -> tuple[np.ndarray, ...]:
+    """The basis rows of a_L as floats, converted once per Levi."""
+    return tuple(np.array([float(x) for x in b]) for b in L.basis)
+
+
+def _orthonormal_basis(L: Levi, first_dirs) -> list[np.ndarray]:
     """Float Gram-Schmidt basis of the flat, the given directions first."""
-    S = np.array(d.float_gram)
-    vecs = [np.array([float(x) for x in v]) for v in first_dirs]
-    vecs += [np.array([float(x) for x in b]) for b in basis_rows]
+    S = np.array(L.datum.float_gram)
+    vecs = [np.array([float(x) for x in v]) for v in first_dirs] + list(_float_basis(L))
     out: list[np.ndarray] = []
     for v in vecs:
         w = v.copy()
@@ -398,7 +403,7 @@ def _orthonormal_basis(d: RootDatum, basis_rows, first_dirs) -> list[np.ndarray]
         norm2 = w @ S @ w
         if norm2 > 1e-18:
             out.append(w / math.sqrt(norm2))
-        if len(out) == len(basis_rows):
+        if len(out) == L.dim:
             break
     return out
 
@@ -731,7 +736,7 @@ def _plan(case_index: int, case: ShiftCase) -> _ShiftPlan:
     # are graded; non-orthogonal wall sets are outside the quadrature design
     wall_dirs = [ray.dual.coords for ray in t.tau_rays]
     _require_orthogonal(d, wall_dirs)
-    onb = _orthonormal_basis(d, L1.basis, wall_dirs)
+    onb = _orthonormal_basis(L1, wall_dirs)
     T = phi.cutoff()
 
     def integral(terms, basis, pole_axes, shift, fine_scale=0.01) -> _Integral:
@@ -775,7 +780,7 @@ def _plan(case_index: int, case: ShiftCase) -> _ShiftPlan:
                         if any(proj):
                             pole_dirs.append(ratio_vec(proj, den_l * den))
                 _require_orthogonal(d, pole_dirs)
-                onb_l = _orthonormal_basis(d, L.basis, pole_dirs)
+                onb_l = _orthonormal_basis(L, pole_dirs)
                 integrals.append(integral([term], onb_l, len(pole_dirs), None))
             rhs.append((dc, nl, integrals))
     return _ShiftPlan(lhs, rhs)

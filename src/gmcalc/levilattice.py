@@ -52,7 +52,6 @@ from .exactlin import (
     combine,
     gram_det,
     gram_matrix,
-    identity,
     idot,
     int_det,
     int_gram_det,
@@ -66,7 +65,6 @@ from .exactlin import (
     rref,
     solve,
     sym_pair,
-    vscale,
 )
 from .rootdatum import RatVec, RootDatum, WeylElement, compose, kept, reflect_subgroup, weyl_group
 
@@ -222,10 +220,9 @@ class ThetaValue:
         return float(self.product) / float(self.covol)
 
 
-def _vanishing_subset(d: RootDatum, basis_rows: Sequence[Vec]) -> frozenset[int]:
-    """The indices of the roots that vanish on every basis row."""
-    patterns = [form_signs(d, d.root_forms, int_row(b)[0]) for b in basis_rows]
-    return frozenset(i for i in range(len(d.roots)) if not any(p[i] for p in patterns))
+def _vanishing_subset(d: RootDatum, rows: Sequence[Sequence[int]]) -> frozenset[int]:
+    """The indices of the roots whose forms vanish on every integer row."""
+    return frozenset(i for i, f in enumerate(d.root_forms) if not any(idot(f, b) for b in rows))
 
 
 def flat_kernel(d: RootDatum, basis: Sequence[Vec], forms: Iterable[Vec]) -> list[Vec]:
@@ -240,24 +237,28 @@ def flat_kernel(d: RootDatum, basis: Sequence[Vec], forms: Iterable[Vec]) -> lis
 
 @kept
 def levi_lattice(d: RootDatum) -> tuple[Levi, ...]:
-    """All flats of the arrangement, i.e. all Levi subgroups containing M0; built once per datum."""
-    full = identity(d.rank)
-    full_subset = _vanishing_subset(d, full)
-    flats: dict[frozenset[int], tuple[Vec, ...]] = {full_subset: full}
-    frontier = [(full_subset, full)]
+    """All flats of the arrangement, i.e. all Levi subgroups containing M0; built once per datum.
+
+    A flat with integer basis rows B meets the wall of a root with form f off it in the span of the rows
+    v_p B_j - v_j B_p, j != p, where v_j = f . B_j and v_p is the first nonzero.  Each flat's RREF is taken once."""
+    full = tuple(tuple(int(i == j) for j in range(d.rank)) for i in range(d.rank))
+    flats = {_vanishing_subset(d, full): full}
+    frontier = list(flats.items())
     while frontier:
         nxt = []
-        for subset, basis_rows in frontier:
+        for subset, rows in frontier:
             for i in d.pos_indices:
                 if i in subset:
                     continue
-                new_basis = tuple(rref(flat_kernel(d, basis_rows, [d.roots[i].coords])))
-                new_subset = _vanishing_subset(d, new_basis)
+                v = [idot(d.root_forms[i], b) for b in rows]
+                p = next(j for j, x in enumerate(v) if x)
+                meet = tuple(tuple(v[p] * x - v[j] * y for x, y in zip(b, rows[p])) for j, b in enumerate(rows) if j != p)
+                new_subset = _vanishing_subset(d, meet)
                 if new_subset not in flats:
-                    flats[new_subset] = new_basis
-                    nxt.append((new_subset, new_basis))
+                    flats[new_subset] = meet
+                    nxt.append((new_subset, meet))
         frontier = nxt
-    levis = [Levi(d, basis, subset) for subset, basis in flats.items()]
+    levis = [Levi(d, tuple(rref(rows)), subset) for subset, rows in flats.items()]
     levis.sort(key=lambda L: (-L.dim, sorted(L.root_subset)))
     return tuple(levis)
 
@@ -316,21 +317,23 @@ def group_rays(d: RootDatum, vectors: Iterable[tuple[int, Sequence[int]]], den: 
 
     The rows are roots or their projections to a flat; each ray's
     representative is its shortest member, and rays come sorted by direction.
+    A row is g times its ray's direction; the ``Fraction``s are built from the g once, at the end.
     """
-    groups: dict[tuple[int, ...], list[tuple[int, Fraction]]] = {}
+    groups: dict[tuple[int, ...], list[tuple[int, int]]] = {}
     for i, v in vectors:
         key = int_primitive(v)
         j = next(k for k, x in enumerate(key) if x)
-        groups.setdefault(key, []).append((i, Fraction(v[j], key[j] * den)))
+        groups.setdefault(key, []).append((i, v[j] // key[j]))
     gram, gram_den = d.int_gram
     rays = []
     for key in sorted(groups):
-        members = tuple(sorted(groups[key]))
-        cmin = min(abs(c) for _, c in members)
+        members = sorted(groups[key])
+        g = min(abs(x) for _, x in members)
         form = int_mat_vec(gram, key)
-        norm = Fraction(idot(key, form), gram_den)  # <key, key>
+        rep = ratio_vec([g * x for x in key], den)
+        dual = ratio_vec([2 * den * gram_den * x for x in key], g * idot(key, form))  # 2 rep / <rep, rep>
         fkey = tuple(map(Fraction, key))
-        rays.append(Ray(fkey, RatVec(vscale(cmin, fkey)), RatVec(vscale(2 / (cmin * norm), fkey)), members, form))
+        rays.append(Ray(fkey, RatVec(rep), RatVec(dual), tuple((i, Fraction(x, den)) for i, x in members), form))
     return tuple(rays)
 
 
@@ -353,10 +356,13 @@ def flat_projector(M: Levi) -> tuple[IntRows, int]:
 @kept
 def projected_orbit(M: Levi) -> tuple[IntRows, int]:
     """The distinct projections of the rho_check orbit onto a_M, sorted, as integer rows over one
-    positive denominator; built once per Levi."""
-    proj, den = flat_projector(M)
+    positive denominator; built once per Levi.  The orbit is deduplicated on its basis coordinates C x, and
+    only the distinct ones are lifted to E^T C x, which is the projection times scale over its denominator."""
+    cmap, _, lift, scale, _ = coord_map(M)
+    den = flat_projector(M)[1]
     orbit, orbit_den = M.datum.rho_orbit
-    return tuple(sorted({int_mat_vec(proj, x) for x in orbit})), den * orbit_den
+    ys = {int_mat_vec(cmap, x) for x in orbit}
+    return tuple(sorted(tuple(v * den // scale for v in int_mat_vec(lift, y)) for y in ys)), den * orbit_den
 
 
 @kept
@@ -437,17 +443,14 @@ def parabolics(M: Levi) -> tuple[ParabolicChamber, ...]:
     """
     rays = restricted_rays(M)
     witnesses = _witnesses(M, rays)
+    # a member root pairs with a chamber point as c times its ray's + side: (c < 0, c > 0) members per ray
+    sides = [tuple(tuple(i for i, c in ray.members if (c > 0) == up) for up in (False, True)) for ray in rays]
     chambers = []
     for idx, (sig, pt) in enumerate(witnesses.items()):
-        walls = tuple(
-            k
-            for k in range(len(rays))
-            if tuple(s if j != k else -s for j, s in enumerate(sig)) in witnesses
-        )
+        walls = tuple(k for k, s in enumerate(sig) if sig[:k] + (-s,) + sig[k + 1:] in witnesses)
         if len(walls) != M.dim:
             raise InternalInconsistency("parabolic chamber is not simplicial")
-        # a member root pairs with pt as c times its ray's + side
-        pos = tuple(sorted(i for ray, s in zip(rays, sig) for i, c in ray.members if c * s > 0))
+        pos = tuple(sorted(i for side, s in zip(sides, sig) for i in side[s > 0]))
         chambers.append(ParabolicChamber(M, idx, pos, pt, walls, sig))
     return tuple(chambers)
 
@@ -461,7 +464,7 @@ def adjacent_chambers(M: Levi) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
     pairs = []
     for P in parabolics(M):
         for k in P.wall_rays:
-            j = by_signs[tuple(s if m != k else -s for m, s in enumerate(P.signs))]
+            j = by_signs[P.signs[:k] + (-P.signs[k],) + P.signs[k + 1:]]
             if P.index < j:
                 pairs.append((P.index, j, tuple(P.signs[k] * int(x) for x in rays[k].key)))
     return tuple(sorted(pairs, key=lambda pair: pair[:2]))

@@ -4,7 +4,7 @@ The canonical report file contains no wall-clock data so consecutive runs of
 the same configuration are byte-identical; per-check runtimes go to a
 separate timing sidecar and the console, and so do the counters a suite keeps.
 Both files are the bytes of ``json.dumps(doc, sort_keys=True, indent=2)``, whose pure-Python encoder an
-indent selects, so the long part of each, the records or the runtimes, is written entry by entry here.
+indent selects, so the long part of each, the records or the runtimes, goes entry by entry to the open file.
 """
 from __future__ import annotations
 
@@ -13,9 +13,11 @@ import json
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _quote
 from math import isfinite
-from typing import Any
+from operator import attrgetter
+from typing import Any, Iterable, TextIO
 
 SCHEMA = "gmcalc-report-v1"
+_by_id = attrgetter("id")
 
 
 def digest(obj: Any) -> str:
@@ -27,17 +29,18 @@ def _scalar(v: Any) -> str:
     return float.__repr__(v) if type(v) is float and isfinite(v) else json.dumps(v)
 
 
-def _dumps(doc: dict, key: str, entries: list[str], ends: str) -> str:
-    """json.dumps(doc | {key: container}, sort_keys=True, indent=2) + newline, the container laid out from
-    its entries, written already, in one join (the list is consumed); only a top-level key's line starts
-    with a newline, two spaces and a quote."""
+def _write(out: TextIO, doc: dict, key: str, entries: Iterable[str], ends: str) -> None:
+    """Write json.dumps(doc | {key: container}, sort_keys=True, indent=2) + newline to out, the container laid
+    out from its entries, written already, one at a time; only a top-level key's line starts with a newline,
+    two spaces and a quote."""
     mark = f"\n  {_quote(key)}: "
     head, tail = json.dumps({**doc, key: None}, sort_keys=True, indent=2).split(mark + "null", 1)
-    if not entries:
-        return head + mark + ends + tail + "\n"
-    entries[0] = head + mark + ends[0] + "\n" + entries[0]
-    entries[-1] += "\n  " + ends[1] + tail + "\n"
-    return ",\n".join(entries)
+    out.write(head + mark + ends[0])
+    sep = "\n"
+    for entry in entries:
+        out.write(sep + entry)
+        sep = ",\n"
+    out.write(("\n  " if sep == ",\n" else "") + ends[1] + tail + "\n")
 
 
 @dataclass(slots=True)
@@ -91,8 +94,10 @@ class VerificationReport:
             out[r.status] += 1
         return out
 
-    def render(self) -> str:
-        """The canonical report: schema, group, gram, config digest, numerics, summary and records by id."""
+    def render(self, out: TextIO) -> None:
+        """Write the canonical report to out: schema, group, gram, config digest, numerics, summary and the
+        records, sorted by id in place (a stable sort, which finds them sorted on any later call)."""
+        self.records.sort(key=_by_id)
         doc = {
             "schema": SCHEMA,
             "group": self.group,
@@ -101,10 +106,11 @@ class VerificationReport:
             "numerics": self.numerics,
             "summary": self.summary(),
         }
-        return _dumps(doc, "checks", [r.render() for r in sorted(self.records, key=lambda r: r.id)], "[]")
+        _write(out, doc, "checks", (r.render() for r in self.records), "[]")
 
-    def render_timing(self) -> str:
-        """The timing sidecar: the counters and each record's runtime by id (a repeated id keeps its last)."""
-        runtimes = {r.id: r.runtime for r in sorted(self.records, key=lambda r: r.id)}
-        entries = [f"    {_quote(k)}: {_scalar(v)}" for k, v in runtimes.items()]
-        return _dumps({"schema": SCHEMA + "-timing", "counters": self.counters}, "runtimes", entries, "{}")
+    def render_timing(self, out: TextIO) -> None:
+        """Write the timing sidecar to out: the counters and each record's runtime by id (a repeated id keeps its last)."""
+        self.records.sort(key=_by_id)
+        runtimes = {r.id: r.runtime for r in self.records}
+        entries = (f"    {_quote(k)}: {_scalar(v)}" for k, v in runtimes.items())
+        _write(out, {"schema": SCHEMA + "-timing", "counters": self.counters}, "runtimes", entries, "{}")

@@ -416,5 +416,10 @@ def element_from_word(d: RootDatum, word: Sequence[int], by_root_index: bool = F
 
 
 def reflect_subgroup(d: RootDatum, root_indices: Iterable[int]) -> tuple[WeylElement, ...]:
-    """Subgroup generated by the reflections in the given roots."""
-    return d.subgroup(d.reflection_perms[i] for i in root_indices)
+    """Subgroup generated by the reflections in the given roots; kept per datum and tuple of indices."""
+    return _reflect_subgroup(d, tuple(root_indices))
+
+
+@kept
+def _reflect_subgroup(d: RootDatum, roots: tuple[int, ...]) -> tuple[WeylElement, ...]:
+    return d.subgroup(d.reflection_perms[i] for i in roots)

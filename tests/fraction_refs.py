@@ -1,7 +1,7 @@
-"""Fraction references for the integer routes to products, projections, ray signs, flat coordinates,
-restricted rays, splitting constants, the basis sums n^L, the chamber-stabilizer test with k^L and
-the fixed spaces of Weyl elements, the beneath-beyond reference for hull volumes, and the recursive
-pulling triangulation.
+"""Fraction references for the integer routes to the Levi lattice, products, projections, ray signs, flat
+coordinates, restricted rays, chamber witnesses, parabolic chambers, splitting constants, the basis sums
+n^L, the chamber-stabilizer test with k^L and the fixed spaces of Weyl elements, the beneath-beyond
+reference for hull volumes, and the recursive pulling triangulation.
 
 Each is the route the package ran on ``Fraction``s, or by a chamber search,
 before its integer rows and lattice facts, kept here so the tests can
@@ -10,19 +10,38 @@ of every hull from its points alone, where the package reads one
 triangulation off the face lattice of each Levi.  The triangulation
 reference recurses from the whole hull down to its vertices, scanning for
 the facets of a face and triangulating it once per path that reaches it,
-where the package triangulates each face once, by dimension.
+where the package triangulates each face once, by dimension.  The lattice
+reference closes the flats on ``Fraction`` kernels, one kernel and one RREF
+per (flat, root) pair, where the package closes them on integer rows and
+reduces each distinct flat once; the chamber reference reads positive roots
+off ``Fraction`` sign products and walls off rebuilt sign patterns.
 """
 from fractions import Fraction
 from itertools import combinations
 from math import lcm, prod
 
-from gmcalc.exactlin import _eliminate, gram_matrix, idot, int_mat, int_rank, kernel, mat_vec, rref, transpose, vscale
+from gmcalc.exactlin import (
+    _eliminate,
+    gram_matrix,
+    identity,
+    idot,
+    int_mat,
+    int_rank,
+    kernel,
+    mat_vec,
+    rref,
+    transpose,
+    vadd,
+    vscale,
+    zeros,
+)
 from gmcalc.levilattice import (
+    Levi,
     QuadConst,
     Ray,
     _rel_basis,
-    _vanishing_subset,
     chambers_of_rays,
+    flat_kernel,
     gfull,
     group_rays,
     hull_faces,
@@ -30,7 +49,7 @@ from gmcalc.levilattice import (
     mzero,
     rays_in,
 )
-from gmcalc.rootdatum import RatVec, compose, invert, reflect_subgroup
+from gmcalc.rootdatum import RatVec, act, compose, invert, reflect_subgroup, weyl_group
 
 
 def ref_mat_mul(a, b):
@@ -91,6 +110,71 @@ def ref_restricted_rays(M):
         form = tuple(int(x * den) for x in mat_vec(d.gram, key))
         rays.append(Ray(key, rep, RatVec(vscale(Fraction(2) / d.pair(rep, rep), rep.coords)), members, form))
     return tuple(rays)
+
+
+def ref_vanishing_subset(d, basis):
+    """The indices of the roots pairing to zero with every basis row, by Fraction pairings."""
+    return frozenset(i for i, r in enumerate(d.roots) if all(d.pair(r, RatVec(b)) == 0 for b in basis))
+
+
+def ref_levi_lattice(d):
+    """Every flat by the Fraction closure, in lattice order: per (flat, root) pair, one Fraction kernel of the
+    root's pairings with the flat's basis and one RREF of it, whether or not the flat is new."""
+    full = identity(d.rank)
+    flats = {ref_vanishing_subset(d, full): full}
+    frontier = list(flats.items())
+    while frontier:
+        nxt = []
+        for subset, basis in frontier:
+            for i in d.pos_indices:
+                if i in subset:
+                    continue
+                new_basis = tuple(rref(flat_kernel(d, basis, [d.roots[i].coords])))
+                new_subset = ref_vanishing_subset(d, new_basis)
+                if new_subset not in flats:
+                    flats[new_subset] = new_basis
+                    nxt.append((new_subset, new_basis))
+        frontier = nxt
+    levis = [Levi(d, basis, subset) for subset, basis in flats.items()]
+    return sorted(levis, key=lambda L: (-L.dim, sorted(L.root_subset)))
+
+
+def ref_chambers_of_rays(M, rays):
+    """The witness search on Fractions that chambers_of_rays ran before its integer rows."""
+    d = M.datum
+    if not M.basis:
+        return [RatVec.zero(d.rank)]
+    if not rays:
+        pt = zeros(d.rank)
+        for b in M.basis:
+            pt = vadd(pt, b)
+        return [RatVec(pt)]
+    proj_m = ref_projector(M.basis, d.gram)
+    best = {}
+    for w in weyl_group(d):
+        proj = mat_vec(proj_m, act(w, d.rho_check).coords)
+        key = ref_sign_pattern(d, rays, RatVec(proj))
+        if 0 in key:
+            continue
+        if key not in best or proj < best[key]:
+            best[key] = proj
+    return [RatVec(v) for v in sorted(best.values())]
+
+
+def ref_parabolics(M):
+    """(index, positive roots, chamber point, wall rays, signs) of each chamber of P(M) on Fractions: the
+    Fraction rays and witnesses, a member root positive where c * s > 0, and a wall where the pattern with
+    that one sign flipped, rebuilt entry by entry, is another chamber's."""
+    d = M.datum
+    rays = ref_restricted_rays(M)
+    points = ref_chambers_of_rays(M, rays)
+    patterns = [ref_sign_pattern(d, rays, pt) for pt in points]
+    out = []
+    for idx, (sig, pt) in enumerate(zip(patterns, points)):
+        walls = tuple(k for k in range(len(rays)) if tuple(s if j != k else -s for j, s in enumerate(sig)) in patterns)
+        pos = tuple(sorted(i for ray, s in zip(rays, sig) for i, c in ray.members if c * s > 0))
+        out.append((idx, pos, pt, walls, sig))
+    return out
 
 
 def ref_gram_det(vectors, S):
@@ -179,7 +263,7 @@ def ref_levi_L(t):
     None when that flat is not the fixed space."""
     d = t.datum
     fix = ref_fixed_space(d, t.r_elem)
-    subset = _vanishing_subset(d, fix)
+    subset = ref_vanishing_subset(d, fix)
     home = next((L for L in levi_lattice(d) if L.root_subset == subset), None)
     return home if home is not None and home.dim == len(fix) else None
 

@@ -7,14 +7,17 @@ from math import prod
 import pytest
 
 from fraction_refs import (
+    ref_chambers_of_rays,
     ref_coords_in_basis,
+    ref_levi_lattice,
+    ref_parabolics,
     ref_projector,
     ref_restricted_rays,
     ref_sign_pattern,
     ref_split_constant,
 )
 from gmcalc.errors import DimensionError, NotComparable
-from gmcalc.exactlin import int_mat, int_rank, int_row, mat_vec, vadd, zeros
+from gmcalc.exactlin import int_mat, int_rank, int_row, mat_vec
 from gmcalc.gmfamily import ExpPolyFamily, family_limit, split_subsets
 from gmcalc.levilattice import (
     QuadConst,
@@ -43,7 +46,7 @@ from gmcalc.levilattice import (
     trand_check,
     weyl_cosets,
 )
-from gmcalc.rootdatum import _ROOT_COUNT, _WEYL_ORDER, RatVec, act, build_root_system, weyl_group
+from gmcalc.rootdatum import _ROOT_COUNT, _WEYL_ORDER, RatVec, build_root_system, reflect_subgroup, weyl_group
 from gmcalc.spectral import TauWeyl, enumerate_spectral_triples
 
 # Flat counts: A1 has {M0, G}; A2 adds one line per positive-root kernel;
@@ -344,28 +347,6 @@ def test_signed_rays_carry_their_duals(label):
                 assert ray.dual.coords == vscale(Fraction(2) / d.pair(ray.rep, ray.rep), ray.rep.coords)
 
 
-def ref_chambers_of_rays(M, rays):
-    """The witness search on Fractions that chambers_of_rays ran before its integer rows."""
-    d = M.datum
-    if not M.basis:
-        return [RatVec.zero(d.rank)]
-    if not rays:
-        pt = zeros(d.rank)
-        for b in M.basis:
-            pt = vadd(pt, b)
-        return [RatVec(pt)]
-    proj_m = ref_projector(M.basis, d.gram)
-    best = {}
-    for w in weyl_group(d):
-        proj = mat_vec(proj_m, act(w, d.rho_check).coords)
-        key = ref_sign_pattern(d, rays, RatVec(proj))
-        if 0 in key:
-            continue
-        if key not in best or proj < best[key]:
-            best[key] = proj
-    return [RatVec(v) for v in sorted(best.values())]
-
-
 ORACLE_DATA = [(g, None) for g in ("A1", "A2", "B2", "G2", "A1xA1", "A3", "A1xA3")] + [
     ("A2", [["1", "-1/2"], ["-1/2", "1"]])
 ]
@@ -606,3 +587,42 @@ def test_quadconst_product_with_a_zero_factor_is_the_shared_zero():
         assert x * y is zero
     assert a * a == QuadConst.from_square(Fraction(9, 16))
     assert a * QuadConst.from_square(1) == a
+
+
+REF_GROUPS = ["A1", "A2", "B2", "G2", "A3", "A1xA3", "B2xB2", "G2xG2"]
+
+
+def _all_fractions(rows) -> bool:
+    return all(type(x) is Fraction for row in rows for x in row)
+
+
+@pytest.mark.parametrize("label", REF_GROUPS)
+def test_integer_closure_gives_the_fraction_lattice(label):
+    d = build_root_system(label)
+    got, want = levi_lattice(d), ref_levi_lattice(d)
+    assert [(L.label, L.root_subset, L.dim) for L in got] == [(L.label, L.root_subset, L.dim) for L in want]
+    for L, R in zip(got, want):
+        # RREF is canonical for the flat, so the basis rows are the same Fractions whichever rows reached it
+        assert L.basis == R.basis and _all_fractions(L.basis), L.label
+
+
+@pytest.mark.parametrize("label", REF_GROUPS)
+def test_chambers_equal_the_fraction_chambers(label):
+    d = build_root_system(label)
+    for M in levi_lattice(d):
+        assert restricted_rays(M) == ref_restricted_rays(M), M.label
+        got = [(P.index, P.positive_roots, P.chamber_point, P.wall_rays, P.signs) for P in parabolics(M)]
+        assert got == ref_parabolics(M), M.label
+        assert all(_all_fractions([P.chamber_point.coords]) for P in parabolics(M))
+        for ray in restricted_rays(M):
+            assert _all_fractions([ray.key, ray.rep.coords, ray.dual.coords, [c for _, c in ray.members]])
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "G2", "A3", "A1xA3"])
+def test_kept_reflection_subgroup_equals_a_fresh_closure(label):
+    d = build_root_system(label)
+    for L in levi_lattice(d):
+        for roots in (sorted(L.root_subset), sorted(L.root_subset, reverse=True)):
+            got = reflect_subgroup(d, roots)
+            assert got is reflect_subgroup(d, iter(roots))  # kept per datum and tuple of indices
+            assert got == d.subgroup([d.reflection_perms[i] for i in roots]), (L.label, roots)

@@ -3,11 +3,13 @@
 The references are the documents the package handed to ``json.dumps(doc, sort_keys=True, indent=2)``
 before it wrote the records and the runtimes entry by entry.
 """
+import io
 import json
 import math
 
 import pytest
 
+import gmcalc.cli
 from gmcalc.config import load_config
 from gmcalc.report import SCHEMA, CheckRecord, SuiteRecords, VerificationReport
 from gmcalc.suites import run_suites
@@ -40,9 +42,16 @@ def ref_timing_doc(report):
     }
 
 
+def _text(render) -> str:
+    """What a render method writes, read back from an in-memory file."""
+    out = io.StringIO()
+    render(out)
+    return out.getvalue()
+
+
 def _same_bytes(report):
-    assert report.render() == json.dumps(ref_report_doc(report), sort_keys=True, indent=2) + "\n"
-    assert report.render_timing() == json.dumps(ref_timing_doc(report), sort_keys=True, indent=2) + "\n"
+    assert _text(report.render) == json.dumps(ref_report_doc(report), sort_keys=True, indent=2) + "\n"
+    assert _text(report.render_timing) == json.dumps(ref_timing_doc(report), sort_keys=True, indent=2) + "\n"
 
 
 @pytest.mark.parametrize(
@@ -82,4 +91,18 @@ def test_synthetic_reports_render_as_json_dumps():
 def test_empty_report_renders_as_json_dumps():
     report = VerificationReport("A1", [], "digest")
     _same_bytes(report)
-    assert '"checks": [],' in report.render() and '"runtimes": {},' in report.render_timing()
+    assert '"checks": [],' in _text(report.render) and '"runtimes": {},' in _text(report.render_timing)
+
+
+@pytest.mark.parametrize("suites", [["trand", "examples"], []])
+def test_cli_writes_what_render_writes(tmp_path, monkeypatch, suites):
+    # the files the CLI streams, with records and without, are the bytes render and render_timing write
+    made = []
+    monkeypatch.setattr(gmcalc.cli, "run_suites", lambda cfg: made.append(run_suites(cfg)) or made[-1])
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"group": "A2", "suites": suites}))
+    assert gmcalc.cli.main(["--config", str(config), "verify", "--out", str(tmp_path)]) == 0
+    (report,) = made
+    assert bool(report.records) == bool(suites)
+    assert (tmp_path / "report-A2.json").read_bytes() == _text(report.render).encode()
+    assert (tmp_path / "report-A2.timing.json").read_bytes() == _text(report.render_timing).encode()
