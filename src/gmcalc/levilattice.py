@@ -30,8 +30,10 @@ from ``form_signs``, over the forms built once per datum
 direction), the basis coordinates of a point of a flat (or None off it)
 from ``flat_coords`` on the flat's ``coord_map``, and the projection of
 every root from ``projected_roots``, which the rays and the cell maps of
-the hull-limit frame both read.  The projected orbit that chamber
-witnesses are chosen from and the pairing row of lam0 are integer rows too.
+the hull-limit frame both read.  The projected orbit, from which
+``chamber_witnesses`` picks one witness per sign pattern for the chambers
+of ``parabolics`` and the pole-ray chambers of a spectral class, and the
+pairing row of lam0 are integer rows too.
 
 Splitting constants read the lattice before any Gram matrix: each Levi
 keeps the tuple of Levis above it (``enumerate_levis``), the join of L and
@@ -402,8 +404,17 @@ def form_signs(d: RootDatum, forms: Iterable[Sequence[int]], x: Sequence[int]) -
     return tuple((p > 0) - (p < 0) for p in (idot(f, x) for f in forms))
 
 
-def _witnesses(M: Levi, rays: Sequence[Ray]) -> dict[tuple[int, ...], RatVec]:
-    """Each chamber's sign pattern and interior witness, in witness order."""
+def chamber_witnesses(M: Levi, rays: Sequence[Ray]) -> dict[tuple[int, ...], RatVec]:
+    """Each chamber of the given ray arrangement on a_M, as its sign pattern with an interior witness.
+
+    Witnesses are the projections of the Weyl-chamber points onto the flat:
+    every chamber of the restricted arrangement of a flat contains such a
+    projection (each parabolic contains a minimal one), and any sub-arrangement
+    chamber contains a full-arrangement chamber.  This avoids any reflection
+    closure assumption on the rays, which genuinely fails for intermediate
+    flats.  Each chamber's witness is its least projection of rho_check's
+    orbit, and the chambers come sorted by their witnesses' coordinates.
+    """
     d = M.datum
     if not rays:
         return {(): RatVec(combine([1] * M.dim, M.basis, d.rank))}
@@ -419,20 +430,6 @@ def _witnesses(M: Levi, rays: Sequence[Ray]) -> dict[tuple[int, ...], RatVec]:
     return best
 
 
-def chambers_of_rays(M: Levi, rays: Sequence[Ray]) -> list[RatVec]:
-    """Interior witnesses, one per chamber of the given ray arrangement on a_M.
-
-    Witnesses are the projections of the Weyl-chamber points onto the flat:
-    every chamber of the restricted arrangement of a flat contains such a
-    projection (each parabolic contains a minimal one), and any sub-arrangement
-    chamber contains a full-arrangement chamber.  This avoids any reflection
-    closure assumption on the rays, which genuinely fails for intermediate
-    flats.  Each chamber's witness is its least projection of rho_check's
-    orbit, and the witnesses come sorted by coordinates.
-    """
-    return list(_witnesses(M, rays).values())
-
-
 @kept
 def parabolics(M: Levi) -> tuple[ParabolicChamber, ...]:
     """Chambers of the restricted arrangement on a_M; a single improper chamber for M = G.
@@ -442,7 +439,7 @@ def parabolics(M: Levi) -> tuple[ParabolicChamber, ...]:
     when flipping its sign alone lands on another chamber.
     """
     rays = restricted_rays(M)
-    witnesses = _witnesses(M, rays)
+    witnesses = chamber_witnesses(M, rays)
     # a member root pairs with a chamber point as c times its ray's + side: (c < 0, c > 0) members per ray
     sides = [tuple(tuple(i for i, c in ray.members if (c > 0) == up) for up in (False, True)) for ray in rays]
     chambers = []

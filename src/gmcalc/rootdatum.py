@@ -10,22 +10,22 @@ form: lam(H) = pair(lam, H).
 The default form gives short roots squared length 2 per irreducible factor.
 
 A Weyl element is identified by its permutation of the root indices:
-``perm[i]`` is the index of w(alpha_i).  The reflection permutations come
-from the integer Cartan table ``cartan[i][j] = <alpha_i, alpha_j^vee>``
-through s_i(alpha_j) = alpha_j - cartan[j][i] alpha_i, and closure,
-membership, products, inverses and commutation work on these integer
-tuples.  The matrix of an element is derived from its permutation with no
-arithmetic: column j is w(alpha_{simple j}), a root.  Each datum closes
-its Weyl group once and indexes it by permutation, so every element that
-any caller holds is one of the group's own objects.
+``perm[i]`` is the index of w(alpha_i).  The reflection permutations are
+read off the integer root rows and forms f_i (``root_forms``) through
+s_i(alpha_j) = alpha_j - (2 f_i.alpha_j / f_i.alpha_i) alpha_i, integral
+once the closure has passed, and closure, membership, products, inverses
+and commutation work on these integer tuples.  The matrix of an element is
+derived from its permutation with no arithmetic: column j is
+w(alpha_{simple j}), a root.  Each datum closes its Weyl group once and
+indexes it by permutation, so every element that any caller holds is one
+of the group's own objects.
 
 The exact kernels that run once per Weyl element read integer forms: the
 root coordinates (``root_rows``), through which ``int_act`` applies an
-element to integer numerators, and, built on first use, the form as
-integer rows over one denominator (``int_gram``), the forms S alpha of the
-roots as integer rows over that denominator (``root_forms``), which every
-sign test of a root wall reads, and the Weyl orbit of rho_check as integer
-rows over one denominator (``rho_orbit``), in ``weyl`` order.
+element to integer numerators, the form and the forms S alpha of the roots
+as integer rows over one denominator (``int_gram``, ``root_forms``), which
+every reflection and every sign test of a root wall read, and, built on
+first use, the Weyl orbit of rho_check over one denominator (``rho_orbit``).
 """
 from __future__ import annotations
 
@@ -198,7 +198,6 @@ class RootDatum:
             if det(tuple(row[:k] for row in gram[:k])) <= 0:
                 raise UnsupportedType(f"form is not positive definite for {label}")
         self._build()
-        self._validate()
 
     # -- construction ------------------------------------------------
 
@@ -252,31 +251,11 @@ class RootDatum:
         self.neg_of: dict[int, int] = {
             i: index[tuple(-x for x in r)] for i, r in enumerate(self.root_rows)
         }
-
-    def _validate(self):
-        cartan = []
-        for r in self.roots:
-            row = []
-            for j in range(len(self.roots)):
-                p = self.pair(r, self.coroots[j])
-                if p.denominator != 1:
-                    raise UnsupportedType("non-integral Cartan pairing; form not invariant?")
-                row.append(p.numerator)
-            cartan.append(tuple(row))
-        # cartan[i][j] = <alpha_i, alpha_j^vee>
-        coords = self.root_rows
-        where = {c: k for k, c in enumerate(coords)}
+        # reflection_perms[i][j] is the index of s_i(alpha_j) = alpha_j - (2 f_i.alpha_j / f_i.alpha_i) alpha_i
         perms = []
-        for i, ai in enumerate(coords):
-            perm = []
-            for j, aj in enumerate(coords):
-                c = cartan[j][i]
-                img = where.get(tuple(x - c * y for x, y in zip(aj, ai)))
-                if img is None:
-                    raise UnsupportedType("root set not closed under reflections")
-                perm.append(img)
-            perms.append(tuple(perm))
-        # reflection_perms[i][j] is the index of s_{alpha_i}(alpha_j)
+        for f, ai in zip(self.root_forms, self.root_rows):
+            cs = [2 * idot(f, aj) // idot(f, ai) for aj in self.root_rows]
+            perms.append(tuple(index[tuple(x - c * y for x, y in zip(aj, ai))] for c, aj in zip(cs, self.root_rows)))
         self.reflection_perms: tuple[Perm, ...] = tuple(perms)
 
     # -- basic queries -----------------------------------------------

@@ -11,9 +11,13 @@ pointwise, read off the integer basis rows of each Levi's coordinate map
 (``rootdatum.int_act``), and the dimension of a fixed space is the rank less
 the integer rank of w - 1; the coset search of the discreteness test reads
 the same two facts, so no Fraction kernel runs on a Weyl matrix.  The
-modeled stabilizer acts on the home flat in its basis coordinates, read
-through the home's integer coordinate map (``levilattice.flat_coords``), and
-every chamber, pole-wall and wall-point test reads the signs of integer
+modeled stabilizer W_tau (``TauClass.core``) keeps each element as its
+integer matrix on the home flat, its basis coordinates times the home's one
+scale read through the home's coordinate map (``levilattice.flat_coords``),
+and the pole-ray reflections are built in that convention from each ray's
+key and form.  The pole-ray chambers are not kept: ``chamber_transitivity``
+reads their sign patterns and witnesses off ``levilattice.chamber_witnesses``.
+Every chamber, pole-wall and wall-point test reads the signs of integer
 forms built once per datum (``RootDatum.root_forms``) or per ray
 (``Ray.form``) through ``levilattice.form_signs``.  The chamber of a
 vanishing set is the one holding the least point of rho_check's orbit, which
@@ -28,7 +32,7 @@ enumerated once and kept on the datum (``rootdatum.kept``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
@@ -42,19 +46,19 @@ from .errors import (
     NotSubsystem,
 )
 from .exactlin import (
-    Mat,
     Vec,
     combine,
+    idot,
     int_rank,
     int_row,
     primitive_ray,
-    sym_pair,
 )
 from .gmfamily import ScalarFn, ScalarRootFns, density_at
 from .levilattice import (
+    IntRows,
     Levi,
     Ray,
-    chambers_of_rays,
+    chamber_witnesses,
     contains,
     coord_map,
     flat_coords,
@@ -137,22 +141,17 @@ class TauClass:
         return rows, den
 
     @cached_property
-    def core(self) -> tuple[TauWeyl, ...]:
-        """W_tau: restrictions to the home flat of reflection-part elements commuting with r."""
-        out: dict[Mat, TauWeyl] = {}
+    def core(self) -> dict[IntRows, WeylElement]:
+        """W_tau: the restrictions to the home flat of the reflection-part elements commuting with r, each
+        as its integer matrix on the home (``_on_home``) with its first lift, in matrix order."""
+        out: dict[IntRows, WeylElement] = {}
         r = self.r_elem.perm
         for w in reflect_subgroup(self.datum, self.sigma_roots):
-            if compose(w.perm, r) != compose(r, w.perm):
-                continue
-            m = _on_home(self, w)
-            if m is not None and m not in out:
-                out[m] = TauWeyl(m, w)
-        return tuple(sorted(out.values(), key=lambda x: x.mat))
-
-    @cached_property
-    def pole_chambers(self) -> list[RatVec]:
-        """Interior witnesses of the chambers cut out by the pole rays on the home flat."""
-        return chambers_of_rays(self.levi_L, self.tau_rays)
+            if compose(w.perm, r) == compose(r, w.perm):
+                m = _on_home(self, w)
+                if m is not None:
+                    out.setdefault(m, w)
+        return dict(sorted(out.items()))
 
 
 def _fixes_flat(d: RootDatum, w: WeylElement, L: Levi) -> bool:
@@ -379,53 +378,45 @@ def _k_constant(t: TauClass, L_levi: Levi) -> int:
 # the modeled stabilizer W_tau on the home flat
 
 
-@dataclass(frozen=True)
-class TauWeyl:
-    """Action on the home flat in its basis coordinates, with one ambient lift."""
-
-    mat: Mat
-    lift: WeylElement = field(compare=False)
-
-
-def _on_home(t: TauClass, w: WeylElement) -> Mat | None:
-    """The matrix of w on the home flat in its basis coordinates; None if w moves the flat."""
+def _on_home(t: TauClass, w: WeylElement) -> IntRows | None:
+    """The matrix of w on the home flat in its basis coordinates times the home's one positive scale
+    (``coord_map``'s e c), an integer matrix whose column j is C w(E_j) for the basis row E_j = e b_j;
+    None if w moves the flat."""
     home = t.levi_L
-    _, _, lift, scale, _ = coord_map(home)
-    cols = []
-    for b in zip(*lift):  # the basis rows times e = scale / c
-        y = flat_coords(home, int_act(t.datum, w, b))
-        if y is None:
-            return None
-        cols.append(y)
-    return tuple(tuple(Fraction(x, scale) for x in row) for row in zip(*cols))
+    cols = [flat_coords(home, int_act(t.datum, w, b)) for b in zip(*coord_map(home)[2])]
+    return None if None in cols else tuple(zip(*cols))
 
 
 def chamber_transitivity(t: TauClass) -> bool:
     """Does the modeled stabilizer reach every pole-ray chamber from the first one?"""
     d = t.datum
     forms = [ray.form for ray in t.tau_rays]
-    points = [int_row(p.coords)[0] for p in t.pole_chambers]
-    patterns = {form_signs(d, forms, x) for x in points}
-    reached = {form_signs(d, forms, int_act(d, u.lift, points[0])) for u in t.core}
-    return reached == patterns
+    witnesses = chamber_witnesses(t.levi_L, t.tau_rays)
+    first = int_row(next(iter(witnesses.values())).coords)[0]
+    return {form_signs(d, forms, int_act(d, w, first)) for w in t.core.values()} == witnesses.keys()
 
 
-def _flat_reflection(t: TauClass, ray: Ray) -> Mat:
-    """Reflection in the given ray written in the basis coordinates of the home flat."""
-    d = t.datum
+def _flat_reflection(t: TauClass, ray: Ray) -> IntRows | None:
+    """The reflection in the ray on the home flat in ``_on_home``'s convention, or None where that matrix
+    is not integral, so that no core element has it.
+
+    With k the ray's key and f its form, s(E_j) = E_j - (2 f.E_j / f.k) k,
+    so entry (i, j) is (scale f.k [i = j] - 2 (f.E_j) (C k)_i) / f.k.
+    """
     home = t.levi_L
-    dual, den = int_row(ray.dual.coords)
-    scale = coord_map(home)[1] * den
-    dual_c = [Fraction(x, scale) for x in flat_coords(home, dual)]
-    # column j is e_j - <rep, b_j> dual
-    pairs = [sym_pair(d.gram, ray.rep.coords, b) for b in home.basis]
-    return tuple(tuple((i == j) - y * p for j, p in enumerate(pairs)) for i, y in enumerate(dual_c))
+    _, _, lift, scale, _ = coord_map(home)
+    key = tuple(int(x) for x in ray.key)
+    norm = idot(ray.form, key)
+    pairs = [2 * idot(ray.form, b) for b in zip(*lift)]
+    rows = [[scale * norm * (i == j) - y * p for j, p in enumerate(pairs)] for i, y in enumerate(flat_coords(home, key))]
+    if any(x % norm for row in rows for x in row):
+        return None
+    return tuple(tuple(x // norm for x in row) for row in rows)
 
 
 def reflections_in_core(t: TauClass) -> bool:
     """Is every pole-ray reflection the restriction of a commuting reflection-part element?"""
-    core_mats = {u.mat for u in t.core}
-    return all(_flat_reflection(t, ray) in core_mats for ray in t.tau_rays)
+    return all(_flat_reflection(t, ray) in t.core for ray in t.tau_rays)
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +447,7 @@ def tempext_check(
             if int_rank([row for _, row in combo]) == size:
                 subsets.append(tuple(ray for ray, _ in combo))
     # the float forms of the core and of each ray's dual pairing, built once per class
-    lifts = [tuple(tuple(map(float, row)) for row in u.lift.matrix) for u in t.core]
+    lifts = [tuple(tuple(map(float, row)) for row in w.matrix) for w in t.core.values()]
     dual_rows = {ray.key: d.float_row(ray.dual) for ray in rays}
     for F in subsets:
         pairings = [(ray.rep, fns.fn(ray.rep), dual_rows[ray.key]) for ray in F]

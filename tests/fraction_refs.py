@@ -1,7 +1,8 @@
-"""Fraction references for the integer routes to the Levi lattice, products, projections, ray signs, flat
-coordinates, restricted rays, chamber witnesses, parabolic chambers, splitting constants, the basis sums
-n^L, the chamber-stabilizer test with k^L and the fixed spaces of Weyl elements, the beneath-beyond
-reference for hull volumes, and the recursive pulling triangulation.
+"""Fraction references for the integer routes to the reflection permutations, the Levi lattice, products,
+projections, ray signs, flat coordinates, restricted rays, chamber witnesses, parabolic chambers, splitting
+constants, the basis sums n^L, the chamber-stabilizer test with k^L, the fixed spaces of Weyl elements and
+the pole-ray reflections on a home flat, the beneath-beyond reference for hull volumes, and the recursive
+pulling triangulation.
 
 Each is the route the package ran on ``Fraction``s, or by a chamber search,
 before its integer rows and lattice facts, kept here so the tests can
@@ -14,7 +15,11 @@ where the package triangulates each face once, by dimension.  The lattice
 reference closes the flats on ``Fraction`` kernels, one kernel and one RREF
 per (flat, root) pair, where the package closes them on integer rows and
 reduces each distinct flat once; the chamber reference reads positive roots
-off ``Fraction`` sign products and walls off rebuilt sign patterns.
+off ``Fraction`` sign products and walls off rebuilt sign patterns.  The
+reflection reference reads a ``Fraction`` Cartan table of root and coroot
+pairings, where the package reads the integer root forms; the pole-ray
+reflection reference is a ``Fraction`` matrix in the home's basis
+coordinates, where the package keeps that matrix times the home's scale.
 """
 from fractions import Fraction
 from itertools import combinations
@@ -27,9 +32,11 @@ from gmcalc.exactlin import (
     idot,
     int_mat,
     int_rank,
+    int_row,
     kernel,
     mat_vec,
     rref,
+    sym_pair,
     transpose,
     vadd,
     vscale,
@@ -40,7 +47,9 @@ from gmcalc.levilattice import (
     QuadConst,
     Ray,
     _rel_basis,
-    chambers_of_rays,
+    chamber_witnesses,
+    coord_map,
+    flat_coords,
     flat_kernel,
     gfull,
     group_rays,
@@ -50,6 +59,29 @@ from gmcalc.levilattice import (
     rays_in,
 )
 from gmcalc.rootdatum import RatVec, act, compose, invert, reflect_subgroup, weyl_group
+
+
+def ref_reflection_perms(d):
+    """The reflection permutations by the Fraction Cartan table the datum once built: cartan[i][j] is
+    <alpha_i, alpha_j^vee> by Fraction pairings, integral, and s_i(alpha_j) = alpha_j - cartan[j][i] alpha_i."""
+    cartan = [[d.pair(r, cv) for cv in d.coroots] for r in d.roots]
+    assert all(c.denominator == 1 for row in cartan for c in row)
+    where = {r: k for k, r in enumerate(d.roots)}
+    return tuple(
+        tuple(where[aj - cartan[j][i] * ai] for j, aj in enumerate(d.roots)) for i, ai in enumerate(d.roots)
+    )
+
+
+def ref_flat_reflection(t, ray):
+    """The reflection in a ray of the home flat by Fractions, as _flat_reflection once built it: its matrix
+    in the basis coordinates of the home, column j = e_j - <rep, b_j> dual."""
+    d = t.datum
+    home = t.levi_L
+    dual, den = int_row(ray.dual.coords)
+    scale = coord_map(home)[1] * den
+    dual_c = [Fraction(x, scale) for x in flat_coords(home, dual)]
+    pairs = [sym_pair(d.gram, ray.rep.coords, b) for b in home.basis]
+    return tuple(tuple((i == j) - y * p for j, p in enumerate(pairs)) for i, y in enumerate(dual_c))
 
 
 def ref_mat_mul(a, b):
@@ -229,7 +261,7 @@ def ref_chamber_test(d, roots, chamber_c=None):
     root equal to its rep, and the sign of every root at the point by Fraction pairings."""
     rays = group_rays(d, ((i, d.root_rows[i]) for i in roots), 1)
     if chamber_c is None:
-        chamber_c = chambers_of_rays(mzero(d), rays)[0]
+        chamber_c = next(iter(chamber_witnesses(mzero(d), rays).values()))
     signs = [(p > 0) - (p < 0) for p in (d.pair(r, chamber_c) for r in d.roots)]
     reps = [next(i for i, _ in ray.members if d.roots[i] == ray.rep) for ray in rays]
     base = [signs[m] for m in reps]

@@ -92,6 +92,24 @@ def test_weyl_denominator_antisymmetry():
         assert lhs == pytest.approx(sign * base, rel=1e-9)
 
 
+@pytest.mark.parametrize("label", ["A3", "A1xA3"])
+def test_weyl_denominator_antisymmetry_off_every_wall(label):
+    # the examples sample lies on the alpha2 wall of A3, where the base product is 0 and any sign passes
+    d = build_root_system(label)
+    sigma = list(d.pos_indices)
+    real = RatVec.of([Fraction(1, 2), Fraction(5, 4), Fraction(9, 4), Fraction(3)][: d.rank])
+    assert all(abs(d.pair(r, real)) >= Fraction(1, 4) for r in d.roots)
+    Y = [complex(float(x), 0.11 * (k + 1)) for k, x in enumerate(real)]
+    base = weyl_denominator(d, sigma, Y)
+    assert abs(base) >= 1e-3
+
+    def worst(sign):
+        return max(abs(weyl_denominator(d, [w.perm[k] for k in sigma], Y) - sign(w) * base) for w in weyl_group(d))
+
+    assert worst(lambda w: eps_M_sign(d, w, sigma)) <= 1e-9 * max(1.0, abs(base))
+    assert worst(lambda w: 1) > 1e-3  # every sign forced to +1
+
+
 def test_weyl_denominator_vanishes_on_walls():
     d = build_root_system("A1")
     # alpha(Y) = 2 pi i  means sinh(alpha(Y)/2) = 0

@@ -27,7 +27,7 @@ from gmcalc.levilattice import (
     base_chamber,
     chamber_at,
     chamber_cells,
-    chambers_of_rays,
+    chamber_witnesses,
     contains,
     coord_map,
     d_constant,
@@ -47,7 +47,7 @@ from gmcalc.levilattice import (
     weyl_cosets,
 )
 from gmcalc.rootdatum import _ROOT_COUNT, _WEYL_ORDER, RatVec, build_root_system, reflect_subgroup, weyl_group
-from gmcalc.spectral import TauWeyl, enumerate_spectral_triples
+from gmcalc.spectral import enumerate_spectral_triples
 
 # Flat counts: A1 has {M0, G}; A2 adds one line per positive-root kernel;
 # A3 flats match the partition lattice of a 4-element set (15 blocks).
@@ -356,14 +356,18 @@ ORACLE_DATA = [(g, None) for g in ("A1", "A2", "B2", "G2", "A1xA1", "A3", "A1xA3
 def test_integer_witnesses_equal_the_fraction_search(label, gram):
     d = build_root_system(label, gram)
     for M in levi_lattice(d):
-        got = chambers_of_rays(M, restricted_rays(M))
-        assert got == ref_chambers_of_rays(M, restricted_rays(M)), M.label
-        assert [P.chamber_point for P in parabolics(M)] == got
+        rays = restricted_rays(M)
+        got = chamber_witnesses(M, rays)
+        assert list(got.values()) == ref_chambers_of_rays(M, rays), M.label
+        assert list(got) == [ref_sign_pattern(d, rays, p) for p in got.values()], M.label
+        assert [P.chamber_point for P in parabolics(M)] == list(got.values())
     homes = {}  # every home with every pole-ray arrangement on it, once
     for t in enumerate_spectral_triples(d):
         homes.setdefault((t.levi_L.root_subset, t.tau_rays), t)
     for t in homes.values():
-        assert t.pole_chambers == ref_chambers_of_rays(t.levi_L, t.tau_rays), (t.levi_L.label, t.tau_rays)
+        got = chamber_witnesses(t.levi_L, t.tau_rays)
+        assert list(got.values()) == ref_chambers_of_rays(t.levi_L, t.tau_rays), (t.levi_L.label, t.tau_rays)
+        assert list(got) == [ref_sign_pattern(d, t.tau_rays, p) for p in got.values()], t.levi_L.label
 
 
 @pytest.mark.parametrize("label, gram", ORACLE_DATA)
@@ -391,7 +395,7 @@ def test_point_flat_and_no_upper_take_the_general_path_to_their_conventions(labe
     identity = weyl_group(d)[0]
     for t in enumerate_spectral_triples(d):
         if t.levi_L.dim == 0:
-            assert t.core == (TauWeyl((), identity),) and t.core[0].lift == identity, t
+            assert t.core == {(): identity} and t.core[()] is identity, t
 
 
 @pytest.mark.parametrize("label, gram", ORACLE_DATA)

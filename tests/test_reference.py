@@ -11,10 +11,10 @@ they are the canonical ``verify --suite all`` shas with the default config
 recorded in CHANGES.md.  They pin the float path on a product group, and
 on B2's 90 computed ``lemma-shift`` cases.  The A1xA3 and G2
 ``verify --suite hull-limit`` shas, also from CHANGES.md, pin the exact
-hull volumes of 4-d hulls and of twelve-chamber hulls.  The G2
-``verify --suite tdisc --suite tempext`` sha pins the order of each class's
+hull volumes of 4-d hulls and of twelve-chamber hulls.  The G2 and A1xA3
+``verify --suite tdisc --suite tempext`` shas pin the order of each class's
 modeled stabilizer (``TauClass.core``), which sets the summation order of
-the float sums of ``tempext``.  Two A2 ``verify --suite residue-1d`` shas
+the float sums of ``tempext``, on rank 2 and on rank 4.  Two A2 ``verify --suite residue-1d`` shas
 pin the 1-d route's bits beyond the default config, and two
 ``verify --suite lemma-shift`` shas, on A2 and B2, pin the flat test
 function's c1 and c2 terms.  The A3 ``verify --suite lemma-shift --suite
@@ -95,6 +95,16 @@ def test_tdisc_tempext_report_matches_pinned_sha(tmp_path):
     args = ["verify", "--group", "G2", "--suite", "tdisc", "--suite", "tempext", "--out", str(tmp_path)]
     assert cli_main(args) == 0
     assert hashlib.sha256((tmp_path / "report-G2.json").read_bytes()).hexdigest() == TEMPEXT_G2
+
+
+# the same suites on A1xA3: the one rank-4 pin of the core order that tempext's sums read
+TEMPEXT_A1XA3 = "63a585691e167ebec44b75ec1b85edd530013b272546630029f53478fe02b5c0"
+
+
+def test_rank4_tdisc_tempext_report_matches_pinned_sha(tmp_path):
+    args = ["verify", "--group", "A1xA3", "--suite", "tdisc", "--suite", "tempext", "--out", str(tmp_path)]
+    assert cli_main(args) == 0
+    assert hashlib.sha256((tmp_path / "report-A1xA3.json").read_bytes()).hexdigest() == TEMPEXT_A1XA3
 
 
 # canonical A2 verify --suite residue-1d report shas with two non-default 1-d configs: a density with

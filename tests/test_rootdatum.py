@@ -1,14 +1,18 @@
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fraction_refs import ref_mat_mul as mat_mul
+from fraction_refs import ref_reflection_perms
 from gmcalc.errors import DimensionError, UnsupportedType
 from gmcalc.exactlin import identity, mat, mat_vec, transpose
 from gmcalc.rootdatum import (
+    _SIMPLE_GRAM,
+    MAX_RANK,
     RatVec,
     act,
     build_root_system,
@@ -225,3 +229,19 @@ def test_float_row_is_built_once_per_dual_and_datum():
     row = first.float_row(v)
     assert first.float_row(v) is row and first.float_row(RatVec.of(v.coords)) is row
     assert second.float_row(v) == row and second.float_row(v) is not row
+
+
+# every supported type and every product of them up to the rank cap, and the override forms of test_overrides
+PRODUCTS = [
+    "x".join(combo)
+    for k in range(1, MAX_RANK + 1)
+    for combo in combinations_with_replacement(sorted(_SIMPLE_GRAM), k)
+    if sum(len(_SIMPLE_GRAM[f]) for f in combo) <= MAX_RANK
+]
+OVERRIDES = [("A2", [["6", "-3"], ["-3", "6"]]), ("A2", [["1", "-1/2"], ["-1/2", "1"]])]
+
+
+@pytest.mark.parametrize("label, gram", [(g, None) for g in PRODUCTS] + OVERRIDES)
+def test_integer_reflection_perms_equal_the_cartan_table(label, gram):
+    d = build_root_system(label, gram)
+    assert d.reflection_perms == ref_reflection_perms(d)

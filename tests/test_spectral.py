@@ -6,6 +6,7 @@ from fraction_refs import (
     ref_chamber_test,
     ref_coords_in_basis,
     ref_fixed_space,
+    ref_flat_reflection,
     ref_k_constant,
     ref_levi_L,
     ref_n_constant,
@@ -13,10 +14,19 @@ from fraction_refs import (
 
 from gmcalc.errors import NotARoot, NotChamberStabilizer, NotSubsystem
 from gmcalc.gmfamily import ScalarRootFns
-from gmcalc.levilattice import enumerate_levis, gfull, levi_lattice, mzero, restricted_rays
+from gmcalc.levilattice import (
+    chamber_witnesses,
+    coord_map,
+    enumerate_levis,
+    gfull,
+    levi_lattice,
+    mzero,
+    restricted_rays,
+)
 from gmcalc.rootdatum import RatVec, act, build_root_system, int_act, weyl_group
 from gmcalc.spectral import (
     _brute_force_discrete,
+    _flat_reflection,
     _chamber_test,
     _fixed_dim,
     _fixes_flat,
@@ -226,6 +236,12 @@ def test_closed_subsystem_counts():
     assert len(closed_subsystems(d2)) == 8
 
 
+def _scaled(t, m):
+    """A Fraction matrix on the home flat times the home's one positive scale, the convention of the core's keys."""
+    scale = coord_map(t.levi_L)[3]
+    return tuple(tuple(scale * x for x in row) for row in m)
+
+
 @pytest.mark.parametrize("label", ["A2", "B2", "G2", "A3"])
 def test_on_home_matches_basis_loop(label):
     from gmcalc.spectral import _on_home
@@ -234,12 +250,12 @@ def test_on_home_matches_basis_loop(label):
     for triple in enumerate_spectral_triples(d):
         t = tau_class(triple)
         basis = t.levi_L.basis
-        for u in t.core:
+        for m, w in t.core.items():
             if not basis:
                 continue
-            rows = [ref_coords_in_basis(mat_vec(u.lift.matrix, b), basis) for b in basis]
+            rows = [ref_coords_in_basis(mat_vec(w.matrix, b), basis) for b in basis]
             assert None not in rows
-            assert _on_home(t, u.lift) == transpose(mat(rows)) == u.mat
+            assert _on_home(t, w) == _scaled(t, transpose(mat(rows))) == m
     homes = {t.levi_L: t for t in enumerate_spectral_triples(d) if t.levi_L.dim}
     moved = 0
     for t in homes.values():
@@ -247,7 +263,7 @@ def test_on_home_matches_basis_loop(label):
         basis = t.levi_L.basis
         for w in weyl_group(d):
             rows = [ref_coords_in_basis(mat_vec(w.matrix, b), basis) for b in basis]
-            want = None if None in rows else transpose(mat(rows))
+            want = None if None in rows else _scaled(t, transpose(mat(rows)))
             assert _on_home(t, w) == want, (t.levi_L.label, w)
             moved += want is None
     assert moved
@@ -256,11 +272,14 @@ def test_on_home_matches_basis_loop(label):
 CORE_PAIRS = {"A2": 18, "B2": 44, "G2": 76, "A3": 114, "A1xA3": 456}  # (class, core element) pairs
 
 
-def ref_apply_tau(t, u, point):
-    """u on a point of the home flat through its basis matrix: the route chamber_transitivity took."""
+def ref_apply_tau(t, m, point):
+    """A core key on a point of the home flat through its basis matrix over the home's scale: the route
+    chamber_transitivity took."""
     home = t.levi_L
+    scale = coord_map(home)[3]
     c = ref_coords_in_basis(point.coords, home.basis)
-    return combine(mat_vec(u.mat, c), home.basis, t.datum.rank) if home.dim else point.coords
+    matrix = tuple(tuple(Fraction(x, scale) for x in row) for row in m)
+    return combine(mat_vec(matrix, c), home.basis, t.datum.rank) if home.dim else point.coords
 
 
 @pytest.mark.parametrize("label", ["A2", "B2", "G2", "A3", "A1xA3"])
@@ -269,10 +288,10 @@ def test_core_acts_on_the_home_as_its_lift(label):
     d = build_root_system(label)
     pairs = 0
     for t in enumerate_spectral_triples(d):
-        for u in t.core:
-            for p in t.pole_chambers:
+        for m, w in t.core.items():
+            for p in chamber_witnesses(t.levi_L, t.tau_rays).values():
                 x, den = int_row(p.coords)
-                assert ratio_vec(int_act(d, u.lift, x), den) == ref_apply_tau(t, u, p) == act(u.lift, p).coords
+                assert ratio_vec(int_act(d, w, x), den) == ref_apply_tau(t, m, p) == act(w, p).coords
             pairs += 1
     assert pairs == CORE_PAIRS[label]
 
@@ -281,14 +300,45 @@ def test_core_acts_on_the_home_as_its_lift(label):
 def test_core_checks_fail_on_a_core_cut_to_the_identity(label):
     d = build_root_system(label)  # a datum of its own: the cut stays on its classes
     ident = tuple(range(len(d.roots)))
-    classes = [t for t in enumerate_spectral_triples(d) if len(t.pole_chambers) > 1]
+    classes = [t for t in enumerate_spectral_triples(d) if len(chamber_witnesses(t.levi_L, t.tau_rays)) > 1]
     assert classes
     for t in classes:
         assert chamber_transitivity(t) and reflections_in_core(t)
-        t.__dict__["core"] = tuple(u for u in t.core if u.lift.perm == ident)
+        t.__dict__["core"] = {m: w for m, w in t.core.items() if w.perm == ident}
         assert len(t.core) == 1
         assert not chamber_transitivity(t)
         assert not reflections_in_core(t)
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "G2"])
+def test_reflections_in_core_fails_without_one_pole_ray_reflection(label):
+    d = build_root_system(label)  # a datum of its own: the cut stays on its classes
+    cuts = 0
+    for t in enumerate_spectral_triples(d):
+        core = t.core
+        for ray in t.tau_rays:
+            t.__dict__["core"] = {m: w for m, w in core.items() if m != _flat_reflection(t, ray)}
+            assert len(t.core) == len(core) - 1, (t, ray.key)
+            assert not reflections_in_core(t), (t, ray.key)
+            cuts += 1
+        t.__dict__["core"] = core
+        assert reflections_in_core(t)
+    assert cuts
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "G2", "A3", "A1xA3"])
+def test_ray_reflections_equal_the_fraction_reference_times_the_scale(label):
+    # every ray of every home, pole rays included: the scaled reference where it is integral, None where not
+    d = build_root_system(label)
+    homes = {t.levi_L: t for t in enumerate_spectral_triples(d)}
+    off = 0
+    for t in homes.values():
+        for ray in restricted_rays(t.levi_L):
+            want = _scaled(t, ref_flat_reflection(t, ray))
+            integral = all(x.denominator == 1 for row in want for x in row)
+            assert _flat_reflection(t, ray) == (want if integral else None), (t.levi_L.label, ray.key)
+            off += not integral
+    assert off if label in ("A3", "A1xA3") else not off
 
 
 def _nbeta_by_projection(t):
@@ -353,3 +403,18 @@ def test_fixed_spaces_on_integer_rows_equal_the_fraction_kernel(label):
         assert t.levi_L == ref_levi_L(t), t
         for upper in enumerate_levis(d, lower=t.levi_L):
             assert _brute_force_discrete(t, upper) == ref_brute_force_discrete(t, upper), (t, upper.label)
+
+
+def _partition_holds(t):
+    """2 sum n_beta = |sigma \\ Phi_home|: the vanishing roots off the home are split among its rays."""
+    return 2 * sum(t.nbeta[ray.key] for ray in restricted_rays(t.levi_L)) == len(t.sigma_roots - t.levi_L.root_subset)
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "G2", "A3", "A1xA3"])
+def test_nbeta_partition_the_vanishing_roots_off_the_home(label):
+    classes = enumerate_spectral_triples(build_root_system(label))
+    assert all(_partition_holds(t) for t in classes)
+    # a class with one n_beta doubled breaks the count
+    t = next(t for t in classes if t.tau_rays)
+    key = t.tau_rays[0].key
+    assert not _partition_holds(tau_class(t, mult={key: 2 * t.nbeta[key]}))
