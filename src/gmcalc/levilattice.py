@@ -53,7 +53,6 @@ from .exactlin import (
     Vec,
     combine,
     gram_det,
-    gram_matrix,
     idot,
     int_det,
     int_gram_det,
@@ -68,7 +67,7 @@ from .exactlin import (
     solve,
     sym_pair,
 )
-from .rootdatum import RatVec, RootDatum, WeylElement, compose, kept, reflect_subgroup, weyl_group
+from .rootdatum import RatVec, RootDatum, WeylElement, kept, weyl_group
 
 IntRows = tuple[tuple[int, ...], ...]
 
@@ -504,7 +503,7 @@ def chamber_cells(M: Levi) -> dict[int, tuple[WeylElement, ...]]:
         idx = by_pos.get(tuple(img_pos))
         if idx is not None:
             cells[idx].append(w)
-    expected = len(reflect_subgroup(d, M.root_subset))
+    expected = len(weyl_group(d)) // len(weyl_cosets(M))  # |W_M|, by Lagrange
     for idx, ws in cells.items():
         if len(ws) != expected:
             raise InternalInconsistency("chamber cell has unexpected size")
@@ -587,18 +586,23 @@ def coord_map(M: Levi) -> tuple[IntRows, int, IntRows, int, Fraction]:
     """The basis coordinate map of a_M in integer rows, its inverse check, and det G; built once per Levi
     from the flat's one Gram solve.
 
-    With B the basis rows, S the form and G = B S B^T, one fraction-free
-    solve of G X = B S gives the map X = G^-1 B S as C / c, and det G; B is
-    E / e in integer rows.  Returned: C, c, E^T, e c and det G.  A point x of
-    a_M has coordinates C x / c, and x lies in a_M exactly when
+    With the basis rows B = E / e and the form S = T / s in integer rows,
+    the rows F = E T give B S = F / (e s) and G = B S B^T = F E^T / (e^2 s),
+    so one fraction-free solve of F E^T X' = F on integers gives the map
+    X = G^-1 B S = e X' as C / c, X' = C' / c' reduced by g = gcd(e, c'), and
+    det G = det(F E^T) / (e^2 s)^dim.  Returned: C, c, E^T, e c and det G.
+    A point x of a_M has coordinates C x / c, and x lies in a_M exactly when
     E^T (C x) = e c x (``flat_coords``).  ``flat_projector`` reads the
     projection E^T C / (e c) off the same rows.
     """
-    S = M.datum.gram
-    cmap, c, disc = solve(gram_matrix(M.basis, S), [mat_vec(S, b) for b in M.basis])
+    gram, s = M.datum.int_gram
     basis, e = int_mat(M.basis)
+    forms = [int_mat_vec(gram, b) for b in basis]
+    cmap, c, disc = solve([int_mat_vec(basis, f) for f in forms], forms)
+    g = gcd(e, c)
+    cmap, c = tuple(tuple(e // g * x for x in row) for row in cmap), c // g
     lift = tuple(tuple(row[k] for row in basis) for k in range(M.datum.rank))
-    return cmap, c, lift, e * c, disc
+    return cmap, c, lift, e * c, disc / (e * e * s) ** M.dim
 
 
 def flat_coords(M: Levi, x: Sequence[int]) -> tuple[int, ...] | None:
@@ -712,14 +716,13 @@ def trand_check(d: RootDatum) -> Iterator[tuple[tuple[str, ...], QuadConst, Quad
         ups_m1 = enumerate_levis(d, lower=m1)
         for m in ups_m1:
             for s1 in ups_m1:
-                ups_both = enumerate_levis(d, lower=_join(m, s1))  # the S >= M, S >= S1
+                # the S >= M, S >= S1 with a nonzero first factor d_{M1}^S(M, S1), which no G1 changes
+                firsts = [(s, d_constant(m1, m, s1, upper=s)) for s in enumerate_levis(d, lower=_join(m, s1))]
+                firsts = [(s, first) for s, first in firsts if not first.is_zero()]
                 for g1 in enumerate_levis(d, lower=s1):
                     lhs = d_constant(m1, m, g1)
                     terms = []
-                    for s in ups_both:
-                        first = d_constant(m1, m, s1, upper=s)
-                        if first.is_zero():
-                            continue
+                    for s, first in firsts:
                         term = first * d_constant(s1, s, g1)
                         if not term.is_zero():
                             terms.append(term)
@@ -728,15 +731,8 @@ def trand_check(d: RootDatum) -> Iterator[tuple[tuple[str, ...], QuadConst, Quad
 
 
 def weyl_cosets(L: Levi) -> list[WeylElement]:
-    """Minimal-length representatives of the cosets w W_L."""
-    d = L.datum
-    sub = [u.perm for u in reflect_subgroup(d, L.root_subset)]
-    seen: set = set()
-    reps = []
-    # weyl_group is sorted by length, so the first unseen element is minimal in its coset
-    for w in weyl_group(d):
-        if w.perm in seen:
-            continue
-        seen.update(compose(w.perm, u) for u in sub)
-        reps.append(w)
-    return reps
+    """Minimal-length representatives of the cosets w W_L, in weyl_group order: w is the one of least length
+    in w W_L exactly when it keeps every positive root of L positive (Dyer, J. Algebra 135, 1990)."""
+    positive = set(L.datum.pos_indices)
+    roots = [i for i in L.root_subset if i in positive]
+    return [w for w in weyl_group(L.datum) if all(w.perm[i] in positive for i in roots)]

@@ -18,10 +18,11 @@ from typing import Any, Iterable, TextIO
 
 SCHEMA = "gmcalc-report-v1"
 _by_id = attrgetter("id")
+_DIGEST_ENCODER = json.JSONEncoder(sort_keys=True, default=str)  # what json.dumps builds per call with these arguments
 
 
 def digest(obj: Any) -> str:
-    return hashlib.sha256(json.dumps(obj, sort_keys=True, default=str).encode()).hexdigest()[:16]
+    return hashlib.sha256(_DIGEST_ENCODER.encode(obj).encode()).hexdigest()[:16]
 
 
 def _scalar(v: Any) -> str:

@@ -27,7 +27,8 @@ the discreteness span test and the independent pole-ray subsets of the
 bounded-extension sweep read each pole ray once per class, as a primitive
 integer row with its n_beta / 2 over one denominator (``TauClass.pole_rows``).
 A class keeps its facts as cached properties; the classes of a datum are
-enumerated once and kept on the datum (``rootdatum.kept``).
+enumerated once and kept on the datum (``rootdatum.kept``), and so is the
+home of each r (``_home``), which the classes sharing r read.
 """
 from __future__ import annotations
 
@@ -101,15 +102,8 @@ class TauClass:
 
     @cached_property
     def levi_L(self) -> Levi:
-        """The elliptic home Levi: the fixed space of r, as the first Levi in lattice order (larger flats
-        first) that r fixes pointwise.  No flat larger than the fixed space is fixed, every r fixes
-        a_G = 0, and the Levi found is the fixed space of r exactly when the dimensions agree."""
-        d, r = self.datum, self.r_elem
-        fixed = _fixed_dim(d, r)
-        home = next(L for L in levi_lattice(d) if L.dim <= fixed and _fixes_flat(d, r, L))
-        if home.dim != fixed:
-            raise InternalInconsistency("fixed space of r is not a flat of the arrangement")
-        return home
+        """The elliptic home Levi: the fixed space of r (``_home``)."""
+        return _home(self.datum, self.r_elem)
 
     @cached_property
     def nbeta(self) -> dict[Vec, Fraction]:
@@ -152,6 +146,18 @@ class TauClass:
                 if m is not None:
                     out.setdefault(m, w)
         return dict(sorted(out.items()))
+
+
+@kept
+def _home(d: RootDatum, r: WeylElement) -> Levi:
+    """The fixed space of r, as the first Levi in lattice order (larger flats first) that r fixes pointwise;
+    built once per datum and r, which many classes share.  No flat larger than the fixed space is fixed,
+    every r fixes a_G = 0, and the Levi found is the fixed space of r exactly when the dimensions agree."""
+    fixed = _fixed_dim(d, r)
+    home = next(L for L in levi_lattice(d) if L.dim <= fixed and _fixes_flat(d, r, L))
+    if home.dim != fixed:
+        raise InternalInconsistency("fixed space of r is not a flat of the arrangement")
+    return home
 
 
 def _fixes_flat(d: RootDatum, w: WeylElement, L: Levi) -> bool:

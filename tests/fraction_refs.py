@@ -20,6 +20,14 @@ reflection reference reads a ``Fraction`` Cartan table of root and coroot
 pairings, where the package reads the integer root forms; the pole-ray
 reflection reference is a ``Fraction`` matrix in the home's basis
 coordinates, where the package keeps that matrix times the home's scale.
+The coordinate-map reference makes its one Gram solve on ``Fraction`` rows,
+where the package solves on the integer rows of the basis and the form.
+Two references are not ``Fraction`` routes but the closures and scans the
+package once ran: the coset reference closes each Levi's reflection subgroup
+and composes every element with it, where the package keeps the elements
+that send the Levi's positive roots to positive roots, and the home
+reference scans the lattice once per class, where the package scans it once
+per r.
 """
 from fractions import Fraction
 from itertools import combinations
@@ -36,6 +44,7 @@ from gmcalc.exactlin import (
     kernel,
     mat_vec,
     rref,
+    solve,
     sym_pair,
     transpose,
     vadd,
@@ -59,6 +68,7 @@ from gmcalc.levilattice import (
     rays_in,
 )
 from gmcalc.rootdatum import RatVec, act, compose, invert, reflect_subgroup, weyl_group
+from gmcalc.spectral import _fixed_dim, _fixes_flat
 
 
 def ref_reflection_perms(d):
@@ -298,6 +308,39 @@ def ref_levi_L(t):
     subset = ref_vanishing_subset(d, fix)
     home = next((L for L in levi_lattice(d) if L.root_subset == subset), None)
     return home if home is not None and home.dim == len(fix) else None
+
+
+def ref_home_scan(t):
+    """The home of a class by its own scan: the first Levi in lattice order that r fixes pointwise, of the
+    dimension of r's fixed space, or None when that Levi is smaller."""
+    d, r = t.datum, t.r_elem
+    fixed = _fixed_dim(d, r)
+    home = next(L for L in levi_lattice(d) if L.dim <= fixed and _fixes_flat(d, r, L))
+    return home if home.dim == fixed else None
+
+
+def ref_weyl_cosets(L):
+    """Minimal-length coset representatives by closure: the reflection subgroup of L's roots, composed with
+    each element of weyl_group in order; the first element not yet reached is minimal in its coset."""
+    d = L.datum
+    sub = [u.perm for u in reflect_subgroup(d, L.root_subset)]
+    seen = set()
+    reps = []
+    for w in weyl_group(d):
+        if w.perm in seen:
+            continue
+        seen.update(compose(w.perm, u) for u in sub)
+        reps.append(w)
+    return reps
+
+
+def ref_coord_map(M):
+    """coord_map by one Gram solve on Fractions: G X = B S with G = B S B^T, B the basis rows and S the form."""
+    S = M.datum.gram
+    cmap, c, disc = solve(gram_matrix(M.basis, S), [mat_vec(S, b) for b in M.basis])
+    basis, e = int_mat(M.basis)
+    lift = tuple(tuple(row[k] for row in basis) for k in range(M.datum.rank))
+    return cmap, c, lift, e * c, disc
 
 
 def ref_brute_force_discrete(t, upper):

@@ -8,6 +8,7 @@ import pytest
 
 from fraction_refs import (
     ref_chambers_of_rays,
+    ref_coord_map,
     ref_coords_in_basis,
     ref_levi_lattice,
     ref_parabolics,
@@ -15,11 +16,13 @@ from fraction_refs import (
     ref_restricted_rays,
     ref_sign_pattern,
     ref_split_constant,
+    ref_weyl_cosets,
 )
 from gmcalc.errors import DimensionError, NotComparable
 from gmcalc.exactlin import int_mat, int_rank, int_row, mat_vec
 from gmcalc.gmfamily import ExpPolyFamily, family_limit, split_subsets
 from gmcalc.levilattice import (
+    Levi,
     QuadConst,
     ThetaValue,
     _join,
@@ -46,7 +49,7 @@ from gmcalc.levilattice import (
     trand_check,
     weyl_cosets,
 )
-from gmcalc.rootdatum import _ROOT_COUNT, _WEYL_ORDER, RatVec, build_root_system, reflect_subgroup, weyl_group
+from gmcalc.rootdatum import _ROOT_COUNT, _WEYL_ORDER, RatVec, RootDatum, build_root_system, reflect_subgroup, weyl_group
 from gmcalc.spectral import enumerate_spectral_triples
 
 # Flat counts: A1 has {M0, G}; A2 adds one line per positive-root kernel;
@@ -191,6 +194,46 @@ def test_weyl_cosets_counts():
     assert len(weyl_cosets(gfull(d))) == 1
     maxes = [L for L in levi_lattice(d) if L.dim == 1]
     assert len(weyl_cosets(maxes[0])) == 3
+
+
+COSET_GROUPS = ["A1", "A2", "B2", "G2", "A3", "A1xA1", "A1xA3", "A2xA2", "B2xB2", "G2xG2", "A1xG2"]
+
+
+def _perms(elements):
+    return [w.perm for w in elements]
+
+
+@pytest.mark.parametrize("label", COSET_GROUPS)
+def test_cosets_by_root_signs_equal_the_closure(label):
+    d = build_root_system(label)
+    for L in levi_lattice(d):
+        # the same representatives in the same order
+        assert _perms(weyl_cosets(L)) == _perms(ref_weyl_cosets(L)), L.label
+
+
+@pytest.mark.parametrize("label", ["B2", "G2"])
+def test_coset_check_fails_on_a_sign_test_missing_one_root(label):
+    d = build_root_system(label)
+    positive = set(d.pos_indices)
+
+    def mutant(L):
+        # weyl_cosets with the least positive root of L dropped from its sign test
+        least = min((i for i in L.root_subset if i in positive), default=None)
+        return weyl_cosets(Levi(d, L.basis, L.root_subset - {least}))
+
+    assert any(_perms(mutant(L)) != _perms(ref_weyl_cosets(L)) for L in levi_lattice(d))
+
+
+def test_cosets_and_chamber_cells_close_no_subgroup(monkeypatch):
+    d = build_root_system("A1xA3")
+    closures = []
+    subgroup = RootDatum.subgroup
+    monkeypatch.setattr(RootDatum, "subgroup", lambda self, gens: closures.append(self) or subgroup(self, gens))
+    assert sum(len(weyl_cosets(L)) for L in levi_lattice(d)) == 393
+    for L in levi_lattice(d):
+        cells = chamber_cells(L)
+        assert {len(ws) for ws in cells.values()} == {len(weyl_group(d)) // len(weyl_cosets(L))}, L.label
+    assert closures == []
 
 
 def test_chamber_cells_cover_all_chambers():
@@ -620,6 +663,15 @@ def test_chambers_equal_the_fraction_chambers(label):
         assert all(_all_fractions([P.chamber_point.coords]) for P in parabolics(M))
         for ray in restricted_rays(M):
             assert _all_fractions([ray.key, ray.rep.coords, ray.dual.coords, [c for _, c in ray.members]])
+
+
+@pytest.mark.parametrize("label, gram", [(g, None) for g in REF_GROUPS + ["A1xA1"]] + [
+    ("A2", [["6", "-3"], ["-3", "6"]]), ("A2", [["1", "-1/2"], ["-1/2", "1"]])
+])
+def test_integer_coord_map_equals_the_fraction_solve(label, gram):
+    d = build_root_system(label, gram)
+    for M in levi_lattice(d):
+        assert repr(coord_map(M)) == repr(ref_coord_map(M)), M.label
 
 
 @pytest.mark.parametrize("label", ["A2", "B2", "G2", "A3", "A1xA3"])

@@ -3,15 +3,17 @@
 The references are the documents the package handed to ``json.dumps(doc, sort_keys=True, indent=2)``
 before it wrote the records and the runtimes entry by entry.
 """
+import hashlib
 import io
 import json
 import math
+from fractions import Fraction
 
 import pytest
 
 import gmcalc.cli
 from gmcalc.config import load_config
-from gmcalc.report import SCHEMA, CheckRecord, SuiteRecords, VerificationReport
+from gmcalc.report import SCHEMA, CheckRecord, SuiteRecords, VerificationReport, digest
 from gmcalc.suites import run_suites
 
 
@@ -106,3 +108,18 @@ def test_cli_writes_what_render_writes(tmp_path, monkeypatch, suites):
     assert bool(report.records) == bool(suites)
     assert (tmp_path / "report-A2.json").read_bytes() == _text(report.render).encode()
     assert (tmp_path / "report-A2.timing.json").read_bytes() == _text(report.render_timing).encode()
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"b": Fraction(-3, 7), "a": (Fraction(1), 2, (Fraction(1, 2), "x"))},
+        {"outer": {"z": [1.5, None, True], "y": {"x": Fraction(5, 3)}}, "inner": ()},
+        {"name": "Weyl–Coxeter ρ∨", "λ": ["γ", "é", "\u2212"]},
+        [Fraction(2, 4), ("a", {"k": Fraction(-1, 9)}), "ü"],
+        "σ", Fraction(7, 2), 0.1,
+    ],
+)
+def test_digest_hashes_the_bytes_of_json_dumps(obj):
+    want = hashlib.sha256(json.dumps(obj, sort_keys=True, default=str).encode()).hexdigest()[:16]
+    assert digest(obj) == want

@@ -7,11 +7,13 @@ from fraction_refs import (
     ref_coords_in_basis,
     ref_fixed_space,
     ref_flat_reflection,
+    ref_home_scan,
     ref_k_constant,
     ref_levi_L,
     ref_n_constant,
 )
 
+from gmcalc import spectral
 from gmcalc.errors import NotARoot, NotChamberStabilizer, NotSubsystem
 from gmcalc.gmfamily import ScalarRootFns
 from gmcalc.levilattice import (
@@ -403,6 +405,24 @@ def test_fixed_spaces_on_integer_rows_equal_the_fraction_kernel(label):
         assert t.levi_L == ref_levi_L(t), t
         for upper in enumerate_levis(d, lower=t.levi_L):
             assert _brute_force_discrete(t, upper) == ref_brute_force_discrete(t, upper), (t, upper.label)
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "G2", "A3", "A1xA3", "G2xG2"])
+def test_home_read_once_per_r_equals_the_per_class_scan(label):
+    for t in enumerate_spectral_triples(build_root_system(label)):
+        assert t.levi_L == ref_home_scan(t), t
+
+
+def test_home_is_built_once_per_r(monkeypatch):
+    d = build_root_system("A1xA3")
+    fixed_dim = spectral._fixed_dim
+    scans = []
+    monkeypatch.setattr(spectral, "_fixed_dim", lambda d, w: scans.append(w.perm) or fixed_dim(d, w))
+    classes = enumerate_spectral_triples(d)
+    homes = [t.levi_L for t in classes] + [tau_class(t, mult={(Fraction(1),) * 4: Fraction(3)}).levi_L for t in classes]
+    assert len(classes) == 141 and len(scans) == len(set(scans)) == 48
+    assert sum(1 for key in d.kept if key[0] is spectral._home) == 48
+    assert all(h is t.levi_L for h, t in zip(homes, classes + classes))
 
 
 def _partition_holds(t):
