@@ -9,8 +9,7 @@ carried as canonical tags next to their numeric coefficients.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import IncompleteInput, NotDiscrete, NotPRegular
 from .exactlin import mat_vec
@@ -69,8 +68,7 @@ def eps_M_sign(d: RootDatum, w: WeylElement, sigma: Sequence[int]) -> int:
 # the sigma model: class + densities + evaluation offset
 
 
-@dataclass(frozen=True)
-class SigmaModel:
+class SigmaModel(NamedTuple):
     """Combinatorial class, its densities, and a generic imaginary offset.
 
     mu_im is the differential of the character (the orbit base point); eval_im
@@ -175,8 +173,7 @@ def assemble_PhiP(
 # the split-torus formal expansion
 
 
-@dataclass(frozen=True)
-class FormalTerm:
+class FormalTerm(NamedTuple):
     coefficient: complex
     levi_label: str
     w_index: int
@@ -184,8 +181,7 @@ class FormalTerm:
     psi_tag: str
 
 
-@dataclass(frozen=True)
-class FormalExpansion:
+class FormalExpansion(NamedTuple):
     terms: tuple[FormalTerm, ...]
 
     def serialize(self) -> list[dict]:

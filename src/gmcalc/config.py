@@ -3,9 +3,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import ConfigError
 from .gmfamily import POLE_HIT_RADIUS, scalar_fn_from_template
@@ -54,8 +54,7 @@ _DEFAULTS = {
 }
 
 
-@dataclass
-class Config:
+class Config(NamedTuple):
     group: str
     gram: list[list[str]] | None
     suites: list[str]
@@ -71,7 +70,7 @@ class Config:
     hull_samples: int
     seed: int
     output_dir: str
-    raw: dict = field(repr=False, default_factory=dict)
+    raw: dict = {}  # the merged input that config_digest reads; never mutated
 
     def resolved_suites(self) -> list[str]:
         if "all" in self.suites:

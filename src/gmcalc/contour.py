@@ -84,7 +84,6 @@ from __future__ import annotations
 import ctypes
 import math
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -136,21 +135,18 @@ def _keep_freed_arrays() -> None:
 _keep_freed_arrays()
 
 
-@dataclass(frozen=True)
 class TestFunction:
     """phi(z) = p(z) exp(scale * z^2): entire, rapidly decaying on vertical lines."""
 
     __test__ = False  # not a pytest class
+    __slots__ = ("coeffs", "scale", "_coeffs", "_scale")
 
-    coeffs: tuple[Fraction, ...]
-    scale: Fraction
-
-    def __post_init__(self):
-        if self.scale <= 0:
+    def __init__(self, coeffs: tuple[Fraction, ...], scale: Fraction):
+        if scale <= 0:
             raise BadShift("test function scale must be positive")
+        self.coeffs, self.scale = coeffs, scale
         # the same values as floats, converted once rather than on every call
-        object.__setattr__(self, "_coeffs", tuple(map(complex, self.coeffs)))
-        object.__setattr__(self, "_scale", float(self.scale))
+        self._coeffs, self._scale = tuple(map(complex, coeffs)), float(scale)
 
     def __call__(self, z):
         return _poly_eval(self._coeffs, z) * np.exp(self._scale * z * z)
@@ -347,7 +343,6 @@ def residue_identity_1d(
 # the contour-shift identity on a flat
 
 
-@dataclass(frozen=True)
 class FlatTestFunction:
     """phi(lam) = (c0 + c1 <lam, v0> + c2 <lam, lam>) exp(scale <lam, lam>).
 
@@ -358,15 +353,19 @@ class FlatTestFunction:
     float form (RootDatum.float_gram).
     """
 
-    c0: float
-    c1: float
-    c2: float
-    scale: float
-    v0: tuple[float, ...]
+    __slots__ = ("c0", "c1", "c2", "scale", "v0")
 
-    def __post_init__(self):
-        if self.c1 == 0:
-            object.__setattr__(self, "v0", ())
+    def __init__(self, c0: float, c1: float, c2: float, scale: float, v0: tuple[float, ...]):
+        self.c0, self.c1, self.c2, self.scale, self.v0 = c0, c1, c2, scale, v0 if c1 != 0 else ()
+
+    def _fields(self) -> tuple:
+        return self.c0, self.c1, self.c2, self.scale, self.v0
+
+    def __eq__(self, other):
+        return self._fields() == other._fields() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
 
     def __call__(self, gram, lam_coords):
         k = len(lam_coords)
@@ -408,8 +407,7 @@ def _orthonormal_basis(L: Levi, first_dirs) -> list[np.ndarray]:
     return out
 
 
-@dataclass
-class _MTermData:
+class _MTermData(NamedTuple):
     """One splitting-sum term: covolume factor and its factors.
 
     Each factor is (density, dual vector, gd), where gd is the float row of
@@ -481,8 +479,7 @@ def _eval_m_terms(reads: tuple[tuple[float, tuple[int, ...]], ...], table: list[
     return total
 
 
-@dataclass(frozen=True)
-class _Grid:
+class _Grid(NamedTuple):
     """The inputs of one tensor quadrature grid over a flat; equal inputs, equal grid.
 
     Axis a runs along onb[a] (ambient float coordinates).  The first
@@ -654,8 +651,7 @@ class _MirrorSum:
         return 0j + _pairwise_join(iter(self.sums), 2 * self.plan.n)
 
 
-@dataclass
-class _Integral:
+class _Integral(NamedTuple):
     """One planned integral of phi * (sum of m-terms) over a flat, measure / (2 pi)^k.
 
     A flat with pole axes has one grid per rung of the delta ladder (deltas)
@@ -703,8 +699,7 @@ class ShiftCase(NamedTuple):
     tol: float
 
 
-@dataclass
-class _ShiftPlan:
+class _ShiftPlan(NamedTuple):
     """The integrals of one case: one per shift, then per (L, S) term of the sum."""
 
     lhs: list[_Integral]
@@ -890,8 +885,7 @@ def _assemble(case: ShiftCase, plan: _ShiftPlan) -> dict:
     }
 
 
-@dataclass
-class ShiftBatch:
+class ShiftBatch(NamedTuple):
     """Outcomes of lemma_shift_batch, in case order.
 
     outcomes[i] is the result dict of case i or the GmcalcError it raised.

@@ -43,10 +43,9 @@ Gram determinants, on integer rows of the relative bases kept on the Levi.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, prod
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import DimensionError, IncompleteInput, InternalInconsistency, NotComparable
 from .exactlin import (
@@ -72,12 +71,21 @@ from .rootdatum import RatVec, RootDatum, WeylElement, kept, weyl_group
 IntRows = tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
 class QuadConst:
     """A real number with rational square, compared exactly on (sign, square)."""
 
-    square: Fraction
-    sign: int
+    __slots__ = ("square", "sign")
+
+    def __init__(self, square: Fraction, sign: int):
+        self.square, self.sign = square, sign
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.square == other.square and self.sign == other.sign
+
+    def __hash__(self):
+        return hash((self.square, self.sign))
 
     @classmethod
     def zero(cls) -> "QuadConst":
@@ -159,8 +167,7 @@ class Levi:
         return f"Levi({self.label}, dim {self.dim})"
 
 
-@dataclass(frozen=True)
-class Ray:
+class Ray(NamedTuple):
     """One +- pair of restricted-root rays on a_M, seen from one side.
 
     key and members name the pair; rep, dual and form are the side's.  The
@@ -208,8 +215,7 @@ class ParabolicChamber:
         )
 
 
-@dataclass(frozen=True)
-class ThetaValue:
+class ThetaValue(NamedTuple):
     """Product of simple coroot pairings together with the covolume normalization."""
 
     product: Fraction

@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _quote
 from math import isfinite
 from operator import attrgetter
-from typing import Any, Iterable, TextIO
+from typing import Any, Iterable, NamedTuple, TextIO
 
 SCHEMA = "gmcalc-report-v1"
 _by_id = attrgetter("id")
@@ -44,8 +43,7 @@ def _write(out: TextIO, doc: dict, key: str, entries: Iterable[str], ends: str) 
     out.write(("\n  " if sep == ",\n" else "") + ends[1] + tail + "\n")
 
 
-@dataclass(slots=True)
-class CheckRecord:
+class CheckRecord(NamedTuple):
     id: str
     anchor: str
     inputs: str
@@ -73,14 +71,20 @@ class SuiteRecords(list):
         self.counters = dict(counters or {})
 
 
-@dataclass
 class VerificationReport:
-    group: str
-    gram: list[list[str]]
-    config_digest: str
-    numerics: dict = field(default_factory=dict)
-    records: list[CheckRecord] = field(default_factory=list)
-    counters: dict[str, int] = field(default_factory=dict)  # sidecar only
+    def __init__(
+        self,
+        group: str,
+        gram: list[list[str]],
+        config_digest: str,
+        numerics: dict | None = None,
+        records: list[CheckRecord] | None = None,
+        counters: dict[str, int] | None = None,  # sidecar only
+    ):
+        self.group, self.gram, self.config_digest = group, gram, config_digest
+        self.numerics = {} if numerics is None else numerics
+        self.records = [] if records is None else records
+        self.counters = {} if counters is None else counters
 
     def extend(self, records: SuiteRecords) -> None:
         self.records.extend(records)

@@ -29,7 +29,6 @@ first use, the Weyl orbit of rho_check over one denominator (``rho_orbit``).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, wraps
 from typing import Callable, Iterable, Sequence
@@ -75,11 +74,19 @@ def kept(fn: Callable) -> Callable:
     return keep
 
 
-@dataclass(frozen=True)
 class RatVec:
     """Point of the ambient rational space (or a functional on it via the form)."""
 
-    coords: Vec
+    __slots__ = ("coords",)
+
+    def __init__(self, coords: Vec):
+        self.coords = coords
+
+    def __eq__(self, other):
+        return self.coords == other.coords if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash((self.coords,))
 
     @classmethod
     def of(cls, xs: Iterable) -> "RatVec":
@@ -114,14 +121,13 @@ class RatVec:
         return "(" + ", ".join(str(x) for x in self.coords) + ")"
 
 
-@dataclass(frozen=True, eq=False)
 class WeylElement:
     """Root permutation, matrix on V, reduced word and position in weyl_group(d)."""
 
-    perm: Perm
-    matrix: Mat
-    word: tuple[int, ...]
-    index: int
+    __slots__ = ("perm", "matrix", "word", "index")
+
+    def __init__(self, perm: Perm, matrix: Mat, word: tuple[int, ...], index: int):
+        self.perm, self.matrix, self.word, self.index = perm, matrix, word, index
 
     def __hash__(self):
         return hash(self.perm)

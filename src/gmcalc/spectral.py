@@ -33,7 +33,6 @@ home of each r (``_home``), which the classes sharing r read.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
@@ -82,20 +81,23 @@ from .rootdatum import (
 )
 
 
-@dataclass(frozen=True, eq=False)
 class TauClass:
     """A spectral parameter: vanishing set, chamber-stabilizing r, multiplicity overrides.
 
     r fixes the chamber of the vanishing set's arrangement that holds the
     least point of rho_check's orbit (``_chamber_test``).  The home Levi (the
     flat fixed by r) and the facts read off it are built on first use and
-    kept here.
+    kept here.  Classes compare by identity.
     """
 
-    datum: RootDatum
-    sigma_roots: frozenset[int]
-    r_elem: WeylElement
-    mult: tuple[tuple[Vec, Fraction], ...] = ()  # sorted (ray key, n) overrides
+    def __init__(
+        self,
+        datum: RootDatum,
+        sigma_roots: frozenset[int],
+        r_elem: WeylElement,
+        mult: tuple[tuple[Vec, Fraction], ...] = (),  # sorted (ray key, n) overrides
+    ):
+        self.datum, self.sigma_roots, self.r_elem, self.mult = datum, sigma_roots, r_elem, mult
 
     def __repr__(self):
         return f"TauClass(|sigma|={len(self.sigma_roots)}, r={self.r_elem.word})"
@@ -229,7 +231,7 @@ def build_spectral_triple(
 
 def tau_class(t: TauClass, mult: Mapping[Vec, Fraction] | None = None) -> TauClass:
     """The class itself, or a copy whose multiplicities n are overridden per ray key."""
-    return replace(t, mult=tuple(sorted(mult.items()))) if mult else t
+    return TauClass(t.datum, t.sigma_roots, t.r_elem, tuple(sorted(mult.items()))) if mult else t
 
 
 # ---------------------------------------------------------------------------

@@ -423,18 +423,18 @@ def test_verify_bad_config_real_process_prints_one_line(tmp_path):
     assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
 
 
-# Runs in a fresh interpreter; prints, per step, which float-layer modules are loaded after it.
+# Runs in a fresh interpreter; prints, per step, which float-layer and introspection modules are loaded after it.
 _FLOAT_LAYER_PROBE = """
 import json, sys
 out = sys.argv[1]
 from gmcalc.cli import main
 import child
 
-float_layer = ("numpy", "gmcalc.contour")
+tracked = ("numpy", "gmcalc.contour", "inspect", "dataclasses")
 loaded = {}
 
 def after(step):
-    loaded[step] = [m for m in float_layer if m in sys.modules]
+    loaded[step] = [m for m in tracked if m in sys.modules]
 
 after("import")
 main(["describe", "--group", "A2"])
@@ -451,7 +451,8 @@ print(json.dumps(loaded))
 
 
 def test_exact_runs_never_load_numpy(tmp_path):
-    # numpy and the contour layer serve the float suites only; exact runs and the bench build skip their import
+    # numpy and the contour layer serve the float suites only; exact runs and the bench build skip their import.
+    # No gmcalc module imports dataclasses, which imports inspect: inspect comes in with numpy only, dataclasses never
     root = Path(__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root / "bench")])}
     proc = subprocess.run(
@@ -460,13 +461,12 @@ def test_exact_runs_never_load_numpy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     loaded = json.loads(proc.stdout.splitlines()[-1])
-    both = ["numpy", "gmcalc.contour"]
     assert loaded == {
         "import": [],
         "describe": [],
         "verify exact suites": [],
         "bench build": [],
-        "verify residue-1d": both,
+        "verify residue-1d": ["numpy", "gmcalc.contour", "inspect"],
     }
 
 

@@ -807,6 +807,35 @@ def test_split_formula_matches_induced_family_a2(template):
     assert abs(combinatorial - analytic) <= 1e-8
 
 
+# cases: every class with a home of positive dimension, every chamber of that home, both density templates
+SPLIT_ROUTE_CASES = {"A1xA1": 48, "A2": 72}
+
+
+@pytest.mark.parametrize("group", sorted(SPLIT_ROUTE_CASES))
+def test_split_terms_match_induced_family_on_every_class_and_chamber(group):
+    # the relative splitting sum over (M, S) = (home, G) against the (G,M)-family limit of the induced family
+    cfg = load_config()
+    d = build_root_system(group)
+    G = gfull(d)
+    lam0 = [0.31j, 0.17j, 0.23j, 0.41j][:d.rank]
+    pairs = []
+    for t in enumerate_spectral_triples(d):
+        home = t.levi_L
+        if home.dim == 0:
+            continue
+        for P in parabolics(home):
+            for template in ({"kind": "pole"}, cfg.m_model):
+                fns = ScalarRootFns.uniform(home, template, t.nbeta)
+                combinatorial = split_terms(fns, home, G, P, _lam_evaluator(d, lam0))
+                analytic = induced_family_value(fns, P, lam0, P.chamber_point)
+                pairs.append((combinatorial, analytic))
+    assert len(pairs) == SPLIT_ROUTE_CASES[group]
+    tol = cfg.tolerances["split_match"]
+    assert max(abs(a - b) for a, b in pairs) <= tol
+    # the routes meet on nonzero values too, not only where both sides vanish
+    assert sum(abs(a) > 1e-3 for a, _ in pairs) >= len(pairs) // 2
+
+
 @pytest.mark.parametrize("template", [
     {"kind": "pole"},
     {"kind": "model_plancherel", "c": "1"},

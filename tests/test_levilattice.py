@@ -24,6 +24,7 @@ from gmcalc.gmfamily import ExpPolyFamily, family_limit, split_subsets
 from gmcalc.levilattice import (
     Levi,
     QuadConst,
+    Ray,
     ThetaValue,
     _join,
     _split_constant,
@@ -144,6 +145,39 @@ def test_theta_improper_chamber_is_one():
     P = parabolics(gfull(d))[0]
     t = theta(P, RatVec.zero(d.rank))
     assert t.product == 1 and t.covol == QuadConst.from_square(1)
+
+
+def _field_variants(make, fields, other_values):
+    """make(*fields) and a copy, then one instance per field with that field replaced by its other value."""
+    same = (make(*fields), make(*fields))
+    changed = [make(*fields[:i], v, *fields[i + 1:]) for i, v in enumerate(other_values)]
+    return same, changed
+
+
+def test_value_classes_compare_and_hash_by_their_fields():
+    # equal and of equal hash exactly when every field is; RatVec and QuadConst are no tuples, so that
+    # + and * are theirs or raise
+    d = build_root_system("A2")
+    ray = restricted_rays(mzero(d))[0]
+    one, two = QuadConst.from_square(1), QuadConst.from_square(2)
+    cases = [
+        _field_variants(RatVec, [(Fraction(1), Fraction(2))], [(Fraction(1), Fraction(3))]),
+        _field_variants(QuadConst, [Fraction(2), 1], [Fraction(3), -1]),
+        _field_variants(ThetaValue, [Fraction(1), one], [Fraction(2), two]),
+        _field_variants(Ray, [ray.key, ray.rep, ray.dual, ray.members, ray.form],
+                        [tuple(-x for x in ray.key), -ray.rep, -ray.dual, ray.members[:1], tuple(-x for x in ray.form)]),
+    ]
+    for (a, b), changed in cases:
+        assert a == b and hash(a) == hash(b) and not a != b
+        for c in changed:
+            assert a != c and not a == c
+    assert -ray != ray and -(-ray) == ray
+    assert QuadConst.from_square(2) == QuadConst(Fraction(2), 1) and QuadConst.zero() == QuadConst(Fraction(0), 0)
+    v = RatVec((Fraction(1), Fraction(2)))
+    assert v != v.coords and v + v == 2 * v == RatVec((Fraction(2), Fraction(4)))
+    for bad in (lambda: two + two, lambda: 2 * two, lambda: len(two), lambda: v * 2):
+        with pytest.raises(TypeError):
+            bad()
 
 
 def test_d_constant_trivial_and_dimension_obstruction():

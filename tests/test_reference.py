@@ -20,9 +20,17 @@ pin the 1-d route's bits beyond the default config, and two
 function's c1 and c2 terms.  The A3 ``verify --suite lemma-shift --suite
 tempext`` sha pins a rank-3 contour-shift run, and the G2 ``verify --suite
 lemma-shift`` sha the G2 grids, which no other pin in this file reads.
+
+The benchmark runs with ``PYTHONHASHSEED=0``, and a user's run has a random
+seed, which orders every set of strings, and of objects hashed through
+strings, differently: the exact-a3 and verify-a2 reports are compared
+across two hash seeds.
 """
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -181,3 +189,26 @@ def test_rank4_build_structure_matches_reference():
         "tau_homes_sha256": _sha("\n".join(tau_class(t).levi_L.label for t in triples)),
     }
     assert got == REFERENCE["build-rank4"]["structure"]
+
+
+# the exact-a3 and verify-a2 workloads, run as the benchmark runs them but for the hash seed
+HASH_SEED_RUNS = {
+    "A2": ["--suite", "all"],
+    "A3": ["--suite", "hull-limit", "--suite", "trand", "--suite", "tdisc", "--suite", "nL-independence"],
+}
+
+
+@pytest.mark.parametrize("group", sorted(HASH_SEED_RUNS))
+def test_report_does_not_depend_on_the_hash_seed(tmp_path, group):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    procs = {}
+    for seed in ("0", "1"):
+        argv = [sys.executable, "-m", "gmcalc.cli", "verify", "--group", group, *HASH_SEED_RUNS[group],
+                "--out", str(tmp_path / seed)]
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed}
+        procs[seed] = subprocess.Popen(argv, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, env=env)
+    for proc in procs.values():
+        _, err = proc.communicate(timeout=300)
+        assert proc.returncode == 0, err.decode()
+    first, second = ((tmp_path / seed / f"report-{group}.json").read_bytes() for seed in procs)
+    assert first == second
