@@ -21,6 +21,12 @@ function's c1 and c2 terms.  The A3 ``verify --suite lemma-shift --suite
 tempext`` sha pins a rank-3 contour-shift run, and the G2 ``verify --suite
 lemma-shift`` sha the G2 grids, which no other pin in this file reads.
 
+The ``verify --suite examples`` shas on G2, C2, A3 and A1xA3, the
+``describe`` stdout on A2, G2 and A1xA3 and the ``eval`` stdout of eight
+expressions pin what the exact kernels print that no report above reads:
+coroots, theta's covolumes, Weyl-moved points and pairings with complex
+points.
+
 The benchmark runs with ``PYTHONHASHSEED=0``, and a user's run has a random
 seed, which orders every set of strings, and of objects hashed through
 strings, differently: the exact-a3 and verify-a2 reports are compared
@@ -212,3 +218,71 @@ def test_report_does_not_depend_on_the_hash_seed(tmp_path, group):
         assert proc.returncode == 0, err.decode()
     first, second = ((tmp_path / seed / f"report-{group}.json").read_bytes() for seed in procs)
     assert first == second
+
+
+# canonical verify --suite examples report shas with the default config: the multipliers, Weyl
+# denominators and coefficient formulas on rank 2 to 4, which read Weyl actions and complex pairings
+EXAMPLES_REPORTS = {
+    "A1xA3": "3519103248be636887e16eb28f977afea59e28875c43434d4422039dd03136ea",
+    "A3": "254aa908e1faf16a06c2b9f5bb53ad23e64140cfb4783c7a1610f40e8094ab3e",
+    "C2": "d10e8b01d9b1ca7a5f54c61f9fcafcfa123f7e0dd9dc0bd9cb51fe4778154300",
+    "G2": "bbb4150c8b6252b6f012c9f96de7a3268fb514c381bcfc59a20432c12fbce8ea",
+}
+
+
+@pytest.mark.parametrize("group", sorted(EXAMPLES_REPORTS))
+def test_examples_report_matches_pinned_sha(tmp_path, group):
+    assert cli_main(["verify", "--group", group, "--suite", "examples", "--out", str(tmp_path)]) == 0
+    assert hashlib.sha256((tmp_path / f"report-{group}.json").read_bytes()).hexdigest() == EXAMPLES_REPORTS[group]
+
+
+# the stdout of describe: the form, the roots with their coroots and the Levi lattice
+DESCRIBE_OUTPUTS = {
+    "A1xA3": "63bcc40474a536dd6d27c12bc225a244598ba0a9e1288112e0d1b23f8cbaf17a",
+    "A2": "28b7cd0349033770b7972df441b91950d47668be2a082b84b6377a3a242e16b1",
+    "G2": "927a89413ebe5c4e065bd859888ad45cbefc0865156b604f9c4f223a7b27f408",
+}
+
+
+@pytest.mark.parametrize("group", sorted(DESCRIBE_OUTPUTS))
+def test_describe_output_matches_pinned_sha(capsys, group):
+    assert cli_main(["describe", "--group", group]) == 0
+    assert _sha(capsys.readouterr().out) == DESCRIBE_OUTPUTS[group]
+
+
+# the stdout of eval: covolumes and products of theta, splitting constants, n^L and k^L, multipliers
+# over Weyl-moved points, Weyl denominators and coefficients at complex points, and formal expansions
+EVAL_OUTPUTS = [
+    ("G2", "theta", {"M": "M0", "chamber": 3, "lambda": ["1/2", "-3"]},
+     "75d71d0ccac75b2f1c840073f8df5e9f888a4d33a2eb5caeab947012e2622ec4"),
+    ("A3", "theta", {"M": "L7.11", "chamber": 1, "lambda": ["1/2", "-3", "2/7"]},
+     "60d5fb60bb75c20400aab7e6b8bd6fa9642d4ee84278d8e94f80c893ddf458d4"),
+    ("G2", "d", {"L1": "M0", "L": "L11", "S": "L10"},
+     "7b86b56c8fb23cd0db74926f23fa48be83c3d091dde0f52d5e63cb5350e0b9c9"),
+    ("A3", "d", {"L1": "M0", "L": "L11", "S": "L8.10"},
+     "071da65ddc724b0d99978e08a797e3c86d4b9dc801c651c99d2c0a1c60faa211"),
+    ("A2", "nL", {"sigma_roots": [0, 1, 2, 3, 4, 5], "L": "G"},
+     "938d589caf4fa6a91afed7cf066149c7788829f5e716ee15759d3a47535a5542"),
+    ("B2", "kL", {"sigma_roots": [0, 7], "L": "G"},
+     "c6713e732325363227e6ecccdef500d3b50abe0dc97c6a9a09e5e272d3ef1bf2"),
+    ("G2", "alpha_X", {"M1": "M0", "nu": ["1/3", "2"], "X": ["1", "-1/2"]},
+     "75ad25a26f5fc9fdffd8c850ee067d2d08b193fdad1148111f3b3bb20caa4b5b"),
+    ("G2", "alpha_X", {"M1": "L11", "nu": ["1/3", "2"], "X": ["1", "-1/2"]},
+     "96f8ad0f088f32d1edb2747bb7cfb80a526393bba3482e9f87484b0bcad5b41f"),
+    ("G2", "delta_Sigma", {"Y": [[0.1, 0.2], [0.3, -0.4]]},
+     "21e1c06a4ebbfb5ca753692d77c7bc99c322925db491141243a22508dee49f70"),
+    ("A2", "c_coeff", {"sigma_roots": [0, 1, 2, 3, 4, 5], "w_word": [0, 1], "L": "M0", "M": "M0", "P": 2, "u": [0, 1]},
+     "875bca5562c9e4b2ca6946adf56555bd5b33fc89edcec13c934d0cc6919833de"),
+    ("G2", "c_coeff", {"sigma_roots": [0, 11], "w_word": [0, 1, 0], "L": "M0", "M": "M0", "P": 3, "u": [0, -1]},
+     "d54e56513b4ac16a5a301dce54aed77867f9adbe994d7f7c649401846dac2432"),
+    ("A2", "phi_TT", {"sigma_roots": [0, 5], "mu": ["1/2", "1/3"], "P": 1},
+     "b38228468d0f55144b92ec9f341415c0505ee7a37f2f7dff8e32c515094215db"),
+    ("G2", "phi_TT", {"sigma_roots": [0, 11], "mu": ["1/2", "1/5"], "P": 1},
+     "f001a8d93766ff6e25b72dbfceeed35363bedf3236c231e8a3485cb4403bd958"),
+]
+
+
+@pytest.mark.parametrize("group, expr, args, sha", EVAL_OUTPUTS, ids=[f"{g}-{e}-{k}" for k, (g, e, _, _) in enumerate(EVAL_OUTPUTS)])
+def test_eval_output_matches_pinned_sha(capsys, group, expr, args, sha):
+    assert cli_main(["eval", "--group", group, "--expr", expr, "--args", json.dumps(args)]) == 0
+    assert _sha(capsys.readouterr().out) == sha
