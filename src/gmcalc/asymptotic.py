@@ -12,7 +12,6 @@ import cmath
 from typing import Mapping, NamedTuple, Sequence
 
 from .errors import IncompleteInput, NotDiscrete, NotPRegular
-from .exactlin import mat_vec
 from .gmfamily import ScalarRootFns, split_terms
 from .levilattice import (
     Levi,
@@ -43,16 +42,17 @@ def multiplier_alpha(M1: Levi, nu_im: RatVec, X: RatVec) -> complex:
     return total / len(sub)
 
 
-def _pair_complex(d: RootDatum, alpha: RatVec, Y: Sequence[complex]) -> complex:
-    ga = mat_vec(d.gram, alpha.coords)
-    return sum(complex(g) * complex(y) for g, y in zip(ga, Y))
+def _pair_complex(d: RootDatum, i: int, Y: Sequence[complex]) -> complex:
+    """The pairing of root i with the complex point Y, read off its integer form over the form's denominator."""
+    _, den = d.int_gram
+    return sum(complex(f / den) * complex(y) for f, y in zip(d.root_forms[i], Y))
 
 
 def weyl_denominator(d: RootDatum, sigma: Sequence[int], Y: Sequence[complex]) -> complex:
     """Product of e^{a(Y)/2} - e^{-a(Y)/2} over the positive system sigma."""
     total = 1.0 + 0j
     for i in sigma:
-        u = _pair_complex(d, d.roots[i], Y) / 2
+        u = _pair_complex(d, i, Y) / 2
         total *= cmath.exp(u) - cmath.exp(-u)
     return total
 

@@ -90,7 +90,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .errors import BadShift, GmcalcError, NoConvergence, NotComparable
-from .exactlin import int_mat_vec, int_row, ratio_vec, sym_pair
+from .exactlin import int_mat_vec, int_row, ratio_vec
 from .gmfamily import ScalarFn, ScalarRootFns, _poly_eval, split_subsets
 from .levilattice import (
     Levi,
@@ -102,7 +102,7 @@ from .levilattice import (
     gfull,
     parabolics,
 )
-from .rootdatum import RootDatum, kept
+from .rootdatum import RatVec, RootDatum, kept
 from .spectral import TauClass, n_constant
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
@@ -712,7 +712,7 @@ class _ShiftPlan(NamedTuple):
 def _require_orthogonal(d: RootDatum, dirs) -> None:
     for a in range(len(dirs)):
         for b in range(a + 1, len(dirs)):
-            if sym_pair(d.gram, dirs[a], dirs[b]) != 0:
+            if d.pair(RatVec(dirs[a]), RatVec(dirs[b])) != 0:
                 raise NotComparable("pole walls are not orthogonal; configuration out of scope")
 
 

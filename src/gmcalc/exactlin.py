@@ -3,20 +3,16 @@
 Vectors are tuples of Fractions, matrices are tuples of row tuples.
 Everything here is pure and deterministic; no floating point.
 
-Invariant: normalised ``Fraction``s in and out, integer arithmetic inside.
-The products (``sym_pair``, ``mat_vec``) accumulate integer numerators over
-one running denominator, and everything built on elimination (``rref``,
-``kernel``, ``solve``, ``mat_inv``, ``det``) is fraction-free (Bareiss
-1968) on integer rows.
-Each result entry becomes a ``Fraction`` once, at the end, so it costs one
-gcd instead of one per multiply and add.  Only the entrywise helpers
-``vadd``, ``vsub`` and ``vscale`` use ``Fraction``s.
-
-Hot exact kernels skip the ``Fraction`` ends as well: ``int_row`` and
+Each exact operation has one kernel, on integer rows: ``int_row`` and
 ``int_mat`` write rationals as integer rows over one positive denominator,
-``solve`` returns its solution that way, ``int_mat_vec``, ``idot``,
-``int_det``, ``int_gram_det``, ``int_rank`` and ``int_primitive`` work on
-those rows alone, and ``ratio_vec`` turns a row back into ``Fraction``s.
+``idot`` and ``int_mat_vec`` multiply such rows, ``int_det``,
+``int_gram_det``, ``int_rank`` and ``int_primitive`` work on them alone,
+and everything built on elimination (``rref``, ``int_det``, ``int_rank``,
+``solve``) is fraction-free (Bareiss 1968).  ``Fraction``s appear only at
+the edges: ``rref`` and ``ratio_vec`` turn rows back into normalised
+``Fraction``s, one gcd per entry at the end, ``solve`` takes rational rows
+and returns its solution as integer rows over one denominator, and the
+entrywise helpers ``vadd``, ``vsub`` and ``vscale`` work on ``Fraction``s.
 With one positive denominator, signs and the lexicographic order of the
 numerators are those of the rationals.
 """
@@ -32,7 +28,6 @@ Vec = tuple[Fraction, ...]
 Mat = tuple[tuple[Fraction, ...], ...]
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def frac(x) -> Fraction:
@@ -72,13 +67,9 @@ def _ratio(num: int, den: int) -> Fraction:
     return Fraction(num) if den == 1 else Fraction(num, den)
 
 
-def _ratios(u: Iterable[Fraction]) -> list[tuple[int, int]]:
-    return [a.as_integer_ratio() for a in u]
-
-
 def int_row(u: Iterable[Fraction]) -> tuple[list[int], int]:
     """Integer numerators of u over the least common denominator of its entries."""
-    pairs = _ratios(u)
+    pairs = [a.as_integer_ratio() for a in u]
     den = 1
     for _, d in pairs:
         if d != 1:
@@ -108,26 +99,6 @@ def int_mat_vec(m: Sequence[Sequence[int]], v: Sequence[int]) -> tuple[int, ...]
     return tuple(sum(map(mul, row, v)) for row in m)
 
 
-def _dot_ratios(u: Iterable[Fraction], vs: Sequence[tuple[int, int]]) -> Fraction:
-    """u . v for v given as (numerator, denominator) pairs; zero terms are skipped."""
-    num, den = 0, 1
-    for a, (bn, bd) in zip(u, vs, strict=True):
-        if not bn:
-            continue
-        an, ad = a.as_integer_ratio()
-        if not an:
-            continue
-        d = ad * bd
-        if d == den:
-            num += an * bn
-        elif d == 1:
-            num += an * bn * den
-        else:
-            num = num * d + an * bn * den
-            den *= d
-    return _ratio(num, den)
-
-
 def is_zero_vec(u: Vec) -> bool:
     return all(a == 0 for a in u)
 
@@ -136,55 +107,8 @@ def mat(rows: Iterable[Iterable]) -> Mat:
     return tuple(vec(r) for r in rows)
 
 
-def identity(n: int) -> Mat:
-    return tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
-
-
 def transpose(m: Mat) -> Mat:
     return tuple(zip(*m)) if m else ()
-
-
-def mat_vec(m: Mat, v: Vec) -> Vec:
-    vs = _ratios(v)
-    return tuple(_dot_ratios(row, vs) for row in m)
-
-
-def sym_pair(S: Mat, u: Vec, v: Vec) -> Fraction:
-    """The form (S u) . v, summed in one double loop over the nonzero terms."""
-    us = _ratios(u)
-    if len(us) != len(S):
-        raise ValueError("sym_pair: vector and form of different lengths")
-    num, den = 0, 1
-    for a, row in zip(v, S, strict=True):
-        an, ad = a.as_integer_ratio()
-        if not an:
-            continue
-        for s, (bn, bd) in zip(row, us, strict=True):
-            if not bn:
-                continue
-            sn, sd = s.as_integer_ratio()
-            if not sn:
-                continue
-            d = ad * sd * bd
-            p = an * sn * bn
-            if d == den:
-                num += p
-            elif d == 1:
-                num += p * den
-            else:
-                num = num * d + p * den
-                den *= d
-    return _ratio(num, den)
-
-
-def gram_matrix(vectors: Sequence[Vec], S: Mat) -> Mat:
-    """The matrix of the symmetric form S on the vectors; one triangle is computed and mirrored."""
-    k = len(vectors)
-    g = [[ZERO] * k for _ in range(k)]
-    for i, u in enumerate(vectors):
-        for j in range(i, k):
-            g[i][j] = g[j][i] = sym_pair(S, u, vectors[j])
-    return tuple(map(tuple, g))
 
 
 # ---------------------------------------------------------------------------
@@ -249,11 +173,6 @@ def int_det(rows: Sequence[Sequence[int]]) -> int:
     return sign * d if len(pivots) == n else 0
 
 
-def det(m: Mat) -> Fraction:
-    rows, dens = _int_rows(m)
-    return Fraction(int_det(rows), prod(dens))
-
-
 def rref(rows: Sequence[Vec]) -> list[Vec]:
     """Reduced row echelon form with zero rows dropped (canonical basis of the row space)."""
     if not rows:
@@ -268,22 +187,6 @@ def int_rank(rows: Sequence[Sequence[int]]) -> int:
     if not rows:
         return 0
     return len(_eliminate(list(rows), len(rows[0]))[0])
-
-
-def kernel(rows: Sequence[Vec], n: int) -> list[Vec]:
-    """Canonical basis of {x : row . x = 0 for every row}, vectors of length n."""
-    work, _ = _int_rows(rows)
-    pivots, d, _ = _eliminate(work, n)
-    basis = []
-    for f in range(n):
-        if f in pivots:
-            continue
-        x = [ZERO] * n
-        x[f] = ONE
-        for row, p in zip(work, pivots):
-            x[p] = _ratio(-row[f], d)
-        basis.append(tuple(x))
-    return basis
 
 
 def solve(m: Mat, rhs: Sequence[Vec]) -> tuple[tuple[tuple[int, ...], ...], int, Fraction]:
@@ -302,17 +205,6 @@ def solve(m: Mat, rhs: Sequence[Vec]) -> tuple[tuple[tuple[int, ...], ...], int,
         raise ZeroDivisionError("singular matrix")
     g = gcd(d, *(x for row in work for x in row[n:])) * (1 if d > 0 else -1)
     return tuple(tuple(x // g for x in row[n:]) for row in work), d // g, Fraction(sign * d, prod(dens))
-
-
-def mat_inv(m: Mat) -> Mat:
-    inv, den, _ = solve(m, identity(len(m)))
-    return tuple(ratio_vec(row, den) for row in inv)
-
-
-def gram_det(vectors: Sequence[Vec], S: Mat) -> Fraction:
-    if not vectors:
-        return ONE
-    return det(gram_matrix(vectors, S))
 
 
 def int_gram_det(rows: Sequence[Sequence[int]], forms: Sequence[Sequence[int]]) -> int:

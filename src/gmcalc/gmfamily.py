@@ -38,12 +38,10 @@ from .errors import (
 )
 from .exactlin import (
     Vec,
-    gram_det,
     idot,
     int_mat,
     int_mat_vec,
     int_row,
-    mat_vec,
     primitive_ray,
     ratio_vec,
 )
@@ -56,16 +54,16 @@ from .levilattice import (
     contains,
     coord_map,
     flat_coords,
-    flat_projector,
     form_signs,
     hull_simplices,
     limit_frame,
     parabolics,
     rays_in,
+    rel_projector,
     restricted_rays,
     theta,
 )
-from .rootdatum import RatVec, WeylElement, invert, kept
+from .rootdatum import RatVec, WeylElement, act, invert, kept
 
 
 # ---------------------------------------------------------------------------
@@ -393,8 +391,7 @@ class ScalarRootFns:
     def value(self, beta: RatVec, z: complex, w: WeylElement | None = None, conj: bool = False) -> complex:
         """Evaluate the density of beta at z, optionally Weyl-moved or contragredient."""
         if w is not None:
-            winv = self.levi.datum.element(invert(w.perm))
-            beta = RatVec(mat_vec(winv.matrix, beta.coords))
+            beta = act(self.levi.datum.element(invert(w.perm)), beta)
         return density_at(self.fn(beta), -z if conj else z, beta)
 
 
@@ -419,9 +416,7 @@ def split_subsets(
     subset is the one term, of weight the empty Gram determinant 1.
     """
     d = L1.datum
-    (pm, m_den), (ps, s_den) = flat_projector(M), flat_projector(S)
-    den = m_den * s_den
-    rel = [[a * s_den - b * m_den for a, b in zip(ra, rb)] for ra, rb in zip(pm, ps)]
+    rel, den = rel_projector(M, S)
     candidates = []
     rays = rays_in(L1, S)
     signs = form_signs(d, [ray.form for ray in rays], int_row(Q1.chamber_point.coords)[0])
@@ -433,7 +428,7 @@ def split_subsets(
             candidates.append((neg.rep, neg.dual, ratio_vec(proj, den * dual_den)))
     terms = []
     for subset in combinations(candidates, M.dim - S.dim):
-        sq = gram_det([proj for _, _, proj in subset], d.gram)
+        sq = d.volume_sq([proj for _, _, proj in subset])
         if sq:
             terms.append((QuadConst.from_square(sq), [(rep_neg, dual_neg) for rep_neg, dual_neg, _ in subset]))
     return terms

@@ -21,7 +21,8 @@ two data built from the same label own separate lattices.
 Each flat runs one Gram solve (``coord_map``), and every projection onto
 it is read off that solve's integer projector (``flat_projector``): the
 projected roots, the projected rho_check orbit, the pole directions of the
-contour plan and, as P_M - P_S, the duals of the splitting sum.
+contour plan and, as P_M - P_S (``rel_projector``), the duals of the splitting
+sum and the relative bases of the splitting constants.
 
 Three facts come from one integer route each, on rows over one positive
 denominator (``exactlin.int_row``): the signs of root or ray walls at a point
@@ -51,7 +52,6 @@ from .errors import DimensionError, IncompleteInput, InternalInconsistency, NotC
 from .exactlin import (
     Vec,
     combine,
-    gram_det,
     idot,
     int_det,
     int_gram_det,
@@ -59,16 +59,11 @@ from .exactlin import (
     int_mat_vec,
     int_primitive,
     int_row,
-    kernel,
-    mat_vec,
     ratio_vec,
     rref,
     solve,
-    sym_pair,
 )
-from .rootdatum import RatVec, RootDatum, WeylElement, kept, weyl_group
-
-IntRows = tuple[tuple[int, ...], ...]
+from .rootdatum import IntRows, RatVec, RootDatum, WeylElement, kept, weyl_group
 
 
 class QuadConst:
@@ -101,6 +96,8 @@ class QuadConst:
         return cls(sq, 1 if sign > 0 else -1)
 
     def __mul__(self, other: "QuadConst") -> "QuadConst":
+        if other.__class__ is not self.__class__:
+            return NotImplemented
         if not self.sign or not other.sign:
             return _ZERO
         return QuadConst(self.square * other.square, self.sign * other.sign)
@@ -230,16 +227,6 @@ class ThetaValue(NamedTuple):
 def _vanishing_subset(d: RootDatum, rows: Sequence[Sequence[int]]) -> frozenset[int]:
     """The indices of the roots whose forms vanish on every integer row."""
     return frozenset(i for i, f in enumerate(d.root_forms) if not any(idot(f, b) for b in rows))
-
-
-def flat_kernel(d: RootDatum, basis: Sequence[Vec], forms: Iterable[Vec]) -> list[Vec]:
-    """Ambient vectors spanning the part of span(basis) on which every form pairs to zero.
-
-    The kernel basis is computed in the coordinates of basis and mapped back
-    unreduced, so callers that weight the vectors see a fixed basis.
-    """
-    rows = [tuple(sym_pair(d.gram, f, b) for b in basis) for f in forms]
-    return [combine(kv, basis, d.rank) for kv in kernel(rows, len(basis))]
 
 
 @kept
@@ -583,7 +570,7 @@ def theta(P: ParabolicChamber, lam: RatVec) -> ThetaValue:
     product = Fraction(1)
     for a in simples:
         product *= d.pair(lam, a.dual)
-    covol = QuadConst.from_square(gram_det([a.dual.coords for a in simples], d.gram))
+    covol = QuadConst.from_square(d.volume_sq([a.dual.coords for a in simples]))
     return ThetaValue(product, covol)
 
 
@@ -651,13 +638,22 @@ def limit_frame(M: Levi, direction: RatVec | None) -> tuple[tuple[tuple[int, ...
         q_num = abs(int_det([int_mat_vec(cmap, v) for v, _ in duals]))
         q_p = Fraction(q_num, c ** M.dim * prod(e for _, e in duals))
         scales.append(q_p / prod(d.pair(lam0, a.dual) for a in simples))
-    row, den = int_row(mat_vec(d.gram, lam0.coords))
-    return (tuple(row), den), tuple(scales)
+    gram, s = d.int_gram
+    x, den = int_row(lam0.coords)
+    return (int_mat_vec(gram, x), s * den), tuple(scales)
+
+
+def rel_projector(L: Levi, upper: Levi) -> tuple[list[list[int]], int]:
+    """P_L - P_upper for a_upper in a_L, the projection onto the part of a_L orthogonal to a_upper, as
+    integer rows over one positive denominator, read off the two kept projectors."""
+    (pl, l_den), (pu, u_den) = flat_projector(L), flat_projector(upper)
+    return [[a * u_den - b * l_den for a, b in zip(ra, rb)] for ra, rb in zip(pl, pu)], l_den * u_den
 
 
 def _rel_basis(L: Levi, upper: Levi) -> tuple[Vec, ...]:
-    """Basis of the part of a_L orthogonal to a_upper, in reduced row echelon form (L's own basis for G)."""
-    return tuple(rref(flat_kernel(L.datum, L.basis, upper.basis)))
+    """Basis of the part of a_L orthogonal to a_upper, in reduced row echelon form (L's own basis for G):
+    the RREF of the columns of ``rel_projector``, which span its image."""
+    return tuple(rref(list(zip(*rel_projector(L, upper)[0]))))
 
 
 @kept

@@ -15,17 +15,19 @@ read off the integer root rows and forms f_i (``root_forms``) through
 s_i(alpha_j) = alpha_j - (2 f_i.alpha_j / f_i.alpha_i) alpha_i, integral
 once the closure has passed, and closure, membership, products, inverses
 and commutation work on these integer tuples.  The matrix of an element is
-derived from its permutation with no arithmetic: column j is
-w(alpha_{simple j}), a root.  Each datum closes its Weyl group once and
-indexes it by permutation, so every element that any caller holds is one
-of the group's own objects.
+an integer matrix derived from its permutation with no arithmetic: column j
+is the root row of w(alpha_{simple j}).  Each datum closes its Weyl group
+once and indexes it by permutation, so every element that any caller holds
+is one of the group's own objects.
 
-The exact kernels that run once per Weyl element read integer forms: the
-root coordinates (``root_rows``), through which ``int_act`` applies an
-element to integer numerators, the form and the forms S alpha of the roots
-as integer rows over one denominator (``int_gram``, ``root_forms``), which
-every reflection and every sign test of a root wall read, and, built on
-first use, the Weyl orbit of rho_check over one denominator (``rho_orbit``).
+Every exact kernel of the datum reads integer forms: an element acts on
+integer numerators through its matrix (``exactlin.int_mat_vec``; ``act``
+wraps that for rational points), the form and the forms S alpha of the
+roots are integer rows over one denominator (``int_gram``, ``root_forms``),
+which every reflection, every sign test of a root wall, the coroots,
+``pair`` and the Gram determinants of ``volume_sq`` read, and, built on
+first use, the Weyl orbit of rho_check is kept over one denominator
+(``rho_orbit``).
 """
 from __future__ import annotations
 
@@ -37,16 +39,16 @@ from .errors import DimensionError, NotARoot, UnsupportedType
 from .exactlin import (
     Mat,
     Vec,
-    det,
     frac,
     idot,
+    int_det,
+    int_gram_det,
     int_mat,
     int_mat_vec,
     int_row,
     mat,
-    mat_vec,
-    mat_inv,
-    sym_pair,
+    ratio_vec,
+    solve,
     transpose,
     vadd,
     vec,
@@ -56,6 +58,7 @@ from .exactlin import (
 )
 
 Perm = tuple[int, ...]
+IntRows = tuple[tuple[int, ...], ...]
 
 
 def kept(fn: Callable) -> Callable:
@@ -122,11 +125,12 @@ class RatVec:
 
 
 class WeylElement:
-    """Root permutation, matrix on V, reduced word and position in weyl_group(d)."""
+    """Root permutation, integer matrix on V in the simple-root basis, reduced word and position in
+    weyl_group(d)."""
 
     __slots__ = ("perm", "matrix", "word", "index")
 
-    def __init__(self, perm: Perm, matrix: Mat, word: tuple[int, ...], index: int):
+    def __init__(self, perm: Perm, matrix: IntRows, word: tuple[int, ...], index: int):
         self.perm, self.matrix, self.word, self.index = perm, matrix, word, index
 
     def __hash__(self):
@@ -200,8 +204,9 @@ class RootDatum:
         self.rank = len(gram)
         self.kept: dict[tuple, object] = {}  # facts other modules derive from the datum (``kept``)
         # before the build: on another form a root has length 0 or the reflections generate without end
+        rows, _ = self.int_gram
         for k in range(1, self.rank + 1):
-            if det(tuple(row[:k] for row in gram[:k])) <= 0:
+            if int_det([row[:k] for row in rows[:k]]) <= 0:
                 raise UnsupportedType(f"form is not positive definite for {label}")
         self._build()
 
@@ -209,7 +214,7 @@ class RootDatum:
 
     def _build(self):
         n = self.rank
-        gram, _ = self.int_gram
+        gram, den = self.int_gram
         expected = sum(_ROOT_COUNT[f] for f in self.factors)
         # s_i(v) = v - <v, alpha_i^vee> e_i moves coordinate i alone, by an integer on an invariant form
         simple = [tuple(int(i == j) for j in range(n)) for i in range(n)]
@@ -240,13 +245,14 @@ class RootDatum:
         self.root_rows: tuple[tuple[int, ...], ...] = tuple(sorted(roots))
         self.roots: tuple[RatVec, ...] = tuple(RatVec(tuple(map(Fraction, r))) for r in self.root_rows)
         self.coroots: tuple[RatVec, ...] = tuple(
-            RatVec(vscale(Fraction(2) / sym_pair(self.gram, r.coords, r.coords), r.coords))
-            for r in self.roots
+            RatVec(vscale(Fraction(2 * den, idot(f, a)), r.coords))
+            for f, a, r in zip(self.root_forms, self.root_rows, self.roots)
         )
         index = {r: i for i, r in enumerate(self.root_rows)}
         self.simple: tuple[int, ...] = tuple(index[v] for v in simple)
         # regular dominant point: pair(alpha_i, rho_check) = 1 for the simple roots alpha_i = e_i
-        self.fund_coweights: tuple[RatVec, ...] = tuple(RatVec(col) for col in transpose(mat_inv(self.gram)))
+        inv, inv_den, _ = solve(self.gram, simple)
+        self.fund_coweights: tuple[RatVec, ...] = tuple(RatVec(ratio_vec(col, inv_den)) for col in zip(*inv))
         rho = RatVec.zero(n)
         for w in self.fund_coweights:
             rho = rho + w
@@ -269,7 +275,21 @@ class RootDatum:
     def pair(self, u: RatVec, v: RatVec) -> Fraction:
         if len(u) != self.rank or len(v) != self.rank:
             raise DimensionError(f"expected vectors of length {self.rank}")
-        return sym_pair(self.gram, u.coords, v.coords)
+        gram, den = self.int_gram
+        (x, dx), (y, dy) = int_row(u.coords), int_row(v.coords)
+        return Fraction(idot(int_mat_vec(gram, x), y), den * dx * dy)
+
+    def volume_sq(self, vectors: Sequence[Vec]) -> Fraction:
+        """The squared volume of the parallelotope on the vectors, det of their Gram matrix under the form
+        (1 for none): each vector is cleared of its denominator e_i, and the integer Gram determinant of the
+        k rows is divided by s^k prod e_i^2, with s the form's denominator."""
+        gram, den = self.int_gram
+        rows, scale = [], den ** len(vectors)
+        for v in vectors:
+            row, e = int_row(v)
+            rows.append(row)
+            scale *= e * e
+        return Fraction(int_gram_det(rows, [int_mat_vec(gram, r) for r in rows]), scale)
 
     @cached_property
     def float_gram(self) -> tuple[tuple[float, ...], ...]:
@@ -284,12 +304,12 @@ class RootDatum:
 
     @cached_property
     def weyl(self) -> tuple[WeylElement, ...]:
-        """All Weyl elements with reduced words, sorted by (length, matrix)."""
+        """All Weyl elements with reduced words, sorted by (length, matrix); column j of a matrix is the
+        root row of w(alpha_{simple j})."""
         words = _close([self.reflection_perms[i] for i in self.simple], len(self.roots))
         elems = []
         for perm, word in words.items():
-            columns = [self.roots[perm[i]].coords for i in self.simple]
-            elems.append((len(word), tuple(zip(*columns)), perm, word))
+            elems.append((len(word), tuple(zip(*(self.root_rows[perm[i]] for i in self.simple))), perm, word))
         elems.sort(key=lambda e: e[:2])
         assert len(elems) == self.weyl_order()
         return tuple(WeylElement(perm, m, word, k) for k, (_, m, perm, word) in enumerate(elems))
@@ -313,7 +333,7 @@ class RootDatum:
         integer combination of root coordinates.
         """
         rho, den = int_row(self.rho_check.coords)
-        return tuple(int_act(self, w, rho) for w in self.weyl), den
+        return tuple(int_mat_vec(w.matrix, rho) for w in self.weyl), den
 
     @cached_property
     def _by_perm(self) -> dict[Perm, WeylElement]:
@@ -378,13 +398,8 @@ def weyl_group(d: RootDatum) -> tuple[WeylElement, ...]:
 def act(w: WeylElement, v: RatVec) -> RatVec:
     if len(w.matrix) != len(v):
         raise DimensionError("Weyl element and vector of different dimensions")
-    return RatVec(mat_vec(w.matrix, v.coords))
-
-
-def int_act(d: RootDatum, w: WeylElement, x: Sequence[int]) -> tuple[int, ...]:
-    """w(x) for a point given by integer numerators: column j of w is the root w(alpha_{simple j})."""
-    cols = [(c, d.root_rows[w.perm[i]]) for c, i in zip(x, d.simple) if c]
-    return tuple(sum(c * r[k] for c, r in cols) for k in range(d.rank))
+    x, den = int_row(v.coords)
+    return RatVec(ratio_vec(int_mat_vec(w.matrix, x), den))
 
 
 def element_from_word(d: RootDatum, word: Sequence[int], by_root_index: bool = False) -> WeylElement:

@@ -8,24 +8,26 @@ bounded-extension sweep) is a function of this shadow.
 
 The home of a class is the first Levi in lattice order that r fixes
 pointwise, read off the integer basis rows of each Levi's coordinate map
-(``rootdatum.int_act``), and the dimension of a fixed space is the rank less
-the integer rank of w - 1; the coset search of the discreteness test reads
-the same two facts, so no Fraction kernel runs on a Weyl matrix.  The
-modeled stabilizer W_tau (``TauClass.core``) keeps each element as its
-integer matrix on the home flat, its basis coordinates times the home's one
-scale read through the home's coordinate map (``levilattice.flat_coords``),
-and the pole-ray reflections are built in that convention from each ray's
-key and form.  The pole-ray chambers are not kept: ``chamber_transitivity``
+through r's integer matrix (``WeylElement.matrix``), and the dimension of a
+fixed space is the rank less the integer rank of w - 1; the coset search of
+the discreteness test reads the same two facts.  The modeled stabilizer
+W_tau (``TauClass.core``) keeps each element as its integer matrix on the
+home flat, its basis coordinates times the home's one scale read through
+the home's coordinate map (``levilattice.flat_coords``), and the pole-ray
+reflections are built in that convention from each ray's key and form.  The pole-ray chambers are not kept: ``chamber_transitivity``
 reads their sign patterns and witnesses off ``levilattice.chamber_witnesses``.
 Every chamber, pole-wall and wall-point test reads the signs of integer
 forms built once per datum (``RootDatum.root_forms``) or per ray
-(``Ray.form``) through ``levilattice.form_signs``.  The chamber of a
-vanishing set is the one holding the least point of rho_check's orbit, which
-is regular, so the chamber-stabilizer test reads the root signs there with
-no chamber search.  The basis sum n^L, its elementary-symmetric cross-check,
-the discreteness span test and the independent pole-ray subsets of the
-bounded-extension sweep read each pole ray once per class, as a primitive
-integer row with its n_beta / 2 over one denominator (``TauClass.pole_rows``).
+(``Ray.form``) through ``levilattice.form_signs``; the wall points span the
+kernel of one integer row, the wall's form on the home's basis rows, and
+the bounded-extension sweep moves its float points by the core's integer
+matrices.  The chamber of a vanishing set is the one holding the least
+point of rho_check's orbit, which is regular, so the chamber-stabilizer test
+reads the root signs there with no chamber search.  The basis sum n^L, its
+elementary-symmetric cross-check, the discreteness span test and the
+independent pole-ray subsets of the bounded-extension sweep read each pole
+ray once per class, as a primitive integer row with its n_beta / 2 over one
+denominator (``TauClass.pole_rows``).
 A class keeps its facts as cached properties; the classes of a datum are
 enumerated once and kept on the datum (``rootdatum.kept``), and so is the
 home of each r (``_home``), which the classes sharing r read.
@@ -49,9 +51,12 @@ from .exactlin import (
     Vec,
     combine,
     idot,
+    int_mat_vec,
     int_rank,
     int_row,
     primitive_ray,
+    vadd,
+    vscale,
 )
 from .gmfamily import ScalarFn, ScalarRootFns, density_at
 from .levilattice import (
@@ -62,7 +67,6 @@ from .levilattice import (
     contains,
     coord_map,
     flat_coords,
-    flat_kernel,
     form_signs,
     levi_lattice,
     restricted_rays,
@@ -73,7 +77,6 @@ from .rootdatum import (
     WeylElement,
     compose,
     element_from_word,
-    int_act,
     invert,
     kept,
     reflect_subgroup,
@@ -164,7 +167,7 @@ def _home(d: RootDatum, r: WeylElement) -> Levi:
 
 def _fixes_flat(d: RootDatum, w: WeylElement, L: Levi) -> bool:
     """Does w fix a_L pointwise?  It does exactly when it fixes each integer basis row of a_L."""
-    return all(int_act(d, w, b) == b for b in zip(*coord_map(L)[2]))
+    return all(int_mat_vec(w.matrix, b) == b for b in zip(*coord_map(L)[2]))
 
 
 def _fixed_dim(d: RootDatum, w: WeylElement) -> int:
@@ -391,7 +394,7 @@ def _on_home(t: TauClass, w: WeylElement) -> IntRows | None:
     (``coord_map``'s e c), an integer matrix whose column j is C w(E_j) for the basis row E_j = e b_j;
     None if w moves the flat."""
     home = t.levi_L
-    cols = [flat_coords(home, int_act(t.datum, w, b)) for b in zip(*coord_map(home)[2])]
+    cols = [flat_coords(home, int_mat_vec(w.matrix, b)) for b in zip(*coord_map(home)[2])]
     return None if None in cols else tuple(zip(*cols))
 
 
@@ -401,7 +404,7 @@ def chamber_transitivity(t: TauClass) -> bool:
     forms = [ray.form for ray in t.tau_rays]
     witnesses = chamber_witnesses(t.levi_L, t.tau_rays)
     first = int_row(next(iter(witnesses.values())).coords)[0]
-    return {form_signs(d, forms, int_act(d, w, first)) for w in t.core.values()} == witnesses.keys()
+    return {form_signs(d, forms, int_mat_vec(w.matrix, first)) for w in t.core.values()} == witnesses.keys()
 
 
 def _flat_reflection(t: TauClass, ray: Ray) -> IntRows | None:
@@ -454,8 +457,8 @@ def tempext_check(
         for combo in combinations(ray_rows, size):
             if int_rank([row for _, row in combo]) == size:
                 subsets.append(tuple(ray for ray, _ in combo))
-    # the float forms of the core and of each ray's dual pairing, built once per class
-    lifts = [tuple(tuple(map(float, row)) for row in w.matrix) for w in t.core.values()]
+    # the integer matrices of the core and the float form of each ray's dual pairing, built once per class
+    lifts = [w.matrix for w in t.core.values()]
     dual_rows = {ray.key: d.float_row(ray.dual) for ray in rays}
     for F in subsets:
         pairings = [(ray.rep, fns.fn(ray.rep), dual_rows[ray.key]) for ray in F]
@@ -493,9 +496,17 @@ def tempext_check(
 
 
 def _wall_points(t: TauClass, wall: Ray) -> list[RatVec]:
-    """A few deterministic generic points on the wall, away from the other pole walls."""
+    """A few deterministic generic points on the wall, away from the other pole walls.
+
+    The wall's part of the home flat is the kernel of the one row q_j = f.E_j, f the wall's form and E_j
+    the home's integer basis rows: with p the first j where q_j is nonzero, the vectors b_j - (q_j/q_p) b_p
+    for j != p span it.
+    """
     d = t.datum
-    wall_vecs = flat_kernel(d, t.levi_L.basis, [wall.rep.coords])
+    basis = t.levi_L.basis
+    q = [idot(wall.form, b) for b in zip(*coord_map(t.levi_L)[2])]
+    p = next(j for j, x in enumerate(q) if x)
+    wall_vecs = [vadd(b, vscale(Fraction(-x, q[p]), basis[p])) for j, (b, x) in enumerate(zip(basis, q)) if j != p]
     if not wall_vecs:
         return [RatVec.zero(d.rank)]
     others = [r for r in t.tau_rays if r.key != wall.key]
@@ -518,12 +529,12 @@ def _wall_points(t: TauClass, wall: Ray) -> list[RatVec]:
 
 
 def _symmetrized_sum(
-    lifts: Sequence[Sequence[Sequence[float]]],
+    lifts: Sequence[Sequence[Sequence[int]]],
     pairings: Sequence[tuple[RatVec, ScalarFn, Sequence[float]]],
     lam_real: Sequence[float],
     phi,
 ) -> tuple[complex, float]:
-    """The symmetrized sum over the core's float lift matrices, each ray of the subset given by its rep,
+    """The symmetrized sum over the core's integer Weyl matrices, each ray of the subset given by its rep,
     its density and the float row of its dual pairing, and the total magnitude of its summands."""
     n = len(lam_real)
     total = 0j

@@ -28,6 +28,12 @@ and composes every element with it, where the package keeps the elements
 that send the Levi's positive roots to positive roots, and the home
 reference scans the lattice once per class, where the package scans it once
 per r.
+
+The first references are the ``Fraction`` kernels the package ran before
+each exact operation kept one integer kernel: the matrix-vector product,
+the pairing, the Gram matrix and determinant, the determinant, the RREF and
+the canonical kernel basis, the kernel of pairings on a flat, and the
+``Fraction`` matrix of a Weyl element, column j the root w(alpha_{simple j}).
 """
 from fractions import Fraction
 from itertools import combinations
@@ -35,17 +41,13 @@ from math import lcm, prod
 
 from gmcalc.exactlin import (
     _eliminate,
-    gram_matrix,
-    identity,
+    combine,
     idot,
     int_mat,
     int_rank,
     int_row,
-    kernel,
-    mat_vec,
     rref,
     solve,
-    sym_pair,
     transpose,
     vadd,
     vscale,
@@ -55,11 +57,9 @@ from gmcalc.levilattice import (
     Levi,
     QuadConst,
     Ray,
-    _rel_basis,
     chamber_witnesses,
     coord_map,
     flat_coords,
-    flat_kernel,
     gfull,
     group_rays,
     hull_faces,
@@ -69,6 +69,75 @@ from gmcalc.levilattice import (
 )
 from gmcalc.rootdatum import RatVec, act, compose, invert, reflect_subgroup, weyl_group
 from gmcalc.spectral import _fixed_dim, _fixes_flat
+
+
+def ref_mat_vec(m, v):
+    """The matrix-vector product on Fractions, one sum per row."""
+    return tuple(sum((a * b for a, b in zip(row, v, strict=True)), Fraction(0)) for row in m)
+
+
+def ref_pair(S, u, v):
+    """The form (S u) . v on Fractions."""
+    return sum((a * b for a, b in zip(ref_mat_vec(S, u), v, strict=True)), Fraction(0))
+
+
+def ref_gram_matrix(vectors, S):
+    """The matrix of the form S on the vectors, every entry its own Fraction pairing."""
+    return tuple(tuple(ref_pair(S, u, v) for v in vectors) for u in vectors)
+
+
+def ref_identity(n):
+    """The n x n identity matrix of Fractions."""
+    return tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
+
+
+def ref_rref(rows, ncols=None):
+    """Gauss-Jordan on Fractions; returns the nonzero rows, their pivot columns and the zero rows left."""
+    work = [[Fraction(x) for x in r] for r in rows]
+    ncols = len(work[0]) if ncols is None and work else (ncols or 0)
+    lead, pivots = 0, []
+    for col in range(ncols):
+        piv = next((r for r in range(lead, len(work)) if work[r][col] != 0), None)
+        if piv is None:
+            continue
+        work[lead], work[piv] = work[piv], work[lead]
+        p = work[lead][col]
+        work[lead] = [x / p for x in work[lead]]
+        for r in range(len(work)):
+            if r != lead and work[r][col] != 0:
+                f = work[r][col]
+                work[r] = [a - f * b for a, b in zip(work[r], work[lead])]
+        pivots.append(col)
+        lead += 1
+    return [tuple(r) for r in work[:lead]], pivots, work[lead:]
+
+
+def ref_kernel(rows, n):
+    """The canonical basis of {x : row . x = 0 for every row}, vectors of length n, on Fractions: per free
+    column f of the reduced row echelon form, x_f = 1 and x_p = -rref[k][f] at the pivot column p of row k."""
+    red, pivots, _ = ref_rref(rows, n)
+    basis = []
+    for f in range(n):
+        if f in pivots:
+            continue
+        x = [Fraction(0)] * n
+        x[f] = Fraction(1)
+        for row, p in zip(red, pivots):
+            x[p] = -row[f]
+        basis.append(tuple(x))
+    return basis
+
+
+def ref_flat_kernel(d, basis, forms):
+    """Ambient vectors spanning the part of span(basis) on which every form pairs to zero, by a Fraction
+    kernel in the coordinates of basis mapped back unreduced."""
+    rows = [tuple(ref_pair(d.gram, f, b) for b in basis) for f in forms]
+    return [combine(kv, basis, d.rank) for kv in ref_kernel(rows, len(basis))]
+
+
+def ref_weyl_matrix(d, w):
+    """The Fraction matrix of w on V: column j is the root w(alpha_{simple j}) as Fractions."""
+    return tuple(zip(*(d.roots[w.perm[i]].coords for i in d.simple)))
 
 
 def ref_reflection_perms(d):
@@ -90,7 +159,7 @@ def ref_flat_reflection(t, ray):
     dual, den = int_row(ray.dual.coords)
     scale = coord_map(home)[1] * den
     dual_c = [Fraction(x, scale) for x in flat_coords(home, dual)]
-    pairs = [sym_pair(d.gram, ray.rep.coords, b) for b in home.basis]
+    pairs = [ref_pair(d.gram, ray.rep.coords, b) for b in home.basis]
     return tuple(tuple((i == j) - y * p for j, p in enumerate(pairs)) for i, y in enumerate(dual_c))
 
 
@@ -106,7 +175,7 @@ def ref_projector(basis, S):
     n = len(S)
     if not basis:
         return ((Fraction(0),) * n,) * n
-    gram = gram_matrix(basis, S)  # symmetric: its rows are its columns
+    gram = ref_gram_matrix(basis, S)  # symmetric: its rows are its columns
     x = [ref_coords_in_basis(col, gram) for col in zip(*ref_mat_mul(basis, S))]
     return ref_mat_mul(transpose(basis), transpose(x))
 
@@ -136,7 +205,7 @@ def ref_restricted_rays(M):
     proj = ref_projector(M.basis, d.gram)
     groups = {}
     for i, r in enumerate(d.roots):
-        v = mat_vec(proj, r.coords)
+        v = ref_mat_vec(proj, r.coords)
         if any(v):
             # v over its first nonzero entry, times the lcm of the denominators: integral, coprime, first > 0
             first = next(x for x in v if x)
@@ -149,7 +218,7 @@ def ref_restricted_rays(M):
     for key in sorted(groups):
         members = tuple(sorted(groups[key]))
         rep = RatVec(vscale(min(abs(c) for _, c in members), key))
-        form = tuple(int(x * den) for x in mat_vec(d.gram, key))
+        form = tuple(int(x * den) for x in ref_mat_vec(d.gram, key))
         rays.append(Ray(key, rep, RatVec(vscale(Fraction(2) / d.pair(rep, rep), rep.coords)), members, form))
     return tuple(rays)
 
@@ -162,7 +231,7 @@ def ref_vanishing_subset(d, basis):
 def ref_levi_lattice(d):
     """Every flat by the Fraction closure, in lattice order: per (flat, root) pair, one Fraction kernel of the
     root's pairings with the flat's basis and one RREF of it, whether or not the flat is new."""
-    full = identity(d.rank)
+    full = ref_identity(d.rank)
     flats = {ref_vanishing_subset(d, full): full}
     frontier = list(flats.items())
     while frontier:
@@ -171,7 +240,7 @@ def ref_levi_lattice(d):
             for i in d.pos_indices:
                 if i in subset:
                     continue
-                new_basis = tuple(rref(flat_kernel(d, basis, [d.roots[i].coords])))
+                new_basis = tuple(rref(ref_flat_kernel(d, basis, [d.roots[i].coords])))
                 new_subset = ref_vanishing_subset(d, new_basis)
                 if new_subset not in flats:
                     flats[new_subset] = new_basis
@@ -194,7 +263,7 @@ def ref_chambers_of_rays(M, rays):
     proj_m = ref_projector(M.basis, d.gram)
     best = {}
     for w in weyl_group(d):
-        proj = mat_vec(proj_m, act(w, d.rho_check).coords)
+        proj = ref_mat_vec(proj_m, act(w, d.rho_check).coords)
         key = ref_sign_pattern(d, rays, RatVec(proj))
         if 0 in key:
             continue
@@ -220,8 +289,13 @@ def ref_parabolics(M):
 
 
 def ref_gram_det(vectors, S):
-    """det of the full Fraction Gram matrix (S u) . v, both triangles, by Gaussian elimination (1 for none)."""
-    rows = [[sum((a * b for a, b in zip(mat_vec(S, u), v)), Fraction(0)) for v in vectors] for u in vectors]
+    """det of the full Fraction Gram matrix (S u) . v, both triangles (1 for none)."""
+    return ref_det(ref_gram_matrix(vectors, S))
+
+
+def ref_det(m):
+    """det of a square matrix by Gaussian elimination on Fractions (1 for the empty one)."""
+    rows = [[Fraction(x) for x in r] for r in m]
     det = Fraction(1)
     for col in range(len(rows)):
         piv = next((r for r in range(col, len(rows)) if rows[r][col]), None)
@@ -237,13 +311,18 @@ def ref_gram_det(vectors, S):
     return det
 
 
+def ref_rel_basis(L, upper):
+    """The part of a_L orthogonal to a_upper as the RREF of the Fraction kernel of upper's basis pairings."""
+    return tuple(rref(ref_flat_kernel(L.datum, L.basis, upper.basis)))
+
+
 def ref_split_constant(L1, L, S, upper):
     """d_L1^upper(L, S) by Gram determinants alone: zero unless the relative bases have complementary
     sizes and together a nonzero Gram determinant, else the square root of det Gram(L + S) over
     det Gram(L) det Gram(S).  No upper is G, whose flat is 0."""
     gram = L1.datum.gram
     upper = gfull(L1.datum) if upper is None else upper
-    bl, bs, b1 = (_rel_basis(X, upper) for X in (L, S, L1))
+    bl, bs, b1 = (ref_rel_basis(X, upper) for X in (L, S, L1))
     if len(bl) + len(bs) != len(b1):
         return QuadConst.zero()
     num = ref_gram_det(bl + bs, gram)
@@ -297,7 +376,7 @@ def ref_k_constant(t, L):
 def ref_fixed_space(d, w):
     """The fixed space of w: the kernel of its matrix minus 1, on Fractions."""
     n = d.rank
-    return kernel([tuple(w.matrix[i][j] - (i == j) for j in range(n)) for i in range(n)], n)
+    return ref_kernel([tuple(w.matrix[i][j] - (i == j) for j in range(n)) for i in range(n)], n)
 
 
 def ref_levi_L(t):
@@ -337,7 +416,7 @@ def ref_weyl_cosets(L):
 def ref_coord_map(M):
     """coord_map by one Gram solve on Fractions: G X = B S with G = B S B^T, B the basis rows and S the form."""
     S = M.datum.gram
-    cmap, c, disc = solve(gram_matrix(M.basis, S), [mat_vec(S, b) for b in M.basis])
+    cmap, c, disc = solve(ref_gram_matrix(M.basis, S), [ref_mat_vec(S, b) for b in M.basis])
     basis, e = int_mat(M.basis)
     lift = tuple(tuple(row[k] for row in basis) for k in range(M.datum.rank))
     return cmap, c, lift, e * c, disc
@@ -441,3 +520,29 @@ def ref_hull_simplices(M):
         ]
 
     return tuple(pulled(*faces[-1]))
+
+
+def ref_wall_points(t, wall):
+    """The wall points of the bounded-extension sweep by the Fraction kernel route: the wall's part of the home
+    flat from ``ref_flat_kernel``, three fixed combinations of it, each nudged off the other pole walls by
+    Fraction signs."""
+    d = t.datum
+    wall_vecs = ref_flat_kernel(d, t.levi_L.basis, [wall.rep.coords])
+    if not wall_vecs:
+        return [RatVec.zero(d.rank)]
+    others = [r for r in t.tau_rays if r.key != wall.key]
+    weights = [
+        (Fraction(1), Fraction(1, 3), Fraction(1, 7), Fraction(1, 13)),
+        (Fraction(2, 3), Fraction(-1, 5), Fraction(1, 11), Fraction(-1, 17)),
+        (Fraction(1, 2), Fraction(1, 9), Fraction(-1, 4), Fraction(1, 19)),
+    ]
+    points = []
+    for ws in weights:
+        cand = RatVec(combine(ws, wall_vecs, d.rank))
+        tries = 0
+        while 0 in ref_sign_pattern(d, others, cand) and tries < 20:
+            cand = cand + Fraction(1, 23 + 4 * tries) * RatVec(wall_vecs[0])
+            tries += 1
+        if 0 not in ref_sign_pattern(d, others, cand):
+            points.append(cand)
+    return points or [RatVec(wall_vecs[0])]

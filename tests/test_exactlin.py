@@ -1,4 +1,4 @@
-"""Property tests: the fraction-free kernel against naive Fraction references."""
+"""Property tests: the fraction-free integer kernels against naive Fraction references."""
 from fractions import Fraction
 from itertools import permutations
 
@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fraction_refs import int_normal, ref_mat_mul
+from fraction_refs import int_normal, ref_gram_matrix, ref_identity, ref_kernel, ref_mat_mul, ref_rref
 from gmcalc import exactlin as el
 
 SETTINGS = settings(max_examples=150, deadline=None)
@@ -43,27 +43,6 @@ def ref_dot(u, v):
 
 def ref_mat_vec(m, v):
     return tuple(ref_dot(row, v) for row in m)
-
-
-def ref_rref(rows, ncols=None):
-    """Gauss-Jordan on Fractions; returns the nonzero rows and their pivot columns."""
-    work = [list(r) for r in rows]
-    ncols = len(work[0]) if ncols is None and work else (ncols or 0)
-    lead, pivots = 0, []
-    for col in range(ncols):
-        piv = next((r for r in range(lead, len(work)) if work[r][col] != 0), None)
-        if piv is None:
-            continue
-        work[lead], work[piv] = work[piv], work[lead]
-        p = work[lead][col]
-        work[lead] = [x / p for x in work[lead]]
-        for r in range(len(work)):
-            if r != lead and work[r][col] != 0:
-                f = work[r][col]
-                work[r] = [a - f * b for a, b in zip(work[r], work[lead])]
-        pivots.append(col)
-        lead += 1
-    return [tuple(r) for r in work[:lead]], pivots, work[lead:]
 
 
 def ref_det(m):
@@ -109,33 +88,38 @@ def normalised(x):
 @SETTINGS
 @given(shapes.flatmap(lambda rc: st.tuples(matrices(*rc), vectors(rc[1]))))
 def test_mat_vec(mv):
+    """The integer product of the rows and the vector, over their two denominators, is the Fraction product."""
     m, v = mv
-    assert el.mat_vec(m, v) == ref_mat_vec(m, v)
+    rows, den = el.int_mat(m)
+    x, x_den = el.int_row(v)
+    assert el.ratio_vec(el.int_mat_vec(rows, x), den * x_den) == ref_mat_vec(m, v)
 
 
 @SETTINGS
 @given(st.integers(1, 4).flatmap(lambda n: st.tuples(matrices(n, n), vectors(n), vectors(n))))
 def test_sym_pair(suv):
+    """The pairing as RootDatum.pair takes it: idot of S's integer rows times u with v, over the three
+    denominators, is the Fraction form (S u) . v."""
     S, u, v = suv
-    got = el.sym_pair(S, u, v)
+    rows, s = el.int_mat(S)
+    (x, dx), (y, dy) = el.int_row(u), el.int_row(v)
+    got = Fraction(el.idot(el.int_mat_vec(rows, x), y), s * dx * dy)
     assert got == ref_dot(ref_mat_vec(S, u), v) and normalised(got)
 
 
 def test_length_mismatch_raises():
+    """The Fraction helpers check lengths; the pairing's check is RootDatum.pair's (test_rootdatum)."""
     u = (Fraction(1), Fraction(2))
     w = (Fraction(1), Fraction(2), Fraction(3))
-    S = el.identity(2)
-    with pytest.raises(ValueError):
-        el.mat_vec(S, w)
+    S = ref_identity(2)
     with pytest.raises(ValueError):
         el.solve(S, [u])
     with pytest.raises(ValueError):
-        el.sym_pair(S, u, w)
+        el.vadd(u, w)
     with pytest.raises(ValueError):
-        el.sym_pair(S, w, u)
-    # a zero left vector skips every term, but the lengths are still checked
+        el.vsub(w, u)
     with pytest.raises(ValueError):
-        el.sym_pair(S, el.zeros(2), w)
+        el.vadd(el.zeros(2), w)
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +141,7 @@ def test_rref_rank_kernel(m):
     assert all(normalised(x) for row in got for x in row)
     assert el.int_rank(el.int_mat(m)[0]) == len(red)
     n = len(m[0]) if m else 3
-    ker = el.kernel(m, n)
+    ker = ref_kernel(m, n)  # the kernel reference the fixed-space and flat tests read
     assert len(ker) == n - len(red)
     expected = []
     for f in range(n):
@@ -179,15 +163,19 @@ def test_rref_rank_kernel(m):
 @example(((Fraction(1, 2), Fraction(1, 3)), (Fraction(3, 2), Fraction(1))))
 @example(((Fraction(1), Fraction(2)), (Fraction(2), Fraction(4))))  # singular: an inconsistent column
 def test_det_and_inverse(m):
-    got = el.det(m)
+    """int_det of the rows over one denominator, and the inverse and det m from one solve against the identity."""
+    rows, den = el.int_mat(m)
+    got = Fraction(el.int_det(rows), den ** len(m))
     assert got == ref_det(m) and normalised(got)
+    ident = ref_identity(len(m))
     if got == 0:
         with pytest.raises(ZeroDivisionError):
-            el.mat_inv(m)
+            el.solve(m, ident)
     else:
-        inv = el.mat_inv(m)
-        assert ref_mat_mul(m, inv) == el.identity(len(m))
-        assert el.solve(m, el.identity(len(m)))[2] == got
+        C, c, det = el.solve(m, ident)
+        inv = tuple(el.ratio_vec(row, c) for row in C)
+        assert ref_mat_mul(m, inv) == ident
+        assert det == got and normalised(det)
         assert all(normalised(x) for row in inv for x in row)
 
 
@@ -216,8 +204,8 @@ def test_projector(sbv):
     builds it, with X as integer rows over their least common denominator and det G."""
     S, basis, v = sbv
     basis = tuple(ref_rref(basis)[0])  # independent rows with the same span
-    gram = el.gram_matrix(basis, S)
-    C, c, det = el.solve(gram, [el.mat_vec(S, b) for b in basis])
+    gram = ref_gram_matrix(basis, S)
+    C, c, det = el.solve(gram, [ref_mat_vec(S, b) for b in basis])
     X = tuple(el.ratio_vec(row, c) for row in C)
     assert det == ref_det(gram) and normalised(det)
     assert c > 0 and el.int_mat(X) == (C, c)

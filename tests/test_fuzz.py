@@ -7,10 +7,11 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fraction_refs import ref_det
 from gmcalc.cli import EXPRESSIONS, main
 from gmcalc.config import load_config
 from gmcalc.errors import ConfigError
-from gmcalc.exactlin import det, int_det, mat
+from gmcalc.exactlin import int_det
 
 SCHEMA = json.loads((Path(__file__).resolve().parents[1] / "src" / "gmcalc" / "config.schema.json").read_text())
 
@@ -114,10 +115,10 @@ def test_int_det_equals_det_on_integer_matrices(case):
     got = int_det(rows)
     assert rows == before  # the caller's rows are left alone
     assert type(got) is int
-    assert got == det(mat(rows)) == _laplace(rows)
+    assert got == ref_det(rows) == _laplace(rows)
     assert got == 0 or not singular
 
 
 def test_int_det_of_the_empty_matrix_is_one():
     assert int_det([]) == 1
-    assert det(()) == 1
+    assert ref_det(()) == 1

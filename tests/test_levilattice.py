@@ -11,15 +11,17 @@ from fraction_refs import (
     ref_coord_map,
     ref_coords_in_basis,
     ref_levi_lattice,
+    ref_mat_vec,
     ref_parabolics,
     ref_projector,
+    ref_rel_basis,
     ref_restricted_rays,
     ref_sign_pattern,
     ref_split_constant,
     ref_weyl_cosets,
 )
 from gmcalc.errors import DimensionError, NotComparable
-from gmcalc.exactlin import int_mat, int_rank, int_row, mat_vec
+from gmcalc.exactlin import int_mat, int_rank, int_row
 from gmcalc.gmfamily import ExpPolyFamily, family_limit, split_subsets
 from gmcalc.levilattice import (
     Levi,
@@ -27,6 +29,7 @@ from gmcalc.levilattice import (
     Ray,
     ThetaValue,
     _join,
+    _rel_basis,
     _split_constant,
     base_chamber,
     chamber_at,
@@ -175,7 +178,7 @@ def test_value_classes_compare_and_hash_by_their_fields():
     assert QuadConst.from_square(2) == QuadConst(Fraction(2), 1) and QuadConst.zero() == QuadConst(Fraction(0), 0)
     v = RatVec((Fraction(1), Fraction(2)))
     assert v != v.coords and v + v == 2 * v == RatVec((Fraction(2), Fraction(4)))
-    for bad in (lambda: two + two, lambda: 2 * two, lambda: len(two), lambda: v * 2):
+    for bad in (lambda: two + two, lambda: 2 * two, lambda: two * 2, lambda: two * v, lambda: len(two), lambda: v * 2):
         with pytest.raises(TypeError):
             bad()
 
@@ -485,7 +488,7 @@ def test_integer_routes_equal_the_fraction_references(label, gram):
         assert rays == ref_restricted_rays(M), M.label
         proj = ref_projector(M.basis, d.gram)
         # the projected roots and probes, and the chamber points, lie on the flat; roots off it do not
-        on_flat = [RatVec(mat_vec(proj, v.coords)) for v in ambient] + [P.chamber_point for P in parabolics(M)]
+        on_flat = [RatVec(ref_mat_vec(proj, v.coords)) for v in ambient] + [P.chamber_point for P in parabolics(M)]
         forms = [r.form for r in rays]
         _, c, _, _, _ = coord_map(M)
         off = 0
@@ -716,3 +719,17 @@ def test_kept_reflection_subgroup_equals_a_fresh_closure(label):
             got = reflect_subgroup(d, roots)
             assert got is reflect_subgroup(d, iter(roots))  # kept per datum and tuple of indices
             assert got == d.subgroup([d.reflection_perms[i] for i in roots]), (L.label, roots)
+
+
+@pytest.mark.parametrize("label, gram", [
+    ("A2", None), ("B2", None), ("G2", None), ("A3", None), ("A1xA3", None), ("A2", [["1", "-1/2"], ["-1/2", "1"]]),
+])
+def test_rel_basis_is_the_rref_of_the_fraction_kernel(label, gram):
+    """The columns of P_L - P_upper reduce to the RREF of the Fraction kernel of upper's pairings on a_L."""
+    d = build_root_system(label, gram)
+    pairs = 0
+    for L in levi_lattice(d):
+        for upper in enumerate_levis(d, lower=L):
+            assert _rel_basis(L, upper) == ref_rel_basis(L, upper), (L.label, upper.label)
+            pairs += 1
+    assert pairs > len(levi_lattice(d))

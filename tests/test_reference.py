@@ -27,6 +27,10 @@ expressions pin what the exact kernels print that no report above reads:
 coroots, theta's covolumes, Weyl-moved points and pairings with complex
 points.
 
+The benchmark's own self-test runs here too: it is the one check that the
+package still runs the benchmark's traced path and its tampered-reference
+gate.
+
 The benchmark runs with ``PYTHONHASHSEED=0``, and a user's run has a random
 seed, which orders every set of strings, and of objects hashed through
 strings, differently: the exact-a3 and verify-a2 reports are compared
@@ -286,3 +290,12 @@ EVAL_OUTPUTS = [
 def test_eval_output_matches_pinned_sha(capsys, group, expr, args, sha):
     assert cli_main(["eval", "--group", group, "--expr", expr, "--args", json.dumps(args)]) == 0
     assert _sha(capsys.readouterr().out) == sha
+
+
+def test_benchmark_selftest_passes():
+    """The benchmark's self-test, run from the repository root as its docstring says: every metric printed
+    with its unit, the traced report byte-identical to the untraced one, and a tampered reference failing."""
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "bench/selftest.py"], cwd=root, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert any(line.startswith("selftest: ok") for line in proc.stdout.splitlines()), proc.stdout

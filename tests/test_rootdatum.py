@@ -3,13 +3,15 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fraction_refs import ref_mat_mul as mat_mul
-from fraction_refs import ref_reflection_perms
+from fraction_refs import ref_identity as identity
+from fraction_refs import ref_mat_vec as mat_vec
+from fraction_refs import ref_gram_det, ref_pair, ref_reflection_perms, ref_weyl_matrix
 from gmcalc.errors import DimensionError, UnsupportedType
-from gmcalc.exactlin import identity, mat, mat_vec, transpose
+from gmcalc.exactlin import mat, transpose
 from gmcalc.rootdatum import (
     _SIMPLE_GRAM,
     MAX_RANK,
@@ -245,3 +247,66 @@ OVERRIDES = [("A2", [["6", "-3"], ["-3", "6"]]), ("A2", [["1", "-1/2"], ["-1/2",
 def test_integer_reflection_perms_equal_the_cartan_table(label, gram):
     d = build_root_system(label, gram)
     assert d.reflection_perms == ref_reflection_perms(d)
+
+
+@pytest.mark.parametrize("label, gram", [(g, None) for g in PRODUCTS] + OVERRIDES)
+def test_weyl_matrix_is_the_integer_fraction_column_matrix(label, gram):
+    """w.matrix is an integer matrix, equal to the Fraction matrix whose column j is w(alpha_{simple j})."""
+    d = build_root_system(label, gram)
+    for w in weyl_group(d):
+        assert all(type(x) is int for row in w.matrix for x in row)
+        assert w.matrix == ref_weyl_matrix(d, w)
+
+
+# rationals with negative entries, non-unit denominators and plenty of zeros
+RATIONALS = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(-4, 4).map(Fraction),
+    st.fractions(min_value=-6, max_value=6, max_denominator=9),
+)
+FORMS = [(g, None) for g in PRODUCTS] + OVERRIDES
+
+
+@st.composite
+def datum_and_vectors(draw, count):
+    """A datum of every supported form and count(rank) rational vectors of its rank."""
+    label, gram = draw(st.sampled_from(FORMS))
+    d = build_root_system(label, gram)
+    k = draw(count(d.rank))
+    return d, [tuple(draw(st.lists(RATIONALS, min_size=d.rank, max_size=d.rank))) for _ in range(k)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(datum_and_vectors(lambda rank: st.just(1)))
+def test_act_is_the_fraction_matrix_product(case):
+    d, (v,) = case
+    for w in weyl_group(d):
+        assert act(w, RatVec(v)).coords == mat_vec(ref_weyl_matrix(d, w), v)
+
+
+@settings(max_examples=150, deadline=None)
+@given(datum_and_vectors(lambda rank: st.just(2)))
+def test_pair_is_the_fraction_form(case):
+    d, (u, v) = case
+    assert d.pair(RatVec(u), RatVec(v)) == ref_pair(d.gram, u, v)
+
+
+def test_pair_length_mismatch_raises():
+    d = build_root_system("A2")
+    u, w = RatVec.of([1, 2]), RatVec.of([1, 2, 3])
+    for a, b in [(u, w), (w, u), (RatVec.zero(2), w), (w, w)]:
+        with pytest.raises(DimensionError):
+            d.pair(a, b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(datum_and_vectors(lambda rank: st.integers(0, rank + 1)))
+@example((build_root_system("A2"), [(Fraction(1, 2), Fraction(0))]))
+@example((build_root_system("A2", OVERRIDES[1][1]), [(Fraction(1, 3), Fraction(-1, 2)), (Fraction(2), Fraction(1, 5))]))
+def test_volume_sq_is_the_fraction_gram_determinant(case):
+    """Each vector cleared of its own denominator and one integer Gram determinant: the Fraction Gram
+    determinant, 1 for no vectors and 0 for dependent ones."""
+    d, vectors = case
+    got = d.volume_sq(vectors)
+    assert got == ref_gram_det(vectors, d.gram)
+    assert type(got) is Fraction

@@ -11,6 +11,7 @@ from fraction_refs import (
     ref_k_constant,
     ref_levi_L,
     ref_n_constant,
+    ref_wall_points,
 )
 
 from gmcalc import spectral
@@ -25,10 +26,11 @@ from gmcalc.levilattice import (
     mzero,
     restricted_rays,
 )
-from gmcalc.rootdatum import RatVec, act, build_root_system, int_act, weyl_group
+from gmcalc.rootdatum import RatVec, act, build_root_system, weyl_group
 from gmcalc.spectral import (
     _brute_force_discrete,
     _flat_reflection,
+    _wall_points,
     _chamber_test,
     _fixed_dim,
     _fixes_flat,
@@ -45,8 +47,9 @@ from gmcalc.spectral import (
     tau_class,
     tempext_check,
 )
+from fraction_refs import ref_mat_vec as mat_vec
 from fraction_refs import ref_projector
-from gmcalc.exactlin import combine, int_row, mat, mat_vec, primitive_ray, ratio_vec, transpose
+from gmcalc.exactlin import combine, int_mat_vec, int_row, mat, primitive_ray, ratio_vec, transpose
 
 
 def full_sigma(d):
@@ -293,7 +296,7 @@ def test_core_acts_on_the_home_as_its_lift(label):
         for m, w in t.core.items():
             for p in chamber_witnesses(t.levi_L, t.tau_rays).values():
                 x, den = int_row(p.coords)
-                assert ratio_vec(int_act(d, w, x), den) == ref_apply_tau(t, m, p) == act(w, p).coords
+                assert ratio_vec(int_mat_vec(w.matrix, x), den) == ref_apply_tau(t, m, p) == act(w, p).coords
             pairs += 1
     assert pairs == CORE_PAIRS[label]
 
@@ -438,3 +441,17 @@ def test_nbeta_partition_the_vanishing_roots_off_the_home(label):
     t = next(t for t in classes if t.tau_rays)
     key = t.tau_rays[0].key
     assert not _partition_holds(tau_class(t, mult={key: 2 * t.nbeta[key]}))
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "G2", "A3", "A1xA3"])
+def test_wall_points_equal_the_fraction_kernel_route(label):
+    """The one-row kernel b_j - (q_j/q_p) b_p gives the points the Fraction kernel route gave, on both
+    sides of every pole wall of every class."""
+    d = build_root_system(label)
+    walls = 0
+    for t in enumerate_spectral_triples(d):
+        for wall in t.tau_rays:
+            for side in (wall, -wall):
+                assert _wall_points(t, side) == ref_wall_points(t, side), (t, wall.key)
+            walls += 1
+    assert walls
