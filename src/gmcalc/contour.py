@@ -11,13 +11,15 @@ case (all exact work, and a list of integrals, each naming the grids it needs
 by their inputs), then evaluates each distinct grid slab by slab: runs of
 rows along axis 0 of at most _SLAB nodes, built from the grid's 1-d axes.
 On each slab it evaluates each distinct phi and a density table: each
-distinct pairing <lam, dual> once, and on it each distinct density read
+distinct pairing z = <lam, dual> once, and on it each distinct density read
 through that dual, keyed by the density's value key and the pairing row gd
-(so the datum's form is part of the key).  Every integrand that uses the
-grid runs on the slab and feeds its weighted values to its own _MirrorSum,
-and the slab's arrays are dropped before the next slab is built: memory is
-bounded by one slab, not by the grid's node count.  Last it assembles each
-case.
+(so the datum's form is part of the key).  A density with residue n at 0 is
+-n / z plus its analytic part, and each quotient -n / z is computed once per
+pairing and n: a complex division costs about ten multiplies.  Every
+integrand that uses the grid runs on the slab and feeds its weighted values
+to its own _MirrorSum, and the slab's arrays are dropped before the next
+slab is built: memory is bounded by one slab, not by the grid's node count.
+Last it assembles each case.
 
 On a grid, integrals that read the same m-term sum share it: each distinct
 sum is computed once per slab, and each distinct phi times it is integrated
@@ -39,8 +41,16 @@ one at 0, so no division by zero is reached), so np.sum of the array
 [half, conj(flip(half))] keeps every bit of the full-grid evaluation.
 _MirrorSum gives that sum without the array: it replays numpy's pairwise
 summation tree, sums each leaf of at most _LEAF elements once the slabs
-have fed the values it reads (a leaf past the middle reads a range of the
-half reversed and conjugated), and adds the leaf sums in the tree's order.
+have fed the values it reads, and adds the leaf sums in the tree's order.
+The leaves are nodes of numpy's tree, so _LEAF moves no bit.  A leaf
+wholly in the half is reduced from its view of the fed values; a leaf
+wholly past the middle reads a range of the half reversed and conjugated,
+and is summed as the conjugate of np.add.reduce of the reversed view,
+without a copy.  numpy reduces a reversed view in the order of its
+elements, and as one run, with the bits of the reduction of its copy, as
+long as the leaf fits numpy's buffer (np.getbufsize(), 8192 elements), so
+_LEAF stays at most that; conjugation commutes with rounding.  Only a leaf
+that straddles the middle or the end of a slab is joined into an array.
 Between slabs it holds the values of the leaves not yet summed, at most
 _LEAF per integrand.
 
@@ -83,6 +93,7 @@ from __future__ import annotations
 
 import ctypes
 import math
+import operator
 import time
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
@@ -91,7 +102,7 @@ import numpy as np
 
 from .errors import BadShift, GmcalcError, NoConvergence, NotComparable
 from .exactlin import int_mat_vec, int_row, ratio_vec
-from .gmfamily import ScalarFn, ScalarRootFns, _poly_eval, split_subsets
+from .gmfamily import ScalarFn, ScalarRootFns, _poly_eval, split_subsets, values_sharing_poles
 from .levilattice import (
     Levi,
     ParabolicChamber,
@@ -108,8 +119,9 @@ from .spectral import TauClass, n_constant
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 
 # the most half-grid nodes evaluated at once, and the longest run of numpy's pairwise sum kept whole
+# (at most np.getbufsize(), so that numpy reduces a reversed view of a leaf unbuffered, as one run)
 _SLAB = 16384
-_LEAF = 2048
+_LEAF = 4096
 
 # glibc malloc.h parameter numbers, and the size below which freed memory stays in the heap
 _M_TRIM_THRESHOLD = -1
@@ -343,6 +355,16 @@ def residue_identity_1d(
 # the contour-shift identity on a flat
 
 
+def _dot(xs, ys):
+    """The sum of the products x * y, each in that operand order, added from the first on.
+
+    Python's sum would start from 0, a pass over the whole array that can
+    change nothing but the sign of a zero.
+    """
+    products = map(operator.mul, xs, ys)
+    return sum(products, next(products))
+
+
 class FlatTestFunction:
     """phi(lam) = (c0 + c1 <lam, v0> + c2 <lam, lam>) exp(scale <lam, lam>).
 
@@ -368,12 +390,11 @@ class FlatTestFunction:
         return hash(self._fields())
 
     def __call__(self, gram, lam_coords):
-        k = len(lam_coords)
-        gl = [sum(gram[i][j] * lam_coords[j] for j in range(k)) for i in range(k)]
-        qq = sum(lam_coords[i] * gl[i] for i in range(k))
+        gl = [_dot(row, lam_coords) for row in gram]
+        qq = _dot(lam_coords, gl)
         pre = self.c0  # a term with a zero coefficient would add only signed zeros
         if self.c1 != 0:
-            pre = pre + self.c1 * sum(self.v0[i] * gl[i] for i in range(k))
+            pre = pre + self.c1 * _dot(self.v0, gl)
         if self.c2 != 0:
             pre = pre + self.c2 * qq
         # pre * np.exp(...) would let numpy write into the temporary exponential and swap the order
@@ -447,13 +468,14 @@ def _reads(term_lists: Iterable[list[_MTermData]], by_gd: dict[tuple[float, ...]
 def _density_table(by_gd: dict[tuple[float, ...], dict], lam_coords: list) -> list[np.ndarray]:
     """Each density of by_gd (see _by_pairing) on the nodes, in the order of by_gd.
 
-    Each distinct pairing <lam, dual> is computed once, every density read
-    through it is evaluated on it, and it is dropped before the next.
+    Each distinct pairing z = <lam, dual> is computed once, every density
+    read through it is evaluated on it, and it is dropped before the next.
+    The pole term -n / z is computed once per residue n on the pairing and
+    shared by the densities with that n (gmfamily.values_sharing_poles).
     """
     table = []
     for gd, fns in by_gd.items():
-        z = sum(lam_coords[i] * gd[i] for i in range(len(gd)))
-        table += [fn(z) for fn in fns.values()]
+        table += values_sharing_poles(fns.values(), _dot(lam_coords, gd))
     return table
 
 
@@ -602,12 +624,13 @@ class _MirrorSum:
     run of at most 64 elements in a fixed order and splits a longer run of n
     at (n - n % 8) // 2 (it splits the 2n doubles at a multiple of 8).  So
     each leaf of that tree cut at _LEAF elements is summed by np.add.reduce
-    of its values in a contiguous array, and the leaf sums are added in tree
-    order, then to 0j.  np.add.reduce gives 0 + PW(leaf), which differs from
-    PW(leaf) at most in the sign of a zero; no addition turns that sign into
-    a nonzero bit, and the 0j + of the total removes it.  Past index n a
-    leaf reads a range of half reversed and conjugated; a leaf that
-    straddles n (the whole array when 2n <= _LEAF) joins both parts.
+    of its values, and the leaf sums are added in tree order, then to 0j.
+    np.add.reduce gives 0 + PW(leaf), which differs from PW(leaf) at most in
+    the sign of a zero, as does the conjugate of the sum of a leaf's
+    unconjugated values; no addition turns that sign into a nonzero bit, and
+    the 0j + of the total removes it.  Past index n a leaf reads a range of
+    half reversed and conjugated, summed from the reversed view; a leaf
+    that straddles n (the whole array when 2n <= _LEAF) joins both parts.
     """
 
     def __init__(self, plan: _MirrorLeaves):
@@ -633,13 +656,12 @@ class _MirrorSum:
         done = self.done
         while done < len(plan.leaves) and plan.ready[done] <= end:
             k, (h0, h1), (m0, m1) = plan.leaves[done]
-            if m0 == m1:
-                leaf = take(h0, h1)
-            elif h0 == h1:
-                leaf = np.conjugate(take(m0, m1)[::-1])
+            if h0 == h1:
+                # a mirrored leaf is summed from its reversed view: conjugation commutes with rounding
+                self.sums[k] = complex(np.add.reduce(take(m0, m1)[::-1])).conjugate()
             else:
-                leaf = np.concatenate([take(h0, h1), np.conjugate(take(m0, m1)[::-1])])
-            self.sums[k] = complex(np.add.reduce(leaf))
+                leaf = take(h0, h1) if m0 == m1 else np.concatenate([take(h0, h1), np.conjugate(take(m0, m1)[::-1])])
+                self.sums[k] = complex(np.add.reduce(leaf))
             done += 1
         self.done = done
         self.start = plan.keep[done]
@@ -805,7 +827,7 @@ def _evaluate(integrals: list[_Integral], runtimes: list[float]) -> dict[str, in
         for slot, grid in enumerate(it.grids):
             users.setdefault(grid, []).append((it, slot))
     plans: dict[int, _MirrorLeaves] = {}
-    phi_evals = pairings = densities = m_sums = integrands = nodes = 0
+    phi_evals = pairings = densities = pole_quotients = m_sums = integrands = nodes = 0
     for grid, uses in users.items():
         by_gd = _by_pairing(term for it, _ in uses for term in it.terms)
         by_m: dict[tuple, dict] = {}
@@ -852,6 +874,7 @@ def _evaluate(integrals: list[_Integral], runtimes: list[float]) -> dict[str, in
         phi_evals += len({(it.d, it.phi) for it, _ in uses})
         pairings += len(by_gd)
         densities += sum(map(len, by_gd.values()))
+        pole_quotients += sum(len({fn.n for fn in fns.values() if fn.has_pole0()}) for fns in by_gd.values())
         m_sums += len(sums)
         integrands += sum(len(phis) for _, phis in sums)
         nodes += size
@@ -861,6 +884,7 @@ def _evaluate(integrals: list[_Integral], runtimes: list[float]) -> dict[str, in
         "lemma_shift.phi_evals": phi_evals,
         "lemma_shift.pairings": pairings,
         "lemma_shift.densities": densities,
+        "lemma_shift.pole_quotients": pole_quotients,
         "lemma_shift.m_sums": m_sums,
         "lemma_shift.integrands": integrands,
         "lemma_shift.nodes": nodes,

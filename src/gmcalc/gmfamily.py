@@ -25,7 +25,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import factorial
 from numbers import Number
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import (
     DimensionError,
@@ -262,6 +262,20 @@ class ScalarFn:
 
     def __repr__(self):
         return f"ScalarFn({self.label}, n={self.n})"
+
+
+def values_sharing_poles(fns: Iterable[ScalarFn], z) -> list:
+    """[f(z) for f in fns], bit for bit, with each pole term -n / z computed once per residue n."""
+    quotients = {}
+    out = []
+    for f in fns:
+        if f._pole is None:
+            out.append(f.analytic(z))
+        else:
+            if f.n not in quotients:
+                quotients[f.n] = f._pole / z
+            out.append(quotients[f.n] + f.analytic(z))
+    return out
 
 
 POLE_HIT_RADIUS = 1e-12  # |z| below this hits a density's pole at 0

@@ -549,6 +549,8 @@ def test_lemma_shift_counters_and_runtimes_stay_in_the_sidecar(tmp_path):
         "lemma_shift.phi_evals": 34,
         "lemma_shift.pairings": 79,
         "lemma_shift.densities": 166,
+        # the quotients -n / z: one per pairing and residue n, shared by the densities read through it
+        "lemma_shift.pole_quotients": 22,
         "lemma_shift.m_sums": 167,
         "lemma_shift.integrands": 167,
         # half of the 3,619,512 grid nodes: the other half of each integrand is its conjugate mirror

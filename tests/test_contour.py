@@ -339,28 +339,44 @@ def _mirror_sum(half, rows):
 
 
 # every half-grid shape of the default A2, B2 and G2 runs, then small, odd and unaligned lengths: 4 and 12
-# (the whole array one run of numpy's sum), 1036 % 8 == 4, 1000 (the whole array one leaf), and lengths
-# that are not multiples of 4, whose leaves straddle the middle of the full array
+# (the whole array one run of numpy's sum), 1036 % 8 == 4, 1000 (the whole array one leaf from a leaf size
+# of 2048 on), and lengths that are not multiples of 4, whose leaves straddle the middle of the full array
 MIRROR_SHAPES = [
     (156,), (180,), (192,), (240,), (156, 312), (180, 360), (156, 384), (192, 384), (240, 384), (240, 480),
     (4,), (12,), (60,), (1036,), (1000,), (6,), (1030,), (4099,), (30, 7),
 ]
 
+# leaf sizes down to one run of numpy's sum, the former default and the default: the leaves are nodes
+# of numpy's tree, so no leaf size may move a bit, and a smaller one puts more leaves wholly past the
+# middle, where _MirrorSum sums a reversed view
+LEAF_SIZES = (64, 2048, 4096)
+
+
+def test_leaf_fits_numpys_buffer():
+    # numpy reduces a reversed view in its own order and as one run only while it fits the buffer
+    # (a longer strided operand is cut into buffer-sized runs), so a leaf past the middle of the mirrored
+    # array has the bits of the reduction of its copy only up to np.getbufsize() elements
+    assert contour._LEAF in LEAF_SIZES and contour._LEAF <= np.getbufsize()
+
 
 @pytest.mark.parametrize("shape", MIRROR_SHAPES, ids=lambda s: "x".join(map(str, s)))
-def test_mirror_sum_is_numpys_sum_of_the_mirrored_array(shape):
+def test_mirror_sum_is_numpys_sum_of_the_mirrored_array(monkeypatch, shape):
     rng = np.random.default_rng(sum(shape))
     half = _mixed_complex(rng, shape)
     want = complex(np.sum(np.concatenate([half, np.conj(np.flip(half))])))
-    # slabs of one row, of rows not aligned to the leaves, and of more rows than there are
-    for rows in (1, 7, 301, len(half) + 5):
-        assert same_bits(_mirror_sum(half, rows), want), rows
+    for leaf in LEAF_SIZES:
+        monkeypatch.setattr(contour, "_LEAF", leaf)
+        # slabs of one row, of rows not aligned to the leaves, and of more rows than there are
+        for rows in (1, 7, 301, len(half) + 5):
+            assert same_bits(_mirror_sum(half, rows), want), (leaf, rows)
 
 
-def test_mirror_sum_keeps_the_signs_of_zeros_that_numpy_keeps():
-    for half in (np.full(12, complex(-0.0, -0.0)), np.full(1200, complex(-0.0, -0.0)), np.zeros(4000, complex)):
-        want = complex(np.sum(np.concatenate([half, np.conj(np.flip(half))])))
-        assert same_bits(_mirror_sum(half, 100), want)
+def test_mirror_sum_keeps_the_signs_of_zeros_that_numpy_keeps(monkeypatch):
+    for leaf in LEAF_SIZES:
+        monkeypatch.setattr(contour, "_LEAF", leaf)
+        for half in (np.full(12, complex(-0.0, -0.0)), np.full(1200, complex(-0.0, -0.0)), np.zeros(4000, complex)):
+            want = complex(np.sum(np.concatenate([half, np.conj(np.flip(half))])))
+            assert same_bits(_mirror_sum(half, 100), want), (leaf, half.size)
 
 
 @pytest.mark.parametrize("shape, rows", [((240, 384), 42), ((4099,), 301), ((1000,), 7)])
@@ -486,6 +502,23 @@ def test_density_table_keys_densities_by_value():
     for it in integrals:
         assert it.values == _naive_values(it)
     assert plans[0].lhs[0].values != plans[1].lhs[0].values
+
+
+def test_density_table_shares_each_pole_quotient_by_pairing_and_residue():
+    # three densities on one pairing of an A2 slab: two with n = 1, which share -1 / z, and one with n = 1/2
+    fns = [
+        scalar_fn_from_template({"kind": "pole"}, Fraction(1)),
+        scalar_fn_from_template({"kind": "model_plancherel", "c": "1"}, Fraction(1)),
+        scalar_fn_from_template({"kind": "model_plancherel", "c": "4"}, Fraction(1, 2)),
+    ]
+    it = next(it for _, case in _suite_cases("A2", {"c00/M0/m"}) for it in _plan(0, case).lhs)
+    gd = it.terms[0].factors[0][2]
+    lam, _ = next(it.grids[0].slabs(it.grids[0].axes()))
+    table = contour._density_table({gd: {fn.key: fn for fn in fns}}, lam)
+    z = sum(c * g for c, g in zip(lam, gd))
+    assert len(table) == 3 and z.size == lam[0].size
+    for got, fn in zip(table, fns):
+        assert same_bits(got, fn(z)), fn
 
 
 def test_batch_matches_one_case_at_a_time():
