@@ -10,7 +10,7 @@ import json
 import os
 import sys
 from fractions import Fraction
-from math import isfinite, isqrt
+from math import isfinite
 from pathlib import Path
 
 from .asymptotic import (
@@ -74,14 +74,8 @@ def _index(payload, key: str, items):
 
 def _quad_str(val) -> str:
     """Exact rendering of a rational-square value; rational when it is one."""
-    if val.is_zero():
-        return "0"
-    num, den = val.square.numerator, val.square.denominator
-    rn, rd = isqrt(num), isqrt(den)
-    if rn * rn == num and rd * rd == den:
-        root = Fraction(rn, rd)
-        return str(root if val.sign > 0 else -root)
-    return ("-" if val.sign < 0 else "") + f"sqrt({val.square})"
+    root = val.rational()
+    return str(root) if root is not None else ("-" if val.sign < 0 else "") + f"sqrt({val.square})"
 
 
 def cmd_describe(args) -> int:

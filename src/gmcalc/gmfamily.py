@@ -2,11 +2,12 @@
 
 A chamber family holds, per chamber, rational multiples of exp(lam(X)).  Its
 limit, the (G,M)-family limit of Arthur (Ann. Math. 114, 1981), is computed
-exactly as the constant Laurent coefficient along a generic rational line; the
-volume of the convex hull of an orthogonal set is a sum of integer
-determinants over one pulling triangulation that each Levi reads off its
-face lattice (``levilattice.hull_faces``).  Both return numbers with
-rational square so the two routes can be compared with no tolerance at all.
+exactly as the constant Laurent coefficient along a generic rational line, with
+each chamber weighted by ``levilattice.theta``, covolume included; the volume
+of the convex hull of an orthogonal set is a sum of integer determinants over
+one pulling triangulation that each Levi reads off its face lattice
+(``levilattice.hull_faces``).  Both return numbers with rational square so
+the two routes can be compared with no tolerance at all.
 
 Orthogonal sets and families are integer rows over one positive denominator
 per set, and the checks, the hull and the Laurent sums run on the integer

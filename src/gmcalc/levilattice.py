@@ -45,7 +45,7 @@ Gram determinants, on integer rows of the relative bases kept on the Levi.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd, isqrt
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import DimensionError, IncompleteInput, InternalInconsistency, NotComparable
@@ -53,7 +53,6 @@ from .exactlin import (
     Vec,
     combine,
     idot,
-    int_det,
     int_gram_det,
     int_mat,
     int_mat_vec,
@@ -105,6 +104,12 @@ class QuadConst:
     def is_zero(self) -> bool:
         return self.sign == 0
 
+    def rational(self) -> Fraction | None:
+        """The exact value when its square is the square of a rational, else None."""
+        num, den = self.square.numerator, self.square.denominator
+        rn, rd = isqrt(num), isqrt(den)
+        return Fraction(self.sign * rn, rd) if rn * rn == num and rd * rd == den else None
+
     def __float__(self) -> float:
         return self.sign * float(self.square) ** 0.5
 
@@ -130,9 +135,9 @@ class Levi:
     hull-limit frame: the integer map proj o w of each chamber's Weyl cell,
     the adjacent chamber pairs with integer wall directions, the integer
     basis coordinate map with its Gram determinant, per limit direction the
-    integer pairing row of a generic lam0 with each chamber's scale
-    q_P / theta*_P, and the faces of the M-hull with a pulling triangulation
-    read off them.
+    integer pairing row of a generic lam0 with each chamber's scale, read off
+    ``theta``, and the faces of the M-hull with a pulling triangulation read
+    off them.
     """
 
     def __init__(self, datum: RootDatum, basis: tuple[Vec, ...], root_subset: frozenset[int]):
@@ -298,9 +303,8 @@ def _join(L: Levi, S: Levi) -> Levi:
 
 
 def conjugate_levi(w: WeylElement, L: Levi) -> Levi:
-    d = L.datum
     subset = frozenset(w.perm[i] for i in L.root_subset)
-    for M in levi_lattice(d):
+    for M in levi_lattice(L.datum):
         if M.root_subset == subset:
             return M
     raise InternalInconsistency("Weyl image of a flat is not a flat")
@@ -622,23 +626,23 @@ def _generic_direction(M: Levi, direction: RatVec | None) -> RatVec:
 
 @kept
 def limit_frame(M: Levi, direction: RatVec | None) -> tuple[tuple[tuple[int, ...], int], tuple[Fraction, ...]]:
-    """The pairing row of a generic lam0 near the direction (None: the first chamber's point) and per chamber q_P / theta*_P.
+    """The pairing row of a generic lam0 near the direction (None: the first chamber's point) and per chamber
+    theta_P(lam0)^-1 / sqrt(det G), read off ``theta``; built once per direction.
 
     The pairing row S lam0 is an integer row over one positive denominator.
-    q_P: covolume of the simple duals in basis coordinates; theta*_P: their
-    product with lam0.  Built once per direction.
+    A covolume is sqrt(det G) times the |det| of the simple duals in basis coordinates, so each scale is
+    rational, and ``family_limit`` multiplies by sqrt(det G) once.
     """
-    d = M.datum
     lam0 = _generic_direction(M, direction)
-    cmap, c, _, _, _ = coord_map(M)
+    det_g = coord_map(M)[-1]
     scales = []
     for P in parabolics(M):
-        simples = simple_restricted(P)
-        duals = [int_row(a.dual.coords) for a in simples]
-        q_num = abs(int_det([int_mat_vec(cmap, v) for v, _ in duals]))
-        q_p = Fraction(q_num, c ** M.dim * prod(e for _, e in duals))
-        scales.append(q_p / prod(d.pair(lam0, a.dual) for a in simples))
-    gram, s = d.int_gram
+        product, covol = theta(P, lam0)
+        q = QuadConst(covol.square / det_g, 1).rational()
+        if q is None:
+            raise InternalInconsistency(f"covolume of {P!r} is not a rational multiple of sqrt(det G)")
+        scales.append(q / product)
+    gram, s = M.datum.int_gram
     x, den = int_row(lam0.coords)
     return (int_mat_vec(gram, x), s * den), tuple(scales)
 

@@ -131,6 +131,12 @@ def _dominant_samples(d: RootDatum, count: int, seed: int) -> list[RatVec]:
     return out
 
 
+def _indexed(items, least: int, count: int | None = None):
+    """Each item with its index padded to the digits of the last index, and to least, so ids sort as generated."""
+    width = max(least, len(str((len(items) if count is None else count) - 1)))
+    return ((f"{k:0{width}d}", x) for k, x in enumerate(items))
+
+
 def _hull_limit(M: Levi, T: RatVec):
     oset = orthogonal_set(M, T)
     hv = hull_volume(oset)  # rejects a set that validate() rejects
@@ -143,29 +149,31 @@ def _hull_limit(M: Levi, T: RatVec):
 def suite_hull_limit(cfg: Config, d: RootDatum):
     samples = _dominant_samples(d, cfg.hull_samples, cfg.seed)
     for M in levi_lattice(d):
-        for k, T in enumerate(samples):
+        for k, T in _indexed(samples, 2):
             inputs = {"group": d.label, "M": M.label, "T": [str(x) for x in T.coords]}
-            yield f"hull-limit/{d.label}/{M.label}/t{k:02d}", "hull-limit", inputs, _attempt(_hull_limit, M, T)
+            yield f"hull-limit/{d.label}/{M.label}/t{k}", "hull-limit", inputs, _attempt(_hull_limit, M, T)
 
 
 @_records
 def suite_trand(cfg: Config, d: RootDatum):
-    for k, (chain, lhs, rhs, ok) in enumerate(trand_check(d)):
+    ups = {L: enumerate_levis(d, lower=L) for L in levi_lattice(d)}  # trand_check's chains (M1, M, S1, G1), counted
+    count = sum(len(ups[m1]) * sum(len(ups[s1]) for s1 in ups[m1]) for m1 in ups)
+    for k, (chain, lhs, rhs, ok) in _indexed(trand_check(d), 4, count):
         outcome = ok, 0.0 if ok else None, f"lhs_sq={lhs.square} rhs_sq={rhs.square}"
-        yield f"trand/{d.label}/{k:04d}/{'-'.join(chain)}", "trand", {"chain": chain}, outcome
+        yield f"trand/{d.label}/{k}/{'-'.join(chain)}", "trand", {"chain": chain}, outcome
 
 
 @_records
 def suite_tdisc(cfg: Config, d: RootDatum):
-    for idx, t in enumerate(enumerate_spectral_triples(d)):
+    for idx, t in _indexed(enumerate_spectral_triples(d), 3):
         inputs = {"group": d.label, "sigma": sorted(t.sigma_roots), "r": t.r_elem.word}
         classified = _attempt(classify_tau, t)
         ok = not isinstance(classified, GmcalcError)
-        yield f"tdisc/{d.label}/classify/{idx:03d}", "tdisc-classify", inputs, (True, 0.0, None) if ok else classified
+        yield f"tdisc/{d.label}/classify/{idx}", "tdisc-classify", inputs, (True, 0.0, None) if ok else classified
         if ok:
-            yield (f"tdisc/{d.label}/transitivity/{idx:03d}", "tdisc-transitivity", inputs,
+            yield (f"tdisc/{d.label}/transitivity/{idx}", "tdisc-transitivity", inputs,
                    _attempt(lambda: (chamber_transitivity(t), None, None)))
-            yield (f"tdisc/{d.label}/reflections/{idx:03d}", "tdisc-reflections", inputs,
+            yield (f"tdisc/{d.label}/reflections/{idx}", "tdisc-reflections", inputs,
                    _attempt(lambda: (reflections_in_core(t), None, None)))
 
 
@@ -181,9 +189,9 @@ def _nl_routes(t: TauClass):
 
 @_records
 def suite_nl_independence(cfg: Config, d: RootDatum):
-    for idx, t in enumerate(enumerate_spectral_triples(d)):
+    for idx, t in _indexed(enumerate_spectral_triples(d), 3):
         inputs = {"group": d.label, "sigma": sorted(t.sigma_roots), "r": t.r_elem.word}
-        cid = f"nL/{d.label}/{idx:03d}"
+        cid = f"nL/{d.label}/{idx}"
         home = _attempt(n_constant, t, t.levi_L)  # the home is the first Levi _nl_routes visits
         if isinstance(home, GmcalcError) or home == 1:
             yield cid, "nL-independence", inputs, _attempt(_nl_routes, t)
@@ -256,7 +264,7 @@ def _lemma_shift_cases(cfg: Config, d: RootDatum) -> list[tuple[str, dict, Shift
     tol = float(cfg.tolerances["lemma_shift"])
     phi_cfg = cfg.flat_phi[0]
     out = []
-    for ci, t in enumerate(_shift_classes(d)):
+    for ci, t in _indexed(_shift_classes(d), 2):
         models = [(name, ScalarRootFns.uniform(t.levi_L, template, t.nbeta))
                   for name, template in (("m", cfg.m_model), ("r", cfg.r_model))]
         for M in enumerate_levis(d, lower=t.levi_L):
@@ -269,7 +277,7 @@ def _lemma_shift_cases(cfg: Config, d: RootDatum) -> list[tuple[str, dict, Shift
                 tuple(float(x) for x in chamber_below(P, t.levi_L).chamber_point.coords),
             )
             for model_name, fns in models:
-                cid = f"lemma-shift/{d.label}/c{ci:02d}/{M.label}/{model_name}"
+                cid = f"lemma-shift/{d.label}/c{ci}/{M.label}/{model_name}"
                 inputs = {
                     "group": d.label,
                     "home": t.levi_L.label,
@@ -304,13 +312,13 @@ def _tempext(cfg: Config, t: TauClass):
 
 @_records
 def suite_tempext(cfg: Config, d: RootDatum):
-    for ci, t in enumerate(_shift_classes(d)):
+    for ci, t in _indexed(_shift_classes(d), 2):
         inputs = {
             "group": d.label,
             "home": t.levi_L.label,
             "n": {str(k): str(v) for k, v in sorted(t.nbeta.items())},
         }
-        yield f"tempext/{d.label}/c{ci:02d}", "tempext", inputs, _attempt(_tempext, cfg, t)
+        yield f"tempext/{d.label}/c{ci}", "tempext", inputs, _attempt(_tempext, cfg, t)
 
 
 def _generic_offset(d: RootDatum) -> RatVec:
@@ -330,6 +338,10 @@ def suite_examples(cfg: Config, d: RootDatum):
         return val.product == 0, float(abs(val.product)), None
 
     yield name + "theta-zero", "examples", {"lambda": "0"}, _attempt(theta_zero)
+
+    def full_model(mu: RatVec) -> SigmaModel:
+        t = build_spectral_triple(d, range(len(d.roots)))
+        return SigmaModel(t, ScalarRootFns.uniform(t.levi_L, cfg.m_model, t.nbeta), mu, _generic_offset(d))
 
     def d_trivial():
         got = d_constant(M0, M0, G)
@@ -364,13 +376,7 @@ def suite_examples(cfg: Config, d: RootDatum):
     yield name + "weyl-denominator-antisymmetry", "examples", {"Y": "fixed sample"}, _attempt(weyl_denom)
 
     def c_coeff_case():
-        t = build_spectral_triple(d, range(len(d.roots)))
-        fns = ScalarRootFns.uniform(t.levi_L, cfg.m_model, t.nbeta)
-        model = SigmaModel(
-            t, fns,
-            RatVec.of([Fraction(k + 1, 3) for k in range(d.rank)]),
-            _generic_offset(d),
-        )
+        model = full_model(RatVec.of([Fraction(k + 1, 3) for k in range(d.rank)]))
         u = 1j
         w_id = weyl_group(d)[0]
         got = c_coefficient_example(model, w_id, P0, u, M0, M0)
@@ -381,9 +387,7 @@ def suite_examples(cfg: Config, d: RootDatum):
     yield name + "c-coefficient-identity-case", "examples", {"w": "identity", "L": M0.label}, _attempt(c_coeff_case)
 
     def assemble_zero():
-        t = build_spectral_triple(d, range(len(d.roots)))
-        fns = ScalarRootFns.uniform(t.levi_L, cfg.m_model, t.nbeta)
-        model = SigmaModel(t, fns, RatVec.zero(d.rank), _generic_offset(d))
+        model = full_model(RatVec.zero(d.rank))
         maxes = [L for L in levi_lattice(d) if 0 < L.dim < d.rank]
         if not maxes:
             return True, 0.0, "no proper intermediate Levi"
@@ -411,13 +415,10 @@ def suite_examples(cfg: Config, d: RootDatum):
     def phi_tt_terms():
         if d.rank > 2:
             return True, 0.0, "expansion recorded for rank <= 2 groups"
-        t = build_spectral_triple(d, range(len(d.roots)))
-        fns = ScalarRootFns.uniform(t.levi_L, cfg.m_model, t.nbeta)
         mu = RatVec.zero(d.rank)
         for k, cw in enumerate(d.fund_coweights):
             mu = mu + Fraction(k + 1) * cw  # distinct coefficients keep the orbit regular
-        model = SigmaModel(t, fns, mu, _generic_offset(d))
-        exp = phi_TT_expansion(model, P0)
+        exp = phi_TT_expansion(full_model(mu), P0)
         expected = len(levi_lattice(d)) * len(weyl_group(d))
         ok = len(exp.terms) == expected
         return ok, float(len(exp.terms) - expected), json.dumps(exp.serialize(), sort_keys=True)

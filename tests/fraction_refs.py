@@ -21,7 +21,10 @@ pairings, where the package reads the integer root forms; the pole-ray
 reflection reference is a ``Fraction`` matrix in the home's basis
 coordinates, where the package keeps that matrix times the home's scale.
 The coordinate-map reference makes its one Gram solve on ``Fraction`` rows,
-where the package solves on the integer rows of the basis and the form.
+where the package solves on the integer rows of the basis and the form.  The
+chamber-scale reference takes the covolume of the simple duals as the
+determinant of their basis coordinates, where the package reads it off
+``theta``.
 Two references are not ``Fraction`` routes but the closures and scans the
 package once ran: the coset reference closes each Levi's reflection subgroup
 and composes every element with it, where the package keeps the elements
@@ -66,6 +69,7 @@ from gmcalc.levilattice import (
     levi_lattice,
     mzero,
     rays_in,
+    simple_restricted,
 )
 from gmcalc.rootdatum import RatVec, act, compose, invert, reflect_subgroup, weyl_group
 from gmcalc.spectral import _fixed_dim, _fixes_flat
@@ -420,6 +424,14 @@ def ref_coord_map(M):
     basis, e = int_mat(M.basis)
     lift = tuple(tuple(row[k] for row in basis) for k in range(M.datum.rank))
     return cmap, c, lift, e * c, disc
+
+
+def ref_limit_scale(P, lam):
+    """A chamber's hull-limit scale q_P / theta*_P: q_P the |det| of the simple duals in basis coordinates
+    (covol_P / sqrt(det G)), theta*_P the product of their pairings with lam."""
+    M, duals = P.levi, [a.dual.coords for a in simple_restricted(P)]
+    q = abs(ref_det([ref_coords_in_basis(v, M.basis) for v in duals]))
+    return q / prod(ref_pair(M.datum.gram, lam.coords, v) for v in duals)
 
 
 def ref_brute_force_discrete(t, upper):

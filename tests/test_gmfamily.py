@@ -13,7 +13,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from float_refs import ref_segment_integral, same_bits
-from fraction_refs import ref_gram_det, ref_hull_simplices, ref_hull_volume
+from fraction_refs import ref_gram_det, ref_hull_simplices, ref_hull_volume, ref_limit_scale
+from mutants import doubled_theta_covolume
 from gmcalc import exactlin, gmfamily, levilattice
 from gmcalc.cli import main as cli_main
 from gmcalc.config import load_config
@@ -448,6 +449,26 @@ def test_perturbed_chamber_scale_fails_every_record_of_its_levi(label):
         family_limit(ExpPolyFamily.from_orthogonal_set(orthogonal_set(M, dominant_point(d, [1] * d.rank))))
 
 
+@pytest.mark.parametrize("label", ["A2", "B2", "G2", "A3", "A1xA3", "G2xG2"])
+def test_chamber_scales_read_off_theta_equal_the_basis_determinant_route(label):
+    d = build_root_system(label)
+    for M in levi_lattice(d):
+        lam0 = levilattice._generic_direction(M, None)
+        assert limit_frame(M, None)[1] == tuple(ref_limit_scale(P, lam0) for P in parabolics(M)), M.label
+
+
+@pytest.mark.parametrize("label, failing", [("A2", 25), ("B2", 25), ("G2", 25), ("A3", 175)])
+def test_doubled_theta_covolume_fails_hull_limit_on_every_flat_of_dim_above_one(monkeypatch, label, failing):
+    # family_limit weights each chamber by theta itself, so hull-limit checks theta's normalization
+    _rebind(monkeypatch, levilattice, "theta", doubled_theta_covolume)
+    d = build_root_system(label)  # a fresh datum keeps no frame built from the real theta
+    records = suite_hull_limit(load_config(overrides={"group": label}), d)
+    failed = [r for r in records if r.status == "fail"]
+    assert len(failed) == failing
+    assert {r.id.split("/")[2] for r in failed} == {M.label for M in levi_lattice(d) if M.dim > 1}
+    assert all(r.detail.startswith("hull ") for r in failed)
+
+
 def test_hull_point_off_the_flat_raises():
     d = build_root_system("A3")
     for M in levi_lattice(d):
@@ -463,6 +484,16 @@ def test_hull_point_off_the_flat_raises():
                 hull_volume(OrthogonalSet(M, tuple(points)))
 
 
+def _rebind(monkeypatch, module, name, replacement):
+    """Bind replacement under every gmcalc name bound to module.name, the walk bench/spans.py makes."""
+    orig = getattr(module, name)
+    for mod_name, ns in list(sys.modules.items()):
+        if mod_name.startswith("gmcalc"):
+            for attr, value in list(vars(ns).items()):
+                if value is orig:
+                    monkeypatch.setattr(ns, attr, replacement)
+
+
 def _count_calls(monkeypatch, module, name, key):
     """Count the calls of module.name, by key(*args), under every gmcalc name bound to it."""
     orig = getattr(module, name)
@@ -472,11 +503,7 @@ def _count_calls(monkeypatch, module, name, key):
         counts[key(*args, **kwargs)] += 1
         return orig(*args, **kwargs)
 
-    for mod_name, ns in list(sys.modules.items()):
-        if mod_name.startswith("gmcalc"):
-            for attr, value in list(vars(ns).items()):
-                if value is orig:
-                    monkeypatch.setattr(ns, attr, counted)
+    _rebind(monkeypatch, module, name, counted)
     return counts
 
 

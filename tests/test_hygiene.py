@@ -4,6 +4,7 @@ No gmcalc code is imported or run.
 """
 import ast
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -371,3 +372,27 @@ def test_only_lemma_shift_charges_record_seconds():
         if isinstance(node, ast.Yield) and isinstance(node.value, ast.Tuple) and len(node.value.elts) == 5
     }
     assert charging == {"suite_lemma_shift"}
+
+
+def _fixed_width_indices(tree: ast.Module) -> list[str]:
+    """The f-string fields whose format spec is a literal integer width, like ``{k:04d}``: such an index
+    outgrows its width on a large family, and ``/10000/`` then sorts before ``/9999/``."""
+    return [
+        f"line {node.lineno}: {ast.unparse(node)}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FormattedValue)
+        and isinstance(node.format_spec, ast.JoinedStr)
+        and all(isinstance(part, ast.Constant) for part in node.format_spec.values)
+        and re.fullmatch(r"0?\d+d", "".join(part.value for part in node.format_spec.values))
+    ]
+
+
+def test_fixed_width_detector_finds_each_kind():
+    src = 'a = f"x/{k:04d}/{j:3d}"\nb = f"{i:0{w}d}{x:.3f}{y!r}{z}"\nc = f"c{ci:02d}"\n'
+    assert [line.split(":")[0] for line in _fixed_width_indices(ast.parse(src))] == ["line 1"] * 2 + ["line 3"]
+
+
+def test_record_ids_pad_indices_to_their_family():
+    # every index in a record id is padded by suites._indexed to the digits of its family's last index
+    found = _fixed_width_indices(_tree(SRC / "suites.py"))
+    assert not found, f"suites.py pads an index to a fixed width: {found}"

@@ -673,6 +673,45 @@ def test_quadconst_product_with_a_zero_factor_is_the_shared_zero():
     assert a * QuadConst.from_square(1) == a
 
 
+
+@pytest.mark.parametrize("square, sign, root", [
+    (Fraction(9, 4), 1, Fraction(3, 2)),
+    (Fraction(9, 4), -1, Fraction(-3, 2)),
+    (Fraction(1), 1, Fraction(1)),
+    (Fraction(10 ** 40, 49), -1, Fraction(-10 ** 20, 7)),  # isqrt stays exact past float precision
+    (Fraction(2), 1, None),
+    (Fraction(4, 3), 1, None),  # a square numerator over a non-square denominator
+    (Fraction(3, 4), -1, None),  # and the other way round
+    (Fraction(10 ** 40 + 1), 1, None),
+    (Fraction(0), 1, Fraction(0)),
+])
+def test_quadconst_rational_is_the_exact_root_or_none(square, sign, root):
+    val = QuadConst.from_square(square, sign)
+    got = val.rational()
+    assert got == root and (got is None or type(got) is Fraction)
+    if root is not None:
+        assert QuadConst.from_square(root * root, (root > 0) - (root < 0)) == val
+
+
+# Levis whose chambers have more than one theta covolume, so the ratio to sqrt(det G) is read per chamber
+COVOLUME_SPREAD = {"A2": 0, "B2": 0, "G2": 0, "A3": 6, "A1xA3": 12, "G2xG2": 0}
+
+
+@pytest.mark.parametrize("label", list(COVOLUME_SPREAD))
+def test_theta_covolume_is_a_rational_multiple_of_sqrt_det_g(label):
+    # limit_frame reads each chamber's scale as this rational; a square class it misses would raise there
+    d = build_root_system(label)
+    spread = 0
+    for M in levi_lattice(d):
+        det_g = coord_map(M)[-1]
+        covols = {theta(P, P.chamber_point).covol for P in parabolics(M)}
+        for covol in covols:
+            q = QuadConst.from_square(covol.square / det_g).rational()
+            assert q is not None and q > 0, (M.label, covol)
+        spread += len(covols) > 1
+    assert spread == COVOLUME_SPREAD[label]
+
+
 REF_GROUPS = ["A1", "A2", "B2", "G2", "A3", "A1xA3", "B2xB2", "G2xG2"]
 
 

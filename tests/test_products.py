@@ -3,18 +3,21 @@
 With the orthogonal-sum form, the Levi lattice of G1 x G2 is the product of
 the factors' lattices, each Levi's chambers are pairs of chambers, the
 spectral classes are pairs of classes, the hull of an orthogonal set is the
-product of the factors' hulls, and a splitting constant is the product of
-the factors' constants.  The product side is always built from the product
-datum alone: a product Levi is matched to its pair of factor Levis only by
-the support of its roots, and a point only by its coordinates.
+product of the factors' hulls, a splitting constant is the product of the
+factors' constants, and theta of a chamber, product and covolume alike, is
+the product of the factors' thetas.  The product side is always built from
+the product datum alone: a product Levi is matched to its pair of factor
+Levis only by the support of its roots, a chamber to its pair of factor
+chambers only by its positive roots, and a point only by its coordinates.
 """
 import random
 from fractions import Fraction
 
 import pytest
 
+from mutants import doubled_theta_covolume
 from gmcalc.gmfamily import hull_volume, orthogonal_set
-from gmcalc.levilattice import d_constant, enumerate_levis, levi_lattice, parabolics
+from gmcalc.levilattice import d_constant, enumerate_levis, levi_lattice, parabolics, theta
 from gmcalc.rootdatum import RatVec, build_root_system
 from gmcalc.spectral import enumerate_spectral_triples
 
@@ -27,20 +30,36 @@ def _factors(label):
     return build_root_system(label), build_root_system(first), build_root_system(second)
 
 
-def _levi_pairs(d, d1, d2):
-    """Each Levi of the product mapped to its pair of factor Levis by the support of its roots."""
+def _split_roots(d, d1, d2, roots):
+    """The product's root indices split into the two factors' root indices, each as a frozenset."""
     r1 = d1.rank
     index1 = {row: k for k, row in enumerate(d1.root_rows)}
     index2 = {row: k for k, row in enumerate(d2.root_rows)}
+    rows = [d.root_rows[i] for i in roots]
+    assert all(not any(row[:r1]) or not any(row[r1:]) for row in rows)  # each root in one factor
+    return (frozenset(index1[row[:r1]] for row in rows if any(row[:r1])),
+            frozenset(index2[row[r1:]] for row in rows if any(row[r1:])))
+
+
+def _levi_pairs(d, d1, d2):
+    """Each Levi of the product mapped to its pair of factor Levis by the support of its roots."""
     lattice1 = {L.root_subset: L for L in levi_lattice(d1)}
     lattice2 = {L.root_subset: L for L in levi_lattice(d2)}
     pairs = {}
     for L in levi_lattice(d):
-        rows = [d.root_rows[i] for i in L.root_subset]
-        assert all(not any(row[:r1]) or not any(row[r1:]) for row in rows), L.label  # each root in one factor
-        s1 = frozenset(index1[row[:r1]] for row in rows if any(row[:r1]))
-        s2 = frozenset(index2[row[r1:]] for row in rows if any(row[r1:]))
+        s1, s2 = _split_roots(d, d1, d2, L.root_subset)
         pairs[L] = (lattice1[s1], lattice2[s2])
+    return pairs
+
+
+def _chamber_pairs(d, d1, d2, L, L1, L2):
+    """Each chamber of P(L) mapped to its pair of factor chambers by the split of its positive roots."""
+    chambers1 = {frozenset(P.positive_roots): P for P in parabolics(L1)}
+    chambers2 = {frozenset(P.positive_roots): P for P in parabolics(L2)}
+    pairs = {}
+    for P in parabolics(L):
+        s1, s2 = _split_roots(d, d1, d2, P.positive_roots)
+        pairs[P] = (chambers1[s1], chambers2[s2])
     return pairs
 
 
@@ -77,3 +96,41 @@ def test_product_lattice_chambers_classes_hulls_and_d_factor(label):
                 (L1, L2), (S1, S2) = pairs[L], pairs[S]
                 want = d_constant(M1, L1, S1) * d_constant(M2, L2, S2)
                 assert d_constant(M, L, S) == want, (M.label, L.label, S.label)
+
+
+CHAMBERS = {"A1xA1": 9, "A1xA2": 39, "A1xA3": 225, "A2xB2": 221, "G2xG2": 625}
+
+
+def _theta_mismatches(label, theta_fn):
+    """The number of chambers of the product, and those where theta_fn is not the product of its values on
+    the pair of factor chambers, at a random point split by coordinates."""
+    d, d1, d2 = _factors(label)
+    rng = random.Random(label)
+    r1, matched, bad = d1.rank, 0, []
+    for L, (L1, L2) in _levi_pairs(d, d1, d2).items():
+        pairs = _chamber_pairs(d, d1, d2, L, L1, L2)
+        assert len(set(pairs.values())) == len(pairs) == len(parabolics(L)), L.label
+        for P, (P1, P2) in pairs.items():
+            lam = RatVec.of([Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(d.rank)])
+            got = theta_fn(P, lam)
+            first, second = theta_fn(P1, RatVec(lam.coords[:r1])), theta_fn(P2, RatVec(lam.coords[r1:]))
+            if got.product != first.product * second.product or got.covol != first.covol * second.covol:
+                bad.append(P)
+        matched += len(pairs)
+    return matched, bad
+
+
+# per product: its chambers, and those where a covolume doubled on flats of dimension above 1 breaks the oracle
+CHAMBERS = {"A1xA1": (9, 4), "A1xA2": (39, 12), "A1xA3": (225, 28), "A2xB2": (221, 96), "G2xG2": (625, 288)}
+
+
+@pytest.mark.parametrize("label", PRODUCTS)
+def test_product_theta_is_the_product_of_the_factor_thetas(label):
+    assert _theta_mismatches(label, theta) == (CHAMBERS[label][0], [])
+
+
+@pytest.mark.parametrize("label", PRODUCTS)
+def test_doubled_theta_covolume_fails_the_product_oracle(label):
+    # it survives where one factor flat has dimension above 1 too, since that factor doubles as well
+    matched, bad = _theta_mismatches(label, doubled_theta_covolume)
+    assert (matched, len(bad)) == CHAMBERS[label]

@@ -158,3 +158,18 @@ def test_trand_holds_no_second_copy_of_its_records():
     finally:
         tracemalloc.stop()
     assert len(records) == 9121 and peak <= 1.1 * size
+
+
+def test_indexed_pads_to_the_digits_of_the_last_index():
+    assert [k for k, _ in suites._indexed(range(3), 2)] == ["00", "01", "02"]
+    assert [k for k, _ in suites._indexed(range(1000), 3)][-1] == "999"
+    assert [k for k, _ in suites._indexed(range(1001), 3)][::1000] == ["0000", "1000"]
+    assert [k for k, _ in suites._indexed(iter("ab"), 4, count=10001)] == ["00000", "00001"]
+
+
+def test_trand_ids_sort_in_generation_order_past_ten_thousand_chains():
+    # B2xB2 has 13,225 chains: a four-digit index would sort trand/B2xB2/10000/... before .../9999/...
+    records = _suite("trand", "B2xB2")
+    ids = [r.id for r in records]
+    assert len(ids) == 13225 and ids[0].startswith("trand/B2xB2/00000/") and ids[-1].startswith("trand/B2xB2/13224/")
+    assert ids == sorted(ids)
