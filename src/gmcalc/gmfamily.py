@@ -211,8 +211,7 @@ def family_limit(f: ExpPolyFamily, direction: RatVec | None = None) -> QuadConst
     summed coefficient.
     """
     M = f.levi
-    (lam, lam_den), scales = limit_frame(M, direction)
-    nums, scale_den = int_row(scales)
+    (lam, lam_den), (nums, scale_den) = limit_frame(M, direction)
     K = M.dim
     sums = [0] * (K + 1)
     for s, chamber in zip(nums, f.rows):

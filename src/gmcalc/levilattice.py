@@ -12,9 +12,9 @@ questions about them, and each is built once and kept on its owner by
 coordinate map and projector, projected roots, projected rho_check orbit,
 rays, chambers, hull-limit frame, relative bases and splitting constants on
 the Levi.  Each ray keeps its dual and its form, and ``-ray`` is its other side
-with that side's dual and form, so ``simple_restricted`` hands out signed
-rays.  Each chamber keeps the sign pattern of the rays on it, and
-``chamber_at`` finds a point's chamber by that pattern.  ``rays_in(L1, S)``
+with that side's dual and form.  Each chamber keeps the sign pattern of the
+rays on it: ``theta`` reads each wall ray on the chamber's side by that sign,
+and ``chamber_at`` finds a point's chamber by that pattern.  ``rays_in(L1, S)``
 lists the rays of a_L1 vanishing on a_S.  There is no module-level cache, so
 two data built from the same label own separate lattices.
 
@@ -41,6 +41,8 @@ keeps the tuple of Levis above it (``enumerate_levis``), the join of L and
 S is the first Levi above both (its flat is a_L meet a_S), and
 d_L1^upper(L, S) is zero unless that join is upper.  Only a nonzero d takes
 Gram determinants, on integer rows of the relative bases kept on the Levi.
+``trand_check`` reads the same rule: of the splitting sum over uppers it
+evaluates the one term at the join.
 """
 from __future__ import annotations
 
@@ -80,10 +82,6 @@ class QuadConst:
 
     def __hash__(self):
         return hash((self.square, self.sign))
-
-    @classmethod
-    def zero(cls) -> "QuadConst":
-        return _ZERO
 
     @classmethod
     def from_square(cls, sq: Fraction, sign: int = 1) -> "QuadConst":
@@ -135,9 +133,9 @@ class Levi:
     hull-limit frame: the integer map proj o w of each chamber's Weyl cell,
     the adjacent chamber pairs with integer wall directions, the integer
     basis coordinate map with its Gram determinant, per limit direction the
-    integer pairing row of a generic lam0 with each chamber's scale, read off
-    ``theta``, and the faces of the M-hull with a pulling triangulation read
-    off them.
+    integer rows of a generic lam0's pairings and of the chamber scales read
+    off ``theta``, and the faces of the M-hull with a pulling triangulation
+    read off them.
     """
 
     def __init__(self, datum: RootDatum, basis: tuple[Vec, ...], root_subset: frozenset[int]):
@@ -557,25 +555,20 @@ def hull_simplices(M: Levi) -> tuple[tuple[int, ...], ...]:
     return tuple(by_dim[M.dim][-1][1])
 
 
-def simple_restricted(P: ParabolicChamber) -> list[Ray]:
-    """The wall rays of the chamber, each on its positive side (none for the improper one)."""
-    rays = restricted_rays(P.levi)
-    return [rays[k] if P.signs[k] > 0 else -rays[k] for k in P.wall_rays]
-
-
 def theta(P: ParabolicChamber, lam: RatVec) -> ThetaValue:
     """Normalized product of simple coroot pairings over the chamber's walls.
 
-    The improper chamber (M = G) has no walls, so its value is the empty
-    product over the empty Gram determinant: 1 over covolume 1.
+    Each wall ray is read on the chamber's side, so its pairing is multiplied
+    by the chamber's stored sign; the covolume, a Gram determinant, sees no
+    sign.  The improper chamber (M = G) has no walls, so its value is the
+    empty product over the empty Gram determinant: 1 over covolume 1.
     """
     d = P.levi.datum
-    simples = simple_restricted(P)
+    rays = restricted_rays(P.levi)
     product = Fraction(1)
-    for a in simples:
-        product *= d.pair(lam, a.dual)
-    covol = QuadConst.from_square(d.volume_sq([a.dual.coords for a in simples]))
-    return ThetaValue(product, covol)
+    for k in P.wall_rays:
+        product *= P.signs[k] * d.pair(lam, rays[k].dual)
+    return ThetaValue(product, QuadConst.from_square(d.volume_sq([rays[k].dual.coords for k in P.wall_rays])))
 
 
 @kept
@@ -625,11 +618,11 @@ def _generic_direction(M: Levi, direction: RatVec | None) -> RatVec:
 
 
 @kept
-def limit_frame(M: Levi, direction: RatVec | None) -> tuple[tuple[tuple[int, ...], int], tuple[Fraction, ...]]:
+def limit_frame(M: Levi, direction: RatVec | None) -> tuple[tuple[tuple[int, ...], int], tuple[tuple[int, ...], int]]:
     """The pairing row of a generic lam0 near the direction (None: the first chamber's point) and per chamber
     theta_P(lam0)^-1 / sqrt(det G), read off ``theta``; built once per direction.
 
-    The pairing row S lam0 is an integer row over one positive denominator.
+    The pairing row S lam0 and the row of chamber scales are each integer rows over one positive denominator.
     A covolume is sqrt(det G) times the |det| of the simple duals in basis coordinates, so each scale is
     rational, and ``family_limit`` multiplies by sqrt(det G) once.
     """
@@ -644,7 +637,8 @@ def limit_frame(M: Levi, direction: RatVec | None) -> tuple[tuple[tuple[int, ...
         scales.append(q / product)
     gram, s = M.datum.int_gram
     x, den = int_row(lam0.coords)
-    return (int_mat_vec(gram, x), s * den), tuple(scales)
+    nums, scale_den = int_row(scales)
+    return (int_mat_vec(gram, x), s * den), (tuple(nums), scale_den)
 
 
 def rel_projector(L: Levi, upper: Levi) -> tuple[list[list[int]], int]:
@@ -714,26 +708,23 @@ def trand_check(d: RootDatum) -> Iterator[tuple[tuple[str, ...], QuadConst, Quad
     """Exhaustive exact check of the composition identity for splitting constants.
 
     For every chain M1 <= M, M1 <= S1, G1 >= S1 the constant d_{M1}(M, G1)
-    must equal the sum over S >= M, S >= S1 of d_{M1}^S(M, S1) d_{S1}(S, G1);
-    at most one summand is nonzero, which keeps the comparison exact.  Yields
-    (chain labels, lhs, rhs, ok) one chain at a time.
+    must equal the sum over S >= M, S >= S1 of d_{M1}^S(M, S1) d_{S1}(S, G1).
+    Its first factor is zero unless S is the join J of M and S1, so the sum
+    is the one term d_{M1}^J(M, S1) d_{S1}(J, G1), which keeps the comparison
+    exact; ``test_split_constants_equal_the_gram_reference`` checks that the
+    other first factors vanish.  Yields (chain labels, lhs, rhs, ok) one
+    chain at a time.
     """
     for m1 in levi_lattice(d):
         ups_m1 = enumerate_levis(d, lower=m1)
         for m in ups_m1:
             for s1 in ups_m1:
-                # the S >= M, S >= S1 with a nonzero first factor d_{M1}^S(M, S1), which no G1 changes
-                firsts = [(s, d_constant(m1, m, s1, upper=s)) for s in enumerate_levis(d, lower=_join(m, s1))]
-                firsts = [(s, first) for s, first in firsts if not first.is_zero()]
+                join = _join(m, s1)
+                first = d_constant(m1, m, s1, upper=join)  # no G1 changes it
                 for g1 in enumerate_levis(d, lower=s1):
                     lhs = d_constant(m1, m, g1)
-                    terms = []
-                    for s, first in firsts:
-                        term = first * d_constant(s1, s, g1)
-                        if not term.is_zero():
-                            terms.append(term)
-                    rhs = terms[0] if len(terms) == 1 else QuadConst.zero()
-                    yield (m1.label, m.label, s1.label, g1.label), lhs, rhs, len(terms) <= 1 and rhs == lhs
+                    rhs = first if first.is_zero() else first * d_constant(s1, join, g1)
+                    yield (m1.label, m.label, s1.label, g1.label), lhs, rhs, rhs == lhs
 
 
 def weyl_cosets(L: Levi) -> list[WeylElement]:

@@ -69,7 +69,7 @@ from gmcalc.levilattice import (
     levi_lattice,
     mzero,
     rays_in,
-    simple_restricted,
+    restricted_rays,
 )
 from gmcalc.rootdatum import RatVec, act, compose, invert, reflect_subgroup, weyl_group
 from gmcalc.spectral import _fixed_dim, _fixes_flat
@@ -328,10 +328,10 @@ def ref_split_constant(L1, L, S, upper):
     upper = gfull(L1.datum) if upper is None else upper
     bl, bs, b1 = (ref_rel_basis(X, upper) for X in (L, S, L1))
     if len(bl) + len(bs) != len(b1):
-        return QuadConst.zero()
+        return QuadConst.from_square(0)
     num = ref_gram_det(bl + bs, gram)
     if not num:
-        return QuadConst.zero()
+        return QuadConst.from_square(0)
     return QuadConst.from_square(num / (ref_gram_det(bl, gram) * ref_gram_det(bs, gram)))
 
 
@@ -428,10 +428,14 @@ def ref_coord_map(M):
 
 def ref_limit_scale(P, lam):
     """A chamber's hull-limit scale q_P / theta*_P: q_P the |det| of the simple duals in basis coordinates
-    (covol_P / sqrt(det G)), theta*_P the product of their pairings with lam."""
-    M, duals = P.levi, [a.dual.coords for a in simple_restricted(P)]
+    (covol_P / sqrt(det G)), theta*_P the product of their pairings with lam.  Each wall's dual is taken on
+    the chamber's side by the Fraction sign of its ray at the chamber point, not by the stored signs."""
+    M, gram = P.levi, P.levi.datum.gram
+    walls = [restricted_rays(M)[k] for k in P.wall_rays]
+    duals = [a.dual.coords if ref_pair(gram, a.rep.coords, P.chamber_point.coords) > 0 else (-a.dual).coords
+             for a in walls]
     q = abs(ref_det([ref_coords_in_basis(v, M.basis) for v in duals]))
-    return q / prod(ref_pair(M.datum.gram, lam.coords, v) for v in duals)
+    return q / prod(ref_pair(gram, lam.coords, v) for v in duals)
 
 
 def ref_brute_force_discrete(t, upper):

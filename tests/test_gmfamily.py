@@ -1,7 +1,6 @@
 import hashlib
 import json
 import random
-import sys
 from collections import Counter
 from functools import cached_property
 from fractions import Fraction
@@ -14,7 +13,7 @@ from hypothesis import strategies as st
 
 from float_refs import ref_segment_integral, same_bits
 from fraction_refs import ref_gram_det, ref_hull_simplices, ref_hull_volume, ref_limit_scale
-from mutants import doubled_theta_covolume
+from mutants import doubled_theta_covolume, rebind
 from gmcalc import exactlin, gmfamily, levilattice
 from gmcalc.cli import main as cli_main
 from gmcalc.config import load_config
@@ -155,7 +154,7 @@ def test_hull_volume_degenerate_and_point():
     d = build_root_system("A2")
     M0 = mzero(d)
     zero = orthogonal_set(M0, RatVec.zero(d.rank))
-    assert hull_volume(zero) == QuadConst.zero()
+    assert hull_volume(zero) == QuadConst.from_square(0)
     assert hull_volume(orthogonal_set(gfull(d), RatVec.zero(d.rank))) == QuadConst.from_square(1)
 
 
@@ -438,8 +437,8 @@ def test_moved_cell_element_fails_every_orthogonal_set_of_its_levi(monkeypatch):
 def test_perturbed_chamber_scale_fails_every_record_of_its_levi(label):
     d = build_root_system(label)
     M = mzero(d)
-    lam0, scales = limit_frame(M, None)
-    M.kept[limit_frame, None] = (lam0, (2 * scales[0],) + scales[1:])
+    lam0, (nums, den) = limit_frame(M, None)
+    M.kept[limit_frame, None] = (lam0, ((2 * nums[0],) + nums[1:], den))
     records = suite_hull_limit(load_config(overrides={"group": label}), d)
     records = [r for r in records if r.id.split("/")[2] == M.label]
     assert len(records) == 25
@@ -454,13 +453,14 @@ def test_chamber_scales_read_off_theta_equal_the_basis_determinant_route(label):
     d = build_root_system(label)
     for M in levi_lattice(d):
         lam0 = levilattice._generic_direction(M, None)
-        assert limit_frame(M, None)[1] == tuple(ref_limit_scale(P, lam0) for P in parabolics(M)), M.label
+        nums, den = limit_frame(M, None)[1]
+        assert tuple(Fraction(n, den) for n in nums) == tuple(ref_limit_scale(P, lam0) for P in parabolics(M)), M.label
 
 
 @pytest.mark.parametrize("label, failing", [("A2", 25), ("B2", 25), ("G2", 25), ("A3", 175)])
 def test_doubled_theta_covolume_fails_hull_limit_on_every_flat_of_dim_above_one(monkeypatch, label, failing):
     # family_limit weights each chamber by theta itself, so hull-limit checks theta's normalization
-    _rebind(monkeypatch, levilattice, "theta", doubled_theta_covolume)
+    rebind(monkeypatch, levilattice, "theta", doubled_theta_covolume)
     d = build_root_system(label)  # a fresh datum keeps no frame built from the real theta
     records = suite_hull_limit(load_config(overrides={"group": label}), d)
     failed = [r for r in records if r.status == "fail"]
@@ -484,16 +484,6 @@ def test_hull_point_off_the_flat_raises():
                 hull_volume(OrthogonalSet(M, tuple(points)))
 
 
-def _rebind(monkeypatch, module, name, replacement):
-    """Bind replacement under every gmcalc name bound to module.name, the walk bench/spans.py makes."""
-    orig = getattr(module, name)
-    for mod_name, ns in list(sys.modules.items()):
-        if mod_name.startswith("gmcalc"):
-            for attr, value in list(vars(ns).items()):
-                if value is orig:
-                    monkeypatch.setattr(ns, attr, replacement)
-
-
 def _count_calls(monkeypatch, module, name, key):
     """Count the calls of module.name, by key(*args), under every gmcalc name bound to it."""
     orig = getattr(module, name)
@@ -503,7 +493,7 @@ def _count_calls(monkeypatch, module, name, key):
         counts[key(*args, **kwargs)] += 1
         return orig(*args, **kwargs)
 
-    _rebind(monkeypatch, module, name, counted)
+    rebind(monkeypatch, module, name, counted)
     return counts
 
 
@@ -633,7 +623,7 @@ def test_kept_builds_once_per_owner_and_keeps_no_failed_build():
     ]
     shared = {id(got) for got in _kept_values(first)} & {id(got) for got in _kept_values(second)}
     # only the immutable singletons: the empty tuple and the one zero constant
-    assert all(got == () or got is QuadConst.zero() for got in _kept_values(first) if id(got) in shared)
+    assert all(got == () or got is QuadConst.from_square(0) for got in _kept_values(first) if id(got) in shared)
 
 
 # -- family limits -----------------------------------------------------------
@@ -648,7 +638,7 @@ def test_constant_family_limits():
         if M.dim == 0:
             assert val == QuadConst.from_square(1)
         else:
-            assert val == QuadConst.zero()
+            assert val == QuadConst.from_square(0)
 
 
 def test_family_limit_equals_hull_volume_exactly():

@@ -20,6 +20,8 @@ from fraction_refs import (
     ref_split_constant,
     ref_weyl_cosets,
 )
+from mutants import negated_d, rebind
+from gmcalc import levilattice
 from gmcalc.errors import DimensionError, NotComparable
 from gmcalc.exactlin import int_mat, int_rank, int_row
 from gmcalc.gmfamily import ExpPolyFamily, family_limit, split_subsets
@@ -48,7 +50,6 @@ from gmcalc.levilattice import (
     mzero,
     parabolics,
     restricted_rays,
-    simple_restricted,
     theta,
     trand_check,
     weyl_cosets,
@@ -175,7 +176,7 @@ def test_value_classes_compare_and_hash_by_their_fields():
         for c in changed:
             assert a != c and not a == c
     assert -ray != ray and -(-ray) == ray
-    assert QuadConst.from_square(2) == QuadConst(Fraction(2), 1) and QuadConst.zero() == QuadConst(Fraction(0), 0)
+    assert QuadConst.from_square(2) == QuadConst(Fraction(2), 1) and QuadConst.from_square(0) == QuadConst(Fraction(0), 0)
     v = RatVec((Fraction(1), Fraction(2)))
     assert v != v.coords and v + v == 2 * v == RatVec((Fraction(2), Fraction(4)))
     for bad in (lambda: two + two, lambda: 2 * two, lambda: two * 2, lambda: two * v, lambda: len(two), lambda: v * 2):
@@ -224,6 +225,15 @@ def test_trand_exact(label):
     assert records, "no chains enumerated"
     bad = [r for r in records if not r[3]]
     assert bad == []
+
+
+@pytest.mark.parametrize("label, failing, chains", [("A2", 28, 79), ("B2", 44, 115), ("G2", 88, 205), ("A3", 302, 1303)])
+def test_negated_d_fails_trand_on_every_chain_with_a_nonzero_side(monkeypatch, label, failing, chains):
+    # both factors of the one join term flip and cancel, so a chain fails exactly when its lhs is nonzero
+    rebind(monkeypatch, levilattice, "d_constant", negated_d)
+    records = list(trand_check(build_root_system(label)))
+    assert len(records) == chains
+    assert sum(not ok for *_, ok in records) == sum(not lhs.is_zero() for _, lhs, _, _ in records) == failing
 
 
 def test_weyl_cosets_counts():
@@ -286,12 +296,13 @@ def test_chamber_cells_cover_all_chambers():
                 assert len(ws) == expected
 
 
-def test_simple_restricted_spans():
+def test_wall_rays_span():
     d = build_root_system("B2")
     for M in levi_lattice(d):
+        rays = restricted_rays(M)
         for P in parabolics(M):
-            simples = simple_restricted(P)
-            assert len(simples) == M.dim
+            assert len(P.wall_rays) == M.dim
+            assert d.volume_sq([rays[k].dual.coords for k in P.wall_rays]) > 0
 
 
 def test_levi_by_label_roundtrip():
@@ -327,8 +338,8 @@ def test_stored_sign_pattern_matches_fresh(label):
             assert P.signs == fresh == ref_sign_pattern(d, rays, P.chamber_point)
             x = int_row(P.chamber_point.coords)[0]
             assert form_signs(d, forms, x) == fresh
-            # -ray carries the other side's form: every wall ray, on its chamber's side, is positive there
-            assert set(form_signs(d, [a.form for a in simple_restricted(P)], x)) <= {1}
+            # -ray carries the other side's form: its sign at the chamber is the stored one flipped
+            assert form_signs(d, [(-rays[k]).form for k in P.wall_rays], x) == tuple(-P.signs[k] for k in P.wall_rays)
 
 
 def _kept(owner, fn) -> dict:
@@ -350,7 +361,7 @@ def test_d_constant_memo_matches_fresh_computation_on_a3():
             assert got == want
             entries += 1
     # every distinct (L1, L, S, upper) tuple trand_check asks for, computed once; no upper and G share a key
-    assert entries == 662
+    assert entries == 577
     assert all(not _kept(L, _split_constant) for L in levi_lattice(fresh))
 
 
@@ -420,9 +431,11 @@ def test_signed_rays_carry_their_duals(label):
             assert neg.rep == -ray.rep and neg.key == ray.key and neg.members == ray.members
             assert neg.dual.coords == vscale(Fraction(2) / d.pair(ray.rep, ray.rep), (-ray.rep).coords)
             assert -neg == ray
+        rays = restricted_rays(M)
         for P in parabolics(M):
-            # the wall rays come on the side positive on the chamber
-            for ray in simple_restricted(P):
+            # each wall ray, read on the side its stored sign names, is positive on the chamber
+            for k in P.wall_rays:
+                ray = rays[k] if P.signs[k] > 0 else -rays[k]
                 assert d.pair(ray.rep, P.chamber_point) > 0
                 assert ray.dual.coords == vscale(Fraction(2) / d.pair(ray.rep, ray.rep), ray.rep.coords)
 
@@ -665,7 +678,7 @@ def test_split_constants_equal_the_gram_reference(label):
 
 
 def test_quadconst_product_with_a_zero_factor_is_the_shared_zero():
-    zero, a = QuadConst.zero(), QuadConst.from_square(Fraction(3, 4), -1)
+    zero, a = QuadConst.from_square(0), QuadConst.from_square(Fraction(3, 4), -1)
     assert zero is QuadConst.from_square(Fraction(1), 0) is QuadConst.from_square(Fraction(0))
     for x, y in ((zero, a), (a, zero), (zero, zero)):
         assert x * y is zero

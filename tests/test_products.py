@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from mutants import doubled_theta_covolume
+from mutants import doubled_theta_covolume, negated_d
 from gmcalc.gmfamily import hull_volume, orthogonal_set
 from gmcalc.levilattice import d_constant, enumerate_levis, levi_lattice, parabolics, theta
 from gmcalc.rootdatum import RatVec, build_root_system
@@ -90,15 +90,34 @@ def test_product_lattice_chambers_classes_hulls_and_d_factor(label):
             want = hull_volume(orthogonal_set(L1, T1)) * hull_volume(orthogonal_set(L2, T2))
             assert hull_volume(orthogonal_set(L, T)) == want, (L.label, T)
     # splitting constants multiply
+    assert _d_mismatches(label, d_constant) == (SPLITTINGS[label][0], [])
+
+
+def _d_mismatches(label, d_fn):
+    """The number of triples M <= L, S of the product, and those where d_fn is not the product of its values on
+    the pairs of factor Levis."""
+    d, d1, d2 = _factors(label)
+    pairs = _levi_pairs(d, d1, d2)
+    checked, bad = 0, []
     for M, (M1, M2) in pairs.items():
         for L in enumerate_levis(d, lower=M):
             for S in enumerate_levis(d, lower=M):
                 (L1, L2), (S1, S2) = pairs[L], pairs[S]
-                want = d_constant(M1, L1, S1) * d_constant(M2, L2, S2)
-                assert d_constant(M, L, S) == want, (M.label, L.label, S.label)
+                if d_fn(M, L, S) != d_fn(M1, L1, S1) * d_fn(M2, L2, S2):
+                    bad.append((M.label, L.label, S.label))
+                checked += 1
+    return checked, bad
 
 
-CHAMBERS = {"A1xA1": 9, "A1xA2": 39, "A1xA3": 225, "A2xB2": 221, "G2xG2": 625}
+# per product: its triples (M, L, S), and those where flipping the sign of every nonzero d breaks the oracle
+SPLITTINGS = {"A1xA1": (25, 9), "A1xA2": (190, 45), "A1xA3": (2020, 339), "A2xB2": (2014, 345), "G2xG2": (7921, 2025)}
+
+
+@pytest.mark.parametrize("label", PRODUCTS)
+def test_negated_d_fails_the_product_oracle(label):
+    # both factor constants flip and cancel, so exactly the nonzero constants of the product fail
+    checked, bad = _d_mismatches(label, negated_d)
+    assert (checked, len(bad)) == SPLITTINGS[label]
 
 
 def _theta_mismatches(label, theta_fn):
