@@ -117,10 +117,14 @@ def cmd_verify(args) -> int:
         print(f"error: cannot create the report directory: {exc}", file=sys.stderr)
         return 2
     report_path = out_dir / f"report-{cfg.group}.json"
-    with open(report_path, "w", encoding="utf-8") as out:
-        report.render(out)
-    with open(out_dir / f"report-{cfg.group}.timing.json", "w", encoding="utf-8") as out:
-        report.render_timing(out)
+    try:
+        with open(report_path, "w", encoding="utf-8") as out:
+            report.render(out)
+        with open(out_dir / f"report-{cfg.group}.timing.json", "w", encoding="utf-8") as out:
+            report.render_timing(out)
+    except OSError as exc:
+        print(f"error: cannot write the report: {exc}", file=sys.stderr)
+        return 2
     for rec in report.records:  # sorted by id, as render left them
         residual = "" if rec.residual is None else f"  residual={rec.residual:.3g}"
         extra = f"  ({rec.detail})" if rec.detail else ""

@@ -96,7 +96,7 @@ def idot(u: Sequence[int], v: Sequence[int]) -> int:
 
 
 def int_mat_vec(m: Sequence[Sequence[int]], v: Sequence[int]) -> tuple[int, ...]:
-    return tuple(sum(map(mul, row, v)) for row in m)
+    return tuple([sum(map(mul, row, v)) for row in m])
 
 
 def is_zero_vec(u: Vec) -> bool:

@@ -10,10 +10,10 @@ one pulling triangulation that each Levi reads off its face lattice
 the two routes can be compared with no tolerance at all.
 
 Orthogonal sets and families are integer rows over one positive denominator
-per set, and the checks, the hull and the Laurent sums run on the integer
-frame that each Levi keeps (``levilattice.cell_maps``, ``coord_map`` through
-``flat_coords``, ``limit_frame``).  A ``Fraction`` is formed only for the volume and for the
-Laurent coefficients.
+per set.  The checks, the hull and the Laurent sums make one integer pass
+over them, reading each per-Levi fact off a frame kept once per Levi, and
+each result's square is one ``Fraction``; other Laurent coefficients become
+``Fraction``s only in the message of a family whose negative orders remain.
 
 A density on a ray is keyed by its template's exact parameters and its
 residue n at 0; no float pole list is kept.  The splitting sum and its
@@ -26,6 +26,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import factorial
 from numbers import Number
+from operator import mul
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import (
@@ -54,7 +55,6 @@ from .levilattice import (
     cell_maps,
     contains,
     coord_map,
-    flat_coords,
     form_signs,
     hull_simplices,
     limit_frame,
@@ -104,11 +104,11 @@ class OrthogonalSet:
         M = self.levi
         if len(self.rows) != len(parabolics(M)):
             raise InternalInconsistency("point list does not match the chamber list")
-        for i, j, wall in adjacent_chambers(M):
-            delta = [a - b for a, b in zip(self.rows[i], self.rows[j])]
-            # delta = c * wall with c >= 0: delta_a wall_f = delta_f wall_a for every a, and delta . wall >= 0
-            f = next(k for k, y in enumerate(wall) if y)
-            if idot(delta, wall) < 0 or any(x * wall[f] != delta[f] * y for x, y in zip(delta, wall)):
+        for i, j, wall, f in adjacent_chambers(M):
+            # delta = Y_i - Y_j = c * wall, c >= 0, wall_f != 0: delta wall_f = delta_f wall, delta_f wall_f >= 0
+            a, b = self.rows[i], self.rows[j]
+            df, wf = a[f] - b[f], wall[f]
+            if df * wf < 0 or [wf * (x - y) for x, y in zip(a, b)] != [df * y for y in wall]:
                 raise InternalInconsistency("adjacent difference not a nonnegative coroot multiple")
 
 
@@ -123,40 +123,54 @@ def orthogonal_set(M: Levi, T: RatVec) -> OrthogonalSet:
     return OrthogonalSet._of_rows(M, [int_mat_vec(m, t) for m in maps], den * t_den)
 
 
-def _wedge(w: dict[int, int], row: Sequence[int]) -> dict[int, int]:
-    """w ^ row on coordinates keyed by the bitmask of their basis indices: e_I ^ e_j = (-1)^#{i in I: i > j} e_(I+j)."""
-    out: dict[int, int] = {}
-    for mask, x in w.items():
-        for j, r in enumerate(row):
-            if r and not mask >> j & 1:
-                out[mask | 1 << j] = out.get(mask | 1 << j, 0) + (-x * r if (mask >> j).bit_count() & 1 else x * r)
-    return out
+@kept
+def _hull_plan(M: Levi) -> tuple[tuple[tuple[int, int, int, tuple], ...], tuple[int, ...]]:
+    """The wedges of ``_hull_det_sum`` as steps (parent slot, vertex, k, terms) that wedge the parent's k rows
+    with the vertex's row, one per simplex prefix, and each simplex's slot; built once per Levi.  Slot 0 is
+    vertex 0's empty wedge (1,).  A wedge of k rows lists its coordinates on the k-subsets of the basis in
+    ``combinations`` order: one row is itself, two rows x, y the minors x_i y_j - x_j y_i over the pairs (i, j)
+    in terms, and otherwise terms holds per subset J of the triples (index of J - j_t, j_t, (-1)^(k - t))."""
+    n = M.dim
+    index = [{J: i for i, J in enumerate(combinations(range(n), k))} for k in range(n + 1)]
+    terms = [(), tuple(combinations(range(n), 2))] + [
+        tuple(tuple((index[k][J[:t] + J[t + 1:]], J[t], (-1) ** (k - t)) for t in range(k + 1)) for J in index[k + 1])
+        for k in range(2, n)
+    ]
+    slots, steps = {(0,): 0}, []
+    for s in hull_simplices(M):
+        for k in range(2, len(s) + 1):
+            if s[:k] not in slots:
+                slots[s[:k]] = len(slots)
+                steps.append((slots[s[:k - 1]], s[k - 1], k - 2, terms[k - 2]))
+    return tuple(steps), tuple(slots[s] for s in hull_simplices(M))
 
 
 def _hull_det_sum(M: Levi, coords: Sequence[Sequence[int]]) -> int:
     """n! vol of the hull of integer points in Z^n, one per chamber of P(M) (n = dim a_M; 1 for a point): the
     sum of |det(Y_i1 - Y_0, ..., Y_in - Y_0)| over ``hull_simplices``, each determinant the wedge of its rows
-    in order, and each wedge of a simplex prefix built once."""
-    rows = [tuple(a - b for a, b in zip(y, coords[0])) for y in coords]
-    wedges = {(0,): {0: 1}}  # every simplex starts at vertex 0, whose row is 0: the empty wedge
-    for s in hull_simplices(M):
-        for k in range(2, len(s) + 1):
-            if s[:k] not in wedges:
-                wedges[s[:k]] = _wedge(wedges[s[:k - 1]], rows[s[k - 1]])
-    return sum(abs(wedges[s].get((1 << M.dim) - 1, 0)) for s in hull_simplices(M))
+    in order, and each wedge of a simplex prefix built once, by the steps of ``_hull_plan``."""
+    steps, simplices = _hull_plan(M)
+    rows = [[a - b for a, b in zip(y, coords[0])] for y in coords]
+    wedges = [(1,)]
+    for parent, v, k, terms in steps:
+        w, y = wedges[parent], rows[v]
+        wedges.append(y if not k else [w[i] * y[j] - w[j] * y[i] for i, j in terms] if k == 1
+                      else [sum([s * w[i] * y[j] for i, j, s in out]) for out in terms])
+    return sum(abs(wedges[k][0]) for k in simplices)
 
 
 def hull_volume(pts: OrthogonalSet) -> QuadConst:
     """Volume of the convex hull of a positive orthogonal set in the invariant measure on a_M; the triangulation
-    holds for those only, so a set off the flat or one that ``validate`` rejects raises InternalInconsistency."""
+    holds for those only, so a set off the flat or one that ``validate`` rejects raises InternalInconsistency.
+    Every point reads one ``coord_map``, as in ``flat_coords``, and the volume's square is one ``Fraction``."""
     M = pts.levi
-    coords = [flat_coords(M, x) for x in pts.rows]
-    if None in coords:
+    cmap, c, lift, scale, disc = coord_map(M)
+    coords = [int_mat_vec(cmap, x) for x in pts.rows]
+    if [int_mat_vec(lift, y) for y in coords] != [tuple([scale * a for a in x]) for x in pts.rows]:
         raise InternalInconsistency("hull point outside the flat")
     pts.validate()
-    _, c, _, _, disc = coord_map(M)
-    vol = Fraction(_hull_det_sum(M, coords), factorial(M.dim) * (c * pts.den) ** M.dim)
-    return QuadConst.from_square(vol * vol * disc)
+    total, den = _hull_det_sum(M, coords), factorial(M.dim) * (c * pts.den) ** M.dim
+    return QuadConst.from_square(Fraction(total * total * disc.numerator, den * den * disc.denominator))
 
 
 # ---------------------------------------------------------------------------
@@ -205,32 +219,26 @@ def family_limit(f: ExpPolyFamily, direction: RatVec | None = None) -> QuadConst
     Each term c * exp(s <lam0, X>) is expanded through s^K, K = dim a_M.  All
     Laurent coefficients of negative order must cancel; if they do not, the
     family is incompatible and FamilyNotSmooth is raised.  The sums run on
-    integer numerators; order k has denominator k! times one common
-    denominator to the power k, times that of the scales and coefficients.
+    integer numerators, one pass over the terms per order; order k has
+    denominator k! times one common denominator to the power k, times that of
+    the scales and coefficients, and the square of order K is one ``Fraction``.
     On a point flat (K = 0) the one chamber's scale is 1, so the limit is its
     summed coefficient.
     """
     M = f.levi
     (lam, lam_den), (nums, scale_den) = limit_frame(M, direction)
     K = M.dim
-    sums = [0] * (K + 1)
-    for s, chamber in zip(nums, f.rows):
-        for c, x in chamber:
-            a = idot(lam, x)
-            term = s * c
-            for k in range(K + 1):
-                sums[k] += term
-                term *= a
-
-    def coefficient(k: int) -> Fraction:
-        return Fraction(sums[k], scale_den * f.c_den * factorial(k) * (lam_den * f.x_den) ** k)
-
+    terms = [s * c for s, chamber in zip(nums, f.rows) for c, _ in chamber]
+    pairings = [idot(lam, x) for chamber in f.rows for _, x in chamber]
+    sums = []
+    for _ in range(K + 1):
+        sums.append(sum(terms))
+        terms = list(map(mul, terms, pairings))
+    dens = [scale_den * f.c_den * factorial(k) * (lam_den * f.x_den) ** k for k in range(K + 1)]
     if any(sums[:K]):
-        raise FamilyNotSmooth(
-            f"negative Laurent orders do not cancel: {[coefficient(k) for k in range(K)]}"
-        )
-    c = coefficient(K)
-    return QuadConst.from_square(c * c * coord_map(M)[-1], 1 if c > 0 else (-1 if c < 0 else 0))
+        raise FamilyNotSmooth(f"negative Laurent orders do not cancel: {[Fraction(n, q) for n, q in zip(sums, dens[:K])]}")
+    num, den, disc = sums[K], dens[K], coord_map(M)[-1]
+    return QuadConst.from_square(Fraction(num * num * disc.numerator, den * den * disc.denominator), (num > 0) - (num < 0))
 
 
 # ---------------------------------------------------------------------------

@@ -26,15 +26,13 @@ sum and the relative bases of the splitting constants.
 
 Three facts come from one integer route each, on rows over one positive
 denominator (``exactlin.int_row``): the signs of root or ray walls at a point
-from ``form_signs``, over the forms built once per datum
-(``RootDatum.root_forms``) and once per ray (``Ray.form``, S times the ray's
-direction), the basis coordinates of a point of a flat (or None off it)
-from ``flat_coords`` on the flat's ``coord_map``, and the projection of
-every root from ``projected_roots``, which the rays and the cell maps of
-the hull-limit frame both read.  The projected orbit, from which
-``chamber_witnesses`` picks one witness per sign pattern for the chambers
-of ``parabolics`` and the pole-ray chambers of a spectral class, and the
-pairing row of lam0 are integer rows too.
+from ``form_signs``, over the forms of ``RootDatum.root_forms`` and
+``Ray.form`` (S times the ray's direction), the basis coordinates of a
+point of a flat (or None off it) from its ``coord_map``, and the projection
+of every root from ``projected_roots``, which the rays and the cell maps
+both read.  The projected orbit, from which ``chamber_witnesses`` picks the
+chambers' witnesses, the pairing row of lam0, and theta's dual forms and
+covolumes (``theta_frame``) are integer rows too.
 
 Splitting constants read the lattice before any Gram matrix: each Levi
 keeps the tuple of Levis above it (``enumerate_levis``), the join of L and
@@ -47,7 +45,7 @@ evaluates the one term at the join.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import DimensionError, IncompleteInput, InternalInconsistency, NotComparable
@@ -85,10 +83,10 @@ class QuadConst:
 
     @classmethod
     def from_square(cls, sq: Fraction, sign: int = 1) -> "QuadConst":
-        sq = Fraction(sq)
-        if sq < 0:
+        sq = sq if isinstance(sq, Fraction) else Fraction(sq)
+        if sq.numerator < 0:
             raise ValueError("square must be nonnegative")
-        if sq == 0 or sign == 0:
+        if not sq.numerator or not sign:
             return _ZERO
         return cls(sq, 1 if sign > 0 else -1)
 
@@ -131,11 +129,12 @@ class Levi:
     the integer rows of the bases relative to upper flats, the splitting
     constants d_L1 and the splitting-sum terms with this flat as L1, and the
     hull-limit frame: the integer map proj o w of each chamber's Weyl cell,
-    the adjacent chamber pairs with integer wall directions, the integer
-    basis coordinate map with its Gram determinant, per limit direction the
-    integer rows of a generic lam0's pairings and of the chamber scales read
-    off ``theta``, and the faces of the M-hull with a pulling triangulation
-    read off them.
+    the adjacent chamber pairs with integer wall directions and their pivots,
+    the integer basis coordinate map with its Gram determinant, per chamber
+    the integer wall forms, sign and covolume that ``theta`` reads, per limit
+    direction the integer rows of a generic lam0's pairings and of the chamber
+    scales read off ``theta``, and the faces of the M-hull with a pulling
+    triangulation and its wedge steps (``gmfamily._hull_plan``) read off them.
     """
 
     def __init__(self, datum: RootDatum, basis: tuple[Vec, ...], root_subset: frozenset[int]):
@@ -447,9 +446,9 @@ def parabolics(M: Levi) -> tuple[ParabolicChamber, ...]:
 
 
 @kept
-def adjacent_chambers(M: Levi) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+def adjacent_chambers(M: Levi) -> tuple[tuple[int, int, tuple[int, ...], int], ...]:
     """The chamber pairs i < j across one wall, each with the primitive integer direction of its wall ray
-    signed positive on i; built once per Levi."""
+    signed positive on i and the index of that direction's first nonzero entry; built once per Levi."""
     by_signs = {P.signs: P.index for P in parabolics(M)}
     rays = restricted_rays(M)
     pairs = []
@@ -457,7 +456,8 @@ def adjacent_chambers(M: Levi) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
         for k in P.wall_rays:
             j = by_signs[P.signs[:k] + (-P.signs[k],) + P.signs[k + 1:]]
             if P.index < j:
-                pairs.append((P.index, j, tuple(P.signs[k] * int(x) for x in rays[k].key)))
+                wall = tuple(P.signs[k] * int(x) for x in rays[k].key)
+                pairs.append((P.index, j, wall, next(f for f, x in enumerate(wall) if x)))
     return tuple(sorted(pairs, key=lambda pair: pair[:2]))
 
 
@@ -555,20 +555,33 @@ def hull_simplices(M: Levi) -> tuple[tuple[int, ...], ...]:
     return tuple(by_dim[M.dim][-1][1])
 
 
-def theta(P: ParabolicChamber, lam: RatVec) -> ThetaValue:
-    """Normalized product of simple coroot pairings over the chamber's walls.
+@kept
+def theta_frame(M: Levi) -> tuple[tuple[IntRows, int, int, QuadConst], ...]:
+    """Per chamber of P(M) in order, what ``theta`` reads at every lam, built once per Levi on the integer
+    rows of the duals, dual_k = D_k / e_k: the forms S D_k of its walls, the product of their signs on the
+    chamber, q = prod s e_k (s the form's denominator), and the covolume, sqrt(det Gram(D) s^n) / q."""
+    gram, s = M.datum.int_gram
+    duals = [int_row(ray.dual.coords) for ray in restricted_rays(M)]
+    forms = [int_mat_vec(gram, row) for row, _ in duals]
+    frame = []
+    for P in parabolics(M):
+        walls, q = tuple(forms[k] for k in P.wall_rays), prod(s * duals[k][1] for k in P.wall_rays)
+        covol_sq = Fraction(int_gram_det([duals[k][0] for k in P.wall_rays], walls) * s ** len(walls), q * q)
+        frame.append((walls, prod(P.signs[k] for k in P.wall_rays), q, QuadConst.from_square(covol_sq)))
+    return tuple(frame)
 
-    Each wall ray is read on the chamber's side, so its pairing is multiplied
-    by the chamber's stored sign; the covolume, a Gram determinant, sees no
-    sign.  The improper chamber (M = G) has no walls, so its value is the
-    empty product over the empty Gram determinant: 1 over covolume 1.
-    """
-    d = P.levi.datum
-    rays = restricted_rays(P.levi)
-    product = Fraction(1)
-    for k in P.wall_rays:
-        product *= P.signs[k] * d.pair(lam, rays[k].dual)
-    return ThetaValue(product, QuadConst.from_square(d.volume_sq([rays[k].dual.coords for k in P.wall_rays])))
+
+def theta(P: ParabolicChamber, lam: RatVec) -> ThetaValue:
+    """Normalized product of simple coroot pairings over the chamber's walls, read off ``theta_frame``: each
+    wall ray is read on the chamber's side, its pairing times the chamber's stored sign, and the covolume, a
+    Gram determinant, sees no sign.  The improper chamber (M = G) has no walls: 1 over covolume 1."""
+    x, den = int_row(lam.coords)
+    if len(x) != P.levi.datum.rank:
+        raise DimensionError(f"expected vectors of length {P.levi.datum.rank}")
+    walls, num, q, covol = theta_frame(P.levi)[P.index]
+    for f in walls:
+        num *= idot(f, x)
+    return ThetaValue(Fraction(num, q * den ** len(walls)), covol)
 
 
 @kept
@@ -605,10 +618,7 @@ def flat_coords(M: Levi, x: Sequence[int]) -> tuple[int, ...] | None:
 def _generic_direction(M: Levi, direction: RatVec | None) -> RatVec:
     forms = [ray.form for ray in restricted_rays(M)]
     base = parabolics(M)[0].chamber_point
-    if direction is None:
-        direction = base
-    lam = direction
-    step = Fraction(1, 97)
+    lam, step = base if direction is None else direction, Fraction(1, 97)
     for _ in range(64):
         if 0 not in form_signs(M.datum, forms, int_row(lam.coords)[0]):
             return lam

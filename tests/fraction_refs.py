@@ -1,8 +1,8 @@
 """Fraction references for the integer routes to the reflection permutations, the Levi lattice, products,
 projections, ray signs, flat coordinates, restricted rays, chamber witnesses, parabolic chambers, splitting
 constants, the basis sums n^L, the chamber-stabilizer test with k^L, the fixed spaces of Weyl elements and
-the pole-ray reflections on a home flat, the beneath-beyond reference for hull volumes, and the recursive
-pulling triangulation.
+the pole-ray reflections on a home flat, the beneath-beyond reference for hull volumes, the recursive
+pulling triangulation, and the ``Fraction`` squares of the hull volume and of the family limit.
 
 Each is the route the package ran on ``Fraction``s, or by a chamber search,
 before its integer rows and lattice facts, kept here so the tests can
@@ -24,7 +24,11 @@ The coordinate-map reference makes its one Gram solve on ``Fraction`` rows,
 where the package solves on the integer rows of the basis and the form.  The
 chamber-scale reference takes the covolume of the simple duals as the
 determinant of their basis coordinates, where the package reads it off
-``theta``.
+``theta``.  The square references form the volume and the limit's top
+Laurent coefficient as ``Fraction``s and multiply them out, vol * vol * det G
+and c * c * det G with the sign of c, where the package forms each square as
+one ``Fraction`` of integers; the volume comes from the beneath-beyond
+reference, and the coefficient is a sum of one ``Fraction`` per term.
 Two references are not ``Fraction`` routes but the closures and scans the
 package once ran: the coset reference closes each Levi's reflection subgroup
 and composes every element with it, where the package keeps the elements
@@ -40,7 +44,7 @@ the canonical kernel basis, the kernel of pairings on a flat, and the
 """
 from fractions import Fraction
 from itertools import combinations
-from math import lcm, prod
+from math import factorial, lcm, prod
 
 from gmcalc.exactlin import (
     _eliminate,
@@ -67,6 +71,7 @@ from gmcalc.levilattice import (
     group_rays,
     hull_faces,
     levi_lattice,
+    limit_frame,
     mzero,
     rays_in,
     restricted_rays,
@@ -436,6 +441,29 @@ def ref_limit_scale(P, lam):
              for a in walls]
     q = abs(ref_det([ref_coords_in_basis(v, M.basis) for v in duals]))
     return q / prod(ref_pair(gram, lam.coords, v) for v in duals)
+
+
+def ref_hull_quad(pts):
+    """hull_volume by Fraction products: the volume vol of the orthogonal set's hull in basis coordinates over
+    sqrt(det G), from the beneath-beyond reference (a point on a point flat), and vol * vol * det G."""
+    M = pts.levi
+    coords = [flat_coords(M, x) for x in pts.rows]
+    _, c, _, _, disc = coord_map(M)
+    vol = Fraction(ref_hull_volume(coords, M.dim) if M.dim else 1, factorial(M.dim) * (c * pts.den) ** M.dim)
+    return QuadConst.from_square(vol * vol * disc)
+
+
+def ref_family_limit(f):
+    """family_limit by Fraction products, for a smooth family: the order-K Laurent coefficient c along the
+    kept limit frame as a sum of one Fraction per term, and c * c * det G with the sign of c."""
+    M = f.levi
+    (lam, lam_den), (nums, scale_den) = limit_frame(M, None)
+    K = M.dim
+    c = Fraction(0)
+    for s, chamber in zip(nums, f.rows):
+        for coef, x in chamber:
+            c += Fraction(s * coef * idot(lam, x) ** K, scale_den * f.c_den * factorial(K) * (lam_den * f.x_den) ** K)
+    return QuadConst.from_square(c * c * coord_map(M)[-1], (c > 0) - (c < 0))
 
 
 def ref_brute_force_discrete(t, upper):

@@ -7,6 +7,7 @@ carries an unmutated value.
 """
 import sys
 
+from gmcalc.gmfamily import hull_volume
 from gmcalc.levilattice import QuadConst, d_constant, theta
 
 
@@ -24,6 +25,12 @@ def doubled_theta_covolume(P, lam):
     """theta with the covolume doubled on every flat of dimension above 1."""
     val = theta(P, lam)
     return val._replace(covol=val.covol * QuadConst.from_square(4)) if P.levi.dim > 1 else val
+
+
+def doubled_hull_volume(pts):
+    """hull_volume with the volume doubled on every flat of dimension above 1."""
+    val = hull_volume(pts)
+    return val * QuadConst.from_square(4) if pts.levi.dim > 1 else val
 
 
 def negated_d(L1, L, S, upper=None):

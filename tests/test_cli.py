@@ -485,6 +485,18 @@ def test_verify_report_dir_not_a_directory_exit_2_before_suites(tmp_path, capsys
     assert not ran and captured.out == "" and afile.read_text() == "keep"
 
 
+@pytest.mark.parametrize("name", ["report-A1.json", "report-A1.timing.json"])
+def test_verify_report_file_not_writable_exit_2(tmp_path, capsys, name):
+    # a directory in the report's place once ended in an IsADirectoryError traceback with exit 1
+    (tmp_path / name).mkdir()
+    assert main(["verify", "--group", "A1", "--suite", "trand", "--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: cannot write the report: "), captured.err
+    assert name in lines[0] and captured.out == ""
+    assert (tmp_path / name).is_dir()
+
+
 @pytest.mark.parametrize("bad", BAD_NUMERICS + BAD_SHAPES)
 def test_schema_rejects_what_load_config_rejects(bad):
     jsonschema = pytest.importorskip("jsonschema")

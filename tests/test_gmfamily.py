@@ -12,8 +12,15 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from float_refs import ref_segment_integral, same_bits
-from fraction_refs import ref_gram_det, ref_hull_simplices, ref_hull_volume, ref_limit_scale
-from mutants import doubled_theta_covolume, rebind
+from fraction_refs import (
+    ref_family_limit,
+    ref_gram_det,
+    ref_hull_quad,
+    ref_hull_simplices,
+    ref_hull_volume,
+    ref_limit_scale,
+)
+from mutants import doubled_hull_volume, doubled_theta_covolume, rebind
 from gmcalc import exactlin, gmfamily, levilattice
 from gmcalc.cli import main as cli_main
 from gmcalc.config import load_config
@@ -111,7 +118,7 @@ def test_validate_rejects_reversed_and_bent_differences(label):
     d = build_root_system(label)
     M = mzero(d)
     points = list(orthogonal_set(M, dominant_point(d, range(1, d.rank + 1))).points)
-    _, j, wall = levilattice.adjacent_chambers(M)[0]
+    _, j, wall, _ = levilattice.adjacent_chambers(M)[0]
     negated = [-p for p in points]  # every difference stays on its wall ray's line and changes sign
     units = [RatVec.of([int(k == a) for k in range(d.rank)]) for a in range(d.rank)]
     bent = list(points)
@@ -354,6 +361,24 @@ def test_pulled_triangulation_matches_beneath_beyond(label):
 
 
 @pytest.mark.parametrize("label", ["A2", "B2", "G2", "A3", "A1xA3"])
+def test_hull_limit_squares_equal_the_fraction_products(label):
+    # each square is one Fraction of integers; the references multiply Fractions out, as the package once did
+    d = build_root_system(label)
+    cfg = load_config(overrides={"group": label})
+    samples = _dominant_samples(d, cfg.hull_samples, cfg.seed)
+    for M in levi_lattice(d):
+        for T in samples:
+            oset = orthogonal_set(M, T)
+            fam = ExpPolyFamily.from_orthogonal_set(oset)
+            assert hull_volume(oset) == ref_hull_quad(oset), (M.label, T)
+            assert family_limit(fam) == ref_family_limit(fam), (M.label, T)
+    # a pass compares equal values, whose floats are equal: its residual is exactly 0.0
+    records = suite_hull_limit(cfg, d)
+    assert len(records) == len(samples) * len(levi_lattice(d))
+    assert all(r.status == "pass" and type(r.residual) is float and r.residual == 0.0 for r in records)
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "G2", "A3", "A1xA3"])
 def test_hull_faces_form_a_face_lattice(label):
     d = build_root_system(label)
     for M in levi_lattice(d):
@@ -469,6 +494,20 @@ def test_doubled_theta_covolume_fails_hull_limit_on_every_flat_of_dim_above_one(
     assert all(r.detail.startswith("hull ") for r in failed)
 
 
+@pytest.mark.parametrize(
+    "label, failing, total", [("A2", 25, 125), ("B2", 25, 150), ("G2", 25, 200), ("A3", 175, 375), ("A1xA3", 497, 750)]
+)
+def test_doubled_hull_volume_fails_hull_limit_on_every_flat_of_dim_above_one(monkeypatch, label, failing, total):
+    # a degenerate sample of a flat of dimension above 1 may have volume 0, which doubling keeps
+    rebind(monkeypatch, gmfamily, "hull_volume", doubled_hull_volume)
+    d = build_root_system(label)
+    records = suite_hull_limit(load_config(overrides={"group": label}), d)
+    failed = [r for r in records if r.status == "fail"]
+    assert (len(failed), len(records)) == (failing, total)
+    assert {r.id.split("/")[2] for r in failed} == {M.label for M in levi_lattice(d) if M.dim > 1}
+    assert all(r.detail.startswith("hull ") for r in failed)
+
+
 def test_hull_point_off_the_flat_raises():
     d = build_root_system("A3")
     for M in levi_lattice(d):
@@ -497,10 +536,10 @@ def _count_calls(monkeypatch, module, name, key):
     return counts
 
 
-def _count_builds(monkeypatch, name):
-    """Count, per Levi, the calls of levilattice.name that find nothing kept for them on the Levi: its builds."""
-    fn = getattr(levilattice, name)
-    counts = _count_calls(monkeypatch, levilattice, name, lambda M, *rest: None if (fn, *rest) in M.kept else id(M))
+def _count_builds(monkeypatch, name, module=levilattice):
+    """Count, per Levi, the calls of module.name that find nothing kept for them on the Levi: its builds."""
+    fn = getattr(module, name)
+    counts = _count_calls(monkeypatch, module, name, lambda M, *rest: None if (fn, *rest) in M.kept else id(M))
     return lambda: {key: n for key, n in counts.items() if key is not None}
 
 
@@ -519,11 +558,25 @@ def _count_datum_builds(monkeypatch, name):
     return counts
 
 
+# the frames of every Levi that one hull-limit record reads: the orthogonal set's cell maps, the coordinate map,
+# the adjacent walls that validate reads, the wedge steps of the hull, theta's walls and the limit frame
+HULL_FRAMES = ((levilattice, "cell_maps"), (levilattice, "coord_map"), (levilattice, "adjacent_chambers"),
+               (gmfamily, "_hull_plan"), (levilattice, "theta_frame"), (levilattice, "limit_frame"))
+
+
 def _count_integer_frames(monkeypatch):
-    """The build counters of the rho_check orbit and of each Levi's projected orbit and integer frame."""
+    """The build counters of the rho_check orbit and of each Levi's projected orbit and hull-limit frames."""
     orbits = _count_datum_builds(monkeypatch, "rho_orbit")
-    frames = {name: _count_builds(monkeypatch, name) for name in ("projected_orbit", "cell_maps", "coord_map")}
+    frames = {name: _count_builds(monkeypatch, name, module)
+              for module, name in ((levilattice, "projected_orbit"),) + HULL_FRAMES}
     return orbits, lambda: {name: count() for name, count in frames.items()}
+
+
+def _one_build_per_levi(d):
+    """What ``_count_integer_frames`` reads after hull-limit on every Levi of d: one projected orbit per proper
+    flat, and one of every hull-limit frame per Levi."""
+    every = {id(M): 1 for M in levi_lattice(d)}
+    return {"projected_orbit": {id(M): 1 for M in levi_lattice(d) if M.dim}, **{name: every for _, name in HULL_FRAMES}}
 
 
 def test_hull_limit_builds_each_frame_once_per_levi(monkeypatch):
@@ -539,9 +592,7 @@ def test_hull_limit_builds_each_frame_once_per_levi(monkeypatch):
     assert set(directions) == {id(M) for M in levi_lattice(d)}  # G included: its frame has one scale, 1
     assert set(directions.values()) == {1}
     assert orbits == {id(d): 1}
-    proper = {id(M): 1 for M in levi_lattice(d) if M.dim}
-    every = {id(M): 1 for M in levi_lattice(d)}
-    assert frames() == {"projected_orbit": proper, "cell_maps": every, "coord_map": every}
+    assert frames() == _one_build_per_levi(d)
 
 
 def test_second_datum_builds_its_own_frames(monkeypatch):
@@ -572,9 +623,7 @@ def test_second_datum_builds_its_own_frames(monkeypatch):
     assert solves == Counter(M.dim for M in levi_lattice(second))
     assert set(directions) == {id(M) for M in levi_lattice(second)}
     assert orbits == {id(second): 1}
-    proper = {id(M): 1 for M in levi_lattice(second) if M.dim}
-    every = {id(M): 1 for M in levi_lattice(second)}
-    assert frames() == {"projected_orbit": proper, "cell_maps": every, "coord_map": every}
+    assert frames() == _one_build_per_levi(second)
 
 
 def test_root_forms_built_once_per_datum(monkeypatch):

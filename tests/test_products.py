@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from mutants import doubled_theta_covolume, negated_d
+from mutants import doubled_hull_volume, doubled_theta_covolume, negated_d
 from gmcalc.gmfamily import hull_volume, orthogonal_set
 from gmcalc.levilattice import d_constant, enumerate_levis, levi_lattice, parabolics, theta
 from gmcalc.rootdatum import RatVec, build_root_system
@@ -80,17 +80,39 @@ def test_product_lattice_chambers_classes_hulls_and_d_factor(label):
         assert len(parabolics(L)) == len(parabolics(L1)) * len(parabolics(L2)), L.label
     counts = [len(enumerate_spectral_triples(x)) for x in (d, d1, d2)]
     assert counts[0] == counts[1] * counts[2]
-    # hull volumes multiply, on the split coordinates of each sample point
+    # hull volumes multiply, and so do splitting constants
+    assert _hull_mismatches(label, hull_volume) == (HULLS[label][0], [])
+    assert _d_mismatches(label, d_constant) == (SPLITTINGS[label][0], [])
+
+
+def _hull_mismatches(label, hull_fn):
+    """The number of (Levi, point) samples of the product, five random dominant points per Levi, and those
+    where hull_fn of its orthogonal set is not the product of its values on the pair of factor Levis, at the
+    point's split coordinates."""
+    d, d1, d2 = _factors(label)
     rng = random.Random(label)
-    r1 = d1.rank
-    for L, (L1, L2) in pairs.items():
+    r1, checked, bad = d1.rank, 0, []
+    for L, (L1, L2) in _levi_pairs(d, d1, d2).items():
         for _ in range(5):
             T = _dominant(d, rng)
             T1, T2 = RatVec(T.coords[:r1]), RatVec(T.coords[r1:])
-            want = hull_volume(orthogonal_set(L1, T1)) * hull_volume(orthogonal_set(L2, T2))
-            assert hull_volume(orthogonal_set(L, T)) == want, (L.label, T)
-    # splitting constants multiply
-    assert _d_mismatches(label, d_constant) == (SPLITTINGS[label][0], [])
+            want = hull_fn(orthogonal_set(L1, T1)) * hull_fn(orthogonal_set(L2, T2))
+            if hull_fn(orthogonal_set(L, T)) != want:
+                bad.append((L.label, T))
+            checked += 1
+    return checked, bad
+
+
+# per product: its (Levi, point) samples, and those where a volume doubled on flats of dimension above 1 breaks
+# the oracle
+HULLS = {"A1xA1": (20, 5), "A1xA2": (50, 15), "A1xA3": (150, 35), "A2xB2": (150, 65), "G2xG2": (320, 185)}
+
+
+@pytest.mark.parametrize("label", PRODUCTS)
+def test_doubled_hull_volume_fails_the_product_oracle(label):
+    # it survives where a factor flat has dimension above 1 too, since that factor doubles as well
+    checked, bad = _hull_mismatches(label, doubled_hull_volume)
+    assert (checked, len(bad)) == HULLS[label]
 
 
 def _d_mismatches(label, d_fn):
