@@ -303,5 +303,24 @@ def main(argv=None) -> int:
     return 2
 
 
+def _observed() -> bool:
+    """Whether a profiler, tracer or debugger watches this process; each writes what it saw at exit."""
+    monitoring = getattr(sys, "monitoring", None)  # Python 3.12+, whose cProfile and coverage register tools 0-5 here
+    tools = [monitoring.get_tool(i) for i in range(6)] if monitoring else []
+    return sys.getprofile() is not None or sys.gettrace() is not None or any(t is not None for t in tools)
+
+
+def run(argv=None) -> int:
+    """The process entry of `gmcalc` and `python -m gmcalc.cli`: main, then stdout and stderr flushed and
+    the process ended with main's code, skipping interpreter teardown.  Under a profiler, tracer or
+    debugger it returns the code, so the interpreter exits normally and they can write their results."""
+    code = main(argv)
+    if _observed():
+        return code
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(run())

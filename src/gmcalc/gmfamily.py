@@ -521,7 +521,10 @@ def induced_family_value(
     zeta = s * direction is analytic in s up to the nearest member pole, so the
     limit is extracted as a Cauchy mean over a small circle; the circle is then
     halved and the two values must agree, which certifies convergence.  The
-    circle mean runs on 64 nodes.
+    circle mean runs on 64 nodes.  At each node every ray that separates a
+    chamber from P has its segment integral evaluated once, and each chamber
+    adds the values of its rays from 0j in ray order.  A lam0 on a ray's pole
+    wall (|<lam0, dual>| below POLE_HIT_RADIUS) raises PoleHit.
     """
     import numpy as np
 
@@ -538,6 +541,8 @@ def induced_family_value(
     for ray in rays:
         dual = ray.dual
         z0 = abs(ev0(dual))
+        if z0 < POLE_HIT_RADIUS:
+            raise PoleHit(f"lam0 lies on the pole wall of {ray.rep}")
         step = abs(complex(d.pair(direction, dual)))
         if step > 0:
             bound = z0 / step
@@ -546,18 +551,20 @@ def induced_family_value(
 
     # The member of chamber Qp at zeta is exp of the sum, over the rays
     # positive on Qp and negative on P, of the density integrated from
-    # <lam0, dual> to <lam0 + zeta, dual>.  Only the end point moves along the
-    # circle, so each factor's density, dual row and start point are fixed here.
+    # <lam0, dual> to <lam0 + zeta, dual>.  A ray enters every chamber it
+    # separates from P with the sign opposite to its sign on P, so its factor
+    # (density, dual row, start point) is fixed by P alone, and only the end
+    # point moves along the circle.  Every ray separates P from -P, so each
+    # factor is read at every node.
     p_signs = form_signs(d, [ray.form for ray in rays], int_row(P.chamber_point.coords)[0])
-    factors = {}
-    for Qp in chambers:
-        rows = []
-        for ray, sp, sq in zip(rays, Qp.signs, p_signs):
-            if not (sp > 0 > sq) and not (sp < 0 < sq):
-                continue
-            pos = ray if sp > 0 else -ray
-            rows.append((fns.fn(pos.rep), d.float_row(pos.dual), ev0(pos.dual)))
-        factors[Qp.index] = rows
+    separating = {
+        Qp.index: [i for i, (sp, sq) in enumerate(zip(Qp.signs, p_signs)) if sp > 0 > sq or sp < 0 < sq]
+        for Qp in chambers
+    }
+    factors = []
+    for ray, sq in zip(rays, p_signs):
+        pos = -ray if sq > 0 else ray
+        factors.append((fns.fn(pos.rep), d.float_row(pos.dual), ev0(pos.dual)))
 
     def circle_mean(r: float) -> complex:
         total = 0j
@@ -565,11 +572,12 @@ def induced_family_value(
             s = r * cmath.exp(2j * cmath.pi * k / 64)
             zeta = [s * complex(x) for x in direction.coords]
             coords = tuple(complex(a + b) for a, b in zip(lam0, zeta))
+            seg = [_segment_integral(f, z0, sum(c * g for c, g in zip(coords, gd)), rule) for f, gd, z0 in factors]
             cs = 0j
             for Qp in chambers:
                 exponent = 0j
-                for f, gd, z0 in factors[Qp.index]:
-                    exponent += _segment_integral(f, z0, sum(c * g for c, g in zip(coords, gd)), rule)
+                for i in separating[Qp.index]:
+                    exponent += seg[i]
                 member = cmath.exp(exponent)
                 cs += member / (theta_at_dir[Qp.index] * s ** L1.dim)
             total += cs

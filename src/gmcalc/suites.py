@@ -138,20 +138,28 @@ def _indexed(items, least: int, count: int | None = None):
 
 
 def _hull_limit(M: Levi, T: RatVec):
+    """The outcome of one record, and whether it passed with both sides zero."""
     oset = orthogonal_set(M, T)
     hv = hull_volume(oset)  # rejects a set that validate() rejects
     fl = family_limit(ExpPolyFamily.from_orthogonal_set(oset))
-    ok = hv == fl  # equal values have equal floats, so a pass needs no float: its residual is 0.0
-    return ok, 0.0 if ok else abs(float(hv) - float(fl)), None if ok else f"hull {hv!r} vs limit {fl!r}"
+    if hv == fl:  # equal values have equal floats, so a pass needs no float: its residual is 0.0
+        return (True, 0.0, None), hv.is_zero()
+    return (False, abs(float(hv) - float(fl)), f"hull {hv!r} vs limit {fl!r}"), False
 
 
 @_records
 def suite_hull_limit(cfg: Config, d: RootDatum):
     samples = [(k, T, [str(x) for x in T.coords]) for k, T in _indexed(_dominant_samples(d, cfg.hull_samples, cfg.seed), 2)]
+    zero_passes = 0
     for M in levi_lattice(d):
         for k, T, t_strs in samples:
             inputs = {"group": d.label, "M": M.label, "T": t_strs}
-            yield f"hull-limit/{d.label}/{M.label}/t{k}", "hull-limit", inputs, _attempt(_hull_limit, M, T)
+            outcome = _attempt(_hull_limit, M, T)
+            if not isinstance(outcome, GmcalcError):
+                outcome, zero = outcome
+                zero_passes += zero
+            yield f"hull-limit/{d.label}/{M.label}/t{k}", "hull-limit", inputs, outcome
+    return {"hull_limit.zero_passes": zero_passes}
 
 
 @_records

@@ -1,15 +1,21 @@
 """Float references for the kernels that evaluate their integrand on whole arrays: the panel
-quadrature, the segment quadrature, the tensor grid build and the flat test function.
+quadrature, the segment quadrature, the tensor grid build and the flat test function; and for
+the analytic route of the splitting sum.
 
 Each is the route the package ran one panel, one node or one full-grid mesh
-at a time, or with every term of the prefactor, before it was batched or
-cut into slabs.  The batched kernels keep every float operation and its
-operand order, so the tests require the same bits from both
-(``same_bits``).
+at a time, with every term of the prefactor, or with each chamber's segment
+integrals evaluated for that chamber, before it was batched, cut into slabs
+or shared.  The package keeps every float operation and its operand order,
+so the tests require the same bits from both (``same_bits``).
 """
+import cmath
+
 import numpy as np
 
 from gmcalc.contour import _GL_NODES, _GL_WEIGHTS, _graded_edges
+from gmcalc.exactlin import int_row
+from gmcalc.gmfamily import _lam_evaluator, _segment_integral
+from gmcalc.levilattice import form_signs, parabolics, restricted_rays, theta
 
 
 def same_bits(a, b) -> bool:
@@ -37,6 +43,54 @@ def ref_segment_integral(f, z0, z1, rule) -> complex:
     zs = mid + half * nodes
     vals = np.asarray([f(z) for z in zs], dtype=complex)
     return complex(half * np.dot(weights, vals))
+
+
+def ref_induced_family_value(fns, P, lam0, direction) -> complex:
+    """induced_family_value with each chamber evaluating the segment integral of every ray it separates from P
+    for itself, at each node of the halved circle."""
+    L1 = fns.levi
+    d = L1.datum
+    chambers = parabolics(L1)
+    rays = restricted_rays(L1)
+    seg_nodes, seg_weights = np.polynomial.legendre.leggauss(32)
+    rule = (seg_nodes.astype(complex), seg_weights)
+    theta_at_dir = {Qp.index: float(theta(Qp, direction)) for Qp in chambers}
+    ev0 = _lam_evaluator(d, lam0)
+    margin = None
+    for ray in rays:
+        z0 = abs(ev0(ray.dual))
+        step = abs(complex(d.pair(direction, ray.dual)))
+        if step > 0:
+            bound = z0 / step
+            margin = bound if margin is None else min(margin, bound)
+    radius = 0.2 * (margin if margin is not None else 1.0)
+    p_signs = form_signs(d, [ray.form for ray in rays], int_row(P.chamber_point.coords)[0])
+    factors = {}
+    for Qp in chambers:
+        rows = []
+        for ray, sp, sq in zip(rays, Qp.signs, p_signs):
+            if not (sp > 0 > sq) and not (sp < 0 < sq):
+                continue
+            pos = ray if sp > 0 else -ray
+            rows.append((fns.fn(pos.rep), d.float_row(pos.dual), ev0(pos.dual)))
+        factors[Qp.index] = rows
+
+    def circle_mean(r: float) -> complex:
+        total = 0j
+        for k in range(64):
+            s = r * cmath.exp(2j * cmath.pi * k / 64)
+            zeta = [s * complex(x) for x in direction.coords]
+            coords = tuple(complex(a + b) for a, b in zip(lam0, zeta))
+            cs = 0j
+            for Qp in chambers:
+                exponent = 0j
+                for f, gd, z0 in factors[Qp.index]:
+                    exponent += _segment_integral(f, z0, sum(c * g for c, g in zip(coords, gd)), rule)
+                cs += cmath.exp(exponent) / (theta_at_dir[Qp.index] * s ** L1.dim)
+            total += cs
+        return total / 64
+
+    return circle_mean(radius / 2)  # the value on the halved circle; the radius check needs no reference
 
 
 def ref_grid_build(g):

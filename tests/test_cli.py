@@ -1,6 +1,7 @@
 import contextlib
 import json
 import os
+import pstats
 import signal
 import subprocess
 import sys
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from gmcalc import cli
 from gmcalc.cli import EXPRESSIONS, main
 from gmcalc.config import load_config
 from gmcalc.errors import ConfigError
@@ -468,6 +470,67 @@ def test_exact_runs_never_load_numpy(tmp_path):
         "bench build": [],
         "verify residue-1d": ["numpy", "gmcalc.contour", "inspect"],
     }
+
+
+# -- the process entry: cli.run ends the process once the reports are flushed ------------------
+
+def _real_process(argv, tmp_path):
+    """A fresh interpreter on src/ and tests/, run in tmp_path, its stdout and stderr block-buffered pipes."""
+    root = Path(__file__).resolve().parents[1]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join([str(root / "src"), str(root / "tests")])
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, timeout=120, env=env, cwd=tmp_path)
+
+
+def test_verify_real_process_flushes_every_line_and_both_reports(tmp_path):
+    # stdout to a pipe is block-buffered: every line must be flushed before the process ends
+    proc = _real_process(["-m", "gmcalc.cli", "verify", "--group", "A1", "--suite", "all", "--out", "r"], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads((tmp_path / "r" / "report-A1.json").read_text())
+    timing = json.loads((tmp_path / "r" / "report-A1.timing.json").read_text())
+    lines = proc.stdout.splitlines()
+    assert len(lines) == len(report["checks"]) + 1 == len(timing["runtimes"]) + 1
+    assert lines[-1] == f"summary: {len(report['checks'])} pass, 0 fail, 0 skip -> r/report-A1.json"
+    assert timing["counters"]["hull_limit.zero_passes"] == 7
+
+
+_MUTANT_RUN = """
+import sys
+import pytest
+from gmcalc import cli, gmfamily
+from mutants import doubled_hull_volume, rebind
+rebind(pytest.MonkeyPatch(), gmfamily, "hull_volume", doubled_hull_volume)
+cli.run(["verify", "--group", "A2", "--suite", "hull-limit", "--out", "r"])
+print("cli.run returned")
+"""
+
+
+def test_run_ends_a_failing_process_with_exit_1(tmp_path):
+    proc = _real_process(["-c", _MUTANT_RUN], tmp_path)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "summary: 100 pass, 25 fail, 0 skip -> r/report-A2.json"
+    assert proc.stderr == ""
+
+
+def test_run_under_cprofile_exits_normally_and_writes_the_profile(tmp_path):
+    argv = ["-m", "cProfile", "-o", "out.prof", "-m", "gmcalc.cli", "verify", "--group", "A1", "--suite", "hull-limit",
+            "--out", "r"]
+    proc = _real_process(argv, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "out.prof").stat().st_size > 0
+    profiled = {fn for _, _, fn in pstats.Stats(str(tmp_path / "out.prof")).stats}
+    assert {"run", "main", "suite_hull_limit"} <= profiled
+
+
+def test_run_returns_the_code_under_a_tracer(monkeypatch, capsys):
+    # a debugger or coverage tracer writes its results at exit, so the process must reach it
+    def no_exit(code):
+        raise AssertionError(f"os._exit({code}) under a tracer")
+
+    monkeypatch.setattr(os, "_exit", no_exit)
+    monkeypatch.setattr(sys, "gettrace", lambda: no_exit)
+    assert cli.run(["describe", "--group", "A1"]) == 0
+    assert "Weyl order 2" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])

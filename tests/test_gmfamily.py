@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from float_refs import ref_segment_integral, same_bits
+from float_refs import ref_induced_family_value, ref_segment_integral, same_bits
 from fraction_refs import (
     ref_family_limit,
     ref_gram_det,
@@ -24,7 +24,7 @@ from mutants import doubled_hull_volume, doubled_theta_covolume, rebind
 from gmcalc import exactlin, gmfamily, levilattice
 from gmcalc.cli import main as cli_main
 from gmcalc.config import load_config
-from gmcalc.errors import DimensionError, FamilyNotSmooth, InternalInconsistency, NotDominant
+from gmcalc.errors import DimensionError, FamilyNotSmooth, InternalInconsistency, NotDominant, PoleHit
 from gmcalc.exactlin import int_mat, int_rank
 from gmcalc.gmfamily import (
     ExpPolyFamily,
@@ -60,8 +60,8 @@ from gmcalc.levilattice import (
     trand_check,
 )
 from gmcalc.rootdatum import RatVec, RootDatum, act, build_root_system, kept, weyl_group
-from gmcalc.spectral import enumerate_spectral_triples
-from gmcalc.suites import _dominant_samples, suite_hull_limit
+from gmcalc.spectral import build_spectral_triple, enumerate_spectral_triples
+from gmcalc.suites import _dominant_samples, suite_examples, suite_hull_limit
 
 
 def dominant_point(d, coeffs):
@@ -435,6 +435,18 @@ def test_hull_limit_suite_passes_on_rank_four():
     records = suite_hull_limit(load_config(overrides={"group": "A1xA3"}), d)
     assert [r.id for r in records if r.status != "pass"] == []
     assert sum(r.id.startswith("hull-limit/A1xA3/M0/") for r in records) == 25
+
+
+@pytest.mark.parametrize("label, zero_passes", [("A2", 0), ("B2", 0), ("G2", 0), ("A3", 0), ("A1xA3", 30)])
+def test_hull_limit_counts_the_passes_with_both_sides_zero(label, zero_passes):
+    # a zero volume equal to a zero limit is a vacuous pass: the sidecar counts them, the records do not change
+    d = build_root_system(label)
+    cfg = load_config(overrides={"group": label})
+    records = suite_hull_limit(cfg, d)
+    assert records.counters == {"hull_limit.zero_passes": zero_passes}
+    samples = _dominant_samples(d, cfg.hull_samples, cfg.seed)
+    assert sum(hull_volume(orthogonal_set(M, T)).is_zero() for M in levi_lattice(d) for T in samples) == zero_passes
+    assert all(r.status == "pass" and r.detail is None for r in records)
 
 
 # -- the hull-limit frame kept on each Levi ----------------------------------
@@ -925,7 +937,49 @@ def test_segment_integral_keeps_the_per_node_bits(monkeypatch, template):
     fns = ScalarRootFns.uniform(M0, template, {ray.key: Fraction(1) for ray in restricted_rays(M0)})
     P = base_chamber(d)
     induced_family_value(fns, P, [0.31j, 0.17j], P.chamber_point)
-    assert len(calls) > 100
+    assert len(calls) == 384  # one per ray of M0 (3) at each of the 64 nodes of both circles
+
+
+@pytest.mark.parametrize("group", ["A2", "B2"])
+def test_induced_family_value_keeps_the_per_chamber_bits(group):
+    # the segment integral of each ray, evaluated once per node, gives every chamber's member its old bits
+    d = build_root_system(group)
+    M0 = mzero(d)
+    n_map = {ray.key: Fraction(1) for ray in restricted_rays(M0)}
+    lam0 = [0.31j, 0.17j]
+    for template in ({"kind": "pole"}, load_config().m_model):
+        fns = ScalarRootFns.uniform(M0, template, n_map)
+        for P in parabolics(M0):
+            got = induced_family_value(fns, P, lam0, P.chamber_point)
+            assert same_bits(got, ref_induced_family_value(fns, P, lam0, P.chamber_point)), (template, P.index)
+
+
+def test_examples_suite_evaluates_each_segment_integral_once(monkeypatch):
+    # the A2 dual route: 2 templates x 2 circles x 64 nodes x 3 rays (each chamber its own: 2,304)
+    calls = []
+    segment_integral = gmfamily._segment_integral
+
+    def counted(*args):
+        calls.append(1)
+        return segment_integral(*args)
+
+    monkeypatch.setattr(gmfamily, "_segment_integral", counted)
+    records = suite_examples(load_config(overrides={"group": "A2"}), build_root_system("A2"))
+    assert all(r.status == "pass" for r in records)
+    assert len(calls) == 768
+
+
+def test_induced_family_value_on_a_pole_wall_raises_pole_hit():
+    # <lam0, dual> is exactly 0 on A3's second ray of M0; the circle radius was 0 and the mean divided by 0
+    d = build_root_system("A3")
+    t = build_spectral_triple(d, range(len(d.roots)))
+    assert t.levi_L == mzero(d)
+    fns = ScalarRootFns.uniform(t.levi_L, {"kind": "pole"}, t.nbeta)
+    P = base_chamber(d)
+    lam0 = [0.31j, 0.31j + 0.01, 0.31j + 0.02]
+    assert _lam_evaluator(d, lam0)(restricted_rays(t.levi_L)[1].dual) == 0
+    with pytest.raises(PoleHit, match="pole wall"):
+        induced_family_value(fns, P, lam0, P.chamber_point)
 
 
 def _times(p, q):

@@ -214,10 +214,10 @@ def _bench_names() -> set[str]:
 def test_every_definition_is_reached():
     # a function only tests call is not part of the program: wire it into the CLI or delete it
     trees = {p.stem: _tree(p) for p in sorted(SRC.glob("*.py"))}
-    unreached, reached = _reach(trees, {"main"} | _bench_names())
+    unreached, reached = _reach(trees, {"run"} | _bench_names())
     exported = ast.literal_eval(_assigned(SRC / "__init__.py", "__all__"))
     unreached += [f"gmcalc.__all__: {name}" for name in exported if name not in reached]
-    assert not unreached, f"neither cli.main nor bench/ reaches: {unreached}"
+    assert not unreached, f"neither cli.run nor bench/ reaches: {unreached}"
 
 
 CONFIG_SCHEMA = json.loads((SRC / "config.schema.json").read_text(encoding="utf-8"))
@@ -396,3 +396,37 @@ def test_record_ids_pad_indices_to_their_family():
     # every index in a record id is padded by suites._indexed to the digits of its family's last index
     found = _fixed_width_indices(_tree(SRC / "suites.py"))
     assert not found, f"suites.py pads an index to a fixed width: {found}"
+
+
+def _exit_hooks(tree: ast.Module) -> list[str]:
+    """The atexit imports and the __del__ methods of a module: os._exit, which ends a cli.run process, runs neither."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module]
+        else:
+            if isinstance(node, ast.FunctionDef) and node.name == "__del__":
+                found.append(f"line {node.lineno}: def __del__")
+            continue
+        if "atexit" in modules:
+            found.append(f"line {node.lineno}: imports atexit")
+    return found
+
+
+def test_exit_hook_detector_finds_each_kind():
+    src = "import atexit\nfrom atexit import register\nimport os, atexit\nclass C:\n    def __del__(self): pass\n"
+    assert [line.split(":")[0] for line in _exit_hooks(ast.parse(src))] == [f"line {k}" for k in range(1, 6) if k != 4]
+
+
+@pytest.mark.parametrize("path", MODULES + [SRC / "__init__.py"], ids=lambda p: p.name)
+def test_no_exit_hooks(path):
+    # the gmcalc script and python -m gmcalc.cli end with os._exit once the reports are flushed
+    found = _exit_hooks(_tree(path))
+    assert not found, f"{path.name} needs interpreter teardown, which cli.run skips: {found}"
+
+
+def test_gmcalc_script_is_the_fast_exit_entry():
+    assert '\n[project.scripts]\ngmcalc = "gmcalc.cli:run"\n' in (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    assert isinstance(_top_level(SRC / "cli.py").get("run"), ast.FunctionDef)
