@@ -86,7 +86,6 @@ class SigmaModel(NamedTuple):
         S: Levi,
         Q1: ParabolicChamber,
         w: WeylElement | None = None,
-        conj: bool = True,
     ) -> complex:
         d = self.tau.datum
         y = act(w, self.eval_im) if w is not None else self.eval_im
@@ -94,7 +93,7 @@ class SigmaModel(NamedTuple):
         def lam_eval(dual: RatVec) -> complex:
             return 1j * float(d.pair(y, dual))
 
-        return split_terms(self.fns, M, S, Q1, lam_eval, w=w, conj=conj)
+        return split_terms(self.fns, M, S, Q1, lam_eval, w=w, conj=True)
 
 
 def _discrete_nl(model: SigmaModel, L: Levi, u_sign: complex):
@@ -112,7 +111,7 @@ def _split_sum(model: SigmaModel, L: Levi, M: Levi, Q1: ParabolicChamber) -> com
     for S in enumerate_levis(model.tau.datum, lower=M):
         dc = d_constant(M, L, S)
         if not dc.is_zero():
-            inner += float(dc) * model.m_rel(M, S, Q1, conj=True)
+            inner += float(dc) * model.m_rel(M, S, Q1)
     return inner
 
 
@@ -165,7 +164,7 @@ def assemble_PhiP(
             if wm.label not in inputs:
                 raise IncompleteInput(f"missing input for {wm.label}")
             wp = chamber_at(wm, act(w, P.chamber_point))
-            total += float(dc) * complex(inputs[wm.label]) * model.m_rel(wm, S, wp, conj=True)
+            total += float(dc) * complex(inputs[wm.label]) * model.m_rel(wm, S, wp)
     return (k_l / k_l1) * float(nl) * total
 
 
@@ -209,12 +208,12 @@ def phi_TT_expansion(model: SigmaModel, P: ParabolicChamber) -> FormalExpansion:
     # distinct orbit points are never cone-comparable and minimality reduces to
     # regularity of the orbit
     group = weyl_group(d)
-    if len({act(w, model.mu_im).coords for w in group}) < len(group):
+    if len({act(w, model.mu_im) for w in group}) < len(group):
         raise NotPRegular("orbit is not regular: some elements coincide")
     terms = []
     for S in enumerate_levis(d, lower=home):
         for idx, w in enumerate(group):
-            coeff = model.m_rel(home, S, P, w=w, conj=True)
+            coeff = model.m_rel(home, S, P, w=w)
             mu_img = act(w, model.mu_im)
             terms.append(
                 FormalTerm(

@@ -9,6 +9,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from math import isfinite
 from pathlib import Path
@@ -42,7 +43,7 @@ def _ratvec(d, items, name: str) -> RatVec:
     """A vector argument: a list of d.rank rationals."""
     try:
         if isinstance(items, list) and len(items) == d.rank:
-            return RatVec.of([Fraction(str(x)) for x in items])
+            return RatVec([Fraction(str(x)) for x in items])
     except (ValueError, ZeroDivisionError):
         pass
     raise ConfigError(f"{name} must be a list of {d.rank} rationals, got {json.dumps(items)}")
@@ -78,6 +79,17 @@ def _quad_str(val) -> str:
     return str(root) if root is not None else ("-" if val.sign < 0 else "") + f"sqrt({val.square})"
 
 
+@contextmanager
+def _to_reader():
+    """Print to a reader that may close the pipe early: the output then stops there, with no traceback, and
+    the rest of stdout, the flushes at exit included, goes to the null device."""
+    try:
+        yield
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def cmd_describe(args) -> int:
     try:
         cfg = load_config(path=args.config, overrides={"group": args.group})
@@ -85,19 +97,20 @@ def cmd_describe(args) -> int:
     except (ConfigError, GmcalcError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(f"group {d.label}: rank {d.rank}, {len(d.roots)} roots, Weyl order {len(weyl_group(d))}")
-    print("gram matrix rows:")
-    for row in d.gram:
-        print("  [" + ", ".join(str(x) for x in row) + "]")
-    print("roots (index: coordinates in the simple basis):")
-    for line in d.describe_roots():
-        print("  " + line)
-    print("Levi subgroups (label, dim of split center, chambers, coset count):")
-    for L in levi_lattice(d):
-        n_par = len(parabolics(L))
-        n_cosets = len(weyl_cosets(L))
-        roots = ",".join(str(i) for i in sorted(L.root_subset))
-        print(f"  {L.label:10s} dim {L.dim}  chambers {n_par:3d}  cosets {n_cosets:3d}  roots [{roots}]")
+    with _to_reader():
+        print(f"group {d.label}: rank {d.rank}, {len(d.roots)} roots, Weyl order {len(weyl_group(d))}")
+        print("gram matrix rows:")
+        for row in d.gram:
+            print("  [" + ", ".join(str(x) for x in row) + "]")
+        print("roots (index: coordinates in the simple basis):")
+        for line in d.describe_roots():
+            print("  " + line)
+        print("Levi subgroups (label, dim of split center, chambers, coset count):")
+        for L in levi_lattice(d):
+            n_par = len(parabolics(L))
+            n_cosets = len(weyl_cosets(L))
+            roots = ",".join(str(i) for i in sorted(L.root_subset))
+            print(f"  {L.label:10s} dim {L.dim}  chambers {n_par:3d}  cosets {n_cosets:3d}  roots [{roots}]")
     return 0
 
 
@@ -125,15 +138,16 @@ def cmd_verify(args) -> int:
     except OSError as exc:
         print(f"error: cannot write the report: {exc}", file=sys.stderr)
         return 2
-    for rec in report.records:  # sorted by id, as render left them
-        residual = "" if rec.residual is None else f"  residual={rec.residual:.3g}"
-        extra = f"  ({rec.detail})" if rec.detail else ""
-        print(f"[{rec.status:4s}] {rec.id}{residual}{extra}")
-    summary = report.summary()
-    print(
-        f"summary: {summary['pass']} pass, {summary['fail']} fail, {summary['skip']} skip"
-        f" -> {report_path}"
-    )
+    with _to_reader():
+        for rec in report.records:  # sorted by id, as render left them
+            residual = "" if rec.residual is None else f"  residual={rec.residual:.3g}"
+            extra = f"  ({rec.detail})" if rec.detail else ""
+            print(f"[{rec.status:4s}] {rec.id}{residual}{extra}")
+        summary = report.summary()
+        print(
+            f"summary: {summary['pass']} pass, {summary['fail']} fail, {summary['skip']} skip"
+            f" -> {report_path}"
+        )
     return 0 if report.passed() else 1
 
 
@@ -178,13 +192,14 @@ def cmd_eval(args) -> int:
     except OverflowError as exc:
         print(f"error: arguments too large to evaluate in floating point: {exc}", file=sys.stderr)
         return 2
-    print(f"group: {d.label}")
-    print("gram: " + json.dumps([[str(x) for x in row] for row in d.gram]))
-    print(f"expression: {args.expr}")
-    print("arguments: " + json.dumps(payload, sort_keys=True))
-    for k, v in extra.items():
-        print(f"{k}: {v}")
-    print(f"value: {value}")
+    with _to_reader():
+        print(f"group: {d.label}")
+        print("gram: " + json.dumps([[str(x) for x in row] for row in d.gram]))
+        print(f"expression: {args.expr}")
+        print("arguments: " + json.dumps(payload, sort_keys=True))
+        for k, v in extra.items():
+            print(f"{k}: {v}")
+        print(f"value: {value}")
     return 0
 
 

@@ -101,7 +101,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .errors import BadShift, GmcalcError, NoConvergence, NotComparable
-from .exactlin import int_mat_vec, int_row, ratio_vec
+from .exactlin import int_mat_vec
 from .gmfamily import ScalarFn, ScalarRootFns, _poly_eval, split_subsets, values_sharing_poles
 from .levilattice import (
     Levi,
@@ -407,14 +407,14 @@ class FlatTestFunction:
 
 @kept
 def _float_basis(L: Levi) -> tuple[np.ndarray, ...]:
-    """The basis rows of a_L as floats, converted once per Levi."""
-    return tuple(np.array([float(x) for x in b]) for b in L.basis)
+    """The basis rows of a_L as floats, x / den for x in each integer row, converted once per Levi."""
+    return tuple(np.array([x / L.den for x in row]) for row in L.rows)
 
 
-def _orthonormal_basis(L: Levi, first_dirs) -> list[np.ndarray]:
+def _orthonormal_basis(L: Levi, first_dirs: Sequence[RatVec]) -> list[np.ndarray]:
     """Float Gram-Schmidt basis of the flat, the given directions first."""
     S = np.array(L.datum.float_gram)
-    vecs = [np.array([float(x) for x in v]) for v in first_dirs] + list(_float_basis(L))
+    vecs = [np.array(v.floats()) for v in first_dirs] + list(_float_basis(L))
     out: list[np.ndarray] = []
     for v in vecs:
         w = v.copy()
@@ -731,10 +731,10 @@ class _ShiftPlan(NamedTuple):
         return self.lhs + [it for _, _, its in self.rhs for it in its]
 
 
-def _require_orthogonal(d: RootDatum, dirs) -> None:
+def _require_orthogonal(d: RootDatum, dirs: Sequence[RatVec]) -> None:
     for a in range(len(dirs)):
         for b in range(a + 1, len(dirs)):
-            if d.pair(RatVec(dirs[a]), RatVec(dirs[b])) != 0:
+            if d.pair(dirs[a], dirs[b]) != 0:
                 raise NotComparable("pole walls are not orthogonal; configuration out of scope")
 
 
@@ -751,7 +751,7 @@ def _plan(case_index: int, case: ShiftCase) -> _ShiftPlan:
 
     # align the quadrature axes with the pole walls so the sharp directions
     # are graded; non-orthogonal wall sets are outside the quadrature design
-    wall_dirs = [ray.dual.coords for ray in t.tau_rays]
+    wall_dirs = [ray.dual for ray in t.tau_rays]
     _require_orthogonal(d, wall_dirs)
     onb = _orthonormal_basis(L1, wall_dirs)
     T = phi.cutoff()
@@ -771,7 +771,7 @@ def _plan(case_index: int, case: ShiftCase) -> _ShiftPlan:
 
     lhs = []
     for eps0 in epsilons:
-        shift = tuple(eps0 * float(x) for x in Q1.chamber_point.coords)
+        shift = tuple(eps0 * x for x in Q1.chamber_point.floats())
         lhs.append(integral(m_terms, onb, 0, shift, fine_scale=eps0 / 4))
 
     rhs = []
@@ -792,10 +792,9 @@ def _plan(case_index: int, case: ShiftCase) -> _ShiftPlan:
                 pole_dirs = []
                 for fn, dual, _ in term.factors:
                     if fn.has_pole0():
-                        row, den = int_row(dual.coords)
-                        proj = int_mat_vec(proj_l, row)
+                        proj = int_mat_vec(proj_l, dual.row)
                         if any(proj):
-                            pole_dirs.append(ratio_vec(proj, den_l * den))
+                            pole_dirs.append(RatVec.over(proj, den_l * dual.den))
                 _require_orthogonal(d, pole_dirs)
                 onb_l = _orthonormal_basis(L, pole_dirs)
                 integrals.append(integral([term], onb_l, len(pole_dirs), None))

@@ -1,20 +1,23 @@
 """Exact linear algebra over the rationals.
 
-Vectors are tuples of Fractions, matrices are tuples of row tuples.
-Everything here is pure and deterministic; no floating point.
+Matrices are tuples of row tuples; ``Vec`` and ``Mat`` name the ``Fraction``
+forms that callers hand in and reports print.  Everything here is pure and
+deterministic; no floating point.
 
 Each exact operation has one kernel, on integer rows: ``int_row`` and
 ``int_mat`` write rationals as integer rows over one positive denominator,
 ``idot`` and ``int_mat_vec`` multiply such rows, ``int_det``,
-``int_gram_det``, ``int_rank`` and ``int_primitive`` work on them alone,
-and everything built on elimination (``rref``, ``int_det``, ``int_rank``,
-``solve``) is fraction-free (Bareiss 1968).  ``Fraction``s appear only at
-the edges: ``rref`` and ``ratio_vec`` turn rows back into normalised
-``Fraction``s, one gcd per entry at the end, ``solve`` takes rational rows
-and returns its solution as integer rows over one denominator, and the
-entrywise helpers ``vadd``, ``vsub`` and ``vscale`` work on ``Fraction``s.
-With one positive denominator, signs and the lexicographic order of the
-numerators are those of the rationals.
+``int_gram_det``, ``int_rank``, ``int_primitive`` and ``rref`` work on them
+alone, and everything built on elimination (``rref``, ``int_det``,
+``int_rank``, ``solve``) is fraction-free (Bareiss 1968).  ``int_least``
+reduces integer rows over a denominator to their least positive one, the
+form in which ``rootdatum.RatVec`` and ``levilattice.Levi`` keep every exact
+vector, and ``rref`` returns the canonical basis of a row space in it.
+``Fraction``s appear only at the edges: ``int_row`` and ``int_mat`` read
+them, ``ratio_vec`` and ``primitive_ray`` write them for report strings and
+ray keys, and ``solve`` takes rational rows and returns its solution as
+integer rows over one denominator.  With one positive denominator, signs and
+the lexicographic order of the numerators are those of the rationals.
 """
 from __future__ import annotations
 
@@ -26,45 +29,6 @@ from typing import Iterable, Sequence
 
 Vec = tuple[Fraction, ...]
 Mat = tuple[tuple[Fraction, ...], ...]
-
-ZERO = Fraction(0)
-
-
-def frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
-def vec(xs: Iterable) -> Vec:
-    return tuple(frac(x) for x in xs)
-
-
-def zeros(n: int) -> Vec:
-    return (ZERO,) * n
-
-
-def vadd(u: Vec, v: Vec) -> Vec:
-    return tuple(a + b for a, b in zip(u, v, strict=True))
-
-
-def vsub(u: Vec, v: Vec) -> Vec:
-    return tuple(a - b for a, b in zip(u, v, strict=True))
-
-
-def vscale(c, u: Vec) -> Vec:
-    c = frac(c)
-    return tuple(c * a for a in u)
-
-
-def combine(coeffs: Iterable, vectors: Sequence[Vec], n: int) -> Vec:
-    """sum_i coeffs[i] * vectors[i] in dimension n; unpaired entries of either list are ignored."""
-    v = zeros(n)
-    for c, b in zip(coeffs, vectors):
-        v = vadd(v, vscale(c, b))
-    return v
-
-
-def _ratio(num: int, den: int) -> Fraction:
-    return Fraction(num) if den == 1 else Fraction(num, den)
 
 
 def int_row(u: Iterable[Fraction]) -> tuple[list[int], int]:
@@ -88,7 +52,14 @@ def int_mat(rows: Sequence[Sequence[Fraction]]) -> tuple[tuple[tuple[int, ...], 
 
 def ratio_vec(ints: Iterable[int], den: int) -> Vec:
     """The rational vector with these numerators over den."""
-    return tuple(_ratio(x, den) for x in ints)
+    return tuple(Fraction(x) if den == 1 else Fraction(x, den) for x in ints)
+
+
+def int_least(rows: Sequence[Sequence[int]], den: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Integer rows over a nonzero den, divided through by the gcd of their entries and den: the same
+    rationals over their least positive denominator."""
+    g = gcd(den, *(x for row in rows for x in row)) * (1 if den > 0 else -1)
+    return tuple(tuple(x // g for x in row) for row in rows), den // g
 
 
 def idot(u: Sequence[int], v: Sequence[int]) -> int:
@@ -97,18 +68,6 @@ def idot(u: Sequence[int], v: Sequence[int]) -> int:
 
 def int_mat_vec(m: Sequence[Sequence[int]], v: Sequence[int]) -> tuple[int, ...]:
     return tuple([sum(map(mul, row, v)) for row in m])
-
-
-def is_zero_vec(u: Vec) -> bool:
-    return all(a == 0 for a in u)
-
-
-def mat(rows: Iterable[Iterable]) -> Mat:
-    return tuple(vec(r) for r in rows)
-
-
-def transpose(m: Mat) -> Mat:
-    return tuple(zip(*m)) if m else ()
 
 
 # ---------------------------------------------------------------------------
@@ -156,16 +115,6 @@ def _eliminate(rows: list[list[int]], ncols: int) -> tuple[list[int], int, int]:
     return pivots, prev, sign
 
 
-def _int_rows(rows: Iterable[Iterable[Fraction]]) -> tuple[list[list[int]], list[int]]:
-    """Each row cleared of its own denominators (row space and solutions unchanged)."""
-    out, dens = [], []
-    for r in rows:
-        ints, den = int_row(r)
-        out.append(ints)
-        dens.append(den)
-    return out, dens
-
-
 def int_det(rows: Sequence[Sequence[int]]) -> int:
     """Determinant of a square integer matrix (1 for the empty one); the rows are not changed."""
     n = len(rows)
@@ -173,13 +122,14 @@ def int_det(rows: Sequence[Sequence[int]]) -> int:
     return sign * d if len(pivots) == n else 0
 
 
-def rref(rows: Sequence[Vec]) -> list[Vec]:
-    """Reduced row echelon form with zero rows dropped (canonical basis of the row space)."""
+def rref(rows: Sequence[Sequence[int]]) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Reduced row echelon form of integer rows with zero rows dropped (the canonical basis of the row
+    space), as integer rows over their least positive denominator; the rows are not changed."""
     if not rows:
-        return []
-    work, _ = _int_rows(rows)
+        return (), 1
+    work = list(rows)
     pivots, d, _ = _eliminate(work, len(work[0]))
-    return [tuple(_ratio(x, d) for x in work[r]) for r in range(len(pivots))]
+    return int_least(work[:len(pivots)], d)
 
 
 def int_rank(rows: Sequence[Sequence[int]]) -> int:
@@ -199,12 +149,12 @@ def solve(m: Mat, rhs: Sequence[Vec]) -> tuple[tuple[tuple[int, ...], ...], int,
     denominators.  A singular m raises ZeroDivisionError.
     """
     n = len(m)
-    work, dens = _int_rows(tuple(r) + tuple(b) for r, b in zip(m, rhs, strict=True))
+    pairs = [int_row(tuple(r) + tuple(b)) for r, b in zip(m, rhs, strict=True)]  # each row cleared of its denominators
+    work = [row for row, _ in pairs]
     pivots, d, sign = _eliminate(work, n)
     if len(pivots) < n:
         raise ZeroDivisionError("singular matrix")
-    g = gcd(d, *(x for row in work for x in row[n:])) * (1 if d > 0 else -1)
-    return tuple(tuple(x // g for x in row[n:]) for row in work), d // g, Fraction(sign * d, prod(dens))
+    return (*int_least([row[n:] for row in work], d), Fraction(sign * d, prod(den for _, den in pairs)))
 
 
 def int_gram_det(rows: Sequence[Sequence[int]], forms: Sequence[Sequence[int]]) -> int:
@@ -226,8 +176,9 @@ def int_primitive(ints: Sequence[int]) -> tuple[int, ...]:
     return tuple(x // g for x in ints)
 
 
-def primitive_ray(v: Vec) -> Vec:
-    """Canonical representative of the ray through v: integral, coprime, first nonzero > 0."""
-    if is_zero_vec(v):
+def primitive_ray(ints: Sequence[int]) -> Vec:
+    """Canonical representative of the ray through a nonzero integer row: integral, coprime, first nonzero
+    > 0, as ``Fraction``s."""
+    if not any(ints):
         raise ValueError("zero vector has no ray")
-    return tuple(Fraction(x) for x in int_primitive(int_row(v)[0]))
+    return tuple(Fraction(x) for x in int_primitive(ints))

@@ -24,7 +24,7 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from itertools import combinations
-from math import factorial
+from math import factorial, lcm
 from numbers import Number
 from operator import mul
 from typing import Callable, Iterable, Mapping, Sequence
@@ -38,15 +38,7 @@ from .errors import (
     NotDominant,
     PoleHit,
 )
-from .exactlin import (
-    Vec,
-    idot,
-    int_mat,
-    int_mat_vec,
-    int_row,
-    primitive_ray,
-    ratio_vec,
-)
+from .exactlin import Vec, idot, int_mat_vec, int_row, primitive_ray
 from .levilattice import (
     Levi,
     ParabolicChamber,
@@ -71,11 +63,14 @@ from .rootdatum import RatVec, WeylElement, act, invert, kept
 # orthogonal sets and hulls
 
 
-def _require_rank(levi: Levi, rows: Sequence[Sequence[int]]) -> None:
-    """Points given from outside must have the datum's rank; the integer kernels would cut them."""
+def _rows_of(levi: Levi, points: Sequence[RatVec]) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Points given from outside as integer rows over their least common denominator; each must have the
+    datum's rank, which the integer kernels would cut."""
     rank = levi.datum.rank
-    if any(len(x) != rank for x in rows):
+    if any(len(p.row) != rank for p in points):
         raise DimensionError(f"expected vectors of length {rank}")
+    den = lcm(*(p.den for p in points))
+    return tuple(tuple(x * (den // p.den) for x in p.row) for p in points), den
 
 
 class OrthogonalSet:
@@ -87,8 +82,7 @@ class OrthogonalSet:
 
     def __init__(self, levi: Levi, points: Sequence[RatVec]):
         self.levi = levi
-        self.rows, self.den = int_mat([p.coords for p in points])
-        _require_rank(levi, self.rows)
+        self.rows, self.den = _rows_of(levi, points)
 
     @classmethod
     def _of_rows(cls, levi: Levi, rows: Sequence[tuple[int, ...]], den: int) -> "OrthogonalSet":
@@ -98,7 +92,7 @@ class OrthogonalSet:
 
     @property
     def points(self) -> tuple[RatVec, ...]:
-        return tuple(RatVec(ratio_vec(x, self.den)) for x in self.rows)
+        return tuple(RatVec.over(x, self.den) for x in self.rows)
 
     def validate(self) -> None:
         M = self.levi
@@ -115,12 +109,11 @@ class OrthogonalSet:
 def orthogonal_set(M: Levi, T: RatVec) -> OrthogonalSet:
     """Weyl translates of a dominant point, projected chamber-wise to a_M by the map each chamber's cell shares."""
     d = M.datum
-    t, t_den = int_row(T.coords)
-    for i, s in zip(d.simple, form_signs(d, [d.root_forms[i] for i in d.simple], t)):
+    for i, s in zip(d.simple, form_signs(d, [d.root_forms[i] for i in d.simple], T.row)):
         if s < 0:
             raise NotDominant(f"point pairs negatively with simple root {i}")
     maps, den = cell_maps(M)
-    return OrthogonalSet._of_rows(M, [int_mat_vec(m, t) for m in maps], den * t_den)
+    return OrthogonalSet._of_rows(M, [int_mat_vec(m, T.row) for m in maps], den * T.den)
 
 
 @kept
@@ -187,10 +180,9 @@ class ExpPolyFamily:
 
     def __init__(self, levi: Levi, terms: Sequence[Sequence[tuple[Fraction, RatVec]]]):
         terms = [list(chamber) for chamber in terms]
-        flat = [(c, X.coords) for chamber in terms for c, X in chamber]
+        flat = [(c, X) for chamber in terms for c, X in chamber]
         cs, c_den = int_row(c for c, _ in flat)
-        xs, x_den = int_mat([x for _, x in flat])
-        _require_rank(levi, xs)
+        xs, x_den = _rows_of(levi, [X for _, X in flat])
         it = zip(cs, xs)
         self._set(levi, tuple(tuple(next(it) for _ in chamber) for chamber in terms), c_den, x_den)
 
@@ -208,7 +200,7 @@ class ExpPolyFamily:
     @property
     def terms(self) -> tuple[tuple[tuple[Fraction, RatVec], ...], ...]:
         return tuple(
-            tuple((Fraction(c, self.c_den), RatVec(ratio_vec(x, self.x_den))) for c, x in chamber)
+            tuple((Fraction(c, self.c_den), RatVec.over(x, self.x_den)) for c, x in chamber)
             for chamber in self.rows
         )
 
@@ -404,7 +396,7 @@ class ScalarRootFns:
 
     def fn(self, beta: RatVec) -> ScalarFn:
         """The density of the +- ray containing beta."""
-        key = primitive_ray(beta.coords)
+        key = primitive_ray(beta.row)
         fn = self._fns.get(key)
         if fn is None:
             raise KeyError(f"no density ray along {key}")
@@ -441,13 +433,12 @@ def split_subsets(
     rel, den = rel_projector(M, S)
     candidates = []
     rays = rays_in(L1, S)
-    signs = form_signs(d, [ray.form for ray in rays], int_row(Q1.chamber_point.coords)[0])
+    signs = form_signs(d, [ray.form for ray in rays], Q1.chamber_point.row)
     for ray, sign in zip(rays, signs):
         neg = ray if sign < 0 else -ray
-        dual, dual_den = int_row(neg.dual.coords)
-        proj = int_mat_vec(rel, dual)
+        proj = int_mat_vec(rel, neg.dual.row)
         if any(proj):
-            candidates.append((neg.rep, neg.dual, ratio_vec(proj, den * dual_den)))
+            candidates.append((neg.rep, neg.dual, RatVec.over(proj, den * neg.dual.den)))
     terms = []
     for subset in combinations(candidates, M.dim - S.dim):
         sq = d.volume_sq([proj for _, _, proj in subset])
@@ -556,7 +547,7 @@ def induced_family_value(
     # (density, dual row, start point) is fixed by P alone, and only the end
     # point moves along the circle.  Every ray separates P from -P, so each
     # factor is read at every node.
-    p_signs = form_signs(d, [ray.form for ray in rays], int_row(P.chamber_point.coords)[0])
+    p_signs = form_signs(d, [ray.form for ray in rays], P.chamber_point.row)
     separating = {
         Qp.index: [i for i, (sp, sq) in enumerate(zip(Qp.signs, p_signs)) if sp > 0 > sq or sp < 0 < sq]
         for Qp in chambers
@@ -565,12 +556,13 @@ def induced_family_value(
     for ray, sq in zip(rays, p_signs):
         pos = -ray if sq > 0 else ray
         factors.append((fns.fn(pos.rep), d.float_row(pos.dual), ev0(pos.dual)))
+    steps = [complex(x) for x in direction.floats()]
 
     def circle_mean(r: float) -> complex:
         total = 0j
         for k in range(64):
             s = r * cmath.exp(2j * cmath.pi * k / 64)
-            zeta = [s * complex(x) for x in direction.coords]
+            zeta = [s * x for x in steps]
             coords = tuple(complex(a + b) for a, b in zip(lam0, zeta))
             seg = [_segment_integral(f, z0, sum(c * g for c, g in zip(coords, gd)), rule) for f, gd, z0 in factors]
             cs = 0j

@@ -2,9 +2,10 @@
 
 A Levi subgroup containing the fixed minimal one is identified with the flat
 a_L of the root hyperplane arrangement (its split-center subspace) together
-with the set of roots vanishing on it.  ``Levi.basis`` holds the flat's basis
-as coordinate rows.  Parabolic sets P(M) are realized as the chambers of the
-restricted root arrangement on a_M.
+with the set of roots vanishing on it.  ``Levi.rows`` and ``Levi.den`` hold
+the flat's one basis, its reduced row echelon form, as integer rows over
+their least positive denominator.  Parabolic sets P(M) are realized as the
+chambers of the restricted root arrangement on a_M.
 
 This module is the one place that derives these objects and answers
 questions about them, and each is built once and kept on its owner by
@@ -25,8 +26,9 @@ contour plan and, as P_M - P_S (``rel_projector``), the duals of the splitting
 sum and the relative bases of the splitting constants.
 
 Three facts come from one integer route each, on rows over one positive
-denominator (``exactlin.int_row``): the signs of root or ray walls at a point
-from ``form_signs``, over the forms of ``RootDatum.root_forms`` and
+denominator (``RatVec.row`` over ``RatVec.den``): the signs of root or ray
+walls at a point from ``form_signs``, over the forms of
+``RootDatum.root_forms`` and
 ``Ray.form`` (S times the ray's direction), the basis coordinates of a
 point of a flat (or None off it) from its ``coord_map``, and the projection
 of every root from ``projected_roots``, which the rays and the cell maps
@@ -51,14 +53,12 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 from .errors import DimensionError, IncompleteInput, InternalInconsistency, NotComparable
 from .exactlin import (
     Vec,
-    combine,
     idot,
     int_gram_det,
-    int_mat,
+    int_least,
     int_mat_vec,
     int_primitive,
     int_row,
-    ratio_vec,
     rref,
     solve,
 )
@@ -120,7 +120,8 @@ _ZERO = QuadConst(Fraction(0), 0)  # the one zero, which every constructor and p
 
 
 class Levi:
-    """A flat of the root arrangement: basis rows of a_L plus the roots vanishing on it.
+    """A flat of the root arrangement: its RREF basis as integer rows over their least positive denominator
+    (``rows`` over ``den``) plus the roots vanishing on it.
 
     Objects read off the flat are built on first use and kept in ``kept``
     (``rootdatum.kept``): the integer projector onto a_L, read off the
@@ -137,11 +138,11 @@ class Levi:
     triangulation and its wedge steps (``gmfamily._hull_plan``) read off them.
     """
 
-    def __init__(self, datum: RootDatum, basis: tuple[Vec, ...], root_subset: frozenset[int]):
+    def __init__(self, datum: RootDatum, rows: IntRows, den: int, root_subset: frozenset[int]):
         self.datum = datum
-        self.basis = basis
+        self.rows, self.den = rows, den
         self.root_subset = root_subset
-        self.dim = len(basis)
+        self.dim = len(rows)
         self.kept: dict[tuple, object] = {}
         positive = set(datum.pos_indices)
         pos = sorted(i for i in root_subset if i in positive)
@@ -170,7 +171,9 @@ class Ray(NamedTuple):
     """One +- pair of restricted-root rays on a_M, seen from one side.
 
     key and members name the pair; rep, dual and form are the side's.  The
-    rays of restricted_rays are the + sides, and -ray is the - side.
+    rays of restricted_rays are the + sides, and -ray is the - side.  key
+    stays a ``Fraction`` tuple: the str of each n_beta key goes into the
+    ``lemma-shift`` and ``tempext`` record inputs, and so into the reports.
     """
 
     key: Vec                       # primitive direction of the + side
@@ -236,7 +239,8 @@ def levi_lattice(d: RootDatum) -> tuple[Levi, ...]:
     """All flats of the arrangement, i.e. all Levi subgroups containing M0; built once per datum.
 
     A flat with integer basis rows B meets the wall of a root with form f off it in the span of the rows
-    v_p B_j - v_j B_p, j != p, where v_j = f . B_j and v_p is the first nonzero.  Each flat's RREF is taken once."""
+    v_p B_j - v_j B_p, j != p, where v_j = f . B_j and v_p is the first nonzero.  Each flat's RREF is taken once,
+    on integer rows."""
     full = tuple(tuple(int(i == j) for j in range(d.rank)) for i in range(d.rank))
     flats = {_vanishing_subset(d, full): full}
     frontier = list(flats.items())
@@ -254,7 +258,7 @@ def levi_lattice(d: RootDatum) -> tuple[Levi, ...]:
                     flats[new_subset] = meet
                     nxt.append((new_subset, meet))
         frontier = nxt
-    levis = [Levi(d, tuple(rref(rows)), subset) for subset, rows in flats.items()]
+    levis = [Levi(d, *rref(rows), subset) for subset, rows in flats.items()]
     levis.sort(key=lambda L: (-L.dim, sorted(L.root_subset)))
     return tuple(levis)
 
@@ -312,7 +316,7 @@ def group_rays(d: RootDatum, vectors: Iterable[tuple[int, Sequence[int]]], den: 
 
     The rows are roots or their projections to a flat; each ray's
     representative is its shortest member, and rays come sorted by direction.
-    A row is g times its ray's direction; the ``Fraction``s are built from the g once, at the end.
+    A row is g times its ray's direction; rep and dual are built from g and the direction with ``RatVec.over``.
     """
     groups: dict[tuple[int, ...], list[tuple[int, int]]] = {}
     for i, v in vectors:
@@ -325,10 +329,10 @@ def group_rays(d: RootDatum, vectors: Iterable[tuple[int, Sequence[int]]], den: 
         members = sorted(groups[key])
         g = min(abs(x) for _, x in members)
         form = int_mat_vec(gram, key)
-        rep = ratio_vec([g * x for x in key], den)
-        dual = ratio_vec([2 * den * gram_den * x for x in key], g * idot(key, form))  # 2 rep / <rep, rep>
+        rep = RatVec.over([g * x for x in key], den)
+        dual = RatVec.over([2 * den * gram_den * x for x in key], g * idot(key, form))  # 2 rep / <rep, rep>
         fkey = tuple(map(Fraction, key))
-        rays.append(Ray(fkey, RatVec(rep), RatVec(dual), tuple((i, Fraction(x, den)) for i, x in members), form))
+        rays.append(Ray(fkey, rep, dual, tuple((i, Fraction(x, den)) for i, x in members), form))
     return tuple(rays)
 
 
@@ -343,9 +347,7 @@ def flat_projector(M: Levi) -> tuple[IntRows, int]:
     """
     cmap, _, lift, scale, _ = coord_map(M)
     cols = tuple(zip(*cmap)) or ((),) * len(lift)  # the columns of C, empty ones on a point flat
-    rows = [int_mat_vec(cols, row) for row in lift]
-    g = gcd(scale, *(x for row in rows for x in row))
-    return tuple(tuple(x // g for x in row) for row in rows), scale // g
+    return int_least([int_mat_vec(cols, row) for row in lift], scale)
 
 
 @kept
@@ -407,17 +409,19 @@ def chamber_witnesses(M: Levi, rays: Sequence[Ray]) -> dict[tuple[int, ...], Rat
     closure assumption on the rays, which genuinely fails for intermediate
     flats.  Each chamber's witness is its least projection of rho_check's
     orbit, and the chambers come sorted by their witnesses' coordinates.
+    With no rays the one chamber is the whole flat, witnessed by the sum of
+    its basis rows (0 on a_G = 0), the row sums of ``coord_map``'s E^T.
     """
     d = M.datum
     if not rays:
-        return {(): RatVec(combine([1] * M.dim, M.basis, d.rank))}
+        return {(): RatVec.over([sum(r) for r in coord_map(M)[2]], M.den)}
     orbit, den = projected_orbit(M)
     forms = [ray.form for ray in rays]
     best: dict[tuple[int, ...], RatVec] = {}
     for x in orbit:  # sorted, so each pattern first meets its least point, and in witness order
         key = form_signs(d, forms, x)
         if 0 not in key and key not in best:
-            best[key] = RatVec(ratio_vec(x, den))
+            best[key] = RatVec.over(x, den)
     if not best:
         raise InternalInconsistency("no chamber witnesses found on the flat")
     return best
@@ -463,7 +467,7 @@ def adjacent_chambers(M: Levi) -> tuple[tuple[int, int, tuple[int, ...], int], .
 
 def chamber_at(M: Levi, point: RatVec) -> ParabolicChamber:
     """The chamber of P(M) whose stored ray signs the point has."""
-    signs = form_signs(M.datum, [ray.form for ray in restricted_rays(M)], int_row(point.coords)[0])
+    signs = form_signs(M.datum, [ray.form for ray in restricted_rays(M)], point.row)
     for P in parabolics(M):
         if P.signs == signs:
             return P
@@ -561,12 +565,12 @@ def theta_frame(M: Levi) -> tuple[tuple[IntRows, int, int, QuadConst], ...]:
     rows of the duals, dual_k = D_k / e_k: the forms S D_k of its walls, the product of their signs on the
     chamber, q = prod s e_k (s the form's denominator), and the covolume, sqrt(det Gram(D) s^n) / q."""
     gram, s = M.datum.int_gram
-    duals = [int_row(ray.dual.coords) for ray in restricted_rays(M)]
-    forms = [int_mat_vec(gram, row) for row, _ in duals]
+    duals = [ray.dual for ray in restricted_rays(M)]
+    forms = [int_mat_vec(gram, v.row) for v in duals]
     frame = []
     for P in parabolics(M):
-        walls, q = tuple(forms[k] for k in P.wall_rays), prod(s * duals[k][1] for k in P.wall_rays)
-        covol_sq = Fraction(int_gram_det([duals[k][0] for k in P.wall_rays], walls) * s ** len(walls), q * q)
+        walls, q = tuple(forms[k] for k in P.wall_rays), prod(s * duals[k].den for k in P.wall_rays)
+        covol_sq = Fraction(int_gram_det([duals[k].row for k in P.wall_rays], walls) * s ** len(walls), q * q)
         frame.append((walls, prod(P.signs[k] for k in P.wall_rays), q, QuadConst.from_square(covol_sq)))
     return tuple(frame)
 
@@ -575,7 +579,7 @@ def theta(P: ParabolicChamber, lam: RatVec) -> ThetaValue:
     """Normalized product of simple coroot pairings over the chamber's walls, read off ``theta_frame``: each
     wall ray is read on the chamber's side, its pairing times the chamber's stored sign, and the covolume, a
     Gram determinant, sees no sign.  The improper chamber (M = G) has no walls: 1 over covolume 1."""
-    x, den = int_row(lam.coords)
+    x, den = lam.row, lam.den
     if len(x) != P.levi.datum.rank:
         raise DimensionError(f"expected vectors of length {P.levi.datum.rank}")
     walls, num, q, covol = theta_frame(P.levi)[P.index]
@@ -599,7 +603,7 @@ def coord_map(M: Levi) -> tuple[IntRows, int, IntRows, int, Fraction]:
     projection E^T C / (e c) off the same rows.
     """
     gram, s = M.datum.int_gram
-    basis, e = int_mat(M.basis)
+    basis, e = M.rows, M.den
     forms = [int_mat_vec(gram, b) for b in basis]
     cmap, c, disc = solve([int_mat_vec(basis, f) for f in forms], forms)
     g = gcd(e, c)
@@ -620,7 +624,7 @@ def _generic_direction(M: Levi, direction: RatVec | None) -> RatVec:
     base = parabolics(M)[0].chamber_point
     lam, step = base if direction is None else direction, Fraction(1, 97)
     for _ in range(64):
-        if 0 not in form_signs(M.datum, forms, int_row(lam.coords)[0]):
+        if 0 not in form_signs(M.datum, forms, lam.row):
             return lam
         lam = lam + step * base
         step /= 97
@@ -646,9 +650,8 @@ def limit_frame(M: Levi, direction: RatVec | None) -> tuple[tuple[tuple[int, ...
             raise InternalInconsistency(f"covolume of {P!r} is not a rational multiple of sqrt(det G)")
         scales.append(q / product)
     gram, s = M.datum.int_gram
-    x, den = int_row(lam0.coords)
     nums, scale_den = int_row(scales)
-    return (int_mat_vec(gram, x), s * den), (tuple(nums), scale_den)
+    return (int_mat_vec(gram, lam0.row), s * lam0.den), (tuple(nums), scale_den)
 
 
 def rel_projector(L: Levi, upper: Levi) -> tuple[list[list[int]], int]:
@@ -658,19 +661,14 @@ def rel_projector(L: Levi, upper: Levi) -> tuple[list[list[int]], int]:
     return [[a * u_den - b * l_den for a, b in zip(ra, rb)] for ra, rb in zip(pl, pu)], l_den * u_den
 
 
-def _rel_basis(L: Levi, upper: Levi) -> tuple[Vec, ...]:
-    """Basis of the part of a_L orthogonal to a_upper, in reduced row echelon form (L's own basis for G):
-    the RREF of the columns of ``rel_projector``, which span its image."""
-    return tuple(rref(list(zip(*rel_projector(L, upper)[0]))))
-
-
 @kept
 def _rel_rows(L: Levi, upper: Levi) -> tuple[IntRows, IntRows, int]:
-    """The relative basis of L under upper as integer rows, each row cleared of its own denominators,
-    their forms S row as integer rows over the form's denominator, and the integer Gram determinant
-    of the rows; built once per upper."""
+    """The basis of the part of a_L orthogonal to a_upper (L's own basis for G): the RREF of the columns of
+    ``rel_projector``, which span it, as integer rows whose one denominator d^2 does not see; their forms
+    S row as integer rows over the form's denominator, and the integer Gram determinant of the rows; built
+    once per upper."""
     gram, _ = L.datum.int_gram
-    rows = tuple(tuple(int_row(b)[0]) for b in _rel_basis(L, upper))
+    rows, _ = rref(list(zip(*rel_projector(L, upper)[0])))
     forms = tuple(int_mat_vec(gram, r) for r in rows)
     return rows, forms, int_gram_det(rows, forms)
 
@@ -703,7 +701,7 @@ def _split_constant(L1: Levi, L: Levi, S: Levi, upper: Levi) -> QuadConst:
     their join is upper.  Then they span that part of a_L1 exactly when the
     dimensions add up, and d^2 is
     det Gram(L + S) / (det Gram(L) det Gram(S)), which no rescaling of a row
-    changes, so the rows are read over their own denominators and the form
+    changes, so the rows are read without their denominator and the form
     over its one denominator.
     """
     if _join(L, S) != upper or L.dim + S.dim != L1.dim + upper.dim:

@@ -6,7 +6,10 @@ whose Cartan pairings are not integers, or that yields more roots than its
 type has, is rejected as soon as that shows.  A single rational vector
 space V carries roots, coroots, chamber points and spectral parameters
 alike; linear functionals are represented by vectors through the invariant
-form: lam(H) = pair(lam, H).
+form: lam(H) = pair(lam, H).  Each of them is a ``RatVec``: integer
+numerators over their least positive denominator, which every exact kernel
+reads as they are; ``Fraction``s are derived from them only for report
+strings.
 The default form gives short roots squared length 2 per irreducible factor.
 
 A Weyl element is identified by its permutation of the root indices:
@@ -33,28 +36,22 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, wraps
+from math import prod
 from typing import Callable, Iterable, Sequence
 
 from .errors import DimensionError, NotARoot, UnsupportedType
 from .exactlin import (
     Mat,
     Vec,
-    frac,
     idot,
     int_det,
     int_gram_det,
+    int_least,
     int_mat,
     int_mat_vec,
     int_row,
-    mat,
     ratio_vec,
     solve,
-    transpose,
-    vadd,
-    vec,
-    vscale,
-    vsub,
-    zeros,
 )
 
 Perm = tuple[int, ...]
@@ -78,47 +75,71 @@ def kept(fn: Callable) -> Callable:
 
 
 class RatVec:
-    """Point of the ambient rational space (or a functional on it via the form)."""
+    """Point of the ambient rational space (or a functional on it via the form): integer numerators ``row``
+    over their least positive denominator ``den``.
 
-    __slots__ = ("coords",)
+    That form is canonical, so equality and hashing read ``(row, den)``, and
+    ``+``, ``-``, negation and scalar ``*`` work on integers.  The constructor
+    takes rationals from callers; the package builds vectors from integer rows
+    with ``over``.  ``coords`` derives the ``Fraction``s for report strings, and
+    ``floats`` the float coordinates, x / den for x in row, which are bitwise
+    those of the ``Fraction``s (int true division is correctly rounded).
+    """
 
-    def __init__(self, coords: Vec):
-        self.coords = coords
+    __slots__ = ("row", "den")
 
-    def __eq__(self, other):
-        return self.coords == other.coords if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self):
-        return hash((self.coords,))
+    def __init__(self, xs: Iterable):
+        row, self.den = int_row(x if isinstance(x, (int, Fraction)) else Fraction(x) for x in xs)
+        self.row = tuple(row)
 
     @classmethod
-    def of(cls, xs: Iterable) -> "RatVec":
-        return cls(vec(xs))
+    def over(cls, row: Iterable[int], den: int) -> "RatVec":
+        """The vector with these integer numerators over a nonzero den, reduced and with den made positive."""
+        v = cls.__new__(cls)
+        (v.row,), v.den = int_least((tuple(row),), den)
+        return v
 
     @classmethod
     def zero(cls, n: int) -> "RatVec":
-        return cls(zeros(n))
+        return cls.over((0,) * n, 1)
+
+    @property
+    def coords(self) -> Vec:
+        return ratio_vec(self.row, self.den)
+
+    def floats(self) -> tuple[float, ...]:
+        return tuple(x / self.den for x in self.row)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.row == other.row and self.den == other.den
+
+    def __hash__(self):
+        return hash((self.row, self.den))
 
     def __len__(self):
-        return len(self.coords)
+        return len(self.row)
 
     def __iter__(self):
         return iter(self.coords)
 
     def __add__(self, other: "RatVec") -> "RatVec":
-        return RatVec(vadd(self.coords, other.coords))
+        a, b = self.den, other.den
+        return RatVec.over([x * b + y * a for x, y in zip(self.row, other.row, strict=True)], a * b)
 
     def __sub__(self, other: "RatVec") -> "RatVec":
-        return RatVec(vsub(self.coords, other.coords))
+        return self + -other
 
     def __neg__(self) -> "RatVec":
-        return RatVec(tuple(-x for x in self.coords))
+        return RatVec.over([-x for x in self.row], self.den)
 
     def __rmul__(self, c) -> "RatVec":
-        return RatVec(vscale(frac(c), self.coords))
+        n, m = Fraction(c).as_integer_ratio()
+        return RatVec.over([n * x for x in self.row], m * self.den)
 
     def is_zero(self) -> bool:
-        return all(x == 0 for x in self.coords)
+        return not any(self.row)
 
     def __repr__(self):
         return "(" + ", ".join(str(x) for x in self.coords) + ")"
@@ -243,22 +264,18 @@ class RootDatum:
                 " the form is not invariant for this type"
             )
         self.root_rows: tuple[tuple[int, ...], ...] = tuple(sorted(roots))
-        self.roots: tuple[RatVec, ...] = tuple(RatVec(tuple(map(Fraction, r))) for r in self.root_rows)
+        self.roots: tuple[RatVec, ...] = tuple(RatVec.over(r, 1) for r in self.root_rows)
         self.coroots: tuple[RatVec, ...] = tuple(
-            RatVec(vscale(Fraction(2 * den, idot(f, a)), r.coords))
-            for f, a, r in zip(self.root_forms, self.root_rows, self.roots)
+            RatVec.over([2 * den * x for x in a], idot(f, a)) for f, a in zip(self.root_forms, self.root_rows)
         )
         index = {r: i for i, r in enumerate(self.root_rows)}
         self.simple: tuple[int, ...] = tuple(index[v] for v in simple)
         # regular dominant point: pair(alpha_i, rho_check) = 1 for the simple roots alpha_i = e_i
         inv, inv_den, _ = solve(self.gram, simple)
-        self.fund_coweights: tuple[RatVec, ...] = tuple(RatVec(ratio_vec(col, inv_den)) for col in zip(*inv))
-        rho = RatVec.zero(n)
-        for w in self.fund_coweights:
-            rho = rho + w
-        self.rho_check = rho
+        self.fund_coweights: tuple[RatVec, ...] = tuple(RatVec.over(col, inv_den) for col in zip(*inv))
+        self.rho_check = RatVec.over([sum(row) for row in inv], inv_den)  # the sum of the coweights
         self.pos_indices: tuple[int, ...] = tuple(
-            i for i, r in enumerate(self.roots) if self.pair(r, rho) > 0
+            i for i, r in enumerate(self.roots) if self.pair(r, self.rho_check) > 0
         )
         self.neg_of: dict[int, int] = {
             i: index[tuple(-x for x in r)] for i, r in enumerate(self.root_rows)
@@ -273,22 +290,18 @@ class RootDatum:
     # -- basic queries -----------------------------------------------
 
     def pair(self, u: RatVec, v: RatVec) -> Fraction:
-        if len(u) != self.rank or len(v) != self.rank:
+        if len(u.row) != self.rank or len(v.row) != self.rank:
             raise DimensionError(f"expected vectors of length {self.rank}")
         gram, den = self.int_gram
-        (x, dx), (y, dy) = int_row(u.coords), int_row(v.coords)
-        return Fraction(idot(int_mat_vec(gram, x), y), den * dx * dy)
+        return Fraction(idot(int_mat_vec(gram, u.row), v.row), den * u.den * v.den)
 
-    def volume_sq(self, vectors: Sequence[Vec]) -> Fraction:
+    def volume_sq(self, vectors: Sequence[RatVec]) -> Fraction:
         """The squared volume of the parallelotope on the vectors, det of their Gram matrix under the form
-        (1 for none): each vector is cleared of its denominator e_i, and the integer Gram determinant of the
-        k rows is divided by s^k prod e_i^2, with s the form's denominator."""
+        (1 for none): the integer Gram determinant of their rows over s^k prod den_i^2, with s the form's
+        denominator."""
         gram, den = self.int_gram
-        rows, scale = [], den ** len(vectors)
-        for v in vectors:
-            row, e = int_row(v)
-            rows.append(row)
-            scale *= e * e
+        rows = [v.row for v in vectors]
+        scale = den ** len(rows) * prod(v.den for v in vectors) ** 2
         return Fraction(int_gram_det(rows, [int_mat_vec(gram, r) for r in rows]), scale)
 
     @cached_property
@@ -299,7 +312,7 @@ class RootDatum:
     @kept
     def float_row(self, v: RatVec) -> tuple[float, ...]:
         """The pairing lam -> <lam, v> as a float row in ambient coordinates, built once per v."""
-        vf = tuple(map(float, v.coords))
+        vf = v.floats()
         return tuple(sum(g * x for g, x in zip(row, vf)) for row in self.float_gram)
 
     @cached_property
@@ -332,8 +345,8 @@ class RootDatum:
         Column j of w is the root w(alpha_{simple j}), so each row is an
         integer combination of root coordinates.
         """
-        rho, den = int_row(self.rho_check.coords)
-        return tuple(int_mat_vec(w.matrix, rho) for w in self.weyl), den
+        rho = self.rho_check
+        return tuple(int_mat_vec(w.matrix, rho.row) for w in self.weyl), rho.den
 
     @cached_property
     def _by_perm(self) -> dict[Perm, WeylElement]:
@@ -372,22 +385,22 @@ def build_root_system(label: str, gram_override: Sequence[Sequence] | None = Non
     rank = sum(len(b) for b in blocks)
     if rank > MAX_RANK:
         raise UnsupportedType(f"total rank {rank} exceeds the supported cap {MAX_RANK}")
-    gram_rows = [[Fraction(0)] * rank for _ in range(rank)]
+    gram_rows = [[0] * rank for _ in range(rank)]
     off = 0
     for b in blocks:
         k = len(b)
         for i in range(k):
             for j in range(k):
-                gram_rows[off + i][off + j] = Fraction(b[i][j])
+                gram_rows[off + i][off + j] = b[i][j]
         off += k
     if gram_override is not None:
         if len(gram_override) != rank or any(len(r) != rank for r in gram_override):
             raise UnsupportedType("gram override has wrong shape")
-        gram_rows = [[frac(x) for x in row] for row in gram_override]
-        m = mat(gram_rows)
-        if m != transpose(m):
-            raise UnsupportedType("gram override must be symmetric")
-    return RootDatum(label, mat(gram_rows), factors)
+        gram_rows = gram_override
+    gram = tuple(tuple(Fraction(x) for x in row) for row in gram_rows)
+    if gram != tuple(zip(*gram)):
+        raise UnsupportedType("gram override must be symmetric")
+    return RootDatum(label, gram, factors)
 
 
 def weyl_group(d: RootDatum) -> tuple[WeylElement, ...]:
@@ -398,8 +411,7 @@ def weyl_group(d: RootDatum) -> tuple[WeylElement, ...]:
 def act(w: WeylElement, v: RatVec) -> RatVec:
     if len(w.matrix) != len(v):
         raise DimensionError("Weyl element and vector of different dimensions")
-    x, den = int_row(v.coords)
-    return RatVec(ratio_vec(int_mat_vec(w.matrix, x), den))
+    return RatVec.over(int_mat_vec(w.matrix, v.row), v.den)
 
 
 def element_from_word(d: RootDatum, word: Sequence[int], by_root_index: bool = False) -> WeylElement:

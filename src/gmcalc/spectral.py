@@ -7,7 +7,7 @@ constants n^L and k^L, the modeled stabilizer on the home flat, the
 bounded-extension sweep) is a function of this shadow.
 
 The home of a class is the first Levi in lattice order that r fixes
-pointwise, read off the integer basis rows of each Levi's coordinate map
+pointwise, read off the integer basis rows of each Levi (``Levi.rows``)
 through r's integer matrix (``WeylElement.matrix``), and the dimension of a
 fixed space is the rank less the integer rank of w - 1; the coset search of
 the discreteness test reads the same two facts.  The modeled stabilizer
@@ -47,17 +47,7 @@ from .errors import (
     NotComparable,
     NotSubsystem,
 )
-from .exactlin import (
-    Vec,
-    combine,
-    idot,
-    int_mat_vec,
-    int_rank,
-    int_row,
-    primitive_ray,
-    vadd,
-    vscale,
-)
+from .exactlin import Vec, idot, int_mat_vec, int_rank, int_row, primitive_ray
 from .gmfamily import ScalarFn, ScalarRootFns, density_at
 from .levilattice import (
     IntRows,
@@ -167,7 +157,7 @@ def _home(d: RootDatum, r: WeylElement) -> Levi:
 
 def _fixes_flat(d: RootDatum, w: WeylElement, L: Levi) -> bool:
     """Does w fix a_L pointwise?  It does exactly when it fixes each integer basis row of a_L."""
-    return all(int_mat_vec(w.matrix, b) == b for b in zip(*coord_map(L)[2]))
+    return all(int_mat_vec(w.matrix, b) == b for b in L.rows)
 
 
 def _fixed_dim(d: RootDatum, w: WeylElement) -> int:
@@ -284,7 +274,7 @@ def classify_tau(t: TauClass, G_levi: Levi | None = None) -> bool:
 def n_beta(t: TauClass, beta: RatVec) -> Fraction:
     """Half the number of vanishing-set roots restricting to a multiple of beta."""
     try:
-        key = primitive_ray(beta.coords)
+        key = primitive_ray(beta.row)
     except ValueError:
         raise NotARoot("zero vector")
     for ray in restricted_rays(t.levi_L):
@@ -394,7 +384,7 @@ def _on_home(t: TauClass, w: WeylElement) -> IntRows | None:
     (``coord_map``'s e c), an integer matrix whose column j is C w(E_j) for the basis row E_j = e b_j;
     None if w moves the flat."""
     home = t.levi_L
-    cols = [flat_coords(home, int_mat_vec(w.matrix, b)) for b in zip(*coord_map(home)[2])]
+    cols = [flat_coords(home, int_mat_vec(w.matrix, b)) for b in home.rows]
     return None if None in cols else tuple(zip(*cols))
 
 
@@ -403,7 +393,7 @@ def chamber_transitivity(t: TauClass) -> bool:
     d = t.datum
     forms = [ray.form for ray in t.tau_rays]
     witnesses = chamber_witnesses(t.levi_L, t.tau_rays)
-    first = int_row(next(iter(witnesses.values())).coords)[0]
+    first = next(iter(witnesses.values())).row
     return {form_signs(d, forms, int_mat_vec(w.matrix, first)) for w in t.core.values()} == witnesses.keys()
 
 
@@ -415,10 +405,10 @@ def _flat_reflection(t: TauClass, ray: Ray) -> IntRows | None:
     so entry (i, j) is (scale f.k [i = j] - 2 (f.E_j) (C k)_i) / f.k.
     """
     home = t.levi_L
-    _, _, lift, scale, _ = coord_map(home)
+    scale = coord_map(home)[3]
     key = tuple(int(x) for x in ray.key)
     norm = idot(ray.form, key)
-    pairs = [2 * idot(ray.form, b) for b in zip(*lift)]
+    pairs = [2 * idot(ray.form, b) for b in home.rows]
     rows = [[scale * norm * (i == j) - y * p for j, p in enumerate(pairs)] for i, y in enumerate(flat_coords(home, key))]
     if any(x % norm for row in rows for x in row):
         return None
@@ -463,13 +453,13 @@ def tempext_check(
     for F in subsets:
         pairings = [(ray.rep, fns.fn(ray.rep), dual_rows[ray.key]) for ray in F]
         for wall in F:
-            wall_pts = _wall_points(t, wall)
+            wall_pts, step = [p.floats() for p in _wall_points(t, wall)], wall.rep.floats()
             for phi_idx, phi in enumerate(phi_battery):
                 maxima = []
                 for delta in deltas:
                     m = 0.0
                     for base in wall_pts:
-                        lam = [float(x) + delta * float(y) for x, y in zip(base.coords, wall.rep.coords)]
+                        lam = [x + delta * y for x, y in zip(base, step)]
                         val, scale = _symmetrized_sum(lifts, pairings, lam, phi)
                         # below the cancellation noise floor the sum counts as zero
                         if abs(val) <= 1e-9 * scale:
@@ -498,15 +488,17 @@ def tempext_check(
 def _wall_points(t: TauClass, wall: Ray) -> list[RatVec]:
     """A few deterministic generic points on the wall, away from the other pole walls.
 
-    The wall's part of the home flat is the kernel of the one row q_j = f.E_j, f the wall's form and E_j
-    the home's integer basis rows: with p the first j where q_j is nonzero, the vectors b_j - (q_j/q_p) b_p
-    for j != p span it.
+    The wall's part of the home flat is the kernel of the one row q_j = f.E_j, f the wall's form and
+    b_j = E_j / e the home's basis rows: with p the first j where q_j is nonzero, the vectors
+    b_j - (q_j/q_p) b_p = (q_p E_j - q_j E_p) / (q_p e) for j != p span it.
     """
     d = t.datum
-    basis = t.levi_L.basis
-    q = [idot(wall.form, b) for b in zip(*coord_map(t.levi_L)[2])]
+    rows, e = t.levi_L.rows, t.levi_L.den
+    q = [idot(wall.form, b) for b in rows]
     p = next(j for j, x in enumerate(q) if x)
-    wall_vecs = [vadd(b, vscale(Fraction(-x, q[p]), basis[p])) for j, (b, x) in enumerate(zip(basis, q)) if j != p]
+    wall_vecs = [
+        RatVec.over([q[p] * x - y * q[j] for x, y in zip(b, rows[p])], q[p] * e) for j, b in enumerate(rows) if j != p
+    ]
     if not wall_vecs:
         return [RatVec.zero(d.rank)]
     others = [r for r in t.tau_rays if r.key != wall.key]
@@ -518,14 +510,14 @@ def _wall_points(t: TauClass, wall: Ray) -> list[RatVec]:
     ]
     forms = [o.form for o in others]
     for ws in weights:
-        cand = RatVec(combine(ws, wall_vecs, d.rank))
+        cand = sum((c * v for c, v in zip(ws, wall_vecs)), RatVec.zero(d.rank))
         tries = 0
-        while 0 in form_signs(d, forms, int_row(cand.coords)[0]) and tries < 20:
-            cand = cand + Fraction(1, 23 + 4 * tries) * RatVec(wall_vecs[0])
+        while 0 in form_signs(d, forms, cand.row) and tries < 20:
+            cand = cand + Fraction(1, 23 + 4 * tries) * wall_vecs[0]
             tries += 1
-        if 0 not in form_signs(d, forms, int_row(cand.coords)[0]):
+        if 0 not in form_signs(d, forms, cand.row):
             points.append(cand)
-    return points or [RatVec(wall_vecs[0])]
+    return points or [wall_vecs[0]]
 
 
 def _symmetrized_sum(

@@ -124,10 +124,7 @@ def _dominant_samples(d: RootDatum, count: int, seed: int) -> list[RatVec]:
         coeffs = [Fraction(rng.randint(0, 12), rng.randint(1, 4)) for _ in range(d.rank)]
         if k % 7 == 3:
             coeffs[rng.randrange(d.rank)] = Fraction(0)  # keep some degenerate hulls
-        T = RatVec.zero(d.rank)
-        for c, w in zip(coeffs, d.fund_coweights):
-            T = T + c * w
-        out.append(T)
+        out.append(sum((c * w for c, w in zip(coeffs, d.fund_coweights)), RatVec.zero(d.rank)))
     return out
 
 
@@ -282,7 +279,7 @@ def _lemma_shift_cases(cfg: Config, d: RootDatum) -> list[tuple[str, dict, Shift
             phi = FlatTestFunction(
                 float(phi_cfg["c0"]), float(phi_cfg["c1"]), float(phi_cfg["c2"]),
                 float(phi_cfg["scale"]),
-                tuple(float(x) for x in chamber_below(P, t.levi_L).chamber_point.coords),
+                chamber_below(P, t.levi_L).chamber_point.floats(),
             )
             for model_name, fns in models:
                 cid = f"lemma-shift/{d.label}/c{ci}/{M.label}/{model_name}"
@@ -331,8 +328,7 @@ def suite_tempext(cfg: Config, d: RootDatum):
 
 def _generic_offset(d: RootDatum) -> RatVec:
     """Deterministic spectral offset off every pole wall: a chamber interior point."""
-    pt = base_chamber(d).chamber_point
-    return RatVec.of([Fraction(x) * Fraction(1, 7) for x in pt.coords])
+    return Fraction(1, 7) * base_chamber(d).chamber_point
 
 
 @_records
@@ -362,8 +358,8 @@ def suite_examples(cfg: Config, d: RootDatum):
         rng = random.Random(cfg.seed)
         worst = 0.0
         for _ in range(100):
-            nu = RatVec.of([Fraction(rng.randint(-20, 20), rng.randint(1, 9)) for _ in range(d.rank)])
-            X = RatVec.of([Fraction(rng.randint(-20, 20), rng.randint(1, 9)) for _ in range(d.rank)])
+            nu = RatVec([Fraction(rng.randint(-20, 20), rng.randint(1, 9)) for _ in range(d.rank)])
+            X = RatVec([Fraction(rng.randint(-20, 20), rng.randint(1, 9)) for _ in range(d.rank)])
             worst = max(worst, abs(multiplier_alpha(G, nu, X)) - 1.0)
         ok = one == 1 and worst <= 1e-12
         return ok, max(worst, abs(one - 1)), None
@@ -384,11 +380,11 @@ def suite_examples(cfg: Config, d: RootDatum):
     yield name + "weyl-denominator-antisymmetry", "examples", {"Y": "fixed sample"}, _attempt(weyl_denom)
 
     def c_coeff_case():
-        model = full_model(RatVec.of([Fraction(k + 1, 3) for k in range(d.rank)]))
+        model = full_model(RatVec([Fraction(k + 1, 3) for k in range(d.rank)]))
         u = 1j
         w_id = weyl_group(d)[0]
         got = c_coefficient_example(model, w_id, P0, u, M0, M0)
-        direct = u * model.m_rel(M0, G, P0, conj=True)
+        direct = u * model.m_rel(M0, G, P0)
         residual = abs(got - direct)
         return residual <= 1e-12, residual, None
 

@@ -41,25 +41,16 @@ each exact operation kept one integer kernel: the matrix-vector product,
 the pairing, the Gram matrix and determinant, the determinant, the RREF and
 the canonical kernel basis, the kernel of pairings on a flat, and the
 ``Fraction`` matrix of a Weyl element, column j the root w(alpha_{simple j}).
+The ``Fraction`` vector helpers (``vadd``, ``vscale``, ``combine`` and the
+rest) and the ``Fraction`` ``rref`` are those ``exactlin`` kept before every
+exact vector became integer rows over one denominator, and ``ref_basis``
+reads a flat's basis as the ``Fraction`` rows a ``Levi`` once stored.
 """
 from fractions import Fraction
 from itertools import combinations
 from math import factorial, lcm, prod
 
-from gmcalc.exactlin import (
-    _eliminate,
-    combine,
-    idot,
-    int_mat,
-    int_rank,
-    int_row,
-    rref,
-    solve,
-    transpose,
-    vadd,
-    vscale,
-    zeros,
-)
+from gmcalc.exactlin import _eliminate, idot, int_mat, int_rank, int_row, ratio_vec, solve
 from gmcalc.levilattice import (
     Levi,
     QuadConst,
@@ -78,6 +69,69 @@ from gmcalc.levilattice import (
 )
 from gmcalc.rootdatum import RatVec, act, compose, invert, reflect_subgroup, weyl_group
 from gmcalc.spectral import _fixed_dim, _fixes_flat
+
+ZERO = Fraction(0)
+
+
+def frac(x):
+    return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def vec(xs):
+    return tuple(frac(x) for x in xs)
+
+
+def zeros(n):
+    return (ZERO,) * n
+
+
+def vadd(u, v):
+    return tuple(a + b for a, b in zip(u, v, strict=True))
+
+
+def vsub(u, v):
+    return tuple(a - b for a, b in zip(u, v, strict=True))
+
+
+def vscale(c, u):
+    c = frac(c)
+    return tuple(c * a for a in u)
+
+
+def combine(coeffs, vectors, n):
+    """sum_i coeffs[i] * vectors[i] in dimension n; unpaired entries of either list are ignored."""
+    v = zeros(n)
+    for c, b in zip(coeffs, vectors):
+        v = vadd(v, vscale(c, b))
+    return v
+
+
+def is_zero_vec(u):
+    return all(a == 0 for a in u)
+
+
+def mat(rows):
+    return tuple(vec(r) for r in rows)
+
+
+def transpose(m):
+    return tuple(zip(*m)) if m else ()
+
+
+def rref(rows):
+    """Reduced row echelon form of rational rows with zero rows dropped, as Fraction rows: each row cleared
+    of its own denominators, fraction-free elimination, and one normalised Fraction per entry at the end."""
+    if not rows:
+        return []
+    work = [int_row(r)[0] for r in rows]
+    pivots, d, _ = _eliminate(work, len(work[0]))
+    return [tuple(Fraction(x, d) for x in work[r]) for r in range(len(pivots))]
+
+
+def ref_basis(L):
+    """The basis rows of a flat as Fraction rows."""
+    return tuple(ratio_vec(row, L.den) for row in L.rows)
+
 
 
 def ref_mat_vec(m, v):
@@ -168,7 +222,7 @@ def ref_flat_reflection(t, ray):
     dual, den = int_row(ray.dual.coords)
     scale = coord_map(home)[1] * den
     dual_c = [Fraction(x, scale) for x in flat_coords(home, dual)]
-    pairs = [ref_pair(d.gram, ray.rep.coords, b) for b in home.basis]
+    pairs = [ref_pair(d.gram, ray.rep.coords, b) for b in ref_basis(home)]
     return tuple(tuple((i == j) - y * p for j, p in enumerate(pairs)) for i, y in enumerate(dual_c))
 
 
@@ -211,7 +265,7 @@ def ref_coords_in_basis(v, basis):
 def ref_restricted_rays(M):
     """The rays of a_M from the Fraction projection of every root, grouped as group_rays grouped them."""
     d = M.datum
-    proj = ref_projector(M.basis, d.gram)
+    proj = ref_projector(ref_basis(M), d.gram)
     groups = {}
     for i, r in enumerate(d.roots):
         v = ref_mat_vec(proj, r.coords)
@@ -255,21 +309,21 @@ def ref_levi_lattice(d):
                     flats[new_subset] = new_basis
                     nxt.append((new_subset, new_basis))
         frontier = nxt
-    levis = [Levi(d, basis, subset) for subset, basis in flats.items()]
+    levis = [Levi(d, *int_mat(basis), subset) for subset, basis in flats.items()]
     return sorted(levis, key=lambda L: (-L.dim, sorted(L.root_subset)))
 
 
 def ref_chambers_of_rays(M, rays):
     """The witness search on Fractions that chambers_of_rays ran before its integer rows."""
     d = M.datum
-    if not M.basis:
+    if not M.dim:
         return [RatVec.zero(d.rank)]
     if not rays:
         pt = zeros(d.rank)
-        for b in M.basis:
+        for b in ref_basis(M):
             pt = vadd(pt, b)
         return [RatVec(pt)]
-    proj_m = ref_projector(M.basis, d.gram)
+    proj_m = ref_projector(ref_basis(M), d.gram)
     best = {}
     for w in weyl_group(d):
         proj = ref_mat_vec(proj_m, act(w, d.rho_check).coords)
@@ -322,7 +376,7 @@ def ref_det(m):
 
 def ref_rel_basis(L, upper):
     """The part of a_L orthogonal to a_upper as the RREF of the Fraction kernel of upper's basis pairings."""
-    return tuple(rref(ref_flat_kernel(L.datum, L.basis, upper.basis)))
+    return tuple(rref(ref_flat_kernel(L.datum, ref_basis(L), ref_basis(upper))))
 
 
 def ref_split_constant(L1, L, S, upper):
@@ -425,8 +479,8 @@ def ref_weyl_cosets(L):
 def ref_coord_map(M):
     """coord_map by one Gram solve on Fractions: G X = B S with G = B S B^T, B the basis rows and S the form."""
     S = M.datum.gram
-    cmap, c, disc = solve(ref_gram_matrix(M.basis, S), [ref_mat_vec(S, b) for b in M.basis])
-    basis, e = int_mat(M.basis)
+    cmap, c, disc = solve(ref_gram_matrix(ref_basis(M), S), [ref_mat_vec(S, b) for b in ref_basis(M)])
+    basis, e = int_mat(ref_basis(M))
     lift = tuple(tuple(row[k] for row in basis) for k in range(M.datum.rank))
     return cmap, c, lift, e * c, disc
 
@@ -439,7 +493,7 @@ def ref_limit_scale(P, lam):
     walls = [restricted_rays(M)[k] for k in P.wall_rays]
     duals = [a.dual.coords if ref_pair(gram, a.rep.coords, P.chamber_point.coords) > 0 else (-a.dual).coords
              for a in walls]
-    q = abs(ref_det([ref_coords_in_basis(v, M.basis) for v in duals]))
+    q = abs(ref_det([ref_coords_in_basis(v, ref_basis(M)) for v in duals]))
     return q / prod(ref_pair(gram, lam.coords, v) for v in duals)
 
 
@@ -472,7 +526,7 @@ def ref_brute_force_discrete(t, upper):
     d = t.datum
     for w in reflect_subgroup(d, [i for i in t.sigma_roots if i in upper.root_subset]):
         fixed = ref_fixed_space(d, d.element(compose(t.r_elem.perm, w.perm)))
-        if len(fixed) == upper.dim and rref(fixed) == rref(upper.basis):
+        if len(fixed) == upper.dim and rref(fixed) == rref(ref_basis(upper)):
             return True
     return False
 
@@ -571,7 +625,7 @@ def ref_wall_points(t, wall):
     flat from ``ref_flat_kernel``, three fixed combinations of it, each nudged off the other pole walls by
     Fraction signs."""
     d = t.datum
-    wall_vecs = ref_flat_kernel(d, t.levi_L.basis, [wall.rep.coords])
+    wall_vecs = ref_flat_kernel(d, ref_basis(t.levi_L), [wall.rep.coords])
     if not wall_vecs:
         return [RatVec.zero(d.rank)]
     others = [r for r in t.tau_rays if r.key != wall.key]

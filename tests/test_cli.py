@@ -474,12 +474,34 @@ def test_exact_runs_never_load_numpy(tmp_path):
 
 # -- the process entry: cli.run ends the process once the reports are flushed ------------------
 
-def _real_process(argv, tmp_path):
-    """A fresh interpreter on src/ and tests/, run in tmp_path, its stdout and stderr block-buffered pipes."""
+def _process_env():
     root = Path(__file__).resolve().parents[1]
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = os.pathsep.join([str(root / "src"), str(root / "tests")])
-    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, timeout=120, env=env, cwd=tmp_path)
+    return env
+
+
+def _real_process(argv, tmp_path):
+    """A fresh interpreter on src/ and tests/, run in tmp_path, its stdout and stderr block-buffered pipes."""
+    return subprocess.run(
+        [sys.executable, *argv], capture_output=True, text=True, timeout=120, env=_process_env(), cwd=tmp_path
+    )
+
+
+def _cut_process(argv, tmp_path, lines):
+    """_real_process with a stdout reader that reads the given number of lines and then closes the pipe, before
+    the process starts for 0; the exit code, the lines read and stderr."""
+    read_fd, write_fd = os.pipe()
+    reader = os.fdopen(read_fd, "rb")
+    if not lines:
+        reader.close()
+    proc = subprocess.Popen([sys.executable, *argv], stdout=write_fd, stderr=subprocess.PIPE, env=_process_env(),
+                            cwd=tmp_path)
+    os.close(write_fd)
+    got = [reader.readline().decode() for _ in range(lines)]
+    reader.close()
+    _, err = proc.communicate(timeout=120)
+    return proc.returncode, got, err.decode()
 
 
 def test_verify_real_process_flushes_every_line_and_both_reports(tmp_path):
@@ -510,6 +532,33 @@ def test_run_ends_a_failing_process_with_exit_1(tmp_path):
     assert proc.returncode == 1, proc.stderr
     assert proc.stdout.splitlines()[-1] == "summary: 100 pass, 25 fail, 0 skip -> r/report-A2.json"
     assert proc.stderr == ""
+
+
+def test_verify_into_a_pipe_closed_after_one_line_keeps_its_exit_code_and_reports(tmp_path):
+    # A3 trand prints about 130 kB, more than a pipe holds, so the process writes after the reader has gone
+    code, lines, err = _cut_process(["-m", "gmcalc.cli", "verify", "--group", "A3", "--suite", "trand", "--out", "r"],
+                                    tmp_path, 1)
+    assert (code, err) == (0, "")
+    assert lines[0].startswith("[pass] trand/A3/")
+    assert json.loads((tmp_path / "r" / "report-A3.json").read_text())["checks"]
+    assert (tmp_path / "r" / "report-A3.timing.json").stat().st_size > 0
+
+
+def test_a_failing_verify_into_a_closed_pipe_exits_1(tmp_path):
+    code, _, err = _cut_process(["-c", _MUTANT_RUN], tmp_path, 0)
+    assert (code, err) == (1, "")
+
+
+@pytest.mark.parametrize("observed", [[], ["-m", "cProfile", "-o", "out.prof"]], ids=["fast-exit", "observed"])
+@pytest.mark.parametrize("command", [
+    ["describe", "--group", "A2"],
+    ["verify", "--group", "A1", "--suite", "hull-limit", "--out", "r"],
+    ["eval", "--group", "A2", "--expr", "theta", "--args", '{"lambda": ["1/3", "2/5"]}'],
+], ids=["describe", "verify", "eval"])
+def test_commands_into_a_closed_pipe_exit_0_with_no_traceback(tmp_path, observed, command):
+    # cli.run flushes stdout before os._exit; under a profiler the interpreter's own exit flushes it
+    code, _, err = _cut_process([*observed, "-m", "gmcalc.cli", *command], tmp_path, 0)
+    assert (code, err) == (0, "")
 
 
 def test_run_under_cprofile_exits_normally_and_writes_the_profile(tmp_path):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from fraction_refs import int_normal, ref_gram_matrix, ref_identity, ref_kernel, ref_mat_mul, ref_rref
 from gmcalc import exactlin as el
+from gmcalc.rootdatum import RatVec
 
 SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -108,18 +109,18 @@ def test_sym_pair(suv):
 
 
 def test_length_mismatch_raises():
-    """The Fraction helpers check lengths; the pairing's check is RootDatum.pair's (test_rootdatum)."""
+    """solve and the sums of RatVec check lengths; the pairing's check is RootDatum.pair's (test_rootdatum)."""
     u = (Fraction(1), Fraction(2))
     w = (Fraction(1), Fraction(2), Fraction(3))
     S = ref_identity(2)
     with pytest.raises(ValueError):
         el.solve(S, [u])
     with pytest.raises(ValueError):
-        el.vadd(u, w)
+        RatVec(u) + RatVec(w)
     with pytest.raises(ValueError):
-        el.vsub(w, u)
+        RatVec(w) - RatVec(u)
     with pytest.raises(ValueError):
-        el.vadd(el.zeros(2), w)
+        RatVec.zero(2) + RatVec(w)
 
 
 # ---------------------------------------------------------------------------
@@ -135,11 +136,14 @@ ZERO_ROWS = ((Fraction(0), Fraction(0), Fraction(0)), (Fraction(1, 2), Fraction(
 @example(((Fraction(0),) * 3,) * 2)
 @example(((Fraction(2, 3), Fraction(-1, 5)), (Fraction(-4, 3), Fraction(2, 5))))
 def test_rref_rank_kernel(m):
+    """rref of the integer rows of m is the Fraction RREF of m as integer rows over their least positive
+    denominator."""
     red, pivots, _ = ref_rref(m)
-    got = el.rref(m)
-    assert got == red
-    assert all(normalised(x) for row in got for x in row)
-    assert el.int_rank(el.int_mat(m)[0]) == len(red)
+    ints = el.int_mat(m)[0]
+    got = el.rref(ints)
+    assert got == el.int_mat(red)
+    assert all(type(x) is int for row in got[0] for x in row) and got[1] > 0
+    assert el.int_rank(ints) == len(red)
     n = len(m[0]) if m else 3
     ker = ref_kernel(m, n)  # the kernel reference the fixed-space and flat tests read
     assert len(ker) == n - len(red)

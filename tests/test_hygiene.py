@@ -430,3 +430,28 @@ def test_no_exit_hooks(path):
 def test_gmcalc_script_is_the_fast_exit_entry():
     assert '\n[project.scripts]\ngmcalc = "gmcalc.cli:run"\n' in (ROOT / "pyproject.toml").read_text(encoding="utf-8")
     assert isinstance(_top_level(SRC / "cli.py").get("run"), ast.FunctionDef)
+
+
+def _coords_round_trips(tree: ast.Module) -> list[str]:
+    """The calls of int_row, bare or as an attribute, whose arguments read a ``.coords`` attribute: a RatVec
+    keeps its integer row over its denominator, so its Fractions need not be cleared again."""
+    return [
+        f"line {node.lineno}: {ast.unparse(node)}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and (getattr(node.func, "id", None) or getattr(node.func, "attr", None)) == "int_row"
+        and any(isinstance(sub, ast.Attribute) and sub.attr == "coords" for arg in node.args for sub in ast.walk(arg))
+    ]
+
+
+def test_coords_round_trip_detector_finds_each_kind():
+    src = ("a = int_row(v.coords)\nb = exactlin.int_row(P.chamber_point.coords)[0]\nc = int_row(x for x in v.coords)\n"
+           "d = int_row(v.row)\ne = int_mat([p.coords])\nf = int_row(coords)\n")
+    assert sorted(line.split(":")[0] for line in _coords_round_trips(ast.parse(src))) == ["line 1", "line 2", "line 3"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_int_row_of_coords(path):
+    # every exact kernel reads a RatVec's row and den as they are kept
+    found = _coords_round_trips(_tree(path))
+    assert not found, f"{path.name} clears a RatVec's Fractions back to an integer row: {found}"

@@ -7,6 +7,7 @@ from math import prod
 import pytest
 
 from fraction_refs import (
+    ref_basis,
     ref_chambers_of_rays,
     ref_coord_map,
     ref_coords_in_basis,
@@ -31,7 +32,7 @@ from gmcalc.levilattice import (
     Ray,
     ThetaValue,
     _join,
-    _rel_basis,
+    _rel_rows,
     _split_constant,
     base_chamber,
     chamber_at,
@@ -105,9 +106,9 @@ def test_chambers_partition_generic_points():
             chambers = parabolics(M)
             rays = restricted_rays(M)
             for _ in range(10):
-                coeffs = [Fraction(rng.randint(-7, 7), rng.randint(1, 4)) for _ in M.basis]
+                coeffs = [Fraction(rng.randint(-7, 7), rng.randint(1, 4)) for _ in range(M.dim)]
                 pt = RatVec.zero(d.rank)
-                for c, b in zip(coeffs, M.basis):
+                for c, b in zip(coeffs, ref_basis(M)):
                     pt = pt + c * RatVec(b)
                 if any(d.pair(r.rep, pt) == 0 for r in rays):
                     continue
@@ -266,7 +267,7 @@ def test_coset_check_fails_on_a_sign_test_missing_one_root(label):
     def mutant(L):
         # weyl_cosets with the least positive root of L dropped from its sign test
         least = min((i for i in L.root_subset if i in positive), default=None)
-        return weyl_cosets(Levi(d, L.basis, L.root_subset - {least}))
+        return weyl_cosets(Levi(d, L.rows, L.den, L.root_subset - {least}))
 
     assert any(_perms(mutant(L)) != _perms(ref_weyl_cosets(L)) for L in levi_lattice(d))
 
@@ -302,7 +303,7 @@ def test_wall_rays_span():
         rays = restricted_rays(M)
         for P in parabolics(M):
             assert len(P.wall_rays) == M.dim
-            assert d.volume_sq([rays[k].dual.coords for k in P.wall_rays]) > 0
+            assert d.volume_sq([rays[k].dual for k in P.wall_rays]) > 0
 
 
 def test_levi_by_label_roundtrip():
@@ -413,7 +414,7 @@ def test_rays_in_matches_pairing_definition(label):
         for S in enumerate_levis(d, lower=L1):
             by_pairing = [
                 ray for ray in restricted_rays(L1)
-                if all(d.pair(ray.rep, RatVec(b)) == 0 for b in S.basis)
+                if all(d.pair(ray.rep, RatVec(b)) == 0 for b in ref_basis(S))
             ]
             assert rays_in(L1, S) == by_pairing, (L1.label, S.label)
             pairs += 1
@@ -422,7 +423,7 @@ def test_rays_in_matches_pairing_definition(label):
 
 @pytest.mark.parametrize("label", ["A2", "B2", "G2", "A3"])
 def test_signed_rays_carry_their_duals(label):
-    from gmcalc.exactlin import vscale
+    from fraction_refs import vscale
 
     d = build_root_system(label)
     for M in levi_lattice(d):
@@ -470,7 +471,7 @@ def test_point_flat_and_no_upper_take_the_general_path_to_their_conventions(labe
     G, zero = gfull(d), RatVec.zero(d.rank)
     (P_G,) = parabolics(G)
     assert (P_G.index, P_G.positive_roots, P_G.wall_rays, P_G.signs, P_G.chamber_point) == (0, (), (), (), zero)
-    generic = RatVec.of([Fraction(1, 3)] + [Fraction(-2, 5 + k) for k in range(d.rank - 1)])
+    generic = RatVec([Fraction(1, 3)] + [Fraction(-2, 5 + k) for k in range(d.rank - 1)])
     for lam in (zero, generic, d.rho_check):
         assert theta(P_G, lam) == ThetaValue(Fraction(1), QuadConst.from_square(1))
     # on G the limit is the one chamber's summed coefficient, whatever the points and the direction
@@ -494,12 +495,12 @@ def test_point_flat_and_no_upper_take_the_general_path_to_their_conventions(labe
 @pytest.mark.parametrize("label, gram", ORACLE_DATA)
 def test_integer_routes_equal_the_fraction_references(label, gram):
     d = build_root_system(label, gram)
-    generic = RatVec.of([Fraction(1, 3)] + [Fraction(-2, 5 + k) for k in range(d.rank - 1)])
+    generic = RatVec([Fraction(1, 3)] + [Fraction(-2, 5 + k) for k in range(d.rank - 1)])
     ambient = list(d.roots) + [d.rho_check, generic]
     for M in levi_lattice(d):
         rays = restricted_rays(M)
         assert rays == ref_restricted_rays(M), M.label
-        proj = ref_projector(M.basis, d.gram)
+        proj = ref_projector(ref_basis(M), d.gram)
         # the projected roots and probes, and the chamber points, lie on the flat; roots off it do not
         on_flat = [RatVec(ref_mat_vec(proj, v.coords)) for v in ambient] + [P.chamber_point for P in parabolics(M)]
         forms = [r.form for r in rays]
@@ -507,7 +508,7 @@ def test_integer_routes_equal_the_fraction_references(label, gram):
         off = 0
         for v in ambient + on_flat:
             x, den = int_row(v.coords)
-            got, want = flat_coords(M, x), ref_coords_in_basis(v.coords, M.basis)
+            got, want = flat_coords(M, x), ref_coords_in_basis(v.coords, ref_basis(M))
             if want is None:
                 assert got is None, (M.label, v)
                 off += 1
@@ -534,17 +535,15 @@ PROJECTION_DATA = [(g, None) for g in ("A2", "B2", "G2", "A3", "A1xA3")] + [("A2
 
 @pytest.mark.parametrize("label, gram", PROJECTION_DATA)
 def test_integer_projector_equals_the_fraction_reference(label, gram):
-    from gmcalc.levilattice import _rel_basis
-
     d = build_root_system(label, gram)
-    refs = {M: ref_projector(M.basis, d.gram) for M in levi_lattice(d)}
+    refs = {M: ref_projector(ref_basis(M), d.gram) for M in levi_lattice(d)}
     for M, ref in refs.items():
         # the same rows over the same least common denominator
         assert flat_projector(M) == int_mat(ref), M.label
     for M in levi_lattice(d):
         for S in enumerate_levis(d, lower=M):
             # a_S lies in a_M, so the projection onto a_M minus a_S is P_M - P_S
-            rel = _rel_basis(M, S)
+            rel = _rel_rows(M, S)[0]
             assert len(rel) == M.dim - S.dim, (M.label, S.label)
             diff = tuple(tuple(a - b for a, b in zip(pm, ps)) for pm, ps in zip(refs[M], refs[S]))
             assert ref_projector(rel, d.gram) == diff, (M.label, S.label)
@@ -660,7 +659,7 @@ def test_join_has_the_meet_of_the_flats(label):
             J = _join(L, S)
             assert contains(L, J) and contains(S, J)
             # a_J lies in a_L meet a_S, so equal dimensions make them equal
-            assert J.dim == L.dim + S.dim - int_rank(int_mat(L.basis + S.basis)[0]), (L.label, S.label)
+            assert J.dim == L.dim + S.dim - int_rank(L.rows + S.rows), (L.label, S.label)
 
 
 @pytest.mark.parametrize("label", ["A2", "B2", "G2", "A3", "A1xA3"])
@@ -738,8 +737,10 @@ def test_integer_closure_gives_the_fraction_lattice(label):
     got, want = levi_lattice(d), ref_levi_lattice(d)
     assert [(L.label, L.root_subset, L.dim) for L in got] == [(L.label, L.root_subset, L.dim) for L in want]
     for L, R in zip(got, want):
-        # RREF is canonical for the flat, so the basis rows are the same Fractions whichever rows reached it
-        assert L.basis == R.basis and _all_fractions(L.basis), L.label
+        # RREF is canonical for the flat, so the basis is the same rationals whichever rows reached it, kept
+        # as integer rows over their least positive denominator
+        assert (L.rows, L.den) == int_mat(ref_basis(R)), L.label
+        assert all(type(x) is int for row in L.rows for x in row), L.label
 
 
 @pytest.mark.parametrize("label", REF_GROUPS)
@@ -748,10 +749,15 @@ def test_chambers_equal_the_fraction_chambers(label):
     for M in levi_lattice(d):
         assert restricted_rays(M) == ref_restricted_rays(M), M.label
         got = [(P.index, P.positive_roots, P.chamber_point, P.wall_rays, P.signs) for P in parabolics(M)]
-        assert got == ref_parabolics(M), M.label
-        assert all(_all_fractions([P.chamber_point.coords]) for P in parabolics(M))
-        for ray in restricted_rays(M):
-            assert _all_fractions([ray.key, ray.rep.coords, ray.dual.coords, [c for _, c in ray.members]])
+        want = ref_parabolics(M)
+        assert got == want, M.label
+        # every exact vector is its Fraction reference as integer rows over their least positive denominator
+        for P, (_, _, pt, _, _) in zip(parabolics(M), want):
+            assert ((P.chamber_point.row,), P.chamber_point.den) == int_mat([pt.coords]), M.label
+        for ray, ref in zip(restricted_rays(M), ref_restricted_rays(M)):
+            assert _all_fractions([ray.key, [c for _, c in ray.members]])  # the key stays a Fraction tuple
+            for v, w in ((ray.rep, ref.rep), (ray.dual, ref.dual)):
+                assert ((v.row,), v.den) == int_mat([w.coords]), M.label
 
 
 @pytest.mark.parametrize("label, gram", [(g, None) for g in REF_GROUPS + ["A1xA1"]] + [
@@ -777,11 +783,34 @@ def test_kept_reflection_subgroup_equals_a_fresh_closure(label):
     ("A2", None), ("B2", None), ("G2", None), ("A3", None), ("A1xA3", None), ("A2", [["1", "-1/2"], ["-1/2", "1"]]),
 ])
 def test_rel_basis_is_the_rref_of_the_fraction_kernel(label, gram):
-    """The columns of P_L - P_upper reduce to the RREF of the Fraction kernel of upper's pairings on a_L."""
+    """The columns of P_L - P_upper reduce to the RREF of the Fraction kernel of upper's pairings on a_L: the same
+    integer rows over one denominator, which the relative rows drop."""
     d = build_root_system(label, gram)
     pairs = 0
     for L in levi_lattice(d):
         for upper in enumerate_levis(d, lower=L):
-            assert _rel_basis(L, upper) == ref_rel_basis(L, upper), (L.label, upper.label)
+            assert _rel_rows(L, upper)[0] == int_mat(ref_rel_basis(L, upper))[0], (L.label, upper.label)
             pairs += 1
     assert pairs > len(levi_lattice(d))
+
+
+def _bits(xs) -> list[str]:
+    return [float(x).hex() for x in xs]
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "G2", "A3", "A1xA3"])
+def test_float_reads_are_the_fraction_floats_bit_for_bit(label):
+    # x / den on the integer row is correctly rounded, so it is float(Fraction) of each coordinate
+    from gmcalc.contour import _float_basis
+
+    d = build_root_system(label)
+    reads = 0
+    for M in levi_lattice(d):
+        vectors = [P.chamber_point for P in parabolics(M)]
+        vectors += [v for ray in restricted_rays(M) for v in (ray.rep, ray.dual, (-ray).dual)]
+        for v in vectors:
+            assert _bits(v.floats()) == _bits(map(float, v.coords)), (M.label, v)
+        for got, want in zip(_float_basis(M), ref_basis(M), strict=True):
+            assert _bits(got) == _bits(map(float, want)), M.label
+        reads += len(vectors) + M.dim
+    assert reads > len(levi_lattice(d))

@@ -48,7 +48,7 @@ def test_rational_gram_override_a2():
 
     base = build_root_system("A2")
     half = build_root_system("A2", gram_override=[["1", "-1/2"], ["-1/2", "1"]])
-    probes = list(base.roots) + [RatVec.of([Fraction(1, 3), Fraction(-2, 5)]), base.rho_check]
+    probes = list(base.roots) + [RatVec([Fraction(1, 3), Fraction(-2, 5)]), base.rho_check]
     for u in probes:
         for v in probes:
             assert half.pair(u, v) == base.pair(u, v) / 2

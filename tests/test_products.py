@@ -152,7 +152,7 @@ def _theta_mismatches(label, theta_fn):
         pairs = _chamber_pairs(d, d1, d2, L, L1, L2)
         assert len(set(pairs.values())) == len(pairs) == len(parabolics(L)), L.label
         for P, (P1, P2) in pairs.items():
-            lam = RatVec.of([Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(d.rank)])
+            lam = RatVec([Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(d.rank)])
             got = theta_fn(P, lam)
             first, second = theta_fn(P1, RatVec(lam.coords[:r1])), theta_fn(P2, RatVec(lam.coords[r1:]))
             if got.product != first.product * second.product or got.covol != first.covol * second.covol:

@@ -9,9 +9,19 @@ from hypothesis import strategies as st
 from fraction_refs import ref_mat_mul as mat_mul
 from fraction_refs import ref_identity as identity
 from fraction_refs import ref_mat_vec as mat_vec
-from fraction_refs import ref_gram_det, ref_pair, ref_reflection_perms, ref_weyl_matrix
+from fraction_refs import (
+    mat,
+    ref_gram_det,
+    ref_pair,
+    ref_reflection_perms,
+    ref_weyl_matrix,
+    transpose,
+    vadd,
+    vscale,
+    vsub,
+)
+from gmcalc.exactlin import int_mat, int_row
 from gmcalc.errors import DimensionError, UnsupportedType
-from gmcalc.exactlin import mat, transpose
 from gmcalc.rootdatum import (
     _SIMPLE_GRAM,
     MAX_RANK,
@@ -67,7 +77,7 @@ def test_identity_and_reflection_action():
     d = build_root_system("A2")
     w0 = weyl_group(d)[0]
     assert w0.perm == tuple(range(len(d.roots)))
-    v = RatVec.of([3, Fraction(1, 2)])
+    v = RatVec([3, Fraction(1, 2)])
     assert act(w0, v) == v
     i0 = d.simple[0]
     s = element_from_word(d, [i0], by_root_index=True)
@@ -94,8 +104,8 @@ def test_weyl_permutes_roots_and_preserves_form():
         for w in weyl_group(d):
             for r in d.roots:
                 assert act(w, r).coords in root_set
-            u = RatVec.of([Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(d.rank)])
-            v = RatVec.of([Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(d.rank)])
+            u = RatVec([Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(d.rank)])
+            v = RatVec([Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(d.rank)])
             assert d.pair(act(w, u), act(w, v)) == d.pair(u, v)
 
 
@@ -229,7 +239,7 @@ def test_float_row_is_built_once_per_dual_and_datum():
     first, second = build_root_system("G2"), build_root_system("G2")
     v = first.coroots[first.simple[0]]
     row = first.float_row(v)
-    assert first.float_row(v) is row and first.float_row(RatVec.of(v.coords)) is row
+    assert first.float_row(v) is row and first.float_row(RatVec(v.coords)) is row
     assert second.float_row(v) == row and second.float_row(v) is not row
 
 
@@ -293,7 +303,7 @@ def test_pair_is_the_fraction_form(case):
 
 def test_pair_length_mismatch_raises():
     d = build_root_system("A2")
-    u, w = RatVec.of([1, 2]), RatVec.of([1, 2, 3])
+    u, w = RatVec([1, 2]), RatVec([1, 2, 3])
     for a, b in [(u, w), (w, u), (RatVec.zero(2), w), (w, w)]:
         with pytest.raises(DimensionError):
             d.pair(a, b)
@@ -304,9 +314,41 @@ def test_pair_length_mismatch_raises():
 @example((build_root_system("A2"), [(Fraction(1, 2), Fraction(0))]))
 @example((build_root_system("A2", OVERRIDES[1][1]), [(Fraction(1, 3), Fraction(-1, 2)), (Fraction(2), Fraction(1, 5))]))
 def test_volume_sq_is_the_fraction_gram_determinant(case):
-    """Each vector cleared of its own denominator and one integer Gram determinant: the Fraction Gram
+    """One integer Gram determinant of the vectors' rows over their denominators: the Fraction Gram
     determinant, 1 for no vectors and 0 for dependent ones."""
     d, vectors = case
-    got = d.volume_sq(vectors)
+    got = d.volume_sq([RatVec(v) for v in vectors])
     assert got == ref_gram_det(vectors, d.gram)
     assert type(got) is Fraction
+
+
+# -- RatVec: integer numerators over their least positive denominator -------------------------------
+
+
+def test_ratvec_over_reduces_and_makes_the_denominator_positive():
+    v = RatVec.over((2, -4, 6), -4)
+    assert (v.row, v.den) == ((-1, 2, -3), 2)
+    assert v.coords == (Fraction(-1, 2), Fraction(1), Fraction(-3, 2)) and repr(v) == "(-1/2, 1, -3/2)"
+    assert RatVec.over((3, 9), 3) == RatVec([1, 3]) and RatVec.over((3, 9), 3).den == 1
+    for zero in (RatVec.over((0, 0), -7), RatVec.over((0, 0), 12), RatVec.zero(2), RatVec([0, Fraction(0, 5)])):
+        assert (zero.row, zero.den) == ((0, 0), 1) and zero.is_zero()
+    assert all(type(x) is int for x in RatVec([Fraction(1, 3), 2, "-5/6", 0.5]).row)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(lambda n: st.tuples(*(st.lists(RATIONALS, min_size=n, max_size=n) for _ in range(2)))),
+    RATIONALS,
+    st.integers(-6, 6).filter(bool),
+)
+def test_ratvec_is_canonical_and_its_arithmetic_is_the_fraction_arithmetic(uv, c, k):
+    u, v = uv
+    a, b = RatVec(u), RatVec(v)
+    row, den = int_row(u)
+    # the same value by another route: numerators and denominator scaled by k, any sign
+    again = RatVec.over([k * x for x in row], k * den)
+    assert (a.row, a.den) == (tuple(row), den) == (again.row, again.den)
+    assert a == again and hash(a) == hash(again) and a.coords == tuple(u)
+    for got, want in ((a + b, vadd(u, v)), (a - b, vsub(u, v)), (-a, vscale(-1, u)), (c * a, vscale(c, u))):
+        assert ((got.row,), got.den) == int_mat([want])
+    assert (a + b) - b == a and a.floats() == tuple(float(x) for x in u)
