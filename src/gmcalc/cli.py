@@ -129,6 +129,9 @@ def cmd_verify(args) -> int:
     except OSError as exc:
         print(f"error: cannot create the report directory: {exc}", file=sys.stderr)
         return 2
+    except OverflowError as exc:
+        print(f"error: config values too large to evaluate in floating point: {exc}", file=sys.stderr)
+        return 2
     report_path = out_dir / f"report-{cfg.group}.json"
     try:
         with open(report_path, "w", encoding="utf-8") as out:

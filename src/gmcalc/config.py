@@ -183,6 +183,9 @@ def load_config(data: dict | None = None, path: str | Path | None = None, overri
     # the growth exponent divides by log(first / last)
     if not merged["tempext_deltas"][0] > merged["tempext_deltas"][-1]:
         raise ConfigError(f"tempext_deltas must start above where they end, got {merged['tempext_deltas']!r}")
+    # a shifted grid is refined from eps / 4 toward 0, with no end inside the pole-hit disc
+    if min(merged["epsilons"]) < POLE_HIT_RADIUS:
+        raise ConfigError(f"epsilons must be at least {POLE_HIT_RADIUS}, got {merged['epsilons']!r}")
     # odd-power extrapolation takes the last nodes as the smallest, and equal nodes are singular
     ladder = merged["delta_ladder"]
     if not all(a > b for a, b in zip(ladder, ladder[1:])):

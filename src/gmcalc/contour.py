@@ -283,7 +283,7 @@ def pv_integral(
         val = _quad_on_panels(g, _graded_edges(-T, T, None, None))
         return val, 0.0
     values = [_excised_axis(g, T, delta) for delta in deltas]
-    # the symmetric excision defect is an odd series in delta, so fit 1, d, d^3
+    # the symmetric excision defect is an odd series in delta, so fit 1, d, d^3, ..., one power per rung
     est, err = _extrapolate_odd(list(deltas), values)
     if err > tol:
         raise NoConvergence(f"principal value ladder did not settle: error {err}")
@@ -291,7 +291,7 @@ def pv_integral(
 
 
 def _extrapolate_odd(xs: Sequence[float], ys: Sequence[complex]) -> tuple[complex, float]:
-    powers = [0, 1, 3, 5, 7][: len(xs)]
+    powers = [0, *range(1, 2 * len(xs) - 2, 2)]
     V = np.array([[x ** p for p in powers] for x in xs], dtype=float)
     coeffs = np.linalg.solve(V, np.array(ys, dtype=complex))
     est = complex(coeffs[0])

@@ -14,16 +14,15 @@ reduces integer rows over a denominator to their least positive one, the
 form in which ``rootdatum.RatVec`` and ``levilattice.Levi`` keep every exact
 vector, and ``rref`` returns the canonical basis of a row space in it.
 ``Fraction``s appear only at the edges: ``int_row`` and ``int_mat`` read
-them, ``ratio_vec`` and ``primitive_ray`` write them for report strings and
-ray keys, and ``solve`` takes rational rows and returns its solution as
-integer rows over one denominator.  With one positive denominator, signs and
-the lexicographic order of the numerators are those of the rationals.
+them and ``ratio_vec`` writes them for report strings; a ray's key is its
+primitive integer row (``int_primitive``).  With one positive denominator,
+signs and the lexicographic order of the numerators are those of the rationals.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain
-from math import gcd, prod
+from math import gcd
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -139,22 +138,20 @@ def int_rank(rows: Sequence[Sequence[int]]) -> int:
     return len(_eliminate(list(rows), len(rows[0]))[0])
 
 
-def solve(m: Mat, rhs: Sequence[Vec]) -> tuple[tuple[tuple[int, ...], ...], int, Fraction]:
-    """The X with m X = R for an invertible square m, R given by its rows, and det m: one elimination.
+def solve(m: Sequence[Sequence[int]], rhs: Sequence[Sequence[int]]) -> tuple[tuple[tuple[int, ...], ...], int, int]:
+    """The X with m X = R for an invertible square integer m, R by its integer rows, and det m: one elimination.
 
-    [m | R] is cleared row by row of its denominators and reduced (Bareiss);
-    row k of the right-hand part over the final pivot d is row k of X.  X
-    comes as integer rows over their least common positive denominator, as
-    ``int_mat`` writes it, and det m is the signed pivot d over the row
-    denominators.  A singular m raises ZeroDivisionError.
+    [m | R] is reduced fraction-free (Bareiss); row k of the right-hand part
+    over the final pivot d is row k of X.  X comes as integer rows over their
+    least common positive denominator, as ``int_mat`` writes it, and det m is
+    the signed pivot d.  A singular m raises ZeroDivisionError.
     """
     n = len(m)
-    pairs = [int_row(tuple(r) + tuple(b)) for r, b in zip(m, rhs, strict=True)]  # each row cleared of its denominators
-    work = [row for row, _ in pairs]
+    work = [list(r) + list(b) for r, b in zip(m, rhs, strict=True)]
     pivots, d, sign = _eliminate(work, n)
     if len(pivots) < n:
         raise ZeroDivisionError("singular matrix")
-    return (*int_least([row[n:] for row in work], d), Fraction(sign * d, prod(den for _, den in pairs)))
+    return (*int_least([row[n:] for row in work], d), sign * d)
 
 
 def int_gram_det(rows: Sequence[Sequence[int]], forms: Sequence[Sequence[int]]) -> int:
@@ -169,16 +166,8 @@ def int_gram_det(rows: Sequence[Sequence[int]], forms: Sequence[Sequence[int]]) 
 
 
 def int_primitive(ints: Sequence[int]) -> tuple[int, ...]:
-    """The primitive integer row on the ray through a nonzero integer row: coprime, first nonzero > 0."""
-    g = gcd(*ints)
-    if next(x for x in ints if x) < 0:
+    """A ray's key: the integer row on the ray through an integer row, coprime, first nonzero > 0 (0 for 0)."""
+    g = gcd(*ints) or 1
+    if next((x for x in ints if x), 0) < 0:
         g = -g
     return tuple(x // g for x in ints)
-
-
-def primitive_ray(ints: Sequence[int]) -> Vec:
-    """Canonical representative of the ray through a nonzero integer row: integral, coprime, first nonzero
-    > 0, as ``Fraction``s."""
-    if not any(ints):
-        raise ValueError("zero vector has no ray")
-    return tuple(Fraction(x) for x in int_primitive(ints))

@@ -38,7 +38,7 @@ from .errors import (
     NotDominant,
     PoleHit,
 )
-from .exactlin import Vec, idot, int_mat_vec, int_row, primitive_ray
+from .exactlin import idot, int_mat_vec, int_primitive, int_row
 from .levilattice import (
     Levi,
     ParabolicChamber,
@@ -380,14 +380,14 @@ def scalar_fn_from_template(template: Mapping, n: Fraction) -> ScalarFn:
 
 
 class ScalarRootFns:
-    """Density functions attached to the reduced restricted-root rays of a_{L1}."""
+    """Density functions attached to the reduced restricted-root rays of a_{L1}, keyed by ray key."""
 
-    def __init__(self, levi_l1: Levi, fns: Mapping[Vec, ScalarFn]):
+    def __init__(self, levi_l1: Levi, fns: Mapping[tuple, ScalarFn]):
         self.levi = levi_l1
         self._fns = dict(fns)
 
     @classmethod
-    def uniform(cls, levi_l1: Levi, template: Mapping, n_of_ray: Mapping[Vec, Fraction] | None = None):
+    def uniform(cls, levi_l1: Levi, template: Mapping, n_of_ray: Mapping[tuple, Fraction] | None = None):
         fns = {}
         for ray in restricted_rays(levi_l1):
             n = Fraction(0) if n_of_ray is None else Fraction(n_of_ray.get(ray.key, 0))
@@ -396,7 +396,7 @@ class ScalarRootFns:
 
     def fn(self, beta: RatVec) -> ScalarFn:
         """The density of the +- ray containing beta."""
-        key = primitive_ray(beta.row)
+        key = int_primitive(beta.row)
         fn = self._fns.get(key)
         if fn is None:
             raise KeyError(f"no density ray along {key}")

@@ -52,7 +52,6 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import DimensionError, IncompleteInput, InternalInconsistency, NotComparable
 from .exactlin import (
-    Vec,
     idot,
     int_gram_det,
     int_least,
@@ -171,15 +170,16 @@ class Ray(NamedTuple):
     """One +- pair of restricted-root rays on a_M, seen from one side.
 
     key and members name the pair; rep, dual and form are the side's.  The
-    rays of restricted_rays are the + sides, and -ray is the - side.  key
-    stays a ``Fraction`` tuple: the str of each n_beta key goes into the
-    ``lemma-shift`` and ``tempext`` record inputs, and so into the reports.
+    rays of restricted_rays are the + sides, and -ray is the - side.  key is
+    the primitive integer row of the + side (``int_primitive``), by which every
+    per-ray map is keyed; a member's multiple c is that of its projection over
+    the projection's one denominator, of which only the sign is read.
     """
 
-    key: Vec                       # primitive direction of the + side
+    key: tuple[int, ...]           # primitive direction of the + side
     rep: RatVec                    # reduced restricted root on this side
     dual: RatVec                   # 2 rep / <rep, rep>
-    members: tuple[tuple[int, Fraction], ...]   # (ambient root index, scalar c with proj = c * key)
+    members: tuple[tuple[int, int], ...]   # (ambient root index, integer c with proj = c * key / den)
     form: tuple[int, ...]          # S times the side's primitive direction, over int_gram's denominator
 
     def __neg__(self) -> "Ray":
@@ -326,13 +326,12 @@ def group_rays(d: RootDatum, vectors: Iterable[tuple[int, Sequence[int]]], den: 
     gram, gram_den = d.int_gram
     rays = []
     for key in sorted(groups):
-        members = sorted(groups[key])
+        members = tuple(sorted(groups[key]))
         g = min(abs(x) for _, x in members)
         form = int_mat_vec(gram, key)
         rep = RatVec.over([g * x for x in key], den)
         dual = RatVec.over([2 * den * gram_den * x for x in key], g * idot(key, form))  # 2 rep / <rep, rep>
-        fkey = tuple(map(Fraction, key))
-        rays.append(Ray(fkey, rep, dual, tuple((i, Fraction(x, den)) for i, x in members), form))
+        rays.append(Ray(key, rep, dual, members, form))
     return tuple(rays)
 
 
@@ -460,7 +459,7 @@ def adjacent_chambers(M: Levi) -> tuple[tuple[int, int, tuple[int, ...], int], .
         for k in P.wall_rays:
             j = by_signs[P.signs[:k] + (-P.signs[k],) + P.signs[k + 1:]]
             if P.index < j:
-                wall = tuple(P.signs[k] * int(x) for x in rays[k].key)
+                wall = tuple(P.signs[k] * x for x in rays[k].key)
                 pairs.append((P.index, j, wall, next(f for f, x in enumerate(wall) if x)))
     return tuple(sorted(pairs, key=lambda pair: pair[:2]))
 
@@ -609,7 +608,7 @@ def coord_map(M: Levi) -> tuple[IntRows, int, IntRows, int, Fraction]:
     g = gcd(e, c)
     cmap, c = tuple(tuple(e // g * x for x in row) for row in cmap), c // g
     lift = tuple(tuple(row[k] for row in basis) for k in range(M.datum.rank))
-    return cmap, c, lift, e * c, disc / (e * e * s) ** M.dim
+    return cmap, c, lift, e * c, Fraction(disc, (e * e * s) ** M.dim)
 
 
 def flat_coords(M: Levi, x: Sequence[int]) -> tuple[int, ...] | None:

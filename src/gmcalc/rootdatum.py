@@ -270,10 +270,10 @@ class RootDatum:
         )
         index = {r: i for i, r in enumerate(self.root_rows)}
         self.simple: tuple[int, ...] = tuple(index[v] for v in simple)
-        # regular dominant point: pair(alpha_i, rho_check) = 1 for the simple roots alpha_i = e_i
-        inv, inv_den, _ = solve(self.gram, simple)
-        self.fund_coweights: tuple[RatVec, ...] = tuple(RatVec.over(col, inv_den) for col in zip(*inv))
-        self.rho_check = RatVec.over([sum(row) for row in inv], inv_den)  # the sum of the coweights
+        # regular dominant point: pair(alpha_i, rho_check) = 1 for alpha_i = e_i; the coweights are (T/den)^-1 = den T^-1
+        inv, inv_den, _ = solve(gram, simple)
+        self.fund_coweights: tuple[RatVec, ...] = tuple(RatVec.over([den * x for x in col], inv_den) for col in zip(*inv))
+        self.rho_check = RatVec.over([den * sum(row) for row in inv], inv_den)  # the sum of the coweights
         self.pos_indices: tuple[int, ...] = tuple(
             i for i, r in enumerate(self.roots) if self.pair(r, self.rho_check) > 0
         )

@@ -26,8 +26,8 @@ point of rho_check's orbit, which is regular, so the chamber-stabilizer test
 reads the root signs there with no chamber search.  The basis sum n^L, its
 elementary-symmetric cross-check, the discreteness span test and the
 independent pole-ray subsets of the bounded-extension sweep read each pole
-ray once per class, as a primitive integer row with its n_beta / 2 over one
-denominator (``TauClass.pole_rows``).
+ray's key, its primitive integer row, and its n_beta / 2 from the halves
+kept once per class over one denominator (``TauClass.pole_rows``).
 A class keeps its facts as cached properties; the classes of a datum are
 enumerated once and kept on the datum (``rootdatum.kept``), and so is the
 home of each r (``_home``), which the classes sharing r read.
@@ -47,7 +47,7 @@ from .errors import (
     NotComparable,
     NotSubsystem,
 )
-from .exactlin import Vec, idot, int_mat_vec, int_rank, int_row, primitive_ray
+from .exactlin import idot, int_mat_vec, int_primitive, int_rank, int_row
 from .gmfamily import ScalarFn, ScalarRootFns, density_at
 from .levilattice import (
     IntRows,
@@ -88,7 +88,7 @@ class TauClass:
         datum: RootDatum,
         sigma_roots: frozenset[int],
         r_elem: WeylElement,
-        mult: tuple[tuple[Vec, Fraction], ...] = (),  # sorted (ray key, n) overrides
+        mult: tuple[tuple[tuple[int, ...], Fraction], ...] = (),  # sorted (ray key, n) overrides
     ):
         self.datum, self.sigma_roots, self.r_elem, self.mult = datum, sigma_roots, r_elem, mult
 
@@ -101,10 +101,10 @@ class TauClass:
         return _home(self.datum, self.r_elem)
 
     @cached_property
-    def nbeta(self) -> dict[Vec, Fraction]:
-        """n for every reduced restricted ray of the home flat: half its vanishing-set members."""
+    def nbeta(self) -> dict[tuple[int, ...], Fraction]:
+        """n for every reduced restricted ray of the home flat, by ray key: half its vanishing-set members."""
         overrides = dict(self.mult)
-        out: dict[Vec, Fraction] = {}
+        out: dict[tuple[int, ...], Fraction] = {}
         for ray in restricted_rays(self.levi_L):
             if ray.key in overrides:
                 out[ray.key] = Fraction(overrides[ray.key])
@@ -121,13 +121,9 @@ class TauClass:
         return tuple(ray for ray in restricted_rays(self.levi_L) if self.nbeta[ray.key] != 0)
 
     @cached_property
-    def pole_rows(self) -> tuple[tuple[tuple[int, int, tuple[int, ...]], ...], int]:
-        """Per pole ray, in ray order: its first member root, n_beta / 2 as an integer over one
-        positive denominator and its primitive integer direction; with that denominator."""
-        rays = self.tau_rays
-        halves, den = int_row(self.nbeta[ray.key] / 2 for ray in rays)
-        rows = tuple((ray.members[0][0], half, tuple(int(x) for x in ray.key)) for ray, half in zip(rays, halves))
-        return rows, den
+    def pole_rows(self) -> tuple[list[int], int]:
+        """n_beta / 2 of each pole ray, in ``tau_rays`` order, as integers over one positive denominator."""
+        return int_row(self.nbeta[ray.key] / 2 for ray in self.tau_rays)
 
     @cached_property
     def core(self) -> dict[IntRows, WeylElement]:
@@ -222,7 +218,7 @@ def build_spectral_triple(
     return TauClass(ambient, subset, r)
 
 
-def tau_class(t: TauClass, mult: Mapping[Vec, Fraction] | None = None) -> TauClass:
+def tau_class(t: TauClass, mult: Mapping[tuple, Fraction] | None = None) -> TauClass:
     """The class itself, or a copy whose multiplicities n are overridden per ray key."""
     return TauClass(t.datum, t.sigma_roots, t.r_elem, tuple(sorted(mult.items()))) if mult else t
 
@@ -234,7 +230,7 @@ def tau_class(t: TauClass, mult: Mapping[Vec, Fraction] | None = None) -> TauCla
 def _restriction_spans(t: TauClass, upper: Levi) -> bool:
     """Do the pole rays lying in `upper` span the part of a_home orthogonal to a_upper?"""
     rays, _ = _in_levi(t, upper)
-    return int_rank([row for _, row in rays]) == t.levi_L.dim - upper.dim
+    return int_rank([key for _, key in rays]) == t.levi_L.dim - upper.dim
 
 
 def _brute_force_discrete(t: TauClass, upper: Levi) -> bool:
@@ -273,10 +269,9 @@ def classify_tau(t: TauClass, G_levi: Levi | None = None) -> bool:
 
 def n_beta(t: TauClass, beta: RatVec) -> Fraction:
     """Half the number of vanishing-set roots restricting to a multiple of beta."""
-    try:
-        key = primitive_ray(beta.row)
-    except ValueError:
+    if beta.is_zero():
         raise NotARoot("zero vector")
+    key = int_primitive(beta.row)
     for ray in restricted_rays(t.levi_L):
         if ray.key == key:
             if beta != ray.rep and beta != -ray.rep:
@@ -286,12 +281,12 @@ def n_beta(t: TauClass, beta: RatVec) -> Fraction:
 
 
 def _in_levi(t: TauClass, L_levi: Levi) -> tuple[list[tuple[int, tuple[int, ...]]], int]:
-    """The (n_beta / 2 numerator, integer direction) of each pole ray of the home lying in L, and the
-    halves' denominator.  A ray lies in L exactly when its member roots do (``rays_in``)."""
+    """The (n_beta / 2 numerator, key) of each pole ray of the home lying in L, and the halves'
+    denominator.  A ray lies in L exactly when its member roots do (``rays_in``)."""
     if not contains(t.levi_L, L_levi):
         raise NotARoot("L must contain the home Levi")
-    rows, den = t.pole_rows
-    return [(half, row) for first, half, row in rows if first in L_levi.root_subset], den
+    halves, den = t.pole_rows
+    return [(half, ray.key) for ray, half in zip(t.tau_rays, halves) if ray.members[0][0] in L_levi.root_subset], den
 
 
 def _reduced(row: tuple[int, ...], basis: list[tuple[int, list[int]]]) -> tuple[int, list[int]] | None:
@@ -406,10 +401,9 @@ def _flat_reflection(t: TauClass, ray: Ray) -> IntRows | None:
     """
     home = t.levi_L
     scale = coord_map(home)[3]
-    key = tuple(int(x) for x in ray.key)
-    norm = idot(ray.form, key)
+    norm = idot(ray.form, ray.key)
     pairs = [2 * idot(ray.form, b) for b in home.rows]
-    rows = [[scale * norm * (i == j) - y * p for j, p in enumerate(pairs)] for i, y in enumerate(flat_coords(home, key))]
+    rows = [[scale * norm * (i == j) - y * p for j, p in enumerate(pairs)] for i, y in enumerate(flat_coords(home, ray.key))]
     if any(x % norm for row in rows for x in row):
         return None
     return tuple(tuple(x // norm for x in row) for row in rows)
@@ -441,12 +435,8 @@ def tempext_check(
     home = t.levi_L
     rays = t.tau_rays
     records = []
-    subsets = []
-    ray_rows = [(ray, row) for ray, (_, _, row) in zip(rays, t.pole_rows[0])]
-    for size in range(1, home.dim + 1):
-        for combo in combinations(ray_rows, size):
-            if int_rank([row for _, row in combo]) == size:
-                subsets.append(tuple(ray for ray, _ in combo))
+    subsets = [combo for size in range(1, home.dim + 1) for combo in combinations(rays, size)
+               if int_rank([ray.key for ray in combo]) == size]
     # the integer matrices of the core and the float form of each ray's dual pairing, built once per class
     lifts = [w.matrix for w in t.core.values()]
     dual_rows = {ray.key: d.float_row(ray.dual) for ray in rays}

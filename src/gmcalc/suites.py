@@ -248,6 +248,12 @@ def suite_residue_1d(cfg: Config, d: RootDatum):
                else _attempt(_even_zero, cfg, pure, even, n, tol))
 
 
+def _n_inputs(t: TauClass) -> dict[str, str]:
+    """A class's n_beta as record inputs, each ray key written as a ``Fraction`` tuple: the form on which
+    the record input digests, and so the reports, are pinned."""
+    return {str(tuple(map(Fraction, k))): str(v) for k, v in sorted(t.nbeta.items())}
+
+
 def _shift_classes(d: RootDatum):
     seen = set()
     out = []
@@ -286,7 +292,7 @@ def _lemma_shift_cases(cfg: Config, d: RootDatum) -> list[tuple[str, dict, Shift
                 inputs = {
                     "group": d.label,
                     "home": t.levi_L.label,
-                    "n": {str(k): str(v) for k, v in sorted(t.nbeta.items())},
+                    "n": _n_inputs(t),
                     "M": M.label,
                     "model": model_name,
                 }
@@ -321,7 +327,7 @@ def suite_tempext(cfg: Config, d: RootDatum):
         inputs = {
             "group": d.label,
             "home": t.levi_L.label,
-            "n": {str(k): str(v) for k, v in sorted(t.nbeta.items())},
+            "n": _n_inputs(t),
         }
         yield f"tempext/{d.label}/c{ci}", "tempext", inputs, _attempt(_tempext, cfg, t)
 

@@ -45,10 +45,13 @@ The ``Fraction`` vector helpers (``vadd``, ``vscale``, ``combine`` and the
 rest) and the ``Fraction`` ``rref`` are those ``exactlin`` kept before every
 exact vector became integer rows over one denominator, and ``ref_basis``
 reads a flat's basis as the ``Fraction`` rows a ``Levi`` once stored.
+``primitive_ray`` is the ``Fraction`` ray key and ``ref_solve`` the solve on
+rational rows that ``exactlin`` kept before every ray key became a primitive
+integer row and ``solve`` took integer rows alone.
 """
 from fractions import Fraction
 from itertools import combinations
-from math import factorial, lcm, prod
+from math import factorial, gcd, lcm, prod
 
 from gmcalc.exactlin import _eliminate, idot, int_mat, int_rank, int_row, ratio_vec, solve
 from gmcalc.levilattice import (
@@ -64,6 +67,7 @@ from gmcalc.levilattice import (
     levi_lattice,
     limit_frame,
     mzero,
+    projected_roots,
     rays_in,
     restricted_rays,
 )
@@ -262,9 +266,18 @@ def ref_coords_in_basis(v, basis):
     return tuple(r[k] for r in rows[:k])
 
 
+def primitive_ray(ints):
+    """The Fraction key the package once gave the ray through a nonzero integer row: integral, coprime,
+    first nonzero > 0."""
+    g = gcd(*ints) * (1 if next(x for x in ints if x) > 0 else -1)
+    return tuple(Fraction(x, g) for x in ints)
+
+
 def ref_restricted_rays(M):
-    """The rays of a_M from the Fraction projection of every root, grouped as group_rays grouped them."""
+    """The rays of a_M from the Fraction projection of every root, grouped as group_rays grouped them: the
+    Fraction key, and each member's multiple over the denominator of the package's projections."""
     d = M.datum
+    _, proj_den = projected_roots(M)
     proj = ref_projector(ref_basis(M), d.gram)
     groups = {}
     for i, r in enumerate(d.roots):
@@ -281,6 +294,7 @@ def ref_restricted_rays(M):
     for key in sorted(groups):
         members = tuple(sorted(groups[key]))
         rep = RatVec(vscale(min(abs(c) for _, c in members), key))
+        members = tuple((i, c * proj_den) for i, c in members)
         form = tuple(int(x * den) for x in ref_mat_vec(d.gram, key))
         rays.append(Ray(key, rep, RatVec(vscale(Fraction(2) / d.pair(rep, rep), rep.coords)), members, form))
     return tuple(rays)
@@ -476,10 +490,19 @@ def ref_weyl_cosets(L):
     return reps
 
 
+def ref_solve(m, rhs):
+    """``exactlin.solve`` on Fraction rows, as the package once ran it: each row of [m | R] cleared of its
+    denominators, and det m the integer determinant over the row denominators."""
+    n = len(m)
+    cleared = [int_row(tuple(r) + tuple(b)) for r, b in zip(m, rhs, strict=True)]
+    X, c, det = solve([row[:n] for row, _ in cleared], [row[n:] for row, _ in cleared])
+    return X, c, Fraction(det, prod(den for _, den in cleared))
+
+
 def ref_coord_map(M):
     """coord_map by one Gram solve on Fractions: G X = B S with G = B S B^T, B the basis rows and S the form."""
     S = M.datum.gram
-    cmap, c, disc = solve(ref_gram_matrix(ref_basis(M), S), [ref_mat_vec(S, b) for b in ref_basis(M)])
+    cmap, c, disc = ref_solve(ref_gram_matrix(ref_basis(M), S), [ref_mat_vec(S, b) for b in ref_basis(M)])
     basis, e = int_mat(ref_basis(M))
     lift = tuple(tuple(row[k] for row in basis) for k in range(M.datum.rank))
     return cmap, c, lift, e * c, disc

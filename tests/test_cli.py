@@ -337,6 +337,9 @@ BAD_VALUES = [
     {"delta_ladder": [1e300, 1e-300, 1e-310]},
     {"delta_ladder": [0.5, 1e-300, 1e-310]},
     {"delta_ladder": [20, 10, 9]},
+    # an epsilon below the pole-hit radius refined the shifted grids without end
+    {"epsilons": [1e-300, 0.1]},
+    {"epsilons": [0.05, 9.9e-13]},
 ]
 
 # scales below 1/16 push the tail cutoff 8/sqrt(scale) past 32; 1e-300 added unit panels until memory ran out,
@@ -636,6 +639,41 @@ def test_load_config_accepts_the_boundary_scales_and_ladders():
     assert cfg.delta_ladder == [31.5, 1e-12]
     with pytest.raises(ConfigError, match="delta_ladder"):
         load_config({"delta_ladder": [5.66, 0.1]})
+
+
+def test_load_config_bounds_epsilons_below_by_the_pole_hit_radius():
+    assert load_config({"epsilons": [1e-12, 0.1]}).epsilons == [1e-12, 0.1]
+    for bad in ([1e-300, 0.1], [0.05, 9.9e-13]):
+        with pytest.raises(ConfigError, match="epsilons must be at least 1e-12"):
+            load_config({"epsilons": bad})
+
+
+@pytest.mark.parametrize("rungs", [6, 7])
+def test_verify_runs_a_long_delta_ladder(tmp_path, capsys, rungs):
+    # a ladder of 6 or more rungs fitted more nodes than odd powers and ended in a LinAlgError traceback
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"delta_ladder": [0.5] + [10.0 ** -k for k in range(1, rungs)]}))
+    code = main(["--config", str(p), "verify", "--group", "A2", "--suite", "residue-1d", "--out", str(tmp_path / "r")])
+    out = capsys.readouterr().out
+    assert code == 0, out
+    assert "summary: 33 pass, 0 fail, 0 skip" in out
+
+
+# a float overflow inside the suites ended in an OverflowError traceback
+OVERFLOWS = [
+    ("A2", {"m_model": {"kind": "pole_plus_rational", "p": ["1e300"], "q": ["1"]}}),
+    ("A1xA1", {"gram": [["1e300", "0"], ["0", "1e300"]]}),
+]
+
+
+@pytest.mark.parametrize("group, cfg", OVERFLOWS)
+def test_verify_float_overflow_real_process_exit_2_with_one_line(tmp_path, group, cfg):
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    argv = ["-m", "gmcalc.cli", "--config", "cfg.json", "verify", "--group", group, "--suite", "examples", "--out", "r"]
+    proc = _real_process(argv, tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "floating point" in lines[0], proc.stderr
 
 
 @pytest.mark.parametrize("group", [5, None])

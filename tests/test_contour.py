@@ -123,6 +123,14 @@ def test_pv_rejects_a_cut_outside_the_axis(deltas):
         pv_integral(pole(1), GAUSS, deltas)
 
 
+@pytest.mark.parametrize("rungs", range(3, 9))
+def test_extrapolate_odd_fits_one_power_per_rung(rungs):
+    # the fit is 1, d, d^3, ... with one power per rung: 6 rungs once met 5 powers in a LinAlgError
+    xs = [0.5 / 4 ** k for k in range(rungs)]
+    est, err = contour._extrapolate_odd(xs, [2.0 + 0.5 * x - 3.0 * x ** 3 for x in xs])
+    assert abs(est - 2.0) < 1e-12 and err < 2e-3
+
+
 def test_residue_1d_judges_the_ladder_by_its_tolerance():
     # this ladder settles to between 1.6e-6 and 2.1e-5, once judged against 1e-6 whatever the tolerance
     d = build_root_system("A2")

@@ -1,6 +1,7 @@
 """Property tests: the fraction-free integer kernels against naive Fraction references."""
 from fractions import Fraction
 from itertools import permutations
+from math import gcd, prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -112,9 +113,8 @@ def test_length_mismatch_raises():
     """solve and the sums of RatVec check lengths; the pairing's check is RootDatum.pair's (test_rootdatum)."""
     u = (Fraction(1), Fraction(2))
     w = (Fraction(1), Fraction(2), Fraction(3))
-    S = ref_identity(2)
     with pytest.raises(ValueError):
-        el.solve(S, [u])
+        el.solve(((1, 0), (0, 1)), [(1, 2)])
     with pytest.raises(ValueError):
         RatVec(u) + RatVec(w)
     with pytest.raises(ValueError):
@@ -167,20 +167,22 @@ def test_rref_rank_kernel(m):
 @example(((Fraction(1, 2), Fraction(1, 3)), (Fraction(3, 2), Fraction(1))))
 @example(((Fraction(1), Fraction(2)), (Fraction(2), Fraction(4))))  # singular: an inconsistent column
 def test_det_and_inverse(m):
-    """int_det of the rows over one denominator, and the inverse and det m from one solve against the identity."""
+    """int_det of the rows over one denominator, and the inverse and integer det of those rows from one solve
+    against the identity: m^-1 is den times their inverse."""
     rows, den = el.int_mat(m)
     got = Fraction(el.int_det(rows), den ** len(m))
     assert got == ref_det(m) and normalised(got)
     ident = ref_identity(len(m))
+    int_ident = tuple(tuple(map(int, row)) for row in ident)
     if got == 0:
         with pytest.raises(ZeroDivisionError):
-            el.solve(m, ident)
+            el.solve(rows, int_ident)
     else:
-        C, c, det = el.solve(m, ident)
-        inv = tuple(el.ratio_vec(row, c) for row in C)
+        C, c, det = el.solve(rows, int_ident)
+        inv = tuple(el.ratio_vec([den * x for x in row], c) for row in C)
         assert ref_mat_mul(m, inv) == ident
-        assert det == got and normalised(det)
-        assert all(normalised(x) for row in inv for x in row)
+        assert type(det) is int and det == el.int_det(rows)
+        assert c > 0 and gcd(c, *(x for row in C for x in row)) == 1  # least positive denominator
 
 
 # ---------------------------------------------------------------------------
@@ -204,14 +206,17 @@ def positive_definite(n):
     )
 )
 def test_projector(sbv):
-    """The projector B^T X onto the span of B from one solve of G X = B S, as a flat's coordinate map
-    builds it, with X as integer rows over their least common denominator and det G."""
+    """The projector B^T X onto the span of B from one solve of G X = B S, each row of [G | B S] cleared of
+    its denominators, with X as integer rows over their least common denominator and det G as the integer
+    det over the row denominators."""
     S, basis, v = sbv
     basis = tuple(ref_rref(basis)[0])  # independent rows with the same span
     gram = ref_gram_matrix(basis, S)
-    C, c, det = el.solve(gram, [ref_mat_vec(S, b) for b in basis])
+    k = len(basis)
+    cleared = [el.int_row(g + ref_mat_vec(S, b)) for g, b in zip(gram, basis)]
+    C, c, det = el.solve([row[:k] for row, _ in cleared], [row[k:] for row, _ in cleared])
     X = tuple(el.ratio_vec(row, c) for row in C)
-    assert det == ref_det(gram) and normalised(det)
+    assert type(det) is int and Fraction(det, prod(den for _, den in cleared)) == ref_det(gram)
     assert c > 0 and el.int_mat(X) == (C, c)
     n = len(S)
     P = tuple(

@@ -1,11 +1,12 @@
-"""Random configs and eval arguments: every one ends in a result or a clean error, never a traceback."""
+"""Random configs, verify runs and eval arguments: every one ends in a result or a clean error, never a traceback."""
 import contextlib
 import io
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fraction_refs import ref_det
 from gmcalc.cli import EXPRESSIONS, main
@@ -82,6 +83,51 @@ def test_eval_args_exit_0_or_2(expr, args):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(["eval", "--group", "A1", "--expr", expr, "--args", json.dumps(args)])
     assert code in (0, 2)
+    assert (code == 2) == err.getvalue().startswith("error: ")
+    assert err.getvalue().count("\n") == (code == 2)
+
+
+SCALES = st.sampled_from(["1", "1/3", "5", "1e-300", "1e-150", "1e150", "1e300"])
+COEFFS = st.sampled_from(["0", "1", "-1", "1/2", "3", "1e-300", "1e150", "1e300", "-1e300"])
+DENSITIES = (st.just({"kind": "pole"})
+             | st.fixed_dictionaries({"kind": st.just("model_plancherel"), "c": COEFFS})
+             | st.fixed_dictionaries({"kind": st.just("pole_plus_rational"),
+                                      "p": st.lists(COEFFS, min_size=1, max_size=3),
+                                      "q": st.lists(COEFFS, min_size=1, max_size=3)}))
+LADDERS = st.integers(2, 8).flatmap(
+    lambda n: st.lists(st.floats(1e-13, 8.0), min_size=n, max_size=n, unique=True)
+).map(lambda xs: sorted(xs, reverse=True))
+
+
+@st.composite
+def verify_runs(draw):
+    """A cheap group and suite, and a config near the schema: a ladder of 2 to 8 rungs, a scaled form and a
+    density with coefficients up to 1e300."""
+    group = draw(st.sampled_from(["A1", "A1xA1"]))
+    optional = {"delta_ladder": LADDERS, "m_model": DENSITIES, "r_model": DENSITIES}
+    doc = draw(st.fixed_dictionaries({}, optional=optional))
+    if draw(st.booleans()):
+        scales = [draw(SCALES) for _ in range(2 if group == "A1xA1" else 1)]
+        doc["gram"] = [[s if i == j else "0" for j in range(len(scales))] for i, s in enumerate(scales)]
+    return group, draw(st.sampled_from(["residue-1d", "examples"])), doc
+
+
+@settings(max_examples=60, deadline=None)
+@given(verify_runs())
+# each of these ended in a traceback: an OverflowError in the density's circle mean and in the Weyl
+# denominator, and a LinAlgError from a ladder of more rungs than the fit had powers
+@example(("A2", "examples", {"m_model": {"kind": "pole_plus_rational", "p": ["1e300"], "q": ["1"]}}))
+@example(("A1xA1", "examples", {"gram": [["1e300", "0"], ["0", "1e300"]]}))
+@example(("A1", "residue-1d", {"delta_ladder": [0.5, 0.1, 0.01, 0.001, 0.0001, 0.00001]}))
+def test_verify_exits_0_1_or_2_and_never_raises(run):
+    group, suite, doc = run
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(doc))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["--config", str(path), "verify", "--group", group, "--suite", suite, "--out", tmp])
+    assert code in (0, 1, 2)
     assert (code == 2) == err.getvalue().startswith("error: ")
     assert err.getvalue().count("\n") == (code == 2)
 

@@ -455,3 +455,37 @@ def test_no_int_row_of_coords(path):
     # every exact kernel reads a RatVec's row and den as they are kept
     found = _coords_round_trips(_tree(path))
     assert not found, f"{path.name} clears a RatVec's Fractions back to an integer row: {found}"
+
+
+def _reads_key(node: ast.AST) -> bool:
+    return any(isinstance(sub, ast.Attribute) and sub.attr == "key" for sub in ast.walk(node))
+
+
+def _is_int_call(node: ast.AST) -> bool:
+    return isinstance(node, ast.Call) and getattr(node.func, "id", None) == "int"
+
+
+def _key_int_casts(tree: ast.Module) -> list[str]:
+    """The int(...) casts of a ``.key``'s entries, directly or over a comprehension of one: a ray's key is
+    its primitive integer row, so its entries need no cast."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.GeneratorExp, ast.ListComp, ast.SetComp)):
+            hit = any(map(_is_int_call, ast.walk(node.elt))) and any(_reads_key(gen.iter) for gen in node.generators)
+        else:
+            hit = _is_int_call(node) and any(map(_reads_key, node.args))
+        if hit:
+            found.append(f"line {node.lineno}: {ast.unparse(node)}")
+    return found
+
+
+def test_key_int_cast_detector_finds_each_kind():
+    src = ("a = tuple(int(x) for x in ray.key)\nb = [s * int(x) for x in rays[k].key]\nc = int(ray.key[0])\n"
+           "d = tuple(s * x for x in ray.key)\ne = int(x)\nf = [int(x) for x in row]\n")
+    assert sorted(line.split(":")[0] for line in _key_int_casts(ast.parse(src))) == ["line 1", "line 2", "line 3"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_int_cast_of_a_ray_key(path):
+    found = _key_int_casts(_tree(path))
+    assert not found, f"{path.name} casts the entries of a ray key, which are ints: {found}"

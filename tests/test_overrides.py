@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from gmcalc.contour import TestFunction, residue_identity_1d
-from gmcalc.errors import UnsupportedType
+from gmcalc.errors import NotARoot, UnsupportedType
 from gmcalc.gmfamily import (
     ExpPolyFamily,
     family_limit,
@@ -14,7 +14,7 @@ from gmcalc.gmfamily import (
     scalar_fn_from_template,
 )
 from gmcalc.levilattice import d_constant, gfull, levi_lattice, mzero, restricted_rays
-from gmcalc.rootdatum import build_root_system
+from gmcalc.rootdatum import RatVec, build_root_system
 from gmcalc.spectral import build_spectral_triple, n_beta, tau_class, tempext_check
 
 
@@ -100,6 +100,31 @@ def test_multiplicity_override():
     # densities built from the class pick up the overridden residue
     fns = ScalarRootFns.uniform(t.levi_L, {"kind": "pole"}, t.nbeta)
     assert fns.fn(alpha).n == Fraction(3, 2)
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "G2"])
+def test_int_and_fraction_ray_keys_give_the_same_n_beta_and_densities(label):
+    # a ray key is an integer row, and a Fraction tuple of equal values hashes and compares equal to it
+    d = build_root_system(label)
+    triple = build_spectral_triple(d, range(len(d.roots)), [])
+    rays = restricted_rays(triple.levi_L)
+    by_int = {ray.key: Fraction(k + 1, 2) for k, ray in enumerate(rays)}
+    by_fraction = {tuple(map(Fraction, key)): n for key, n in by_int.items()}
+    t_int, t_fraction = tau_class(triple, mult=by_int), tau_class(triple, mult=by_fraction)
+    assert t_int.nbeta == t_fraction.nbeta == by_int
+    template = {"kind": "model_plancherel", "c": "1"}
+    fns_int = ScalarRootFns.uniform(triple.levi_L, template, by_int)
+    fns_fraction = ScalarRootFns.uniform(triple.levi_L, template, by_fraction)
+    for ray in rays:
+        assert n_beta(t_int, ray.rep) == n_beta(t_fraction, -ray.rep) == by_int[ray.key]
+        assert fns_int.fn(ray.rep).key == fns_fraction.fn(-ray.rep).key
+        assert fns_fraction.fn(ray.rep).n == by_int[ray.key]
+    # the zero row keeps its outcomes: no restricted root, and no density ray
+    zero = RatVec.zero(d.rank)
+    with pytest.raises(NotARoot, match="zero vector"):
+        n_beta(t_int, zero)
+    with pytest.raises(KeyError, match=r"no density ray along \(0, 0\)"):
+        fns_int.fn(zero)
 
 
 def test_pole_plus_rational_template_identity():

@@ -48,8 +48,8 @@ from gmcalc.spectral import (
     tempext_check,
 )
 from fraction_refs import ref_mat_vec as mat_vec
-from fraction_refs import combine, mat, ref_basis, ref_projector, transpose
-from gmcalc.exactlin import int_mat_vec, int_row, primitive_ray, ratio_vec
+from fraction_refs import combine, mat, primitive_ray, ref_basis, ref_projector, transpose
+from gmcalc.exactlin import int_mat_vec, int_row, ratio_vec
 
 
 def full_sigma(d):

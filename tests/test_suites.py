@@ -173,3 +173,19 @@ def test_trand_ids_sort_in_generation_order_past_ten_thousand_chains():
     ids = [r.id for r in records]
     assert len(ids) == 13225 and ids[0].startswith("trand/B2xB2/00000/") and ids[-1].startswith("trand/B2xB2/13224/")
     assert ids == sorted(ids)
+
+
+# -- record inputs ------------------------------------------------------------
+
+
+def test_n_beta_inputs_keep_the_fraction_key_strings_and_digests():
+    # each ray key is an integer row, written into the record inputs as the Fraction tuple it once was
+    cases = suites._lemma_shift_cases(load_config({"group": "A2"}), build_root_system("A2"))
+    cases = {cid: inputs for cid, inputs, _ in cases}
+    assert cases["lemma-shift/A2/c03/L5/m"]["n"] == {"(Fraction(1, 1), Fraction(-1, 1))": "0"}
+    assert cases["lemma-shift/A2/c07/M0/m"]["n"] == {
+        "(Fraction(0, 1), Fraction(1, 1))": "1", "(Fraction(1, 1), Fraction(0, 1))": "1",
+        "(Fraction(1, 1), Fraction(1, 1))": "1",
+    }
+    assert digest(cases["lemma-shift/A2/c03/L5/m"]) == "ecbfc961e6a7867d"
+    assert digest(cases["lemma-shift/A2/c07/M0/m"]) == "7ac6cd0b0dc610b1"
