@@ -15,11 +15,37 @@ distinct pairing z = <lam, dual> once, and on it each distinct density read
 through that dual, keyed by the density's value key and the pairing row gd
 (so the datum's form is part of the key).  A density with residue n at 0 is
 -n / z plus its analytic part, and each quotient -n / z is computed once per
-pairing and n: a complex division costs about ten multiplies.  Every
-integrand that uses the grid runs on the slab and feeds its weighted values
-to its own _MirrorSum, and the slab's arrays are dropped before the next
-slab is built: memory is bounded by one slab, not by the grid's node count.
-Last it assembles each case.
+pairing and n: a complex division costs about ten multiplies.  Densities
+that differ only in n share their analytic part, computed once per pairing
+and template.  Every integrand that uses the grid runs on the slab and feeds
+its weighted values to its own _MirrorSum, and the slab's arrays are dropped
+before the next slab is built: memory is bounded by one slab, not by the
+grid's node count.  Last it assembles each case.
+
+A grid with no shift lies on the imaginary flat i a_L*, and there each value
+is real or purely imaginary, so it is carried as the one real array that can
+be nonzero.  The nodes are iy, kept as y, and so are the pairings <lam, gd>
+and FlatTestFunction's pairings with the form; <lam, lam> is -<y, y>, whose
+sign goes into the coefficients.  Every density template but
+pole_plus_rational is real on the real axis and odd, so at iy it is i times
+a real value (ScalarFn.on_axis).  An m-term of k such factors is then i^k
+times a real product, real for even k and imaginary for odd k; the sign of
+i^k goes into its covolume.  phi with c1 = 0 is real.  Each formula gives
+numpy's complex bits.  numpy divides by the reciprocal of the denominator,
+so -n / (iy) is i * (n * (1.0 / y)) and iy / (-(y * y) - c) is
+i * (y * (1.0 / (-(y * y) - c))); n / y would differ in the last bit.  The
+Gaussian stays a complex exp of a zero imaginary part: its real part is the C
+library's exp, and numpy's real exp differs from that in the last bit of some
+values.  Where two values that both have nonzero real and imaginary parts
+meet (a pole_plus_rational density, or phi with c1 != 0), numpy's complex
+ufunc runs on the rebuilt complex arrays, and each weighted integrand is
+written into its part of a complex array for _MirrorSum.  A rebuilt zero
+part may differ from numpy's in its sign.  Signs of zeros never reach a
+nonzero bit here (Kahan, "Branch cuts for complex elementary functions",
+1987): x + (+-0) is x, and no value is divided by a zero part.  So every
+grid value keeps the bits of the complex evaluation, while each complex
+product (four multiplies) and Smith division (R. L. Smith, CACM 5, 1962)
+becomes one real multiply or one reciprocal and multiply.
 
 On a grid, integrals that read the same m-term sum share it: each distinct
 sum is computed once per slab, and each distinct phi times it is integrated
@@ -389,16 +415,25 @@ class FlatTestFunction:
     def __hash__(self):
         return hash(self._fields())
 
-    def __call__(self, gram, lam_coords):
+    def __call__(self, gram, lam_coords, imaginary: bool = False):
+        """The values at the nodes lam_coords, or with imaginary at the nodes iy for y in lam_coords: then
+        the real array of the real part where c1 is 0, else the complex values (see the module docstring)."""
         gl = [_dot(row, lam_coords) for row in gram]
         qq = _dot(lam_coords, gl)
+        # at iy, <lam, lam> is -qq: (-c) * qq has the bits of c * <lam, lam>
+        sign = -1.0 if imaginary else 1.0
         pre = self.c0  # a term with a zero coefficient would add only signed zeros
         if self.c1 != 0:
-            pre = pre + self.c1 * _dot(self.v0, gl)
+            lin = self.c1 * _dot(self.v0, gl)
+            pre = pre + (1j * lin if imaginary else lin)
         if self.c2 != 0:
-            pre = pre + self.c2 * qq
+            pre = pre + (sign * self.c2) * qq
+        gauss = (sign * self.scale) * qq
+        if imaginary:  # numpy's real exp differs from the real part of its complex exp in the last bit of some values
+            gauss = gauss + 0j
+        gauss = np.exp(gauss, out=gauss if isinstance(gauss, np.ndarray) else None)
         # pre * np.exp(...) would let numpy write into the temporary exponential and swap the order
-        return np.multiply(pre, np.exp(self.scale * qq))
+        return np.multiply(pre, gauss.real if imaginary and self.c1 == 0 else gauss)
 
     def cutoff(self) -> float:
         # on imaginary slices <lam, lam> = -|y|^2, so positive scale decays
@@ -465,18 +500,34 @@ def _reads(term_lists: Iterable[list[_MTermData]], by_gd: dict[tuple[float, ...]
             for terms in term_lists]
 
 
-def _density_table(by_gd: dict[tuple[float, ...], dict], lam_coords: list) -> list[np.ndarray]:
-    """Each density of by_gd (see _by_pairing) on the nodes, in the order of by_gd.
+def _density_table(by_gd: dict[tuple[float, ...], dict], lam_coords: list, imaginary: bool = False) -> list[np.ndarray]:
+    """Each density of by_gd (see _by_pairing) on the nodes, in the order of by_gd; with imaginary, on
+    the nodes iy for y in lam_coords, each density with on_axis as its imaginary part.
 
     Each distinct pairing z = <lam, dual> is computed once, every density
     read through it is evaluated on it, and it is dropped before the next.
     The pole term -n / z is computed once per residue n on the pairing and
-    shared by the densities with that n (gmfamily.values_sharing_poles).
+    shared by the densities with that n, and the analytic part once per
+    template (gmfamily.values_sharing_poles).
     """
     table = []
     for gd, fns in by_gd.items():
-        table += values_sharing_poles(fns.values(), _dot(lam_coords, gd))
+        table += values_sharing_poles(fns.values(), _dot(lam_coords, gd), imaginary)
     return table
+
+
+def _signed_reads(reads: tuple, on_axis: list[bool]) -> tuple[tuple, int | None]:
+    """The reads of an m-term sum on an imaginary grid in real arithmetic, and the part of the sum they give
+    (0 its real part, 1 its imaginary part); the reads and None where the sum must stay complex.
+
+    Each factor read through on_axis is i times a real array, so a term of k
+    factors is i^k times the real product: i^(k % 2) times it with the sign of
+    i^k, which goes into the covolume.  Every term must give the same part.
+    """
+    parts = {len(places) % 2 for _, places in reads}
+    if len(parts) != 1 or not all(on_axis[place] for _, places in reads for place in places):
+        return reads, None
+    return tuple((-vol if len(places) % 4 > 1 else vol, places) for vol, places in reads), parts.pop()
 
 
 def _eval_m_terms(reads: tuple[tuple[float, tuple[int, ...]], ...], table: list[np.ndarray]) -> np.ndarray | complex:
@@ -499,6 +550,27 @@ def _eval_m_terms(reads: tuple[tuple[float, tuple[int, ...]], ...], table: list[
     if total is None:
         return 0j
     return total
+
+
+def _integrand(phi, m, part: int | None, weight: np.ndarray, last: bool) -> np.ndarray:
+    """phi * m times the weights, as the complex array _MirrorSum reads; m is complex (part None) or the real
+    array of its real or imaginary part (see _signed_reads).
+
+    A real phi meets such an m in real arithmetic, written into that part of
+    the array; a complex phi meets the complex m rebuilt from it.  A complex
+    m that no later phi reads (last) takes the product in place (peak memory).
+    """
+    if part is not None and not np.iscomplexobj(phi):
+        vals = np.zeros(weight.shape, complex)
+        out = vals.imag if part else vals.real
+        np.multiply(phi, m, out=out)
+        np.multiply(out, weight, out=out)
+        return vals
+    if part is not None:
+        m = 1j * m if part else m + 0j
+    # phi * m, the order of the per-integral form phi(gram, lam) * m(lam), then the weights
+    vals = np.multiply(phi, m, out=m if last and isinstance(m, np.ndarray) else None)
+    return np.multiply(vals, weight, out=vals)
 
 
 class _Grid(NamedTuple):
@@ -543,9 +615,10 @@ class _Grid(NamedTuple):
                 axes.append((np.concatenate([-xs[::-1], xs]), np.concatenate([ws[::-1], ws])))
         return axes
 
-    def slabs(self, axes) -> Iterator[tuple[list[np.ndarray], np.ndarray]]:
+    def slabs(self, axes, imaginary: bool = False) -> Iterator[tuple[list[np.ndarray], np.ndarray]]:
         """The nodes (one complex array per ambient coordinate) and weights of the half grid on
-        axes, slab by slab: runs of axis-0 rows of at most _SLAB nodes (one row if a row is longer)."""
+        axes, slab by slab: runs of axis-0 rows of at most _SLAB nodes (one row if a row is longer).
+        With imaginary (an unshifted grid), each coordinate comes as the real array of its imaginary part."""
         row = math.prod(len(ws) for _, ws in axes[1:])
         step = max(1, _SLAB // row)
         for start in range(0, len(axes[0][0]), step):
@@ -553,14 +626,14 @@ class _Grid(NamedTuple):
             weight = axes[0][1][rows]
             for a in axes[1:]:
                 weight = np.multiply.outer(weight, a[1])
-            # i*t on each 1-d axis, shaped to broadcast along its own grid axis
-            its = [
-                (1j * (xs[rows] if j == 0 else xs)).reshape([-1 if a == j else 1 for a in range(len(axes))])
-                for j, (xs, _) in enumerate(axes)
-            ]
+            # i*t (or t) on each 1-d axis, shaped to broadcast along its own grid axis
+            its = []
+            for j, (xs, _) in enumerate(axes):
+                t = xs[rows] if j == 0 else xs
+                its.append((t if imaginary else 1j * t).reshape([-1 if a == j else 1 for a in range(len(axes))]))
             lam = []
             for i in range(len(self.onb[0])):
-                comp = 0j
+                comp = 0.0 if imaginary else 0j
                 for axis_index, it in enumerate(its):
                     comp = comp + it * self.onb[axis_index][i]
                 if self.shift is not None:
@@ -731,6 +804,36 @@ class _ShiftPlan(NamedTuple):
         return self.lhs + [it for _, _, its in self.rhs for it in its]
 
 
+def require_clear_shifts(cases: Iterable[ShiftCase]) -> None:
+    """BadShift unless every shift of the cases stops short of the real poles of the densities on its
+    shifted contour.
+
+    At the shift eps * x (x the chamber point of Q1) a factor's pairing
+    <lam, dual> has real part eps * <x, dual>.  Past a real pole of the
+    density between that and 0, the identity would gain the pole's residue,
+    and on it the integral diverges: either way the check would fail falsely.
+    Only the farthest reach of each template on each side is tested.
+    """
+    far: dict[tuple, tuple[Fraction, ScalarFn, float]] = {}
+    for case in cases:
+        t, fns = case.t, case.fns
+        if fns.levi != t.levi_L:
+            continue  # planning rejects the case
+        d, eps = t.datum, max(case.epsilons)
+        Q1 = chamber_below(case.P, t.levi_L)
+        for _, factors in split_subsets(t.levi_L, case.M, gfull(d), Q1):
+            for rep, dual in factors:
+                fn = fns.fn(rep)
+                reach = Fraction(eps) * d.pair(Q1.chamber_point, dual)
+                side = (fn.key[0], reach > 0)
+                if side not in far or abs(reach) > abs(far[side][0]):
+                    far[side] = reach, fn, eps
+    for reach, fn, eps in far.values():
+        if fn.real_pole_between(reach):
+            raise BadShift(f"epsilons must keep the lemma-shift contours off the real poles of the densities:"
+                           f" at {eps} a pairing reaches real part {float(reach):.6g}, onto or past a pole of {fn.label}")
+
+
 def _require_orthogonal(d: RootDatum, dirs: Sequence[RatVec]) -> None:
     for a in range(len(dirs)):
         for b in range(a + 1, len(dirs)):
@@ -826,9 +929,11 @@ def _evaluate(integrals: list[_Integral], runtimes: list[float]) -> dict[str, in
         for slot, grid in enumerate(it.grids):
             users.setdefault(grid, []).append((it, slot))
     plans: dict[int, _MirrorLeaves] = {}
-    phi_evals = pairings = densities = pole_quotients = m_sums = integrands = nodes = 0
+    phi_evals = pairings = densities = pole_quotients = m_sums = integrands = nodes = imaginary_nodes = 0
     for grid, uses in users.items():
+        imaginary = grid.shift is None
         by_gd = _by_pairing(term for it, _ in uses for term in it.terms)
+        on_axis = [fn.on_axis is not None for fns in by_gd.values() for fn in fns.values()]
         by_m: dict[tuple, dict] = {}
         for (it, slot), reads in zip(uses, _reads([it.terms for it, _ in uses], by_gd)):
             by_m.setdefault(reads, {}).setdefault((it.d, it.phi), []).append((it, slot))
@@ -836,35 +941,40 @@ def _evaluate(integrals: list[_Integral], runtimes: list[float]) -> dict[str, in
         size = math.prod(len(ws) for _, ws in axes)
         if size not in plans:
             plans[size] = _MirrorLeaves.of(size)
-        # per distinct m-term sum: its reads, and per distinct phi the sum of phi * m and its integrals
+        # per distinct m-term sum: its reads and part (see _signed_reads), and per distinct phi the sum of
+        # phi * m and its integrals
         sums = [
-            (reads, [(key, _MirrorSum(plans[size]), group) for key, group in by_phi.items()])
+            (*(_signed_reads(reads, on_axis) if imaginary else (reads, None)),
+             [(key, _MirrorSum(plans[size]), group) for key, group in by_phi.items()])
             for reads, by_phi in by_m.items()
         ]
         build_s = 0.0
         m_s = [0.0] * len(sums)
         clock = time.monotonic()
-        for lam, weight in grid.slabs(axes):
+        for lam, weight in grid.slabs(axes, imaginary):
             phi_vals = {}
             for it, _ in uses:
                 if (it.d, it.phi) not in phi_vals:
-                    phi_vals[it.d, it.phi] = it.phi(it.d.float_gram, lam)
-            table = _density_table(by_gd, lam)
+                    phi_vals[it.d, it.phi] = it.phi(it.d.float_gram, lam, imaginary)
+            table = _density_table(by_gd, lam, imaginary)
+            complex_table = None
             now = time.monotonic()
             build_s, clock = build_s + now - clock, now
-            for index, (reads, phis) in enumerate(sums):
-                m = _eval_m_terms(reads, table)
-                for key, acc, _ in phis:
-                    # phi * m, the order of the per-integral form phi(gram, lam) * m(lam), then the weights
-                    vals = np.multiply(phi_vals[key], m)
-                    acc.add(np.multiply(vals, weight, out=vals))
+            for index, (reads, part, phis) in enumerate(sums):
+                if imaginary and part is None:  # a complex sum reads each density as its complex value
+                    complex_table = complex_table or [1j * v if on else v for v, on in zip(table, on_axis)]
+                    m = _eval_m_terms(reads, complex_table)
+                else:
+                    m = _eval_m_terms(reads, table)
+                for index_phi, (key, acc, _) in enumerate(phis):
+                    acc.add(_integrand(phi_vals[key], m, part, weight, index_phi == len(phis) - 1))
                 now = time.monotonic()
                 m_s[index], clock = m_s[index] + now - clock, now
-                del m, vals  # before the next sum is computed (peak memory)
-            del lam, phi_vals, table  # before the next slab is built (peak memory)
+                del m  # before the next sum is computed (peak memory)
+            del lam, phi_vals, table, complex_table  # before the next slab is built (peak memory)
         _charge(runtimes, {it.case for it, _ in uses}, build_s)
         norm = (2 * np.pi) ** len(grid.onb)
-        for (_, phis), seconds in zip(sums, m_s):
+        for (_, _, phis), seconds in zip(sums, m_s):
             for _, acc, group in phis:
                 value = acc.total() / norm
                 for it, slot in group:
@@ -875,8 +985,9 @@ def _evaluate(integrals: list[_Integral], runtimes: list[float]) -> dict[str, in
         densities += sum(map(len, by_gd.values()))
         pole_quotients += sum(len({fn.n for fn in fns.values() if fn.has_pole0()}) for fns in by_gd.values())
         m_sums += len(sums)
-        integrands += sum(len(phis) for _, phis in sums)
+        integrands += sum(len(phis) for _, _, phis in sums)
         nodes += size
+        imaginary_nodes += size if imaginary else 0
     return {
         "lemma_shift.integrals": sum(len(uses) for uses in users.values()),
         "lemma_shift.grids": len(users),
@@ -887,6 +998,7 @@ def _evaluate(integrals: list[_Integral], runtimes: list[float]) -> dict[str, in
         "lemma_shift.m_sums": m_sums,
         "lemma_shift.integrands": integrands,
         "lemma_shift.nodes": nodes,
+        "lemma_shift.imaginary_nodes": imaginary_nodes,
     }
 
 

@@ -241,19 +241,34 @@ class ScalarFn:
     """Scalar density on one +-ray: optional simple pole at 0 plus an analytic part.
 
     The function is shared by both signed representatives of the ray (the
-    densities it models are even in the underlying parameter).
+    densities it models are even in the underlying parameter).  A template
+    whose analytic part maps the imaginary axis into itself gives on_axis:
+    y -> the imaginary part of analytic(iy), in real arithmetic and bit for bit
+    (see the contour module docstring).  poles is the analytic part's exact
+    denominator, constant first: its real roots are the density's real poles.
     """
 
-    def __init__(self, n: Fraction, analytic: Callable, label: str, shape: tuple):
+    def __init__(self, n: Fraction, analytic: Callable, label: str, shape: tuple,
+                 on_axis: Callable | None = None, poles: Sequence[Fraction] = ()):
         self.n = Fraction(n)
         self.analytic = analytic
         self.label = label
         # the template kind with its exact parameters, and n: equal keys, equal functions
         self.key = (shape, self.n)
+        self._shape = repr(shape)  # a str keeps its hash: the key of the analytic part it shares
         self._pole = -complex(self.n) if self.n else None  # the residue term's numerator, converted once
+        self.on_axis = on_axis
+        self.poles = _trimmed(poles)
 
     def has_pole0(self) -> bool:
         return self.n != 0
+
+    def real_pole_between(self, a: Fraction) -> bool:
+        """Whether a real pole lies between 0 and a, a included (0 is none: see _zero_on_imaginary_axis)."""
+        q = self.poles
+        if not q or a == 0:
+            return False
+        return sum(c * a ** k for k, c in enumerate(q)) == 0 or _real_root_count(q, min(a, 0), max(a, 0)) > 0
 
     def __call__(self, z):
         if self._pole is None:
@@ -264,17 +279,31 @@ class ScalarFn:
         return f"ScalarFn({self.label}, n={self.n})"
 
 
-def values_sharing_poles(fns: Iterable[ScalarFn], z) -> list:
-    """[f(z) for f in fns], bit for bit, with each pole term -n / z computed once per residue n."""
-    quotients = {}
-    out = []
+def values_sharing_poles(fns: Iterable[ScalarFn], z, imaginary: bool = False) -> list:
+    """[f(z) for f in fns], bit for bit, with each pole term -n / z computed once per residue n and each
+    analytic part once per template: densities that differ only in n share it.
+
+    With imaginary, z holds the imaginary parts y of the points iy.  A density
+    with on_axis then comes as the real array of its imaginary part, its pole
+    term as n * (1.0 / y), numpy's complex division at iy; any other density
+    comes as its complex value at iy.
+    """
+    fns = list(fns)
+    at = 1j * z if imaginary and any(f.on_axis is None for f in fns) else z
+    recip, quotients, analytic, out = None, {}, {}, []
     for f in fns:
+        real = imaginary and f.on_axis is not None
+        shape = f._shape
+        if shape not in analytic:
+            analytic[shape] = f.on_axis(z) if real else f.analytic(at)
         if f._pole is None:
-            out.append(f.analytic(z))
-        else:
-            if f.n not in quotients:
-                quotients[f.n] = f._pole / z
-            out.append(quotients[f.n] + f.analytic(z))
+            out.append(analytic[shape])
+            continue
+        if (f._pole, real) not in quotients:
+            if real and recip is None:
+                recip = 1.0 / z
+            quotients[f._pole, real] = -f._pole.real * recip if real else f._pole / at
+        out.append(quotients[f._pole, real] + analytic[shape])
     return out
 
 
@@ -288,18 +317,18 @@ def density_at(f: ScalarFn, z: complex, beta: RatVec) -> complex:
     return f(z)
 
 
-def _complex_zero(z):
-    """0j for a scalar z, else a complex zero array shaped like z."""
+def _zero(z, kind: type = complex):
+    """kind(0) for a scalar z, else a zero array of that kind shaped like z."""
     if isinstance(z, Number):
-        return 0j
+        return kind(0)
     import numpy as np
 
-    return np.zeros_like(z, dtype=complex)
+    return np.zeros_like(z, dtype=kind)
 
 
 def _poly_eval(coeffs: Sequence[complex], z):
     """The polynomial with these coefficients, constant first, at z by Horner's rule."""
-    total = _complex_zero(z)
+    total = _zero(z)
     for c in reversed(coeffs):
         total = total * z + c
     return total
@@ -322,18 +351,21 @@ def _poly_rem(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
     return a
 
 
-def _real_root_count(p: Sequence[Fraction]) -> int:
-    """The number of distinct real roots of the nonzero trimmed p, by Sturm's theorem."""
+def _real_root_count(p: Sequence[Fraction], lo: Fraction | None = None, hi: Fraction | None = None) -> int:
+    """The number of distinct real roots of the nonzero trimmed p in (lo, hi), by Sturm's theorem; an end
+    None is infinite, and a finite end must not be a root."""
     chain = [list(p), [k * c for k, c in enumerate(p)][1:]]
     while chain[-1]:
         chain.append([-x for x in _poly_rem(chain[-2], chain[-1])])
     chain.pop()
 
-    def changes(signs: list[bool]) -> int:
+    def changes(x: Fraction | None, inf: int) -> int:
+        # the signs of the chain at x, zeros dropped; at an infinite end, read off the leading coefficients
+        values = [q[-1] * inf ** (len(q) - 1) if x is None else sum(c * x ** k for k, c in enumerate(q)) for q in chain]
+        signs = [v > 0 for v in values if v]
         return sum(a != b for a, b in zip(signs, signs[1:]))
 
-    # the signs of the chain at +inf and at -inf, read off the leading coefficients
-    return changes([(q[-1] > 0) == (len(q) % 2 == 1) for q in chain]) - changes([q[-1] > 0 for q in chain])
+    return changes(lo, -1) - changes(hi, 1)
 
 
 def _zero_on_imaginary_axis(q: Sequence[Fraction]) -> bool:
@@ -353,14 +385,16 @@ def scalar_fn_from_template(template: Mapping, n: Fraction) -> ScalarFn:
     """Built-in density shapes; n is the residue magnitude tied to the ray."""
     kind = template.get("kind")
     if kind == "pole":
-        return ScalarFn(n, _complex_zero, "pole", (kind,))
+        return ScalarFn(n, _zero, "pole", (kind,), lambda y: _zero(y, float))
     if kind == "model_plancherel":
         c = Fraction(str(template.get("c", "1")))
         if c <= 0:
             raise ValueError("model_plancherel needs c > 0")
         cf = complex(c)
-        # poles at +-sqrt(c) on the real axis, off the integration lines
-        return ScalarFn(n, lambda z, cf=cf: z / (z * z - cf), f"model_plancherel({c})", (kind, c))
+        # poles at +-sqrt(c) on the real axis, off the integration lines; at iy, numpy's complex division by
+        # the real -(y * y) - c is its reciprocal times y
+        return ScalarFn(n, lambda z, cf=cf: z / (z * z - cf), f"model_plancherel({c})", (kind, c),
+                        lambda y, c=cf.real: y * (1.0 / (-(y * y) - c)), (-c, Fraction(0), Fraction(1)))
     if kind != "pole_plus_rational":
         raise ValueError(f"unknown density template {kind!r}")
     if "p" not in template or "q" not in template:
@@ -376,7 +410,7 @@ def scalar_fn_from_template(template: Mapping, n: Fraction) -> ScalarFn:
     def fn(z, p=tuple(map(complex, p)), q=tuple(map(complex, q))):
         return _poly_eval(p, z) / _poly_eval(q, z)
 
-    return ScalarFn(n, fn, kind, (kind, p, q))
+    return ScalarFn(n, fn, kind, (kind, p, q), poles=q)
 
 
 class ScalarRootFns:

@@ -302,9 +302,10 @@ def _lemma_shift_cases(cfg: Config, d: RootDatum) -> list[tuple[str, dict, Shift
 
 @_records
 def suite_lemma_shift(cfg: Config, d: RootDatum):
-    from .contour import lemma_shift_batch
+    from .contour import lemma_shift_batch, require_clear_shifts
 
     cases = _lemma_shift_cases(cfg, d)
+    require_clear_shifts(case for _, _, case in cases)  # a shift past a real pole is a bad config: the run ends
     batch = lemma_shift_batch([case for _, _, case in cases])
     for (cid, inputs, _), out, seconds in zip(cases, batch.outcomes, batch.runtimes):
         outcome = out if isinstance(out, GmcalcError) else (out["pass"], max(out["residuals"]), None)

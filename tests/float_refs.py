@@ -1,17 +1,20 @@
 """Float references for the kernels that evaluate their integrand on whole arrays: the panel
-quadrature, the segment quadrature, the tensor grid build and the flat test function; and for
-the analytic route of the splitting sum.
+quadrature, the segment quadrature, the tensor grid build and the flat test function; for
+the analytic route of the splitting sum; and for the grid values of the contour-shift check.
 
 Each is the route the package ran one panel, one node or one full-grid mesh
-at a time, with every term of the prefactor, or with each chamber's segment
-integrals evaluated for that chamber, before it was batched, cut into slabs
-or shared.  The package keeps every float operation and its operand order,
-so the tests require the same bits from both (``same_bits``).
+at a time, with every term of the prefactor, with each chamber's segment
+integrals evaluated for that chamber, or with complex values on every grid,
+before it was batched, cut into slabs, shared or carried in real arithmetic.
+The package keeps every float operation and its operand order, so the tests
+require the same bits from both (``same_bits``).
 """
 import cmath
+import math
 
 import numpy as np
 
+from gmcalc import contour
 from gmcalc.contour import _GL_NODES, _GL_WEIGHTS, _graded_edges
 from gmcalc.exactlin import int_row
 from gmcalc.gmfamily import _lam_evaluator, _segment_integral
@@ -139,3 +142,34 @@ def ref_flat_phi(phi, gram, lam_coords):
     qq = sum(lam_coords[i] * gl[i] for i in range(k))
     lin = sum(v * g for v, g in zip(phi.v0, gl))
     return (phi.c0 + phi.c1 * lin + phi.c2 * qq) * np.exp(phi.scale * qq)
+
+
+def ref_grid_values(integrals) -> list[list[complex]]:
+    """The grid values of each planned integral by the complex route: on every grid, shifted or not, complex
+    nodes, phi, densities and m-term sums on each slab, phi * m times the weights fed to one _MirrorSum per
+    distinct m-term sum and phi.  Integrals with no grid get []."""
+    users = {}
+    for i, it in enumerate(integrals):
+        for slot, grid in enumerate(it.grids):
+            users.setdefault(grid, []).append((i, slot))
+    out = [[None] * len(it.grids) for it in integrals]
+    for grid, uses in users.items():
+        its = [integrals[i] for i, _ in uses]
+        by_gd = contour._by_pairing(term for it in its for term in it.terms)
+        by_m = {}
+        for (i, slot), reads in zip(uses, contour._reads([it.terms for it in its], by_gd)):
+            by_m.setdefault(reads, {}).setdefault((integrals[i].d, integrals[i].phi), []).append((i, slot))
+        axes = grid.axes()
+        plan = contour._MirrorLeaves.of(math.prod(len(ws) for _, ws in axes))
+        sums = {(reads, key): contour._MirrorSum(plan) for reads, by_phi in by_m.items() for key in by_phi}
+        for lam, weight in grid.slabs(axes):
+            table = contour._density_table(by_gd, lam)
+            phis = {key: key[1](key[0].float_gram, lam) for _, key in sums}
+            for (reads, key), acc in sums.items():
+                vals = np.multiply(phis[key], contour._eval_m_terms(reads, table))
+                acc.add(np.multiply(vals, weight, out=vals))
+        for (reads, key), acc in sums.items():
+            value = acc.total() / (2 * np.pi) ** len(grid.onb)
+            for i, slot in by_m[reads][key]:
+                out[i][slot] = value
+    return out

@@ -402,6 +402,27 @@ def test_verify_bad_numerics_exit_2_with_one_line(tmp_path, capsys, bad):
     assert len(lines) == 1 and lines[0].startswith("error: "), err
 
 
+@pytest.mark.parametrize("epsilons", [[0.45, 0.5], [0.5, 1], [1e6, 2e6]])
+def test_epsilons_onto_or_past_a_real_pole_exit_2_with_one_line(tmp_path, capsys, epsilons):
+    # these once ended in 19 or 38 false fails on A2: the shifted contours reached the real poles +-1 and +-2 of
+    # the default densities, model_plancherel with c = 1 and 4, at chamber pairings up to 2 in size
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"epsilons": epsilons}))
+    code = main(["--config", str(p), "verify", "--group", "A2", "--suite", "lemma-shift", "--out", str(tmp_path / "r")])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: epsilons must keep"), err
+    assert not (tmp_path / "r" / "report-A2.json").exists()
+
+
+def test_epsilons_short_of_every_real_pole_pass(tmp_path, capsys):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"epsilons": [0.4, 0.45]}))
+    assert main(["--config", str(p), "verify", "--group", "A2", "--suite", "lemma-shift", "--out", str(tmp_path)]) == 0
+    assert "summary: 38 pass, 0 fail, 8 skip" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("gram", [[["2", "-1"], ["-1", "3"]], [["2", "-1"], ["-1", "4"]]])
 @pytest.mark.parametrize("command", [["describe"], ["eval", "--expr", "d", "--args", '{"L1": "M0", "L": "M0", "S": "G"}']])
 def test_non_invariant_form_exit_2_with_one_line(tmp_path, capsys, gram, command):
@@ -717,6 +738,8 @@ def test_lemma_shift_counters_and_runtimes_stay_in_the_sidecar(tmp_path):
         "lemma_shift.integrands": 167,
         # half of the 3,619,512 grid nodes: the other half of each integrand is its conjugate mirror
         "lemma_shift.nodes": 1809756,
+        # those of the 16 unshifted grids, evaluated in real arithmetic
+        "lemma_shift.imaginary_nodes": 977472,
     }
     assert len(timing["runtimes"]) == len(report["checks"]) == 46
     assert all(rt is not None and rt > 0 for rt in timing["runtimes"].values())

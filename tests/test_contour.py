@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from float_refs import ref_flat_phi, ref_grid_build, ref_quad_on_panels, same_bits
+from float_refs import ref_flat_phi, ref_grid_build, ref_grid_values, ref_quad_on_panels, same_bits
 from gmcalc import contour
 from gmcalc.config import load_config
 from gmcalc.contour import (
@@ -30,7 +30,7 @@ from gmcalc.contour import (
     verify_residues,
 )
 from gmcalc.errors import BadShift, GmcalcError, NoConvergence, NotComparable
-from gmcalc.gmfamily import ScalarFn, ScalarRootFns, scalar_fn_from_template
+from gmcalc.gmfamily import ScalarFn, ScalarRootFns, scalar_fn_from_template, values_sharing_poles
 from gmcalc.levilattice import base_chamber, levi_lattice, mzero, parabolics
 from gmcalc.rootdatum import build_root_system
 from gmcalc.spectral import build_spectral_triple, enumerate_spectral_triples, tau_class
@@ -590,3 +590,113 @@ def test_lemma_shift_peak_memory_is_bounded_by_slabs_not_grids():
         tracemalloc.stop()
     assert batch.counters["lemma_shift.nodes"] == 1809756
     assert peak <= 6e6
+
+
+def _imaginary_points(rng, size):
+    """Points iy of magnitudes 1e-6 to 1e6 and both signs, as y and as numpy complex values whose real parts
+    are 0.0 or -0.0."""
+    y = rng.standard_normal(size) * 10.0 ** rng.uniform(-6, 6, size)
+    z = np.empty(size, complex)
+    z.real = np.where(rng.uniform(size=size) < 0.5, 0.0, -0.0)
+    z.imag = y
+    return y, z
+
+
+def test_numpy_keeps_the_facts_the_imaginary_grids_rely_on():
+    # unshifted grids are evaluated in real arithmetic with numpy's complex bits (see the contour module
+    # docstring); a numpy whose complex division or exp changes form fails here, not as a moved report sha
+    rng = np.random.default_rng(20260810)
+    y, z = _imaginary_points(rng, 1 << 16)
+    for n in (0.5, 1.0, 1.5):
+        # complex division takes the reciprocal of its denominator: n / y would differ in about 30% of values
+        assert np.array_equal((-complex(n) / z).imag, n * (1.0 / y))
+    for c in (1.0, 2.0, 4.0):
+        quotient = z / (z * z - complex(c))
+        assert np.array_equal(quotient.imag, y * (1.0 / (-(y * y) - c))) and not quotient.real.any()
+    # the real part of the complex exp is the C library's exp; numpy's real exp differs in about 5% of values
+    x = rng.uniform(-700.0, 700.0, 1 << 14)
+    assert np.array_equal(np.exp(x + 0j).real, [math.exp(v) for v in x])
+
+
+@pytest.mark.parametrize("n", ["1/2", "1", "3/2"])
+def test_densities_at_imaginary_points_are_numpys_complex_values(n):
+    y, z = _imaginary_points(np.random.default_rng(7), 4096)
+    templates = [{"kind": "pole"}, {"kind": "pole_plus_rational", "p": ["1", "1"], "q": ["-4", "0", "1"]}]
+    templates += [{"kind": "model_plancherel", "c": c} for c in ("1", "2", "4")]
+    assert {t["kind"] for t in templates} == set(DENSITY_KINDS)
+    # with n and with no pole: each template's analytic part is shared by the two
+    fns = [scalar_fn_from_template(t, Fraction(r)) for t in templates for r in (n, "0")]
+    for got, fn in zip(values_sharing_poles(fns, y, imaginary=True), fns):
+        want = fn(z)
+        if fn.on_axis is None:
+            assert got.dtype == complex and np.array_equal(got, want), fn
+        else:
+            assert got.dtype == float and np.array_equal(got, want.imag) and not want.real.any(), fn
+
+
+@pytest.mark.parametrize("c0, c1, c2", FLAT_PHI_CASES)
+def test_flat_phi_at_imaginary_points_is_numpys_complex_value(c0, c1, c2):
+    rng = np.random.default_rng(11)
+    ys, lam = zip(*(_imaginary_points(rng, 4096) for _ in range(3)))
+    ys = [y / np.abs(y).max() * 6.0 for y in ys]  # inside the cutoff, where the Gaussian is not 0
+    for y, z in zip(ys, lam):
+        z.imag = y
+    d = build_root_system("A3")
+    phi = FlatTestFunction(c0, c1, c2, 0.5, (0.7, 0.2, -0.4))
+    got, want = phi(d.float_gram, ys, imaginary=True), phi(d.float_gram, list(lam))
+    if c1 == 0:
+        assert got.dtype == float and np.array_equal(got, want.real) and not want.imag.any()
+    else:
+        assert np.array_equal(got, want)
+
+
+MIXED_CONFIG = {
+    "m_model": {"kind": "pole_plus_rational", "p": ["1", "1"], "q": ["-4", "0", "1"]},
+    "flat_phi": [{"c0": 1.0, "c1": 0.3, "c2": 0.1, "scale": 0.5}],
+}
+
+
+def _grid_integrals(group, config=None, shifted=True):
+    """The planned integrals with grids of the group's default cases, those on shifted grids only if
+    shifted, and the number of cases."""
+    cases = [case for _, case in _suite_cases(group, config=config)]
+    plans = []
+    for index, case in enumerate(cases):
+        try:
+            plans.append(_plan(index, case))
+        except NotComparable:
+            continue
+    integrals = [it for p in plans for it in p.integrals() if it.grids]
+    return [it for it in integrals if shifted or it.grids[0].shift is None], len(cases)
+
+
+@pytest.mark.parametrize("group, config, shifted", [
+    # the shifted grids run the complex route, with one analytic part per pairing and template
+    ("A2", None, True), ("B2", None, False), ("G2", None, False),
+    # a density with both parts nonzero at iy next to ones with one, and a phi with a linear term
+    ("A2", MIXED_CONFIG, False),
+    ("A2", {"m_model": {"kind": "pole"}, "flat_phi": [{"c0": 0.5, "c1": 0.0, "c2": 0.2, "scale": 0.5}]}, False),
+], ids=["A2", "B2", "G2", "A2-mixed", "A2-pole-c2"])
+def test_every_grid_value_keeps_the_bits_of_the_complex_route(group, config, shifted):
+    integrals, count = _grid_integrals(group, config, shifted)
+    counters = _evaluate(integrals, [0.0] * count)
+    assert 0 < counters["lemma_shift.imaginary_nodes"] <= counters["lemma_shift.nodes"]
+    for it, want in zip(integrals, ref_grid_values(integrals)):
+        assert all(map(same_bits, it.values, want))
+
+
+def test_each_analytic_part_is_evaluated_once_per_pairing_and_template(monkeypatch):
+    # the densities of A2 that differ only in n share their analytic part: 158 evaluations for 166 densities,
+    # 72 for the 80 on shifted grids (complex) and one for each of the 86 on unshifted ones (real)
+    monkeypatch.setattr(contour, "_SLAB", 10**9)  # one slab per grid
+    integrals, count = _grid_integrals("A2")
+    calls = Counter()
+    for fn in {id(fn): fn for it in integrals for term in it.terms for fn, _, _ in term.factors}.values():
+        for name in ("analytic", "on_axis"):
+            def counted(z, fn=fn, inner=getattr(fn, name), name=name):
+                calls[name] += 1
+                return inner(z)
+            monkeypatch.setattr(fn, name, counted)
+    counters = _evaluate(integrals, [0.0] * count)
+    assert counters["lemma_shift.densities"] == 166
+    assert calls == {"analytic": 72, "on_axis": 86}

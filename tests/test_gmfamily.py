@@ -1018,6 +1018,35 @@ def test_sturm_count_gives_the_distinct_real_roots():
         assert gmfamily._real_root_count([Fraction(c) for c in p]) == roots, p
 
 
+def test_sturm_count_in_an_interval():
+    # (z - 1)^2 (z - 2)(z + 3): distinct roots -3, 1, 2
+    p = [Fraction(c) for c in _times(_times([-1, 1], [-1, 1]), _times([-2, 1], [3, 1]))]
+    cases = [((None, None), 3), ((0, None), 2), ((None, 0), 1), ((Fraction(1, 2), Fraction(3, 2)), 1),
+             ((Fraction(3, 2), Fraction(5, 2)), 1), ((-4, Fraction(-7, 2)), 0), ((Fraction(-5, 2), 0), 0)]
+    for (lo, hi), roots in cases:
+        assert gmfamily._real_root_count(p, lo, hi) == roots, (lo, hi)
+
+
+@pytest.mark.parametrize("template, reach, hit", [
+    # poles at +-1: reached at a real part of -1 or 1 and beyond, not short of them
+    ({"kind": "model_plancherel", "c": "1"}, Fraction(-1), True),
+    ({"kind": "model_plancherel", "c": "1"}, Fraction(9, 10), False),
+    ({"kind": "model_plancherel", "c": "1"}, Fraction(2), True),
+    ({"kind": "model_plancherel", "c": "2"}, Fraction(-141, 100), False),
+    ({"kind": "model_plancherel", "c": "2"}, Fraction(-142, 100), True),
+    # poles at 1/2 and -3 only: a contour moved to the left passes 1/2 by
+    ({"kind": "pole_plus_rational", "p": ["1"], "q": ["-3/2", "5/2", "1"]}, Fraction(-29, 10), False),
+    ({"kind": "pole_plus_rational", "p": ["1"], "q": ["-3/2", "5/2", "1"]}, Fraction(-3), True),
+    ({"kind": "pole_plus_rational", "p": ["1"], "q": ["-3/2", "5/2", "1"]}, Fraction(1, 2), True),
+    ({"kind": "pole_plus_rational", "p": ["1"], "q": ["-3/2", "5/2", "1"]}, Fraction(49, 100), False),
+    # no real pole: z^2 + 2z + 2, and the pure pole at 0
+    ({"kind": "pole_plus_rational", "p": ["1"], "q": ["2", "2", "1"]}, Fraction(-10**6), False),
+    ({"kind": "pole"}, Fraction(10**6), False),
+])
+def test_real_pole_between_zero_and_a_reach(template, reach, hit):
+    assert gmfamily.scalar_fn_from_template(template, Fraction(1)).real_pole_between(reach) is hit
+
+
 def _split_terms_on_every_pair(d):
     """split_terms on M0 for every pair M <= S, with a pole density on every ray and a generic lam."""
     M0 = mzero(d)
