@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import resource
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
@@ -136,6 +137,7 @@ def cmd_verify(args) -> int:
     try:
         with open(report_path, "w", encoding="utf-8") as out:
             report.render(out)
+        report.process["peak_rss_kb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # kB on Linux
         with open(out_dir / f"report-{cfg.group}.timing.json", "w", encoding="utf-8") as out:
             report.render_timing(out)
     except OSError as exc:

@@ -114,6 +114,11 @@ alone and 6.7k with both, at a 41 MB peak RSS.  A G2 verify --suite all
 takes 8.4k with both and 583k with neither, at a 47 MB peak RSS (15k and
 74 MB when each grid's half was evaluated whole, 165k and 107 MB when every
 grid was evaluated on all its nodes).
+
+The Gauss-Legendre rules are constants equal to numpy's leggauss bit for bit
+(gmfamily._GL12 and _GL32): building them in each process imports
+numpy.polynomial and runs a LAPACK eigen-solve, 1.6 MB of an A2 verify's peak
+RSS.  test_gauss_legendre_tables_are_numpy_leggauss_bit_for_bit pins them.
 """
 from __future__ import annotations
 
@@ -128,7 +133,7 @@ import numpy as np
 
 from .errors import BadShift, GmcalcError, NoConvergence, NotComparable
 from .exactlin import int_mat_vec
-from .gmfamily import ScalarFn, ScalarRootFns, _poly_eval, split_subsets, values_sharing_poles
+from .gmfamily import ScalarFn, ScalarRootFns, _GL12, _poly_eval, split_subsets, values_sharing_poles
 from .levilattice import (
     Levi,
     ParabolicChamber,
@@ -142,7 +147,7 @@ from .levilattice import (
 from .rootdatum import RatVec, RootDatum, kept
 from .spectral import TauClass, n_constant
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
+_GL_NODES, _GL_WEIGHTS = map(np.array, _GL12)
 
 # the most half-grid nodes evaluated at once, and the longest run of numpy's pairwise sum kept whole
 # (at most np.getbufsize(), so that numpy reduces a reversed view of a leaf unbuffered, as one run)

@@ -524,6 +524,28 @@ def _lam_evaluator(d, lam) -> Callable[[RatVec], complex]:
 # splitting formula)
 
 
+def _gauss_legendre(nodes: Sequence[float], weights: Sequence[float]) -> tuple[list[float], list[float]]:
+    """numpy's leggauss rule from its positive nodes and their weights: leggauss makes its rules symmetric."""
+    return [-x for x in reversed(nodes)] + list(nodes), list(reversed(weights)) + list(weights)
+
+
+# leggauss(12), for each panel of contour, and leggauss(32), for each segment of the dual route, bit for bit
+# (Golub & Welsch, Math. Comp. 23, 1969); tests/test_contour.py pins both
+_GL12 = _gauss_legendre(
+    (0.1252334085114689, 0.3678314989981802, 0.5873179542866175, 0.7699026741943047, 0.9041172563704748, 0.9815606342467192),
+    (0.2491470458134027, 0.2334925365383546, 0.20316742672306573, 0.16007832854334642, 0.10693932599531907, 0.04717533638651141),
+)
+_GL32 = _gauss_legendre(
+    (0.048307665687738324, 0.1444719615827965, 0.23928736225213706, 0.33186860228212767, 0.42135127613063533,
+     0.5068999089322294, 0.5877157572407623, 0.6630442669302152, 0.7321821187402897, 0.7944837959679424, 0.84936761373257,
+     0.8963211557660521, 0.9349060759377397, 0.9647622555875064, 0.9856115115452684, 0.9972638618494816),
+    (0.09654008851472766, 0.09563872007927471, 0.09384439908080451, 0.09117387869576378, 0.08765209300440378,
+     0.08331192422694671, 0.07819389578707023, 0.07234579410884834, 0.06582222277636168, 0.058684093478535565,
+     0.05099805926237609, 0.042835898022226836, 0.034273862913021765, 0.025392065309262024, 0.016274394730905743,
+     0.007018610009470506),
+)
+
+
 def _segment_integral(f: ScalarFn, z0: complex, z1: complex, rule) -> complex:
     """Gauss-Legendre quadrature of f along the segment [z0, z1]; rule is (complex nodes, weights)."""
     import numpy as np
@@ -557,8 +579,7 @@ def induced_family_value(
     d = L1.datum
     chambers = parabolics(L1)
     rays = restricted_rays(L1)
-    seg_nodes, seg_weights = np.polynomial.legendre.leggauss(32)
-    rule = (seg_nodes.astype(complex), seg_weights)
+    rule = (np.array(_GL32[0], dtype=complex), np.array(_GL32[1]))
     theta_at_dir = {Qp.index: float(theta(Qp, direction)) for Qp in chambers}
     ev0 = _lam_evaluator(d, lam0)
     # keep the circle well inside the disc where every member stays off its poles

@@ -5,15 +5,22 @@ the same configuration are byte-identical; per-check runtimes go to a
 separate timing sidecar and the console, and so do the counters a suite keeps.
 Both files are the bytes of ``json.dumps(doc, sort_keys=True, indent=2)``, whose pure-Python encoder an
 indent selects, so the long part of each, the records or the runtimes, goes entry by entry to the open file.
+
+Digests hash with CPython's built-in SHA-256, as ``random`` does its seeds: the bytes of ``hashlib.sha256``
+without loading OpenSSL's libcrypto, 3.6 MB of an A2 verify's peak RSS.  A test checks it against hashlib.
 """
 from __future__ import annotations
 
-import hashlib
 import json
 from json.encoder import encode_basestring_ascii as _quote
 from math import isfinite
 from operator import attrgetter
 from typing import Any, Iterable, NamedTuple, TextIO
+
+try:
+    from _sha2 import sha256  # CPython 3.12 on
+except ImportError:
+    from _sha256 import sha256  # CPython 3.10 and 3.11
 
 SCHEMA = "gmcalc-report-v1"
 _by_id = attrgetter("id")
@@ -21,7 +28,7 @@ _DIGEST_ENCODER = json.JSONEncoder(sort_keys=True, default=str)  # what json.dum
 
 
 def digest(obj: Any) -> str:
-    return hashlib.sha256(_DIGEST_ENCODER.encode(obj).encode()).hexdigest()[:16]
+    return sha256(_DIGEST_ENCODER.encode(obj).encode()).hexdigest()[:16]
 
 
 def _scalar(v: Any) -> str:
@@ -85,6 +92,7 @@ class VerificationReport:
         self.numerics = {} if numerics is None else numerics
         self.records = [] if records is None else records
         self.counters = {} if counters is None else counters
+        self.process: dict[str, float] = {}  # sidecar only: the float layer's import seconds, the peak RSS
 
     def extend(self, records: SuiteRecords) -> None:
         self.records.extend(records)
@@ -114,8 +122,8 @@ class VerificationReport:
         _write(out, doc, "checks", (r.render() for r in self.records), "[]")
 
     def render_timing(self, out: TextIO) -> None:
-        """Write the timing sidecar to out: the counters and each record's runtime by id (a repeated id keeps its last)."""
+        """Write the timing sidecar to out: counters, process facts and runtimes by record id (a repeated id keeps its last)."""
         self.records.sort(key=_by_id)
         runtimes = {r.id: r.runtime for r in self.records}
         entries = (f"    {_quote(k)}: {_scalar(v)}" for k, v in runtimes.items())
-        _write(out, {"schema": SCHEMA + "-timing", "counters": self.counters}, "runtimes", entries, "{}")
+        _write(out, {"schema": SCHEMA + "-timing", "counters": self.counters, "process": self.process}, "runtimes", entries, "{}")

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import functools
+import importlib
 import json
 import random
 import time
@@ -18,7 +19,7 @@ from .asymptotic import (
     weyl_denominator,
 )
 from .config import Config
-from .errors import GmcalcError, NotComparable
+from .errors import BadShift, GmcalcError, NotComparable
 from .gmfamily import (
     ExpPolyFamily,
     ScalarRootFns,
@@ -238,6 +239,9 @@ def suite_residue_1d(cfg: Config, d: RootDatum):
     for n in (Fraction(1, 2), Fraction(1), Fraction(2)):
         pure = scalar_fn_from_template({"kind": "pole"}, n)
         model = scalar_fn_from_template(cfg.m_model, n)
+        if model.real_pole_between(-Fraction(cfg.epsilons[0])):  # as in lemma-shift, a bad config: the run ends
+            raise BadShift(f"epsilons[0] must keep the residue-1d line Re z = {-cfg.epsilons[0]:.6g} off the real"
+                           f" poles of the densities: it reaches a pole of {model.label}")
         for kind, line in (("pole", pure), ("model", model)):
             for j, phi in enumerate(battery):
                 inputs = {"n": str(n), "kind": kind, "phi": phi.describe()}
@@ -464,5 +468,9 @@ def run_suites(cfg: Config):
         },
     )
     for suite in cfg.resolved_suites():
+        if suite in ("residue-1d", "lemma-shift") and "float_layer_import_s" not in report.process:
+            t0 = time.monotonic()  # the float layer and numpy load here, not in the suite's first record
+            importlib.import_module(".contour", __package__)
+            report.process["float_layer_import_s"] = time.monotonic() - t0
         report.extend(SUITE_FUNCS[suite](cfg, d))
     return report

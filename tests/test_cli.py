@@ -423,6 +423,35 @@ def test_epsilons_short_of_every_real_pole_pass(tmp_path, capsys):
     assert "summary: 38 pass, 0 fail, 8 skip" in capsys.readouterr().out
 
 
+RATIONAL_POLES_AT_2 = {"kind": "pole_plus_rational", "p": ["1"], "q": ["-4", "0", "1"]}
+
+
+@pytest.mark.parametrize("cfg", [
+    # the first two once failed 12 of A1's 33 records: the line Re z = -epsilons[0] reached the default
+    # density's real pole at -1 (model_plancherel with c = 1)
+    {"epsilons": [1.0, 1.5]},
+    {"epsilons": [1.5, 2]},
+    {"epsilons": [2.5, 3], "m_model": RATIONAL_POLES_AT_2},
+])
+def test_residue_1d_line_onto_or_past_a_real_pole_exits_2_with_one_line(tmp_path, capsys, cfg):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    code = main(["--config", str(p), "verify", "--group", "A1", "--suite", "residue-1d", "--out", str(tmp_path / "r")])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: epsilons[0] must keep the residue-1d line"), err
+    assert not (tmp_path / "r" / "report-A1.json").exists()
+
+
+@pytest.mark.parametrize("cfg", [{"epsilons": [0.9, 1]}, {"epsilons": [1.5, 3], "m_model": RATIONAL_POLES_AT_2}])
+def test_residue_1d_line_short_of_every_real_pole_passes(tmp_path, capsys, cfg):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    assert main(["--config", str(p), "verify", "--group", "A1", "--suite", "residue-1d", "--out", str(tmp_path)]) == 0
+    assert "summary: 33 pass, 0 fail, 0 skip" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("gram", [[["2", "-1"], ["-1", "3"]], [["2", "-1"], ["-1", "4"]]])
 @pytest.mark.parametrize("command", [["describe"], ["eval", "--expr", "d", "--args", '{"L1": "M0", "L": "M0", "S": "G"}']])
 def test_non_invariant_form_exit_2_with_one_line(tmp_path, capsys, gram, command):
@@ -494,6 +523,47 @@ def test_exact_runs_never_load_numpy(tmp_path):
         "bench build": [],
         "verify residue-1d": ["numpy", "gmcalc.contour", "inspect"],
     }
+
+
+# Runs verify --suite all on A2 and B2 in a fresh interpreter on src/ alone (bench/child.py imports hashlib)
+# and prints the modules of OpenSSL's hash and numpy's Legendre rules loaded after it.
+_LEAN_PROBE = """
+import json, sys
+from gmcalc.cli import main
+codes = [main(["verify", "--group", group, "--suite", "all", "--out", sys.argv[1]]) for group in ("A2", "B2")]
+print(json.dumps([codes, [m for m in ("hashlib", "_hashlib", "numpy.polynomial") if m in sys.modules]]))
+"""
+
+
+@pytest.fixture(scope="module")
+def lean_run(tmp_path_factory):
+    out = tmp_path_factory.mktemp("lean")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-c", _LEAN_PROBE, str(out)], capture_output=True, text=True,
+                          timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return out, json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_verify_loads_no_openssl_hash_and_no_numpy_legendre(lean_run):
+    # digests use the built-in SHA-256 and the quadrature rules are constants: 5 MB less peak RSS
+    _, (codes, loaded) = lean_run
+    assert codes == [0, 0] and loaded == []
+
+
+def test_sidecar_process_object_holds_peak_rss_and_the_float_import(lean_run):
+    out, _ = lean_run
+    for group in ("A2", "B2"):
+        process = json.loads((out / f"report-{group}.timing.json").read_text())["process"]
+        assert sorted(process) == ["float_layer_import_s", "peak_rss_kb"]
+        assert all(type(v) in (int, float) and v > 0 for v in process.values())
+        assert "process" not in json.loads((out / f"report-{group}.json").read_text())
+
+
+def test_exact_runs_record_no_float_layer_import(tmp_path):
+    assert main(["verify", "--group", "A1", "--suite", "trand", "--out", str(tmp_path)]) == 0
+    process = json.loads((tmp_path / "report-A1.timing.json").read_text())["process"]
+    assert list(process) == ["peak_rss_kb"] and process["peak_rss_kb"] > 0
 
 
 # -- the process entry: cli.run ends the process once the reports are flushed ------------------

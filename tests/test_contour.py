@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from float_refs import ref_flat_phi, ref_grid_build, ref_grid_values, ref_quad_on_panels, same_bits
-from gmcalc import contour
+from gmcalc import contour, gmfamily
 from gmcalc.config import load_config
 from gmcalc.contour import (
     FlatTestFunction,
@@ -52,6 +52,15 @@ BATTERY = _battery(load_config())  # the configured default test functions
 DENSITY_KINDS = json.loads(
     (Path(__file__).resolve().parents[1] / "src" / "gmcalc" / "config.schema.json").read_text(encoding="utf-8")
 )["$defs"]["density"]["properties"]["kind"]["enum"]
+
+
+@pytest.mark.parametrize("n", [12, 32])
+def test_gauss_legendre_tables_are_numpy_leggauss_bit_for_bit(n):
+    # canary: the constant rules are the leggauss bits the pinned reports were made with; a numpy or LAPACK
+    # upgrade that moves leggauss fails here, by name, while the reports keep the constants' bits
+    nodes, weights = (contour._GL_NODES, contour._GL_WEIGHTS) if n == 12 else gmfamily._GL32
+    want = np.polynomial.legendre.leggauss(n)
+    assert [[float(x).hex() for x in table] for table in (nodes, weights)] == [[x.hex() for x in t.tolist()] for t in want]
 
 
 def test_verify_residues_catches_wrong_declaration():

@@ -886,7 +886,7 @@ def test_split_formula_matches_induced_family_a2(template):
 
 
 # cases: every class with a home of positive dimension, every chamber of that home, both density templates
-SPLIT_ROUTE_CASES = {"A1xA1": 48, "A2": 72}
+SPLIT_ROUTE_CASES = {"A1xA1": 48, "A2": 72, "B2": 168}
 
 
 @pytest.mark.parametrize("group", sorted(SPLIT_ROUTE_CASES))

@@ -10,6 +10,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gmcalc.cli
 from gmcalc.config import load_config
@@ -40,6 +41,7 @@ def ref_timing_doc(report):
     return {
         "schema": SCHEMA + "-timing",
         "counters": report.counters,
+        "process": report.process,
         "runtimes": {r.id: r.runtime for r in sorted(report.records, key=lambda r: r.id)},
     }
 
@@ -121,5 +123,20 @@ def test_cli_writes_what_render_writes(tmp_path, monkeypatch, suites):
     ],
 )
 def test_digest_hashes_the_bytes_of_json_dumps(obj):
+    want = hashlib.sha256(json.dumps(obj, sort_keys=True, default=str).encode()).hexdigest()[:16]
+    assert digest(obj) == want
+
+
+JSON_ABLE = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text() | st.fractions(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300)
+@given(JSON_ABLE)
+def test_builtin_sha256_digest_equals_hashlib(obj):
+    # the digest hashes with CPython's built-in SHA-256, not hashlib's OpenSSL one: the same bytes
     want = hashlib.sha256(json.dumps(obj, sort_keys=True, default=str).encode()).hexdigest()[:16]
     assert digest(obj) == want
