@@ -11,7 +11,8 @@ from __future__ import annotations
 import cmath
 from typing import Mapping, NamedTuple, Sequence
 
-from .errors import IncompleteInput, NotDiscrete, NotPRegular
+from .errors import DimensionError, IncompleteInput, NotDiscrete, NotPRegular
+from .exactlin import idot, int_mat_vec
 from .gmfamily import ScalarRootFns, split_terms
 from .levilattice import (
     Levi,
@@ -33,12 +34,21 @@ from .spectral import TauClass, classify_tau, discrete_constants, n_constant
 
 
 def multiplier_alpha(M1: Levi, nu_im: RatVec, X: RatVec) -> complex:
-    """Average of exp((w nu)(X)) over the Weyl group of M1; modulus at most 1."""
+    """Average of exp((w nu)(X)) over the Weyl group of M1; modulus at most 1.
+
+    Each <w nu, X> is one integer dot, of w nu's row with S X's, over one
+    denominator (S the form, symmetric).  int true division rounds the
+    exact quotient correctly, so it is float(d.pair(act(w, nu), X)).
+    """
     d = M1.datum
+    if len(nu_im.row) != d.rank or len(X.row) != d.rank:
+        raise DimensionError(f"expected vectors of length {d.rank}")
     sub = reflect_subgroup(d, M1.root_subset)
+    gram, den = d.int_gram
+    sx, q = int_mat_vec(gram, X.row), den * nu_im.den * X.den
     total = 0j
     for w in sub:
-        total += cmath.exp(1j * float(d.pair(act(w, nu_im), X)))
+        total += cmath.exp(1j * (idot(int_mat_vec(w.matrix, nu_im.row), sx) / q))
     return total / len(sub)
 
 

@@ -130,7 +130,7 @@ def cmd_verify(args) -> int:
     except OSError as exc:
         print(f"error: cannot create the report directory: {exc}", file=sys.stderr)
         return 2
-    except OverflowError as exc:
+    except (OverflowError, FloatingPointError) as exc:  # FloatingPointError: numpy's, raised in the float suites
         print(f"error: config values too large to evaluate in floating point: {exc}", file=sys.stderr)
         return 2
     report_path = out_dir / f"report-{cfg.group}.json"

@@ -94,14 +94,21 @@ named array times a temporary).  A 0-dimensional flat comes only from L = G,
 where S = M = L1, so its one m-term is the empty subset: no density is read
 there.
 
-Integrands run on whole arrays: one call on all panel nodes of a segment
-(_quad_on_panels), one on all nodes of a segment in the analytic route
-(gmfamily._segment_integral), and grid coordinates from broadcast 1-d axes.
-Numpy's complex add, multiply, divide and exp give an element the same bits
-in any layout, broadcast operand or numpy scalar (numpy 2.4, x86-64 with
-AVX-512), so no node's bits move.  Merged reductions would add in another
-order, so each panel stays one np.dot of its 12 nodes, added in panel order,
-and pv_integral, shifted_integral and _excised_axis keep one call per segment.
+Integrands run on whole arrays.  The 1-d route builds each node set once:
+LineNodes, one table per residue-1d run, keys the panel nodes of a segment
+by its edges and its line, evaluates each test function and density on them
+once, and verifies each density's residue once, so the identities that read
+the same node set share it (the suite's even-zero records read the pure
+pole's records).  The analytic route calls each density once per circle on
+the nodes of all 64 segments (gmfamily._segment_integrals), and grid
+coordinates come from broadcast 1-d axes.  Numpy's complex add, multiply,
+divide and exp give an element the same bits in any layout, broadcast
+operand or numpy scalar (numpy 2.4, x86-64 with AVX-512), so no node's bits
+move, and each identity forms phi * f / (2 pi) from the shared values in
+that operand order.  Merged reductions would add in another order, so each
+panel stays one np.dot of its 12 nodes, added in panel order, and
+pv_integral, shifted_integral and _excised_axis keep one integral per
+segment.
 
 Loading this module sets glibc's M_MMAP_THRESHOLD and M_TRIM_THRESHOLD to
 32 MiB.  Each slab frees arrays of a few hundred kB, and each grid a few MB,
@@ -148,6 +155,8 @@ from .rootdatum import RatVec, RootDatum, kept
 from .spectral import TauClass, n_constant
 
 _GL_NODES, _GL_WEIGHTS = map(np.array, _GL12)
+# the weights as np.dot casts them against complex values, cast once: the same dot, bit for bit
+_GL_COMPLEX_WEIGHTS = _GL_WEIGHTS.astype(complex)
 
 # the most half-grid nodes evaluated at once, and the longest run of numpy's pairwise sum kept whole
 # (at most np.getbufsize(), so that numpy reduces a reversed view of a leaf unbuffered, as one run)
@@ -253,22 +262,54 @@ def _panels(edges: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
     return mids[:, None] + halves[:, None] * _GL_NODES, halves
 
 
-def _quad_on_panels(g: Callable, edges: Sequence[float]) -> complex:
-    """Gauss-Legendre on each panel, g called once on every node; panel sums added in panel order."""
-    nodes, halves = _panels(edges)
-    rows = g(nodes)
-    total = 0j
-    for half, row in zip(halves.tolist(), rows):
-        total += half * np.dot(_GL_WEIGHTS, row)
-    return complex(total)
+class LineNodes:
+    """Each panel node set of the 1-d route once, keyed by its edges and its line, with each test function
+    and density evaluated on it once and each density's residue verified once; one table per suite run.
+    Each integral forms phi * f / (2 pi) from the shared values, in that operand order."""
+
+    __slots__ = ("_lines", "_verified")
+
+    def __init__(self):
+        self._lines: dict[tuple, tuple] = {}
+        self._verified: set[ScalarFn] = set()
+
+    def verify_residues(self, f: ScalarFn) -> None:
+        """verify_residues(f), run once per density: a density that passed once passes again."""
+        if f not in self._verified:
+            verify_residues(f)
+            self._verified.add(f)
+
+    def integral(self, f: ScalarFn, phi: TestFunction, edges: Sequence[float], eps: float | None = None) -> complex:
+        """Gauss-Legendre of phi * f / (2 pi) on each panel between the edges, at z = it on the imaginary
+        axis, or z = -eps + it with eps; each panel is one np.dot of its 12 nodes, panel sums added in order.
+
+        A panel sum is its half width times the dot in CPython arithmetic, which
+        gives numpy's scalar bits: both multiply (h + 0j) by the dot in the
+        schoolbook form and add part by part.
+        """
+        key = (tuple(edges), eps)
+        line = self._lines.get(key)
+        if line is None:
+            ts, halves = _panels(edges)
+            line = self._lines[key] = (1j * ts if eps is None else -eps + 1j * ts, halves.tolist(), {})
+        z, halves, values = line
+        for fn in (phi, f):
+            if fn not in values:
+                values[fn] = fn(z)
+        rows = values[phi] * values[f] / (2 * np.pi)
+        total = 0j
+        for half, row in zip(halves, rows):
+            total += half * complex(np.dot(_GL_COMPLEX_WEIGHTS, row))
+        return total
 
 
-def _excised_axis(g: Callable, T: float, delta: float) -> complex:
-    """Integral of g over [-T, T] minus the cut (-delta, delta), panels graded toward the cut."""
+def _excised_axis(quad: Callable[[list[float]], complex], T: float, delta: float) -> complex:
+    """The integral over [-T, T] minus the cut (-delta, delta), panels graded toward the cut; quad integrates
+    over the panels between the edges it is given."""
     if not 0 < delta < T:
         raise BadShift(f"excision radius must lie in (0, {T}), got {delta}")
-    left = _quad_on_panels(g, _graded_edges(-T, -delta, None, delta))
-    right = _quad_on_panels(g, _graded_edges(delta, T, delta, None))
+    left = quad(_graded_edges(-T, -delta, None, delta))
+    right = quad(_graded_edges(delta, T, delta, None))
     return 0j + left + right  # starting from 0j, no part of the sum is -0.0
 
 
@@ -297,23 +338,24 @@ def pv_integral(
     phi: TestFunction,
     deltas: Sequence[float] = (1e-1, 1e-2, 1e-3),
     tol: float = 1e-6,
+    nodes: LineNodes | None = None,
 ) -> tuple[complex, float]:
-    """Principal value of phi*f over the upward imaginary axis, measure dz/(2 pi i).
+    """Principal value of phi*f over the upward imaginary axis, measure dz/(2 pi i), on the node sets of
+    nodes (a table of its own if None).
 
     Returns the extrapolated value and an error estimate; the estimate failing
     to meet tol raises NoConvergence.
     """
-    verify_residues(f)
+    nodes = LineNodes() if nodes is None else nodes
+    nodes.verify_residues(f)
     T = phi.cutoff()
 
-    def g(ts):
-        z = 1j * ts
-        return phi(z) * f(z) / (2 * np.pi)
+    def quad(edges):
+        return nodes.integral(f, phi, edges)
 
     if not f.has_pole0():
-        val = _quad_on_panels(g, _graded_edges(-T, T, None, None))
-        return val, 0.0
-    values = [_excised_axis(g, T, delta) for delta in deltas]
+        return quad(_graded_edges(-T, T, None, None)), 0.0
+    values = [_excised_axis(quad, T, delta) for delta in deltas]
     # the symmetric excision defect is an odd series in delta, so fit 1, d, d^3, ..., one power per rung
     est, err = _extrapolate_odd(list(deltas), values)
     if err > tol:
@@ -338,16 +380,12 @@ def _extrapolate_odd(xs: Sequence[float], ys: Sequence[complex]) -> tuple[comple
     return est, err
 
 
-def shifted_integral(f: ScalarFn, phi: TestFunction, eps: float) -> complex:
-    """Integral over the line Re z = -eps (the pole at the origin lies to its right)."""
+def shifted_integral(f: ScalarFn, phi: TestFunction, eps: float, nodes: LineNodes | None = None) -> complex:
+    """Integral over the line Re z = -eps (the pole at the origin lies to its right), on the node sets of
+    nodes (a table of its own if None)."""
     if eps <= 0:
         raise BadShift("shift must be positive")
     T = phi.cutoff()
-
-    def g(ts):
-        z = -eps + 1j * ts
-        return phi(z) * f(z) / (2 * np.pi)
-
     edges = [-T, T]
     if f.has_pole0():
         for k in (0.0, eps / 4, eps / 2, eps, 2 * eps, 4 * eps):
@@ -355,7 +393,7 @@ def shifted_integral(f: ScalarFn, phi: TestFunction, eps: float) -> complex:
                 x = 0.0 + s * k  # 0.0 + keeps -0.0 out of the edges
                 if -T < x < T:
                     edges.append(x)
-    return _quad_on_panels(g, _capped(sorted(set(edges))))
+    return (LineNodes() if nodes is None else nodes).integral(f, phi, _capped(sorted(set(edges))), eps)
 
 
 def residue_identity_1d(
@@ -364,10 +402,12 @@ def residue_identity_1d(
     eps: float,
     deltas: Sequence[float] = (1e-1, 1e-2, 1e-3),
     tol: float = 1e-6,
+    nodes: LineNodes | None = None,
 ) -> dict:
-    """Check shifted = (n/2) phi(0) + principal value for f's pole -n/z at 0."""
-    lhs = shifted_integral(f, phi, eps)
-    pv, pv_err = pv_integral(f, phi, deltas, tol)
+    """Check shifted = (n/2) phi(0) + principal value for f's pole -n/z at 0, on the node sets of nodes (each
+    side a table of its own if None)."""
+    lhs = shifted_integral(f, phi, eps, nodes)
+    pv, pv_err = pv_integral(f, phi, deltas, tol, nodes)
     expected = complex(float(f.n / 2)) * complex(phi(0.0)) + pv
     residual = abs(lhs - expected)
     return {

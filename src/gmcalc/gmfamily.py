@@ -546,14 +546,22 @@ _GL32 = _gauss_legendre(
 )
 
 
-def _segment_integral(f: ScalarFn, z0: complex, z1: complex, rule) -> complex:
-    """Gauss-Legendre quadrature of f along the segment [z0, z1]; rule is (complex nodes, weights)."""
+def _segment_integrals(f: ScalarFn, z0: complex, ends: Sequence[complex], rule) -> list[complex]:
+    """Gauss-Legendre quadrature of f along each segment [z0, z1] for z1 in ends; rule is (complex nodes,
+    weights).
+
+    f is called once, on the nodes of every segment at once: row k is
+    mid_k + half_k * nodes, the broadcast of the per-segment form, and
+    numpy's elementwise ops give each node the same bits in either layout.
+    Each segment keeps its own np.dot and half * product.
+    """
     import numpy as np
 
     nodes, weights = rule
-    mid = (z0 + z1) / 2
-    half = (z1 - z0) / 2
-    return complex(half * np.dot(weights, f(mid + half * nodes)))
+    mids = [(z0 + z1) / 2 for z1 in ends]
+    halves = [(z1 - z0) / 2 for z1 in ends]
+    values = f(np.array(mids)[:, None] + np.array(halves)[:, None] * nodes)
+    return [complex(half * np.dot(weights, row)) for half, row in zip(halves, values)]
 
 
 def induced_family_value(
@@ -570,8 +578,11 @@ def induced_family_value(
     halved and the two values must agree, which certifies convergence.  The
     circle mean runs on 64 nodes.  At each node every ray that separates a
     chamber from P has its segment integral evaluated once, and each chamber
-    adds the values of its rays from 0j in ray order.  A lam0 on a ray's pole
-    wall (|<lam0, dual>| below POLE_HIT_RADIUS) raises PoleHit.
+    adds the values of its rays from 0j in ray order.  Each ray's density is
+    called once per radius, on the 32 segment nodes of all 64 circle nodes
+    (``_segment_integrals``), and every other step keeps its per-node form.
+    A lam0 on a ray's pole wall (|<lam0, dual>| below POLE_HIT_RADIUS) raises
+    PoleHit.
     """
     import numpy as np
 
@@ -579,7 +590,7 @@ def induced_family_value(
     d = L1.datum
     chambers = parabolics(L1)
     rays = restricted_rays(L1)
-    rule = (np.array(_GL32[0], dtype=complex), np.array(_GL32[1]))
+    rule = (np.array(_GL32[0], dtype=complex), np.array(_GL32[1], dtype=complex))  # np.dot's cast, made once
     theta_at_dir = {Qp.index: float(theta(Qp, direction)) for Qp in chambers}
     ev0 = _lam_evaluator(d, lam0)
     # keep the circle well inside the disc where every member stays off its poles
@@ -614,17 +625,18 @@ def induced_family_value(
     steps = [complex(x) for x in direction.floats()]
 
     def circle_mean(r: float) -> complex:
+        ss = [r * cmath.exp(2j * cmath.pi * k / 64) for k in range(64)]
+        points = [tuple(complex(a + s * x) for a, x in zip(lam0, steps)) for s in ss]
+        # per factor, its segment integral at every node of the circle, from one density call
+        segs = [_segment_integrals(f, z0, [sum(c * g for c, g in zip(coords, gd)) for coords in points], rule)
+                for f, gd, z0 in factors]
         total = 0j
-        for k in range(64):
-            s = r * cmath.exp(2j * cmath.pi * k / 64)
-            zeta = [s * x for x in steps]
-            coords = tuple(complex(a + b) for a, b in zip(lam0, zeta))
-            seg = [_segment_integral(f, z0, sum(c * g for c, g in zip(coords, gd)), rule) for f, gd, z0 in factors]
+        for k, s in enumerate(ss):
             cs = 0j
             for Qp in chambers:
                 exponent = 0j
                 for i in separating[Qp.index]:
-                    exponent += seg[i]
+                    exponent += segs[i][k]
                 member = cmath.exp(exponent)
                 cs += member / (theta_at_dir[Qp.index] * s ** L1.dim)
             total += cs

@@ -429,7 +429,9 @@ def tempext_check(
 
     A genuine simple pole grows like 1/delta; bounded extensions stay flat.
     The estimated exponent must stay below the threshold for every wall, every
-    independent ray subset and every test function.
+    independent ray subset and every test function.  Each sample's Weyl images
+    and their density values are computed once and read by every test
+    function: each summand is its value times the densities in ray order.
     """
     d = t.datum
     home = t.levi_L
@@ -444,13 +446,15 @@ def tempext_check(
         pairings = [(ray.rep, fns.fn(ray.rep), dual_rows[ray.key]) for ray in F]
         for wall in F:
             wall_pts, step = [p.floats() for p in _wall_points(t, wall)], wall.rep.floats()
+            # per delta and wall point, the sample's Weyl images and their densities, shared by every phi
+            samples = [[_weyl_images(lifts, pairings, [x + delta * y for x, y in zip(base, step)]) for base in wall_pts]
+                       for delta in deltas]
             for phi_idx, phi in enumerate(phi_battery):
                 maxima = []
-                for delta in deltas:
+                for images_at_delta in samples:
                     m = 0.0
-                    for base in wall_pts:
-                        lam = [x + delta * y for x, y in zip(base, step)]
-                        val, scale = _symmetrized_sum(lifts, pairings, lam, phi)
+                    for images in images_at_delta:
+                        val, scale = _symmetrized(images, phi)
                         # below the cancellation noise floor the sum counts as zero
                         if abs(val) <= 1e-9 * scale:
                             val = 0.0
@@ -510,23 +514,31 @@ def _wall_points(t: TauClass, wall: Ray) -> list[RatVec]:
     return points or [wall_vecs[0]]
 
 
-def _symmetrized_sum(
+def _weyl_images(
     lifts: Sequence[Sequence[Sequence[int]]],
     pairings: Sequence[tuple[RatVec, ScalarFn, Sequence[float]]],
     lam_real: Sequence[float],
-    phi,
-) -> tuple[complex, float]:
-    """The symmetrized sum over the core's integer Weyl matrices, each ray of the subset given by its rep,
-    its density and the float row of its dual pairing, and the total magnitude of its summands."""
+) -> list[tuple[list[float], list[complex]]]:
+    """The image of lam_real under each of the core's integer Weyl matrices, with the density of each ray of
+    the subset (its rep, its density and the float row of its dual pairing) at i times its pairing with it."""
     n = len(lam_real)
-    total = 0j
-    scale = 0.0
+    images = []
     for lift in lifts:
         moved = [sum(lift[i][j] * lam_real[j] for j in range(n)) for i in range(n)]
+        images.append((moved, [density_at(f, 1j * sum(m * g for m, g in zip(moved, row)), rep)
+                               for rep, f, row in pairings]))
+    return images
+
+
+def _symmetrized(images: Sequence[tuple[list[float], list[complex]]], phi) -> tuple[complex, float]:
+    """The symmetrized sum of phi times the densities over the Weyl images, each summand phi's value times
+    the densities in ray order, and the total magnitude of its summands."""
+    total = 0j
+    scale = 0.0
+    for moved, densities in images:
         val = complex(phi(moved))
-        for rep, f, row in pairings:
-            z = 1j * sum(m * g for m, g in zip(moved, row))
-            val *= density_at(f, z, rep)
+        for density in densities:
+            val *= density
         total += val
         scale += abs(val)
     return total, scale

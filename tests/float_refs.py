@@ -1,24 +1,31 @@
 """Float references for the kernels that evaluate their integrand on whole arrays: the panel
 quadrature, the segment quadrature, the tensor grid build and the flat test function; for
-the analytic route of the splitting sum; and for the grid values of the contour-shift check.
+the 1-d residue identity, the analytic route of the splitting sum, the tempext sweep and
+the multiplier; and for the grid values of the contour-shift check.
 
 Each is the route the package ran one panel, one node or one full-grid mesh
-at a time, with every term of the prefactor, with each chamber's segment
-integrals evaluated for that chamber, or with complex values on every grid,
-before it was batched, cut into slabs, shared or carried in real arithmetic.
-The package keeps every float operation and its operand order, so the tests
-require the same bits from both (``same_bits``).
+at a time, with every term of the prefactor, with each identity evaluating
+its own panels, with each chamber's segment integrals evaluated for that
+chamber, with each test function evaluating its own Weyl images, with each
+pairing a rational, or with complex values on every grid, before it was
+batched, cut into slabs, shared or carried in real arithmetic.  The package
+keeps every float operation and its operand order, so the tests require the
+same bits from both (``same_bits``).
 """
 import cmath
 import math
+from itertools import combinations
 
 import numpy as np
 
 from gmcalc import contour
-from gmcalc.contour import _GL_NODES, _GL_WEIGHTS, _graded_edges
-from gmcalc.exactlin import int_row
-from gmcalc.gmfamily import _lam_evaluator, _segment_integral
+from gmcalc.contour import _GL_NODES, _GL_WEIGHTS, _capped, _extrapolate_odd, _graded_edges, verify_residues
+from gmcalc.errors import BadShift, NoConvergence
+from gmcalc.exactlin import int_rank, int_row
+from gmcalc.gmfamily import _lam_evaluator, density_at
 from gmcalc.levilattice import form_signs, parabolics, restricted_rays, theta
+from gmcalc.rootdatum import act, reflect_subgroup
+from gmcalc.spectral import _wall_points
 
 
 def same_bits(a, b) -> bool:
@@ -46,6 +53,14 @@ def ref_segment_integral(f, z0, z1, rule) -> complex:
     zs = mid + half * nodes
     vals = np.asarray([f(z) for z in zs], dtype=complex)
     return complex(half * np.dot(weights, vals))
+
+
+def _one_segment(f, z0, z1, rule) -> complex:
+    """Gauss-Legendre along [z0, z1], f called once on the 32 nodes of this segment."""
+    nodes, weights = rule
+    mid = (z0 + z1) / 2
+    half = (z1 - z0) / 2
+    return complex(half * np.dot(weights, f(mid + half * nodes)))
 
 
 def ref_induced_family_value(fns, P, lam0, direction) -> complex:
@@ -88,12 +103,133 @@ def ref_induced_family_value(fns, P, lam0, direction) -> complex:
             for Qp in chambers:
                 exponent = 0j
                 for f, gd, z0 in factors[Qp.index]:
-                    exponent += _segment_integral(f, z0, sum(c * g for c, g in zip(coords, gd)), rule)
+                    exponent += _one_segment(f, z0, sum(c * g for c, g in zip(coords, gd)), rule)
                 cs += cmath.exp(exponent) / (theta_at_dir[Qp.index] * s ** L1.dim)
             total += cs
         return total / 64
 
     return circle_mean(radius / 2)  # the value on the halved circle; the radius check needs no reference
+
+
+def _ref_line_integral(f, phi, edges, z_of) -> complex:
+    """The panel quadrature of phi * f / (2 pi) at z_of(t), phi and f called once per panel."""
+
+    def g(ts):
+        z = z_of(ts)
+        return phi(z) * f(z) / (2 * np.pi)
+
+    return ref_quad_on_panels(g, edges)
+
+
+def ref_pv_integral(f, phi, deltas, tol) -> tuple[complex, float]:
+    """pv_integral with the residue verified and every panel set evaluated for this one identity."""
+    verify_residues(f)
+    T = phi.cutoff()
+
+    def quad(edges):
+        return _ref_line_integral(f, phi, edges, lambda ts: 1j * ts)
+
+    if not f.has_pole0():
+        return quad(_graded_edges(-T, T, None, None)), 0.0
+    values = []
+    for delta in deltas:
+        if not 0 < delta < T:
+            raise BadShift(f"excision radius must lie in (0, {T}), got {delta}")
+        values.append(0j + quad(_graded_edges(-T, -delta, None, delta)) + quad(_graded_edges(delta, T, delta, None)))
+    est, err = _extrapolate_odd(list(deltas), values)
+    if err > tol:
+        raise NoConvergence(f"principal value ladder did not settle: error {err}")
+    return est, err
+
+
+def ref_shifted_integral(f, phi, eps) -> complex:
+    """shifted_integral with its panels evaluated for this one identity."""
+    T = phi.cutoff()
+    edges = [-T, T]
+    if f.has_pole0():
+        for k in (0.0, eps / 4, eps / 2, eps, 2 * eps, 4 * eps):
+            for s in (-1, 1):
+                x = 0.0 + s * k
+                if -T < x < T:
+                    edges.append(x)
+    return _ref_line_integral(f, phi, _capped(sorted(set(edges))), lambda ts: -eps + 1j * ts)
+
+
+def ref_residue_identity_1d(f, phi, eps, deltas, tol) -> dict:
+    """residue_identity_1d with every panel of both sides evaluated for this one identity."""
+    lhs = ref_shifted_integral(f, phi, eps)
+    pv, pv_err = ref_pv_integral(f, phi, deltas, tol)
+    expected = complex(float(f.n / 2)) * complex(phi(0.0)) + pv
+    residual = abs(lhs - expected)
+    return {
+        "phi": phi.describe(),
+        "eps": eps,
+        "n": str(f.n),
+        "lhs": (lhs.real, lhs.imag),
+        "pv": (pv.real, pv.imag),
+        "pv_err": pv_err,
+        "residual": residual,
+        "pass": residual <= tol,
+    }
+
+
+def _symmetrized_sum(lifts, pairings, lam_real, phi) -> tuple[complex, float]:
+    """The symmetrized sum over the core's integer Weyl matrices, phi evaluated on each image before its
+    densities, and the total magnitude of its summands."""
+    n = len(lam_real)
+    total = 0j
+    scale = 0.0
+    for lift in lifts:
+        moved = [sum(lift[i][j] * lam_real[j] for j in range(n)) for i in range(n)]
+        val = complex(phi(moved))
+        for rep, f, row in pairings:
+            z = 1j * sum(m * g for m, g in zip(moved, row))
+            val *= density_at(f, z, rep)
+        total += val
+        scale += abs(val)
+    return total, scale
+
+
+def ref_tempext_check(t, fns, phi_battery, deltas, growth_threshold) -> list[dict]:
+    """tempext_check with each test function computing the Weyl images and densities of every sample."""
+    d = t.datum
+    rays = t.tau_rays
+    records = []
+    subsets = [combo for size in range(1, t.levi_L.dim + 1) for combo in combinations(rays, size)
+               if int_rank([ray.key for ray in combo]) == size]
+    lifts = [w.matrix for w in t.core.values()]
+    for F in subsets:
+        pairings = [(ray.rep, fns.fn(ray.rep), d.float_row(ray.dual)) for ray in F]
+        for wall in F:
+            wall_pts, step = [p.floats() for p in _wall_points(t, wall)], wall.rep.floats()
+            for phi_idx, phi in enumerate(phi_battery):
+                maxima = []
+                for delta in deltas:
+                    m = 0.0
+                    for base in wall_pts:
+                        val, scale = _symmetrized_sum(lifts, pairings, [x + delta * y for x, y in zip(base, step)], phi)
+                        if abs(val) <= 1e-9 * scale:
+                            val = 0.0
+                        m = max(m, abs(val))
+                    maxima.append(m)
+                if max(maxima) == 0.0:
+                    exponent = float("-inf")
+                else:
+                    lo, hi = max(maxima[-1], 1e-300), max(maxima[0], 1e-300)
+                    exponent = math.log(lo / hi) / math.log(deltas[0] / deltas[-1])
+                records.append({"rays": [str(r.rep) for r in F], "wall": str(wall.rep), "phi": phi_idx,
+                                "maxima": maxima, "exponent": exponent, "pass": exponent < growth_threshold})
+    return records
+
+
+def ref_multiplier_alpha(M1, nu_im, X) -> complex:
+    """multiplier_alpha with each pairing the rational d.pair(act(w, nu), X), then converted to a float."""
+    d = M1.datum
+    sub = reflect_subgroup(d, M1.root_subset)
+    total = 0j
+    for w in sub:
+        total += cmath.exp(1j * float(d.pair(act(w, nu_im), X)))
+    return total / len(sub)
 
 
 def ref_grid_build(g):

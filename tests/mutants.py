@@ -7,6 +7,9 @@ carries an unmutated value.
 """
 import sys
 
+import numpy as np
+
+from gmcalc.contour import _GL_COMPLEX_WEIGHTS, _panels
 from gmcalc.gmfamily import hull_volume
 from gmcalc.levilattice import QuadConst, d_constant, theta
 
@@ -37,3 +40,20 @@ def negated_d(L1, L, S, upper=None):
     """d_constant with the sign of every nonzero constant flipped."""
     val = d_constant(L1, L, S, upper)
     return val if val.is_zero() else QuadConst(val.square, -val.sign)
+
+
+def swapped_line_integral(self, f, phi, edges, eps=None):
+    """contour.LineNodes.integral with the product of the shared values taken as f(z) * phi(z)."""
+    key = (tuple(edges), eps)
+    if key not in self._lines:
+        ts, halves = _panels(edges)
+        self._lines[key] = (1j * ts if eps is None else -eps + 1j * ts, halves.tolist(), {})
+    z, halves, values = self._lines[key]
+    for fn in (phi, f):
+        if fn not in values:
+            values[fn] = fn(z)
+    rows = values[f] * values[phi] / (2 * np.pi)
+    total = 0j
+    for half, row in zip(halves, rows):
+        total += half * complex(np.dot(_GL_COMPLEX_WEIGHTS, row))
+    return total

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from float_refs import ref_multiplier_alpha, same_bits
 from fraction_refs import ref_mat_vec
 from gmcalc.asymptotic import (
     SigmaModel,
@@ -14,7 +15,7 @@ from gmcalc.asymptotic import (
     phi_TT_expansion,
     weyl_denominator,
 )
-from gmcalc.errors import NotDiscrete, NotPRegular
+from gmcalc.errors import DimensionError, NotDiscrete, NotPRegular
 from gmcalc.gmfamily import ScalarRootFns
 from gmcalc.levilattice import (
     base_chamber,
@@ -60,6 +61,27 @@ def test_multiplier_alpha_trivial_group():
     X = RatVec([Fraction(1)])
     got = multiplier_alpha(M0, nu, X)
     assert got == pytest.approx(cmath.exp(1j * float(d.pair(nu, X))))
+
+
+@pytest.mark.parametrize("group", ["A1", "A2", "B2", "G2", "A3", "A1xA3"])
+def test_multiplier_alpha_keeps_the_rational_pairing_bits(group):
+    # one integer dot over one denominator per Weyl element, against float(d.pair(act(w, nu), X)), on every
+    # Levi and on the samples of the suite's multiplier-bound record
+    d = build_root_system(group)
+    rng = random.Random(20260810)
+    for M1 in levi_lattice(d):
+        for _ in range(5):
+            nu = RatVec([Fraction(rng.randint(-20, 20), rng.randint(1, 9)) for _ in range(d.rank)])
+            X = RatVec([Fraction(rng.randint(-20, 20), rng.randint(1, 9)) for _ in range(d.rank)])
+            assert same_bits(multiplier_alpha(M1, nu, X), ref_multiplier_alpha(M1, nu, X))
+
+
+def test_multiplier_alpha_rejects_a_vector_of_another_length():
+    d = build_root_system("A2")
+    with pytest.raises(DimensionError, match="expected vectors of length 2"):
+        multiplier_alpha(gfull(d), RatVec([Fraction(1)]), RatVec.zero(2))
+    with pytest.raises(DimensionError, match="expected vectors of length 2"):
+        multiplier_alpha(gfull(d), RatVec.zero(2), RatVec.zero(3))
 
 
 # -- Weyl denominators and signs ------------------------------------------------

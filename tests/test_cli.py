@@ -13,6 +13,7 @@ from gmcalc import cli
 from gmcalc.cli import EXPRESSIONS, main
 from gmcalc.config import load_config
 from gmcalc.errors import ConfigError
+from gmcalc.gmfamily import POLE_HIT_RADIUS
 
 
 def test_describe_exit_zero(capsys):
@@ -304,6 +305,8 @@ BAD_NUMERICS = [
     {"hull_samples": 0},
     {"hull_samples": 2.7},
     {"tempext_deltas": [0.01]},
+    # deltas inside the pole-hit radius failed tempext c04-c07 on A2 with "density argument hits the pole at 0"
+    {"tempext_deltas": [1e-13, 1e-14]},
 ]
 
 # bad inputs the schema cannot express: rational literals, c <= 0, equal deltas
@@ -499,14 +502,22 @@ main(["verify", "--group", "A1", "--suite", "hull-limit", "--suite", "trand", "-
 after("verify exact suites")
 child.build("A2", None)
 after("bench build")
+for group in ("A1", "B2", "G2", "A3"):
+    main(["verify", "--group", group, "--suite", "examples", "--out", out])
+after("verify examples off A2")
+main(["verify", "--group", "A2", "--suite", "examples", "--out", out])
+after("verify A2 examples")
+with open(out + "/report-A2.timing.json") as timing:
+    process = json.load(timing)["process"]
 main(["verify", "--group", "A1", "--suite", "residue-1d", "--out", out])
 after("verify residue-1d")
-print(json.dumps(loaded))
+print(json.dumps([loaded, process]))
 """
 
 
 def test_exact_runs_never_load_numpy(tmp_path):
-    # numpy and the contour layer serve the float suites only; exact runs and the bench build skip their import.
+    # numpy and the contour layer serve the float suites only; exact runs, the bench build and examples off A2
+    # (whose dual route runs on A2 only) skip their import, and A2's examples time numpy's import in the sidecar.
     # No gmcalc module imports dataclasses, which imports inspect: inspect comes in with numpy only, dataclasses never
     root = Path(__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root / "bench")])}
@@ -515,14 +526,17 @@ def test_exact_runs_never_load_numpy(tmp_path):
         capture_output=True, text=True, timeout=120, env=env,
     )
     assert proc.returncode == 0, proc.stderr
-    loaded = json.loads(proc.stdout.splitlines()[-1])
+    loaded, process = json.loads(proc.stdout.splitlines()[-1])
     assert loaded == {
         "import": [],
         "describe": [],
         "verify exact suites": [],
         "bench build": [],
+        "verify examples off A2": [],
+        "verify A2 examples": ["numpy", "inspect"],
         "verify residue-1d": ["numpy", "gmcalc.contour", "inspect"],
     }
+    assert sorted(process) == ["float_layer_import_s", "peak_rss_kb"] and process["float_layer_import_s"] > 0
 
 
 # Runs verify --suite all on A2 and B2 in a fresh interpreter on src/ alone (bench/child.py imports hashlib)
@@ -703,6 +717,11 @@ def test_verify_report_file_not_writable_exit_2(tmp_path, capsys, name):
     assert (tmp_path / name).is_dir()
 
 
+def test_schema_floor_of_tempext_deltas_is_the_pole_hit_radius():
+    schema = json.loads(SCHEMA_PATH.read_text(encoding="utf-8"))
+    assert schema["properties"]["tempext_deltas"]["items"]["minimum"] == POLE_HIT_RADIUS
+
+
 @pytest.mark.parametrize("bad", BAD_NUMERICS + BAD_SHAPES)
 def test_schema_rejects_what_load_config_rejects(bad):
     jsonschema = pytest.importorskip("jsonschema")
@@ -755,6 +774,36 @@ OVERFLOWS = [
     ("A2", {"m_model": {"kind": "pole_plus_rational", "p": ["1e300"], "q": ["1"]}}),
     ("A1xA1", {"gram": [["1e300", "0"], ["0", "1e300"]]}),
 ]
+
+
+# a numpy overflow in a float suite failed its records with RuntimeWarning lines on stderr (38 of A2's
+# lemma-shift records, every record of A1's residue-1d), exit 1
+NUMPY_OVERFLOWS = [
+    ("A2", "lemma-shift", {"flat_phi": [{"c0": 1e308, "c1": 0.0, "c2": 0.0, "scale": 1.0}]}),
+    ("A1", "residue-1d", {"test_functions": [{"poly": ["1e308"], "scale": "1"}]}),
+]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # numpy must raise, not warn
+@pytest.mark.parametrize("group, suite, cfg", NUMPY_OVERFLOWS)
+def test_verify_numpy_overflow_exit_2_with_one_line(tmp_path, capsys, group, suite, cfg):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    code = main(["--config", str(p), "verify", "--group", group, "--suite", suite, "--out", str(tmp_path / "r")])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "floating point" in lines[0], err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("group", ["A1", "A2", "B2", "G2", "A1xA1"])
+def test_default_float_suites_raise_no_numpy_warning(tmp_path, capsys, group):
+    # the float suites run with numpy's overflow and invalid checks raising: a default run meets neither
+    argv = ["verify", "--group", group, "--out", str(tmp_path)]
+    for suite in ("residue-1d", "lemma-shift", "tempext", "examples"):
+        argv += ["--suite", suite]
+    assert main(argv) == 0, capsys.readouterr().err
 
 
 @pytest.mark.parametrize("group, cfg", OVERFLOWS)

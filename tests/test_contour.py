@@ -10,11 +10,22 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from float_refs import ref_flat_phi, ref_grid_build, ref_grid_values, ref_quad_on_panels, same_bits
+from float_refs import (
+    ref_flat_phi,
+    ref_grid_build,
+    ref_grid_values,
+    ref_pv_integral,
+    ref_quad_on_panels,
+    ref_residue_identity_1d,
+    ref_shifted_integral,
+    same_bits,
+)
+from mutants import swapped_line_integral
 from gmcalc import contour, gmfamily
 from gmcalc.config import load_config
 from gmcalc.contour import (
     FlatTestFunction,
+    LineNodes,
     ShiftCase,
     TestFunction,
     _evaluate,
@@ -178,25 +189,121 @@ def test_residue_identity_n_zero_is_cauchy():
 
 @pytest.mark.parametrize("kind", ["pole", "model"])
 def test_panel_quadrature_keeps_the_per_panel_bits(monkeypatch, kind):
-    # every panel set of the residue-1d identities, on the suite's lines and battery
+    # every panel set of the residue-1d identities, on the suite's lines and battery, all on one node table
     cfg = load_config()
-    batched = contour._quad_on_panels
+    batched = LineNodes.integral
     calls = []
 
-    def both(g, edges):
-        got = batched(g, edges)
+    def both(self, f, phi, edges, eps=None):
+        got = batched(self, f, phi, edges, eps)
+
+        def g(ts):
+            z = 1j * ts if eps is None else -eps + 1j * ts
+            return phi(z) * f(z) / (2 * np.pi)
+
         assert same_bits(got, ref_quad_on_panels(g, edges))
         calls.append(len(edges) - 1)
         return got
 
-    monkeypatch.setattr(contour, "_quad_on_panels", both)
+    monkeypatch.setattr(LineNodes, "integral", both)
+    nodes = LineNodes()
     for n in (Fraction(1, 2), Fraction(1), Fraction(2)):
         line = scalar_fn_from_template({"kind": "pole"} if kind == "pole" else cfg.m_model, n)
         for phi in BATTERY:
-            residue_identity_1d(line, phi, cfg.epsilons[0], cfg.delta_ladder)
+            residue_identity_1d(line, phi, cfg.epsilons[0], cfg.delta_ladder, nodes=nodes)
     # one shifted line and two segments per delta for each identity
     assert len(calls) == 3 * len(BATTERY) * (1 + 2 * len(cfg.delta_ladder))
     assert min(calls) > 1
+
+
+def _ref_residue_1d_records(cfg) -> list[tuple]:
+    """(id, status, residual, detail) of each suite_residue_1d record by the per-identity route, sorted by id;
+    the even-zero records evaluate their own integrals."""
+    battery = _battery(cfg)
+    even = next((phi for phi in battery if not any(phi.coeffs[1::2])), None)
+    tol, eps = float(cfg.tolerances["residue_1d"]), cfg.epsilons[0]
+    out = []
+    for n in (Fraction(1, 2), Fraction(1), Fraction(2)):
+        stem = f"residue-1d/n{n.numerator}_{n.denominator}/"
+        pure = scalar_fn_from_template({"kind": "pole"}, n)
+        for kind, line in (("pole", pure), ("model", scalar_fn_from_template(cfg.m_model, n))):
+            for j, phi in enumerate(battery):
+                try:
+                    rec = ref_residue_identity_1d(line, phi, eps, cfg.delta_ladder, tol)
+                    out.append((f"{stem}{kind}/phi{j}", "pass" if rec["pass"] else "fail", rec["residual"], None))
+                except GmcalcError as exc:
+                    out.append((f"{stem}{kind}/phi{j}", "fail", None, str(exc)))
+        try:
+            pv, _ = ref_pv_integral(pure, even, cfg.delta_ladder, tol)
+            lhs = ref_shifted_integral(pure, even, eps)
+            ok = abs(pv) <= float(cfg.tolerances["pv_zero"]) and abs(lhs - float(n) / 2 * complex(even(0.0))) <= tol
+            out.append((f"{stem}even-zero", "pass" if ok else "fail", abs(pv), None))
+        except GmcalcError as exc:
+            out.append((f"{stem}even-zero", "fail", None, str(exc)))
+    return sorted(out)
+
+
+def _outcome(check, *args):
+    """check(*args), or the message of the GmcalcError it raised."""
+    try:
+        return check(*args)
+    except GmcalcError as exc:
+        return str(exc)
+
+
+RESIDUE_1D_CONFIGS = [
+    {},
+    # a rational density with real poles at +-sqrt(5), other test functions and a four-rung ladder
+    {"test_functions": [{"poly": ["1", "2", "-1/3"], "scale": "3/2"}, {"poly": ["0", "0", "1"], "scale": "1"}],
+     "m_model": {"kind": "pole_plus_rational", "p": ["1", "2"], "q": ["-5", "0", "1"]},
+     "epsilons": [0.03, 0.07], "delta_ladder": [0.2, 0.02, 0.002, 0.0005]},
+    # a coarse ladder: the records whose ladder does not settle within 1e-6 fail with its message
+    {"delta_ladder": [0.2, 0.05, 0.01]},
+]
+
+
+@pytest.mark.parametrize("config", RESIDUE_1D_CONFIGS)
+def test_residue_1d_identities_keep_the_per_identity_bits(config):
+    # every identity of the suite on one shared node table, against each identity on its own panels
+    cfg = load_config(config)
+    nodes = LineNodes()
+    tol = float(cfg.tolerances["residue_1d"])
+    for n in (Fraction(1, 2), Fraction(1), Fraction(2)):
+        for template in ({"kind": "pole"}, cfg.m_model):
+            line = scalar_fn_from_template(template, n)
+            for phi in _battery(cfg):
+                want = _outcome(ref_residue_identity_1d, line, phi, cfg.epsilons[0], cfg.delta_ladder, tol)
+                got = _outcome(residue_identity_1d, line, phi, cfg.epsilons[0], cfg.delta_ladder, tol, nodes)
+                assert repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("group", ["A1", "A2", "B2", "G2", "A3"])
+@pytest.mark.parametrize("config", RESIDUE_1D_CONFIGS)
+def test_residue_1d_suite_equals_the_per_identity_route(config, group):
+    # the shared node table, the residues verified once and the even-zero records read off the pole records
+    cfg = load_config(config)
+    got = sorted((r.id, r.status, r.residual, r.detail) for r in suite_residue_1d(cfg, build_root_system(group)))
+    assert repr(got) == repr(_ref_residue_1d_records(cfg))
+
+
+def test_residue_1d_suite_verifies_each_density_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(contour, "verify_residues", lambda f: calls.append(f.key))
+    records = suite_residue_1d(load_config(), build_root_system("A1"))
+    assert len(records) == 33 and all(r.status == "pass" for r in records)
+    assert len(calls) == len(set(calls)) == 6  # the pure pole and the model, at n = 1/2, 1 and 2
+
+
+def test_swapped_residue_product_fails_the_reference(monkeypatch):
+    # f(z) * phi(z) moves the low bits of complex products on hosts where numpy's array multiply is not
+    # bitwise commutative, which the pinned reports were made on; elsewhere the two orders agree
+    monkeypatch.setattr(LineNodes, "integral", swapped_line_integral)
+    cfg = load_config()
+    got = sorted((r.id, r.status, r.residual, r.detail) for r in suite_residue_1d(cfg, build_root_system("A1")))
+    phi, f = BATTERY[2], pole(Fraction(1))
+    z = -cfg.epsilons[0] + 1j * np.linspace(-3.0, 3.0, 256)  # nodes of a shifted line
+    commutes = same_bits(phi(z) * f(z), f(z) * phi(z))
+    assert (repr(got) == repr(_ref_residue_1d_records(cfg))) == commutes
 
 
 PHI_FLAT = FlatTestFunction(1.0, 0.0, 0.0, 1.0, (0.0, 0.0, 0.0, 0.0))

@@ -1,3 +1,4 @@
+import cmath
 import hashlib
 import json
 import random
@@ -7,6 +8,7 @@ from fractions import Fraction
 from itertools import product
 from math import factorial, gcd
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -886,7 +888,7 @@ def test_split_formula_matches_induced_family_a2(template):
 
 
 # cases: every class with a home of positive dimension, every chamber of that home, both density templates
-SPLIT_ROUTE_CASES = {"A1xA1": 48, "A2": 72, "B2": 168}
+SPLIT_ROUTE_CASES = {"A1xA1": 48, "A2": 72, "B2": 168, "G2": 368}
 
 
 @pytest.mark.parametrize("group", sorted(SPLIT_ROUTE_CASES))
@@ -914,39 +916,59 @@ def test_split_terms_match_induced_family_on_every_class_and_chamber(group):
     assert sum(abs(a) > 1e-3 for a, _ in pairs) >= len(pairs) // 2
 
 
-@pytest.mark.parametrize("template", [
+DENSITY_TEMPLATES = [
     {"kind": "pole"},
     {"kind": "model_plancherel", "c": "1"},
     # real poles at +-sqrt(5): a q with zeros on the imaginary axis is rejected
     {"kind": "pole_plus_rational", "p": ["1", "2"], "q": ["-5", "0", "1"]},
-])
+]
+
+
+@pytest.mark.parametrize("template", DENSITY_TEMPLATES)
 def test_segment_integral_keeps_the_per_node_bits(monkeypatch, template):
-    # every segment of the analytic route on A2, its density called once on all 32 nodes
-    batched = gmfamily._segment_integral
+    # every segment of the analytic route on A2, its density called once on the nodes of a circle's segments
+    batched = gmfamily._segment_integrals
     calls = []
 
-    def both(f, z0, z1, rule):
-        got = batched(f, z0, z1, rule)
-        assert same_bits(got, ref_segment_integral(f, z0, z1, rule))
-        calls.append(f.key)
+    def both(f, z0, ends, rule):
+        got = batched(f, z0, ends, rule)
+        assert len(got) == len(ends)
+        for value, z1 in zip(got, ends):
+            assert same_bits(value, ref_segment_integral(f, z0, z1, rule))
+        calls.append(len(ends))
         return got
 
-    monkeypatch.setattr(gmfamily, "_segment_integral", both)
+    monkeypatch.setattr(gmfamily, "_segment_integrals", both)
     d = build_root_system("A2")
     M0 = mzero(d)
     fns = ScalarRootFns.uniform(M0, template, {ray.key: Fraction(1) for ray in restricted_rays(M0)})
     P = base_chamber(d)
     induced_family_value(fns, P, [0.31j, 0.17j], P.chamber_point)
-    assert len(calls) == 384  # one per ray of M0 (3) at each of the 64 nodes of both circles
+    assert calls == [64] * 6  # one call per ray of M0 (3) on each circle, on its 64 nodes
 
 
-@pytest.mark.parametrize("group", ["A2", "B2"])
+@pytest.mark.parametrize("template", DENSITY_TEMPLATES)
+def test_broadcast_segment_nodes_equal_the_per_segment_rows(template):
+    # canary: the (64, 32) nodes mid + half * nodes, and the density on them, equal the 64 per-segment rows bit
+    # for bit; numpy's elementwise complex ops give a node the same bits in either layout
+    rule = np.array(gmfamily._GL32[0], dtype=complex)
+    f = gmfamily.scalar_fn_from_template(template, Fraction(1))
+    z0 = 0.31j - 0.17
+    ends = [z0 + 0.05 * cmath.exp(2j * cmath.pi * k / 64) for k in range(64)]
+    mids, halves = [(z0 + z1) / 2 for z1 in ends], [(z1 - z0) / 2 for z1 in ends]
+    grid = np.array(mids)[:, None] + np.array(halves)[:, None] * rule
+    rows = [mid + half * rule for mid, half in zip(mids, halves)]
+    assert same_bits(grid, np.array(rows))
+    assert same_bits(f(grid), np.array([f(row) for row in rows]))
+
+
+@pytest.mark.parametrize("group", ["A1", "A2", "B2", "G2", "A3"])
 def test_induced_family_value_keeps_the_per_chamber_bits(group):
-    # the segment integral of each ray, evaluated once per node, gives every chamber's member its old bits
+    # the segment integrals of each ray, one density call per circle, give every chamber's member its old bits
     d = build_root_system(group)
     M0 = mzero(d)
     n_map = {ray.key: Fraction(1) for ray in restricted_rays(M0)}
-    lam0 = [0.31j, 0.17j]
+    lam0 = [0.31j, 0.17j, 0.23j][:d.rank]
     for template in ({"kind": "pole"}, load_config().m_model):
         fns = ScalarRootFns.uniform(M0, template, n_map)
         for P in parabolics(M0):
@@ -955,18 +977,19 @@ def test_induced_family_value_keeps_the_per_chamber_bits(group):
 
 
 def test_examples_suite_evaluates_each_segment_integral_once(monkeypatch):
-    # the A2 dual route: 2 templates x 2 circles x 64 nodes x 3 rays (each chamber its own: 2,304)
+    # the A2 dual route: 2 templates x 2 circles x 64 nodes x 3 rays (each chamber its own: 2,304), in one
+    # density call per template, circle and ray
     calls = []
-    segment_integral = gmfamily._segment_integral
+    segment_integrals = gmfamily._segment_integrals
 
-    def counted(*args):
-        calls.append(1)
-        return segment_integral(*args)
+    def counted(f, z0, ends, rule):
+        calls.append(len(ends))
+        return segment_integrals(f, z0, ends, rule)
 
-    monkeypatch.setattr(gmfamily, "_segment_integral", counted)
+    monkeypatch.setattr(gmfamily, "_segment_integrals", counted)
     records = suite_examples(load_config(overrides={"group": "A2"}), build_root_system("A2"))
     assert all(r.status == "pass" for r in records)
-    assert len(calls) == 768
+    assert calls == [64] * 12
 
 
 def test_induced_family_value_on_a_pole_wall_raises_pole_hit():

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from float_refs import ref_tempext_check
 from fraction_refs import (
     ref_brute_force_discrete,
     ref_chamber_test,
@@ -15,6 +16,7 @@ from fraction_refs import (
 )
 
 from gmcalc import spectral
+from gmcalc.config import load_config
 from gmcalc.errors import NotARoot, NotChamberStabilizer, NotSubsystem
 from gmcalc.gmfamily import ScalarRootFns
 from gmcalc.levilattice import (
@@ -27,6 +29,7 @@ from gmcalc.levilattice import (
     restricted_rays,
 )
 from gmcalc.rootdatum import RatVec, act, build_root_system, weyl_group
+from gmcalc.suites import _shift_classes
 from gmcalc.spectral import (
     _brute_force_discrete,
     _flat_reflection,
@@ -229,6 +232,22 @@ def test_tempext_rank2_bounded():
         assert records
         for rec in records:
             assert rec["pass"], rec
+
+
+@pytest.mark.parametrize("group", ["A1", "A2", "B2", "G2", "A3", "A1xA3"])
+def test_tempext_keeps_the_per_test_function_bits(group):
+    # each sample's Weyl images and densities, shared by both test functions of the suite, give every record
+    # the bits of each function computing its own; the default and a non-default density
+    d = build_root_system(group)
+    cfg = load_config()
+    phis = [lambda lam: 1.0, lambda lam: 1.0 + sum(x * x for x in lam)]
+    classes = _shift_classes(d)
+    assert classes
+    for template in (cfg.m_model, {"kind": "pole_plus_rational", "p": ["1", "2"], "q": ["-5", "0", "1"]}):
+        for t in classes:
+            fns = ScalarRootFns.uniform(t.levi_L, template, t.nbeta)
+            got = tempext_check(t, fns, phis, cfg.tempext_deltas, cfg.growth_threshold)
+            assert repr(got) == repr(ref_tempext_check(t, fns, phis, cfg.tempext_deltas, cfg.growth_threshold))
 
 
 def test_closed_subsystem_counts():
