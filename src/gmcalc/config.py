@@ -144,7 +144,7 @@ def check_density(name: str, template) -> None:
     _validate(template, _SCHEMA["$defs"]["density"], name)
     try:
         scalar_fn_from_template(template, Fraction(0))
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:  # OverflowError: a parameter beyond float range
         raise ConfigError(f"bad {name} {template!r}: {exc}") from None
 
 

@@ -22,30 +22,32 @@ its weighted values to its own _MirrorSum, and the slab's arrays are dropped
 before the next slab is built: memory is bounded by one slab, not by the
 grid's node count.  Last it assembles each case.
 
-A grid with no shift lies on the imaginary flat i a_L*, and there each value
-is real or purely imaginary, so it is carried as the one real array that can
-be nonzero.  The nodes are iy, kept as y, and so are the pairings <lam, gd>
-and FlatTestFunction's pairings with the form; <lam, lam> is -<y, y>, whose
-sign goes into the coefficients.  Every density template but
+A grid with no shift lies on the imaginary flat i a_L*.  It runs in real
+arithmetic when every density it reads has on_axis and every phi on it has
+c1 = 0; any other grid runs the complex route of the shifted grids, which
+gives the same bits (tests/float_refs.ref_grid_values).  On a real grid each
+value is real or purely imaginary, so it is carried as the one real array
+that can be nonzero.  The nodes are iy, kept as y, and so are the pairings
+<lam, gd> and FlatTestFunction's pairings with the form; <lam, lam> is
+-<y, y>, whose sign goes into the coefficients.  Every density template but
 pole_plus_rational is real on the real axis and odd, so at iy it is i times
 a real value (ScalarFn.on_axis).  An m-term of k such factors is then i^k
 times a real product, real for even k and imaginary for odd k; the sign of
-i^k goes into its covolume.  phi with c1 = 0 is real.  Each formula gives
-numpy's complex bits.  numpy divides by the reciprocal of the denominator,
-so -n / (iy) is i * (n * (1.0 / y)) and iy / (-(y * y) - c) is
+i^k goes into its covolume.  Every term of a sum has M.dim - S.dim factors,
+so the sum is real or imaginary as a whole.  phi with c1 = 0 is real.  Each
+formula gives numpy's complex bits.  numpy divides by the reciprocal of the
+denominator, so -n / (iy) is i * (n * (1.0 / y)) and iy / (-(y * y) - c) is
 i * (y * (1.0 / (-(y * y) - c))); n / y would differ in the last bit.  The
 Gaussian stays a complex exp of a zero imaginary part: its real part is the C
 library's exp, and numpy's real exp differs from that in the last bit of some
-values.  Where two values that both have nonzero real and imaginary parts
-meet (a pole_plus_rational density, or phi with c1 != 0), numpy's complex
-ufunc runs on the rebuilt complex arrays, and each weighted integrand is
-written into its part of a complex array for _MirrorSum.  A rebuilt zero
-part may differ from numpy's in its sign.  Signs of zeros never reach a
-nonzero bit here (Kahan, "Branch cuts for complex elementary functions",
-1987): x + (+-0) is x, and no value is divided by a zero part.  So every
-grid value keeps the bits of the complex evaluation, while each complex
-product (four multiplies) and Smith division (R. L. Smith, CACM 5, 1962)
-becomes one real multiply or one reciprocal and multiply.
+values.  Each weighted integrand is written into its part of a complex array
+for _MirrorSum, whose other part is +0.0 and may differ from numpy's in its
+sign.  Signs of zeros never reach a nonzero bit here (Kahan, "Branch cuts for
+complex elementary functions", 1987): x + (+-0) is x, and no value is
+divided by a zero part.  So every grid value keeps the bits of the complex
+evaluation, while each complex product (four multiplies) and Smith division
+(R. L. Smith, CACM 5, 1962) becomes one real multiply or one reciprocal and
+multiply.
 
 On a grid, integrals that read the same m-term sum share it: each distinct
 sum is computed once per slab, and each distinct phi times it is integrated
@@ -65,20 +67,25 @@ of zeros.  No step turns the sign of a zero into a nonzero bit (the config
 rejects a density with a pole on the imaginary axis other than the excised
 one at 0, so no division by zero is reached), so np.sum of the array
 [half, conj(flip(half))] keeps every bit of the full-grid evaluation.
-_MirrorSum gives that sum without the array: it replays numpy's pairwise
-summation tree, sums each leaf of at most _LEAF elements once the slabs
-have fed the values it reads, and adds the leaf sums in the tree's order.
-The leaves are nodes of numpy's tree, so _LEAF moves no bit.  A leaf
-wholly in the half is reduced from its view of the fed values; a leaf
-wholly past the middle reads a range of the half reversed and conjugated,
-and is summed as the conjugate of np.add.reduce of the reversed view,
-without a copy.  numpy reduces a reversed view in the order of its
-elements, and as one run, with the bits of the reduction of its copy, as
-long as the leaf fits numpy's buffer (np.getbufsize(), 8192 elements), so
-_LEAF stays at most that; conjugation commutes with rounding.  Only a leaf
-that straddles the middle or the end of a slab is joined into an array.
-Between slabs it holds the values of the leaves not yet summed, at most
-_LEAF per integrand.
+_MirrorSum gives that sum without the array.  Every half grid has n nodes
+with 12 | n: each Gauss-Legendre panel gives 12, axis 0 is halved, and every
+other axis is full.  numpy sums a contiguous complex array as 0 + PW(array),
+where PW adds a run of at most 64 elements in a fixed order and cuts a longer
+run of m elements at (m - m % 8) / 2.  With 4 | n the first cut of the 2n
+mirrored values falls exactly at n, so whenever 2n > _LEAF (at least 64) the
+sum is 0j + (PW(half) + conj(PW(flip(half)))), conjugation commuting with
+rounding.  Both PWs run over the leaves of one tree, numpy's tree of n
+elements cut at _LEAF: _MirrorSum reads each leaf forward for half and
+backward for flip(half), sums it once the slabs have fed the values it reads,
+and adds each PW's leaf sums in the tree's order.  The leaves are nodes of
+numpy's tree, so _LEAF moves no bit.  A backward leaf is summed by
+np.add.reduce of the reversed view, without a copy.  numpy reduces a reversed
+view in the order of its elements, and as one run, with the bits of the
+reduction of its copy, as long as the leaf fits numpy's buffer
+(np.getbufsize(), 8192 elements), so _LEAF stays at most that.  When
+2n <= _LEAF the mirrored array is one leaf, summed whole; any other length
+raises InternalInconsistency.  Between slabs _MirrorSum holds the values of
+the leaves not yet summed, fewer than _LEAF per integrand.
 
 Report residuals near 1e-19 keep the bits of the per-integral evaluation
 only if every product keeps its operand order, because array complex
@@ -138,7 +145,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import BadShift, GmcalcError, NoConvergence, NotComparable
+from .errors import BadShift, GmcalcError, InternalInconsistency, NoConvergence, NotComparable
 from .exactlin import int_mat_vec
 from .gmfamily import ScalarFn, ScalarRootFns, _GL12, _poly_eval, split_subsets, values_sharing_poles
 from .levilattice import (
@@ -461,16 +468,15 @@ class FlatTestFunction:
         return hash(self._fields())
 
     def __call__(self, gram, lam_coords, imaginary: bool = False):
-        """The values at the nodes lam_coords, or with imaginary at the nodes iy for y in lam_coords: then
-        the real array of the real part where c1 is 0, else the complex values (see the module docstring)."""
+        """The values at the nodes lam_coords, or with imaginary, for c1 = 0 only, the real array of the (real)
+        values at the nodes iy for y in lam_coords (see the module docstring)."""
         gl = [_dot(row, lam_coords) for row in gram]
         qq = _dot(lam_coords, gl)
         # at iy, <lam, lam> is -qq: (-c) * qq has the bits of c * <lam, lam>
         sign = -1.0 if imaginary else 1.0
         pre = self.c0  # a term with a zero coefficient would add only signed zeros
         if self.c1 != 0:
-            lin = self.c1 * _dot(self.v0, gl)
-            pre = pre + (1j * lin if imaginary else lin)
+            pre = pre + self.c1 * _dot(self.v0, gl)
         if self.c2 != 0:
             pre = pre + (sign * self.c2) * qq
         gauss = (sign * self.scale) * qq
@@ -478,7 +484,7 @@ class FlatTestFunction:
             gauss = gauss + 0j
         gauss = np.exp(gauss, out=gauss if isinstance(gauss, np.ndarray) else None)
         # pre * np.exp(...) would let numpy write into the temporary exponential and swap the order
-        return np.multiply(pre, gauss.real if imaginary and self.c1 == 0 else gauss)
+        return np.multiply(pre, gauss.real if imaginary else gauss)
 
     def cutoff(self) -> float:
         # on imaginary slices <lam, lam> = -|y|^2, so positive scale decays
@@ -547,7 +553,7 @@ def _reads(term_lists: Iterable[list[_MTermData]], by_gd: dict[tuple[float, ...]
 
 def _density_table(by_gd: dict[tuple[float, ...], dict], lam_coords: list, imaginary: bool = False) -> list[np.ndarray]:
     """Each density of by_gd (see _by_pairing) on the nodes, in the order of by_gd; with imaginary, on
-    the nodes iy for y in lam_coords, each density with on_axis as its imaginary part.
+    the nodes iy for y in lam_coords, each density (all with on_axis) as the real array of its imaginary part.
 
     Each distinct pairing z = <lam, dual> is computed once, every density
     read through it is evaluated on it, and it is dropped before the next.
@@ -555,23 +561,21 @@ def _density_table(by_gd: dict[tuple[float, ...], dict], lam_coords: list, imagi
     shared by the densities with that n, and the analytic part once per
     template (gmfamily.values_sharing_poles).
     """
-    table = []
-    for gd, fns in by_gd.items():
-        table += values_sharing_poles(fns.values(), _dot(lam_coords, gd), imaginary)
-    return table
+    return [v for gd, fns in by_gd.items() for v in values_sharing_poles(fns.values(), _dot(lam_coords, gd), imaginary)]
 
 
-def _signed_reads(reads: tuple, on_axis: list[bool]) -> tuple[tuple, int | None]:
-    """The reads of an m-term sum on an imaginary grid in real arithmetic, and the part of the sum they give
-    (0 its real part, 1 its imaginary part); the reads and None where the sum must stay complex.
+def _signed_reads(reads: tuple) -> tuple[tuple, int]:
+    """The reads of an m-term sum on a grid in real arithmetic, and the part of the sum they give (0 its
+    real part, 1 its imaginary part).
 
-    Each factor read through on_axis is i times a real array, so a term of k
-    factors is i^k times the real product: i^(k % 2) times it with the sign of
-    i^k, which goes into the covolume.  Every term must give the same part.
+    Each factor read is i times a real array, so a term of k factors is i^k
+    times the real product: i^(k % 2) times it with the sign of i^k, which
+    goes into the covolume.  Every term has M.dim - S.dim factors, so every
+    term gives the same part.
     """
     parts = {len(places) % 2 for _, places in reads}
-    if len(parts) != 1 or not all(on_axis[place] for _, places in reads for place in places):
-        return reads, None
+    if len(parts) != 1:
+        raise InternalInconsistency(f"an m-term sum on a real grid gives the parts {sorted(parts)}, not one")
     return tuple((-vol if len(places) % 4 > 1 else vol, places) for vol, places in reads), parts.pop()
 
 
@@ -592,27 +596,23 @@ def _eval_m_terms(reads: tuple[tuple[float, tuple[int, ...]], ...], table: list[
             np.add(total, val, out=total)
         else:
             total = val if total is None else total + val
-    if total is None:
-        return 0j
-    return total
+    return 0j if total is None else total
 
 
 def _integrand(phi, m, part: int | None, weight: np.ndarray, last: bool) -> np.ndarray:
-    """phi * m times the weights, as the complex array _MirrorSum reads; m is complex (part None) or the real
-    array of its real or imaginary part (see _signed_reads).
+    """phi * m times the weights, as the complex array _MirrorSum reads.
 
-    A real phi meets such an m in real arithmetic, written into that part of
-    the array; a complex phi meets the complex m rebuilt from it.  A complex
-    m that no later phi reads (last) takes the product in place (peak memory).
+    On a real grid m is the real array of its real or imaginary part (see
+    _signed_reads) and phi is real: the product is written into that part of
+    the array.  Else both are complex, and an m that no later phi reads (last)
+    takes the product in place (peak memory).
     """
-    if part is not None and not np.iscomplexobj(phi):
+    if part is not None:
         vals = np.zeros(weight.shape, complex)
         out = vals.imag if part else vals.real
         np.multiply(phi, m, out=out)
         np.multiply(out, weight, out=out)
         return vals
-    if part is not None:
-        m = 1j * m if part else m + 0j
     # phi * m, the order of the per-integral form phi(gram, lam) * m(lam), then the weights
     vals = np.multiply(phi, m, out=m if last and isinstance(m, np.ndarray) else None)
     return np.multiply(vals, weight, out=vals)
@@ -663,7 +663,8 @@ class _Grid(NamedTuple):
     def slabs(self, axes, imaginary: bool = False) -> Iterator[tuple[list[np.ndarray], np.ndarray]]:
         """The nodes (one complex array per ambient coordinate) and weights of the half grid on
         axes, slab by slab: runs of axis-0 rows of at most _SLAB nodes (one row if a row is longer).
-        With imaginary (an unshifted grid), each coordinate comes as the real array of its imaginary part."""
+        With imaginary (an unshifted grid in real arithmetic), each coordinate comes as the real array of its
+        imaginary part."""
         row = math.prod(len(ws) for _, ws in axes[1:])
         step = max(1, _SLAB // row)
         for start in range(0, len(axes[0][0]), step):
@@ -705,62 +706,39 @@ def _pairwise_join(sums: Iterator[complex], n: int) -> complex:
     return _pairwise_join(sums, split) + _pairwise_join(sums, n - split)
 
 
-class _MirrorLeaves(NamedTuple):
-    """The leaves of the sum of [half, conj(flip(half))] for n values of half (see _MirrorSum).
-
-    leaves[i] is (k, (h0, h1), (m0, m1)): leaf k of _pairwise_leaves(0, 2n)
-    reads half[h0:h1] and then half[m0:m1] reversed and conjugated (either
-    range may be empty).  The leaves are in the order their values are
-    complete: leaves[i] needs half[:ready[i]], and the leaves from i on read
-    nothing before keep[i].
-    """
-
-    n: int
-    leaves: list[tuple[int, tuple[int, int], tuple[int, int]]]
-    ready: list[int]
-    keep: list[int]
-
-    @classmethod
-    def of(cls, n: int) -> _MirrorLeaves:
-        leaves = []
-        for k, (a, b) in enumerate(_pairwise_leaves(0, 2 * n)):
-            parts = ((min(a, n), min(b, n)), (min(2 * n - b, n), 2 * n - max(a, n)))
-            spans = [r for r in parts if r[0] < r[1]]
-            leaves.append((max(r[1] for r in spans), min(r[0] for r in spans), k, parts))
-        leaves.sort()
-        keep = [n] * (len(leaves) + 1)
-        for i in reversed(range(len(leaves))):
-            keep[i] = min(keep[i + 1], leaves[i][1])
-        return cls(n, [(k, *parts) for _, _, k, parts in leaves], [leaf[0] for leaf in leaves], keep)
+def _mirror_plan(n: int) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """What _MirrorSum reads of n values of half: the leaves of numpy's pairwise sum of the n values, as
+    ranges of half read forward, and those of flip(half), from its last leaf on, as ranges of half read
+    backward.  Both are empty when 2n <= _LEAF: the mirrored array is then one leaf (see the module
+    docstring)."""
+    if 2 * n <= _LEAF:
+        return [], []
+    if n % 4:
+        raise InternalInconsistency(f"numpy's sum of a mirrored half of {n} values does not cut at its middle")
+    leaves = list(_pairwise_leaves(0, n))
+    return leaves, [(n - b, n - a) for a, b in reversed(leaves)]
 
 
 class _MirrorSum:
     """complex(np.sum(np.concatenate([half, np.conjugate(np.flip(half))]))), bit for bit, from the
     n values of half fed in order, holding only the values of leaves not yet summed.
 
-    numpy sums a contiguous complex array as 0 + PW(array), where PW adds a
-    run of at most 64 elements in a fixed order and splits a longer run of n
-    at (n - n % 8) // 2 (it splits the 2n doubles at a multiple of 8).  So
-    each leaf of that tree cut at _LEAF elements is summed by np.add.reduce
-    of its values, and the leaf sums are added in tree order, then to 0j.
-    np.add.reduce gives 0 + PW(leaf), which differs from PW(leaf) at most in
-    the sign of a zero, as does the conjugate of the sum of a leaf's
-    unconjugated values; no addition turns that sign into a nonzero bit, and
-    the 0j + of the total removes it.  Past index n a leaf reads a range of
-    half reversed and conjugated, summed from the reversed view; a leaf
-    that straddles n (the whole array when 2n <= _LEAF) joins both parts.
+    When 2n > _LEAF that sum is 0j + (PW(half) + conj(PW(flip(half)))) (see
+    the module docstring), and each PW adds the sums of its leaves in tree
+    order.  np.add.reduce of a leaf gives 0 + PW(leaf), which differs from
+    PW(leaf) at most in the sign of a zero; no addition turns that sign into
+    a nonzero bit, and the 0j + of the total removes it.
     """
 
-    def __init__(self, plan: _MirrorLeaves):
-        self.plan = plan
-        self.sums = [0j] * len(plan.leaves)
-        self.done = 0
+    def __init__(self, n: int, plan: tuple[list[tuple[int, int]], list[tuple[int, int]]]):
+        self.n, self.plan = n, plan
+        self.sums = ([], [])  # the leaf sums of half, and of flip(half) from its last leaf on
         self.start = 0
         self.held = np.empty(0, complex)  # half[start:], read by leaves not yet summed
 
     def add(self, values: np.ndarray) -> None:
         """Feed the next values of half, in C order."""
-        plan, start, held, new = self.plan, self.start, self.held, values.ravel()
+        start, held, new = self.start, self.held, values.ravel()
         mid = start + len(held)
         end = mid + len(new)
 
@@ -771,24 +749,23 @@ class _MirrorSum:
                 return held[lo - start:hi - start]
             return np.concatenate([held[lo - start:], new[:hi - mid]])
 
-        done = self.done
-        while done < len(plan.leaves) and plan.ready[done] <= end:
-            k, (h0, h1), (m0, m1) = plan.leaves[done]
-            if h0 == h1:
-                # a mirrored leaf is summed from its reversed view: conjugation commutes with rounding
-                self.sums[k] = complex(np.add.reduce(take(m0, m1)[::-1])).conjugate()
-            else:
-                leaf = take(h0, h1) if m0 == m1 else np.concatenate([take(h0, h1), np.conjugate(take(m0, m1)[::-1])])
-                self.sums[k] = complex(np.add.reduce(leaf))
-            done += 1
-        self.done = done
-        self.start = plan.keep[done]
+        for back, (ranges, sums) in enumerate(zip(self.plan, self.sums)):
+            while len(sums) < len(ranges) and ranges[len(sums)][1] <= end:
+                leaf = take(*ranges[len(sums)])
+                # a backward leaf is summed from its reversed view
+                sums.append(complex(np.add.reduce(leaf[::-1] if back else leaf)))
+        pending = [ranges[len(sums)][0] for ranges, sums in zip(self.plan, self.sums) if len(sums) < len(ranges)]
+        self.start = min(pending, default=end if self.plan[0] else 0)
         # a copy, so that no view keeps the fed array alive
         self.held = take(self.start, end).copy()
 
     def total(self) -> complex:
         """The sum, once all n values are fed."""
-        return 0j + _pairwise_join(iter(self.sums), 2 * self.plan.n)
+        if not self.plan[0]:
+            return 0j + complex(np.add.reduce(np.concatenate([self.held, np.conjugate(self.held[::-1])])))
+        forward, backward = self.sums
+        # conjugation commutes with rounding
+        return 0j + (_pairwise_join(iter(forward), self.n) + _pairwise_join(reversed(backward), self.n).conjugate())
 
 
 class _Integral(NamedTuple):
@@ -851,7 +828,7 @@ class _ShiftPlan(NamedTuple):
 
 def require_clear_shifts(cases: Iterable[ShiftCase]) -> None:
     """BadShift unless every shift of the cases stops short of the real poles of the densities on its
-    shifted contour.
+    shifted contour; every case is one that _plan accepts.
 
     At the shift eps * x (x the chamber point of Q1) a factor's pairing
     <lam, dual> has real part eps * <x, dual>.  Past a real pole of the
@@ -862,8 +839,6 @@ def require_clear_shifts(cases: Iterable[ShiftCase]) -> None:
     far: dict[tuple, tuple[Fraction, ScalarFn, float]] = {}
     for case in cases:
         t, fns = case.t, case.fns
-        if fns.levi != t.levi_L:
-            continue  # planning rejects the case
         d, eps = t.datum, max(case.epsilons)
         Q1 = chamber_below(case.P, t.levi_L)
         for _, factors in split_subsets(t.levi_L, case.M, gfull(d), Q1):
@@ -973,50 +948,44 @@ def _evaluate(integrals: list[_Integral], runtimes: list[float]) -> dict[str, in
     for it in integrals:
         for slot, grid in enumerate(it.grids):
             users.setdefault(grid, []).append((it, slot))
-    plans: dict[int, _MirrorLeaves] = {}
+    plans: dict[int, tuple] = {}
     phi_evals = pairings = densities = pole_quotients = m_sums = integrands = nodes = imaginary_nodes = 0
     for grid, uses in users.items():
-        imaginary = grid.shift is None
         by_gd = _by_pairing(term for it, _ in uses for term in it.terms)
-        on_axis = [fn.on_axis is not None for fns in by_gd.values() for fn in fns.values()]
+        phi_keys = dict.fromkeys((it.d, it.phi) for it, _ in uses)  # each distinct phi, in the order of first use
+        # an unshifted grid whose every value has one nonzero part runs in real arithmetic (see the module docstring)
+        real = (grid.shift is None and all(fn.on_axis is not None for fns in by_gd.values() for fn in fns.values())
+                and all(phi.c1 == 0 for _, phi in phi_keys))
         by_m: dict[tuple, dict] = {}
         for (it, slot), reads in zip(uses, _reads([it.terms for it, _ in uses], by_gd)):
             by_m.setdefault(reads, {}).setdefault((it.d, it.phi), []).append((it, slot))
         axes = grid.axes()
         size = math.prod(len(ws) for _, ws in axes)
         if size not in plans:
-            plans[size] = _MirrorLeaves.of(size)
+            plans[size] = _mirror_plan(size)
         # per distinct m-term sum: its reads and part (see _signed_reads), and per distinct phi the sum of
         # phi * m and its integrals
         sums = [
-            (*(_signed_reads(reads, on_axis) if imaginary else (reads, None)),
-             [(key, _MirrorSum(plans[size]), group) for key, group in by_phi.items()])
+            (*(_signed_reads(reads) if real else (reads, None)),
+             [(key, _MirrorSum(size, plans[size]), group) for key, group in by_phi.items()])
             for reads, by_phi in by_m.items()
         ]
         build_s = 0.0
         m_s = [0.0] * len(sums)
         clock = time.monotonic()
-        for lam, weight in grid.slabs(axes, imaginary):
-            phi_vals = {}
-            for it, _ in uses:
-                if (it.d, it.phi) not in phi_vals:
-                    phi_vals[it.d, it.phi] = it.phi(it.d.float_gram, lam, imaginary)
-            table = _density_table(by_gd, lam, imaginary)
-            complex_table = None
+        for lam, weight in grid.slabs(axes, real):
+            phi_vals = {(d, phi): phi(d.float_gram, lam, real) for d, phi in phi_keys}
+            table = _density_table(by_gd, lam, real)
             now = time.monotonic()
             build_s, clock = build_s + now - clock, now
             for index, (reads, part, phis) in enumerate(sums):
-                if imaginary and part is None:  # a complex sum reads each density as its complex value
-                    complex_table = complex_table or [1j * v if on else v for v, on in zip(table, on_axis)]
-                    m = _eval_m_terms(reads, complex_table)
-                else:
-                    m = _eval_m_terms(reads, table)
+                m = _eval_m_terms(reads, table)
                 for index_phi, (key, acc, _) in enumerate(phis):
                     acc.add(_integrand(phi_vals[key], m, part, weight, index_phi == len(phis) - 1))
                 now = time.monotonic()
                 m_s[index], clock = m_s[index] + now - clock, now
                 del m  # before the next sum is computed (peak memory)
-            del lam, phi_vals, table, complex_table  # before the next slab is built (peak memory)
+            del lam, phi_vals, table  # before the next slab is built (peak memory)
         _charge(runtimes, {it.case for it, _ in uses}, build_s)
         norm = (2 * np.pi) ** len(grid.onb)
         for (_, _, phis), seconds in zip(sums, m_s):
@@ -1025,14 +994,14 @@ def _evaluate(integrals: list[_Integral], runtimes: list[float]) -> dict[str, in
                 for it, slot in group:
                     it.values[slot] = value
             _charge(runtimes, {it.case for _, _, group in phis for it, _ in group}, seconds)
-        phi_evals += len({(it.d, it.phi) for it, _ in uses})
+        phi_evals += len(phi_keys)
         pairings += len(by_gd)
         densities += sum(map(len, by_gd.values()))
         pole_quotients += sum(len({fn.n for fn in fns.values() if fn.has_pole0()}) for fns in by_gd.values())
         m_sums += len(sums)
         integrands += sum(len(phis) for _, _, phis in sums)
         nodes += size
-        imaginary_nodes += size if imaginary else 0
+        imaginary_nodes += size if real else 0
     return {
         "lemma_shift.integrals": sum(len(uses) for uses in users.values()),
         "lemma_shift.grids": len(users),
@@ -1082,7 +1051,9 @@ def lemma_shift_batch(cases: Sequence[ShiftCase]) -> ShiftBatch:
     """Run many contour-shift checks over shared quadrature grids.
 
     Plan every case, evaluate the planned integrals grid-major, then assemble
-    each case.  An error in planning or assembly ends only its own case.
+    each case.  An error in planning or assembly ends only its own case; a
+    shift onto or past a real pole of a density raises BadShift for the
+    batch (see require_clear_shifts).
     """
     runtimes = [0.0] * len(cases)
     plans = []
@@ -1093,6 +1064,7 @@ def lemma_shift_batch(cases: Sequence[ShiftCase]) -> ShiftBatch:
         except GmcalcError as exc:
             plans.append(exc)
         runtimes[index] += time.monotonic() - t0
+    require_clear_shifts(case for case, plan in zip(cases, plans) if isinstance(plan, _ShiftPlan))
     counters = _evaluate([it for p in plans if isinstance(p, _ShiftPlan) for it in p.integrals()], runtimes)
     outcomes = []
     for index, (case, plan) in enumerate(zip(cases, plans)):

@@ -283,27 +283,23 @@ def values_sharing_poles(fns: Iterable[ScalarFn], z, imaginary: bool = False) ->
     """[f(z) for f in fns], bit for bit, with each pole term -n / z computed once per residue n and each
     analytic part once per template: densities that differ only in n share it.
 
-    With imaginary, z holds the imaginary parts y of the points iy.  A density
-    with on_axis then comes as the real array of its imaginary part, its pole
-    term as n * (1.0 / y), numpy's complex division at iy; any other density
-    comes as its complex value at iy.
+    With imaginary, z holds the imaginary parts y of the points iy, and every
+    density has on_axis: each comes as the real array of its imaginary part,
+    its pole term as n * (1.0 / y), numpy's complex division at iy.
     """
-    fns = list(fns)
-    at = 1j * z if imaginary and any(f.on_axis is None for f in fns) else z
     recip, quotients, analytic, out = None, {}, {}, []
     for f in fns:
-        real = imaginary and f.on_axis is not None
         shape = f._shape
         if shape not in analytic:
-            analytic[shape] = f.on_axis(z) if real else f.analytic(at)
+            analytic[shape] = f.on_axis(z) if imaginary else f.analytic(z)
         if f._pole is None:
             out.append(analytic[shape])
             continue
-        if (f._pole, real) not in quotients:
-            if real and recip is None:
+        if f._pole not in quotients:
+            if imaginary and recip is None:
                 recip = 1.0 / z
-            quotients[f._pole, real] = -f._pole.real * recip if real else f._pole / at
-        out.append(quotients[f._pole, real] + analytic[shape])
+            quotients[f._pole] = -f._pole.real * recip if imaginary else f._pole / z
+        out.append(quotients[f._pole] + analytic[shape])
     return out
 
 

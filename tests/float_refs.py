@@ -296,8 +296,9 @@ def ref_grid_values(integrals) -> list[list[complex]]:
         for (i, slot), reads in zip(uses, contour._reads([it.terms for it in its], by_gd)):
             by_m.setdefault(reads, {}).setdefault((integrals[i].d, integrals[i].phi), []).append((i, slot))
         axes = grid.axes()
-        plan = contour._MirrorLeaves.of(math.prod(len(ws) for _, ws in axes))
-        sums = {(reads, key): contour._MirrorSum(plan) for reads, by_phi in by_m.items() for key in by_phi}
+        size = math.prod(len(ws) for _, ws in axes)
+        plan = contour._mirror_plan(size)
+        sums = {(reads, key): contour._MirrorSum(size, plan) for reads, by_phi in by_m.items() for key in by_phi}
         for lam, weight in grid.slabs(axes):
             table = contour._density_table(by_gd, lam)
             phis = {key: key[1](key[0].float_gram, lam) for _, key in sums}

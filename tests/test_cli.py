@@ -271,6 +271,37 @@ def test_eval_c_coeff_runs(capsys):
     assert "value:" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("u", [[1e200, 0], [1e308, 1e308], [2, 0]])
+def test_eval_c_coeff_rejects_a_u_off_the_fourth_roots_of_unity(capsys, u):
+    # u ** 4 overflows to nan for the first two, and a nan distance once passed the check: exit 0 with the value
+    # -1.584...e+202+0.0j for [1e200, 0] and -inf+-infj for [1e308, 1e308]
+    args = json.dumps({"sigma_roots": [0, 1, 2, 3, 4, 5], "u": u})
+    assert main(["eval", "--group", "A2", "--expr", "c_coeff", "--args", args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: u_sign must be a fourth root of unity\n"
+
+
+# a density parameter beyond float range: once an OverflowError traceback (exit 1) from describe and eval
+TOO_LARGE_DENSITIES = [
+    ("m_model", {"kind": "model_plancherel", "c": "1e400"}),
+    ("r_model", {"kind": "pole_plus_rational", "p": ["1e400"], "q": ["1"]}),
+    ("r_model", {"kind": "pole_plus_rational", "p": ["1"], "q": ["1", "1e400"]}),
+]
+
+
+@pytest.mark.parametrize("key, density", TOO_LARGE_DENSITIES)
+@pytest.mark.parametrize("command", [
+    ["describe"], ["eval", "--expr", "c_coeff"], ["verify", "--suite", "residue-1d"],
+], ids=["describe", "eval", "verify"])
+def test_density_parameter_too_large_for_a_float_exit_2_with_one_line(tmp_path, capsys, key, density, command):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({key: density}))
+    argv = ["--config", str(p), command[0], "--group", "A1", *command[1:]]
+    assert main(argv + (["--out", str(tmp_path)] if command[0] == "verify" else [])) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"error: bad {key} ") and captured.err.count("\n") == 1
+
+
 def test_eval_phi_tt(capsys):
     args = json.dumps({"sigma_roots": [0, 1], "mu": ["1/2"]})
     assert main(["eval", "--group", "A1", "--expr", "phi_TT", "--args", args]) == 0

@@ -9,6 +9,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from float_refs import (
     ref_flat_phi,
@@ -40,7 +41,7 @@ from gmcalc.contour import (
     shifted_integral,
     verify_residues,
 )
-from gmcalc.errors import BadShift, GmcalcError, NoConvergence, NotComparable
+from gmcalc.errors import BadShift, GmcalcError, InternalInconsistency, NoConvergence, NotComparable
 from gmcalc.gmfamily import ScalarFn, ScalarRootFns, scalar_fn_from_template, values_sharing_poles
 from gmcalc.levilattice import base_chamber, levi_lattice, mzero, parabolics
 from gmcalc.rootdatum import build_root_system
@@ -456,19 +457,22 @@ def _mixed_complex(rng, shape):
 
 
 def _mirror_sum(half, rows):
-    acc = contour._MirrorSum(contour._MirrorLeaves.of(half.size))
+    acc = contour._MirrorSum(half.size, contour._mirror_plan(half.size))
     for start in range(0, len(half), rows):
         acc.add(half[start:start + rows])
     return acc.total()
 
 
-# every half-grid shape of the default A2, B2 and G2 runs, then small, odd and unaligned lengths: 4 and 12
-# (the whole array one run of numpy's sum), 1036 % 8 == 4, 1000 (the whole array one leaf from a leaf size
-# of 2048 on), and lengths that are not multiples of 4, whose leaves straddle the middle of the full array
+# every half-grid shape of the default A2, B2 and G2 runs, then small and unaligned lengths: 4, 6 and 12
+# (the whole array one run of numpy's sum, one leaf at every leaf size), 1036 % 8 == 4 (the half's own tree
+# cuts it off its middle), 1000 (the whole array one leaf from a leaf size of 2048 on) and 12 * 1001
 MIRROR_SHAPES = [
     (156,), (180,), (192,), (240,), (156, 312), (180, 360), (156, 384), (192, 384), (240, 384), (240, 480),
-    (4,), (12,), (60,), (1036,), (1000,), (6,), (1030,), (4099,), (30, 7),
+    (4,), (12,), (60,), (1036,), (1000,), (6,), (12 * 1001,),
 ]
+# lengths that are not multiples of 4: numpy's sum of the mirrored array does not cut it at its middle, so
+# past one leaf there is no plan; within one leaf (2n <= _LEAF) the whole array is summed as it is
+UNCUT_SHAPES = [(1030,), (4099,), (30, 7)]
 
 # leaf sizes down to one run of numpy's sum, the former default and the default: the leaves are nodes
 # of numpy's tree, so no leaf size may move a bit, and a smaller one puts more leaves wholly past the
@@ -495,6 +499,34 @@ def test_mirror_sum_is_numpys_sum_of_the_mirrored_array(monkeypatch, shape):
             assert same_bits(_mirror_sum(half, rows), want), (leaf, rows)
 
 
+@pytest.mark.parametrize("shape", UNCUT_SHAPES, ids=lambda s: "x".join(map(str, s)))
+def test_mirror_sum_of_a_length_not_cut_at_the_middle_is_an_internal_inconsistency(monkeypatch, shape):
+    half = _mixed_complex(np.random.default_rng(sum(shape)), shape)
+    want = complex(np.sum(np.concatenate([half, np.conj(np.flip(half))])))
+    for leaf in LEAF_SIZES:
+        monkeypatch.setattr(contour, "_LEAF", leaf)
+        if 2 * half.size <= leaf:
+            assert same_bits(_mirror_sum(half, 7), want), leaf
+        else:
+            with pytest.raises(InternalInconsistency, match=f"half of {half.size} values"):
+                contour._mirror_plan(half.size)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda k: st.tuples(
+    st.just(k), st.integers(0, k), st.floats(1e-3, 0.5), st.booleans(), st.floats(1.0, 12.0), st.floats(1e-3, 0.5))))
+def test_every_half_grid_has_a_multiple_of_12_nodes(inputs):
+    # each Gauss-Legendre panel gives 12 nodes, axis 0 is halved and every other axis is full: 4 | n is
+    # what the mirror sum's one rule needs
+    k, pole_axes, delta, shifted, T, fine = inputs
+    onb = tuple(tuple(float(i == j) for j in range(3)) for i in range(k))
+    grid = contour._Grid(onb, pole_axes, delta if pole_axes else None, (0.05, -0.02, 0.03) if shifted else None,
+                         T, fine)
+    axes = grid.axes()
+    assert len(axes[0][0]) % 12 == 0 and all(len(xs) % 24 == 0 for xs, _ in axes[1:])
+    assert math.prod(len(ws) for _, ws in axes) % 12 == 0
+
+
 def test_mirror_sum_keeps_the_signs_of_zeros_that_numpy_keeps(monkeypatch):
     for leaf in LEAF_SIZES:
         monkeypatch.setattr(contour, "_LEAF", leaf)
@@ -503,10 +535,10 @@ def test_mirror_sum_keeps_the_signs_of_zeros_that_numpy_keeps(monkeypatch):
             assert same_bits(_mirror_sum(half, 100), want), (leaf, half.size)
 
 
-@pytest.mark.parametrize("shape, rows", [((240, 384), 42), ((4099,), 301), ((1000,), 7)])
+@pytest.mark.parametrize("shape, rows", [((240, 384), 42), ((12 * 1001,), 301), ((1000,), 7)])
 def test_mirror_sum_holds_at_most_one_leaf_between_slabs(shape, rows):
     half = _mixed_complex(np.random.default_rng(7), shape)
-    acc = contour._MirrorSum(contour._MirrorLeaves.of(half.size))
+    acc = contour._MirrorSum(half.size, contour._mirror_plan(half.size))
     for start in range(0, len(half), rows):
         acc.add(half[start:start + rows])
         assert acc.held.size <= contour._LEAF and acc.held.base is None
@@ -667,6 +699,19 @@ def test_batch_matches_one_case_at_a_time():
     assert len(batch.runtimes) == len(cases) + 1 and all(rt > 0 for rt in batch.runtimes)
 
 
+def test_lemma_shift_check_rejects_a_shift_past_a_real_pole():
+    # A2's c00 cases with shifts past the default densities' real poles at 1 and 2: once a false fail (pass
+    # False, residual 2.70) from lemma_shift_check, while the suite ended the run with the same BadShift
+    defaults = [case for cid, case in _suite_cases("A2") if "/c00/" in cid]
+    cases = [case._replace(epsilons=(1.0, 2.0)) for case in defaults]
+    for case in cases:
+        with pytest.raises(BadShift, match="epsilons must keep the lemma-shift contours off the real poles"):
+            lemma_shift_check(*case)
+    with pytest.raises(BadShift):
+        lemma_shift_batch(defaults + cases)
+    assert len(cases) == 8 and lemma_shift_check(*defaults[0])["pass"]
+
+
 @pytest.mark.parametrize("fine", [0.0, -0.05, float("nan")])
 def test_graded_edges_rejects_non_positive_step(fine):
     with pytest.raises(BadShift):
@@ -742,12 +787,14 @@ def test_densities_at_imaginary_points_are_numpys_complex_values(n):
     assert {t["kind"] for t in templates} == set(DENSITY_KINDS)
     # with n and with no pole: each template's analytic part is shared by the two
     fns = [scalar_fn_from_template(t, Fraction(r)) for t in templates for r in (n, "0")]
-    for got, fn in zip(values_sharing_poles(fns, y, imaginary=True), fns):
+    # pole_plus_rational has no on_axis: both parts are nonzero at iy, so its grids run the complex route
+    real = [fn for fn in fns if fn.on_axis is not None]
+    assert len(real) == 8 and all(fn(z).real.any() and fn(z).imag.any() for fn in fns if fn not in real)
+    for got, fn in zip(values_sharing_poles(real, y, imaginary=True), real):
         want = fn(z)
-        if fn.on_axis is None:
-            assert got.dtype == complex and np.array_equal(got, want), fn
-        else:
-            assert got.dtype == float and np.array_equal(got, want.imag) and not want.real.any(), fn
+        assert got.dtype == float and np.array_equal(got, want.imag) and not want.real.any(), fn
+    for got, fn in zip(values_sharing_poles(fns, z), fns):
+        assert got.dtype == complex and np.array_equal(got, fn(z)), fn
 
 
 @pytest.mark.parametrize("c0, c1, c2", FLAT_PHI_CASES)
@@ -759,11 +806,13 @@ def test_flat_phi_at_imaginary_points_is_numpys_complex_value(c0, c1, c2):
         z.imag = y
     d = build_root_system("A3")
     phi = FlatTestFunction(c0, c1, c2, 0.5, (0.7, 0.2, -0.4))
-    got, want = phi(d.float_gram, ys, imaginary=True), phi(d.float_gram, list(lam))
+    want = phi(d.float_gram, list(lam))
     if c1 == 0:
+        got = phi(d.float_gram, ys, imaginary=True)
         assert got.dtype == float and np.array_equal(got, want.real) and not want.imag.any()
     else:
-        assert np.array_equal(got, want)
+        # both parts are nonzero at iy: the grids of such a phi run the complex route
+        assert want.real.any() and want.imag.any()
 
 
 MIXED_CONFIG = {
@@ -789,16 +838,41 @@ def _grid_integrals(group, config=None, shifted=True):
 @pytest.mark.parametrize("group, config, shifted", [
     # the shifted grids run the complex route, with one analytic part per pairing and template
     ("A2", None, True), ("B2", None, False), ("G2", None, False),
-    # a density with both parts nonzero at iy next to ones with one, and a phi with a linear term
+    # a density with both parts nonzero at iy and a phi with a linear term: every grid on the complex route
     ("A2", MIXED_CONFIG, False),
     ("A2", {"m_model": {"kind": "pole"}, "flat_phi": [{"c0": 0.5, "c1": 0.0, "c2": 0.2, "scale": 0.5}]}, False),
 ], ids=["A2", "B2", "G2", "A2-mixed", "A2-pole-c2"])
 def test_every_grid_value_keeps_the_bits_of_the_complex_route(group, config, shifted):
     integrals, count = _grid_integrals(group, config, shifted)
     counters = _evaluate(integrals, [0.0] * count)
-    assert 0 < counters["lemma_shift.imaginary_nodes"] <= counters["lemma_shift.nodes"]
+    # a grid that reads a pole_plus_rational density or a phi with c1 != 0 runs the complex route
+    real_nodes = counters["lemma_shift.imaginary_nodes"]
+    assert real_nodes == 0 if config is MIXED_CONFIG else 0 < real_nodes <= counters["lemma_shift.nodes"]
     for it, want in zip(integrals, ref_grid_values(integrals)):
         assert all(map(same_bits, it.values, want))
+
+
+@pytest.mark.parametrize("config", [
+    {"r_model": {"kind": "pole_plus_rational", "p": ["0", "1"], "q": ["-4", "0", "1"]}},
+    {"flat_phi": [{"c0": 1.0, "c1": 0.3, "c2": 0.1, "scale": 0.5}]},
+], ids=["rational-r", "linear-phi"])
+def test_one_value_with_both_parts_puts_every_unshifted_grid_on_the_complex_route(config):
+    # the m- and r-model cases share every grid, so one pole_plus_rational template, or one phi with c1 != 0,
+    # puts each unshifted grid on the complex route, with the bits of the real one
+    integrals, count = _grid_integrals("A2", config, shifted=False)
+    counters = _evaluate(integrals, [0.0] * count)
+    assert counters["lemma_shift.imaginary_nodes"] == 0 < counters["lemma_shift.nodes"]
+    for it, want in zip(integrals, ref_grid_values(integrals)):
+        assert all(map(same_bits, it.values, want))
+
+
+def test_an_m_term_sum_on_a_real_grid_gives_one_part():
+    # terms of 1 and 2 factors would give an imaginary and a real part: never on a grid, whose every term has
+    # M.dim - S.dim factors, and a GmcalcError, not an unpacking error, if it ever were
+    assert contour._signed_reads(((0.5, (0,)), (2.0, (1,)))) == (((0.5, (0,)), (2.0, (1,))), 1)
+    assert contour._signed_reads(((0.5, (0, 1)), (2.0, ()))) == (((-0.5, (0, 1)), (2.0, ())), 0)
+    with pytest.raises(InternalInconsistency, match=r"parts \[0, 1\]"):
+        contour._signed_reads(((0.5, (0,)), (2.0, (0, 1))))
 
 
 def test_each_analytic_part_is_evaluated_once_per_pairing_and_template(monkeypatch):

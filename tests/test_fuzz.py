@@ -1,4 +1,4 @@
-"""Random configs, verify runs and eval arguments: every one ends in a result or a clean error, never a traceback."""
+"""Random configs, eval arguments and describe, eval and verify runs: each ends in a result or a clean error."""
 import contextlib
 import io
 import json
@@ -16,7 +16,8 @@ from gmcalc.exactlin import int_det
 
 SCHEMA = json.loads((Path(__file__).resolve().parents[1] / "src" / "gmcalc" / "config.schema.json").read_text())
 
-STRINGS = st.sampled_from(["", "x", "0", "1", "-1", "1/2", "-3/4", "1/0", "1e300", "A1", "M0", "G", "all",
+# "1e400" is a rational literal beyond float range
+STRINGS = st.sampled_from(["", "x", "0", "1", "-1", "1/2", "-3/4", "1/0", "1e300", "1e400", "A1", "M0", "G", "all",
                            "lemma-shift", "model_plancherel", "rational", "pole", "pole_plus_rational",
                            "gmcalc-config-v1"])
 NUMBERS = st.integers(-1, 30) | st.floats(-2, 2, width=32) | st.sampled_from([1e300, float("inf")])
@@ -88,12 +89,39 @@ def test_eval_args_exit_0_or_2(expr, args):
 
 
 SCALES = st.sampled_from(["1", "1/3", "5", "1e-300", "1e-150", "1e150", "1e300"])
-COEFFS = st.sampled_from(["0", "1", "-1", "1/2", "3", "1e-300", "1e150", "1e300", "-1e300"])
+COEFFS = st.sampled_from(["0", "1", "-1", "1/2", "3", "1e-300", "1e150", "1e300", "-1e300", "1e400"])
 DENSITIES = (st.just({"kind": "pole"})
              | st.fixed_dictionaries({"kind": st.just("model_plancherel"), "c": COEFFS})
              | st.fixed_dictionaries({"kind": st.just("pole_plus_rational"),
                                       "p": st.lists(COEFFS, min_size=1, max_size=3),
                                       "q": st.lists(COEFFS, min_size=1, max_size=3)}))
+
+
+def _exit_0_or_2_with_one_line(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2), err.getvalue()
+    assert (code == 2) == err.getvalue().startswith("error: ")
+    assert err.getvalue().count("\n") == (code == 2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(DOCS, st.fixed_dictionaries({}, optional={"m_model": DENSITIES, "r_model": DENSITIES}))
+# each of these ended describe and eval in an OverflowError traceback (exit 1): a density parameter beyond float range
+@example({}, {"m_model": {"kind": "model_plancherel", "c": "1e400"}})
+@example({}, {"r_model": {"kind": "pole_plus_rational", "p": ["1e400"], "q": ["1"]}})
+def test_describe_and_eval_exit_0_or_2_on_any_config(doc, densities):
+    # a document near the schema, or one whose densities build; the config's group (A2 by default), its form
+    # and its densities: c_coeff reads the m_model
+    doc = {**doc, **densities}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(doc))
+        _exit_0_or_2_with_one_line(["--config", str(path), "describe"])
+        _exit_0_or_2_with_one_line(["--config", str(path), "eval", "--expr", "c_coeff", "--args", "{}"])
+
+
 LADDERS = st.integers(2, 8).flatmap(
     lambda n: st.lists(st.floats(1e-13, 8.0), min_size=n, max_size=n, unique=True)
 ).map(lambda xs: sorted(xs, reverse=True))
